@@ -18,8 +18,8 @@ from .metrics import (MetricRow, asymptotic_report, comparison_table,
 from .reliability import (MarkovParams, mttf_redundancy_set, mttf_system,
                           mttf_table, params_for_scheme)
 from .repair import (ChunkStore, NodeRepairPlan, RepairPlan,
-                     chunk_repair_plan, degraded_read, execute_repair,
-                     node_repair_plan)
+                     chunk_repair_plan, chunks_from_shards, degraded_read,
+                     execute_repair, node_repair_plan)
 from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
                   repair_time_cdf, run_degraded_read, run_node_failure)
 
@@ -34,7 +34,7 @@ __all__ = [
     "MarkovParams", "mttf_redundancy_set", "mttf_system", "mttf_table",
     "params_for_scheme",
     "ChunkStore", "NodeRepairPlan", "RepairPlan", "chunk_repair_plan",
-    "degraded_read", "execute_repair", "node_repair_plan",
+    "chunks_from_shards", "degraded_read", "execute_repair", "node_repair_plan",
     "Cluster", "ClusterConfig", "Scheme", "SimReport", "build_cluster",
     "repair_time_cdf", "run_degraded_read", "run_node_failure",
     "SrcError", "ParameterError", "ShapeError", "InsufficientDataError",

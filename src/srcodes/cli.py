@@ -9,6 +9,7 @@ rewrites the same bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -20,10 +21,11 @@ import click
 from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import sim as sim_mod
-from .core import SrcParams, encode, reconstruct
+from .core import SrcParams, encode, layout, reconstruct
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, RepairError, ShapeError)
-from .repair import ChunkStore, execute_repair, node_repair_plan
+from .repair import (ChunkStore, chunks_from_shards, execute_repair,
+                     node_repair_plan)
 from .shards import (available_nodes, load_manifest, load_shard_checked,
                      shard_bytes, write_coded_array)
 
@@ -104,8 +106,7 @@ def _rebuild_via_reconstruction(manifest, shard_dir: Path, node: int):
             f"only {len(nodes)} live shards; need {params.k} to reconstruct")
     shards = {i: load_shard_checked(manifest, shard_dir, i)
               for i in nodes[:params.k]}
-    data = reconstruct(shards, params, manifest.file_size)
-    return encode(data, params).shards[node]
+    return chunks_from_shards(params, shards, layout(params).node_chunks(node))
 
 
 @main.command("repair")
@@ -210,6 +211,24 @@ def _scheme_from_options(scheme: str, n: int, k: int, f: int) -> sim_mod.Scheme:
     return sim_mod.Scheme.src(n, k, f)
 
 
+def _read_config(path: Path) -> dict:
+    """ClusterConfig fields from a JSON file; anything else is a usage error."""
+    try:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise ParameterError(f"{path.name} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("scheme", {}), dict):
+        raise ParameterError(f"{path.name}: the file and its scheme must be "
+                             "JSON objects")
+    fields = {fld.name for fld in dataclasses.fields(sim_mod.ClusterConfig)}
+    scheme_fields = {fld.name for fld in dataclasses.fields(sim_mod.Scheme)}
+    unknown = sorted(set(doc) - fields) + sorted(
+        f"scheme.{key}" for key in set(doc.get("scheme", {})) - scheme_fields)
+    if unknown:
+        raise ParameterError(f"{path.name}: unknown key(s) {', '.join(unknown)}")
+    return doc
+
+
 @main.command("simulate")
 @click.option("--scheme", type=click.Choice(["replication", "rs", "src"]),
               required=True)
@@ -229,7 +248,7 @@ def _scheme_from_options(scheme: str, n: int, k: int, f: int) -> sim_mod.Scheme:
                    "and emit a comma-separated throughput series")
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help="JSON file with ClusterConfig fields (flags win)")
+              help="JSON file with ClusterConfig fields (file values win)")
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
               help="write the report here instead of stdout")
 @click.option("--cdf-out", type=click.Path(dir_okay=False, path_type=Path),
@@ -241,28 +260,17 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
                  config_path: Path | None, out: Path | None,
                  cdf_out: Path | None) -> None:
     """Simulate repairing one failed machine and report throughput."""
-    overrides = {}
+    fields = {"machines": machines, "data_bytes_per_machine": data_per_machine,
+              "chunk_size": chunk_size, "seed": seed}
     if config_path is not None:
-        overrides = json.loads(config_path.read_text())
-        sch = overrides.pop("scheme", None)
-        if sch is not None:
-            scheme, n = sch.get("kind", scheme), sch.get("n", n)
-            k, f = sch.get("k", k), sch.get("f", f)
+        fields.update(_read_config(config_path))
+        sch = fields.pop("scheme", {})
+        scheme, n = sch.get("kind", scheme), sch.get("n", n)
+        k, f = sch.get("k", k), sch.get("f", f)
 
     def make_config(nn: int, kk: int) -> sim_mod.ClusterConfig:
         return sim_mod.ClusterConfig(
-            scheme=_scheme_from_options(scheme, nn, kk, f),
-            machines=overrides.get("machines", machines),
-            data_bytes_per_machine=overrides.get("data_bytes_per_machine",
-                                                 data_per_machine),
-            chunk_size=overrides.get("chunk_size", chunk_size),
-            net_bytes_per_s=overrides.get("net_bytes_per_s", sim_mod.GBIT),
-            disk_read_bytes_per_s=overrides.get("disk_read_bytes_per_s", 200e6),
-            disk_write_bytes_per_s=overrides.get("disk_write_bytes_per_s", 200e6),
-            max_inbound_repairs=overrides.get("max_inbound_repairs", 2),
-            dispatch_window=overrides.get("dispatch_window", 8),
-            seed=overrides.get("seed", seed),
-        )
+            scheme=_scheme_from_options(scheme, nn, kk, f), **fields)
 
     def run_one(cfg: sim_mod.ClusterConfig) -> sim_mod.SimReport:
         cluster = sim_mod.build_cluster(cfg)

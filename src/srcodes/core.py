@@ -194,12 +194,8 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     # coded[s, l, m] = chunk of part l+1, subscript m+1, stripe s
     coded = np.zeros((stripes, f, n, cs), dtype=np.uint8)
     coded[:, :, :k] = data
-    for j in range(k, n):
-        col = g.column(j)
-        acc = np.zeros((stripes, f, cs), dtype=np.uint8)
-        for i in range(k):
-            gf256.addmul_buf(acc, int(col[i]), data[:, :, i])
-        coded[:, :, j] = acc
+    gf256.addmul_rows(np.moveaxis(coded[:, :, k:], 2, 0), g.entries[:, k:].T,
+                      np.moveaxis(data, 2, 0))
     parity = np.bitwise_xor.reduce(coded, axis=1)  # parity[s, m]
 
     shards: dict[int, np.ndarray] = {}
@@ -253,9 +249,6 @@ def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
         # node i holds part l at subscript i (+) (l-1); columns are 0-based
         columns = [ring_add(i, l - 1, n) - 1 for i in nodes]
         inv = decode_matrix(columns, g)
-        for i in range(k):
-            acc = np.zeros((stripes, cs), dtype=np.uint8)
-            for c, node in enumerate(nodes):
-                gf256.addmul_buf(acc, int(inv[c, i]), shards[node][:, l - 1])
-            data[:, l - 1, i] = acc
+        gf256.addmul_rows(np.moveaxis(data[:, l - 1], 1, 0), inv.T,
+                          [shards[node][:, l - 1] for node in nodes])
     return data.reshape(-1).tobytes()[:file_size]

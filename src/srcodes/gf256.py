@@ -85,6 +85,18 @@ def addmul_buf(acc: np.ndarray, coeff: int, buf: np.ndarray) -> None:
         np.bitwise_xor(acc, MUL[coeff][buf], out=acc)
 
 
+def addmul_rows(out: np.ndarray, coeffs: np.ndarray, rows) -> None:
+    """out[i] ^= sum_j coeffs[i, j] * rows[j], in place.
+
+    The matrix form of addmul_buf: coeffs is r x c, out holds r buffers
+    along its first axis and rows holds c, all of one shape.  out may be
+    a strided view, so callers write straight into their final arrays.
+    """
+    for i in range(coeffs.shape[0]):
+        for j in range(coeffs.shape[1]):
+            addmul_buf(out[i], int(coeffs[i, j]), rows[j])
+
+
 def mat_inv(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix over GF(256) by Gauss-Jordan elimination.
 
@@ -115,16 +127,3 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
                 a[row] ^= MUL[c][a[col]]
                 inv[row] ^= MUL[c][inv[col]]
     return inv
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(256) (small matrices; used in tests/decode)."""
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    if inner != inner2:
-        raise ValueError("shape mismatch")
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        for j in range(inner):
-            addmul_buf(out[i], int(a[i, j]), b[j])
-    return out

@@ -35,14 +35,6 @@ class GeneratorMatrix:
     entries: np.ndarray
     construction_id: str = CONSTRUCTION_ID
 
-    @property
-    def systematic(self) -> bool:
-        return True
-
-    def column(self, j: int) -> np.ndarray:
-        """0-based column j as a length-k coefficient vector."""
-        return self.entries[:, j]
-
 
 def make_generator(k: int, n: int) -> GeneratorMatrix:
     """Build the systematic Cauchy generator for an (n, k) MDS code.
@@ -77,13 +69,9 @@ def mds_encode(data: list[np.ndarray], g: GeneratorMatrix) -> list[np.ndarray]:
     """Encode k equal-length buffers into n; the first k come back
     byte-identical (systematic).  Linear over the field per byte."""
     d = _as_matrix(data, g.k)
-    out = [d[i].copy() for i in range(g.k)]
-    for j in range(g.k, g.n):
-        acc = np.zeros_like(d[0])
-        for i in range(g.k):
-            gf256.addmul_buf(acc, int(g.entries[i, j]), d[i])
-        out.append(acc)
-    return out
+    out = np.zeros((g.n, d.shape[1]), dtype=np.uint8)
+    gf256.addmul_rows(out, g.entries.T, d)
+    return list(out)
 
 
 def decode_matrix(columns: list[int], g: GeneratorMatrix) -> np.ndarray:
@@ -114,10 +102,6 @@ def mds_decode(shares: list[tuple[int, np.ndarray]], g: GeneratorMatrix) -> list
     columns = [c for c, _ in shares]
     inv = decode_matrix(columns, g)
     s = _as_matrix([b for _, b in shares], g.k)
-    out = []
-    for i in range(g.k):
-        acc = np.zeros_like(s[0])
-        for c in range(g.k):
-            gf256.addmul_buf(acc, int(inv[c, i]), s[c])
-        out.append(acc)
-    return out
+    out = np.zeros_like(s)
+    gf256.addmul_rows(out, inv.T, s)
+    return list(out)

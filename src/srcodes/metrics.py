@@ -119,15 +119,19 @@ def asymptotic_report(ks: list[int], rate: float,
 
 def format_table(rows: list[MetricRow]) -> str:
     """Aligned text rendering of metric rows."""
-    header = ["scheme", "alpha(M/k)", "gamma(M/k)", "disks", "rate",
-              "cost-vs-3rep"]
-    body = [[r.scheme, f"{r.storage_per_node:.4f}", f"{r.repair_bandwidth:.4f}",
-             str(r.disk_accesses), f"{r.rate:.4f}", f"{r.normalized_cost:.4f}"]
-            for r in rows]
+    return render_table(
+        ["scheme", "alpha(M/k)", "gamma(M/k)", "disks", "rate", "cost-vs-3rep"],
+        [[r.scheme, f"{r.storage_per_node:.4f}", f"{r.repair_bandwidth:.4f}",
+          str(r.disk_accesses), f"{r.rate:.4f}", f"{r.normalized_cost:.4f}"]
+         for r in rows])
+
+
+def render_table(header: list[str], body: list[list[str]]) -> str:
+    """Header and rows as left-aligned columns two spaces apart."""
     widths = [max(len(row[i]) for row in [header] + body)
               for i in range(len(header))]
     fmt = "  ".join("{:<%d}" % w for w in widths)
-    return "\n".join([fmt.format(*header)] + [fmt.format(*row) for row in body])
+    return "\n".join(fmt.format(*row) for row in [header] + body)
 
 
 def csv_table(rows: list[MetricRow]) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ParameterError
+from .metrics import render_table
 
 HOURS_PER_YEAR = 365 * 24
 DISK_MTTF_HOURS = 5 * HOURS_PER_YEAR          # 5-year disk lifetime
@@ -174,12 +175,10 @@ def mttf_table(pairs: list[tuple[int, int]] | None = None,
 
 
 def format_mttf_table(rows: list[MttfRow]) -> str:
-    header = ["scheme", "repair_h", "set MTTF (h)", "system MTTF (h)"]
-    body = [[r.scheme, f"{r.repair_hours:.4f}", f"{r.set_mttf_hours:.4e}",
-             f"{r.system_mttf_hours:.4e}"] for r in rows]
-    widths = [max(len(row[i]) for row in [header] + body) for i in range(4)]
-    fmt = "  ".join("{:<%d}" % w for w in widths)
-    return "\n".join([fmt.format(*header)] + [fmt.format(*r) for r in body])
+    return render_table(
+        ["scheme", "repair_h", "set MTTF (h)", "system MTTF (h)"],
+        [[r.scheme, f"{r.repair_hours:.4f}", f"{r.set_mttf_hours:.4e}",
+          f"{r.system_mttf_hours:.4e}"] for r in rows])
 
 
 def csv_mttf_table(rows: list[MttfRow]) -> str:

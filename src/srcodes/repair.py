@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkId, CodedArray, SrcParams, layout
+from . import gf256
+from .core import ChunkId, CodedArray, SrcParams, layout, reconstruct
 from .errors import InsufficientDataError, RepairError
 
 
@@ -166,27 +167,30 @@ def execute_repair(plan: RepairPlan | NodeRepairPlan,
     return out
 
 
-def _chunk_from_data(params: SrcParams, target: ChunkId,
-                     data: np.ndarray) -> np.ndarray:
-    """Re-derive one coded or parity chunk from decoded stripe data of
-    shape (stripes, f, k, chunk_size)."""
-    from . import gf256
+def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
+                       targets: list[ChunkId]) -> np.ndarray:
+    """Derive the target chunks from the shards of any k nodes.
 
+    Decodes the stripe data, then applies only the generator columns the
+    targets need: a coded chunk combines the k data chunks of its part, a
+    parity chunk the f*k data chunks of every part with its column tiled
+    f times.  Returns (stripe_count, len(targets), chunk_size) in target
+    order, so a node's node_chunks give that node's shard.
+    """
+    f, k, cs = params.f, params.k, params.chunk_size
     g = params.generator()
-    col = g.column(target.subscript - 1)
-
-    def coded_part(part: int) -> np.ndarray:
-        acc = np.zeros((data.shape[0], params.chunk_size), dtype=np.uint8)
-        for i in range(params.k):
-            gf256.addmul_buf(acc, int(col[i]), data[:, part - 1, i])
-        return acc
-
-    if target.part <= params.f:
-        return coded_part(target.part)
-    acc = np.zeros((data.shape[0], params.chunk_size), dtype=np.uint8)
-    for part in range(1, params.f + 1):
-        np.bitwise_xor(acc, coded_part(part), out=acc)
-    return acc
+    stripes = max((s.shape[0] for s in shards.values()), default=0)
+    raw = reconstruct(shards, params, stripes * params.stripe_data_bytes)
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(stripes, f * k, cs)
+    coeffs = np.zeros((len(targets), f, k), dtype=np.uint8)
+    for t, target in enumerate(targets):
+        parts = slice(0, f) if target.part > f else \
+            slice(target.part - 1, target.part)
+        coeffs[t, parts] = g.entries[:, target.subscript - 1]
+    out = np.zeros((stripes, len(targets), cs), dtype=np.uint8)
+    gf256.addmul_rows(np.moveaxis(out, 1, 0), coeffs.reshape(len(targets), -1),
+                      np.moveaxis(data, 1, 0))
+    return out
 
 
 def degraded_read(params: SrcParams, target: ChunkId,
@@ -209,11 +213,5 @@ def degraded_read(params: SrcParams, target: ChunkId,
             raise InsufficientDataError(
                 f"{len(live)} live nodes cannot serve {target.label(params.f)}; "
                 f"need {params.k}")
-        from .core import reconstruct
-
-        nodes = live[:params.k]
-        raw = reconstruct({i: store.shards[i] for i in nodes}, params,
-                          store.stripe_count * params.stripe_data_bytes)
-        data = np.frombuffer(raw, dtype=np.uint8).reshape(
-            store.stripe_count, params.f, params.k, params.chunk_size)
-        return _chunk_from_data(params, target, data)
+        shards = {i: store.shards[i] for i in live[:params.k]}
+        return chunks_from_shards(params, shards, [target])[:, 0]

@@ -23,12 +23,13 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 
 import numpy as np
 
 from .core import CodedArray, SrcParams
-from .errors import IntegrityError, ShapeError
+from .errors import IntegrityError, ParameterError, ShapeError
 from .mds import CONSTRUCTION_ID
 
 MAGIC = b"SRCSHRD1"
@@ -125,30 +126,40 @@ class Manifest:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        doc = json.loads(text)
-        if doc.get("format") != "src-manifest":
-            raise IntegrityError("not a shard manifest")
-        if doc.get("version") != FORMAT_VERSION:
-            raise IntegrityError(f"unsupported manifest version {doc.get('version')}")
-        if doc.get("generator") != CONSTRUCTION_ID:
+    def from_json(cls, text: str | bytes) -> "Manifest":
+        """Parse a manifest.  Malformed JSON, a missing key or a value of
+        the wrong type raises IntegrityError."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format") != "src-manifest":
+                raise IntegrityError("not a shard manifest")
+            if doc.get("version") != FORMAT_VERSION:
+                raise IntegrityError(
+                    f"unsupported manifest version {doc.get('version')}")
+            if doc.get("generator") != CONSTRUCTION_ID:
+                raise IntegrityError(
+                    f"unknown generator construction {doc.get('generator')!r}")
+            if doc.get("digest_algorithm") != DIGEST_ALGORITHM:
+                raise IntegrityError(
+                    f"unknown digest algorithm {doc.get('digest_algorithm')!r}")
+            p = doc["params"]
+            params = SrcParams(n=index(p["n"]), k=index(p["k"]),
+                               f=index(p["f"]),
+                               chunk_size=index(p["chunk_size"]))
+            return cls(
+                params=params,
+                generator=doc["generator"],
+                file_size=index(doc["file_size"]),
+                stripe_count=index(doc["stripe_count"]),
+                file_digest=doc["file_digest"],
+                shard_digests={int(node): entry["digest"]
+                               for node, entry in doc["shards"].items()},
+            )
+        except ParameterError:   # a ValueError, but a usage error (exit 2)
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IntegrityError(
-                f"unknown generator construction {doc.get('generator')!r}")
-        if doc.get("digest_algorithm") != DIGEST_ALGORITHM:
-            raise IntegrityError(
-                f"unknown digest algorithm {doc.get('digest_algorithm')!r}")
-        p = doc["params"]
-        params = SrcParams(n=p["n"], k=p["k"], f=p["f"],
-                           chunk_size=p["chunk_size"])
-        return cls(
-            params=params,
-            generator=doc["generator"],
-            file_size=doc["file_size"],
-            stripe_count=doc["stripe_count"],
-            file_digest=doc["file_digest"],
-            shard_digests={int(node): entry["digest"]
-                           for node, entry in doc["shards"].items()},
-        )
+                f"malformed manifest: {type(exc).__name__}: {exc}") from exc
 
 
 def write_coded_array(array: CodedArray, directory: Path,
@@ -177,7 +188,7 @@ def write_coded_array(array: CodedArray, directory: Path,
 
 
 def load_manifest(path: Path) -> Manifest:
-    return Manifest.from_json(Path(path).read_text())
+    return Manifest.from_json(Path(path).read_bytes())
 
 
 def load_shard_checked(manifest: Manifest, directory: Path, node: int

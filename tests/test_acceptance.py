@@ -21,13 +21,15 @@ from srcodes.core import ChunkId, SrcParams, encode, layout, reconstruct, \
     ring_add
 from srcodes.metrics import comparison_table, replication_normalized_cost, \
     src_metrics
-from srcodes.mds import make_generator, mds_encode
+from srcodes.mds import make_generator
 from srcodes.reliability import MarkovParams, mttf_redundancy_set, mttf_table
 from srcodes.repair import ChunkStore, chunk_repair_plan, execute_repair, \
     node_repair_plan
 from srcodes.shards import MANIFEST_NAME, shard_filename
 from srcodes.sim import ClusterConfig, Scheme, build_cluster, \
     run_degraded_read, run_node_failure
+
+from gf_reference import gf_matmul
 
 PARAMS_SET = [(4, 2, 2), (5, 3, 2), (6, 4, 2), (6, 3, 3), (8, 4, 3)]
 ONE_MIB = 1 << 20
@@ -93,8 +95,8 @@ def test_criterion_3_four_node_fixture():
     file_bytes = _random_bytes(99, 4 * 64)
     quarters = np.frombuffer(file_bytes, np.uint8).reshape(4, 64)
     g = make_generator(2, 4)
-    first = mds_encode([quarters[0], quarters[1]], g)
-    second = mds_encode([quarters[2], quarters[3]], g)
+    first = gf_matmul(g.entries.T, quarters[0:2])
+    second = gf_matmul(g.entries.T, quarters[2:4])
     arr = encode(file_bytes, p)
     for node in range(1, 5):
         shard = arr.shards[node][0]

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from srcodes import cli
 from srcodes.cli import main
+from srcodes.core import SrcParams
+from srcodes.repair import node_repair_plan
 from srcodes.shards import MANIFEST_NAME, shard_filename
 
 
@@ -101,17 +104,30 @@ def test_repair_dry_run_writes_nothing(runner, tmp_path):
     assert before == after
 
 
-def test_repair_fallback_when_helper_missing(runner, tmp_path):
-    _, _, out = _encode(runner, tmp_path, n=5, k=2, f=2, size=60_000)
+@pytest.mark.parametrize("n,k,f,node", [
+    (5, 2, 2, 1),
+    (10, 6, 2, 7),   # every slot of node 7 sits on a subscript > k
+    (7, 3, 3, 2),
+])
+def test_repair_fallback_when_helper_missing(runner, tmp_path, monkeypatch,
+                                             n, k, f, node):
+    # 60_000 bytes is not a whole number of stripes for any case
+    _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=60_000,
+                        chunk=1024)
     manifest = out / MANIFEST_NAME
-    lost = out / shard_filename(1)
+    lost = out / shard_filename(node)
     expected = lost.read_bytes()
     lost.unlink()
-    # drop one helper of node 1 as well; 3 live nodes still >= k = 2
-    helper = out / shard_filename(5)
-    helper.unlink()
+    # drop one look-up helper as well; n - 2 live nodes still >= k
+    plan = node_repair_plan(SrcParams(n, k, f, 1024), node)
+    (out / shard_filename(max(plan.disk_access_set))).unlink()
+
+    def no_encode(*args):
+        raise AssertionError("repair must not re-encode the file")
+
+    monkeypatch.setattr(cli, "encode", no_encode)
     res = runner.invoke(main, ["repair", "--manifest", str(manifest),
-                               "--shards", str(out), "--node", "1"])
+                               "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
     assert "reconstruction fallback" in res.output
     assert lost.read_bytes() == expected
@@ -146,6 +162,32 @@ def test_corrupted_shard_exit_4(runner, tmp_path):
                                "--shards", str(out), "--out",
                                str(tmp_path / "y.bin")])
     assert res.exit_code == 4
+
+
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _file_size_as_text(doc):
+    doc["file_size"] = str(doc["file_size"])
+
+
+@pytest.mark.parametrize("edit", [None, _drop_params, _file_size_as_text],
+                         ids=["not-json", "no-params", "wrong-type"])
+def test_malformed_manifest_exit_4(runner, tmp_path, edit):
+    _, _, out = _encode(runner, tmp_path)
+    manifest = out / MANIFEST_NAME
+    if edit is None:
+        manifest.write_text("{not json")
+    else:
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["decode", "--manifest", str(manifest),
+                               "--shards", str(out), "--out",
+                               str(tmp_path / "y.bin")])
+    assert res.exit_code == 4
+    assert "malformed manifest" in res.output
 
 
 def test_decode_without_systematic_nodes(runner, tmp_path):
@@ -199,6 +241,20 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
     assert cdf.read_text().startswith("repair_time_s,percentile")
 
 
+@pytest.mark.parametrize("doc,problem", [
+    ([40], "JSON object"),
+    ({"machine": 40}, "unknown key(s) machine"),
+    ({"scheme": {"kind": "rs", "kk": 4}}, "unknown key(s) scheme.kk"),
+], ids=["list", "typo", "scheme-typo"])
+def test_simulate_bad_config_usage_error(runner, tmp_path, doc, problem):
+    cfg = tmp_path / "cluster.json"
+    cfg.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["simulate", "--scheme", "rs",
+                               "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert problem in res.output
+
+
 def test_simulate_sweep_series(runner):
     res = runner.invoke(main, ["simulate", "--scheme", "src", "--f", "2",
                                "--sweep", "10,6 20,16 50,46"])
@@ -221,3 +277,21 @@ def test_reliability_command(runner):
     assert res.output.startswith("scheme,n,k")
     res = runner.invoke(main, ["reliability", "--pairs", "junk"])
     assert res.exit_code == 2
+
+
+RELIABILITY_TEXT = [
+    "scheme             repair_h  set MTTF (h)  system MTTF (h)",
+    "3-way-replication  0.2500    2.2408e+14    8.9632e+08     ",
+    "RS(10,6)           0.5000    8.5308e+19    2.0474e+15     ",
+    "RS(20,16)          1.3333    2.7445e+16    1.7565e+12     ",
+    "RS(50,46)          3.8333    2.9611e+12    5.4485e+08     ",
+    "SRC(10,6,2)        0.5000    8.5308e+19    2.0474e+15     ",
+    "SRC(20,16,2)       0.5000    1.3869e+18    8.8761e+13     ",
+    "SRC(50,46,2)       0.5000    1.0156e+16    1.8686e+12     ",
+]
+
+
+def test_reliability_text_output_pinned(runner):
+    res = runner.invoke(main, ["reliability"])
+    assert res.exit_code == 0
+    assert res.output == "\n".join(RELIABILITY_TEXT) + "\n"

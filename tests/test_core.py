@@ -6,7 +6,9 @@ import pytest
 from srcodes.core import (ChunkId, SrcParams, encode, layout, reconstruct,
                           ring_add, ring_sub)
 from srcodes.errors import InsufficientDataError, ParameterError, ShapeError
-from srcodes.mds import make_generator, mds_encode
+from srcodes.mds import make_generator
+
+from gf_reference import gf_matmul
 
 PARAM_GRID = [(4, 2, 2), (5, 3, 2), (6, 4, 2), (6, 3, 3), (8, 4, 3), (5, 3, 1)]
 
@@ -72,8 +74,8 @@ def test_encode_single_stripe_matches_manual_construction():
     file_bytes = _random_file(11, 2 * 2 * cs)
     chunks = np.frombuffer(file_bytes, np.uint8).reshape(4, cs)
     g = make_generator(2, 4)
-    first = mds_encode([chunks[0], chunks[1]], g)
-    second = mds_encode([chunks[2], chunks[3]], g)
+    first = gf_matmul(g.entries.T, chunks[0:2])
+    second = gf_matmul(g.entries.T, chunks[2:4])
     parity = [a ^ b for a, b in zip(first, second)]
 
     arr = encode(file_bytes, p)

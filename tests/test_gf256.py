@@ -3,6 +3,8 @@ import pytest
 
 from srcodes import gf256
 
+from gf_reference import gf_matmul
+
 
 def test_add_is_xor_and_self_inverse():
     assert gf256.gf_add(0x53, 0xCA) == 0x53 ^ 0xCA
@@ -51,6 +53,20 @@ def test_mul_buf_and_addmul_buf():
         assert np.array_equal(acc, expect2)
 
 
+@pytest.mark.parametrize("r,c", [(1, 3), (3, 4), (4, 2)])
+def test_addmul_rows_matches_reference(r, c):
+    rng = np.random.default_rng(11 + r * c)
+    coeffs = rng.integers(2, 256, (r, c)).astype(np.uint8)
+    coeffs.flat[::5] = 0
+    coeffs.flat[1::5] = 1
+    rows = rng.integers(0, 256, (c, 3, 7), dtype=np.uint8)
+    # out is a strided view: row i lives at base[:, i]
+    base = rng.integers(0, 256, (3, r, 7), dtype=np.uint8)
+    expect = np.moveaxis(base, 1, 0) ^ gf_matmul(coeffs, rows)
+    gf256.addmul_rows(np.moveaxis(base, 1, 0), coeffs, list(rows))
+    assert np.array_equal(np.moveaxis(base, 1, 0), expect)
+
+
 def test_mat_inv_round_trip():
     rng = np.random.default_rng(10)
     for k in (1, 2, 3, 5):
@@ -60,8 +76,7 @@ def test_mat_inv_round_trip():
                 inv = gf256.mat_inv(m)
             except ZeroDivisionError:
                 continue
-            assert np.array_equal(gf256.mat_mul(m, inv),
-                                  np.eye(k, dtype=np.uint8))
+            assert np.array_equal(gf_matmul(m, inv), np.eye(k, dtype=np.uint8))
 
 
 def test_mat_inv_singular_raises():

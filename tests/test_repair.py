@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from srcodes import gf256
 from srcodes.core import ChunkId, SrcParams, encode, layout, reconstruct
 from srcodes.errors import InsufficientDataError, RepairError
-from srcodes.repair import (ChunkStore, chunk_repair_plan, degraded_read,
-                            execute_repair, node_repair_plan)
+from srcodes.repair import (ChunkStore, chunk_repair_plan, chunks_from_shards,
+                            degraded_read, execute_repair, node_repair_plan)
+
+from gf_reference import gf_matmul
 
 PARAM_GRID = [(4, 2, 2), (5, 3, 2), (6, 4, 2), (6, 3, 3), (8, 4, 3), (5, 3, 1)]
 
@@ -152,13 +155,36 @@ def test_degraded_read_fallback_matches_reconstruction_oracle():
                        arr.stripe_count * p.stripe_data_bytes)
     grid = np.frombuffer(data, np.uint8).reshape(
         arr.stripe_count, p.f, p.k, p.chunk_size)
-    from srcodes.mds import mds_encode
-    g = p.generator()
-    expect = np.stack([
-        mds_encode(list(grid[s, 0]), g)[0]  # part 1, subscript 1
-        for s in range(arr.stripe_count)])
+    column = p.generator().entries[:, :1].T  # subscript 1
+    expect = np.stack([gf_matmul(column, grid[s, 0])[0]  # part 1
+                       for s in range(arr.stripe_count)])
     assert np.array_equal(got, expect)
     assert np.array_equal(got, arr.shards[1][:, 0])
+
+
+def test_lookup_repair_does_no_gf_work(monkeypatch):
+    p = SrcParams(10, 6, 2, 64)
+    arr = _coded(13, p)
+
+    def no_gf(*args):
+        raise RuntimeError("GF(256) multiply in look-up repair")
+
+    monkeypatch.setattr(gf256, "addmul_buf", no_gf)
+    with pytest.raises(RuntimeError):
+        encode(b"x", p)   # the patch does catch GF work
+    store = ChunkStore.from_array(arr, unavailable={4})
+    restored = execute_repair(node_repair_plan(p, 4), store)
+    assert np.array_equal(restored, arr.shards[4])
+
+
+@pytest.mark.parametrize("n,k,f", PARAM_GRID)
+def test_chunks_from_shards_rebuilds_every_node(n, k, f):
+    p = SrcParams(n, k, f, 32)
+    arr = _coded(14, p)
+    helpers = {i: arr.shards[i] for i in range(n - k + 1, n + 1)}
+    for node in range(1, n + 1):
+        got = chunks_from_shards(p, helpers, layout(p).node_chunks(node))
+        assert np.array_equal(got, arr.shards[node])
 
 
 def test_degraded_read_insufficient_data():
