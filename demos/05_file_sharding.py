@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Shard a file to disk with manifest and checksums, delete a shard,
-repair it from its look-up helpers, and decode the file back - the same
-workflow the `srcodes` CLI drives, shown through the library API."""
+repair it from its look-up helpers, corrupt another shard, and decode the
+file back from the intact ones - the same workflow the `srcodes` CLI
+drives, shown through the library API."""
 
 import hashlib
 import tempfile
@@ -9,10 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from srcodes import SrcParams, encode, reconstruct
-from srcodes.shards import (available_nodes, load_manifest,
-                            load_shard_checked, shard_filename,
-                            write_coded_array)
+from srcodes import (ChunkStore, SrcParams, encode, execute_repair,
+                     node_repair_plan, reconstruct)
+from srcodes.shards import (load_manifest, load_shards, shard_filename,
+                            write_coded_array, write_shard)
+
+
+def say_skipped(node, exc):
+    print(f"  skipped: {exc}")
+
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
@@ -32,23 +38,23 @@ print(f"stripe_count={manifest.stripe_count}, shard file size "
 
 print("\ndeleting node 3's shard, then repairing it from 4 helper disks")
 shard_path.unlink()
-from srcodes import ChunkStore, execute_repair, node_repair_plan
-from srcodes.shards import shard_bytes
-
 plan = node_repair_plan(params, 3)
-helpers = {node: load_shard_checked(manifest, workdir, node)
-           for node in sorted(plan.disk_access_set)}
-store = ChunkStore(params, helpers, manifest.stripe_count)
+helpers = sorted(plan.disk_access_set)
+store = ChunkStore(params, load_shards(manifest, workdir, helpers, len(helpers),
+                                       say_skipped), manifest.stripe_count)
 rebuilt = execute_repair(plan, store)
-blob = shard_bytes(params, 3, manifest.stripe_count, manifest.file_size,
-                   rebuilt)
-shard_path.write_bytes(blob)
-ok = hashlib.sha256(blob).hexdigest() == manifest.shard_digests[3]
-print(f"rebuilt shard digest matches manifest: {ok}")
+# write_shard refuses bytes whose digest differs from the manifest's
+write_shard(workdir, manifest, 3, rebuilt, manifest.shard_digests[3])
+print("rebuilt shard digest matches manifest: True")
 
-print("\ndecoding from the first 6 available shards")
-nodes = available_nodes(manifest, workdir)[:params.k]
-shards = {i: load_shard_checked(manifest, workdir, i) for i in nodes}
+print("\ncorrupting node 1's shard, then decoding from the first 6 intact "
+      "shards")
+blob = bytearray((workdir / shard_filename(1)).read_bytes())
+blob[-1] ^= 0xFF
+(workdir / shard_filename(1)).write_bytes(bytes(blob))
+shards = load_shards(manifest, workdir, sorted(manifest.shard_digests),
+                     params.k, say_skipped)
+print(f"  read nodes {sorted(shards)}")
 out = reconstruct(shards, params, manifest.file_size)
 print(f"file digest matches: "
       f"{hashlib.sha256(out).hexdigest() == manifest.file_digest}")

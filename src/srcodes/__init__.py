@@ -12,7 +12,7 @@ from .core import ChunkId, CodedArray, SrcParams, StripeLayout, encode, \
     layout, reconstruct, ring_add, ring_sub
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, RepairError, ShapeError, SrcError)
-from .mds import GeneratorMatrix, make_generator, mds_decode, mds_encode
+from .mds import GeneratorMatrix, make_generator
 from .metrics import (MetricRow, asymptotic_report, comparison_table,
                       replication_normalized_cost, src_metrics)
 from .reliability import (MarkovParams, mttf_redundancy_set, mttf_system,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChunkId", "CodedArray", "SrcParams", "StripeLayout", "encode", "layout",
     "reconstruct", "ring_add", "ring_sub",
-    "GeneratorMatrix", "make_generator", "mds_decode", "mds_encode",
+    "GeneratorMatrix", "make_generator",
     "MetricRow", "asymptotic_report", "comparison_table",
     "replication_normalized_cost", "src_metrics",
     "MarkovParams", "mttf_redundancy_set", "mttf_system", "mttf_table",

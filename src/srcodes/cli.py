@@ -26,8 +26,8 @@ from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, RepairError, ShapeError)
 from .repair import (ChunkStore, chunks_from_shards, execute_repair,
                      node_repair_plan)
-from .shards import (available_nodes, load_manifest, load_shard_checked,
-                     shard_bytes, write_coded_array)
+from .shards import (load_manifest, load_shards, write_atomic,
+                     write_coded_array, write_shard)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -58,6 +58,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _say_skipped(node: int, exc: IntegrityError) -> None:
+    click.echo(f"skipped: {exc}", err=True)
+
+
+def _parse_pairs(option: str, text: str, example: str) -> list[tuple[int, int]]:
+    """'10,6 20,16' -> [(10, 6), (20, 16)]; anything else is a usage error."""
+    try:
+        pairs = [tuple(int(x) for x in item.split(",")) for item in text.split()]
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError
+    except ValueError:
+        raise ParameterError(f"cannot parse {option} {text!r}; "
+                             f"expected e.g. {example!r}")
+    return pairs
+
+
 @click.group()
 def main() -> None:
     """Simple regenerating code toolkit."""
@@ -85,30 +101,6 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
     click.echo(f"manifest: {manifest_path}")
 
 
-def _rebuild_via_lookup(manifest, shard_dir: Path, node: int):
-    params = manifest.params
-    plan = node_repair_plan(params, node)
-    helpers = {}
-    for helper in sorted(plan.disk_access_set):
-        path = manifest.shard_path(shard_dir, helper)
-        if not path.exists():
-            raise RepairError(f"helper shard {path.name} is missing")
-        helpers[helper] = load_shard_checked(manifest, shard_dir, helper)
-    store = ChunkStore(params, helpers, manifest.stripe_count)
-    return plan, execute_repair(plan, store)
-
-
-def _rebuild_via_reconstruction(manifest, shard_dir: Path, node: int):
-    params = manifest.params
-    nodes = [i for i in available_nodes(manifest, shard_dir) if i != node]
-    if len(nodes) < params.k:
-        raise InsufficientDataError(
-            f"only {len(nodes)} live shards; need {params.k} to reconstruct")
-    shards = {i: load_shard_checked(manifest, shard_dir, i)
-              for i in nodes[:params.k]}
-    return chunks_from_shards(params, shards, layout(params).node_chunks(node))
-
-
 @main.command("repair")
 @click.option("--manifest", "manifest_path",
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
@@ -127,27 +119,37 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
     params = manifest.params
     if not 1 <= node <= params.n:
         raise ParameterError(f"node {node} outside [1, {params.n}]")
+    plan = node_repair_plan(params, node)
     if dry_run:
-        plan = node_repair_plan(params, node)
         for line in plan.describe(manifest.stripe_count):
             click.echo(line)
         return
+    skipped: set[int] = set()
+
+    def skip(bad: int, exc: IntegrityError) -> None:
+        skipped.add(bad)
+        _say_skipped(bad, exc)
+
+    # Helper shards are temporaries: they are freed before the rebuilt
+    # shard is serialised, and before the fallback loads its own k.
+    helpers = sorted(plan.disk_access_set)
+    shard, mode = None, "look-up repair"
     try:
-        _, shard = _rebuild_via_lookup(manifest, shard_dir, node)
-        mode = "look-up repair"
-    except RepairError as exc:
+        shard = execute_repair(plan, ChunkStore(
+            params, load_shards(manifest, shard_dir, helpers, len(helpers),
+                                skip), manifest.stripe_count))
+    except (InsufficientDataError, IntegrityError) as exc:
         click.echo(f"look-up repair blocked ({exc}); "
                    "falling back to reconstruction", err=True)
-        shard = _rebuild_via_reconstruction(manifest, shard_dir, node)
+    if shard is None:
+        others = sorted(set(manifest.shard_digests) - {node} - skipped)
+        shard = chunks_from_shards(
+            params, load_shards(manifest, shard_dir, others, params.k, skip),
+            layout(params).node_chunks(node))
         mode = "reconstruction fallback"
-    blob = shard_bytes(params, node, manifest.stripe_count,
-                       manifest.file_size, shard)
-    if _sha256(blob) != manifest.shard_digests[node]:
-        raise IntegrityError(
-            f"rebuilt shard for node {node} does not match the manifest digest")
-    out_path = manifest.shard_path(shard_dir, node)
-    out_path.write_bytes(blob)
-    click.echo(f"rebuilt {out_path.name} via {mode}; digest verified")
+    write_shard(shard_dir, manifest, node, shard, manifest.shard_digests[node])
+    click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
+               f"via {mode}; digest verified")
 
 
 @main.command("decode")
@@ -161,19 +163,15 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
               required=True)
 @_exit_codes
 def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
-    """Rebuild the original file from any k shards."""
+    """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
     params = manifest.params
-    nodes = available_nodes(manifest, shard_dir)
-    if len(nodes) < params.k:
-        raise InsufficientDataError(
-            f"only {len(nodes)} shards present; need {params.k}")
-    shards = {i: load_shard_checked(manifest, shard_dir, i)
-              for i in nodes[:params.k]}
+    shards = load_shards(manifest, shard_dir, sorted(manifest.shard_digests),
+                         params.k, _say_skipped)
     data = reconstruct(shards, params, manifest.file_size)
     if _sha256(data) != manifest.file_digest:
         raise IntegrityError("decoded file does not match the manifest digest")
-    out.write_bytes(data)
+    write_atomic(out, data)
     click.echo(f"decoded {len(data)} bytes to {out} (digest verified)")
 
 
@@ -280,16 +278,8 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
 
     wrote_cdf = False
     if sweep is not None:
-        try:
-            pairs = [tuple(int(x) for x in item.split(","))
-                     for item in sweep.split()]
-            if any(len(p) != 2 for p in pairs):
-                raise ValueError
-        except ValueError:
-            raise ParameterError(f"cannot parse sweep {sweep!r}; "
-                                 "expected e.g. '10,6 20,16 50,46'")
         lines = ["scheme,n,k,throughput_bytes_per_s,elapsed_s"]
-        for nn, kk in pairs:
+        for nn, kk in _parse_pairs("sweep", sweep, "10,6 20,16 50,46"):
             rep = run_one(make_config(nn, kk))
             lines.append(f'"{rep.scheme}",{nn},{kk},{rep.throughput!r},'
                          f"{rep.elapsed!r}")
@@ -321,15 +311,8 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
 def cmd_reliability(pairs: str, system_bytes: float, node_bytes: float,
                     disk_mttf_hours: float, as_csv: bool) -> None:
     """Markov MTTF table: scheme x (n, k)."""
-    try:
-        pair_list = [tuple(int(x) for x in item.split(","))
-                     for item in pairs.split()]
-        if any(len(p) != 2 for p in pair_list):
-            raise ValueError
-    except ValueError:
-        raise ParameterError(f"cannot parse pairs {pairs!r}; "
-                             "expected e.g. '10,6 20,16'")
-    rows = rel_mod.mttf_table(pair_list, system_bytes=system_bytes,
+    rows = rel_mod.mttf_table(_parse_pairs("pairs", pairs, "10,6 20,16"),
+                              system_bytes=system_bytes,
                               node_bytes=node_bytes,
                               disk_mttf_hours=disk_mttf_hours)
     click.echo(rel_mod.csv_mttf_table(rows) if as_csv

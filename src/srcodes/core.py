@@ -89,17 +89,9 @@ class SrcParams:
         return self.f + 1
 
     @property
-    def chunks_per_node(self) -> int:
-        return self.f + 1
-
-    @property
     def stripe_data_bytes(self) -> int:
         """Payload bytes carried by one stripe."""
         return self.f * self.k * self.chunk_size
-
-    @property
-    def stripe_stored_bytes(self) -> int:
-        return (self.f + 1) * self.n * self.chunk_size
 
     def generator(self) -> GeneratorMatrix:
         return _generator(self.k, self.n)
@@ -160,9 +152,6 @@ class CodedArray:
     file_size: int
     shards: dict[int, np.ndarray]
 
-    def node_shard(self, node: int) -> np.ndarray:
-        return self.shards[node]
-
     def chunk(self, stripe: int, chunk: ChunkId) -> np.ndarray:
         lay = layout(self.params)
         return self.shards[lay.chunk_location(chunk)][stripe, lay.slot_of(chunk)]
@@ -191,20 +180,20 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     n, k, f, cs = params.n, params.k, params.f, params.chunk_size
     g = params.generator()
 
-    # coded[s, l, m] = chunk of part l+1, subscript m+1, stripe s
-    coded = np.zeros((stripes, f, n, cs), dtype=np.uint8)
-    coded[:, :, :k] = data
-    gf256.addmul_rows(np.moveaxis(coded[:, :, k:], 2, 0), g.entries[:, k:].T,
+    # coded[s, l, m] = chunk of part l+1 (the parity part when l = f),
+    # subscript m+1, stripe s
+    coded = np.zeros((stripes, f + 1, n, cs), dtype=np.uint8)
+    coded[:, :f, :k] = data
+    gf256.addmul_rows(np.moveaxis(coded[:, :f, k:], 2, 0), g.entries[:, k:].T,
                       np.moveaxis(data, 2, 0))
-    parity = np.bitwise_xor.reduce(coded, axis=1)  # parity[s, m]
+    np.bitwise_xor.reduce(coded[:, :f], axis=1, out=coded[:, f])
 
-    shards: dict[int, np.ndarray] = {}
-    for node in range(1, n + 1):
-        shard = np.empty((stripes, f + 1, cs), dtype=np.uint8)
-        for l in range(1, f + 1):
-            shard[:, l - 1] = coded[:, l - 1, ring_add(node, l - 1, n) - 1]
-        shard[:, f] = parity[:, ring_add(node, f, n) - 1]
-        shards[node] = shard
+    # np.stack keeps each shard C-contiguous, so serialising it needs no
+    # further copy
+    lay = layout(params)
+    shards = {node: np.stack([coded[:, c.part - 1, c.subscript - 1]
+                              for c in lay.node_chunks(node)], axis=1)
+              for node in range(1, n + 1)}
     return CodedArray(params=params, stripe_count=stripes,
                       file_size=len(file_bytes), shards=shards)
 
@@ -237,18 +226,17 @@ def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
             f"need shards from {params.k} nodes, got {len(shards)}")
     stripes = _check_shards(shards, params)
     nodes = sorted(shards)[:params.k]
-    n, k, f, cs = params.n, params.k, params.f, params.chunk_size
+    k, f, cs = params.k, params.f, params.chunk_size
     g = params.generator()
 
     if stripes * params.stripe_data_bytes < file_size:
         raise ShapeError(
             f"{stripes} stripes cannot hold file_size={file_size}")
 
+    held = [layout(params).node_chunks(i) for i in nodes]
     data = np.zeros((stripes, f, k, cs), dtype=np.uint8)
-    for l in range(1, f + 1):
-        # node i holds part l at subscript i (+) (l-1); columns are 0-based
-        columns = [ring_add(i, l - 1, n) - 1 for i in nodes]
-        inv = decode_matrix(columns, g)
-        gf256.addmul_rows(np.moveaxis(data[:, l - 1], 1, 0), inv.T,
-                          [shards[node][:, l - 1] for node in nodes])
+    for slot in range(f):
+        inv = decode_matrix([ids[slot].subscript - 1 for ids in held], g)
+        gf256.addmul_rows(np.moveaxis(data[:, slot], 1, 0), inv.T,
+                          [shards[node][:, slot] for node in nodes])
     return data.reshape(-1).tobytes()[:file_size]

@@ -62,19 +62,6 @@ def gf_inv(a: int) -> int:
     return int(INV[a])
 
 
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
-def mul_buf(coeff: int, buf: np.ndarray) -> np.ndarray:
-    """Scale a uint8 buffer (any shape) by a field constant."""
-    if coeff == 0:
-        return np.zeros_like(buf)
-    if coeff == 1:
-        return buf.copy()
-    return MUL[coeff][buf]
-
-
 def addmul_buf(acc: np.ndarray, coeff: int, buf: np.ndarray) -> None:
     """acc ^= coeff * buf, elementwise, in place."""
     if coeff == 0:

@@ -7,8 +7,7 @@ coded chunks recover the data.  Construction is a pure function of
 (k, n); decoders rebuild it from the ``construction_id`` recorded in a
 manifest instead of shipping matrix entries.
 
-Buffers are numpy uint8 arrays.  Everything here is stateless and
-thread-safe.
+Everything here is stateless and thread-safe.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf256
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 CONSTRUCTION_ID = "gf256-cauchy-systematic-v1"
 
@@ -54,26 +53,6 @@ def make_generator(k: int, n: int) -> GeneratorMatrix:
     return GeneratorMatrix(k=k, n=n, entries=g)
 
 
-def _as_matrix(buffers: list[np.ndarray] | np.ndarray, count: int) -> np.ndarray:
-    arrs = [np.asarray(b, dtype=np.uint8) for b in buffers]
-    if len(arrs) != count:
-        raise ShapeError(f"expected {count} buffers, got {len(arrs)}")
-    length = arrs[0].shape[-1] if arrs[0].ndim else 0
-    for a in arrs:
-        if a.ndim != 1 or a.shape[0] != length:
-            raise ShapeError("buffers must be 1-D and of equal length")
-    return np.stack(arrs) if length or arrs else np.zeros((count, 0), np.uint8)
-
-
-def mds_encode(data: list[np.ndarray], g: GeneratorMatrix) -> list[np.ndarray]:
-    """Encode k equal-length buffers into n; the first k come back
-    byte-identical (systematic).  Linear over the field per byte."""
-    d = _as_matrix(data, g.k)
-    out = np.zeros((g.n, d.shape[1]), dtype=np.uint8)
-    gf256.addmul_rows(out, g.entries.T, d)
-    return list(out)
-
-
 def decode_matrix(columns: list[int], g: GeneratorMatrix) -> np.ndarray:
     """Inverse of the k x k submatrix formed by the given 0-based columns.
 
@@ -92,16 +71,3 @@ def decode_matrix(columns: list[int], g: GeneratorMatrix) -> np.ndarray:
         return gf256.mat_inv(sub)
     except ZeroDivisionError as exc:  # impossible for a Cauchy-built G
         raise AssertionError(f"MDS submatrix {columns} singular") from exc
-
-
-def mds_decode(shares: list[tuple[int, np.ndarray]], g: GeneratorMatrix) -> list[np.ndarray]:
-    """Recover the k data buffers from any k (column index, buffer) pairs.
-
-    Column indices are 0-based positions in the codeword.
-    """
-    columns = [c for c, _ in shares]
-    inv = decode_matrix(columns, g)
-    s = _as_matrix([b for _, b in shares], g.k)
-    out = np.zeros_like(s)
-    gf256.addmul_rows(out, inv.T, s)
-    return list(out)

@@ -9,7 +9,10 @@ One shard file per node (see docs/FORMATS.md for the bit-exact layout):
 
 All integers little-endian.  Writing is deterministic: re-encoding the
 same file yields bit-identical shards, so a rebuilt shard can be checked
-against the manifest digest.
+against the manifest digest.  This module is the only one that reads or
+writes shard files: write_shard writes one (every file goes through
+write_atomic, so a crash never leaves a torn file under its real name),
+and load_shards reads the first intact shards of a list of nodes.
 
 The manifest is JSON with sorted keys: code parameters, the generator
 construction id (decoders rebuild the matrix from it), original file
@@ -20,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import index
 from pathlib import Path
@@ -29,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import CodedArray, SrcParams
-from .errors import IntegrityError, ParameterError, ShapeError
+from .errors import (InsufficientDataError, IntegrityError, ParameterError,
+                     ShapeError)
 from .mds import CONSTRUCTION_ID
 
 MAGIC = b"SRCSHRD1"
@@ -55,14 +61,15 @@ def shard_bytes(params: SrcParams, node: int, stripe_count: int,
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
                           params.f, 0, params.chunk_size, stripe_count,
                           file_size)
-    flat = shard.reshape(stripe_count * (params.f + 1), params.chunk_size)
-    crcs = b"".join(struct.pack("<I", zlib.crc32(chunk.tobytes()))
-                    for chunk in flat)
-    return header + crcs + flat.tobytes()
+    # CRCs and the join read the array's own buffer: one copy, into the
+    # returned bytes
+    flat = np.ascontiguousarray(
+        shard.reshape(stripe_count * (params.f + 1), params.chunk_size))
+    crcs = b"".join(struct.pack("<I", zlib.crc32(chunk)) for chunk in flat)
+    return b"".join((header, crcs, flat))
 
 
-def parse_shard(blob: bytes, verify: bool = True
-                ) -> tuple[SrcParams, int, int, int, np.ndarray]:
+def parse_shard(blob: bytes) -> tuple[SrcParams, int, int, int, np.ndarray]:
     """Parse a shard file; returns (params, node, stripe_count, file_size,
     chunk array).  Raises IntegrityError on bad magic/version/CRC."""
     if len(blob) < _HEADER.size:
@@ -82,18 +89,12 @@ def parse_shard(blob: bytes, verify: bool = True
             f"shard file is {len(blob)} bytes, expected {expected}")
     flat = np.frombuffer(blob[crc_end:], dtype=np.uint8).reshape(
         chunk_count, chunk_size)
-    if verify:
-        for i in range(chunk_count):
-            (crc,) = struct.unpack_from("<I", blob, _HEADER.size + 4 * i)
-            if zlib.crc32(flat[i].tobytes()) != crc:
-                raise IntegrityError(f"chunk {i} fails its CRC")
+    for i in range(chunk_count):
+        (crc,) = struct.unpack_from("<I", blob, _HEADER.size + 4 * i)
+        if zlib.crc32(flat[i].tobytes()) != crc:
+            raise IntegrityError(f"chunk {i} fails its CRC")
     shard = flat.reshape(stripes, f + 1, chunk_size).copy()
     return params, node, stripes, file_size, shard
-
-
-def read_shard(path: Path, verify: bool = True
-               ) -> tuple[SrcParams, int, int, int, np.ndarray]:
-    return parse_shard(Path(path).read_bytes(), verify=verify)
 
 
 @dataclass(frozen=True)
@@ -162,18 +163,44 @@ class Manifest:
                 f"malformed manifest: {type(exc).__name__}: {exc}") from exc
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write a file through a temporary sibling and os.replace, so the
+    path holds either its old bytes or all of the new ones; on error the
+    temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_shard(directory: Path, coded: CodedArray | Manifest, node: int,
+                shard: np.ndarray, digest: str | None = None) -> str:
+    """Write one node's shard file and return its sha256.  coded supplies
+    params, stripe_count and file_size.  A rebuilt shard passes the
+    manifest's digest; if its bytes do not match, IntegrityError is raised
+    and no file is written."""
+    blob = shard_bytes(coded.params, node, coded.stripe_count,
+                       coded.file_size, shard)
+    got = _digest(blob)
+    if digest is not None and got != digest:
+        raise IntegrityError(
+            f"rebuilt shard for node {node} does not match the manifest digest")
+    write_atomic(Path(directory) / shard_filename(node), blob)
+    return got
+
+
 def write_coded_array(array: CodedArray, directory: Path,
                       file_digest: str) -> Path:
     """Write one shard file per node plus the manifest; returns the
     manifest path.  file_digest is the sha256 of the original file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for node in range(1, array.params.n + 1):
-        blob = shard_bytes(array.params, node, array.stripe_count,
-                           array.file_size, array.shards[node])
-        (directory / shard_filename(node)).write_bytes(blob)
-        digests[node] = _digest(blob)
+    digests = {node: write_shard(directory, array, node, shard)
+               for node, shard in sorted(array.shards.items())}
     manifest = Manifest(
         params=array.params,
         generator=CONSTRUCTION_ID,
@@ -183,7 +210,7 @@ def write_coded_array(array: CodedArray, directory: Path,
         shard_digests=digests,
     )
     manifest_path = directory / MANIFEST_NAME
-    manifest_path.write_text(manifest.to_json())
+    write_atomic(manifest_path, manifest.to_json().encode())
     return manifest_path
 
 
@@ -206,8 +233,37 @@ def load_shard_checked(manifest: Manifest, directory: Path, node: int
     return shard
 
 
-def available_nodes(manifest: Manifest, directory: Path) -> list[int]:
-    """Nodes whose shard files exist in the directory."""
-    directory = Path(directory)
-    return [node for node in sorted(manifest.shard_digests)
-            if manifest.shard_path(directory, node).exists()]
+def load_shards(manifest: Manifest, directory: Path, nodes: list[int],
+                want: int, on_skip: Callable[[int, IntegrityError], None]
+                ) -> dict[int, np.ndarray]:
+    """The first `want` of `nodes`, in order, whose shard files exist and
+    pass load_shard_checked.  A shard that fails its checks is skipped,
+    reported to on_skip, and the next present node is read instead.
+
+    Raises InsufficientDataError before reading any file when fewer than
+    `want` files exist, and IntegrityError naming the skipped files as
+    soon as fewer than `want` unskipped files remain.
+    """
+    present = [node for node in nodes
+               if manifest.shard_path(directory, node).exists()]
+    if len(present) < want:
+        missing = [shard_filename(node) for node in nodes
+                   if node not in present]
+        raise InsufficientDataError(
+            f"only {len(present)} shards present; need {want}; "
+            f"missing {', '.join(missing)}")
+    shards: dict[int, np.ndarray] = {}
+    skipped: list[str] = []
+    for node in present:
+        if len(shards) == want or len(present) - len(skipped) < want:
+            break
+        try:
+            shards[node] = load_shard_checked(manifest, directory, node)
+        except IntegrityError as exc:
+            skipped.append(shard_filename(node))
+            on_skip(node, exc)
+    if len(shards) < want:
+        raise IntegrityError(
+            f"at most {len(present) - len(skipped)} intact shards; "
+            f"need {want}; skipped {', '.join(skipped)}")
+    return shards

@@ -304,16 +304,13 @@ def _allocate(flows: list[_Flow], config: ClusterConfig, degraded: bool) -> None
         live_count[best_key] = 0
 
 
-def _run(cluster: Cluster, failed: int, degraded: bool,
-         workload: int | None = None) -> SimReport:
+def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
     config = cluster.config
     scheme = config.scheme
     if not 0 <= failed < config.machines:
         raise ParameterError(f"failed machine {failed} outside cluster")
     rng = random.Random(f"{config.seed}:jobs")
     jobs, data_loss = _make_jobs(cluster, failed, rng)
-    if workload is not None:
-        jobs = jobs[:workload]
     for job in jobs:
         assert len(job.sources) == scheme.helper_reads
 
@@ -407,12 +404,10 @@ def run_node_failure(cluster: Cluster, failed: int) -> SimReport:
     return _run(cluster, failed, degraded=False)
 
 
-def run_degraded_read(cluster: Cluster, failed: int,
-                      workload: int | None = None) -> SimReport:
-    """Serve reads of the failed machine's chunks without writing the
-    repaired data back.  workload limits how many lost chunks are read
-    (default: all of them)."""
-    return _run(cluster, failed, degraded=True, workload=workload)
+def run_degraded_read(cluster: Cluster, failed: int) -> SimReport:
+    """Serve reads of all the failed machine's chunks without writing the
+    repaired data back."""
+    return _run(cluster, failed, degraded=True)
 
 
 def repair_time_cdf(report: SimReport) -> list[tuple[float, float]]:

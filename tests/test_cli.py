@@ -1,11 +1,12 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srcodes import cli
+from srcodes import cli, shards
 from srcodes.cli import main
 from srcodes.core import SrcParams
 from srcodes.repair import node_repair_plan
@@ -32,7 +33,21 @@ def _encode(runner, tmp_path, n=4, k=2, f=2, size=100_000, chunk=4096):
                                "--f", str(f), "--chunk-size", str(chunk),
                                "--out", str(out)])
     assert res.exit_code == 0, res.output
+    # the benchmark counts these files: no temporary file may remain
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([MANIFEST_NAME] + [shard_filename(i) for i in range(1, n + 1)])
     return src, data, out
+
+
+def _flip_last_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _decode(runner, out, dest):
+    return runner.invoke(main, ["decode", "--manifest", str(out / MANIFEST_NAME),
+                                "--shards", str(out), "--out", str(dest)])
 
 
 def test_encode_repair_decode_cycle(runner, tmp_path):
@@ -152,16 +167,120 @@ def test_decode_insufficient_shards_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+def test_decode_skips_corrupt_shard(runner, tmp_path):
+    # node 1 is corrupt, nodes 2-4 are intact and k = 2
+    _, data, out = _encode(runner, tmp_path)
+    _flip_last_byte(out / shard_filename(1))
+    dest = tmp_path / "y.bin"
+    res = _decode(runner, out, dest)
+    assert res.exit_code == 0, res.output
+    assert dest.read_bytes() == data
+    assert "node_001.shard" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_corrupted_shard_exit_4(runner, tmp_path):
+    # 3 of 4 shards corrupt leaves 1 intact shard, k = 2
     _, _, out = _encode(runner, tmp_path)
-    shard = out / shard_filename(1)
-    blob = bytearray(shard.read_bytes())
-    blob[-1] ^= 0xFF
-    shard.write_bytes(bytes(blob))
-    res = runner.invoke(main, ["decode", "--manifest", str(out / MANIFEST_NAME),
-                               "--shards", str(out), "--out",
-                               str(tmp_path / "y.bin")])
+    for node in (1, 2, 4):
+        _flip_last_byte(out / shard_filename(node))
+    res = _decode(runner, out, tmp_path / "y.bin")
     assert res.exit_code == 4
+    assert not (tmp_path / "y.bin").exists()
+    for node in (1, 2, 4):
+        assert shard_filename(node) in res.stderr
+
+
+def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
+    _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=60_000,
+                        chunk=1024)
+    lost = out / shard_filename(3)
+    expected = lost.read_bytes()
+    lost.unlink()
+    bad = min(node_repair_plan(SrcParams(10, 6, 2, 1024), 3).disk_access_set)
+    _flip_last_byte(out / shard_filename(bad))
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", "3"])
+    assert res.exit_code == 0, res.output
+    assert "reconstruction fallback" in res.stdout
+    assert lost.read_bytes() == expected
+    # skipped by look-up repair, then left out of the fallback
+    skips = [line for line in res.stderr.splitlines()
+             if line.startswith("skipped:")]
+    assert skips == [f"skipped: shard {shard_filename(bad)} does not match "
+                     "its manifest digest"]
+
+
+@pytest.mark.parametrize("n,k,f", [(4, 2, 2), (10, 6, 2), (7, 3, 3)])
+def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
+    _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=30_000,
+                        chunk=512)
+    manifest = str(out / MANIFEST_NAME)
+    reads = []
+    real = shards.load_shard_checked
+
+    def counting(m, directory, node):
+        reads.append(node)
+        return real(m, directory, node)
+
+    monkeypatch.setattr(shards, "load_shard_checked", counting)
+    assert _decode(runner, out, tmp_path / "y.bin").exit_code == 0
+    assert reads == list(range(1, k + 1))
+
+    node = n
+    helpers = sorted(node_repair_plan(SrcParams(n, k, f, 512), node)
+                     .disk_access_set)
+    assert len(helpers) == min(2 * f, n - 1)
+    (out / shard_filename(node)).unlink()
+    reads.clear()
+    res = runner.invoke(main, ["repair", "--manifest", manifest,
+                               "--shards", str(out), "--node", str(node)])
+    assert res.exit_code == 0, res.output
+    assert reads == helpers
+
+    # a missing helper is seen before any helper is read: the fallback's
+    # k reads are the only ones
+    (out / shard_filename(node)).unlink()
+    (out / shard_filename(helpers[0])).unlink()
+    reads.clear()
+    res = runner.invoke(main, ["repair", "--manifest", manifest,
+                               "--shards", str(out), "--node", str(node)])
+    assert res.exit_code == 0, res.output
+    assert "reconstruction fallback" in res.stdout
+    live = [i for i in range(1, n + 1) if i not in (node, helpers[0])]
+    assert reads == live[:k]
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
+def test_failed_write_leaves_old_files(runner, tmp_path, monkeypatch):
+    # every write fails at os.replace: no torn or temporary file may
+    # appear and every file that existed before keeps its bytes
+    src, data, out = _encode(runner, tmp_path)
+    dest = tmp_path / "restored.bin"
+    dest.write_bytes(b"old contents")
+    (out / shard_filename(1)).unlink()
+    before = _files(tmp_path)
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", "1"])
+    assert isinstance(res.exception, OSError)
+    res = _decode(runner, out, dest)
+    assert isinstance(res.exception, OSError)
+    src.write_bytes(data[::-1])
+    res = runner.invoke(main, ["encode", str(src), "--n", "4", "--k", "2",
+                               "--f", "2", "--chunk-size", "4096",
+                               "--out", str(out)])
+    assert isinstance(res.exception, OSError)
+    src.write_bytes(data)
+    assert _files(tmp_path) == before
 
 
 def _drop_params(doc):

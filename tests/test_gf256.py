@@ -40,13 +40,12 @@ def test_mul_table_matches_scalar():
         assert int(gf256.MUL[a, b]) == gf256.gf_mul(a, b)
 
 
-def test_mul_buf_and_addmul_buf():
+def test_addmul_buf_matches_scalar():
     rng = np.random.default_rng(9)
     buf = rng.integers(0, 256, 64, dtype=np.uint8)
     for coeff in (0, 1, 2, 0x1D, 255):
         expect = np.array([gf256.gf_mul(coeff, int(v)) for v in buf],
                           dtype=np.uint8)
-        assert np.array_equal(gf256.mul_buf(coeff, buf), expect)
         acc = rng.integers(0, 256, 64, dtype=np.uint8)
         expect2 = acc ^ expect
         gf256.addmul_buf(acc, coeff, buf)

@@ -3,8 +3,8 @@ import pytest
 
 from srcodes.core import SrcParams, encode
 from srcodes.errors import IntegrityError, ShapeError
-from srcodes.shards import (Manifest, load_manifest, parse_shard, read_shard,
-                            shard_bytes, shard_filename, write_coded_array)
+from srcodes.shards import (Manifest, load_manifest, parse_shard, shard_bytes,
+                            shard_filename, write_coded_array)
 
 
 def _array(seed=1, params=None):
@@ -62,8 +62,8 @@ def test_write_and_load_manifest(tmp_path):
     assert manifest.file_size == len(data)
     assert sorted(manifest.shard_digests) == [1, 2, 3, 4]
     for node in range(1, 5):
-        params, got_node, _, _, shard = read_shard(
-            tmp_path / shard_filename(node))
+        params, got_node, _, _, shard = parse_shard(
+            (tmp_path / shard_filename(node)).read_bytes())
         assert got_node == node
         assert np.array_equal(shard, arr.shards[node])
 

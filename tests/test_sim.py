@@ -110,12 +110,6 @@ def test_degraded_at_least_repair_throughput():
         assert deg.throughput >= rep.throughput
 
 
-def test_degraded_workload_limit():
-    cluster = build_cluster(ClusterConfig(scheme=Scheme.replication()))
-    deg = run_degraded_read(cluster, 0, workload=5)
-    assert deg.lost_chunks == 5
-
-
 def test_scheme_ordering_at_10_6():
     tput = {}
     for scheme in (Scheme.replication(), Scheme.rs(10, 6),
