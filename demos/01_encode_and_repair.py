@@ -5,8 +5,8 @@ two survivors."""
 
 import numpy as np
 
-from srcodes import (ChunkId, SrcParams, ChunkStore, encode, layout,
-                     node_repair_plan, execute_repair, reconstruct)
+from srcodes import (ChunkId, SrcParams, chunks_from_shards, encode, layout,
+                     node_repair_plan, reconstruct)
 
 params = SrcParams(n=4, k=2, f=2, chunk_size=8)
 rng = np.random.default_rng(0)
@@ -26,20 +26,21 @@ plan = node_repair_plan(params, failed=1)
 for line in plan.describe(array.stripe_count):
     print(" ", line)
 
-store = ChunkStore.from_array(array, unavailable={1})
-restored = execute_repair(plan, store)
+survivors = {node: array.shards[node] for node in (2, 3, 4)}
+restored = chunks_from_shards(params, survivors, lay.node_chunks(1))
 same = np.array_equal(restored, array.shards[1])
 print(f"\nrestored shard identical to the lost one: {same}")
 
 print("\n== rebuilding the file from nodes 2 and 3 only ==")
-survivors = {2: array.shards[2], 3: array.shards[3]}
-out = reconstruct(survivors, params, array.file_size)
+two = {2: array.shards[2], 3: array.shards[3]}
+out = reconstruct(two, params, array.file_size)
 print(f"round trip exact: {out == file_bytes}")
-print("note: the parity chunks are only used for repair, never for decoding.")
 
 print("\n== a single chunk read while its node is down ==")
-from srcodes import degraded_read
-
-chunk = degraded_read(params, ChunkId(1, 1), store)
-print(f"degraded read of part1[1] correct: "
-      f"{np.array_equal(chunk, array.shards[1][:, 0])} (nothing written back)")
+print("(XORed from its helpers on nodes 4 and 3; with node 4 down too, it is")
+print(" derived from the k = 2 nodes left; nothing is written back)")
+for down in ({1}, {1, 4}):
+    live = {i: s for i, s in array.shards.items() if i not in down}
+    chunk = chunks_from_shards(params, live, [ChunkId(1, 1)])[:, 0]
+    print(f"  nodes {sorted(down)} down, part1[1] correct: "
+          f"{np.array_equal(chunk, array.shards[1][:, 0])}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from srcodes import (ChunkStore, SrcParams, encode, execute_repair,
+from srcodes import (SrcParams, chunks_from_shards, encode, layout,
                      node_repair_plan, reconstruct)
 from srcodes.shards import (load_manifest, load_shards, shard_filename,
                             write_coded_array, write_shard)
@@ -40,9 +40,9 @@ print("\ndeleting node 3's shard, then repairing it from 4 helper disks")
 shard_path.unlink()
 plan = node_repair_plan(params, 3)
 helpers = sorted(plan.disk_access_set)
-store = ChunkStore(params, load_shards(manifest, workdir, helpers, len(helpers),
-                                       say_skipped), manifest.stripe_count)
-rebuilt = execute_repair(plan, store)
+rebuilt = chunks_from_shards(
+    params, load_shards(manifest, workdir, helpers, len(helpers), say_skipped),
+    layout(params).node_chunks(3))
 # write_shard refuses bytes whose digest differs from the manifest's
 write_shard(workdir, manifest, 3, rebuilt, manifest.shard_digests[3])
 print("rebuilt shard digest matches manifest: True")

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -21,11 +22,10 @@ import click
 from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import sim as sim_mod
-from .core import SrcParams, encode, layout, reconstruct
+from .core import SrcParams, chunks_from_shards, encode, layout, reconstruct
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
-                     PlacementError, RepairError, ShapeError)
-from .repair import (ChunkStore, chunks_from_shards, execute_repair,
-                     node_repair_plan)
+                     PlacementError, ShapeError)
+from .repair import node_repair_plan
 from .shards import (load_manifest, load_shards, write_atomic,
                      write_coded_array, write_shard)
 
@@ -44,7 +44,7 @@ def _exit_codes(fn):
         except (ParameterError, PlacementError, ShapeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
-        except (InsufficientDataError, RepairError) as exc:
+        except InsufficientDataError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INSUFFICIENT)
         except IntegrityError as exc:
@@ -130,23 +130,22 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
         skipped.add(bad)
         _say_skipped(bad, exc)
 
-    # Helper shards are temporaries: they are freed before the rebuilt
-    # shard is serialised, and before the fallback loads its own k.
+    # The intact helpers read before look-up repair is blocked count
+    # toward the fallback's k; all are freed before the rebuilt shard is
+    # serialised.
     helpers = sorted(plan.disk_access_set)
-    shard, mode = None, "look-up repair"
+    shards: dict = {}
+    mode = "look-up repair"
     try:
-        shard = execute_repair(plan, ChunkStore(
-            params, load_shards(manifest, shard_dir, helpers, len(helpers),
-                                skip), manifest.stripe_count))
+        load_shards(manifest, shard_dir, helpers, len(helpers), skip, shards)
     except (InsufficientDataError, IntegrityError) as exc:
         click.echo(f"look-up repair blocked ({exc}); "
                    "falling back to reconstruction", err=True)
-    if shard is None:
         others = sorted(set(manifest.shard_digests) - {node} - skipped)
-        shard = chunks_from_shards(
-            params, load_shards(manifest, shard_dir, others, params.k, skip),
-            layout(params).node_chunks(node))
+        load_shards(manifest, shard_dir, others, params.k, skip, shards)
         mode = "reconstruction fallback"
+    shard = chunks_from_shards(params, shards, layout(params).node_chunks(node))
+    del shards
     write_shard(shard_dir, manifest, node, shard, manifest.shard_digests[node])
     click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
                f"via {mode}; digest verified")
@@ -210,7 +209,8 @@ def _scheme_from_options(scheme: str, n: int, k: int, f: int) -> sim_mod.Scheme:
 
 
 def _read_config(path: Path) -> dict:
-    """ClusterConfig fields from a JSON file; anything else is a usage error."""
+    """ClusterConfig fields from a JSON file; anything else, a value of
+    the wrong type included, is a usage error."""
     try:
         doc = json.loads(path.read_bytes())
     except ValueError as exc:
@@ -224,6 +224,20 @@ def _read_config(path: Path) -> dict:
         f"scheme.{key}" for key in set(doc.get("scheme", {})) - scheme_fields)
     if unknown:
         raise ParameterError(f"{path.name}: unknown key(s) {', '.join(unknown)}")
+    # a float field takes an int too; bool is an int to isinstance only
+    for cls, prefix, values in ((sim_mod.ClusterConfig, "", doc),
+                                (sim_mod.Scheme, "scheme.",
+                                 doc.get("scheme", {}))):
+        hints = typing.get_type_hints(cls)
+        for key, value in values.items():
+            want = hints[key]
+            if want is sim_mod.Scheme:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, int | float if want is float else want):
+                raise ParameterError(
+                    f"{path.name}: {prefix}{key} must be of type "
+                    f"{getattr(want, '__name__', want)}, got {value!r}")
     return doc
 
 

@@ -133,6 +133,14 @@ class StripeLayout:
         """0-based slot index of a chunk within its node's shard."""
         return chunk.part - 1
 
+    def helpers(self, chunk: ChunkId) -> list[ChunkId]:
+        """The f other chunks with this chunk's subscript, in part order;
+        the f+1 of them XOR to zero, so these restore the chunk."""
+        self.chunk_location(chunk)  # validates the id
+        return [ChunkId(part, chunk.subscript)
+                for part in range(1, self.params.parity_part + 1)
+                if part != chunk.part]
+
 
 def layout(params: SrcParams) -> StripeLayout:
     return StripeLayout(params)
@@ -214,29 +222,80 @@ def _check_shards(shards: dict[int, np.ndarray], params: SrcParams) -> int:
     return 0 if stripes is None else stripes
 
 
+def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
+                       targets: list[ChunkId]) -> np.ndarray:
+    """Produce the target chunks, every stripe, from the shards present.
+
+    Each target is copied from its own node when that node is present,
+    else XORed from its f helpers (StripeLayout.helpers) when they are
+    all present, else derived from the lowest k present nodes: part l's
+    decode matrix times the target's generator column gives one
+    coefficient per stored chunk, summed over the f parts for a parity
+    target, so the file is never materialised.  Returns (stripe_count,
+    len(targets), chunk_size) in target order, so a node's node_chunks
+    give that node's shard.  Raises InsufficientDataError naming a
+    target that needs deriving when fewer than k nodes are present.
+    """
+    stripes = _check_shards(shards, params)
+    lay = layout(params)
+    f, k = params.f, params.k
+    out = np.zeros((stripes, len(targets), params.chunk_size), dtype=np.uint8)
+    derived = []
+    for t, target in enumerate(targets):
+        sources = [target] if lay.chunk_location(target) in shards \
+            else lay.helpers(target)
+        if any(lay.chunk_location(c) not in shards for c in sources):
+            derived.append(t)
+            continue
+        for c in sources:
+            np.bitwise_xor(out[:, t], shards[lay.chunk_location(c)][
+                :, lay.slot_of(c)], out=out[:, t])
+    if not derived:
+        return out
+
+    nodes = sorted(shards)[:k]
+    if len(nodes) < k:
+        target = targets[derived[0]]
+        absent = sorted({lay.chunk_location(c) for c in lay.helpers(target)}
+                        - set(shards))
+        raise InsufficientDataError(
+            f"cannot produce {target.label(f)}: helper node(s) "
+            f"{', '.join(map(str, absent))} absent and {len(nodes)} nodes "
+            f"present; need {k}")
+    gen = params.generator()
+    held = [lay.node_chunks(node) for node in nodes]
+    inverses: dict[int, np.ndarray] = {}
+    # coeffs[d, l*k + c] scales slot l of node nodes[c] into derived target d
+    coeffs = np.zeros((len(derived), f * k), dtype=np.uint8)
+    for d, t in enumerate(derived):
+        target = targets[t]
+        for l in range(f) if target.part > f else [target.part - 1]:
+            if l not in inverses:
+                inverses[l] = decode_matrix(
+                    [ids[l].subscript - 1 for ids in held], gen)
+            coeffs[d, l * k:(l + 1) * k] = np.bitwise_xor.reduce(
+                gf256.MUL[inverses[l], gen.entries[:, target.subscript - 1]],
+                axis=1)
+    gf256.addmul_rows([out[:, t] for t in derived], coeffs,
+                      [shards[node][:, l] for l in range(f) for node in nodes])
+    return out
+
+
 def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
                 file_size: int) -> bytes:
     """Rebuild the original file from the shards of any k distinct nodes.
 
-    Parity chunks are never read; each of the f parts is decoded from the
-    k coded chunks the chosen nodes hold for it.
+    The f*k data chunks of each stripe come from chunks_from_shards, so
+    a data chunk whose node is missing may be XORed from its helpers,
+    parity included, or derived from k nodes.
     """
     if len(shards) < params.k:
         raise InsufficientDataError(
             f"need shards from {params.k} nodes, got {len(shards)}")
-    stripes = _check_shards(shards, params)
-    nodes = sorted(shards)[:params.k]
-    k, f, cs = params.k, params.f, params.chunk_size
-    g = params.generator()
-
-    if stripes * params.stripe_data_bytes < file_size:
+    data = chunks_from_shards(params, shards, [
+        ChunkId(part, sub) for part in range(1, params.f + 1)
+        for sub in range(1, params.k + 1)])
+    if data.size < file_size:
         raise ShapeError(
-            f"{stripes} stripes cannot hold file_size={file_size}")
-
-    held = [layout(params).node_chunks(i) for i in nodes]
-    data = np.zeros((stripes, f, k, cs), dtype=np.uint8)
-    for slot in range(f):
-        inv = decode_matrix([ids[slot].subscript - 1 for ids in held], g)
-        gf256.addmul_rows(np.moveaxis(data[:, slot], 1, 0), inv.T,
-                          [shards[node][:, slot] for node in nodes])
-    return data.reshape(-1).tobytes()[:file_size]
+            f"{data.shape[0]} stripes cannot hold file_size={file_size}")
+    return data.reshape(-1)[:file_size].tobytes()

@@ -21,10 +21,6 @@ class InsufficientDataError(SrcError):
     """Fewer live shards/chunks than the code needs to recover."""
 
 
-class RepairError(SrcError):
-    """A repair plan could not be executed (names the missing chunk)."""
-
-
 class IntegrityError(SrcError):
     """Checksum or digest mismatch against a manifest."""
 

@@ -128,8 +128,10 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Manifest":
-        """Parse a manifest.  Malformed JSON, a missing key or a value of
-        the wrong type raises IntegrityError."""
+        """Parse a manifest.  Malformed JSON, a missing key, a value of
+        the wrong type, shards not keyed exactly 1..n, a negative
+        file_size or a stripe_count that does not fit file_size raises
+        IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
@@ -147,11 +149,23 @@ class Manifest:
             params = SrcParams(n=index(p["n"]), k=index(p["k"]),
                                f=index(p["f"]),
                                chunk_size=index(p["chunk_size"]))
+            file_size = index(doc["file_size"])
+            stripe_count = index(doc["stripe_count"])
+            if set(doc["shards"]) != {str(i) for i in range(1, params.n + 1)}:
+                raise IntegrityError(
+                    f"malformed manifest: shards must be keyed 1..{params.n}")
+            if file_size < 0:
+                raise IntegrityError(
+                    f"malformed manifest: negative file_size {file_size}")
+            if stripe_count != -(-file_size // params.stripe_data_bytes):
+                raise IntegrityError(
+                    f"malformed manifest: stripe_count {stripe_count} does "
+                    f"not fit file_size {file_size}")
             return cls(
                 params=params,
                 generator=doc["generator"],
-                file_size=index(doc["file_size"]),
-                stripe_count=index(doc["stripe_count"]),
+                file_size=file_size,
+                stripe_count=stripe_count,
                 file_digest=doc["file_digest"],
                 shard_digests={int(node): entry["digest"]
                                for node, entry in doc["shards"].items()},
@@ -234,35 +248,43 @@ def load_shard_checked(manifest: Manifest, directory: Path, node: int
 
 
 def load_shards(manifest: Manifest, directory: Path, nodes: list[int],
-                want: int, on_skip: Callable[[int, IntegrityError], None]
+                want: int, on_skip: Callable[[int, IntegrityError], None],
+                shards: dict[int, np.ndarray] | None = None
                 ) -> dict[int, np.ndarray]:
-    """The first `want` of `nodes`, in order, whose shard files exist and
-    pass load_shard_checked.  A shard that fails its checks is skipped,
-    reported to on_skip, and the next present node is read instead.
+    """Fill `shards` (a new dict by default) with the first `want` of
+    `nodes`, in order, whose shard files exist and pass
+    load_shard_checked, and return it.  Nodes of `nodes` already in
+    `shards` count first and are not read again.  A shard that fails its
+    checks is skipped, reported to on_skip, and the next present node is
+    read instead.
 
     Raises InsufficientDataError before reading any file when fewer than
     `want` files exist, and IntegrityError naming the skipped files as
     soon as fewer than `want` unskipped files remain.
     """
-    present = [node for node in nodes
-               if manifest.shard_path(directory, node).exists()]
+    shards = {} if shards is None else shards
+    present = [node for node in nodes if node in shards
+               or manifest.shard_path(directory, node).exists()]
     if len(present) < want:
         missing = [shard_filename(node) for node in nodes
                    if node not in present]
         raise InsufficientDataError(
             f"only {len(present)} shards present; need {want}; "
             f"missing {', '.join(missing)}")
-    shards: dict[int, np.ndarray] = {}
+    got = sum(node in shards for node in present)
     skipped: list[str] = []
     for node in present:
-        if len(shards) == want or len(present) - len(skipped) < want:
+        if got >= want or len(present) - len(skipped) < want:
             break
+        if node in shards:
+            continue
         try:
             shards[node] = load_shard_checked(manifest, directory, node)
+            got += 1
         except IntegrityError as exc:
             skipped.append(shard_filename(node))
             on_skip(node, exc)
-    if len(shards) < want:
+    if got < want:
         raise IntegrityError(
             f"at most {len(present) - len(skipped)} intact shards; "
             f"need {want}; skipped {', '.join(skipped)}")

@@ -17,14 +17,13 @@ import pytest
 from click.testing import CliRunner
 
 from srcodes.cli import main as cli_main
-from srcodes.core import ChunkId, SrcParams, encode, layout, reconstruct, \
-    ring_add
+from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
+    layout, reconstruct, ring_add
 from srcodes.metrics import comparison_table, replication_normalized_cost, \
     src_metrics
 from srcodes.mds import make_generator
 from srcodes.reliability import MarkovParams, mttf_redundancy_set, mttf_table
-from srcodes.repair import ChunkStore, chunk_repair_plan, execute_repair, \
-    node_repair_plan
+from srcodes.repair import chunk_repair_plan, node_repair_plan
 from srcodes.shards import MANIFEST_NAME, shard_filename
 from srcodes.sim import ClusterConfig, Scheme, build_cluster, \
     run_degraded_read, run_node_failure
@@ -70,8 +69,9 @@ def test_criterion_2_repair_exactness_and_counts():
             plan = node_repair_plan(p, failed)
             assert plan.chunk_reads == f * (f + 1)
             assert len(plan.disk_access_set) == min(2 * f, n - 1)
-            store = ChunkStore.from_array(arr, unavailable={failed})
-            restored = execute_repair(plan, store)
+            helpers = {i: arr.shards[i] for i in plan.disk_access_set}
+            restored = chunks_from_shards(p, helpers,
+                                          layout(p).node_chunks(failed))
             assert np.array_equal(restored, arr.shards[failed])
     demo = node_repair_plan(SrcParams(4, 2, 2, 8192), 1)
     assert demo.chunk_reads == 6 and len(demo.disk_access_set) == 3

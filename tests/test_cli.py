@@ -238,10 +238,26 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
     assert res.exit_code == 0, res.output
     assert reads == helpers
 
+    # a corrupt helper: the intact helper read before it counts toward
+    # the fallback's k, so k + 1 shards are read, none twice
+    rebuilt = (out / shard_filename(node)).read_bytes()
+    first = (out / shard_filename(helpers[0])).read_bytes()
+    (out / shard_filename(node)).unlink()
+    _flip_last_byte(out / shard_filename(helpers[1]))
+    reads.clear()
+    res = runner.invoke(main, ["repair", "--manifest", manifest,
+                               "--shards", str(out), "--node", str(node)])
+    assert res.exit_code == 0, res.output
+    assert "reconstruction fallback" in res.stdout
+    assert reads[:2] == helpers[:2]
+    assert len(reads) == k + 1 and len(set(reads)) == k + 1
+    assert (out / shard_filename(node)).read_bytes() == rebuilt
+
     # a missing helper is seen before any helper is read: the fallback's
     # k reads are the only ones
     (out / shard_filename(node)).unlink()
     (out / shard_filename(helpers[0])).unlink()
+    _flip_last_byte(out / shard_filename(helpers[1]))
     reads.clear()
     res = runner.invoke(main, ["repair", "--manifest", manifest,
                                "--shards", str(out), "--node", str(node)])
@@ -291,10 +307,29 @@ def _file_size_as_text(doc):
     doc["file_size"] = str(doc["file_size"])
 
 
-@pytest.mark.parametrize("edit", [None, _drop_params, _file_size_as_text],
-                         ids=["not-json", "no-params", "wrong-type"])
+def _drop_shard_entry(doc):
+    del doc["shards"]["3"]
+
+
+def _extra_shard_entry(doc):
+    doc["shards"]["11"] = doc["shards"]["1"]
+
+
+def _negative_file_size(doc):
+    doc["file_size"] = -1
+
+
+def _wrong_stripe_count(doc):
+    doc["stripe_count"] += 1
+
+
+@pytest.mark.parametrize("edit", [
+    None, _drop_params, _file_size_as_text, _drop_shard_entry,
+    _extra_shard_entry, _negative_file_size, _wrong_stripe_count,
+], ids=["not-json", "no-params", "wrong-type", "missing-shard-entry",
+        "extra-shard-entry", "negative-file-size", "wrong-stripe-count"])
 def test_malformed_manifest_exit_4(runner, tmp_path, edit):
-    _, _, out = _encode(runner, tmp_path)
+    _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2)
     manifest = out / MANIFEST_NAME
     if edit is None:
         manifest.write_text("{not json")
@@ -302,11 +337,15 @@ def test_malformed_manifest_exit_4(runner, tmp_path, edit):
         doc = json.loads(manifest.read_text())
         edit(doc)
         manifest.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["decode", "--manifest", str(manifest),
-                               "--shards", str(out), "--out",
-                               str(tmp_path / "y.bin")])
-    assert res.exit_code == 4
-    assert "malformed manifest" in res.output
+    (out / shard_filename(5)).unlink()
+    for args in (["decode", "--out", str(tmp_path / "y.bin")],
+                 ["repair", "--node", "5"]):
+        res = runner.invoke(main, args + ["--manifest", str(manifest),
+                                          "--shards", str(out)])
+        assert res.exit_code == 4, res.output
+        assert "malformed manifest" in res.output
+    assert not (tmp_path / "y.bin").exists()
+    assert not (out / shard_filename(5)).exists()
 
 
 def test_decode_without_systematic_nodes(runner, tmp_path):
@@ -348,6 +387,7 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps({
         "machines": 40, "data_bytes_per_machine": 2_000_000_000,
+        "disk_read_bytes_per_s": 150_000_000,   # an int in a float field
         "seed": 4, "scheme": {"kind": "replication"},
     }))
     report = tmp_path / "report.txt"
@@ -364,7 +404,16 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
     ([40], "JSON object"),
     ({"machine": 40}, "unknown key(s) machine"),
     ({"scheme": {"kind": "rs", "kk": 4}}, "unknown key(s) scheme.kk"),
-], ids=["list", "typo", "scheme-typo"])
+    ({"machines": "40"}, "machines must be of type int"),
+    ({"machines": 40.5}, "machines must be of type int"),
+    ({"seed": True}, "seed must be of type int"),
+    ({"dispatch_window": None}, "dispatch_window must be of type int"),
+    ({"net_bytes_per_s": "fast"}, "net_bytes_per_s must be of type float"),
+    ({"scheme": {"kind": "src", "n": "10"}}, "scheme.n must be of type int"),
+    ({"scheme": {"kind": 3}}, "scheme.kind must be of type str"),
+], ids=["list", "typo", "scheme-typo", "int-as-text", "int-as-float",
+        "int-as-bool", "int-as-null", "rate-as-text", "scheme-int-as-text",
+        "scheme-kind-not-text"])
 def test_simulate_bad_config_usage_error(runner, tmp_path, doc, problem):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps(doc))

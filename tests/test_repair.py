@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from srcodes import gf256
-from srcodes.core import ChunkId, SrcParams, encode, layout, reconstruct
-from srcodes.errors import InsufficientDataError, RepairError
-from srcodes.repair import (ChunkStore, chunk_repair_plan, chunks_from_shards,
-                            degraded_read, execute_repair, node_repair_plan)
+from srcodes import core, gf256
+from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
+    layout
+from srcodes.errors import InsufficientDataError
+from srcodes.repair import chunk_repair_plan, node_repair_plan
 
 from gf_reference import gf_matmul
 
@@ -16,6 +16,10 @@ def _coded(seed, params, stripes=2, extra=13):
     rng = np.random.default_rng(seed)
     size = stripes * params.stripe_data_bytes + extra
     return encode(rng.integers(0, 256, size, dtype=np.uint8).tobytes(), params)
+
+
+def _without(arr, down, cls=dict):
+    return cls((i, s) for i, s in arr.shards.items() if i not in down)
 
 
 def test_chunk_plan_four_node_fixture():
@@ -81,8 +85,8 @@ def test_node_repair_restores_exact_bytes(n, k, f):
     p = SrcParams(n, k, f, 64)
     arr = _coded(100 + n, p)
     for failed in range(1, n + 1):
-        store = ChunkStore.from_array(arr, unavailable={failed})
-        restored = execute_repair(node_repair_plan(p, failed), store)
+        restored = chunks_from_shards(p, _without(arr, {failed}),
+                                      layout(p).node_chunks(failed))
         assert np.array_equal(restored, arr.shards[failed])
 
 
@@ -90,70 +94,74 @@ def test_every_single_chunk_repair_6_4_3():
     p = SrcParams(6, 4, 3, 32)
     arr = _coded(7, p)
     for node in range(1, 7):
-        store = ChunkStore.from_array(arr, unavailable={node})
         for slot, cid in enumerate(layout(p).node_chunks(node)):
-            got = execute_repair(chunk_repair_plan(p, cid), store)
-            assert np.array_equal(got, arr.shards[node][:, slot])
+            got = chunks_from_shards(p, _without(arr, {node}), [cid])
+            assert np.array_equal(got[:, 0], arr.shards[node][:, slot])
 
 
 def test_zero_file_repairs_to_zero():
     p = SrcParams(4, 2, 2, 32)
     arr = encode(bytes(p.stripe_data_bytes), p)
-    store = ChunkStore.from_array(arr, unavailable={2})
-    assert not execute_repair(node_repair_plan(p, 2), store).any()
+    assert not chunks_from_shards(p, _without(arr, {2}),
+                                  layout(p).node_chunks(2)).any()
 
 
 def test_missing_helper_is_named():
-    p = SrcParams(4, 2, 2, 16)
+    # nodes 3 and 4 are left: part1[1] can be neither copied, XORed from
+    # its helpers on nodes 5 and 4, nor derived from k = 3 nodes
+    p = SrcParams(5, 3, 2, 16)
     arr = _coded(8, p)
-    store = ChunkStore.from_array(arr, unavailable={1, 4})
-    with pytest.raises(RepairError, match=r"part2\[1\]"):
-        execute_repair(chunk_repair_plan(p, ChunkId(1, 1)), store)
+    with pytest.raises(InsufficientDataError,
+                       match=r"part1\[1\]: helper node\(s\) 5 absent"):
+        chunks_from_shards(p, _without(arr, {1, 2, 5}), [ChunkId(1, 1)])
 
 
-class _CountingStore(ChunkStore):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.helper_reads = 0
+class _CountingShards(dict):
+    """Records every node whose shard the executor looks up."""
 
-    def chunk(self, chunk):
-        self.helper_reads += 1
-        return super().chunk(chunk)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, node):
+        self.reads.append(node)
+        return super().__getitem__(node)
 
 
 def test_degraded_read_live_node_touches_no_helper():
     p = SrcParams(4, 2, 2, 16)
     arr = _coded(9, p)
-    store = _CountingStore(p, arr.shards, arr.stripe_count)
-    got = degraded_read(p, ChunkId(1, 2), store)
-    assert np.array_equal(got, arr.shards[2][:, 0])
-    assert store.helper_reads == 0
+    shards = _CountingShards(arr.shards)
+    got = chunks_from_shards(p, shards, [ChunkId(1, 2)])
+    assert np.array_equal(got[:, 0], arr.shards[2][:, 0])
+    assert shards.reads == [2]
+    assert not np.shares_memory(got, arr.shards[2])
 
 
 def test_degraded_read_uses_lookup_when_node_down():
     p = SrcParams(4, 2, 2, 16)
     arr = _coded(10, p)
-    store = _CountingStore.from_array(arr, unavailable={1})
-    got = degraded_read(p, ChunkId(1, 1), store)
-    assert np.array_equal(got, arr.shards[1][:, 0])
-    assert store.helper_reads == p.f
+    shards = _without(arr, {1}, _CountingShards)
+    got = chunks_from_shards(p, shards, [ChunkId(1, 1)])
+    assert np.array_equal(got[:, 0], arr.shards[1][:, 0])
+    assert sorted(shards.reads) == sorted(
+        node for node, _ in chunk_repair_plan(p, ChunkId(1, 1)).reads)
+    assert len(shards.reads) == p.f
 
 
 def test_degraded_read_fallback_matches_reconstruction_oracle():
     p = SrcParams(5, 3, 2, 64)
-    arr = _coded(11, p)
+    file_bytes = np.random.default_rng(11).integers(
+        0, 256, 2 * p.stripe_data_bytes, dtype=np.uint8).tobytes()
+    arr = encode(file_bytes, p)
     # node 1 down and one of part1[1]'s helpers down too
     helper_nodes = {node for node, _ in
                     chunk_repair_plan(p, ChunkId(1, 1)).reads}
     down = {1, sorted(helper_nodes)[0]}
-    store = ChunkStore.from_array(arr, unavailable=down)
-    got = degraded_read(p, ChunkId(1, 1), store)
+    got = chunks_from_shards(p, _without(arr, down), [ChunkId(1, 1)])[:, 0]
 
-    # oracle: full reconstruction, then re-encode the stripe and extract
-    live = [i for i in range(1, 6) if i not in down][:3]
-    data = reconstruct({i: arr.shards[i] for i in live}, p,
-                       arr.stripe_count * p.stripe_data_bytes)
-    grid = np.frombuffer(data, np.uint8).reshape(
+    # oracle: the generator column applied to the input's part 1
+    grid = np.frombuffer(file_bytes, np.uint8).reshape(
         arr.stripe_count, p.f, p.k, p.chunk_size)
     column = p.generator().entries[:, :1].T  # subscript 1
     expect = np.stack([gf_matmul(column, grid[s, 0])[0]  # part 1
@@ -170,10 +178,13 @@ def test_lookup_repair_does_no_gf_work(monkeypatch):
         raise RuntimeError("GF(256) multiply in look-up repair")
 
     monkeypatch.setattr(gf256, "addmul_buf", no_gf)
+    monkeypatch.setattr(core, "decode_matrix", no_gf)
     with pytest.raises(RuntimeError):
         encode(b"x", p)   # the patch does catch GF work
-    store = ChunkStore.from_array(arr, unavailable={4})
-    restored = execute_repair(node_repair_plan(p, 4), store)
+    with pytest.raises(RuntimeError):   # and a derived chunk
+        chunks_from_shards(p, _without(arr, {3, 4}), [ChunkId(1, 4)])
+    restored = chunks_from_shards(p, _without(arr, {4}),
+                                  layout(p).node_chunks(4))
     assert np.array_equal(restored, arr.shards[4])
 
 
@@ -190,9 +201,8 @@ def test_chunks_from_shards_rebuilds_every_node(n, k, f):
 def test_degraded_read_insufficient_data():
     p = SrcParams(4, 2, 2, 16)
     arr = _coded(12, p)
-    store = ChunkStore.from_array(arr, unavailable={1, 3, 4})
     with pytest.raises(InsufficientDataError):
-        degraded_read(p, ChunkId(1, 1), store)
+        chunks_from_shards(p, _without(arr, {1, 3, 4}), [ChunkId(1, 1)])
 
 
 def test_plan_describe_mentions_disks_and_bytes():
