@@ -16,6 +16,10 @@ where (+) is 1-based wrap-around addition on {1..n}.  No two chunks on a
 node share a subscript (this needs f+1 <= n), which is what makes every
 chunk repairable by XORing the f other chunks with its subscript.
 
+Every chunk is thus a data chunk, an MDS combination of k chunks of its
+part, or the XOR of the f others with its subscript: encode, decode and
+repair all go through one chunk executor that applies these rules.
+
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Encoding and
 reconstruction are pure per stripe, so callers may process stripes
@@ -114,9 +118,9 @@ class StripeLayout:
         p = self.params
         if not 1 <= node <= p.n:
             raise ParameterError(f"node {node} outside [1, {p.n}]")
-        ids = [ChunkId(l, ring_add(node, l - 1, p.n)) for l in range(1, p.f + 1)]
-        ids.append(ChunkId(p.parity_part, ring_add(node, p.f, p.n)))
-        return ids
+        # part l, the parity part f+1 included, sits at subscript node(+)(l-1)
+        return [ChunkId(l, ring_add(node, l - 1, p.n))
+                for l in range(1, p.parity_part + 1)]
 
     def chunk_location(self, chunk: ChunkId) -> int:
         """Node index storing a chunk (inverse of node_chunks)."""
@@ -125,13 +129,7 @@ class StripeLayout:
             raise ParameterError(f"part {chunk.part} outside [1, {p.parity_part}]")
         if not 1 <= chunk.subscript <= p.n:
             raise ParameterError(f"subscript {chunk.subscript} outside [1, {p.n}]")
-        if chunk.part == p.parity_part:
-            return ring_sub(chunk.subscript, p.f, p.n)
         return ring_sub(chunk.subscript, chunk.part - 1, p.n)
-
-    def slot_of(self, chunk: ChunkId) -> int:
-        """0-based slot index of a chunk within its node's shard."""
-        return chunk.part - 1
 
     def helpers(self, chunk: ChunkId) -> list[ChunkId]:
         """The f other chunks with this chunk's subscript, in part order;
@@ -160,21 +158,8 @@ class CodedArray:
     file_size: int
     shards: dict[int, np.ndarray]
 
-    def chunk(self, stripe: int, chunk: ChunkId) -> np.ndarray:
-        lay = layout(self.params)
-        return self.shards[lay.chunk_location(chunk)][stripe, lay.slot_of(chunk)]
-
     def total_stored_bytes(self) -> int:
         return sum(s.nbytes for s in self.shards.values())
-
-
-def _pad_to_stripes(file_bytes: bytes, params: SrcParams) -> tuple[np.ndarray, int]:
-    size = len(file_bytes)
-    stripe_bytes = params.stripe_data_bytes
-    stripes = (size + stripe_bytes - 1) // stripe_bytes
-    buf = np.zeros(stripes * stripe_bytes, dtype=np.uint8)
-    buf[:size] = np.frombuffer(file_bytes, dtype=np.uint8)
-    return buf.reshape(stripes, params.f, params.k, params.chunk_size), stripes
 
 
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
@@ -182,32 +167,94 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.  An empty file yields zero
-    stripes and empty shards.
+    stripes and empty shards.  Each shard is a view of the one array the
+    chunk executor fills from the data chunks.
     """
-    data, stripes = _pad_to_stripes(file_bytes, params)
     n, k, f, cs = params.n, params.k, params.f, params.chunk_size
-    g = params.generator()
-
-    # coded[s, l, m] = chunk of part l+1 (the parity part when l = f),
-    # subscript m+1, stripe s
-    coded = np.zeros((stripes, f + 1, n, cs), dtype=np.uint8)
-    coded[:, :f, :k] = data
-    gf256.addmul_rows(np.moveaxis(coded[:, :f, k:], 2, 0), g.entries[:, k:].T,
-                      np.moveaxis(data, 2, 0))
-    np.bitwise_xor.reduce(coded[:, :f], axis=1, out=coded[:, f])
-
-    # np.stack keeps each shard C-contiguous, so serialising it needs no
-    # further copy
+    size = len(file_bytes)
+    stripes = -(-size // params.stripe_data_bytes)
+    data = np.zeros((stripes, f, k, cs), dtype=np.uint8)
+    data.reshape(-1)[:size] = np.frombuffer(file_bytes, dtype=np.uint8)
     lay = layout(params)
-    shards = {node: np.stack([coded[:, c.part - 1, c.subscript - 1]
-                              for c in lay.node_chunks(node)], axis=1)
+    coded = _produce(
+        params, {ChunkId(l + 1, s + 1): data[:, l, s]
+                 for l in range(f) for s in range(k)},
+        [c for node in range(1, n + 1) for c in lay.node_chunks(node)], stripes)
+    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
               for node in range(1, n + 1)}
     return CodedArray(params=params, stripe_count=stripes,
-                      file_size=len(file_bytes), shards=shards)
+                      file_size=size, shards=shards)
 
 
-def _check_shards(shards: dict[int, np.ndarray], params: SrcParams) -> int:
-    stripes = None
+def _produce(params: SrcParams, present: dict[ChunkId, np.ndarray],
+             targets: list[ChunkId], stripes: int) -> np.ndarray:
+    """The chunk executor: the target chunks, (stripes, len(targets),
+    chunk_size), from the present chunks, each (stripes, chunk_size).
+
+    A present target is copied.  An absent coded target is the XOR of
+    its f helpers when all are present, else derived from the lowest k
+    present chunks of its part with coefficients inv * G[:, s].  An
+    absent parity target is the XOR of the f coded chunks of its
+    subscript, each made once by the rules above, also when it is a
+    target itself.
+    """
+    lay = layout(params)
+    f, k = params.f, params.k
+    out = np.zeros((stripes, len(targets), params.chunk_size), dtype=np.uint8)
+    first = {c: t for t, c in reversed(list(enumerate(targets)))}
+    made = {c: out[:, t] for c, t in first.items()}
+    summed = []    # (output, the chunks XORed into it); copies included
+    derived = {}   # coded chunk -> the target it is derived for
+    for t, c in enumerate(targets):
+        if c in present or first[c] != t:
+            summed.append((out[:, t], [c]))
+        elif c.part <= f and any(h not in present for h in lay.helpers(c)):
+            derived.setdefault(c, c)
+        else:   # all helpers present, or a parity chunk
+            summed.append((made[c], lay.helpers(c)))
+            for h in lay.helpers(c):   # only a parity chunk has absent ones
+                if h not in present:
+                    derived.setdefault(h, c)
+    made.update((h, np.zeros_like(out[:, 0])) for h in derived if h not in made)
+    sources = {l: sorted(c for c in present if c.part == l)[:k]
+               for l in {c.part for c in derived}}
+    short = {t for c, t in derived.items() if len(sources[c.part]) < k}
+    if short:
+        target = next(t for t in targets if t in short)
+        absent = [lay.chunk_location(h) for h in lay.helpers(target)
+                  if h not in present]
+        raise InsufficientDataError(
+            f"cannot produce {target.label(f)}: helper node(s) "
+            f"{', '.join(map(str, sorted(absent)))} absent and fewer than "
+            f"{k} chunks of a part present")
+    gen = params.generator()
+    for l, srcs in sources.items():
+        inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
+        chunks = [c for c in derived if c.part == l]
+        # coeffs[d, j] scales srcs[j] into chunks[d]
+        coeffs = np.bitwise_xor.reduce(gf256.MUL[
+            inv, gen.entries[:, [c.subscript - 1 for c in chunks]].T[:, None]],
+            axis=2)
+        gf256.addmul_rows([made[c] for c in chunks], coeffs,
+                          [present[c] for c in srcs])
+    for dest, chunks in summed:   # a repeated target follows its first slot
+        for c in chunks:
+            np.bitwise_xor(dest, present[c] if c in present else made[c],
+                           out=dest)
+    return out
+
+
+def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
+                       targets: list[ChunkId]) -> np.ndarray:
+    """Produce the target chunks, every stripe, from the shards present.
+
+    Every slot of every shard goes to the chunk executor as a view, and
+    the file is never materialised.  Returns (stripe_count,
+    len(targets), chunk_size) in target order, so a node's node_chunks
+    give that node's shard.  Raises InsufficientDataError naming a
+    target and its absent helper nodes when that target needs deriving
+    and fewer than k nodes are present.
+    """
     for node, arr in shards.items():
         if not 1 <= node <= params.n:
             raise ParameterError(f"node {node} outside [1, {params.n}]")
@@ -215,70 +262,13 @@ def _check_shards(shards: dict[int, np.ndarray], params: SrcParams) -> int:
             raise ShapeError(
                 f"shard of node {node} has shape {arr.shape}, expected "
                 f"(stripes, {params.f + 1}, {params.chunk_size})")
-        if stripes is None:
-            stripes = arr.shape[0]
-        elif arr.shape[0] != stripes:
-            raise ShapeError("shards disagree on stripe count")
-    return 0 if stripes is None else stripes
-
-
-def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
-                       targets: list[ChunkId]) -> np.ndarray:
-    """Produce the target chunks, every stripe, from the shards present.
-
-    Each target is copied from its own node when that node is present,
-    else XORed from its f helpers (StripeLayout.helpers) when they are
-    all present, else derived from the lowest k present nodes: part l's
-    decode matrix times the target's generator column gives one
-    coefficient per stored chunk, summed over the f parts for a parity
-    target, so the file is never materialised.  Returns (stripe_count,
-    len(targets), chunk_size) in target order, so a node's node_chunks
-    give that node's shard.  Raises InsufficientDataError naming a
-    target that needs deriving when fewer than k nodes are present.
-    """
-    stripes = _check_shards(shards, params)
+    stripes = {arr.shape[0] for arr in shards.values()}
+    if len(stripes) > 1:
+        raise ShapeError("shards disagree on stripe count")
     lay = layout(params)
-    f, k = params.f, params.k
-    out = np.zeros((stripes, len(targets), params.chunk_size), dtype=np.uint8)
-    derived = []
-    for t, target in enumerate(targets):
-        sources = [target] if lay.chunk_location(target) in shards \
-            else lay.helpers(target)
-        if any(lay.chunk_location(c) not in shards for c in sources):
-            derived.append(t)
-            continue
-        for c in sources:
-            np.bitwise_xor(out[:, t], shards[lay.chunk_location(c)][
-                :, lay.slot_of(c)], out=out[:, t])
-    if not derived:
-        return out
-
-    nodes = sorted(shards)[:k]
-    if len(nodes) < k:
-        target = targets[derived[0]]
-        absent = sorted({lay.chunk_location(c) for c in lay.helpers(target)}
-                        - set(shards))
-        raise InsufficientDataError(
-            f"cannot produce {target.label(f)}: helper node(s) "
-            f"{', '.join(map(str, absent))} absent and {len(nodes)} nodes "
-            f"present; need {k}")
-    gen = params.generator()
-    held = [lay.node_chunks(node) for node in nodes]
-    inverses: dict[int, np.ndarray] = {}
-    # coeffs[d, l*k + c] scales slot l of node nodes[c] into derived target d
-    coeffs = np.zeros((len(derived), f * k), dtype=np.uint8)
-    for d, t in enumerate(derived):
-        target = targets[t]
-        for l in range(f) if target.part > f else [target.part - 1]:
-            if l not in inverses:
-                inverses[l] = decode_matrix(
-                    [ids[l].subscript - 1 for ids in held], gen)
-            coeffs[d, l * k:(l + 1) * k] = np.bitwise_xor.reduce(
-                gf256.MUL[inverses[l], gen.entries[:, target.subscript - 1]],
-                axis=1)
-    gf256.addmul_rows([out[:, t] for t in derived], coeffs,
-                      [shards[node][:, l] for l in range(f) for node in nodes])
-    return out
+    return _produce(params, {c: shard[:, slot] for node, shard in shards.items()
+                             for slot, c in enumerate(lay.node_chunks(node))},
+                    targets, max(stripes, default=0))
 
 
 def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
@@ -287,7 +277,7 @@ def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
 
     The f*k data chunks of each stripe come from chunks_from_shards, so
     a data chunk whose node is missing may be XORed from its helpers,
-    parity included, or derived from k nodes.
+    parity included, or derived from k chunks of its part.
     """
     if len(shards) < params.k:
         raise InsufficientDataError(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import zlib
 from collections.abc import Callable
@@ -61,17 +62,18 @@ def shard_bytes(params: SrcParams, node: int, stripe_count: int,
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
                           params.f, 0, params.chunk_size, stripe_count,
                           file_size)
-    # CRCs and the join read the array's own buffer: one copy, into the
-    # returned bytes
-    flat = np.ascontiguousarray(
-        shard.reshape(stripe_count * (params.f + 1), params.chunk_size))
-    crcs = b"".join(struct.pack("<I", zlib.crc32(chunk)) for chunk in flat)
-    return b"".join((header, crcs, flat))
+    # CRCs and the join read each stripe where it lies, also in a strided
+    # view such as encode's shards: one copy, into the returned bytes
+    stripes = [np.ascontiguousarray(stripe) for stripe in shard]
+    crcs = b"".join(struct.pack("<I", zlib.crc32(chunk))
+                    for stripe in stripes for chunk in stripe)
+    return b"".join((header, crcs, *stripes))
 
 
 def parse_shard(blob: bytes) -> tuple[SrcParams, int, int, int, np.ndarray]:
     """Parse a shard file; returns (params, node, stripe_count, file_size,
-    chunk array).  Raises IntegrityError on bad magic/version/CRC."""
+    chunk array), the array a view of blob (read-only for bytes).  Raises
+    IntegrityError on bad magic/version/CRC."""
     if len(blob) < _HEADER.size:
         raise IntegrityError("shard file shorter than its header")
     magic, version, node, n, k, f, _, chunk_size, stripes, file_size = \
@@ -87,14 +89,14 @@ def parse_shard(blob: bytes) -> tuple[SrcParams, int, int, int, np.ndarray]:
     if len(blob) != expected:
         raise IntegrityError(
             f"shard file is {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob[crc_end:], dtype=np.uint8).reshape(
+    flat = np.frombuffer(blob, dtype=np.uint8, offset=crc_end).reshape(
         chunk_count, chunk_size)
     for i in range(chunk_count):
         (crc,) = struct.unpack_from("<I", blob, _HEADER.size + 4 * i)
-        if zlib.crc32(flat[i].tobytes()) != crc:
+        if zlib.crc32(flat[i]) != crc:
             raise IntegrityError(f"chunk {i} fails its CRC")
-    shard = flat.reshape(stripes, f + 1, chunk_size).copy()
-    return params, node, stripes, file_size, shard
+    return params, node, stripes, file_size, flat.reshape(stripes, f + 1,
+                                                          chunk_size)
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,9 @@ class Manifest:
     @classmethod
     def from_json(cls, text: str | bytes) -> "Manifest":
         """Parse a manifest.  Malformed JSON, a missing key, a value of
-        the wrong type, shards not keyed exactly 1..n, a negative
-        file_size or a stripe_count that does not fit file_size raises
-        IntegrityError."""
+        the wrong type, shards not keyed exactly 1..n, a digest that is
+        not 64 lowercase hex characters, a negative file_size or a
+        stripe_count that does not fit file_size raises IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
@@ -154,6 +156,12 @@ class Manifest:
             if set(doc["shards"]) != {str(i) for i in range(1, params.n + 1)}:
                 raise IntegrityError(
                     f"malformed manifest: shards must be keyed 1..{params.n}")
+            digests = {int(node): entry["digest"]
+                       for node, entry in doc["shards"].items()}
+            if not all(re.fullmatch("[0-9a-f]{64}", d)   # TypeError if not text
+                       for d in [doc["file_digest"], *digests.values()]):
+                raise IntegrityError("malformed manifest: a digest is not "
+                                     "64 lowercase hex characters")
             if file_size < 0:
                 raise IntegrityError(
                     f"malformed manifest: negative file_size {file_size}")
@@ -167,8 +175,7 @@ class Manifest:
                 file_size=file_size,
                 stripe_count=stripe_count,
                 file_digest=doc["file_digest"],
-                shard_digests={int(node): entry["digest"]
-                               for node, entry in doc["shards"].items()},
+                shard_digests=digests,
             )
         except ParameterError:   # a ValueError, but a usage error (exit 2)
             raise

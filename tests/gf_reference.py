@@ -2,7 +2,9 @@
 
 Built only on gf256.gf_mul, one call per byte product, so it shares no
 code with the buffer kernels (addmul_buf, addmul_rows) it is used to
-check.  Sized for small test inputs.
+check.  The reference encoder builds its own generator and placement, so
+it shares no code with srcodes.core or srcodes.mds either.  Sized for
+small test inputs.
 """
 
 import numpy as np
@@ -24,3 +26,48 @@ def gf_matmul(a, b):
                 acc ^= gf_mul(int(a[i, j]), int(flat[j, x]))
             out[i, x] = acc
     return out.reshape((a.shape[0],) + b.shape[1:])
+
+
+def gf_inverse(a):
+    """The x with a*x == 1, found by search."""
+    return next(x for x in range(1, 256) if gf_mul(a, x) == 1)
+
+
+def cauchy_generator(k, n):
+    """The systematic generator [I | C], C[i, j] = 1 / (i + (k + j)),
+    built from its definition."""
+    g = np.zeros((k, n), dtype=np.uint8)
+    for i in range(k):
+        g[i, i] = 1
+        for j in range(n - k):
+            g[i, k + j] = gf_inverse(i ^ (k + j))
+    return g
+
+
+def reference_encode(file_bytes, n, k, f, chunk_size):
+    """The (n, k, f) code from the paper's definition.
+
+    Returns (chunks, shards): chunks[stripe, part - 1, subscript - 1] for
+    parts 1..f+1 (f+1 is the parity part), and shards[node] of shape
+    (stripes, f+1, chunk_size), node i holding part l at subscript
+    i + l - 1 and the parity at subscript i + f, wrapping on 1..n.
+    """
+    stripe = f * k * chunk_size
+    stripes = -(-len(file_bytes) // stripe)
+    data = np.zeros(stripes * stripe, dtype=np.uint8)
+    data[:len(file_bytes)] = np.frombuffer(file_bytes, dtype=np.uint8)
+    data = data.reshape(stripes, f, k, chunk_size)
+    g = cauchy_generator(k, n)
+    chunks = np.zeros((stripes, f + 1, n, chunk_size), dtype=np.uint8)
+    for s in range(stripes):
+        for part in range(f):
+            chunks[s, part] = gf_matmul(g.T, data[s, part])
+            chunks[s, f] ^= chunks[s, part]
+
+    def wrap(i):
+        return (i - 1) % n + 1
+
+    shards = {node: np.stack([chunks[:, part, wrap(node + part) - 1]
+                              for part in range(f + 1)], axis=1)
+              for node in range(1, n + 1)}
+    return chunks, shards

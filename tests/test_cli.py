@@ -323,11 +323,25 @@ def _wrong_stripe_count(doc):
     doc["stripe_count"] += 1
 
 
+def _digest_not_text(doc):
+    doc["shards"]["2"]["digest"] = 5
+
+
+def _digest_not_hex(doc):
+    doc["shards"]["2"]["digest"] = "xy" * 32
+
+
+def _file_digest_not_text(doc):
+    doc["file_digest"] = 5
+
+
 @pytest.mark.parametrize("edit", [
     None, _drop_params, _file_size_as_text, _drop_shard_entry,
     _extra_shard_entry, _negative_file_size, _wrong_stripe_count,
+    _digest_not_text, _digest_not_hex, _file_digest_not_text,
 ], ids=["not-json", "no-params", "wrong-type", "missing-shard-entry",
-        "extra-shard-entry", "negative-file-size", "wrong-stripe-count"])
+        "extra-shard-entry", "negative-file-size", "wrong-stripe-count",
+        "digest-not-text", "digest-not-hex", "file-digest-not-text"])
 def test_malformed_manifest_exit_4(runner, tmp_path, edit):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2)
     manifest = out / MANIFEST_NAME

@@ -1,7 +1,9 @@
-"""Property tests for core.chunks_from_shards, the one code path that
-turns stored chunks into other chunks: any set of present nodes and any
-targets give encode's own chunks, or InsufficientDataError when a target
-can be neither copied, XORed nor derived."""
+"""Property tests for the chunk executor behind core.encode and
+core.chunks_from_shards, the one code path that turns chunks into other
+chunks: encode gives the reference encoder's shards, and any set of
+present nodes and any targets give the reference chunks, or
+InsufficientDataError when a target can be neither copied, XORed nor
+derived."""
 
 import re
 
@@ -9,9 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from srcodes import gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
     layout, reconstruct
 from srcodes.errors import InsufficientDataError
+
+from gf_reference import reference_encode
 
 
 @st.composite
@@ -29,23 +34,25 @@ def cases(draw, enough):
     return p, data, present, draw(st.lists(ids, max_size=2 * (f + 1)))
 
 
-def _expected(arr, targets):
-    out = np.zeros((arr.stripe_count, len(targets), arr.params.chunk_size),
-                   dtype=np.uint8)
-    for t, target in enumerate(targets):
-        for stripe in range(arr.stripe_count):
-            out[stripe, t] = arr.chunk(stripe, target)
-    return out
+def _reference(p, data):
+    return reference_encode(data, p.n, p.k, p.f, p.chunk_size)
+
+
+def _expected(chunks, targets):
+    return chunks[:, np.array([t.part - 1 for t in targets], dtype=int),
+                  np.array([t.subscript - 1 for t in targets], dtype=int)]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(cases(enough=True))
 def test_any_k_present_nodes_give_encoded_chunks(case):
     p, data, present, targets = case
+    chunks, ref = _reference(p, data)
     arr = encode(data, p)
-    shards = {i: arr.shards[i] for i in present}
+    assert all(np.array_equal(arr.shards[i], ref[i]) for i in ref)
+    shards = {i: ref[i] for i in present}
     got = chunks_from_shards(p, shards, targets)
-    assert np.array_equal(got, _expected(arr, targets))
+    assert np.array_equal(got, _expected(chunks, targets))
     assert reconstruct(shards, p, len(data)) == data
 
 
@@ -53,8 +60,8 @@ def test_any_k_present_nodes_give_encoded_chunks(case):
 @given(cases(enough=False))
 def test_fewer_than_k_nodes_name_an_underivable_target(case):
     p, data, present, targets = case
-    arr = encode(data, p)
-    shards = {i: arr.shards[i] for i in present}
+    chunks, ref = _reference(p, data)
+    shards = {i: ref[i] for i in present}
     lay = layout(p)
     stuck = [t for t in targets if lay.chunk_location(t) not in present
              and {lay.chunk_location(h) for h in lay.helpers(t)} - present]
@@ -63,8 +70,34 @@ def test_fewer_than_k_nodes_name_an_underivable_target(case):
     if not stuck:
         assume(present)   # with no shard the stripe count is unknown
         got = chunks_from_shards(p, shards, targets)
-        assert np.array_equal(got, _expected(arr, targets))
+        assert np.array_equal(got, _expected(chunks, targets))
         return
     with pytest.raises(InsufficientDataError,
-                       match=re.escape(stuck[0].label(p.f))):
+                       match=re.escape(stuck[0].label(p.f)) + ": "):
         chunks_from_shards(p, shards, targets)
+
+
+def test_gf_bytes_per_path(monkeypatch):
+    # bytes scaled by a coefficient >= 2: 0 and 1 are skips and XORs
+    p = SrcParams(10, 6, 2, 64)
+    data = np.random.default_rng(5).integers(
+        0, 256, 3 * p.stripe_data_bytes, dtype=np.uint8).tobytes()
+    scaled = []
+    addmul_buf = gf256.addmul_buf
+
+    def counting(acc, coeff, buf):
+        scaled.append(buf.nbytes if coeff >= 2 else 0)
+        addmul_buf(acc, coeff, buf)
+
+    monkeypatch.setattr(gf256, "addmul_buf", counting)
+    arr = encode(data, p)
+    assert sum(scaled) == 9216
+    scaled.clear()
+    rest = {i: s for i, s in arr.shards.items() if i not in (3, 4)}
+    got = chunks_from_shards(p, rest, layout(p).node_chunks(4))
+    assert np.array_equal(got, arr.shards[4])
+    assert sum(scaled) == 2304
+    scaled.clear()
+    assert reconstruct({i: s for i, s in arr.shards.items() if i > 4}, p,
+                       len(data)) == data
+    assert sum(scaled) == 8064

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from srcodes.core import SrcParams, encode
 from srcodes.errors import IntegrityError, ShapeError
-from srcodes.shards import (Manifest, load_manifest, parse_shard, shard_bytes,
-                            shard_filename, write_coded_array)
+from srcodes.shards import (Manifest, load_manifest, load_shard_checked,
+                            parse_shard, shard_bytes, shard_filename,
+                            write_coded_array)
 
 
 def _array(seed=1, params=None):
@@ -99,3 +102,18 @@ def test_shard_file_size_matches_stripe_math(tmp_path):
     total_chunks_bytes = 4 * stripes * 3 * 4096
     assert total_chunks_bytes * params.f * params.k == \
         padded * (params.f + 1) * params.n
+
+
+def test_load_shard_checked_holds_one_copy(tmp_path):
+    params = SrcParams(10, 6, 2, 1 << 16)
+    _, arr = _array(params=params)
+    manifest = load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+    size = (tmp_path / shard_filename(4)).stat().st_size
+    tracemalloc.start()
+    try:
+        shard = load_shard_checked(manifest, tmp_path, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(shard, arr.shards[4])
+    assert peak < 1.5 * size
