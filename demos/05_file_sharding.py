@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Shard a file to disk with manifest and checksums, delete a shard,
-repair it from its look-up helpers, corrupt another shard, and decode the
-file back from the intact ones - the same workflow the `srcodes` CLI
-drives, shown through the library API."""
+repair it by reading only its look-up helpers' planned chunks, corrupt
+another shard, and decode the file back from the intact chunks - the
+same workflow the `srcodes` CLI drives, shown through the library API."""
 
 import hashlib
 import tempfile
@@ -10,18 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from srcodes import (SrcParams, chunks_from_shards, encode, layout,
-                     node_repair_plan, reconstruct)
-from srcodes.shards import (load_manifest, load_shards, shard_filename,
+from srcodes import (SrcParams, data_chunks, encode, layout, plan_chunks,
+                     produce)
+from srcodes.shards import (load_manifest, read_chunks, shard_filename,
                             write_coded_array, write_shard)
-
-
-def say_skipped(node, exc):
-    print(f"  skipped: {exc}")
-
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
+lay = layout(params)
 data = np.random.default_rng(7).integers(0, 256, 3_000_000,
                                          dtype=np.uint8).tobytes()
 
@@ -31,31 +27,45 @@ array = encode(data, params)
 manifest_path = write_coded_array(array, workdir,
                                   hashlib.sha256(data).hexdigest())
 manifest = load_manifest(manifest_path)
+stripes = manifest.stripe_count
 shard_path = workdir / shard_filename(3)
-print(f"stripe_count={manifest.stripe_count}, shard file size "
+print(f"stripe_count={stripes}, shard file size "
       f"{shard_path.stat().st_size:,} bytes "
-      f"(header + CRCs + {manifest.stripe_count} x {params.f + 1} chunks)")
+      f"(header + CRCs + {stripes} x {params.f + 1} chunks)")
 
-print("\ndeleting node 3's shard, then repairing it from 4 helper disks")
+print("\ndeleting node 3's shard, then repairing it from its helpers")
 shard_path.unlink()
-plan = node_repair_plan(params, 3)
-helpers = sorted(plan.disk_access_set)
-rebuilt = chunks_from_shards(
-    params, load_shards(manifest, workdir, helpers, len(helpers), say_skipped),
-    layout(params).node_chunks(3))
+everything = {c for node in range(1, params.n + 1) if node != 3
+              for c in lay.node_chunks(node)}
+targets = lay.node_chunks(3)
+plan = plan_chunks(params, everything, targets)
+chunks, failed = read_chunks(manifest, workdir, plan.reads)
+print(f"  read {len(chunks)} chunks per stripe from nodes "
+      f"{sorted({lay.chunk_location(c) for c in chunks})}, "
+      f"{sum(a.nbytes for a in chunks.values()):,} bytes")
+rebuilt = produce(params, chunks, targets, stripes)
 # write_shard refuses bytes whose digest differs from the manifest's
 write_shard(workdir, manifest, 3, rebuilt, manifest.shard_digests[3])
 print("rebuilt shard digest matches manifest: True")
 
-print("\ncorrupting node 1's shard, then decoding from the first 6 intact "
-      "shards")
+print("\ncorrupting node 1's first data chunk, then decoding")
 blob = bytearray((workdir / shard_filename(1)).read_bytes())
-blob[-1] ^= 0xFF
+blob[44 + 4 * stripes * (params.f + 1)] ^= 0xFF   # first payload byte
 (workdir / shard_filename(1)).write_bytes(bytes(blob))
-shards = load_shards(manifest, workdir, sorted(manifest.shard_digests),
-                     params.k, say_skipped)
-print(f"  read nodes {sorted(shards)}")
-out = reconstruct(shards, params, manifest.file_size)
+available = {c for node in range(1, params.n + 1)
+             for c in lay.node_chunks(node)}
+targets = data_chunks(params)
+plan = plan_chunks(params, available, targets)
+chunks, failed = read_chunks(manifest, workdir, plan.reads)
+for exc in set(failed.values()):
+    print(f"  skipped: {exc}")
+# plan again without the failed chunk; read only what is not yet held
+plan = plan_chunks(params, available - set(failed), targets)
+more, _ = read_chunks(manifest, workdir,
+                      [c for c in plan.reads if c not in chunks])
+chunks.update(more)
+print(f"  part1[1] is XORed from its helpers: {len(more)} more chunk read")
+out = produce(params, chunks, targets, stripes).reshape(-1)[:len(data)]
 print(f"file digest matches: "
       f"{hashlib.sha256(out).hexdigest() == manifest.file_digest}")
 print(f"\n(the CLI equivalent: srcodes encode/repair/decode; shards left "

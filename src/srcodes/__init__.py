@@ -8,8 +8,9 @@ simulator and a Markov MTTF analyzer for comparing against 3-way
 replication and Reed-Solomon coding.
 """
 
-from .core import ChunkId, CodedArray, SrcParams, StripeLayout, \
-    chunks_from_shards, encode, layout, reconstruct, ring_add, ring_sub
+from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, StripeLayout, \
+    chunks_from_shards, data_chunks, encode, layout, plan_chunks, produce, \
+    reconstruct, ring_add, ring_sub
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError, SrcError)
 from .mds import GeneratorMatrix, make_generator
@@ -25,9 +26,9 @@ from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChunkId", "CodedArray", "SrcParams", "StripeLayout",
-    "chunks_from_shards", "encode", "layout", "reconstruct", "ring_add",
-    "ring_sub",
+    "ChunkId", "ChunkPlan", "CodedArray", "SrcParams", "StripeLayout",
+    "chunks_from_shards", "data_chunks", "encode", "layout", "plan_chunks",
+    "produce", "reconstruct", "ring_add", "ring_sub",
     "GeneratorMatrix", "make_generator",
     "MetricRow", "asymptotic_report", "comparison_table",
     "replication_normalized_cost", "src_metrics",

@@ -5,6 +5,12 @@ Exit codes: 0 success, 2 usage error, 3 insufficient data, 4 integrity
 failure.  Every randomized path takes a seed (defaulted and echoed in
 the output), and commands are idempotent: rerunning with the same inputs
 rewrites the same bytes.
+
+decode and repair read only the chunk slots their plan needs
+(core.plan_chunks, shards.read_chunks): a healthy decode reads the f*k
+data chunks of each stripe, M bytes in all, and a look-up repair the f
+helpers of each lost chunk, the paper's (f+1)*M/k.  A chunk that fails
+its checks is dropped and the plan is made again without it.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ import click
 from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import sim as sim_mod
-from .core import SrcParams, chunks_from_shards, encode, layout, reconstruct
+from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode, layout,
+                   plan_chunks, produce)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
 from .repair import node_repair_plan
-from .shards import (load_manifest, load_shards, write_atomic,
-                     write_coded_array, write_shard)
+from .shards import (Manifest, load_manifest, read_chunks, shard_filename,
+                     write_atomic, write_coded_array, write_shard)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -58,8 +65,42 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _say_skipped(node: int, exc: IntegrityError) -> None:
-    click.echo(f"skipped: {exc}", err=True)
+def _read_planned(manifest: Manifest, shard_dir: Path,
+                  targets: list[ChunkId], lost: int = 0
+                  ) -> tuple[ChunkPlan, dict]:
+    """Plan the targets on the chunks of the shard files that exist, the
+    lost node's excepted, then repeat: read what the plan needs and is
+    not yet held, drop the chunks that fail their checks (each shard
+    file with a failure is named on stderr), and plan again, until the
+    plan stands.  Returns the plan and the chunks it reads; no chunk is
+    read twice.  Raises InsufficientDataError (exit 3), before reading
+    any file, when the existing files cannot cover the plan, and
+    IntegrityError (exit 4) naming the skipped files when the chunks
+    left after failed checks cannot."""
+    lay = layout(manifest.params)
+    available = {c for node in manifest.shard_digests if node != lost
+                 and manifest.shard_path(shard_dir, node).exists()
+                 for c in lay.node_chunks(node)}
+    held: dict = {}
+    skipped: dict[str, None] = {}   # shard file names, in order
+    while True:
+        try:
+            plan = plan_chunks(manifest.params, available, targets)
+        except InsufficientDataError as exc:
+            if not skipped:
+                raise
+            raise IntegrityError(
+                f"{exc}; skipped {', '.join(skipped)}") from exc
+        todo = [c for c in plan.reads if c not in held]
+        if not todo:
+            return plan, {c: held[c] for c in plan.reads}
+        got, failed = read_chunks(manifest, shard_dir, todo)
+        held.update(got)
+        for exc in dict.fromkeys(failed.values()):   # one per shard file
+            click.echo(f"skipped: {exc}", err=True)
+        skipped.update(dict.fromkeys(
+            shard_filename(lay.chunk_location(c)) for c in failed))
+        available.difference_update(failed)
 
 
 def _parse_pairs(option: str, text: str, example: str) -> list[tuple[int, int]]:
@@ -119,33 +160,22 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
     params = manifest.params
     if not 1 <= node <= params.n:
         raise ParameterError(f"node {node} outside [1, {params.n}]")
-    plan = node_repair_plan(params, node)
     if dry_run:
-        for line in plan.describe(manifest.stripe_count):
+        for line in node_repair_plan(params, node).describe(
+                manifest.stripe_count):
             click.echo(line)
         return
-    skipped: set[int] = set()
-
-    def skip(bad: int, exc: IntegrityError) -> None:
-        skipped.add(bad)
-        _say_skipped(bad, exc)
-
-    # The intact helpers read before look-up repair is blocked count
-    # toward the fallback's k; all are freed before the rebuilt shard is
-    # serialised.
-    helpers = sorted(plan.disk_access_set)
-    shards: dict = {}
+    targets = layout(params).node_chunks(node)
+    plan, chunks = _read_planned(manifest, shard_dir, targets, node)
     mode = "look-up repair"
-    try:
-        load_shards(manifest, shard_dir, helpers, len(helpers), skip, shards)
-    except (InsufficientDataError, IntegrityError) as exc:
-        click.echo(f"look-up repair blocked ({exc}); "
+    if plan.derived:
+        blocked = sorted(set(plan.derived.values()))
+        click.echo("look-up repair blocked for "
+                   f"{', '.join(c.label(params.f) for c in blocked)}; "
                    "falling back to reconstruction", err=True)
-        others = sorted(set(manifest.shard_digests) - {node} - skipped)
-        load_shards(manifest, shard_dir, others, params.k, skip, shards)
         mode = "reconstruction fallback"
-    shard = chunks_from_shards(params, shards, layout(params).node_chunks(node))
-    del shards
+    shard = produce(params, chunks, targets, manifest.stripe_count)
+    del chunks
     write_shard(shard_dir, manifest, node, shard, manifest.shard_digests[node])
     click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
                f"via {mode}; digest verified")
@@ -165,9 +195,11 @@ def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
     """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
     params = manifest.params
-    shards = load_shards(manifest, shard_dir, sorted(manifest.shard_digests),
-                         params.k, _say_skipped)
-    data = reconstruct(shards, params, manifest.file_size)
+    targets = data_chunks(params)
+    _, chunks = _read_planned(manifest, shard_dir, targets)
+    data = produce(params, chunks, targets, manifest.stripe_count).reshape(
+        -1)[:manifest.file_size]
+    del chunks
     if _sha256(data) != manifest.file_digest:
         raise IntegrityError("decoded file does not match the manifest digest")
     write_atomic(out, data)

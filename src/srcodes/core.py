@@ -19,6 +19,9 @@ chunk repairable by XORing the f other chunks with its subscript.
 Every chunk is thus a data chunk, an MDS combination of k chunks of its
 part, or the XOR of the f others with its subscript: encode, decode and
 repair all go through one chunk executor that applies these rules.
+Planning is split from execution: plan_chunks names the chunks a list
+of targets needs, so a reader can fetch only those, and produce runs
+the same plan on the chunks read.
 
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Encoding and
@@ -28,6 +31,7 @@ concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,8 +162,12 @@ class CodedArray:
     file_size: int
     shards: dict[int, np.ndarray]
 
-    def total_stored_bytes(self) -> int:
-        return sum(s.nbytes for s in self.shards.values())
+
+def data_chunks(params: SrcParams) -> list[ChunkId]:
+    """The f*k data chunks of a stripe in file order: part 1 at
+    subscripts 1..k, then part 2, and so on."""
+    return [ChunkId(part, sub) for part in range(1, params.f + 1)
+            for sub in range(1, params.k + 1)]
 
 
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
@@ -176,7 +184,7 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     data = np.zeros((stripes, f, k, cs), dtype=np.uint8)
     data.reshape(-1)[:size] = np.frombuffer(file_bytes, dtype=np.uint8)
     lay = layout(params)
-    coded = _produce(
+    coded = produce(
         params, {ChunkId(l + 1, s + 1): data[:, l, s]
                  for l in range(f) for s in range(k)},
         [c for node in range(1, n + 1) for c in lay.node_chunks(node)], stripes)
@@ -186,74 +194,113 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
                       file_size=size, shards=shards)
 
 
-def _produce(params: SrcParams, present: dict[ChunkId, np.ndarray],
-             targets: list[ChunkId], stripes: int) -> np.ndarray:
-    """The chunk executor: the target chunks, (stripes, len(targets),
-    chunk_size), from the present chunks, each (stripes, chunk_size).
+@dataclass(frozen=True)
+class ChunkPlan:
+    """What the chunk executor does to produce a list of targets.
 
-    A present target is copied.  An absent coded target is the XOR of
-    its f helpers when all are present, else derived from the lowest k
-    present chunks of its part with coefficients inv * G[:, s].  An
-    absent parity target is the XOR of the f coded chunks of its
-    subscript, each made once by the rules above, also when it is a
-    target itself.
+    ``reads`` are the available chunks it reads, sorted.  ``sums`` gives
+    per target index the chunks XORed into that output slot: the target
+    itself for a copy or a repeated target, else its f helpers.
+    ``derived`` maps each coded chunk made from k chunks of its part to
+    the target it is made for, and ``sources`` gives per part those k
+    chunks, the lowest k available.
+    """
+
+    reads: tuple[ChunkId, ...]
+    sums: tuple[tuple[int, tuple[ChunkId, ...]], ...]
+    derived: dict[ChunkId, ChunkId]
+    sources: dict[int, tuple[ChunkId, ...]]
+
+
+def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
+                targets: list[ChunkId]) -> ChunkPlan:
+    """Plan the target chunks from the available ones, reading nothing.
+
+    An available target is copied.  An absent coded target is the XOR of
+    its f helpers when all are available, else derived from the lowest k
+    available chunks of its part.  An absent parity target is the XOR of
+    the f coded chunks of its subscript, each made once by the rules
+    above, also when it is a target itself.  The lowest-k rule prefers
+    the systematic chunks, so a healthy decode copies f*k data chunks
+    and derives none.  Raises InsufficientDataError naming a target and
+    its absent helper nodes when that target needs deriving and fewer
+    than k chunks of its part are available.
     """
     lay = layout(params)
     f, k = params.f, params.k
-    out = np.zeros((stripes, len(targets), params.chunk_size), dtype=np.uint8)
+    available = frozenset(available)
     first = {c: t for t, c in reversed(list(enumerate(targets)))}
-    made = {c: out[:, t] for c, t in first.items()}
-    summed = []    # (output, the chunks XORed into it); copies included
+    sums = []      # (target index, the chunks XORed into it)
     derived = {}   # coded chunk -> the target it is derived for
     for t, c in enumerate(targets):
-        if c in present or first[c] != t:
-            summed.append((out[:, t], [c]))
-        elif c.part <= f and any(h not in present for h in lay.helpers(c)):
+        if c in available or first[c] != t:
+            sums.append((t, (c,)))
+        elif c.part <= f and any(h not in available for h in lay.helpers(c)):
             derived.setdefault(c, c)
-        else:   # all helpers present, or a parity chunk
-            summed.append((made[c], lay.helpers(c)))
+        else:   # all helpers available, or a parity chunk
+            sums.append((t, tuple(lay.helpers(c))))
             for h in lay.helpers(c):   # only a parity chunk has absent ones
-                if h not in present:
+                if h not in available:
                     derived.setdefault(h, c)
-    made.update((h, np.zeros_like(out[:, 0])) for h in derived if h not in made)
-    sources = {l: sorted(c for c in present if c.part == l)[:k]
+    sources = {l: tuple(sorted(c for c in available if c.part == l)[:k])
                for l in {c.part for c in derived}}
     short = {t for c, t in derived.items() if len(sources[c.part]) < k}
     if short:
         target = next(t for t in targets if t in short)
         absent = [lay.chunk_location(h) for h in lay.helpers(target)
-                  if h not in present]
+                  if h not in available]
         raise InsufficientDataError(
             f"cannot produce {target.label(f)}: helper node(s) "
             f"{', '.join(map(str, sorted(absent)))} absent and fewer than "
             f"{k} chunks of a part present")
+    reads = {c for _, chunks in sums for c in chunks if c in available}
+    reads.update(c for srcs in sources.values() for c in srcs)
+    return ChunkPlan(reads=tuple(sorted(reads)), sums=tuple(sums),
+                     derived=derived, sources=sources)
+
+
+def produce(params: SrcParams, present: dict[ChunkId, np.ndarray],
+            targets: list[ChunkId], stripes: int) -> np.ndarray:
+    """The chunk executor: the target chunks, (stripes, len(targets),
+    chunk_size), from the present chunks, each (stripes, chunk_size),
+    by the rules of plan_chunks.  Only the chunks of the plan's reads
+    are touched, so `present` may hold just those.
+    """
+    plan = plan_chunks(params, present, targets)
+    out = np.zeros((stripes, len(targets), params.chunk_size), dtype=np.uint8)
+    made = {c: out[:, t] for t, c in reversed(list(enumerate(targets)))}
+    made.update((h, np.zeros_like(out[:, 0])) for h in plan.derived
+                if h not in made)
     gen = params.generator()
-    for l, srcs in sources.items():
+    for l, srcs in plan.sources.items():
         inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
-        chunks = [c for c in derived if c.part == l]
+        chunks = [c for c in plan.derived if c.part == l]
         # coeffs[d, j] scales srcs[j] into chunks[d]
         coeffs = np.bitwise_xor.reduce(gf256.MUL[
             inv, gen.entries[:, [c.subscript - 1 for c in chunks]].T[:, None]],
             axis=2)
         gf256.addmul_rows([made[c] for c in chunks], coeffs,
                           [present[c] for c in srcs])
-    for dest, chunks in summed:   # a repeated target follows its first slot
+    for t, chunks in plan.sums:   # a repeated target follows its first slot
         for c in chunks:
-            np.bitwise_xor(dest, present[c] if c in present else made[c],
-                           out=dest)
+            np.bitwise_xor(out[:, t], present[c] if c in present else made[c],
+                           out=out[:, t])
     return out
 
 
 def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
                        targets: list[ChunkId]) -> np.ndarray:
-    """Produce the target chunks, every stripe, from the shards present.
+    """Produce the target chunks, every stripe, from whole shards in
+    memory.
 
     Every slot of every shard goes to the chunk executor as a view, and
     the file is never materialised.  Returns (stripe_count,
     len(targets), chunk_size) in target order, so a node's node_chunks
     give that node's shard.  Raises InsufficientDataError naming a
     target and its absent helper nodes when that target needs deriving
-    and fewer than k nodes are present.
+    and fewer than k nodes are present.  Callers that read shard files
+    use plan_chunks and shards.read_chunks instead, which read only the
+    planned slots.
     """
     for node, arr in shards.items():
         if not 1 <= node <= params.n:
@@ -266,9 +313,9 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
     if len(stripes) > 1:
         raise ShapeError("shards disagree on stripe count")
     lay = layout(params)
-    return _produce(params, {c: shard[:, slot] for node, shard in shards.items()
-                             for slot, c in enumerate(lay.node_chunks(node))},
-                    targets, max(stripes, default=0))
+    return produce(params, {c: shard[:, slot] for node, shard in shards.items()
+                            for slot, c in enumerate(lay.node_chunks(node))},
+                   targets, max(stripes, default=0))
 
 
 def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
@@ -282,9 +329,7 @@ def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
     if len(shards) < params.k:
         raise InsufficientDataError(
             f"need shards from {params.k} nodes, got {len(shards)}")
-    data = chunks_from_shards(params, shards, [
-        ChunkId(part, sub) for part in range(1, params.f + 1)
-        for sub in range(1, params.k + 1)])
+    data = chunks_from_shards(params, shards, data_chunks(params))
     if data.size < file_size:
         raise ShapeError(
             f"{data.shape[0]} stripes cannot hold file_size={file_size}")

@@ -91,21 +91,6 @@ def params_for_scheme(kind: str, n: int, k: int, **overrides) -> MarkovParams:
     return replace(p, **overrides) if overrides else p
 
 
-def params_from_sim_report(report, n: int, k: int, **overrides) -> MarkovParams:
-    """MarkovParams whose repair time and node size come from a measured
-    node-repair simulation instead of the stated defaults.
-
-    The repair time is the run's elapsed time and node_bytes the failed
-    machine's rebuilt data, so the Markov member matches the simulated one.
-    """
-    if report.degraded or not report.bytes_written:
-        raise ParameterError("need a node-repair report, not a degraded read")
-    fields = {"repair_hours": report.elapsed / 3600.0,
-              "node_bytes": float(report.bytes_written)}
-    fields.update(overrides)
-    return MarkovParams(n=n, k=k, **fields)
-
-
 def absorption_time(birth: list[float], death: list[float]) -> float:
     """Expected time to absorption from state 0 of a birth-death chain.
 

@@ -8,9 +8,10 @@ from the placement inverse (StripeLayout.chunk_location), never from
 closed-form index sets, and a node plan touching every slot hits exactly
 min(2f, n-1) distinct disks.
 
-Plans are immutable values that say which shards a repair reads; the
-chunks themselves are produced by core.chunks_from_shards, which XORs
-the same helpers.
+Plans are immutable values that say which shards a repair reads, as
+`repair --dry-run` prints them; the chunks themselves are produced by
+core.produce, whose planner core.plan_chunks picks the same helpers
+for a look-up repair.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ same file yields bit-identical shards, so a rebuilt shard can be checked
 against the manifest digest.  This module is the only one that reads or
 writes shard files: write_shard writes one (every file goes through
 write_atomic, so a crash never leaves a torn file under its real name),
-and load_shards reads the first intact shards of a list of nodes.
+and read_chunks reads chunk slots out of them, only the ones asked for.
 
 The manifest is JSON with sorted keys: code parameters, the generator
 construction id (decoders rebuild the matrix from it), original file
@@ -27,16 +27,15 @@ import os
 import re
 import struct
 import zlib
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import index
 from pathlib import Path
 
 import numpy as np
 
-from .core import CodedArray, SrcParams
-from .errors import (InsufficientDataError, IntegrityError, ParameterError,
-                     ShapeError)
+from .core import ChunkId, CodedArray, SrcParams, layout
+from .errors import IntegrityError, ParameterError, ShapeError
 from .mds import CONSTRUCTION_ID
 
 MAGIC = b"SRCSHRD1"
@@ -44,6 +43,7 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def shard_filename(node: int) -> str:
@@ -54,14 +54,19 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _header(params: SrcParams, node: int, stripe_count: int,
+            file_size: int) -> bytes:
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
+                        params.f, 0, params.chunk_size, stripe_count,
+                        file_size)
+
+
 def shard_bytes(params: SrcParams, node: int, stripe_count: int,
                 file_size: int, shard: np.ndarray) -> bytes:
     """Serialize one node's chunk array to the shard file format."""
     if shard.shape != (stripe_count, params.f + 1, params.chunk_size):
         raise ShapeError(f"shard shape {shard.shape} does not match params")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
-                          params.f, 0, params.chunk_size, stripe_count,
-                          file_size)
+    header = _header(params, node, stripe_count, file_size)
     # CRCs and the join read each stripe where it lies, also in a strided
     # view such as encode's shards: one copy, into the returned bytes
     stripes = [np.ascontiguousarray(stripe) for stripe in shard]
@@ -254,45 +259,91 @@ def load_shard_checked(manifest: Manifest, directory: Path, node: int
     return shard
 
 
-def load_shards(manifest: Manifest, directory: Path, nodes: list[int],
-                want: int, on_skip: Callable[[int, IntegrityError], None],
-                shards: dict[int, np.ndarray] | None = None
-                ) -> dict[int, np.ndarray]:
-    """Fill `shards` (a new dict by default) with the first `want` of
-    `nodes`, in order, whose shard files exist and pass
-    load_shard_checked, and return it.  Nodes of `nodes` already in
-    `shards` count first and are not read again.  A shard that fails its
-    checks is skipped, reported to on_skip, and the next present node is
-    read instead.
+def read_chunks(manifest: Manifest, directory: Path,
+                wanted: Iterable[ChunkId]
+                ) -> tuple[dict[ChunkId, np.ndarray],
+                           dict[ChunkId, IntegrityError]]:
+    """Read the wanted chunks, every stripe, from their nodes' shard files.
 
-    Raises InsufficientDataError before reading any file when fewer than
-    `want` files exist, and IntegrityError naming the skipped files as
-    soon as fewer than `want` unskipped files remain.
+    Per shard file: the length and the 44-byte header must equal, byte
+    for byte, what the manifest implies; the CRC table is read once;
+    each stripe's wanted slots are read with os.preadv straight into
+    preallocated (stripe_count, chunk_size) arrays, neighbouring slots
+    in one call, also across a stripe boundary; each chunk read must
+    match its CRC-32.  Nothing else of
+    the file is read, so the whole-shard digest is not checked here.
+
+    Returns the chunks that pass, and the chunks found unusable, each
+    with the error naming its shard file: every chunk of a shard whose
+    length or header is wrong, or a wanted chunk that fails its CRC in
+    any stripe.  A shard file must exist.
     """
-    shards = {} if shards is None else shards
-    present = [node for node in nodes if node in shards
-               or manifest.shard_path(directory, node).exists()]
-    if len(present) < want:
-        missing = [shard_filename(node) for node in nodes
-                   if node not in present]
-        raise InsufficientDataError(
-            f"only {len(present)} shards present; need {want}; "
-            f"missing {', '.join(missing)}")
-    got = sum(node in shards for node in present)
-    skipped: list[str] = []
-    for node in present:
-        if got >= want or len(present) - len(skipped) < want:
-            break
-        if node in shards:
-            continue
+    lay = layout(manifest.params)
+    by_node: dict[int, list[ChunkId]] = {}
+    for c in sorted(set(wanted)):
+        by_node.setdefault(lay.chunk_location(c), []).append(c)
+    chunks: dict[ChunkId, np.ndarray] = {}
+    failed: dict[ChunkId, IntegrityError] = {}
+    for node, ids in sorted(by_node.items()):
         try:
-            shards[node] = load_shard_checked(manifest, directory, node)
-            got += 1
-        except IntegrityError as exc:
-            skipped.append(shard_filename(node))
-            on_skip(node, exc)
-    if got < want:
-        raise IntegrityError(
-            f"at most {len(present) - len(skipped)} intact shards; "
-            f"need {want}; skipped {', '.join(skipped)}")
-    return shards
+            got, crcs = _read_slots(manifest, directory, node, ids)
+        except IntegrityError as exc:   # the whole shard is unusable
+            failed.update((c, exc) for c in lay.node_chunks(node))
+            continue
+        bad = [c for c in ids if any(zlib.crc32(row) != crc
+                                     for row, crc in zip(got[c], crcs[c]))]
+        if bad:
+            exc = IntegrityError(
+                f"shard {shard_filename(node)}: "
+                f"{', '.join(c.label(manifest.params.f) for c in bad)} "
+                f"fail{'s' if len(bad) == 1 else ''} the CRC-32 check")
+            failed.update((c, exc) for c in bad)
+        chunks.update((c, got[c]) for c in ids if c not in bad)
+    return chunks, failed
+
+
+def _read_slots(manifest: Manifest, directory: Path, node: int,
+                ids: list[ChunkId]
+                ) -> tuple[dict[ChunkId, np.ndarray], dict[ChunkId, np.ndarray]]:
+    """One shard file's wanted chunks and their CRC-32s, each
+    (stripe_count,) long; IntegrityError if its length or header is
+    not the manifest's."""
+    p, stripes = manifest.params, manifest.stripe_count
+    name = shard_filename(node)
+    slots = layout(p).node_chunks(node)
+    count = stripes * len(slots)
+    crc_end = _HEADER.size + 4 * count
+    expected = crc_end + count * p.chunk_size
+    fd = os.open(manifest.shard_path(directory, node), os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        if size != expected:
+            raise IntegrityError(
+                f"shard {name} is {size} bytes, expected {expected}")
+        head = os.pread(fd, crc_end, 0)
+        if len(head) != crc_end:
+            raise IntegrityError(f"shard {name} shrank while read")
+        if head[:_HEADER.size] != _header(p, node, stripes, manifest.file_size):
+            raise IntegrityError(f"shard {name} header disagrees with manifest")
+        table = np.frombuffer(head, dtype="<u4", offset=_HEADER.size)
+        table = table.reshape(stripes, len(slots))
+        got = {c: np.empty((stripes, p.chunk_size), dtype=np.uint8)
+               for c in ids}
+        # payload positions in file order; neighbours share one preadv
+        wanted = sorted((s * len(slots) + slots.index(c), s, c)
+                        for s in range(stripes) for c in ids)
+        runs: list[list[tuple[int, int, ChunkId]]] = []
+        for pos in wanted:
+            if runs and runs[-1][-1][0] + 1 == pos[0] \
+                    and len(runs[-1]) < _IOV_MAX:
+                runs[-1].append(pos)
+            else:
+                runs.append([pos])
+        for run in runs:
+            if os.preadv(fd, [got[c][s] for _, s, c in run],
+                         crc_end + run[0][0] * p.chunk_size) \
+                    != len(run) * p.chunk_size:
+                raise IntegrityError(f"shard {name} shrank while read")
+    finally:
+        os.close(fd)
+    return got, {c: table[:, slots.index(c)] for c in ids}

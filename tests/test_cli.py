@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srcodes import cli, shards
+from srcodes import cli
 from srcodes.cli import main
-from srcodes.core import SrcParams
+from srcodes.core import SrcParams, data_chunks, layout, plan_chunks
 from srcodes.repair import node_repair_plan
 from srcodes.shards import MANIFEST_NAME, shard_filename
+
+HEADER_B = 44
+RESERVED_AT = 18   # the header's reserved u16 (docs/FORMATS.md)
 
 
 @pytest.fixture
@@ -39,10 +42,20 @@ def _encode(runner, tmp_path, n=4, k=2, f=2, size=100_000, chunk=4096):
     return src, data, out
 
 
-def _flip_last_byte(path):
+def _flip_byte(path, at):
     blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0xFF
+    blob[at] ^= 0xFF
     path.write_bytes(bytes(blob))
+
+
+def _slot_at(p, stripes, stripe, slot):
+    """Offset of the first byte of one chunk slot in a shard file."""
+    crc_end = HEADER_B + 4 * stripes * (p.f + 1)
+    return crc_end + (stripe * (p.f + 1) + slot) * p.chunk_size
+
+
+def _stripes(p, size):
+    return -(-size // p.stripe_data_bytes)
 
 
 def _decode(runner, out, dest):
@@ -168,9 +181,9 @@ def test_decode_insufficient_shards_exit_3(runner, tmp_path):
 
 
 def test_decode_skips_corrupt_shard(runner, tmp_path):
-    # node 1 is corrupt, nodes 2-4 are intact and k = 2
+    # node 1's header is corrupt, nodes 2-4 are intact and k = 2
     _, data, out = _encode(runner, tmp_path)
-    _flip_last_byte(out / shard_filename(1))
+    _flip_byte(out / shard_filename(1), RESERVED_AT)
     dest = tmp_path / "y.bin"
     res = _decode(runner, out, dest)
     assert res.exit_code == 0, res.output
@@ -180,10 +193,10 @@ def test_decode_skips_corrupt_shard(runner, tmp_path):
 
 
 def test_corrupted_shard_exit_4(runner, tmp_path):
-    # 3 of 4 shards corrupt leaves 1 intact shard, k = 2
+    # 3 of 4 shard headers corrupt leaves 1 usable shard, k = 2
     _, _, out = _encode(runner, tmp_path)
     for node in (1, 2, 4):
-        _flip_last_byte(out / shard_filename(node))
+        _flip_byte(out / shard_filename(node), RESERVED_AT)
     res = _decode(runner, out, tmp_path / "y.bin")
     assert res.exit_code == 4
     assert not (tmp_path / "y.bin").exists()
@@ -197,8 +210,13 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
     lost = out / shard_filename(3)
     expected = lost.read_bytes()
     lost.unlink()
-    bad = min(node_repair_plan(SrcParams(10, 6, 2, 1024), 3).disk_access_set)
-    _flip_last_byte(out / shard_filename(bad))
+    # node 1 holds parity[3], a helper of node 3's part1[3]: corrupt it
+    # in the last stripe, which look-up repair reads
+    p = SrcParams(10, 6, 2, 1024)
+    stripes = _stripes(p, 60_000)
+    bad = min(node_repair_plan(p, 3).disk_access_set)
+    assert layout(p).node_chunks(bad)[2].label(2) == "parity[3]"
+    _flip_byte(out / shard_filename(bad), _slot_at(p, stripes, stripes - 1, 2))
     res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
                                "--shards", str(out), "--node", "3"])
     assert res.exit_code == 0, res.output
@@ -207,64 +225,141 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
     # skipped by look-up repair, then left out of the fallback
     skips = [line for line in res.stderr.splitlines()
              if line.startswith("skipped:")]
-    assert skips == [f"skipped: shard {shard_filename(bad)} does not match "
-                     "its manifest digest"]
+    assert skips == [f"skipped: shard {shard_filename(bad)}: parity[3] "
+                     "fails the CRC-32 check"]
+
+
+def _count_reads(monkeypatch):
+    """Record the chunk ids of each read_chunks call, and the bytes read
+    from disk through os.pread and os.preadv."""
+    calls, nbytes = [], []
+    read_chunks, pread, preadv = cli.read_chunks, os.pread, os.preadv
+
+    def counting(m, directory, wanted):
+        calls.append(list(wanted))
+        return read_chunks(m, directory, calls[-1])
+
+    def counting_pread(fd, size, offset):
+        data = pread(fd, size, offset)
+        nbytes.append(len(data))
+        return data
+
+    def counting_preadv(fd, buffers, offset):
+        got = preadv(fd, buffers, offset)
+        nbytes.append(got)
+        return got
+
+    monkeypatch.setattr(cli, "read_chunks", counting)
+    monkeypatch.setattr(os, "pread", counting_pread)
+    monkeypatch.setattr(os, "preadv", counting_preadv)
+    return calls, nbytes
 
 
 @pytest.mark.parametrize("n,k,f", [(4, 2, 2), (10, 6, 2), (7, 3, 3)])
 def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
+    p = SrcParams(n, k, f, 512)
     _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=30_000,
                         chunk=512)
+    stripes = _stripes(p, 30_000)
+    head = HEADER_B + 4 * stripes * (f + 1)   # header and CRC table
+    lay = layout(p)
     manifest = str(out / MANIFEST_NAME)
-    reads = []
-    real = shards.load_shard_checked
+    calls, nbytes = _count_reads(monkeypatch)
 
-    def counting(m, directory, node):
-        reads.append(node)
-        return real(m, directory, node)
+    def nodes(ids):
+        return {lay.chunk_location(c) for c in ids}
 
-    monkeypatch.setattr(shards, "load_shard_checked", counting)
+    def read_once():
+        """Every chunk is read at most once, and each read_chunks call
+        reads one header and CRC table per shard plus its chunks."""
+        ids = [c for call in calls for c in call]
+        assert len(ids) == len(set(ids))
+        assert sum(nbytes) == sum(len(nodes(call)) * head
+                                  + len(call) * stripes * p.chunk_size
+                                  for call in calls)
+        return set(ids)
+
+    # healthy decode: the f*k data chunks, M bytes, from nodes
+    # 1..k and n-f+2..n, with no GF work left to do
     assert _decode(runner, out, tmp_path / "y.bin").exit_code == 0
-    assert reads == list(range(1, k + 1))
+    assert read_once() == set(data_chunks(p))
+    assert nodes(calls[0]) == set(range(1, k + 1)) | set(range(n - f + 2, n + 1))
+    assert len(calls) == 1
 
+    # look-up repair: f helpers per lost chunk, f(f+1) chunks per stripe
+    # from min(2f, n-1) nodes
     node = n
-    helpers = sorted(node_repair_plan(SrcParams(n, k, f, 512), node)
-                     .disk_access_set)
-    assert len(helpers) == min(2 * f, n - 1)
+    targets = lay.node_chunks(node)
+    plan = node_repair_plan(p, node)
+    lookup = {c for chunk_plan in plan.chunk_plans for _, c in chunk_plan.reads}
+    assert len(lookup) == f * (f + 1)
+    assert len(plan.disk_access_set) == min(2 * f, n - 1)
+    rebuilt = (out / shard_filename(node)).read_bytes()
     (out / shard_filename(node)).unlink()
-    reads.clear()
+    calls.clear()
+    nbytes.clear()
     res = runner.invoke(main, ["repair", "--manifest", manifest,
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
-    assert reads == helpers
+    assert read_once() == lookup and len(calls) == 1
+    assert nodes(lookup) == plan.disk_access_set
 
-    # a corrupt helper: the intact helper read before it counts toward
-    # the fallback's k, so k + 1 shards are read, none twice
-    rebuilt = (out / shard_filename(node)).read_bytes()
-    first = (out / shard_filename(helpers[0])).read_bytes()
+    # a corrupt helper chunk: the look-up reads come first, then only
+    # what deriving its target needs and is not yet held
+    available = {c for i in range(1, n + 1) if i != node
+                 for c in lay.node_chunks(i)}
+    helper = plan.chunk_plans[0].reads[0][1]
+    at = lay.chunk_location(helper)
     (out / shard_filename(node)).unlink()
-    _flip_last_byte(out / shard_filename(helpers[1]))
-    reads.clear()
+    _flip_byte(out / shard_filename(at),
+               _slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
+    calls.clear()
+    nbytes.clear()
     res = runner.invoke(main, ["repair", "--manifest", manifest,
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
     assert "reconstruction fallback" in res.stdout
-    assert reads[:2] == helpers[:2]
-    assert len(reads) == k + 1 and len(set(reads)) == k + 1
+    assert f"skipped: shard {shard_filename(at)}: {helper.label(f)} fails " \
+        "the CRC-32 check" in res.stderr
+    extra = set(plan_chunks(p, available - {helper}, targets).reads) - lookup
+    assert set(calls[0]) == lookup and len(calls) == 1 + bool(extra)
+    assert read_once() == lookup | extra
     assert (out / shard_filename(node)).read_bytes() == rebuilt
 
-    # a missing helper is seen before any helper is read: the fallback's
-    # k reads are the only ones
+    # a missing helper is seen before any file is read: one call reads
+    # the plan that derives around it (flipping the byte back first
+    # restores the corrupt helper)
+    _flip_byte(out / shard_filename(at),
+               _slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
     (out / shard_filename(node)).unlink()
-    (out / shard_filename(helpers[0])).unlink()
-    _flip_last_byte(out / shard_filename(helpers[1]))
-    reads.clear()
+    gone = min(plan.disk_access_set)
+    (out / shard_filename(gone)).unlink()
+    calls.clear()
+    nbytes.clear()
     res = runner.invoke(main, ["repair", "--manifest", manifest,
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
     assert "reconstruction fallback" in res.stdout
-    live = [i for i in range(1, n + 1) if i not in (node, helpers[0])]
-    assert reads == live[:k]
+    assert len(calls) == 1
+    assert read_once() == set(plan_chunks(
+        p, available - set(lay.node_chunks(gone)), targets).reads)
+    assert (out / shard_filename(node)).read_bytes() == rebuilt
+
+
+def test_decode_reads_no_parity_slot(runner, tmp_path, monkeypatch):
+    # the last byte of every shard is the parity slot of its last stripe:
+    # a healthy decode never reads it, so no shard is skipped
+    _, data, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=60_000,
+                           chunk=1024)
+    for node in range(1, 11):
+        _flip_byte(out / shard_filename(node), -1)
+    calls, _ = _count_reads(monkeypatch)
+    dest = tmp_path / "y.bin"
+    res = _decode(runner, out, dest)
+    assert res.exit_code == 0, res.output
+    assert dest.read_bytes() == data
+    assert res.stderr == ""
+    assert calls and all(c.part <= 2 for call in calls for c in call)
 
 
 def _files(root):

@@ -116,7 +116,7 @@ def test_storage_accounting():
     p = SrcParams(6, 4, 2, 64)
     arr = encode(_random_file(3, 5 * p.stripe_data_bytes), p)
     padded = arr.stripe_count * p.stripe_data_bytes
-    assert arr.total_stored_bytes() * p.f * p.k == padded * (p.f + 1) * p.n
+    assert sum(s.nbytes for s in arr.shards.values()) * p.f * p.k == padded * (p.f + 1) * p.n
 
 
 def test_empty_file():

@@ -1,6 +1,6 @@
 """Property tests for the chunk executor behind core.encode and
-core.chunks_from_shards, the one code path that turns chunks into other
-chunks: encode gives the reference encoder's shards, and any set of
+core.chunks_from_shards, core.produce with its planner core.plan_chunks,
+the one code path that turns chunks into other chunks: encode gives the reference encoder's shards, and any set of
 present nodes and any targets give the reference chunks, or
 InsufficientDataError when a target can be neither copied, XORed nor
 derived."""
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from srcodes import gf256
-from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
-    layout, reconstruct
+from srcodes.core import ChunkId, SrcParams, chunks_from_shards, \
+    data_chunks, encode, layout, plan_chunks, produce, reconstruct
 from srcodes.errors import InsufficientDataError
 
 from gf_reference import reference_encode
@@ -101,3 +101,14 @@ def test_gf_bytes_per_path(monkeypatch):
     assert reconstruct({i: s for i, s in arr.shards.items() if i > 4}, p,
                        len(data)) == data
     assert sum(scaled) == 8064
+    # a healthy decode through the planner copies the f*k data chunks
+    scaled.clear()
+    lay = layout(p)
+    every = {c: shard[:, slot] for node, shard in arr.shards.items()
+             for slot, c in enumerate(lay.node_chunks(node))}
+    plan = plan_chunks(p, every, data_chunks(p))
+    assert set(plan.reads) == set(data_chunks(p)) and not plan.derived
+    got = produce(p, {c: every[c] for c in plan.reads}, data_chunks(p),
+                  arr.stripe_count)
+    assert got.tobytes() == data
+    assert sum(scaled) == 0

@@ -116,7 +116,7 @@ def test_rate_times_storage_is_file_size():
     file_bytes = bytes(3 * p.stripe_data_bytes)
     arr = encode(file_bytes, p)
     rate = src_metrics(p).rate
-    assert rate * arr.total_stored_bytes() == pytest.approx(len(file_bytes))
+    assert rate * sum(s.nbytes for s in arr.shards.values()) == pytest.approx(len(file_bytes))
 
 
 def test_asymptotic_ratio_grows_and_rate_converges():

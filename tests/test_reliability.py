@@ -110,21 +110,3 @@ def test_params_validation():
         absorption_time([], [])
     with pytest.raises(ParameterError):
         absorption_time([0.0], [0.0])
-
-
-def test_params_from_measured_repair():
-    from srcodes.reliability import params_from_sim_report
-    from srcodes.sim import ClusterConfig, Scheme, build_cluster, \
-        run_degraded_read, run_node_failure
-
-    cluster = build_cluster(ClusterConfig(scheme=Scheme.src(10, 6, 2)))
-    report = run_node_failure(cluster, 0)
-    p = params_from_sim_report(report, n=10, k=6)
-    assert p.repair_hours == pytest.approx(report.elapsed / 3600)
-    assert p.node_bytes == report.bytes_written
-    # measured repair is faster than the conservative 30-minute default,
-    # so the measured MTTF must come out higher
-    default = params_for_scheme("src", 10, 6)
-    assert mttf_redundancy_set(p) > mttf_redundancy_set(default)
-    with pytest.raises(ParameterError):
-        params_from_sim_report(run_degraded_read(cluster, 0), n=10, k=6)

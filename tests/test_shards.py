@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srcodes.core import SrcParams, encode
+from srcodes.core import SrcParams, encode, layout
 from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, load_manifest, load_shard_checked,
-                            parse_shard, shard_bytes, shard_filename,
-                            write_coded_array)
+                            parse_shard, read_chunks, shard_bytes,
+                            shard_filename, write_coded_array)
 
 
 def _array(seed=1, params=None):
@@ -117,3 +117,93 @@ def test_load_shard_checked_holds_one_copy(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(shard, arr.shards[4])
     assert peak < 1.5 * size
+
+
+def _written(tmp_path, size=None, params=None):
+    params = params or SrcParams(5, 2, 2, 32)
+    size = 3 * params.stripe_data_bytes + 5 if size is None else size
+    data = np.random.default_rng(4).integers(0, 256, size,
+                                             dtype=np.uint8).tobytes()
+    arr = encode(data, params)
+    return arr, load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+
+
+def _flip(path, at):
+    blob = bytearray(path.read_bytes())
+    blob[at] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def test_read_chunks_reads_the_wanted_slots(tmp_path):
+    arr, manifest = _written(tmp_path)
+    lay = layout(arr.params)
+    # node 2's first and last slots, and node 4's middle one
+    wanted = [lay.node_chunks(2)[0], lay.node_chunks(2)[2],
+              lay.node_chunks(4)[1]]
+    chunks, failed = read_chunks(manifest, tmp_path, wanted)
+    assert failed == {} and sorted(chunks) == sorted(wanted)
+    for c, got in chunks.items():
+        node = lay.chunk_location(c)
+        slot = lay.node_chunks(node).index(c)
+        assert got.shape == (arr.stripe_count, arr.params.chunk_size)
+        assert np.array_equal(got, arr.shards[node][:, slot])
+
+
+def test_read_chunks_empty_file(tmp_path):
+    arr, manifest = _written(tmp_path, size=0)
+    assert manifest.stripe_count == 0
+    wanted = layout(arr.params).node_chunks(1)
+    chunks, failed = read_chunks(manifest, tmp_path, wanted)
+    assert failed == {}
+    assert {c: a.shape for c, a in chunks.items()} == \
+        {c: (0, arr.params.chunk_size) for c in wanted}
+
+
+def test_read_chunks_skips_shard_with_flipped_reserved_byte(tmp_path):
+    arr, manifest = _written(tmp_path)
+    lay = layout(arr.params)
+    _flip(tmp_path / shard_filename(3), 18)   # the reserved u16
+    wanted = lay.node_chunks(3)[:1] + lay.node_chunks(1)[:1]
+    chunks, failed = read_chunks(manifest, tmp_path, wanted)
+    assert list(chunks) == lay.node_chunks(1)[:1]
+    # every chunk of the shard is unusable, not only the wanted one
+    assert sorted(failed) == lay.node_chunks(3)
+    assert all(str(exc) == "shard node_003.shard header disagrees with "
+               "manifest" for exc in failed.values())
+
+
+def test_read_chunks_drops_a_chunk_failing_its_crc(tmp_path):
+    arr, manifest = _written(tmp_path)
+    lay = layout(arr.params)
+    stripes, cs = arr.stripe_count, arr.params.chunk_size
+    crc_end = 44 + 4 * stripes * 3
+    # the middle slot of node 2, last stripe
+    _flip(tmp_path / shard_filename(2), crc_end + ((stripes - 1) * 3 + 1) * cs)
+    chunks, failed = read_chunks(manifest, tmp_path, lay.node_chunks(2))
+    bad = lay.node_chunks(2)[1]
+    assert list(failed) == [bad]
+    assert str(failed[bad]) == \
+        f"shard node_002.shard: {bad.label(2)} fails the CRC-32 check"
+    assert sorted(chunks) == [c for c in lay.node_chunks(2) if c != bad]
+
+
+def test_read_chunks_checks_the_length(tmp_path):
+    arr, manifest = _written(tmp_path)
+    path = tmp_path / shard_filename(5)
+    path.write_bytes(path.read_bytes() + b"x")
+    chunks, failed = read_chunks(manifest, tmp_path,
+                                 layout(arr.params).node_chunks(5))
+    assert chunks == {} and len(failed) == 3
+    assert "bytes, expected" in str(next(iter(failed.values())))
+
+
+def test_read_chunks_splits_long_runs(tmp_path):
+    # 3000 stripes of 1-byte chunks: one run of 6000 slots, more than
+    # one preadv may take
+    arr, manifest = _written(tmp_path, size=3000,
+                             params=SrcParams(3, 1, 1, 1))
+    wanted = layout(arr.params).node_chunks(2)
+    chunks, failed = read_chunks(manifest, tmp_path, wanted)
+    assert failed == {}
+    for slot, c in enumerate(wanted):
+        assert np.array_equal(chunks[c], arr.shards[2][:, slot])
