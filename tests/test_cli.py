@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +484,37 @@ def test_metrics_command(runner):
     assert res.output.startswith("scheme,alpha")
     res = runner.invoke(main, ["metrics", "--n", "4", "--k", "4"])
     assert res.exit_code == 2
+
+
+def test_metrics_starts_no_thread(runner):
+    before = threading.active_count()
+    res = runner.invoke(main, ["metrics", "--n", "10", "--k", "6", "--f", "2"])
+    assert res.exit_code == 0
+    assert threading.active_count() == before
+
+
+def test_reports_start_no_thread_and_import_no_pool():
+    # the GF kernel's worker pool, and its concurrent.futures import, come
+    # with the first split multiply-add; the report commands do none
+    script = """
+import sys, threading
+from srcodes.cli import main
+for args in (["metrics", "--n", "10", "--k", "6", "--f", "2"],
+             ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
+              "--f", "2", "--machines", "40", "--seed", "1"],
+             ["reliability"]):
+    try:
+        main(args)
+    except SystemExit as e:
+        assert not e.code, e.code
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "1 False"
 
 
 def test_simulate_deterministic(runner, tmp_path):
