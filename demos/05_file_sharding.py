@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Shard a file to disk with manifest and checksums, delete a shard,
-repair it by reading only its look-up helpers' planned chunks, corrupt
-another shard, and decode the file back from the intact chunks - the
-same workflow the `srcodes` CLI drives, shown through the library API."""
+repair it by reading only its look-up helpers' planned chunks a batch
+of stripes at a time, corrupt another shard, and decode the file back
+from the intact chunks - the same workflow the `srcodes` CLI drives,
+shown through the library API."""
 
 import hashlib
 import tempfile
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from srcodes import (SrcParams, data_chunks, encode, layout, plan_chunks,
-                     produce)
-from srcodes.shards import (load_manifest, read_chunks, shard_filename,
-                            write_coded_array, write_shard)
+from srcodes import SrcParams, data_chunks, encode, layout, plan_chunks, \
+    run_plan
+from srcodes.shards import (ShardImage, ShardReader, load_manifest,
+                            shard_filename, write_coded_array,
+                            write_shard)
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
@@ -38,14 +40,20 @@ shard_path.unlink()
 everything = {c for node in range(1, params.n + 1) if node != 3
               for c in lay.node_chunks(node)}
 targets = lay.node_chunks(3)
-plan = plan_chunks(params, everything, targets)
-chunks, failed = read_chunks(manifest, workdir, plan.reads)
-print(f"  read {len(chunks)} chunks per stripe from nodes "
-      f"{sorted({lay.chunk_location(c) for c in chunks})}, "
-      f"{sum(a.nbytes for a in chunks.values()):,} bytes")
-rebuilt = produce(params, chunks, targets, stripes)
+plan = plan_chunks(params, everything, targets)   # one plan, every stripe
+image = ShardImage(params, 3, stripes, manifest.file_size)
+read = 0
+with ShardReader(manifest, workdir) as reader:
+    for start in range(0, stripes, 2):   # two stripes per batch
+        stop = min(start + 2, stripes)
+        chunks, failed = reader.read_chunks(plan.reads, start, stop)
+        read += sum(a.nbytes for a in chunks.values())
+        run_plan(plan, chunks, image.payload[start:stop])
+print(f"  read {len(plan.reads)} chunks per stripe from nodes "
+      f"{sorted({lay.chunk_location(c) for c in plan.reads})}, "
+      f"{read:,} bytes, in batches of 2 stripes")
 # write_shard refuses bytes whose digest differs from the manifest's
-write_shard(workdir, manifest, 3, rebuilt, manifest.shard_digests[3])
+write_shard(workdir, 3, image.seal(), manifest.shard_digests[3])
 print("rebuilt shard digest matches manifest: True")
 
 print("\ncorrupting node 1's first data chunk, then decoding")
@@ -56,16 +64,18 @@ available = {c for node in range(1, params.n + 1)
              for c in lay.node_chunks(node)}
 targets = data_chunks(params)
 plan = plan_chunks(params, available, targets)
-chunks, failed = read_chunks(manifest, workdir, plan.reads)
-for exc in set(failed.values()):
-    print(f"  skipped: {exc}")
-# plan again without the failed chunk; read only what is not yet held
-plan = plan_chunks(params, available - set(failed), targets)
-more, _ = read_chunks(manifest, workdir,
-                      [c for c in plan.reads if c not in chunks])
+with ShardReader(manifest, workdir) as reader:
+    chunks, failed = reader.read_chunks(plan.reads)   # every stripe at once
+    for exc in set(failed.values()):
+        print(f"  skipped: {exc}")
+    # plan again without the failed chunk; read only what is not yet held
+    plan = plan_chunks(params, available - set(failed), targets)
+    more, _ = reader.read_chunks([c for c in plan.reads if c not in chunks])
 chunks.update(more)
 print(f"  part1[1] is XORed from its helpers: {len(more)} more chunk read")
-out = produce(params, chunks, targets, stripes).reshape(-1)[:len(data)]
+out = run_plan(plan, chunks, np.empty((stripes, len(targets),
+                                       params.chunk_size), dtype=np.uint8))
+out = out.reshape(-1)[:len(data)]
 print(f"file digest matches: "
       f"{hashlib.sha256(out).hexdigest() == manifest.file_digest}")
 print(f"\n(the CLI equivalent: srcodes encode/repair/decode; shards left "

@@ -6,11 +6,17 @@ failure.  Every randomized path takes a seed (defaulted and echoed in
 the output), and commands are idempotent: rerunning with the same inputs
 rewrites the same bytes.
 
-decode and repair read only the chunk slots their plan needs
-(core.plan_chunks, shards.read_chunks): a healthy decode reads the f*k
-data chunks of each stripe, M bytes in all, and a look-up repair the f
+decode and repair plan once (core.plan_chunks) and then stream: they
+read only the chunk slots their plan needs (shards.ShardReader), a
+batch of stripes at a time, so their memory does not grow with the
+file beyond what they write.  A healthy decode reads the f*k data
+chunks of each stripe, M bytes in all, and a look-up repair the f
 helpers of each lost chunk, the paper's (f+1)*M/k.  A chunk that fails
-its checks is dropped and the plan is made again without it.
+its checks is dropped and the stripes left are planned again without
+it.  decode writes each batch to a temporary sibling of its output and
+hashes it as it goes; repair fills the rebuilt shard file in one
+buffer, checks its digest and writes it once.  encode still holds the
+whole file.
 """
 
 from __future__ import annotations
@@ -19,22 +25,26 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import stat
 import sys
 import typing
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import sim as sim_mod
-from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode, layout,
-                   plan_chunks, produce)
+from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_stripes,
+                   layout, plan_chunks, run_plan, stripe_buffer)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
 from .repair import node_repair_plan
-from .shards import (Manifest, load_manifest, read_chunks, shard_filename,
-                     write_atomic, write_coded_array, write_shard)
+from .shards import (Manifest, ShardImage, ShardReader, atomic_writer,
+                     load_manifest, shard_filename, write_coded_array,
+                     write_shard)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -61,46 +71,98 @@ def _exit_codes(fn):
     return wrapper
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+# Chunk bytes a batch of stripes allocates (see _Stream._step).  A batch
+# holds at least one stripe, so its memory is this or one stripe's,
+# whatever the file size.  Chosen by paired runs (BENCH_8.json): decode
+# peaks near 50 MB at 64 KiB chunks.
+_BATCH_BYTES = 8 << 20
 
 
-def _read_planned(manifest: Manifest, shard_dir: Path,
-                  targets: list[ChunkId], lost: int = 0
-                  ) -> tuple[ChunkPlan, dict]:
-    """Plan the targets on the chunks of the shard files that exist, the
-    lost node's excepted, then repeat: read what the plan needs and is
-    not yet held, drop the chunks that fail their checks (each shard
-    file with a failure is named on stderr), and plan again, until the
-    plan stands.  Returns the plan and the chunks it reads; no chunk is
-    read twice.  Raises InsufficientDataError (exit 3), before reading
-    any file, when the existing files cannot cover the plan, and
-    IntegrityError (exit 4) naming the skipped files when the chunks
-    left after failed checks cannot."""
-    lay = layout(manifest.params)
-    available = {c for node in manifest.shard_digests if node != lost
-                 and manifest.shard_path(shard_dir, node).exists()
-                 for c in lay.node_chunks(node)}
-    held: dict = {}
-    skipped: dict[str, None] = {}   # shard file names, in order
-    while True:
+class _Stream:
+    """Produce a list of targets from a manifest's shard files, a batch
+    of stripes at a time.
+
+    Plans on the chunks of the shard files that exist, the lost node's
+    excepted; raises InsufficientDataError (exit 3), before reading any
+    file, when they cannot cover the plan.  In batches(), a chunk that
+    fails its checks is dropped, each shard file with a failure is
+    named on stderr, and the stripes left, the current batch's
+    included, are planned again; IntegrityError (exit 4), naming the
+    skipped files, when the chunks left cannot cover that plan.  No
+    slot is read twice, and a batch once produced is never read again.
+    """
+
+    def __init__(self, manifest: Manifest, shard_dir: Path,
+                 targets: list[ChunkId], lost: int = 0):
+        self.manifest, self.shard_dir, self.targets = (manifest, shard_dir,
+                                                       targets)
+        self.lay = layout(manifest.params)
+        self.available = {c for node in manifest.shard_digests
+                          if node != lost
+                          and manifest.shard_path(shard_dir, node).exists()
+                          for c in self.lay.node_chunks(node)}
+        self.skipped: dict[str, None] = {}   # shard file names, in order
+        self.blocked: set[ChunkId] = set()   # targets some plan derives
+        self.plan = self._plan()
+
+    def _plan(self) -> ChunkPlan:
         try:
-            plan = plan_chunks(manifest.params, available, targets)
+            plan = plan_chunks(self.manifest.params, self.available,
+                               self.targets)
         except InsufficientDataError as exc:
-            if not skipped:
+            if not self.skipped:
                 raise
             raise IntegrityError(
-                f"{exc}; skipped {', '.join(skipped)}") from exc
-        todo = [c for c in plan.reads if c not in held]
-        if not todo:
-            return plan, {c: held[c] for c in plan.reads}
-        got, failed = read_chunks(manifest, shard_dir, todo)
-        held.update(got)
-        for exc in dict.fromkeys(failed.values()):   # one per shard file
-            click.echo(f"skipped: {exc}", err=True)
-        skipped.update(dict.fromkeys(
-            shard_filename(lay.chunk_location(c)) for c in failed))
-        available.difference_update(failed)
+                f"{exc}; skipped {', '.join(self.skipped)}") from exc
+        self.blocked.update(plan.derived.values())
+        return plan
+
+    def _step(self, own_out: bool) -> int:
+        """Stripes per batch under the current plan: the chunks a batch
+        allocates per stripe are its reads, the chunks derived on the
+        way, and the output when it is not written in place."""
+        p = self.plan
+        per_stripe = len(p.reads) + len(set(p.derived) - set(self.targets)) \
+            + own_out * len(self.targets)
+        return max(1, _BATCH_BYTES // (per_stripe
+                                       * self.manifest.params.chunk_size))
+
+    def batches(self, out: np.ndarray | None = None):
+        """Yield the targets of each batch of stripes in turn, as a
+        (stripes, len(targets), chunk_size) array: a slice of out, which
+        covers every stripe, or else of one buffer that the next batch
+        overwrites.  A plan made again mid-batch finishes that batch;
+        the batches after it are sized for the new plan.  An empty file
+        is one batch of no stripes, which still checks the planned
+        shard files' headers."""
+        stripes = self.manifest.stripe_count
+        own_out = out is None
+        if own_out:
+            out = np.empty((min(self._step(True), stripes), len(self.targets),
+                            self.manifest.params.chunk_size), dtype=np.uint8)
+        start = 0
+        with ShardReader(self.manifest, self.shard_dir) as reader:
+            while True:
+                step = self._step(own_out)
+                stop = min(start + (min(step, len(out)) if own_out else step),
+                           stripes)
+                held: dict = {}
+                while todo := [c for c in self.plan.reads if c not in held]:
+                    got, failed = reader.read_chunks(todo, start, stop)
+                    held.update(got)
+                    for exc in dict.fromkeys(failed.values()):   # per file
+                        click.echo(f"skipped: {exc}", err=True)
+                    if failed:
+                        self.skipped.update(dict.fromkeys(
+                            shard_filename(self.lay.chunk_location(c))
+                            for c in failed))
+                        self.available.difference_update(failed)
+                        self.plan = self._plan()
+                batch = out[:stop - start] if own_out else out[start:stop]
+                yield run_plan(self.plan, held, batch)
+                if stop == stripes:
+                    return
+                start = stop
 
 
 def _parse_pairs(option: str, text: str, example: str) -> list[tuple[int, int]]:
@@ -133,11 +195,26 @@ def main() -> None:
 def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                out: Path) -> None:
     """Encode INPUT_FILE into n shard files plus a manifest."""
-    data = input_file.read_bytes()
     params = SrcParams(n=n, k=k, f=f, chunk_size=chunk_size)
-    array = encode(data, params)
-    manifest_path = write_coded_array(array, out, _sha256(data))
-    click.echo(f"encoded {len(data)} bytes into {n} shards "
+    with open(input_file, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            size = os.fstat(fh.fileno()).st_size
+            data = stripe_buffer(params, size)
+            flat = data.reshape(-1)[:size]
+            if fh.readinto(flat) != size or fh.read(1):
+                raise ParameterError(f"{input_file} changed size while read")
+        else:   # a pipe's size is known only once it is read
+            blob = fh.read()
+            size = len(blob)
+            data = stripe_buffer(params, size)
+            flat = data.reshape(-1)[:size]
+            flat[:] = np.frombuffer(blob, dtype=np.uint8)
+            del blob
+    digest = hashlib.sha256(flat).hexdigest()
+    array = encode_stripes(data, size, params)
+    del data, flat
+    manifest_path = write_coded_array(array, out, digest)
+    click.echo(f"encoded {size} bytes into {n} shards "
                f"({array.stripe_count} stripes) under {out}")
     click.echo(f"manifest: {manifest_path}")
 
@@ -165,18 +242,20 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
                 manifest.stripe_count):
             click.echo(line)
         return
-    targets = layout(params).node_chunks(node)
-    plan, chunks = _read_planned(manifest, shard_dir, targets, node)
+    stream = _Stream(manifest, shard_dir, layout(params).node_chunks(node),
+                     node)
+    image = ShardImage(params, node, manifest.stripe_count,
+                       manifest.file_size)
+    for _ in stream.batches(image.payload):
+        pass
     mode = "look-up repair"
-    if plan.derived:
-        blocked = sorted(set(plan.derived.values()))
+    if stream.blocked:
+        blocked = sorted(stream.blocked)
         click.echo("look-up repair blocked for "
                    f"{', '.join(c.label(params.f) for c in blocked)}; "
                    "falling back to reconstruction", err=True)
         mode = "reconstruction fallback"
-    shard = produce(params, chunks, targets, manifest.stripe_count)
-    del chunks
-    write_shard(shard_dir, manifest, node, shard, manifest.shard_digests[node])
+    write_shard(shard_dir, node, image.seal(), manifest.shard_digests[node])
     click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
                f"via {mode}; digest verified")
 
@@ -194,16 +273,20 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
 def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
     """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
-    params = manifest.params
-    targets = data_chunks(params)
-    _, chunks = _read_planned(manifest, shard_dir, targets)
-    data = produce(params, chunks, targets, manifest.stripe_count).reshape(
-        -1)[:manifest.file_size]
-    del chunks
-    if _sha256(data) != manifest.file_digest:
-        raise IntegrityError("decoded file does not match the manifest digest")
-    write_atomic(out, data)
-    click.echo(f"decoded {len(data)} bytes to {out} (digest verified)")
+    stream = _Stream(manifest, shard_dir, data_chunks(manifest.params))
+    digest = hashlib.sha256()
+    left = manifest.file_size
+    with atomic_writer(out) as fh:
+        for chunks in stream.batches():
+            data = chunks.reshape(-1)[:left]
+            left -= len(data)
+            digest.update(data)
+            fh.write(data)
+        if digest.hexdigest() != manifest.file_digest:
+            raise IntegrityError(
+                "decoded file does not match the manifest digest")
+    click.echo(f"decoded {manifest.file_size} bytes to {out} "
+               "(digest verified)")
 
 
 @main.command("metrics")

@@ -20,13 +20,14 @@ Every chunk is thus a data chunk, an MDS combination of k chunks of its
 part, or the XOR of the f others with its subscript: encode, decode and
 repair all go through one chunk executor that applies these rules.
 Planning is split from execution: plan_chunks names the chunks a list
-of targets needs, so a reader can fetch only those, and produce runs
-the same plan on the chunks read.
+of targets needs, so a reader can fetch only those, and works out the
+GF(256) coefficients once; run_plan then runs that plan on the chunks
+read, for any run of stripes.
 
 Multi-stripe files lay every stripe out identically; a node's shard is
-its f+1 chunk slots concatenated stripe by stripe.  Encoding and
-reconstruction are pure per stripe, so callers may process stripes
-concurrently.
+its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
+same in every stripe, so one plan serves a whole file, and callers may
+run it on a batch of stripes at a time.
 """
 
 from __future__ import annotations
@@ -170,19 +171,37 @@ def data_chunks(params: SrcParams) -> list[ChunkId]:
             for sub in range(1, params.k + 1)]
 
 
+def stripe_buffer(params: SrcParams, size: int) -> np.ndarray:
+    """A zeroed (stripes, f, k, chunk_size) array for a file of size
+    bytes padded to whole stripes; its first size bytes, read flat, are
+    the file's.  An empty file has zero stripes."""
+    stripes = -(-size // params.stripe_data_bytes)
+    return np.zeros((stripes, params.f, params.k, params.chunk_size),
+                    dtype=np.uint8)
+
+
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     """Encode a byte string into the n-node coded array.
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.  An empty file yields zero
-    stripes and empty shards.  Each shard is a view of the one array the
-    chunk executor fills from the data chunks.
+    stripes and empty shards.
     """
-    n, k, f, cs = params.n, params.k, params.f, params.chunk_size
-    size = len(file_bytes)
-    stripes = -(-size // params.stripe_data_bytes)
-    data = np.zeros((stripes, f, k, cs), dtype=np.uint8)
-    data.reshape(-1)[:size] = np.frombuffer(file_bytes, dtype=np.uint8)
+    data = stripe_buffer(params, len(file_bytes))
+    data.reshape(-1)[:len(file_bytes)] = np.frombuffer(file_bytes,
+                                                       dtype=np.uint8)
+    return encode_stripes(data, len(file_bytes), params)
+
+
+def encode_stripes(data: np.ndarray, file_size: int,
+                   params: SrcParams) -> CodedArray:
+    """Encode a file already laid out in a stripe_buffer, used in place.
+
+    Each shard is a view of the one array the chunk executor fills from
+    the data chunks.
+    """
+    n, f, k = params.n, params.f, params.k
+    stripes = data.shape[0]
     lay = layout(params)
     coded = produce(
         params, {ChunkId(l + 1, s + 1): data[:, l, s]
@@ -191,25 +210,29 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
               for node in range(1, n + 1)}
     return CodedArray(params=params, stripe_count=stripes,
-                      file_size=size, shards=shards)
+                      file_size=file_size, shards=shards)
 
 
 @dataclass(frozen=True)
 class ChunkPlan:
-    """What the chunk executor does to produce a list of targets.
+    """What the chunk executor does to produce a list of targets, in
+    every stripe alike.
 
     ``reads`` are the available chunks it reads, sorted.  ``sums`` gives
     per target index the chunks XORed into that output slot: the target
     itself for a copy or a repeated target, else its f helpers.
     ``derived`` maps each coded chunk made from k chunks of its part to
     the target it is made for, and ``sources`` gives per part those k
-    chunks, the lowest k available.
+    chunks, the lowest k available.  ``coeffs[part][d, j]`` scales
+    ``sources[part][j]`` into the part's d-th chunk of ``derived``.
     """
 
+    targets: tuple[ChunkId, ...]
     reads: tuple[ChunkId, ...]
     sums: tuple[tuple[int, tuple[ChunkId, ...]], ...]
     derived: dict[ChunkId, ChunkId]
     sources: dict[int, tuple[ChunkId, ...]]
+    coeffs: dict[int, np.ndarray]
 
 
 def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
@@ -255,37 +278,53 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
             f"{k} chunks of a part present")
     reads = {c for _, chunks in sums for c in chunks if c in available}
     reads.update(c for srcs in sources.values() for c in srcs)
-    return ChunkPlan(reads=tuple(sorted(reads)), sums=tuple(sums),
-                     derived=derived, sources=sources)
+    gen = params.generator()
+    coeffs = {}
+    for l, srcs in sources.items():
+        inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
+        cols = [c.subscript - 1 for c in derived if c.part == l]
+        coeffs[l] = np.bitwise_xor.reduce(
+            gf256.MUL[inv, gen.entries[:, cols].T[:, None]], axis=2)
+    return ChunkPlan(targets=tuple(targets), reads=tuple(sorted(reads)),
+                     sums=tuple(sums), derived=derived, sources=sources,
+                     coeffs=coeffs)
+
+
+def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
+             out: np.ndarray) -> np.ndarray:
+    """The chunk executor: fill out, (stripes, len(plan.targets),
+    chunk_size), with the plan's targets from the present chunks, each
+    (stripes, chunk_size) of the same stripes; present needs to hold
+    only the plan's reads.  Every slot of out is overwritten, so out may
+    be a reused buffer or a view of a larger one.  Returns out.
+    """
+    made = {c: out[:, t] for t, c in reversed(list(enumerate(plan.targets)))}
+    for c in plan.derived:
+        if c in made:
+            made[c][...] = 0
+        else:
+            made[c] = np.zeros_like(out[:, 0])
+    for l, srcs in plan.sources.items():
+        gf256.addmul_rows([made[c] for c in plan.derived if c.part == l],
+                          plan.coeffs[l], [present[c] for c in srcs])
+    for t, chunks in plan.sums:   # a repeated target follows its first slot
+        first, *rest = (present[c] if c in present else made[c]
+                        for c in chunks)
+        np.copyto(out[:, t], first)
+        for chunk in rest:
+            np.bitwise_xor(out[:, t], chunk, out=out[:, t])
+    return out
 
 
 def produce(params: SrcParams, present: dict[ChunkId, np.ndarray],
             targets: list[ChunkId], stripes: int) -> np.ndarray:
-    """The chunk executor: the target chunks, (stripes, len(targets),
-    chunk_size), from the present chunks, each (stripes, chunk_size),
-    by the rules of plan_chunks.  Only the chunks of the plan's reads
-    are touched, so `present` may hold just those.
+    """The target chunks, (stripes, len(targets), chunk_size), from the
+    present chunks, each (stripes, chunk_size): plan_chunks on what is
+    present, then run_plan.  Only the chunks of the plan's reads are
+    touched, so `present` may hold just those.
     """
-    plan = plan_chunks(params, present, targets)
-    out = np.zeros((stripes, len(targets), params.chunk_size), dtype=np.uint8)
-    made = {c: out[:, t] for t, c in reversed(list(enumerate(targets)))}
-    made.update((h, np.zeros_like(out[:, 0])) for h in plan.derived
-                if h not in made)
-    gen = params.generator()
-    for l, srcs in plan.sources.items():
-        inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
-        chunks = [c for c in plan.derived if c.part == l]
-        # coeffs[d, j] scales srcs[j] into chunks[d]
-        coeffs = np.bitwise_xor.reduce(gf256.MUL[
-            inv, gen.entries[:, [c.subscript - 1 for c in chunks]].T[:, None]],
-            axis=2)
-        gf256.addmul_rows([made[c] for c in chunks], coeffs,
-                          [present[c] for c in srcs])
-    for t, chunks in plan.sums:   # a repeated target follows its first slot
-        for c in chunks:
-            np.bitwise_xor(out[:, t], present[c] if c in present else made[c],
-                           out=out[:, t])
-    return out
+    out = np.empty((stripes, len(targets), params.chunk_size), dtype=np.uint8)
+    return run_plan(plan_chunks(params, present, targets), present, out)
 
 
 def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
@@ -299,7 +338,7 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
     give that node's shard.  Raises InsufficientDataError naming a
     target and its absent helper nodes when that target needs deriving
     and fewer than k nodes are present.  Callers that read shard files
-    use plan_chunks and shards.read_chunks instead, which read only the
+    use plan_chunks and shards.ShardReader instead, which read only the
     planned slots.
     """
     for node, arr in shards.items():

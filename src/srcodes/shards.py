@@ -10,9 +10,11 @@ One shard file per node (see docs/FORMATS.md for the bit-exact layout):
 All integers little-endian.  Writing is deterministic: re-encoding the
 same file yields bit-identical shards, so a rebuilt shard can be checked
 against the manifest digest.  This module is the only one that reads or
-writes shard files: write_shard writes one (every file goes through
-write_atomic, so a crash never leaves a torn file under its real name),
-and read_chunks reads chunk slots out of them, only the ones asked for.
+writes shard files.  A shard file is built in one buffer, a ShardImage,
+and written whole by write_shard; every file goes through
+atomic_writer, so a crash never leaves a torn file under its real name.
+ShardReader reads chunk slots out of shard files, only the ones asked
+for, a range of stripes at a time.
 
 The manifest is JSON with sorted keys: code parameters, the generator
 construction id (decoders rebuild the matrix from it), original file
@@ -27,7 +29,8 @@ import os
 import re
 import struct
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import index
 from pathlib import Path
@@ -61,18 +64,40 @@ def _header(params: SrcParams, node: int, stripe_count: int,
                         file_size)
 
 
+class ShardImage:
+    """One shard file built in memory, in one buffer: the header, the CRC
+    table, and the payload, a writable (stripe_count, f+1, chunk_size)
+    view to fill.  seal() writes the CRC table from the payload and
+    returns the file's bytes."""
+
+    def __init__(self, params: SrcParams, node: int, stripe_count: int,
+                 file_size: int):
+        count = stripe_count * (params.f + 1)
+        crc_end = _HEADER.size + 4 * count
+        self.data = bytearray(crc_end + count * params.chunk_size)
+        self.data[:_HEADER.size] = _header(params, node, stripe_count,
+                                           file_size)
+        self.payload = np.frombuffer(self.data, dtype=np.uint8,
+                                     offset=crc_end).reshape(
+            stripe_count, params.f + 1, params.chunk_size)
+
+    def seal(self) -> bytearray:
+        rows = self.payload.reshape(-1, self.payload.shape[-1])
+        table = np.frombuffer(self.data, dtype="<u4", count=len(rows),
+                              offset=_HEADER.size)
+        table[:] = [zlib.crc32(row) for row in rows]
+        return self.data
+
+
 def shard_bytes(params: SrcParams, node: int, stripe_count: int,
-                file_size: int, shard: np.ndarray) -> bytes:
-    """Serialize one node's chunk array to the shard file format."""
+                file_size: int, shard: np.ndarray) -> bytearray:
+    """Serialize one node's chunk array, which may be a strided view such
+    as encode's shards, to the shard file format."""
     if shard.shape != (stripe_count, params.f + 1, params.chunk_size):
         raise ShapeError(f"shard shape {shard.shape} does not match params")
-    header = _header(params, node, stripe_count, file_size)
-    # CRCs and the join read each stripe where it lies, also in a strided
-    # view such as encode's shards: one copy, into the returned bytes
-    stripes = [np.ascontiguousarray(stripe) for stripe in shard]
-    crcs = b"".join(struct.pack("<I", zlib.crc32(chunk))
-                    for stripe in stripes for chunk in stripe)
-    return b"".join((header, crcs, *stripes))
+    image = ShardImage(params, node, stripe_count, file_size)
+    image.payload[...] = shard
+    return image.seal()
 
 
 def parse_shard(blob: bytes) -> tuple[SrcParams, int, int, int, np.ndarray]:
@@ -189,33 +214,35 @@ class Manifest:
                 f"malformed manifest: {type(exc).__name__}: {exc}") from exc
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write a file through a temporary sibling and os.replace, so the
-    path holds either its old bytes or all of the new ones; on error the
-    temporary file is removed."""
+@contextmanager
+def atomic_writer(path: Path) -> Iterator:
+    """Open a temporary sibling of path for writing and, when the block
+    ends normally, os.replace it into place, so the path holds either its
+    old bytes or all of the new ones; on error the temporary file is
+    removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write_shard(directory: Path, coded: CodedArray | Manifest, node: int,
-                shard: np.ndarray, digest: str | None = None) -> str:
-    """Write one node's shard file and return its sha256.  coded supplies
-    params, stripe_count and file_size.  A rebuilt shard passes the
-    manifest's digest; if its bytes do not match, IntegrityError is raised
-    and no file is written."""
-    blob = shard_bytes(coded.params, node, coded.stripe_count,
-                       coded.file_size, shard)
+def write_shard(directory: Path, node: int, blob: bytes,
+                digest: str | None = None) -> str:
+    """Write one node's shard file from its bytes (shard_bytes, or a
+    sealed ShardImage) and return their sha256.  A rebuilt shard passes
+    the manifest's digest; if its bytes do not match, IntegrityError is
+    raised and no file is written."""
     got = _digest(blob)
     if digest is not None and got != digest:
         raise IntegrityError(
             f"rebuilt shard for node {node} does not match the manifest digest")
-    write_atomic(Path(directory) / shard_filename(node), blob)
+    with atomic_writer(Path(directory) / shard_filename(node)) as fh:
+        fh.write(blob)
     return got
 
 
@@ -225,7 +252,8 @@ def write_coded_array(array: CodedArray, directory: Path,
     manifest path.  file_digest is the sha256 of the original file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    digests = {node: write_shard(directory, array, node, shard)
+    digests = {node: write_shard(directory, node, shard_bytes(
+        array.params, node, array.stripe_count, array.file_size, shard))
                for node, shard in sorted(array.shards.items())}
     manifest = Manifest(
         params=array.params,
@@ -236,7 +264,8 @@ def write_coded_array(array: CodedArray, directory: Path,
         shard_digests=digests,
     )
     manifest_path = directory / MANIFEST_NAME
-    write_atomic(manifest_path, manifest.to_json().encode())
+    with atomic_writer(manifest_path) as fh:
+        fh.write(manifest.to_json().encode())
     return manifest_path
 
 
@@ -259,79 +288,116 @@ def load_shard_checked(manifest: Manifest, directory: Path, node: int
     return shard
 
 
-def read_chunks(manifest: Manifest, directory: Path,
-                wanted: Iterable[ChunkId]
-                ) -> tuple[dict[ChunkId, np.ndarray],
-                           dict[ChunkId, IntegrityError]]:
-    """Read the wanted chunks, every stripe, from their nodes' shard files.
+class ShardReader:
+    """Reads chunk slots out of the shard files of one manifest, a range
+    of stripes at a time.
 
-    Per shard file: the length and the 44-byte header must equal, byte
-    for byte, what the manifest implies; the CRC table is read once;
-    each stripe's wanted slots are read with os.preadv straight into
-    preallocated (stripe_count, chunk_size) arrays, neighbouring slots
-    in one call, also across a stripe boundary; each chunk read must
-    match its CRC-32.  Nothing else of
-    the file is read, so the whole-shard digest is not checked here.
-
-    Returns the chunks that pass, and the chunks found unusable, each
-    with the error naming its shard file: every chunk of a shard whose
-    length or header is wrong, or a wanted chunk that fails its CRC in
-    any stripe.  A shard file must exist.
+    A shard file is opened on the first read of one of its chunks, and
+    checked then, once: its length and its 44-byte header must equal,
+    byte for byte, what the manifest implies, and its CRC table is read.
+    Each read_chunks call then reads only the wanted slots of the asked
+    stripes, with os.preadv straight into preallocated arrays,
+    neighbouring slots in one call (also across a stripe boundary), and
+    checks each chunk read against its CRC-32.  Nothing else of the file
+    is read, so the whole-shard digest is not checked here.  The files
+    close when the reader's with block ends.
     """
-    lay = layout(manifest.params)
-    by_node: dict[int, list[ChunkId]] = {}
-    for c in sorted(set(wanted)):
-        by_node.setdefault(lay.chunk_location(c), []).append(c)
-    chunks: dict[ChunkId, np.ndarray] = {}
-    failed: dict[ChunkId, IntegrityError] = {}
-    for node, ids in sorted(by_node.items()):
+
+    def __init__(self, manifest: Manifest, directory: Path):
+        self.manifest = manifest
+        self.directory = Path(directory)
+        self._open: dict[int, tuple[int, np.ndarray]] = {}  # node -> fd, CRCs
+
+    def __enter__(self) -> "ShardReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for fd, _ in self._open.values():
+            os.close(fd)
+        self._open.clear()
+
+    def read_chunks(self, wanted: Iterable[ChunkId], start: int = 0,
+                    stop: int | None = None
+                    ) -> tuple[dict[ChunkId, np.ndarray],
+                               dict[ChunkId, IntegrityError]]:
+        """The wanted chunks of stripes start to stop (every stripe by
+        default), each (stop - start, chunk_size), that pass their
+        checks; and the chunks found unusable, each with the error
+        naming its shard file: every chunk of a shard whose length or
+        header is wrong, or a wanted chunk that fails its CRC in any of
+        these stripes.  A shard file must exist."""
+        m = self.manifest
+        stop = m.stripe_count if stop is None else stop
+        lay = layout(m.params)
+        by_node: dict[int, list[ChunkId]] = {}
+        for c in sorted(set(wanted)):
+            by_node.setdefault(lay.chunk_location(c), []).append(c)
+        chunks: dict[ChunkId, np.ndarray] = {}
+        failed: dict[ChunkId, IntegrityError] = {}
+        for node, ids in sorted(by_node.items()):
+            slots = lay.node_chunks(node)
+            try:
+                got, crcs = self._read_slots(node, ids, start, stop)
+            except IntegrityError as exc:   # the whole shard is unusable
+                failed.update((c, exc) for c in slots)
+                continue
+            bad = [c for c in ids if any(
+                zlib.crc32(row) != crc
+                for row, crc in zip(got[c], crcs[:, slots.index(c)]))]
+            if bad:
+                exc = IntegrityError(
+                    f"shard {shard_filename(node)}: "
+                    f"{', '.join(c.label(m.params.f) for c in bad)} "
+                    f"fail{'s' if len(bad) == 1 else ''} the CRC-32 check")
+                failed.update((c, exc) for c in bad)
+            chunks.update((c, got[c]) for c in ids if c not in bad)
+        return chunks, failed
+
+    def _shard(self, node: int) -> tuple[int, np.ndarray]:
+        """The open file of a shard and its CRC table, (stripe_count,
+        f+1); IntegrityError if its length or header is not the
+        manifest's."""
+        if node in self._open:
+            return self._open[node]
+        p, stripes = self.manifest.params, self.manifest.stripe_count
+        name = shard_filename(node)
+        crc_end = _HEADER.size + 4 * stripes * (p.f + 1)
+        expected = crc_end + stripes * (p.f + 1) * p.chunk_size
+        fd = os.open(self.manifest.shard_path(self.directory, node),
+                     os.O_RDONLY)
         try:
-            got, crcs = _read_slots(manifest, directory, node, ids)
-        except IntegrityError as exc:   # the whole shard is unusable
-            failed.update((c, exc) for c in lay.node_chunks(node))
-            continue
-        bad = [c for c in ids if any(zlib.crc32(row) != crc
-                                     for row, crc in zip(got[c], crcs[c]))]
-        if bad:
-            exc = IntegrityError(
-                f"shard {shard_filename(node)}: "
-                f"{', '.join(c.label(manifest.params.f) for c in bad)} "
-                f"fail{'s' if len(bad) == 1 else ''} the CRC-32 check")
-            failed.update((c, exc) for c in bad)
-        chunks.update((c, got[c]) for c in ids if c not in bad)
-    return chunks, failed
-
-
-def _read_slots(manifest: Manifest, directory: Path, node: int,
-                ids: list[ChunkId]
-                ) -> tuple[dict[ChunkId, np.ndarray], dict[ChunkId, np.ndarray]]:
-    """One shard file's wanted chunks and their CRC-32s, each
-    (stripe_count,) long; IntegrityError if its length or header is
-    not the manifest's."""
-    p, stripes = manifest.params, manifest.stripe_count
-    name = shard_filename(node)
-    slots = layout(p).node_chunks(node)
-    count = stripes * len(slots)
-    crc_end = _HEADER.size + 4 * count
-    expected = crc_end + count * p.chunk_size
-    fd = os.open(manifest.shard_path(directory, node), os.O_RDONLY)
-    try:
-        size = os.fstat(fd).st_size
-        if size != expected:
-            raise IntegrityError(
-                f"shard {name} is {size} bytes, expected {expected}")
-        head = os.pread(fd, crc_end, 0)
-        if len(head) != crc_end:
-            raise IntegrityError(f"shard {name} shrank while read")
-        if head[:_HEADER.size] != _header(p, node, stripes, manifest.file_size):
-            raise IntegrityError(f"shard {name} header disagrees with manifest")
+            size = os.fstat(fd).st_size
+            if size != expected:
+                raise IntegrityError(
+                    f"shard {name} is {size} bytes, expected {expected}")
+            head = os.pread(fd, crc_end, 0)
+            if len(head) != crc_end:
+                raise IntegrityError(f"shard {name} shrank while read")
+            if head[:_HEADER.size] != _header(p, node, stripes,
+                                               self.manifest.file_size):
+                raise IntegrityError(
+                    f"shard {name} header disagrees with manifest")
+        except BaseException:
+            os.close(fd)
+            raise
         table = np.frombuffer(head, dtype="<u4", offset=_HEADER.size)
-        table = table.reshape(stripes, len(slots))
-        got = {c: np.empty((stripes, p.chunk_size), dtype=np.uint8)
+        self._open[node] = fd, table.reshape(stripes, p.f + 1)
+        return self._open[node]
+
+    def _read_slots(self, node: int, ids: list[ChunkId], start: int,
+                    stop: int
+                    ) -> tuple[dict[ChunkId, np.ndarray], np.ndarray]:
+        """One shard file's wanted chunks of stripes start to stop, and
+        the CRC table rows of those stripes."""
+        fd, table = self._shard(node)
+        p = self.manifest.params
+        slots = layout(p).node_chunks(node)
+        crc_end = _HEADER.size + table.nbytes
+        got = {c: np.empty((stop - start, p.chunk_size), dtype=np.uint8)
                for c in ids}
         # payload positions in file order; neighbours share one preadv
-        wanted = sorted((s * len(slots) + slots.index(c), s, c)
-                        for s in range(stripes) for c in ids)
+        wanted = sorted((s * len(slots) + slots.index(c), s - start, c)
+                        for s in range(start, stop) for c in ids)
         runs: list[list[tuple[int, int, ChunkId]]] = []
         for pos in wanted:
             if runs and runs[-1][-1][0] + 1 == pos[0] \
@@ -340,10 +406,9 @@ def _read_slots(manifest: Manifest, directory: Path, node: int,
             else:
                 runs.append([pos])
         for run in runs:
-            if os.preadv(fd, [got[c][s] for _, s, c in run],
+            if os.preadv(fd, [got[c][i] for _, i, c in run],
                          crc_end + run[0][0] * p.chunk_size) \
                     != len(run) * p.chunk_size:
-                raise IntegrityError(f"shard {name} shrank while read")
-    finally:
-        os.close(fd)
-    return got, {c: table[:, slots.index(c)] for c in ids}
+                raise IntegrityError(
+                    f"shard {shard_filename(node)} shrank while read")
+        return got, table[start:stop]

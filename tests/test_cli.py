@@ -14,7 +14,7 @@ from srcodes import cli
 from srcodes.cli import main
 from srcodes.core import SrcParams, data_chunks, layout, plan_chunks
 from srcodes.repair import node_repair_plan
-from srcodes.shards import MANIFEST_NAME, shard_filename
+from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
 HEADER_B = 44
 RESERVED_AT = 18   # the header's reserved u16 (docs/FORMATS.md)
@@ -101,6 +101,23 @@ def test_encode_deterministic(runner, tmp_path):
         (out2 / MANIFEST_NAME).read_text()
 
 
+def test_encode_reads_a_pipe(runner, tmp_path):
+    # a pipe has no size to read into: it is read whole, and encodes to
+    # the same shards as the regular file
+    _, data, out = _encode(runner, tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    res = runner.invoke(main, ["encode", str(fifo), "--n", "4", "--k", "2",
+                               "--f", "2", "--chunk-size", "4096",
+                               "--out", str(tmp_path / "piped")])
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert res.exit_code == 0, res.output
+    assert _files(tmp_path / "piped") == _files(out)
+
+
 def test_encode_empty_file(runner, tmp_path):
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
@@ -157,7 +174,7 @@ def test_repair_fallback_when_helper_missing(runner, tmp_path, monkeypatch,
     def no_encode(*args):
         raise AssertionError("repair must not re-encode the file")
 
-    monkeypatch.setattr(cli, "encode", no_encode)
+    monkeypatch.setattr(cli, "encode_stripes", no_encode)
     res = runner.invoke(main, ["repair", "--manifest", str(manifest),
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
@@ -234,14 +251,16 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
 
 
 def _count_reads(monkeypatch):
-    """Record the chunk ids of each read_chunks call, and the bytes read
-    from disk through os.pread and os.preadv."""
+    """Record the chunk ids and stripe range of each
+    ShardReader.read_chunks call, and the bytes read from disk through
+    os.pread and os.preadv."""
     calls, nbytes = [], []
-    read_chunks, pread, preadv = cli.read_chunks, os.pread, os.preadv
+    read_chunks, pread, preadv = ShardReader.read_chunks, os.pread, os.preadv
 
-    def counting(m, directory, wanted):
-        calls.append(list(wanted))
-        return read_chunks(m, directory, calls[-1])
+    def counting(reader, wanted, start=0, stop=None):
+        stop = reader.manifest.stripe_count if stop is None else stop
+        calls.append((list(wanted), start, stop))
+        return read_chunks(reader, calls[-1][0], start, stop)
 
     def counting_pread(fd, size, offset):
         data = pread(fd, size, offset)
@@ -253,7 +272,7 @@ def _count_reads(monkeypatch):
         nbytes.append(got)
         return got
 
-    monkeypatch.setattr(cli, "read_chunks", counting)
+    monkeypatch.setattr(ShardReader, "read_chunks", counting)
     monkeypatch.setattr(os, "pread", counting_pread)
     monkeypatch.setattr(os, "preadv", counting_preadv)
     return calls, nbytes
@@ -261,6 +280,17 @@ def _count_reads(monkeypatch):
 
 @pytest.mark.parametrize("n,k,f", [(4, 2, 2), (10, 6, 2), (7, 3, 3)])
 def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
+    _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, None)
+
+
+@pytest.mark.parametrize("n,k,f", [(4, 2, 2), (10, 6, 2), (7, 3, 3)])
+def test_shard_reads_per_stripe_batch(runner, tmp_path, monkeypatch, n, k, f):
+    # the same reads, one stripe per batch: no slot read twice, one
+    # header and CRC table per shard file for the whole command
+    _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, 1)
+
+
+def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     p = SrcParams(n, k, f, 512)
     _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=30_000,
                         chunk=512)
@@ -268,27 +298,36 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
     head = HEADER_B + 4 * stripes * (f + 1)   # header and CRC table
     lay = layout(p)
     manifest = str(out / MANIFEST_NAME)
+    if batch_bytes is not None:   # one stripe per batch
+        monkeypatch.setattr(cli, "_BATCH_BYTES", batch_bytes)
+    batches = stripes if batch_bytes else 1
     calls, nbytes = _count_reads(monkeypatch)
 
     def nodes(ids):
         return {lay.chunk_location(c) for c in ids}
 
     def read_once():
-        """Every chunk is read at most once, and each read_chunks call
-        reads one header and CRC table per shard plus its chunks."""
-        ids = [c for call in calls for c in call]
-        assert len(ids) == len(set(ids))
-        assert sum(nbytes) == sum(len(nodes(call)) * head
-                                  + len(call) * stripes * p.chunk_size
-                                  for call in calls)
-        return set(ids)
+        """Every chunk is read at most once in each stripe, the calls
+        cover every stripe in order, and each shard file read adds one
+        header and CRC table to the chunks, nothing more."""
+        reads = [(c, s) for ids, a, b in calls for c in ids
+                 for s in range(a, b)]
+        assert len(reads) == len(set(reads))
+        assert sorted({(a, b) for _, a, b in calls}) == [
+            (s, min(s + stripes // batches, stripes))
+            for s in range(0, stripes, stripes // batches)]
+        ids = {c for call, _, _ in calls for c in call}
+        assert sum(nbytes) == len(nodes(ids)) * head \
+            + len(reads) * p.chunk_size
+        return ids
 
     # healthy decode: the f*k data chunks, M bytes, from nodes
     # 1..k and n-f+2..n, with no GF work left to do
     assert _decode(runner, out, tmp_path / "y.bin").exit_code == 0
     assert read_once() == set(data_chunks(p))
-    assert nodes(calls[0]) == set(range(1, k + 1)) | set(range(n - f + 2, n + 1))
-    assert len(calls) == 1
+    assert nodes(calls[0][0]) == set(range(1, k + 1)) | set(
+        range(n - f + 2, n + 1))
+    assert len(calls) == batches
 
     # look-up repair: f helpers per lost chunk, f(f+1) chunks per stripe
     # from min(2f, n-1) nodes
@@ -305,11 +344,12 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
     res = runner.invoke(main, ["repair", "--manifest", manifest,
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
-    assert read_once() == lookup and len(calls) == 1
+    assert read_once() == lookup and len(calls) == batches
     assert nodes(lookup) == plan.disk_access_set
 
-    # a corrupt helper chunk: the look-up reads come first, then only
-    # what deriving its target needs and is not yet held
+    # a corrupt helper chunk in the first stripe: the look-up reads come
+    # first, then only what deriving its target needs and is not yet
+    # held; later batches read the new plan
     available = {c for i in range(1, n + 1) if i != node
                  for c in lay.node_chunks(i)}
     helper = plan.chunk_plans[0].reads[0][1]
@@ -325,14 +365,16 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
     assert "reconstruction fallback" in res.stdout
     assert f"skipped: shard {shard_filename(at)}: {helper.label(f)} fails " \
         "the CRC-32 check" in res.stderr
-    extra = set(plan_chunks(p, available - {helper}, targets).reads) - lookup
-    assert set(calls[0]) == lookup and len(calls) == 1 + bool(extra)
+    replanned = set(plan_chunks(p, available - {helper}, targets).reads)
+    extra = replanned - lookup
+    assert set(calls[0][0]) == lookup and len(calls) == batches + bool(extra)
+    assert all(set(ids) == replanned for ids, _, _ in calls[1 + bool(extra):])
     assert read_once() == lookup | extra
     assert (out / shard_filename(node)).read_bytes() == rebuilt
 
-    # a missing helper is seen before any file is read: one call reads
-    # the plan that derives around it (flipping the byte back first
-    # restores the corrupt helper)
+    # a missing helper is seen before any file is read: each batch reads
+    # the plan that derives around it in one call (flipping the byte
+    # back first restores the corrupt helper)
     _flip_byte(out / shard_filename(at),
                _slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
     (out / shard_filename(node)).unlink()
@@ -344,7 +386,7 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
     assert "reconstruction fallback" in res.stdout
-    assert len(calls) == 1
+    assert len(calls) == batches
     assert read_once() == set(plan_chunks(
         p, available - set(lay.node_chunks(gone)), targets).reads)
     assert (out / shard_filename(node)).read_bytes() == rebuilt
@@ -363,7 +405,7 @@ def test_decode_reads_no_parity_slot(runner, tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert dest.read_bytes() == data
     assert res.stderr == ""
-    assert calls and all(c.part <= 2 for call in calls for c in call)
+    assert calls and all(c.part <= 2 for ids, _, _ in calls for c in ids)
 
 
 def _files(root):

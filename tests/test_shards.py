@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 
 from srcodes.core import SrcParams, encode, layout
 from srcodes.errors import IntegrityError, ShapeError
-from srcodes.shards import (Manifest, load_manifest, load_shard_checked,
-                            parse_shard, read_chunks, shard_bytes,
+from srcodes.shards import (Manifest, ShardReader, load_manifest,
+                            load_shard_checked, parse_shard, shard_bytes,
                             shard_filename, write_coded_array)
+
+
+def read_chunks(manifest, directory, wanted, start=0, stop=None):
+    with ShardReader(manifest, directory) as reader:
+        return reader.read_chunks(wanted, start, stop)
 
 
 def _array(seed=1, params=None):
@@ -207,3 +213,24 @@ def test_read_chunks_splits_long_runs(tmp_path):
     assert failed == {}
     for slot, c in enumerate(wanted):
         assert np.array_equal(chunks[c], arr.shards[2][:, slot])
+
+
+def test_read_chunks_reads_a_stripe_range_header_once(tmp_path, monkeypatch):
+    # stripes 1..2 of 4: only their slots are read and checked, and a
+    # second call on the same reader reads no header or CRC table again
+    arr, manifest = _written(tmp_path, size=4 * SrcParams(5, 2, 2, 32)
+                             .stripe_data_bytes)
+    lay = layout(arr.params)
+    stripes, cs = arr.stripe_count, arr.params.chunk_size
+    crc_end = 44 + 4 * stripes * 3
+    _flip(tmp_path / shard_filename(2), crc_end + 3 * 3 * cs)   # stripe 3
+    opened = []
+    monkeypatch.setattr(os, "pread", lambda fd, size, at, pread=os.pread:
+                        opened.append(size) or pread(fd, size, at))
+    with ShardReader(manifest, tmp_path) as reader:
+        chunks, failed = reader.read_chunks(lay.node_chunks(2), 1, 3)
+        again, _ = reader.read_chunks(lay.node_chunks(2)[:1], 0, 1)
+    assert failed == {} and opened == [crc_end]
+    for slot, c in enumerate(lay.node_chunks(2)):
+        assert np.array_equal(chunks[c], arr.shards[2][1:3, slot])
+    assert np.array_equal(again[lay.node_chunks(2)[0]], arr.shards[2][:1, 0])

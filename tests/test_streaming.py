@@ -1,0 +1,145 @@
+"""decode and repair stream: one plan, a batch of stripes at a time.
+
+Their memory must not grow with the file beyond what they write (repair
+holds the one shard it rebuilds), and a chunk that fails its CRC-32 in
+a late batch must be handled as in an early one: dropped, named once on
+stderr, planned around, or exit 4 with no output left behind.  Most
+cases force one stripe per batch so that a small file spans many.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from srcodes import cli
+from srcodes.cli import main
+from srcodes.core import SrcParams
+from srcodes.shards import MANIFEST_NAME, shard_filename
+
+HEADER_B = 44
+P = SrcParams(10, 6, 2, 4096)
+
+
+def _encode(tmp_path, size, name="shards"):
+    data = np.random.default_rng(size).integers(0, 256, size,
+                                                dtype=np.uint8).tobytes()
+    src = tmp_path / f"{name}.bin"
+    src.write_bytes(data)
+    out = tmp_path / name
+    res = CliRunner().invoke(main, [
+        "encode", str(src), "--n", str(P.n), "--k", str(P.k), "--f", str(P.f),
+        "--chunk-size", str(P.chunk_size), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return data, out
+
+
+def _stripes(size):
+    return -(-size // P.stripe_data_bytes)
+
+
+def _flip(path, stripes, stripe, slot):
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_B + 4 * stripes * (P.f + 1)
+         + (stripe * (P.f + 1) + slot) * P.chunk_size] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _decode(out, dest):
+    return CliRunner().invoke(main, [
+        "decode", "--manifest", str(out / MANIFEST_NAME), "--shards", str(out),
+        "--out", str(dest)])
+
+
+def _repair(out, node):
+    return CliRunner().invoke(main, [
+        "repair", "--manifest", str(out / MANIFEST_NAME), "--shards", str(out),
+        "--node", str(node)])
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        res = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    return peak
+
+
+def test_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # a 256 KiB budget is two or three stripes of 4 KiB chunks: a 2 MiB
+    # and an 8 MiB file must peak alike, apart from the rebuilt shard
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 256 << 10)
+    decode_peak, repair_peak, shard = {}, {}, {}
+    for size in (2 << 20, 8 << 20):
+        _, out = _encode(tmp_path, size, f"f{size}")
+        decode_peak[size] = _peak(lambda: _decode(out, tmp_path / "y.bin"))
+        # node 4 with its helper node 5 missing: the reconstruction fallback
+        lost = out / shard_filename(4)
+        shard[size] = lost.stat().st_size
+        lost.unlink()
+        (out / shard_filename(5)).unlink()
+        repair_peak[size] = _peak(lambda: _repair(out, 4))
+    small, large = sorted(decode_peak)
+    assert decode_peak[large] - decode_peak[small] < 256 << 10
+    assert repair_peak[large] - repair_peak[small] \
+        < shard[large] - shard[small] + (256 << 10)
+
+
+@pytest.fixture
+def one_stripe_batches(monkeypatch):
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 1)
+
+
+def test_decode_crc_failure_in_last_batch(tmp_path, one_stripe_batches):
+    size = 300_000
+    data, out = _encode(tmp_path, size)
+    stripes = _stripes(size)
+    _flip(out / shard_filename(2), stripes, stripes - 1, 0)   # part1[2]
+    dest = tmp_path / "y.bin"
+    res = _decode(out, dest)
+    assert res.exit_code == 0, res.output
+    assert dest.read_bytes() == data
+    assert res.stderr.splitlines() == [
+        "skipped: shard node_002.shard: part1[2] fails the CRC-32 check"]
+
+
+def test_repair_crc_failure_in_last_batch_falls_back(tmp_path,
+                                                     one_stripe_batches):
+    size = 300_000
+    _, out = _encode(tmp_path, size)
+    stripes = _stripes(size)
+    lost = out / shard_filename(3)
+    expected = lost.read_bytes()
+    lost.unlink()
+    # node 2 holds part2[3], a look-up helper of node 3's part1[3]
+    _flip(out / shard_filename(2), stripes, stripes - 1, 1)
+    res = _repair(out, 3)
+    assert res.exit_code == 0, res.output
+    assert "via reconstruction fallback" in res.stdout
+    assert lost.read_bytes() == expected
+    assert res.stderr.splitlines() == [
+        "skipped: shard node_002.shard: part2[3] fails the CRC-32 check",
+        "look-up repair blocked for part1[3]; falling back to reconstruction"]
+
+
+def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
+    # nodes 5..10 are exactly k; part1[5] failing in the last stripe
+    # leaves part 1 short once stripes are already written
+    size = 300_000
+    _, out = _encode(tmp_path, size)
+    stripes = _stripes(size)
+    for node in range(1, 5):
+        (out / shard_filename(node)).unlink()
+    _flip(out / shard_filename(5), stripes, stripes - 1, 0)
+    dest = tmp_path / "y.bin"
+    res = _decode(out, dest)
+    assert res.exit_code == 4
+    assert res.stderr.splitlines()[0] == \
+        "skipped: shard node_005.shard: part1[5] fails the CRC-32 check"
+    assert res.stderr.splitlines()[-1].endswith("skipped node_005.shard")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shards",
+                                                          "shards.bin"]
