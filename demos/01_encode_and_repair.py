@@ -6,7 +6,8 @@ two survivors."""
 import numpy as np
 
 from srcodes import (ChunkId, SrcParams, chunks_from_shards, encode, layout,
-                     node_repair_plan, reconstruct)
+                     reconstruct)
+from srcodes.repair import describe
 
 params = SrcParams(n=4, k=2, f=2, chunk_size=8)
 rng = np.random.default_rng(0)
@@ -22,8 +23,7 @@ print("each node holds one chunk of each part plus one parity chunk,")
 print("and no two chunks on a node share a subscript.\n")
 
 print("== losing node 1 ==")
-plan = node_repair_plan(params, failed=1)
-for line in plan.describe(array.stripe_count):
+for line in describe(params, 1, array.stripe_count):
     print(" ", line)
 
 survivors = {node: array.shards[node] for node in (2, 3, 4)}

@@ -18,8 +18,6 @@ from .metrics import (MetricRow, asymptotic_report, comparison_table,
                       replication_normalized_cost, src_metrics)
 from .reliability import (MarkovParams, mttf_redundancy_set, mttf_system,
                           mttf_table, params_for_scheme)
-from .repair import (NodeRepairPlan, RepairPlan, chunk_repair_plan,
-                     node_repair_plan)
 from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
                   repair_time_cdf, run_degraded_read, run_node_failure)
 
@@ -34,7 +32,6 @@ __all__ = [
     "replication_normalized_cost", "src_metrics",
     "MarkovParams", "mttf_redundancy_set", "mttf_system", "mttf_table",
     "params_for_scheme",
-    "NodeRepairPlan", "RepairPlan", "chunk_repair_plan", "node_repair_plan",
     "Cluster", "ClusterConfig", "Scheme", "SimReport", "build_cluster",
     "repair_time_cdf", "run_degraded_read", "run_node_failure",
     "SrcError", "ParameterError", "ShapeError", "InsufficientDataError",

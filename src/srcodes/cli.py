@@ -1,10 +1,11 @@
 """Command-line frontend: encode/repair/decode files as per-node shards,
 plus the metrics, simulation, and reliability reports.
 
-Exit codes: 0 success, 2 usage error, 3 insufficient data, 4 integrity
-failure.  Every randomized path takes a seed (defaulted and echoed in
-the output), and commands are idempotent: rerunning with the same inputs
-rewrites the same bytes.
+Exit codes: 0 success, 2 usage error (an OSError included, such as an
+output path that cannot be written), 3 insufficient data, 4 integrity
+failure; each failure prints one "error:" line.  Every randomized path
+takes a seed (defaulted and echoed in the output), and commands are
+idempotent: rerunning with the same inputs rewrites the same bytes.
 
 decode and repair plan once (core.plan_chunks) and then stream: they
 read only the chunk slots their plan needs (shards.ShardReader), a
@@ -16,7 +17,8 @@ its checks is dropped and the stripes left are planned again without
 it.  decode writes each batch to a temporary sibling of its output and
 hashes it as it goes; repair fills the rebuilt shard file in one
 buffer, checks its digest and writes it once.  encode still holds the
-whole file.
+whole file.  repair --dry-run reads no shard file: it prints the plan
+for the node with every other node present (repair.describe).
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import reliability as rel_mod
+from . import repair as repair_mod
 from . import sim as sim_mod
 from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_stripes,
                    layout, plan_chunks, run_plan, stripe_buffer)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
-from .repair import node_repair_plan
 from .shards import (Manifest, ShardImage, ShardReader, atomic_writer,
                      load_manifest, shard_filename, write_coded_array,
                      write_shard)
@@ -67,6 +69,9 @@ def _exit_codes(fn):
         except IntegrityError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INTEGRITY)
+        except OSError as exc:   # e.g. an output path that cannot be written
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
 
     return wrapper
 
@@ -235,11 +240,8 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
     """Rebuild one node's shard from its look-up helpers."""
     manifest = load_manifest(manifest_path)
     params = manifest.params
-    if not 1 <= node <= params.n:
-        raise ParameterError(f"node {node} outside [1, {params.n}]")
     if dry_run:
-        for line in node_repair_plan(params, node).describe(
-                manifest.stripe_count):
+        for line in repair_mod.describe(params, node, manifest.stripe_count):
             click.echo(line)
         return
     stream = _Stream(manifest, shard_dir, layout(params).node_chunks(node),
@@ -387,6 +389,9 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
                  config_path: Path | None, out: Path | None,
                  cdf_out: Path | None) -> None:
     """Simulate repairing one failed machine and report throughput."""
+    if sweep is not None and cdf_out is not None:
+        raise ParameterError("--cdf-out needs a single run; it cannot be "
+                             "used with --sweep")
     fields = {"machines": machines, "data_bytes_per_machine": data_per_machine,
               "chunk_size": chunk_size, "seed": seed}
     if config_path is not None:
@@ -405,7 +410,6 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
             return sim_mod.run_degraded_read(cluster, failed_machine)
         return sim_mod.run_node_failure(cluster, failed_machine)
 
-    wrote_cdf = False
     if sweep is not None:
         lines = ["scheme,n,k,throughput_bytes_per_s,elapsed_s"]
         for nn, kk in _parse_pairs("sweep", sweep, "10,6 20,16 50,46"):
@@ -418,13 +422,12 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
         text = report.to_text()
         if cdf_out is not None:
             cdf_out.write_text(sim_mod.cdf_csv(report) + "\n")
-            wrote_cdf = True
     if out is not None:
         out.write_text(text + "\n")
         click.echo(f"report written to {out}")
     else:
         click.echo(text)
-    if wrote_cdf:
+    if cdf_out is not None:
         click.echo(f"CDF written to {cdf_out}")
 
 

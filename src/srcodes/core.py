@@ -22,7 +22,9 @@ repair all go through one chunk executor that applies these rules.
 Planning is split from execution: plan_chunks names the chunks a list
 of targets needs, so a reader can fetch only those, and works out the
 GF(256) coefficients once; run_plan then runs that plan on the chunks
-read, for any run of stripes.
+read, for any run of stripes.  plan_chunks is the only planner: what
+`repair --dry-run` prints and the simulator's repair jobs read are its
+plans too (repair.node_plan).
 
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the

@@ -62,11 +62,6 @@ INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[np.arange(1, 256)]]
 
 
-def gf_add(a: int, b: int) -> int:
-    """Field addition (XOR); also subtraction, characteristic 2."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0

@@ -1,101 +1,43 @@
-"""Look-up repair: restore chunks by XORing same-subscript chunks.
+"""Look-up repair of one whole node, as core.plan_chunks plans it.
 
-Every chunk shares its subscript with exactly f other chunks, each on a
-different node, and the f+1 of them XOR to zero.  A lost chunk is
-therefore the XOR of the other f, read straight off their nodes with no
-decoding.  The helpers come from StripeLayout.helpers and their nodes
-from the placement inverse (StripeLayout.chunk_location), never from
-closed-form index sets, and a node plan touching every slot hits exactly
-min(2f, n-1) distinct disks.
-
-Plans are immutable values that say which shards a repair reads, as
-`repair --dry-run` prints them; the chunks themselves are produced by
-core.produce, whose planner core.plan_chunks picks the same helpers
-for a look-up repair.
+plan_chunks is the one repair planner.  node_plan asks it for a node's
+f+1 chunks with every other node's chunks available, so each chunk is
+the XOR of the f others with its subscript, and the node reads f(f+1)
+chunks per stripe from min(2f, n-1) disks.  `repair --dry-run` prints
+that plan (describe), and the simulator's SRC repair jobs read from its
+helpers.  `srcodes repair` itself plans on the shard files that exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ChunkId, SrcParams, layout
+from .core import ChunkPlan, SrcParams, layout, plan_chunks
 
 
-@dataclass(frozen=True)
-class RepairPlan:
-    """Reads and combine rule restoring one chunk: the target is the XOR
-    of all reads (field characteristic 2 makes parity-minus-sum and
-    plain sum the same thing)."""
-
-    params: SrcParams
-    target: ChunkId
-    reads: tuple[tuple[int, ChunkId], ...]  # (helper node, chunk id)
-
-    @property
-    def disk_access_set(self) -> frozenset[int]:
-        return frozenset(node for node, _ in self.reads)
-
-    @property
-    def chunk_reads(self) -> int:
-        return len(self.reads)
-
-    def describe(self, stripe_count: int = 1) -> list[str]:
-        f, cs = self.params.f, self.params.chunk_size
-        lines = [f"repair {self.target.label(f)}:"]
-        for node, cid in self.reads:
-            lines.append(f"  read {cid.label(f)} from node {node}")
-        lines.append(f"  combine: XOR of {len(self.reads)} chunks")
-        lines.append(f"  bytes moved: {len(self.reads) * cs * stripe_count}")
-        return lines
-
-
-@dataclass(frozen=True)
-class NodeRepairPlan:
-    """Union of the chunk plans for one node's f+1 slots."""
-
-    params: SrcParams
-    node: int
-    chunk_plans: tuple[RepairPlan, ...]
-
-    @property
-    def disk_access_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for plan in self.chunk_plans:
-            out |= plan.disk_access_set
-        return frozenset(out)
-
-    @property
-    def chunk_reads(self) -> int:
-        return sum(p.chunk_reads for p in self.chunk_plans)
-
-    def describe(self, stripe_count: int = 1) -> list[str]:
-        cs = self.params.chunk_size
-        lines = [f"rebuild node {self.node}:"]
-        for plan in self.chunk_plans:
-            lines.extend("  " + ln for ln in plan.describe(stripe_count))
-        lines.append(f"  distinct helper disks: {len(self.disk_access_set)} "
-                     f"({sorted(self.disk_access_set)})")
-        lines.append(f"  chunk reads per stripe: {self.chunk_reads}")
-        lines.append(f"  bytes moved: {self.chunk_reads * cs * stripe_count}")
-        return lines
-
-
-def chunk_repair_plan(params: SrcParams, target: ChunkId) -> RepairPlan:
-    """Plan the repair of one chunk from the f others with its subscript.
-
-    For a coded-part target that is the f-1 other coded parts plus the
-    parity; for a parity target it is all f coded parts.
-    """
+def node_plan(params: SrcParams, node: int) -> ChunkPlan:
+    """The plan for a node's f+1 chunks, in slot order, from the chunks
+    of every other node."""
     lay = layout(params)
-    plan = RepairPlan(params=params, target=target, reads=tuple(
-        (lay.chunk_location(helper), helper) for helper in lay.helpers(target)))
-    assert len(plan.reads) == params.f and \
-        lay.chunk_location(target) not in plan.disk_access_set
-    return plan
+    return plan_chunks(params, (c for other in range(1, params.n + 1)
+                                if other != node
+                                for c in lay.node_chunks(other)),
+                       lay.node_chunks(node))
 
 
-def node_repair_plan(params: SrcParams, failed: int) -> NodeRepairPlan:
-    """Plans for all f+1 chunks of a failed node, in slot order."""
-    plans = tuple(chunk_repair_plan(params, cid)
-                  for cid in layout(params).node_chunks(failed))
-    return NodeRepairPlan(params=params, node=failed, chunk_plans=plans)
+def describe(params: SrcParams, node: int, stripe_count: int = 1) -> list[str]:
+    """The lines of `repair --dry-run`: per chunk of the node, the chunks
+    XORed into it and their nodes; then, for the whole node, the helper
+    disks, the chunk reads per stripe and the bytes read."""
+    f, cs = params.f, params.chunk_size
+    where = layout(params).chunk_location
+    plan = node_plan(params, node)
+    lines = [f"rebuild node {node}:"]
+    for t, chunks in plan.sums:
+        lines.append(f"  repair {plan.targets[t].label(f)}:")
+        lines += [f"    read {c.label(f)} from node {where(c)}" for c in chunks]
+        lines.append(f"    combine: XOR of {len(chunks)} chunks")
+        lines.append(f"    bytes moved: {len(chunks) * cs * stripe_count}")
+    disks = sorted({where(c) for c in plan.reads})
+    lines.append(f"  distinct helper disks: {len(disks)} ({disks})")
+    lines.append(f"  chunk reads per stripe: {len(plan.reads)}")
+    lines.append(f"  bytes moved: {len(plan.reads) * cs * stripe_count}")
+    return lines

@@ -53,10 +53,6 @@ def shard_filename(node: int) -> str:
     return f"node_{node:03d}.shard"
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _header(params: SrcParams, node: int, stripe_count: int,
             file_size: int) -> bytes:
     return _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
@@ -98,35 +94,6 @@ def shard_bytes(params: SrcParams, node: int, stripe_count: int,
     image = ShardImage(params, node, stripe_count, file_size)
     image.payload[...] = shard
     return image.seal()
-
-
-def parse_shard(blob: bytes) -> tuple[SrcParams, int, int, int, np.ndarray]:
-    """Parse a shard file; returns (params, node, stripe_count, file_size,
-    chunk array), the array a view of blob (read-only for bytes).  Raises
-    IntegrityError on bad magic/version/CRC."""
-    if len(blob) < _HEADER.size:
-        raise IntegrityError("shard file shorter than its header")
-    magic, version, node, n, k, f, _, chunk_size, stripes, file_size = \
-        _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise IntegrityError(f"bad shard magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise IntegrityError(f"unsupported shard format version {version}")
-    params = SrcParams(n=n, k=k, f=f, chunk_size=chunk_size)
-    chunk_count = stripes * (f + 1)
-    crc_end = _HEADER.size + 4 * chunk_count
-    expected = crc_end + chunk_count * chunk_size
-    if len(blob) != expected:
-        raise IntegrityError(
-            f"shard file is {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype=np.uint8, offset=crc_end).reshape(
-        chunk_count, chunk_size)
-    for i in range(chunk_count):
-        (crc,) = struct.unpack_from("<I", blob, _HEADER.size + 4 * i)
-        if zlib.crc32(flat[i]) != crc:
-            raise IntegrityError(f"chunk {i} fails its CRC")
-    return params, node, stripes, file_size, flat.reshape(stripes, f + 1,
-                                                          chunk_size)
 
 
 @dataclass(frozen=True)
@@ -237,7 +204,7 @@ def write_shard(directory: Path, node: int, blob: bytes,
     sealed ShardImage) and return their sha256.  A rebuilt shard passes
     the manifest's digest; if its bytes do not match, IntegrityError is
     raised and no file is written."""
-    got = _digest(blob)
+    got = hashlib.sha256(blob).hexdigest()
     if digest is not None and got != digest:
         raise IntegrityError(
             f"rebuilt shard for node {node} does not match the manifest digest")
@@ -271,21 +238,6 @@ def write_coded_array(array: CodedArray, directory: Path,
 
 def load_manifest(path: Path) -> Manifest:
     return Manifest.from_json(Path(path).read_bytes())
-
-
-def load_shard_checked(manifest: Manifest, directory: Path, node: int
-                       ) -> np.ndarray:
-    """Read one shard, verify params, node id, and manifest digest."""
-    path = manifest.shard_path(directory, node)
-    blob = path.read_bytes()
-    if _digest(blob) != manifest.shard_digests[node]:
-        raise IntegrityError(f"shard {path.name} does not match its manifest digest")
-    params, got_node, stripes, file_size, shard = parse_shard(blob)
-    if params != manifest.params or got_node != node \
-            or stripes != manifest.stripe_count \
-            or file_size != manifest.file_size:
-        raise IntegrityError(f"shard {path.name} header disagrees with manifest")
-    return shard
 
 
 class ShardReader:

@@ -4,10 +4,11 @@ Models a master plus data servers in the Hadoop mold: fixed-size chunks
 are grouped into redundancy sets placed on distinct machines; when a
 machine fails the master schedules one repair job per lost chunk.  A job
 reads one chunk from each helper machine (1 for 3-way replication, k for
-RS, f for the look-up repair of SRC, whose helper machines come from the
-repair module's plans), streams them to a rebuild target, and writes the
-rebuilt chunk there; a degraded read is the same pipeline minus the
-write-back.
+RS, f for the look-up repair of SRC), streams them to a rebuild target,
+and writes the rebuilt chunk there; a degraded read is the same
+pipeline minus the write-back.  An SRC job's helper machines hold the
+chunks core.plan_chunks reads for that chunk when it plans the lost
+node from every other node (repair.node_plan).
 
 Transfers are fluid flows with max-min fair rates over four resources
 per machine (net up, net down, disk read, disk write), recomputed at
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .core import SrcParams, layout
 from .errors import ParameterError, PlacementError
-from .repair import chunk_repair_plan
+from .repair import node_plan
 
 GBIT = 1e9 / 8  # bytes/s of a 1 Gb/s link
 
@@ -233,10 +234,11 @@ def _make_jobs(cluster: Cluster, failed: int,
     scheme = config.scheme
     jobs: list[_Job] = []
     data_loss = False
-    src_params = None
-    if scheme.kind == "src":
+    if scheme.kind == "src":   # one look-up plan per node position
         src_params = SrcParams(scheme.n, scheme.k, scheme.f, config.chunk_size)
-        lay = layout(src_params)
+        plans = [node_plan(src_params, node)
+                 for node in range(1, scheme.n + 1)]
+        where = layout(src_params).chunk_location
 
     for set_id, pos in cluster.memberships.get(failed, ()):
         members = cluster.sets[set_id]
@@ -252,12 +254,12 @@ def _make_jobs(cluster: Cluster, failed: int,
             helpers = tuple(rng.sample(sorted(survivors), scheme.k))
             jobs.append(_Job(len(jobs), set_id, "rs-chunk", helpers))
         else:
-            node = pos + 1
-            for cid in lay.node_chunks(node):
-                plan = chunk_repair_plan(src_params, cid)
-                helpers = tuple(members[h - 1] for h, _ in plan.reads)
+            plan = plans[pos]
+            for t, chunks in plan.sums:
+                helpers = tuple(members[where(c) - 1] for c in chunks)
                 assert failed not in helpers
-                jobs.append(_Job(len(jobs), set_id, cid.label(scheme.f), helpers))
+                jobs.append(_Job(len(jobs), set_id,
+                                 plan.targets[t].label(scheme.f), helpers))
     return jobs, data_loss
 
 

@@ -18,12 +18,12 @@ from click.testing import CliRunner
 
 from srcodes.cli import main as cli_main
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
-    layout, reconstruct, ring_add
+    layout, plan_chunks, reconstruct, ring_add
 from srcodes.metrics import comparison_table, replication_normalized_cost, \
     src_metrics
 from srcodes.mds import make_generator
 from srcodes.reliability import MarkovParams, mttf_redundancy_set, mttf_table
-from srcodes.repair import chunk_repair_plan, node_repair_plan
+from srcodes.repair import node_plan
 from srcodes.shards import MANIFEST_NAME, shard_filename
 from srcodes.sim import ClusterConfig, Scheme, build_cluster, \
     run_degraded_read, run_node_failure
@@ -65,16 +65,20 @@ def test_criterion_2_repair_exactness_and_counts():
     for n, k, f in PARAMS_SET:
         p = SrcParams(n, k, f, 8192)
         arr = encode(_random_bytes(n * 7 + f), p)
+        lay = layout(p)
         for failed in range(1, n + 1):
-            plan = node_repair_plan(p, failed)
-            assert plan.chunk_reads == f * (f + 1)
-            assert len(plan.disk_access_set) == min(2 * f, n - 1)
-            helpers = {i: arr.shards[i] for i in plan.disk_access_set}
+            reads = node_plan(p, failed).reads
+            disks = {lay.chunk_location(c) for c in reads}
+            assert len(reads) == f * (f + 1)
+            assert len(disks) == min(2 * f, n - 1)
+            helpers = {i: arr.shards[i] for i in disks}
             restored = chunks_from_shards(p, helpers,
-                                          layout(p).node_chunks(failed))
+                                          lay.node_chunks(failed))
             assert np.array_equal(restored, arr.shards[failed])
-    demo = node_repair_plan(SrcParams(4, 2, 2, 8192), 1)
-    assert demo.chunk_reads == 6 and len(demo.disk_access_set) == 3
+    p = SrcParams(4, 2, 2, 8192)
+    demo = node_plan(p, 1).reads
+    assert len(demo) == 6
+    assert {layout(p).chunk_location(c) for c in demo} == {2, 3, 4}
     _report(2, "every single-node repair byte-identical; f(f+1) reads and "
                "min(2f, n-1) disks everywhere; (4,2,2) shows 6 reads / 3 disks")
 
@@ -88,8 +92,10 @@ def test_criterion_3_four_node_fixture():
             ChunkId(2, ring_add(node, 1, 4)),
             ChunkId(3, ring_add(node, 2, 4)),
         ]
-    plan = chunk_repair_plan(p, ChunkId(1, 1))
-    assert plan.reads == ((4, ChunkId(2, 1)), (3, ChunkId(3, 1)))
+    plan = plan_chunks(p, lay.node_chunks(2) + lay.node_chunks(3)
+                       + lay.node_chunks(4), [ChunkId(1, 1)])
+    assert plan.sums == ((0, (ChunkId(2, 1), ChunkId(3, 1))),)
+    assert [lay.chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
 
     # byte-level check of the same layout on a one-stripe file
     file_bytes = _random_bytes(99, 4 * 64)

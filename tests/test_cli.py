@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from srcodes import cli
 from srcodes.cli import main
 from srcodes.core import SrcParams, data_chunks, layout, plan_chunks
-from srcodes.repair import node_repair_plan
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
 HEADER_B = 44
@@ -60,6 +59,14 @@ def _slot_at(p, stripes, stripe, slot):
 
 def _stripes(p, size):
     return -(-size // p.stripe_data_bytes)
+
+
+def _lookup(p, node):
+    """The f helpers of each chunk of a node, and the nodes holding
+    them, from the layout alone."""
+    lay = layout(p)
+    helpers = {h for c in lay.node_chunks(node) for h in lay.helpers(c)}
+    return helpers, {lay.chunk_location(h) for h in helpers}
 
 
 def _decode(runner, out, dest):
@@ -153,6 +160,99 @@ def test_repair_dry_run_writes_nothing(runner, tmp_path):
     assert before == after
 
 
+DRY_RUN_422_NODE_1 = """\
+rebuild node 1:
+  repair part1[1]:
+    read part2[1] from node 4
+    read parity[1] from node 3
+    combine: XOR of 2 chunks
+    bytes moved: 512
+  repair part2[2]:
+    read part1[2] from node 2
+    read parity[2] from node 4
+    combine: XOR of 2 chunks
+    bytes moved: 512
+  repair parity[3]:
+    read part1[3] from node 3
+    read part2[3] from node 2
+    combine: XOR of 2 chunks
+    bytes moved: 512
+  distinct helper disks: 3 ([2, 3, 4])
+  chunk reads per stripe: 6
+  bytes moved: 1536
+"""
+
+DRY_RUN_1062_NODE_3 = """\
+rebuild node 3:
+  repair part1[3]:
+    read part2[3] from node 2
+    read parity[3] from node 1
+    combine: XOR of 2 chunks
+    bytes moved: 57344
+  repair part2[4]:
+    read part1[4] from node 4
+    read parity[4] from node 2
+    combine: XOR of 2 chunks
+    bytes moved: 57344
+  repair parity[5]:
+    read part1[5] from node 5
+    read part2[5] from node 4
+    combine: XOR of 2 chunks
+    bytes moved: 57344
+  distinct helper disks: 4 ([1, 2, 4, 5])
+  chunk reads per stripe: 6
+  bytes moved: 172032
+"""
+
+# 2f = 6 > n - 1 = 4: every other node is a helper
+DRY_RUN_533_NODE_2 = """\
+rebuild node 2:
+  repair part1[2]:
+    read part2[2] from node 1
+    read part3[2] from node 5
+    read parity[2] from node 4
+    combine: XOR of 3 chunks
+    bytes moved: 3072
+  repair part2[3]:
+    read part1[3] from node 3
+    read part3[3] from node 1
+    read parity[3] from node 5
+    combine: XOR of 3 chunks
+    bytes moved: 3072
+  repair part3[4]:
+    read part1[4] from node 4
+    read part2[4] from node 3
+    read parity[4] from node 1
+    combine: XOR of 3 chunks
+    bytes moved: 3072
+  repair parity[5]:
+    read part1[5] from node 5
+    read part2[5] from node 4
+    read part3[5] from node 3
+    combine: XOR of 3 chunks
+    bytes moved: 3072
+  distinct helper disks: 4 ([1, 3, 4, 5])
+  chunk reads per stripe: 12
+  bytes moved: 12288
+"""
+
+
+@pytest.mark.parametrize("n,k,f,node,size,chunk,expected", [
+    (4, 2, 2, 1, 1000, 256, DRY_RUN_422_NODE_1),          # one stripe
+    (10, 6, 2, 3, 300_000, 4096, DRY_RUN_1062_NODE_3),    # seven stripes
+    (5, 3, 3, 2, 5000, 512, DRY_RUN_533_NODE_2),          # two stripes
+], ids=["4-2-2", "10-6-2", "5-3-3"])
+def test_repair_dry_run_stdout(runner, tmp_path, n, k, f, node, size, chunk,
+                               expected):
+    _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=size,
+                        chunk=chunk)
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", str(node),
+                               "--dry-run"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == expected
+
+
 @pytest.mark.parametrize("n,k,f,node", [
     (5, 2, 2, 1),
     (10, 6, 2, 7),   # every slot of node 7 sits on a subscript > k
@@ -168,8 +268,8 @@ def test_repair_fallback_when_helper_missing(runner, tmp_path, monkeypatch,
     expected = lost.read_bytes()
     lost.unlink()
     # drop one look-up helper as well; n - 2 live nodes still >= k
-    plan = node_repair_plan(SrcParams(n, k, f, 1024), node)
-    (out / shard_filename(max(plan.disk_access_set))).unlink()
+    _, helper_nodes = _lookup(SrcParams(n, k, f, 1024), node)
+    (out / shard_filename(max(helper_nodes))).unlink()
 
     def no_encode(*args):
         raise AssertionError("repair must not re-encode the file")
@@ -235,7 +335,7 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
     # in the last stripe, which look-up repair reads
     p = SrcParams(10, 6, 2, 1024)
     stripes = _stripes(p, 60_000)
-    bad = min(node_repair_plan(p, 3).disk_access_set)
+    bad = min(_lookup(p, 3)[1])
     assert layout(p).node_chunks(bad)[2].label(2) == "parity[3]"
     _flip_byte(out / shard_filename(bad), _slot_at(p, stripes, stripes - 1, 2))
     res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
@@ -333,10 +433,9 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     # from min(2f, n-1) nodes
     node = n
     targets = lay.node_chunks(node)
-    plan = node_repair_plan(p, node)
-    lookup = {c for chunk_plan in plan.chunk_plans for _, c in chunk_plan.reads}
+    lookup, helper_nodes = _lookup(p, node)
     assert len(lookup) == f * (f + 1)
-    assert len(plan.disk_access_set) == min(2 * f, n - 1)
+    assert len(helper_nodes) == min(2 * f, n - 1)
     rebuilt = (out / shard_filename(node)).read_bytes()
     (out / shard_filename(node)).unlink()
     calls.clear()
@@ -345,14 +444,14 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
     assert read_once() == lookup and len(calls) == batches
-    assert nodes(lookup) == plan.disk_access_set
+    assert nodes(lookup) == helper_nodes
 
     # a corrupt helper chunk in the first stripe: the look-up reads come
     # first, then only what deriving its target needs and is not yet
     # held; later batches read the new plan
     available = {c for i in range(1, n + 1) if i != node
                  for c in lay.node_chunks(i)}
-    helper = plan.chunk_plans[0].reads[0][1]
+    helper = lay.helpers(targets[0])[0]
     at = lay.chunk_location(helper)
     (out / shard_filename(node)).unlink()
     _flip_byte(out / shard_filename(at),
@@ -378,7 +477,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     _flip_byte(out / shard_filename(at),
                _slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
     (out / shard_filename(node)).unlink()
-    gone = min(plan.disk_access_set)
+    gone = min(helper_nodes)
     (out / shard_filename(gone)).unlink()
     calls.clear()
     nbytes.clear()
@@ -426,18 +525,44 @@ def test_failed_write_leaves_old_files(runner, tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", no_replace)
-    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
-                               "--shards", str(out), "--node", "1"])
-    assert isinstance(res.exception, OSError)
-    res = _decode(runner, out, dest)
-    assert isinstance(res.exception, OSError)
+    results = [runner.invoke(main, ["repair", "--manifest",
+                                    str(out / MANIFEST_NAME), "--shards",
+                                    str(out), "--node", "1"]),
+               _decode(runner, out, dest)]
     src.write_bytes(data[::-1])
-    res = runner.invoke(main, ["encode", str(src), "--n", "4", "--k", "2",
-                               "--f", "2", "--chunk-size", "4096",
-                               "--out", str(out)])
-    assert isinstance(res.exception, OSError)
+    results.append(runner.invoke(main, ["encode", str(src), "--n", "4",
+                                        "--k", "2", "--f", "2",
+                                        "--chunk-size", "4096",
+                                        "--out", str(out)]))
     src.write_bytes(data)
     assert _files(tmp_path) == before
+    for res in results:
+        assert (res.exit_code, res.stderr) == (2, "error: disk full\n")
+
+
+def _unwritable_out(tmp_path, command):
+    """Arguments writing one command's output where it cannot be
+    written: into a missing directory, or under a regular file."""
+    if command == "encode":
+        src, _ = _write_input(tmp_path, 1000)
+        return ["encode", str(src), "--n", "4", "--k", "2", "--f", "2",
+                "--out", str(src / "sub")]
+    if command == "simulate":
+        return ["simulate", "--scheme", "src", "--machines", "20",
+                "--data-per-machine", "1000000000",
+                "--out", str(tmp_path / "missing" / "r.txt")]
+    _, _, out = _encode(CliRunner(), tmp_path, size=1000)
+    return ["decode", "--manifest", str(out / MANIFEST_NAME), "--shards",
+            str(out), "--out", str(tmp_path / "missing" / "f")]
+
+
+@pytest.mark.parametrize("command", ["encode", "decode", "simulate"])
+def test_unwritable_output_exit_2(runner, tmp_path, command):
+    res = runner.invoke(main, _unwritable_out(tmp_path, command))
+    assert res.exit_code == 2, res.output
+    assert not isinstance(res.exception, OSError)
+    line, = res.stderr.splitlines()
+    assert line.startswith("error: [Errno ")
 
 
 def _drop_params(doc):
@@ -569,6 +694,34 @@ def test_simulate_deterministic(runner, tmp_path):
     assert "scheme=SRC(10,6,2)" in a.output
 
 
+SIMULATE_SRC_30 = """\
+scheme=SRC(10,6,2) mode=repair seed=3
+machines=30 chunks_per_machine=30 failed_machine=4
+lost_chunks=30 helper_reads_per_chunk=2
+elapsed_s=5.323969877333332
+throughput_bytes_per_s=378151260.50420177
+bytes_read=4026531840 bytes_transferred=4026531840 bytes_written=2013265920
+disk_accesses=60 data_loss=False
+chunk_durations_s=1.073741824,1.073741824,1.073741824,1.7895697066666667,\
+1.073741824,1.073741824,1.7895697066666667,1.7895697066666667,\
+2.594876074666666,2.1474836479999997,2.326440618666666,2.326440618666666,\
+2.594876074666666,3.668617898666666,2.9527900159999994,3.668617898666666,\
+3.7580963839999995,3.400182442666666,3.400182442666666,3.668617898666666,\
+3.668617898666666,4.160749568,4.831838207999999,4.473924266666666,\
+4.742359722666666,4.742359722666666,4.742359722666666,4.742359722666666,\
+5.189752149333332,5.323969877333332
+"""
+
+
+def test_simulate_src_report(runner):
+    # the durations depend on which machines each repair job reads from
+    res = runner.invoke(main, ["simulate", "--scheme", "src", "--machines",
+                               "30", "--data-per-machine", "2000000000",
+                               "--seed", "3", "--failed-machine", "4"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == SIMULATE_SRC_30
+
+
 def test_simulate_config_file_and_outputs(runner, tmp_path):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps({
@@ -620,6 +773,21 @@ def test_simulate_sweep_series(runner):
     assert (max(tputs) - min(tputs)) / max(tputs) < 0.15
     res = runner.invoke(main, ["simulate", "--scheme", "rs", "--sweep", "bogus"])
     assert res.exit_code == 2
+
+
+def test_simulate_sweep_rejects_cdf_out(runner, tmp_path, monkeypatch):
+    # a sweep has no single repair-time CDF: a usage error before any run
+    def no_run(*args):
+        raise AssertionError("simulated before rejecting the options")
+
+    monkeypatch.setattr(cli.sim_mod, "build_cluster", no_run)
+    cdf = tmp_path / "cdf.csv"
+    res = runner.invoke(main, ["simulate", "--scheme", "src", "--sweep",
+                               "10,6", "--cdf-out", str(cdf)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ("error: --cdf-out needs a single run; it cannot be "
+                          "used with --sweep\n")
+    assert not cdf.exists()
 
 
 def test_reliability_command(runner):

@@ -11,13 +11,6 @@ from srcodes import gf256
 from gf_reference import gf_matmul
 
 
-def test_add_is_xor_and_self_inverse():
-    assert gf256.gf_add(0x53, 0xCA) == 0x53 ^ 0xCA
-    for a in range(256):
-        assert gf256.gf_add(a, a) == 0
-        assert gf256.gf_add(a, 0) == a
-
-
 def test_every_nonzero_element_has_inverse():
     for a in range(1, 256):
         assert gf256.gf_mul(a, gf256.gf_inv(a)) == 1

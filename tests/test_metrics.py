@@ -1,11 +1,11 @@
 import pytest
 
-from srcodes.core import SrcParams, encode
+from srcodes.core import SrcParams, encode, layout
 from srcodes.errors import ParameterError
 from srcodes.metrics import (asymptotic_report, comparison_table, csv_table,
                              format_table, replication_normalized_cost,
                              src_metrics)
-from srcodes.repair import node_repair_plan
+from srcodes.repair import node_plan
 
 # Independent re-derivation of every comparison-table cell, kept separate
 # from the library formulas on purpose.
@@ -99,14 +99,15 @@ def test_disk_accesses_match_measured_plans():
             k = max(1, n - 2)
             p = SrcParams(n, k, f, 16)
             expect = src_metrics(p).disk_accesses
+            lay = layout(p)
             for node in range(1, n + 1):
-                assert len(node_repair_plan(p, node).disk_access_set) == expect
+                reads = node_plan(p, node).reads
+                assert len({lay.chunk_location(c) for c in reads}) == expect
 
 
 def test_node_repair_bytes_match_bandwidth_formula():
     p = SrcParams(6, 4, 2, 256)
-    plan = node_repair_plan(p, 1)
-    bytes_per_stripe = plan.chunk_reads * p.chunk_size
+    bytes_per_stripe = len(node_plan(p, 1).reads) * p.chunk_size
     # gamma = (f+1) M/k means (f+1)/k of a stripe's payload
     assert bytes_per_stripe * p.k == (p.f + 1) * p.stripe_data_bytes
 

@@ -3,9 +3,9 @@ import pytest
 
 from srcodes import core, gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
-    layout
+    layout, plan_chunks
 from srcodes.errors import InsufficientDataError
-from srcodes.repair import chunk_repair_plan, node_repair_plan
+from srcodes.repair import describe, node_plan
 
 from gf_reference import gf_matmul
 
@@ -22,62 +22,84 @@ def _without(arr, down):
     return {i: s for i, s in arr.shards.items() if i not in down}
 
 
+def _off_node(p, node):
+    """Every chunk of a stripe but those on node."""
+    lay = layout(p)
+    return {c for other in range(1, p.n + 1) if other != node
+            for c in lay.node_chunks(other)}
+
+
+def _disks(p, chunks):
+    return {layout(p).chunk_location(c) for c in chunks}
+
+
 def test_chunk_plan_four_node_fixture():
     p = SrcParams(4, 2, 2, 16)
-    plan = chunk_repair_plan(p, ChunkId(1, 1))
-    assert plan.reads == ((4, ChunkId(2, 1)), (3, ChunkId(3, 1)))
-    assert plan.disk_access_set == {3, 4}
+    plan = plan_chunks(p, _off_node(p, 1), [ChunkId(1, 1)])
+    assert plan.sums == ((0, (ChunkId(2, 1), ChunkId(3, 1))),)
+    assert [layout(p).chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
+    assert plan.derived == {}
 
 
 def test_parity_plan_reads_all_coded_parts():
     p = SrcParams(6, 3, 3, 16)
-    plan = chunk_repair_plan(p, ChunkId(4, 2))
-    assert [cid.part for _, cid in plan.reads] == [1, 2, 3]
-    assert all(cid.subscript == 2 for _, cid in plan.reads)
+    target = ChunkId(4, 2)
+    plan = plan_chunks(p, _off_node(p, layout(p).chunk_location(target)),
+                       [target])
+    (_, chunks), = plan.sums
+    assert [c.part for c in chunks] == [1, 2, 3]
+    assert all(c.subscript == 2 for c in chunks)
 
 
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)
 def test_chunk_plan_locality(n, k, f):
+    # every chunk, its node lost, is the XOR of the f others with its
+    # subscript, read off its node
     p = SrcParams(n, k, f, 16)
     lay = layout(p)
     for part in range(1, f + 2):
         for sub in range(1, n + 1):
             target = ChunkId(part, sub)
-            plan = chunk_repair_plan(p, target)
-            assert plan.chunk_reads == f
-            assert all(cid.subscript == sub for _, cid in plan.reads)
-            assert lay.chunk_location(target) not in plan.disk_access_set
-            assert all(lay.chunk_location(cid) == node
-                       for node, cid in plan.reads)
+            node = lay.chunk_location(target)
+            plan = plan_chunks(p, _off_node(p, node), [target])
+            expect = [ChunkId(l, sub) for l in range(1, f + 2) if l != part]
+            assert plan.sums == ((0, tuple(expect)),)
+            assert plan.reads == tuple(expect) and plan.derived == {}
+            assert node not in _disks(p, plan.reads)
 
 
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)
 def test_node_plan_counts(n, k, f):
     p = SrcParams(n, k, f, 16)
+    lay = layout(p)
     for node in range(1, n + 1):
-        plan = node_repair_plan(p, node)
-        assert plan.chunk_reads == f * (f + 1)
-        assert len(plan.disk_access_set) == min(2 * f, n - 1)
-        assert node not in plan.disk_access_set
+        plan = node_plan(p, node)
+        assert plan.targets == tuple(lay.node_chunks(node))
+        assert plan.sums == tuple((t, tuple(lay.helpers(c)))
+                                  for t, c in enumerate(plan.targets))
+        assert [len(chunks) for _, chunks in plan.sums] == [f] * (f + 1)
+        assert len(plan.reads) == f * (f + 1)
+        assert len(_disks(p, plan.reads)) == min(2 * f, n - 1)
+        assert node not in _disks(p, plan.reads)
 
 
 def test_node_plan_422_six_reads_three_disks():
-    plan = node_repair_plan(SrcParams(4, 2, 2, 16), 1)
-    assert plan.chunk_reads == 6
-    assert plan.disk_access_set == {2, 3, 4}
+    p = SrcParams(4, 2, 2, 16)
+    plan = node_plan(p, 1)
+    assert len(plan.reads) == 6
+    assert _disks(p, plan.reads) == {2, 3, 4}
 
 
 def test_node_plan_10_6_2_four_disks():
     p = SrcParams(10, 6, 2, 16)
     for node in range(1, 11):
-        assert len(node_repair_plan(p, node).disk_access_set) == 4
+        assert len(_disks(p, node_plan(p, node).reads)) == 4
 
 
 def test_disk_set_capped_at_all_survivors():
     p = SrcParams(5, 3, 3, 16)  # 2f = 6 > n-1 = 4
     for node in range(1, 6):
-        plan = node_repair_plan(p, node)
-        assert plan.disk_access_set == set(range(1, 6)) - {node}
+        assert _disks(p, node_plan(p, node).reads) == set(range(1, 6)) - {node}
 
 
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)
@@ -156,8 +178,7 @@ def test_degraded_read_fallback_matches_reconstruction_oracle():
         0, 256, 2 * p.stripe_data_bytes, dtype=np.uint8).tobytes()
     arr = encode(file_bytes, p)
     # node 1 down and one of part1[1]'s helpers down too
-    helper_nodes = {node for node, _ in
-                    chunk_repair_plan(p, ChunkId(1, 1)).reads}
+    helper_nodes = _disks(p, layout(p).helpers(ChunkId(1, 1)))
     down = {1, sorted(helper_nodes)[0]}
     got = chunks_from_shards(p, _without(arr, down), [ChunkId(1, 1)])[:, 0]
 
@@ -208,6 +229,6 @@ def test_degraded_read_insufficient_data():
 
 def test_plan_describe_mentions_disks_and_bytes():
     p = SrcParams(10, 6, 2, 1024)
-    text = "\n".join(node_repair_plan(p, 3).describe(stripe_count=5))
+    text = "\n".join(describe(p, 3, stripe_count=5))
     assert "distinct helper disks: 4" in text
     assert f"bytes moved: {6 * 1024 * 5}" in text

@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ import pytest
 from srcodes.core import SrcParams, encode, layout
 from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, ShardReader, load_manifest,
-                            load_shard_checked, parse_shard, shard_bytes,
-                            shard_filename, write_coded_array)
+                            shard_bytes, shard_filename, write_coded_array)
 
 
 def read_chunks(manifest, directory, wanted, start=0, stop=None):
@@ -23,13 +21,21 @@ def _array(seed=1, params=None):
     return data, encode(data, params)
 
 
-def test_shard_round_trip():
+def _read_node(manifest, directory, node):
+    """Every slot of a node's shard file, read and checked, as
+    (stripes, f+1, chunk_size); and the chunks that failed."""
+    slots = layout(manifest.params).node_chunks(node)
+    chunks, failed = read_chunks(manifest, directory, slots)
+    if failed:
+        return None, failed
+    return np.stack([chunks[c] for c in slots], axis=1), failed
+
+
+def test_shard_round_trip(tmp_path):
     _, arr = _array()
-    blob = shard_bytes(arr.params, 2, arr.stripe_count, arr.file_size,
-                       arr.shards[2])
-    params, node, stripes, size, shard = parse_shard(blob)
-    assert (params, node, stripes, size) == (arr.params, 2, arr.stripe_count,
-                                             arr.file_size)
+    manifest = load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+    shard, failed = _read_node(manifest, tmp_path, 2)
+    assert failed == {}
     assert np.array_equal(shard, arr.shards[2])
 
 
@@ -47,19 +53,22 @@ def test_shard_rejects_wrong_shape():
                     arr.shards[1])
 
 
-def test_shard_corruption_detected():
+def test_shard_corruption_detected(tmp_path):
     _, arr = _array()
-    blob = bytearray(shard_bytes(arr.params, 1, arr.stripe_count,
-                                 arr.file_size, arr.shards[1]))
-    blob[-1] ^= 0xFF
-    with pytest.raises(IntegrityError, match="CRC"):
-        parse_shard(bytes(blob))
-    with pytest.raises(IntegrityError, match="magic"):
-        parse_shard(b"NOTSHARD" + bytes(blob[8:]))
-    with pytest.raises(IntegrityError):
-        parse_shard(bytes(blob[:40]))
-    with pytest.raises(IntegrityError, match="expected"):
-        parse_shard(bytes(blob) + b"x")
+    manifest = load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+    path = tmp_path / shard_filename(1)
+    blob = path.read_bytes()
+    for damaged, problem in [
+            (blob[:-1] + bytes([blob[-1] ^ 0xFF]),
+             "parity[3] fails the CRC-32 check"),
+            (b"NOTSHARD" + blob[8:], "header disagrees with manifest"),
+            (blob[:40], "is 40 bytes, expected"),   # shorter than a header
+            (blob + b"x", "bytes, expected")]:
+        path.write_bytes(damaged)
+        shard, failed = _read_node(manifest, tmp_path, 1)
+        assert shard is None and failed
+        assert all(isinstance(exc, IntegrityError) and problem in str(exc)
+                   for exc in failed.values())
 
 
 def test_write_and_load_manifest(tmp_path):
@@ -71,9 +80,8 @@ def test_write_and_load_manifest(tmp_path):
     assert manifest.file_size == len(data)
     assert sorted(manifest.shard_digests) == [1, 2, 3, 4]
     for node in range(1, 5):
-        params, got_node, _, _, shard = parse_shard(
-            (tmp_path / shard_filename(node)).read_bytes())
-        assert got_node == node
+        shard, failed = _read_node(manifest, tmp_path, node)
+        assert failed == {}
         assert np.array_equal(shard, arr.shards[node])
 
 
@@ -108,21 +116,6 @@ def test_shard_file_size_matches_stripe_math(tmp_path):
     total_chunks_bytes = 4 * stripes * 3 * 4096
     assert total_chunks_bytes * params.f * params.k == \
         padded * (params.f + 1) * params.n
-
-
-def test_load_shard_checked_holds_one_copy(tmp_path):
-    params = SrcParams(10, 6, 2, 1 << 16)
-    _, arr = _array(params=params)
-    manifest = load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
-    size = (tmp_path / shard_filename(4)).stat().st_size
-    tracemalloc.start()
-    try:
-        shard = load_shard_checked(manifest, tmp_path, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(shard, arr.shards[4])
-    assert peak < 1.5 * size
 
 
 def _written(tmp_path, size=None, params=None):
