@@ -13,9 +13,8 @@ import numpy as np
 
 from srcodes import SrcParams, data_chunks, encode, layout, plan_chunks, \
     run_plan
-from srcodes.shards import (ShardImage, ShardReader, load_manifest,
-                            shard_filename, write_coded_array,
-                            write_shard)
+from srcodes.shards import (ShardReader, load_manifest, shard_filename,
+                            write_coded_array, write_shard)
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
@@ -41,19 +40,21 @@ everything = {c for node in range(1, params.n + 1) if node != 3
               for c in lay.node_chunks(node)}
 targets = lay.node_chunks(3)
 plan = plan_chunks(params, everything, targets)   # one plan, every stripe
-image = ShardImage(params, 3, stripes, manifest.file_size)
+payload = np.empty((stripes, params.f + 1, params.chunk_size), dtype=np.uint8)
 read = 0
 with ShardReader(manifest, workdir) as reader:
     for start in range(0, stripes, 2):   # two stripes per batch
         stop = min(start + 2, stripes)
         chunks, failed = reader.read_chunks(plan.reads, start, stop)
         read += sum(a.nbytes for a in chunks.values())
-        run_plan(plan, chunks, image.payload[start:stop])
+        run_plan(plan, chunks, payload[start:stop])
 print(f"  read {len(plan.reads)} chunks per stripe from nodes "
       f"{sorted({lay.chunk_location(c) for c in plan.reads})}, "
       f"{read:,} bytes, in batches of 2 stripes")
-# write_shard refuses bytes whose digest differs from the manifest's
-write_shard(workdir, 3, image.seal(), manifest.shard_digests[3])
+# write_shard adds the header and CRC table, and refuses a shard whose
+# digest differs from the manifest's
+write_shard(workdir, params, 3, manifest.file_size, payload,
+            manifest.shard_digests[3])
 print("rebuilt shard digest matches manifest: True")
 
 print("\ncorrupting node 1's first data chunk, then decoding")

@@ -9,7 +9,7 @@ replication and Reed-Solomon coding.
 """
 
 from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, StripeLayout, \
-    chunks_from_shards, data_chunks, encode, layout, plan_chunks, produce, \
+    chunks_from_shards, data_chunks, encode, layout, plan_chunks, \
     reconstruct, ring_add, ring_sub, run_plan
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError, SrcError)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChunkId", "ChunkPlan", "CodedArray", "SrcParams", "StripeLayout",
     "chunks_from_shards", "data_chunks", "encode", "layout", "plan_chunks",
-    "produce", "reconstruct", "ring_add", "ring_sub", "run_plan",
+    "reconstruct", "ring_add", "ring_sub", "run_plan",
     "GeneratorMatrix", "make_generator",
     "MetricRow", "asymptotic_report", "comparison_table",
     "replication_normalized_cost", "src_metrics",

@@ -15,17 +15,19 @@ chunks of each stripe, M bytes in all, and a look-up repair the f
 helpers of each lost chunk, the paper's (f+1)*M/k.  A chunk that fails
 its checks is dropped and the stripes left are planned again without
 it.  decode writes each batch to a temporary sibling of its output and
-hashes it as it goes; repair fills the rebuilt shard file in one
-buffer, checks its digest and writes it once.  encode still holds the
-whole file.  repair --dry-run reads no shard file: it prints the plan
-for the node with every other node present (repair.describe).
+hashes it as it goes; repair fills the rebuilt shard's payload.  encode
+hashes its input as it reads it into the shards (core.encode_from): it
+holds its shards, but not the input.  repair --dry-run reads no shard
+file: it prints the plan for the node with every other node present.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import stat
@@ -40,13 +42,12 @@ from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import repair as repair_mod
 from . import sim as sim_mod
-from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_stripes,
-                   layout, plan_chunks, run_plan, stripe_buffer)
+from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_from,
+                   layout, plan_chunks, run_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
-from .shards import (Manifest, ShardImage, ShardReader, atomic_writer,
-                     load_manifest, shard_filename, write_coded_array,
-                     write_shard)
+from .shards import (Manifest, ShardReader, atomic_writer, load_manifest,
+                     shard_filename, write_coded_array, write_shard)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -201,24 +202,23 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                out: Path) -> None:
     """Encode INPUT_FILE into n shard files plus a manifest."""
     params = SrcParams(n=n, k=k, f=f, chunk_size=chunk_size)
+    digest = hashlib.sha256()
     with open(input_file, "rb") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            size = os.fstat(fh.fileno()).st_size
-            data = stripe_buffer(params, size)
-            flat = data.reshape(-1)[:size]
-            if fh.readinto(flat) != size or fh.read(1):
-                raise ParameterError(f"{input_file} changed size while read")
-        else:   # a pipe's size is known only once it is read
+        info = os.fstat(fh.fileno())
+        source, size = fh, info.st_size
+        if not stat.S_ISREG(info.st_mode):   # a pipe's size is known once read
             blob = fh.read()
-            size = len(blob)
-            data = stripe_buffer(params, size)
-            flat = data.reshape(-1)[:size]
-            flat[:] = np.frombuffer(blob, dtype=np.uint8)
-            del blob
-    digest = hashlib.sha256(flat).hexdigest()
-    array = encode_stripes(data, size, params)
-    del data, flat
-    manifest_path = write_coded_array(array, out, digest)
+            source, size = io.BytesIO(blob), len(blob)
+
+        def fill(view: np.ndarray) -> None:
+            if source.readinto(view) != len(view):
+                raise ParameterError(f"{input_file} changed size while read")
+            digest.update(view)
+
+        array = encode_from(fill, size, params)
+        if fh.read(1):
+            raise ParameterError(f"{input_file} changed size while read")
+    manifest_path = write_coded_array(array, out, digest.hexdigest())
     click.echo(f"encoded {size} bytes into {n} shards "
                f"({array.stripe_count} stripes) under {out}")
     click.echo(f"manifest: {manifest_path}")
@@ -246,9 +246,9 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
         return
     stream = _Stream(manifest, shard_dir, layout(params).node_chunks(node),
                      node)
-    image = ShardImage(params, node, manifest.stripe_count,
-                       manifest.file_size)
-    for _ in stream.batches(image.payload):
+    payload = np.empty((manifest.stripe_count, params.f + 1,
+                        params.chunk_size), dtype=np.uint8)
+    for _ in stream.batches(payload):
         pass
     mode = "look-up repair"
     if stream.blocked:
@@ -257,7 +257,8 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
                    f"{', '.join(c.label(params.f) for c in blocked)}; "
                    "falling back to reconstruction", err=True)
         mode = "reconstruction fallback"
-    write_shard(shard_dir, node, image.seal(), manifest.shard_digests[node])
+    write_shard(shard_dir, params, node, manifest.file_size, payload,
+                manifest.shard_digests[node])
     click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
                f"via {mode}; digest verified")
 
@@ -358,17 +359,23 @@ def _read_config(path: Path) -> dict:
     return doc
 
 
+# simulate's defaults are ClusterConfig's
+_CLUSTER = {fld.name: fld.default
+            for fld in dataclasses.fields(sim_mod.ClusterConfig)}
+
+
 @main.command("simulate")
 @click.option("--scheme", type=click.Choice(["replication", "rs", "src"]),
               required=True)
 @click.option("--n", type=int, default=10, show_default=True)
 @click.option("--k", type=int, default=6, show_default=True)
 @click.option("--f", type=int, default=2, show_default=True)
-@click.option("--machines", type=int, default=100, show_default=True)
-@click.option("--data-per-machine", type=int, default=4_000_000_000,
+@click.option("--machines", default=_CLUSTER["machines"], show_default=True)
+@click.option("--data-per-machine", default=_CLUSTER["data_bytes_per_machine"],
               show_default=True, help="bytes stored per machine")
-@click.option("--chunk-size", type=int, default=64 * 2**20, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--chunk-size", default=_CLUSTER["chunk_size"],
+              show_default=True)
+@click.option("--seed", default=_CLUSTER["seed"], show_default=True)
 @click.option("--failed-machine", type=int, default=0, show_default=True)
 @click.option("--degraded", is_flag=True,
               help="degraded-read experiment (no write-back)")
@@ -392,6 +399,8 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
     if sweep is not None and cdf_out is not None:
         raise ParameterError("--cdf-out needs a single run; it cannot be "
                              "used with --sweep")
+    if out is not None and out == cdf_out:
+        raise ParameterError("--out and --cdf-out name the same file")
     fields = {"machines": machines, "data_bytes_per_machine": data_per_machine,
               "chunk_size": chunk_size, "seed": seed}
     if config_path is not None:
@@ -410,23 +419,30 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
             return sim_mod.run_degraded_read(cluster, failed_machine)
         return sim_mod.run_node_failure(cluster, failed_machine)
 
-    if sweep is not None:
-        lines = ["scheme,n,k,throughput_bytes_per_s,elapsed_s"]
-        for nn, kk in _parse_pairs("sweep", sweep, "10,6 20,16 50,46"):
-            rep = run_one(make_config(nn, kk))
-            lines.append(f'"{rep.scheme}",{nn},{kk},{rep.throughput!r},'
-                         f"{rep.elapsed!r}")
-        text = "\n".join(lines)
-    else:
-        report = run_one(make_config(n, k))
-        text = report.to_text()
-        if cdf_out is not None:
-            cdf_out.write_text(sim_mod.cdf_csv(report) + "\n")
+    with contextlib.ExitStack() as stack:
+        # opened before the run: an unwritable path fails fast, and an
+        # error leaves neither file
+        cdf_fh, out_fh = (None if path is None
+                          else stack.enter_context(atomic_writer(path))
+                          for path in (cdf_out, out))
+        if sweep is not None:
+            lines = ["scheme,n,k,throughput_bytes_per_s,elapsed_s"]
+            for nn, kk in _parse_pairs("sweep", sweep, "10,6 20,16 50,46"):
+                rep = run_one(make_config(nn, kk))
+                lines.append(f'"{rep.scheme}",{nn},{kk},{rep.throughput!r},'
+                             f"{rep.elapsed!r}")
+            text = "\n".join(lines)
+        else:
+            report = run_one(make_config(n, k))
+            text = report.to_text()
+            if cdf_fh is not None:
+                cdf_fh.write(f"{sim_mod.cdf_csv(report)}\n".encode())
+        if out_fh is not None:
+            out_fh.write(f"{text}\n".encode())
+        else:
+            click.echo(text)
     if out is not None:
-        out.write_text(text + "\n")
         click.echo(f"report written to {out}")
-    else:
-        click.echo(text)
     if cdf_out is not None:
         click.echo(f"CDF written to {cdf_out}")
 

@@ -29,12 +29,14 @@ plans too (repair.node_plan).
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
 same in every stripe, so one plan serves a whole file, and callers may
-run it on a batch of stripes at a time.
+run it on a batch of stripes at a time.  encode_from, the one encode
+path, runs the plan for every node's chunks in place on one array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import io
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -173,46 +175,41 @@ def data_chunks(params: SrcParams) -> list[ChunkId]:
             for sub in range(1, params.k + 1)]
 
 
-def stripe_buffer(params: SrcParams, size: int) -> np.ndarray:
-    """A zeroed (stripes, f, k, chunk_size) array for a file of size
-    bytes padded to whole stripes; its first size bytes, read flat, are
-    the file's.  An empty file has zero stripes."""
+def encode_from(fill: Callable[[np.ndarray], object], size: int,
+                params: SrcParams) -> CodedArray:
+    """Encode size input bytes into the n-node coded array.
+
+    fill(view) must write the next len(view) input bytes into view or
+    raise.  It is called in file order with each data chunk's slot of
+    one zeroed (stripes, n*(f+1), chunk_size) array of every node's
+    slots, so padding stays zero; run_plan makes the other slots in
+    place, and each shard is a view of the array.
+    """
+    n, f = params.n, params.f
+    lay = layout(params)
+    targets = [c for node in range(1, n + 1) for c in lay.node_chunks(node)]
     stripes = -(-size // params.stripe_data_bytes)
-    return np.zeros((stripes, params.f, params.k, params.chunk_size),
-                    dtype=np.uint8)
+    coded = np.zeros((stripes, len(targets), params.chunk_size),
+                     dtype=np.uint8)
+    data = {c: coded[:, targets.index(c)] for c in data_chunks(params)}
+    views = (chunk[s] for s in range(stripes) for chunk in data.values())
+    for at, view in zip(range(0, size, params.chunk_size), views):
+        fill(view[:size - at])
+    run_plan(plan_chunks(params, data, targets), data, coded)
+    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
+              for node in range(1, n + 1)}
+    return CodedArray(params=params, stripe_count=stripes, file_size=size,
+                      shards=shards)
 
 
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
-    """Encode a byte string into the n-node coded array.
+    """Encode a byte string into the n-node coded array (encode_from).
 
     The file is zero-padded to whole stripes; the true length is kept so
-    reconstruct() can strip the padding.  An empty file yields zero
-    stripes and empty shards.
+    reconstruct() can strip the padding.
     """
-    data = stripe_buffer(params, len(file_bytes))
-    data.reshape(-1)[:len(file_bytes)] = np.frombuffer(file_bytes,
-                                                       dtype=np.uint8)
-    return encode_stripes(data, len(file_bytes), params)
-
-
-def encode_stripes(data: np.ndarray, file_size: int,
-                   params: SrcParams) -> CodedArray:
-    """Encode a file already laid out in a stripe_buffer, used in place.
-
-    Each shard is a view of the one array the chunk executor fills from
-    the data chunks.
-    """
-    n, f, k = params.n, params.f, params.k
-    stripes = data.shape[0]
-    lay = layout(params)
-    coded = produce(
-        params, {ChunkId(l + 1, s + 1): data[:, l, s]
-                 for l in range(f) for s in range(k)},
-        [c for node in range(1, n + 1) for c in lay.node_chunks(node)], stripes)
-    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
-              for node in range(1, n + 1)}
-    return CodedArray(params=params, stripe_count=stripes,
-                      file_size=file_size, shards=shards)
+    return encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
+                       params)
 
 
 @dataclass(frozen=True)
@@ -312,21 +309,10 @@ def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
     for t, chunks in plan.sums:   # a repeated target follows its first slot
         first, *rest = (present[c] if c in present else made[c]
                         for c in chunks)
-        np.copyto(out[:, t], first)
+        np.positive(first, out=out[:, t])   # np.copyto may copy via a temp
         for chunk in rest:
             np.bitwise_xor(out[:, t], chunk, out=out[:, t])
     return out
-
-
-def produce(params: SrcParams, present: dict[ChunkId, np.ndarray],
-            targets: list[ChunkId], stripes: int) -> np.ndarray:
-    """The target chunks, (stripes, len(targets), chunk_size), from the
-    present chunks, each (stripes, chunk_size): plan_chunks on what is
-    present, then run_plan.  Only the chunks of the plan's reads are
-    touched, so `present` may hold just those.
-    """
-    out = np.empty((stripes, len(targets), params.chunk_size), dtype=np.uint8)
-    return run_plan(plan_chunks(params, present, targets), present, out)
 
 
 def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
@@ -354,9 +340,11 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
     if len(stripes) > 1:
         raise ShapeError("shards disagree on stripe count")
     lay = layout(params)
-    return produce(params, {c: shard[:, slot] for node, shard in shards.items()
-                            for slot, c in enumerate(lay.node_chunks(node))},
-                   targets, max(stripes, default=0))
+    present = {c: shard[:, slot] for node, shard in shards.items()
+               for slot, c in enumerate(lay.node_chunks(node))}
+    out = np.empty((max(stripes, default=0), len(targets), params.chunk_size),
+                   dtype=np.uint8)
+    return run_plan(plan_chunks(params, present, targets), present, out)
 
 
 def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,

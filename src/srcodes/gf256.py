@@ -6,7 +6,8 @@ log/antilog tables built from the primitive polynomial x^8+x^4+x^3+x^2+1
 import time; the scalar functions and mat_inv are pure.
 
 addmul_buf, which every buffer multiply-add reaches through addmul_rows,
-scales by table look-up, one 256 KiB scratch block at a time:
+scales by table look-up, 128 Ki entries at a time, in blocks each thread
+makes once and reuses:
 
 - a buffer whose last axis is contiguous and of even length is read as
   uint16 and looked up in a 65 536-entry pair table, two products per
@@ -74,7 +75,7 @@ def gf_inv(a: int) -> int:
     return int(INV[a])
 
 
-_SCRATCH_BYTES = 1 << 18   # the look-up block, one per thread
+_BLOCK = 1 << 17   # entries looked up at a time; blocks are per thread
 _SPLIT_BYTES = 1 << 20     # buffers this large are split across threads
 _THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1, 4)
@@ -91,17 +92,21 @@ def _pair_table(coeff: int) -> np.ndarray:
 
 
 def _lookup_xor(acc: np.ndarray, table: np.ndarray, buf: np.ndarray) -> None:
-    """acc ^= table[buf], one scratch block at a time."""
+    """acc ^= table[buf], one block at a time, in this thread's blocks
+    for the values and for the indices as intp, which np.take needs."""
     scratch = getattr(_local, "scratch", None)
     if scratch is None:
-        scratch = _local.scratch = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
-    block = scratch.view(table.dtype)
-    if acc.size <= block.size:
-        looked_up = block[:acc.size].reshape(acc.shape)
-        np.take(table, buf, out=looked_up, mode="clip")
+        scratch = _local.scratch = (np.empty(_BLOCK, dtype=np.uint16),
+                                    np.empty(_BLOCK, dtype=np.intp))
+    values, index = scratch
+    if acc.size <= _BLOCK:
+        looked_up = values.view(table.dtype)[:acc.size].reshape(acc.shape)
+        at = index[:acc.size].reshape(acc.shape)
+        np.copyto(at, buf)
+        np.take(table, at, out=looked_up, mode="clip")
         np.bitwise_xor(acc, looked_up, out=acc)
         return
-    rows = block.size * len(acc) // acc.size
+    rows = _BLOCK * len(acc) // acc.size
     if rows == 0:   # one row is larger than the block
         for a, b in zip(acc, buf):
             _lookup_xor(a, table, b)

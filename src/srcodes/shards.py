@@ -10,11 +10,11 @@ One shard file per node (see docs/FORMATS.md for the bit-exact layout):
 All integers little-endian.  Writing is deterministic: re-encoding the
 same file yields bit-identical shards, so a rebuilt shard can be checked
 against the manifest digest.  This module is the only one that reads or
-writes shard files.  A shard file is built in one buffer, a ShardImage,
-and written whole by write_shard; every file goes through
-atomic_writer, so a crash never leaves a torn file under its real name.
-ShardReader reads chunk slots out of shard files, only the ones asked
-for, a range of stripes at a time.
+writes shard files.  write_shard is the one shard writer, from a
+node's payload array; every file goes through atomic_writer, so a crash
+never leaves a torn file under its real name.  ShardReader reads chunk
+slots out of shard files, only the ones asked for, a range of stripes
+at a time.
 
 The manifest is JSON with sorted keys: code parameters, the generator
 construction id (decoders rebuild the matrix from it), original file
@@ -32,6 +32,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from operator import index
 from pathlib import Path
 
@@ -58,42 +59,6 @@ def _header(params: SrcParams, node: int, stripe_count: int,
     return _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
                         params.f, 0, params.chunk_size, stripe_count,
                         file_size)
-
-
-class ShardImage:
-    """One shard file built in memory, in one buffer: the header, the CRC
-    table, and the payload, a writable (stripe_count, f+1, chunk_size)
-    view to fill.  seal() writes the CRC table from the payload and
-    returns the file's bytes."""
-
-    def __init__(self, params: SrcParams, node: int, stripe_count: int,
-                 file_size: int):
-        count = stripe_count * (params.f + 1)
-        crc_end = _HEADER.size + 4 * count
-        self.data = bytearray(crc_end + count * params.chunk_size)
-        self.data[:_HEADER.size] = _header(params, node, stripe_count,
-                                           file_size)
-        self.payload = np.frombuffer(self.data, dtype=np.uint8,
-                                     offset=crc_end).reshape(
-            stripe_count, params.f + 1, params.chunk_size)
-
-    def seal(self) -> bytearray:
-        rows = self.payload.reshape(-1, self.payload.shape[-1])
-        table = np.frombuffer(self.data, dtype="<u4", count=len(rows),
-                              offset=_HEADER.size)
-        table[:] = [zlib.crc32(row) for row in rows]
-        return self.data
-
-
-def shard_bytes(params: SrcParams, node: int, stripe_count: int,
-                file_size: int, shard: np.ndarray) -> bytearray:
-    """Serialize one node's chunk array, which may be a strided view such
-    as encode's shards, to the shard file format."""
-    if shard.shape != (stripe_count, params.f + 1, params.chunk_size):
-        raise ShapeError(f"shard shape {shard.shape} does not match params")
-    image = ShardImage(params, node, stripe_count, file_size)
-    image.payload[...] = shard
-    return image.seal()
 
 
 @dataclass(frozen=True)
@@ -186,31 +151,44 @@ def atomic_writer(path: Path) -> Iterator:
     """Open a temporary sibling of path for writing and, when the block
     ends normally, os.replace it into place, so the path holds either its
     old bytes or all of the new ones; on error the temporary file is
-    removed."""
+    removed.  An OSError about the temporary file names path instead."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
-def write_shard(directory: Path, node: int, blob: bytes,
+def write_shard(directory: Path, params: SrcParams, node: int,
+                file_size: int, payload: np.ndarray,
                 digest: str | None = None) -> str:
-    """Write one node's shard file from its bytes (shard_bytes, or a
-    sealed ShardImage) and return their sha256.  A rebuilt shard passes
-    the manifest's digest; if its bytes do not match, IntegrityError is
-    raised and no file is written."""
-    got = hashlib.sha256(blob).hexdigest()
-    if digest is not None and got != digest:
-        raise IntegrityError(
-            f"rebuilt shard for node {node} does not match the manifest digest")
+    """Write one node's shard file from its payload, (stripes, f+1,
+    chunk_size), which may be a strided view, and return the file's
+    sha256.  The parts are hashed as they are written, never assembled
+    in memory.  A rebuilt shard passes the manifest's digest; if the
+    file does not match it, IntegrityError is raised and no file is
+    left."""
+    stripes = -(-file_size // params.stripe_data_bytes)
+    if payload.shape != (stripes, params.f + 1, params.chunk_size):
+        raise ShapeError(f"shard shape {payload.shape} does not match params")
+    table = np.fromiter((zlib.crc32(chunk) for rows in payload
+                         for chunk in rows), dtype="<u4")
+    sha = hashlib.sha256()
     with atomic_writer(Path(directory) / shard_filename(node)) as fh:
-        fh.write(blob)
-    return got
+        for part in chain([_header(params, node, stripes, file_size), table],
+                          map(np.ascontiguousarray, payload)):
+            sha.update(part)
+            fh.write(part)
+        if digest is not None and sha.hexdigest() != digest:
+            raise IntegrityError(f"rebuilt shard for node {node} does not "
+                                 "match the manifest digest")
+    return sha.hexdigest()
 
 
 def write_coded_array(array: CodedArray, directory: Path,
@@ -219,8 +197,8 @@ def write_coded_array(array: CodedArray, directory: Path,
     manifest path.  file_digest is the sha256 of the original file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    digests = {node: write_shard(directory, node, shard_bytes(
-        array.params, node, array.stripe_count, array.file_size, shard))
+    digests = {node: write_shard(directory, array.params, node,
+                                 array.file_size, shard)
                for node, shard in sorted(array.shards.items())}
     manifest = Manifest(
         params=array.params,

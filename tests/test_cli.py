@@ -125,6 +125,26 @@ def test_encode_reads_a_pipe(runner, tmp_path):
     assert _files(tmp_path / "piped") == _files(out)
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_encode_input_changing_size_is_a_usage_error(runner, tmp_path,
+                                                     monkeypatch, delta):
+    # the size stat gave is off by one from what reading finds
+    src, _ = _write_input(tmp_path, 10_000)
+    fstat = os.fstat
+
+    def changed(fd):
+        st = fstat(fd)
+        return os.stat_result(st[:6] + (st.st_size + delta,) + st[7:])
+
+    monkeypatch.setattr(os, "fstat", changed)
+    out = tmp_path / "shards"
+    res = runner.invoke(main, ["encode", str(src), "--n", "4", "--k", "2",
+                               "--f", "2", "--out", str(out)])
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: {src} changed size while read\n")
+    assert not out.exists()
+
+
 def test_encode_empty_file(runner, tmp_path):
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
@@ -139,6 +159,70 @@ def test_encode_empty_file(runner, tmp_path):
                                "--shards", str(out), "--out", str(dest)])
     assert res.exit_code == 0
     assert dest.read_bytes() == b""
+
+
+def _hashed_input(size):
+    """size bytes of SHA-256 output, counter mode: fixed however numpy's
+    random streams change."""
+    blocks = (hashlib.sha256(i.to_bytes(4, "little")).digest()
+              for i in range(-(-size // 32)))
+    return b"".join(blocks)[:size]
+
+
+# the SHA-256 of every file `srcodes encode` writes, manifest last
+GOLDEN_ENCODE = {
+    (4, 2, 2, 4096, 50_000): [
+        "4bb8a66085d0d558bbed36c8f376116a3c185bb5b981e8955454e1e133a82d40",
+        "3c4e4568455ed1ba0256efc0e5934f5ff8c850f65369eb0a318b08940ee73145",
+        "3086e93e090c909e5cd255fb9e3a5c394cb1d894877ad13bf08603200d9fdbbe",
+        "e9833bc7492a6e4f57cea0cdd2da17cbf6034a9a9c2e8847b1b6f0823f00bdb6",
+        "977bcd7596d3ce86195127144ae513f92f03b49793b86f85e1d187db3ff88c32",
+    ],
+    # odd chunks (the 8-bit kernel path) and a partial last stripe
+    (5, 3, 3, 1023, 30_000): [
+        "f8e8247cea064dd3b32f8a8ba9b8a49b9c5b94f36a5e69882f5d9b513bd53a4b",
+        "a56666df8647f88a4d5d48ba5c5179f6cac5217454d5bde399610168308598e6",
+        "cf285d644525ca048202f1b99e9798a8887fafc89ff61067519220d568f1764e",
+        "3c351afa6993bea563ae03ae0de18d601c6651e23967033b9c414dfd1cb03f23",
+        "f7231844594723db9c1bedbe20af1837e7b5514d0d04ed1de7fc09249a2bf0f8",
+        "34822c4e52dbf91fa56f74ff9c3c3d25fc0c8322521ad434258d673b7eb1f688",
+    ],
+    (10, 6, 2, 4096, 100_000): [
+        "e13100a8f4cb06962cf24453d944d95570e74de9ef7ff4375f7e2fb974214dbf",
+        "495c05f476d7cd4119e9ef8e02ee927b8284061926a32c875142557af98cb36b",
+        "d65dc82b136128b2d31a06843b386b920c589eef01c4da740fef31ed4ae0b26f",
+        "a4bbfc08e0e5eca1c700cd8bfb893b3e6a5ddd06af7d57d34187ba5618c6dd96",
+        "1b6da662ea1b9a73c6ee9754dd1c689e54937766c48a521987d1e41cbc7615df",
+        "85fd090b039eb39cc200a2167c5fa8a9a4c318f9afd2d63f5292eff834c2f9d7",
+        "e73f86875ec0a3850aa9e31f0b597e4abca9656e89d2208b2b2de789fe0b3c4c",
+        "80ef8c7b2284454b3c4b7cd5bfdf1f676b3d1474cda417c476b25ad27513c1e8",
+        "d21e29092c2772e7d2b1d907fb2c811cacff420f3a8b8cae2571b708aa6dece5",
+        "d8ac86aa40111f913f64670b5ee4718971e810f7dd8aeff6aedc649f2c6afc98",
+        "0b4917e54801fa55e04288c36d1eebb9bbdc905ab28d022e52fb37e36d227512",
+    ],
+    (4, 2, 2, 4096, 0): [
+        "dc6595b6d9b32d911da19f798f628c1f674c9972eaf7c41369885ceb0289095e",
+        "aa11d1ff73ef4d6b8900c209d8da583f2757cebb9a14f0cfd3a8773fe4508e8c",
+        "1da26cfd3a1036689f0be4ca8176156c9c87a1fc985f6de6e703b8213e35da13",
+        "6ec29ef2a75d28f9cf890b4e62c08ea3ef97cd0f5233bf11efa0147d4d489b12",
+        "5ed4082a431ec07238195a93729c7a7e16ed89f6bd93f6f428503b82e75d0884",
+    ],
+}
+
+
+@pytest.mark.parametrize("n,k,f,chunk,size", GOLDEN_ENCODE)
+def test_encode_golden_digests(runner, tmp_path, n, k, f, chunk, size):
+    src = tmp_path / "input.bin"
+    src.write_bytes(_hashed_input(size))
+    out = tmp_path / "shards"
+    res = runner.invoke(main, ["encode", str(src), "--n", str(n), "--k", str(k),
+                               "--f", str(f), "--chunk-size", str(chunk),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    names = [shard_filename(i) for i in range(1, n + 1)] + [MANIFEST_NAME]
+    got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in names]
+    assert got == GOLDEN_ENCODE[n, k, f, chunk, size]
 
 
 def test_encode_invalid_params_usage_error(runner, tmp_path):
@@ -274,7 +358,7 @@ def test_repair_fallback_when_helper_missing(runner, tmp_path, monkeypatch,
     def no_encode(*args):
         raise AssertionError("repair must not re-encode the file")
 
-    monkeypatch.setattr(cli, "encode_stripes", no_encode)
+    monkeypatch.setattr(cli, "encode_from", no_encode)
     res = runner.invoke(main, ["repair", "--manifest", str(manifest),
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
@@ -563,6 +647,49 @@ def test_unwritable_output_exit_2(runner, tmp_path, command):
     assert not isinstance(res.exception, OSError)
     line, = res.stderr.splitlines()
     assert line.startswith("error: [Errno ")
+
+
+def test_unwritable_output_error_names_the_path(runner, tmp_path):
+    # the error names the path given, not the temporary file beside it
+    _, _, out = _encode(runner, tmp_path, size=1000)
+    dest = tmp_path / "missing" / "f"
+    res = _decode(runner, out, dest)
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: [Errno 2] No such file or directory: '{dest}'\n")
+    again = tmp_path / "again"
+    (again / shard_filename(1)).mkdir(parents=True)
+    res = runner.invoke(main, ["encode", str(tmp_path / "input.bin"), "--n",
+                               "4", "--k", "2", "--f", "2", "--out",
+                               str(again)])
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: [Errno 21] Is a directory: "
+           f"'{again / shard_filename(1)}'\n")
+    assert sorted(p.name for p in again.iterdir()) == [shard_filename(1)]
+
+
+def test_simulate_unwritable_out_writes_nothing(runner, tmp_path,
+                                                monkeypatch):
+    # both outputs are opened before the run: an unwritable one fails
+    # fast and leaves neither file
+    def no_run(*args):
+        raise AssertionError("simulated before opening the outputs")
+
+    monkeypatch.setattr(cli.sim_mod, "build_cluster", no_run)
+    cdf, report = tmp_path / "cdf.csv", tmp_path / "missing" / "r.txt"
+    res = runner.invoke(main, ["simulate", "--scheme", "src", "--cdf-out",
+                               str(cdf), "--out", str(report)])
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: [Errno 2] No such file or directory: '{report}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_out_and_cdf_out_must_differ(runner, tmp_path):
+    same = tmp_path / "r.txt"
+    res = runner.invoke(main, ["simulate", "--scheme", "src", "--out",
+                               str(same), "--cdf-out", str(same)])
+    assert (res.exit_code, res.stderr) == (
+        2, "error: --out and --cdf-out name the same file\n")
+    assert not same.exists()
 
 
 def _drop_params(doc):

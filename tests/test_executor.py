@@ -1,5 +1,5 @@
 """Property tests for the chunk executor behind core.encode and
-core.chunks_from_shards, core.produce with its planner core.plan_chunks,
+core.chunks_from_shards, core.run_plan with its planner core.plan_chunks,
 the one code path that turns chunks into other chunks: encode gives the reference encoder's shards, and any set of
 present nodes and any targets give the reference chunks, or
 InsufficientDataError when a target can be neither copied, XORed nor
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from srcodes import gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, \
-    data_chunks, encode, layout, plan_chunks, produce, reconstruct
+    data_chunks, encode, layout, plan_chunks, reconstruct, run_plan
 from srcodes.errors import InsufficientDataError
 
 from gf_reference import reference_encode
@@ -108,7 +108,8 @@ def test_gf_bytes_per_path(monkeypatch):
              for slot, c in enumerate(lay.node_chunks(node))}
     plan = plan_chunks(p, every, data_chunks(p))
     assert set(plan.reads) == set(data_chunks(p)) and not plan.derived
-    got = produce(p, {c: every[c] for c in plan.reads}, data_chunks(p),
-                  arr.stripe_count)
+    got = run_plan(plan, {c: every[c] for c in plan.reads},
+                   np.empty((arr.stripe_count, p.f * p.k, p.chunk_size),
+                            dtype=np.uint8))
     assert got.tobytes() == data
     assert sum(scaled) == 0

@@ -183,7 +183,7 @@ def test_addmul_buf_split_and_unsplit_identical(monkeypatch, chunk):
 
 @pytest.mark.parametrize("shape", [(2, 300_000), (3, 300_001), (600_000,)])
 def test_addmul_buf_rows_larger_than_block(shape):
-    # a row past the 256 KiB scratch block is looked up in pieces
+    # a row past the look-up block (128 Ki entries) is looked up in pieces
     rng = np.random.default_rng(shape[-1])
     buf = rng.integers(0, 256, shape, dtype=np.uint8)
     start = rng.integers(0, 256, shape, dtype=np.uint8)

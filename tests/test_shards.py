@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from srcodes.core import SrcParams, encode, layout
 from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, ShardReader, load_manifest,
-                            shard_bytes, shard_filename, write_coded_array)
+                            shard_filename, write_coded_array, write_shard)
 
 
 def read_chunks(manifest, directory, wanted, start=0, stop=None):
@@ -39,18 +40,48 @@ def test_shard_round_trip(tmp_path):
     assert np.array_equal(shard, arr.shards[2])
 
 
-def test_shard_serialization_deterministic():
+def _written_shard(directory, arr, node, payload, digest=None):
+    directory.mkdir(exist_ok=True)
+    sha = write_shard(directory, arr.params, node, arr.file_size, payload,
+                      digest)
+    return sha, (directory / shard_filename(node)).read_bytes()
+
+
+def test_shard_serialization_deterministic(tmp_path):
     _, a = _array(seed=3)
     _, b = _array(seed=3)
-    assert shard_bytes(a.params, 1, a.stripe_count, a.file_size, a.shards[1]) \
-        == shard_bytes(b.params, 1, b.stripe_count, b.file_size, b.shards[1])
+    assert _written_shard(tmp_path / "a", a, 1, a.shards[1]) \
+        == _written_shard(tmp_path / "b", b, 1, b.shards[1])
 
 
-def test_shard_rejects_wrong_shape():
+def test_write_shard_strided_view_equals_its_copy(tmp_path):
+    # encode's shards are strided views of one coded array
+    data, arr = _array()
+    view = arr.shards[2]
+    assert not view.flags.c_contiguous
+    sha, blob = _written_shard(tmp_path / "view", arr, 2, view)
+    assert (sha, blob) == _written_shard(tmp_path / "copy", arr, 2,
+                                         np.ascontiguousarray(view))
+    assert sha == hashlib.sha256(blob).hexdigest()
+    assert sorted(p.name for p in (tmp_path / "view").iterdir()) == \
+        [shard_filename(2)]
+
+
+def test_shard_rejects_wrong_shape(tmp_path):
     _, arr = _array()
-    with pytest.raises(ShapeError):
-        shard_bytes(arr.params, 1, arr.stripe_count + 1, arr.file_size,
-                    arr.shards[1])
+    shard = arr.shards[1]
+    for bad in (shard[:-1], shard[:, :-1], shard[..., :-1], shard[0]):
+        with pytest.raises(ShapeError):
+            write_shard(tmp_path, arr.params, 1, arr.file_size, bad)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_shard_refuses_a_wrong_digest(tmp_path):
+    _, arr = _array()
+    with pytest.raises(IntegrityError, match="node 1 does not match"):
+        write_shard(tmp_path, arr.params, 1, arr.file_size, arr.shards[1],
+                    "00" * 32)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_shard_corruption_detected(tmp_path):

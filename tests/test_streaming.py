@@ -1,10 +1,11 @@
 """decode and repair stream: one plan, a batch of stripes at a time.
 
 Their memory must not grow with the file beyond what they write (repair
-holds the one shard it rebuilds), and a chunk that fails its CRC-32 in
-a late batch must be handled as in an early one: dropped, named once on
-stderr, planned around, or exit 4 with no output left behind.  Most
-cases force one stripe per batch so that a small file spans many.
+holds the one shard it rebuilds; encode holds its shards and nothing
+more), and a chunk that fails its CRC-32 in a late batch must be handled
+as in an early one: dropped, named once on stderr, planned around, or
+exit 4 with no output left behind.  Most cases force one stripe per
+batch so that a small file spans many.
 """
 
 import tracemalloc
@@ -22,15 +23,24 @@ HEADER_B = 44
 P = SrcParams(10, 6, 2, 4096)
 
 
-def _encode(tmp_path, size, name="shards"):
+def _input(tmp_path, size, name):
     data = np.random.default_rng(size).integers(0, 256, size,
                                                 dtype=np.uint8).tobytes()
     src = tmp_path / f"{name}.bin"
     src.write_bytes(data)
-    out = tmp_path / name
-    res = CliRunner().invoke(main, [
+    return data, src
+
+
+def _run_encode(src, out):
+    return CliRunner().invoke(main, [
         "encode", str(src), "--n", str(P.n), "--k", str(P.k), "--f", str(P.f),
         "--chunk-size", str(P.chunk_size), "--out", str(out)])
+
+
+def _encode(tmp_path, size, name="shards"):
+    data, src = _input(tmp_path, size, name)
+    out = tmp_path / name
+    res = _run_encode(src, out)
     assert res.exit_code == 0, res.output
     return data, out
 
@@ -87,6 +97,22 @@ def test_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
     assert decode_peak[large] - decode_peak[small] < 256 << 10
     assert repair_peak[large] - repair_peak[small] \
         < shard[large] - shard[small] + (256 << 10)
+
+
+def test_encode_memory_is_its_shards(tmp_path):
+    # encode holds every shard, which the v1 digest order needs (the CRC
+    # table comes before the payload), but neither the input nor a
+    # second copy of a shard: past the shards, 2 and 8 MiB peak alike.
+    # A first encode makes what a process makes once, such as the
+    # generator cache and the GF kernel's per-thread blocks.
+    _encode(tmp_path, 100_000, "warm")
+    excess = {}
+    for size in (2 << 20, 8 << 20):
+        _, src = _input(tmp_path, size, f"f{size}")
+        peak = _peak(lambda: _run_encode(src, tmp_path / f"f{size}"))
+        excess[size] = peak - _stripes(size) * P.n * (P.f + 1) * P.chunk_size
+    small, large = sorted(excess)
+    assert abs(excess[large] - excess[small]) < 256 << 10
 
 
 @pytest.fixture
