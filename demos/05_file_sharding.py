@@ -13,8 +13,8 @@ import numpy as np
 
 from srcodes import SrcParams, data_chunks, encode, layout, plan_chunks, \
     run_plan
-from srcodes.shards import (ShardReader, load_manifest, shard_filename,
-                            write_coded_array, write_shard)
+from srcodes.shards import (ShardReader, ShardWriter, load_manifest,
+                            shard_filename, write_coded_array)
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
@@ -32,7 +32,7 @@ stripes = manifest.stripe_count
 shard_path = workdir / shard_filename(3)
 print(f"stripe_count={stripes}, shard file size "
       f"{shard_path.stat().st_size:,} bytes "
-      f"(header + CRCs + {stripes} x {params.f + 1} chunks)")
+      f"(header + {stripes} x {params.f + 1} chunks + CRCs)")
 
 print("\ndeleting node 3's shard, then repairing it from its helpers")
 shard_path.unlink()
@@ -40,26 +40,26 @@ everything = {c for node in range(1, params.n + 1) if node != 3
               for c in lay.node_chunks(node)}
 targets = lay.node_chunks(3)
 plan = plan_chunks(params, everything, targets)   # one plan, every stripe
-payload = np.empty((stripes, params.f + 1, params.chunk_size), dtype=np.uint8)
+batch = np.empty((2, params.f + 1, params.chunk_size), dtype=np.uint8)
 read = 0
-with ShardReader(manifest, workdir) as reader:
+# ShardWriter adds the header and CRC table as the batches come, and
+# refuses a shard whose digest differs from the manifest's
+with ShardReader(manifest, workdir) as reader, \
+        ShardWriter(workdir, params, 3, manifest.file_size) as writer:
     for start in range(0, stripes, 2):   # two stripes per batch
         stop = min(start + 2, stripes)
         chunks, failed = reader.read_chunks(plan.reads, start, stop)
         read += sum(a.nbytes for a in chunks.values())
-        run_plan(plan, chunks, payload[start:stop])
+        writer.write(run_plan(plan, chunks, batch[:stop - start]))
+    writer.seal(manifest.shard_digests[3])
 print(f"  read {len(plan.reads)} chunks per stripe from nodes "
       f"{sorted({lay.chunk_location(c) for c in plan.reads})}, "
       f"{read:,} bytes, in batches of 2 stripes")
-# write_shard adds the header and CRC table, and refuses a shard whose
-# digest differs from the manifest's
-write_shard(workdir, params, 3, manifest.file_size, payload,
-            manifest.shard_digests[3])
 print("rebuilt shard digest matches manifest: True")
 
 print("\ncorrupting node 1's first data chunk, then decoding")
 blob = bytearray((workdir / shard_filename(1)).read_bytes())
-blob[44 + 4 * stripes * (params.f + 1)] ^= 0xFF   # first payload byte
+blob[44] ^= 0xFF   # the first payload byte follows the 44-byte header
 (workdir / shard_filename(1)).write_bytes(bytes(blob))
 available = {c for node in range(1, params.n + 1)
              for c in lay.node_chunks(node)}

@@ -7,18 +7,21 @@ failure; each failure prints one "error:" line.  Every randomized path
 takes a seed (defaulted and echoed in the output), and commands are
 idempotent: rerunning with the same inputs rewrites the same bytes.
 
-decode and repair plan once (core.plan_chunks) and then stream: they
-read only the chunk slots their plan needs (shards.ShardReader), a
-batch of stripes at a time, so their memory does not grow with the
-file beyond what they write.  A healthy decode reads the f*k data
-chunks of each stripe, M bytes in all, and a look-up repair the f
-helpers of each lost chunk, the paper's (f+1)*M/k.  A chunk that fails
-its checks is dropped and the stripes left are planned again without
-it.  decode writes each batch to a temporary sibling of its output and
-hashes it as it goes; repair fills the rebuilt shard's payload.  encode
-hashes its input as it reads it into the shards (core.encode_from): it
-holds its shards, but not the input.  repair --dry-run reads no shard
-file: it prints the plan for the node with every other node present.
+Every file command streams a batch of stripes at a time, so its memory
+does not grow with the file.  decode and repair plan once
+(core.plan_chunks) and read only the chunk slots their plan needs
+(shards.ShardReader).  A healthy decode reads the f*k data chunks of
+each stripe, M bytes in all, and a look-up repair the f helpers of each
+lost chunk, the paper's (f+1)*M/k.  A chunk that fails its checks is
+dropped and the stripes left are planned again without it.  decode
+writes each batch to a temporary sibling of its output and hashes it
+as it goes; repair appends each batch to the rebuilt shard
+(shards.ShardWriter), in the format version of its set.  encode reads
+and hashes its input a batch at a time into one buffer
+(core.encode_from) and appends each node's rows to that node's shard
+file (shards.write_shard_set), in format v2.  repair --dry-run reads
+no shard file: it prints the plan for the node with every other node
+present.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_from,
                    layout, plan_chunks, run_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
-from .shards import (Manifest, ShardReader, atomic_writer, load_manifest,
-                     shard_filename, write_coded_array, write_shard)
+from .shards import (Manifest, ShardReader, ShardWriter, atomic_writer,
+                     load_manifest, shard_filename, write_shard_set)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -77,10 +80,10 @@ def _exit_codes(fn):
     return wrapper
 
 
-# Chunk bytes a batch of stripes allocates (see _Stream._step).  A batch
-# holds at least one stripe, so its memory is this or one stripe's,
-# whatever the file size.  Chosen by paired runs (BENCH_8.json): decode
-# peaks near 50 MB at 64 KiB chunks.
+# Chunk bytes a batch of stripes allocates (see _Stream._step; encode's
+# batch is every node's chunks).  A batch holds at least one stripe, so
+# its memory is this or one stripe's, whatever the file size.  Chosen by
+# paired runs (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
 _BATCH_BYTES = 8 << 20
 
 
@@ -123,35 +126,30 @@ class _Stream:
         self.blocked.update(plan.derived.values())
         return plan
 
-    def _step(self, own_out: bool) -> int:
+    def _step(self) -> int:
         """Stripes per batch under the current plan: the chunks a batch
         allocates per stripe are its reads, the chunks derived on the
-        way, and the output when it is not written in place."""
+        way, and the output."""
         p = self.plan
         per_stripe = len(p.reads) + len(set(p.derived) - set(self.targets)) \
-            + own_out * len(self.targets)
+            + len(self.targets)
         return max(1, _BATCH_BYTES // (per_stripe
                                        * self.manifest.params.chunk_size))
 
-    def batches(self, out: np.ndarray | None = None):
+    def batches(self):
         """Yield the targets of each batch of stripes in turn, as a
-        (stripes, len(targets), chunk_size) array: a slice of out, which
-        covers every stripe, or else of one buffer that the next batch
-        overwrites.  A plan made again mid-batch finishes that batch;
-        the batches after it are sized for the new plan.  An empty file
-        is one batch of no stripes, which still checks the planned
-        shard files' headers."""
+        (stripes, len(targets), chunk_size) array in one buffer that the
+        next batch overwrites.  A plan made again mid-batch finishes
+        that batch; the batches after it are sized for the new plan.  An
+        empty file is one batch of no stripes, which still checks the
+        planned shard files' headers."""
         stripes = self.manifest.stripe_count
-        own_out = out is None
-        if own_out:
-            out = np.empty((min(self._step(True), stripes), len(self.targets),
-                            self.manifest.params.chunk_size), dtype=np.uint8)
+        out = np.empty((min(self._step(), stripes), len(self.targets),
+                        self.manifest.params.chunk_size), dtype=np.uint8)
         start = 0
         with ShardReader(self.manifest, self.shard_dir) as reader:
             while True:
-                step = self._step(own_out)
-                stop = min(start + (min(step, len(out)) if own_out else step),
-                           stripes)
+                stop = min(start + min(self._step(), len(out)), stripes)
                 held: dict = {}
                 while todo := [c for c in self.plan.reads if c not in held]:
                     got, failed = reader.read_chunks(todo, start, stop)
@@ -164,8 +162,7 @@ class _Stream:
                             for c in failed))
                         self.available.difference_update(failed)
                         self.plan = self._plan()
-                batch = out[:stop - start] if own_out else out[start:stop]
-                yield run_plan(self.plan, held, batch)
+                yield run_plan(self.plan, held, out[:stop - start])
                 if stop == stripes:
                     return
                 start = stop
@@ -215,12 +212,17 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                 raise ParameterError(f"{input_file} changed size while read")
             digest.update(view)
 
-        array = encode_from(fill, size, params)
-        if fh.read(1):
-            raise ParameterError(f"{input_file} changed size while read")
-    manifest_path = write_coded_array(array, out, digest.hexdigest())
+        def file_digest() -> str:
+            if fh.read(1):
+                raise ParameterError(f"{input_file} changed size while read")
+            return digest.hexdigest()
+
+        step = max(1, _BATCH_BYTES // (n * (f + 1) * chunk_size))
+        manifest_path = write_shard_set(out, params, size,
+                                        encode_from(fill, size, params, step),
+                                        file_digest)
     click.echo(f"encoded {size} bytes into {n} shards "
-               f"({array.stripe_count} stripes) under {out}")
+               f"({-(-size // params.stripe_data_bytes)} stripes) under {out}")
     click.echo(f"manifest: {manifest_path}")
 
 
@@ -246,19 +248,18 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
         return
     stream = _Stream(manifest, shard_dir, layout(params).node_chunks(node),
                      node)
-    payload = np.empty((manifest.stripe_count, params.f + 1,
-                        params.chunk_size), dtype=np.uint8)
-    for _ in stream.batches(payload):
-        pass
-    mode = "look-up repair"
-    if stream.blocked:
-        blocked = sorted(stream.blocked)
-        click.echo("look-up repair blocked for "
-                   f"{', '.join(c.label(params.f) for c in blocked)}; "
-                   "falling back to reconstruction", err=True)
-        mode = "reconstruction fallback"
-    write_shard(shard_dir, params, node, manifest.file_size, payload,
-                manifest.shard_digests[node])
+    with ShardWriter(shard_dir, params, node, manifest.file_size,
+                     manifest.version) as writer:
+        for batch in stream.batches():
+            writer.write(batch)
+        mode = "look-up repair"
+        if stream.blocked:
+            blocked = sorted(stream.blocked)
+            click.echo("look-up repair blocked for "
+                       f"{', '.join(c.label(params.f) for c in blocked)}; "
+                       "falling back to reconstruction", err=True)
+            mode = "reconstruction fallback"
+        writer.seal(manifest.shard_digests[node])
     click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
                f"via {mode}; digest verified")
 

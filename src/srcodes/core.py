@@ -28,15 +28,17 @@ plans too (repair.node_plan).
 
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
-same in every stripe, so one plan serves a whole file, and callers may
-run it on a batch of stripes at a time.  encode_from, the one encode
-path, runs the plan for every node's chunks in place on one array.
+same in every stripe, so one plan serves a whole file, and callers run
+it on a batch of stripes at a time.  encode_from, the one encode path,
+runs the plan for every node's chunks in place on one batch buffer, so
+encode holds a batch of stripes, not the file's shards; encode, for
+the demos and tests, is the same path in one batch.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,40 +178,54 @@ def data_chunks(params: SrcParams) -> list[ChunkId]:
 
 
 def encode_from(fill: Callable[[np.ndarray], object], size: int,
-                params: SrcParams) -> CodedArray:
-    """Encode size input bytes into the n-node coded array.
+                params: SrcParams, step: int) -> Iterator[np.ndarray]:
+    """Encode size input bytes, step stripes at a time.
 
-    fill(view) must write the next len(view) input bytes into view or
-    raise.  It is called in file order with each data chunk's slot of
-    one zeroed (stripes, n*(f+1), chunk_size) array of every node's
-    slots, so padding stays zero; run_plan makes the other slots in
-    place, and each shard is a view of the array.
+    Yields each batch of stripes in turn, (stripes, n*(f+1),
+    chunk_size) with node i's f+1 slots from (i-1)*(f+1), in one buffer
+    that the next batch overwrites; an empty input is one batch of no
+    stripes.  fill(view) must write the next len(view) input bytes into
+    view or raise.  It is called in file order with each data chunk's
+    slot, cut at the end of the input, and the rest of a slot is zeroed;
+    run_plan, on the one plan, makes the other slots in place.
     """
-    n, f = params.n, params.f
     lay = layout(params)
-    targets = [c for node in range(1, n + 1) for c in lay.node_chunks(node)]
+    targets = [c for node in range(1, params.n + 1)
+               for c in lay.node_chunks(node)]
+    data = {c: targets.index(c) for c in data_chunks(params)}
+    plan = plan_chunks(params, data, targets)
+    cs = params.chunk_size
     stripes = -(-size // params.stripe_data_bytes)
-    coded = np.zeros((stripes, len(targets), params.chunk_size),
-                     dtype=np.uint8)
-    data = {c: coded[:, targets.index(c)] for c in data_chunks(params)}
-    views = (chunk[s] for s in range(stripes) for chunk in data.values())
-    for at, view in zip(range(0, size, params.chunk_size), views):
-        fill(view[:size - at])
-    run_plan(plan_chunks(params, data, targets), data, coded)
-    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
-              for node in range(1, n + 1)}
-    return CodedArray(params=params, stripe_count=stripes, file_size=size,
-                      shards=shards)
+    buf = np.empty((min(step, stripes), len(targets), cs), dtype=np.uint8)
+    at = 0
+    for start in range(0, max(stripes, 1), step):
+        batch = buf[:min(step, stripes - start)]
+        for stripe in batch:
+            for slot in data.values():
+                got = min(max(size - at, 0), cs)
+                if got:
+                    fill(stripe[slot, :got])
+                stripe[slot, got:] = 0
+                at += cs
+        yield run_plan(plan, {c: batch[:, slot] for c, slot in data.items()},
+                       batch)
 
 
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
-    """Encode a byte string into the n-node coded array (encode_from).
+    """Encode a byte string into the n-node coded array (encode_from,
+    in one batch).
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.
     """
-    return encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
-                       params)
+    stripes = -(-len(file_bytes) // params.stripe_data_bytes)
+    coded, = encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
+                         params, max(stripes, 1))
+    f = params.f
+    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
+              for node in range(1, params.n + 1)}
+    return CodedArray(params=params, stripe_count=stripes,
+                      file_size=len(file_bytes), shards=shards)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,26 @@
 """On-disk shard and manifest formats.
 
-One shard file per node (see docs/FORMATS.md for the bit-exact layout):
+One shard file per node (see docs/FORMATS.md for the bit-exact layout).
+Version 2, which encode writes:
 
     magic "SRCSHRD1" | u16 version | u16 node | u16 n | u16 k | u16 f |
     u16 reserved | u64 chunk_size | u64 stripe_count | u64 file_size |
-    crc32 per chunk (u32, stripe-major slot-minor) | raw chunks in the
-    same order
+    raw chunks, stripe-major slot-minor | crc32 per chunk (u32, same order)
 
-All integers little-endian.  Writing is deterministic: re-encoding the
-same file yields bit-identical shards, so a rebuilt shard can be checked
-against the manifest digest.  This module is the only one that reads or
-writes shard files.  write_shard is the one shard writer, from a
-node's payload array; every file goes through atomic_writer, so a crash
-never leaves a torn file under its real name.  ShardReader reads chunk
-slots out of shard files, only the ones asked for, a range of stripes
-at a time.
+Version 1 has the CRC table before the chunks; a v1 set stays readable
+and is repaired as v1.  All integers little-endian.  Writing is
+deterministic: re-encoding the same file yields bit-identical shards,
+so a rebuilt shard can be checked against the manifest digest.  This
+module is the only one that reads or writes shard files.  ShardWriter
+is the one shard writer: it takes a node's payload a batch of stripes
+at a time, so no writer holds a whole shard.  Every file goes through
+atomic_writer, so a crash never leaves a torn file under its real
+name.  ShardReader reads chunk slots out of shard files, only the ones
+asked for, a range of stripes at a time.
 
-The manifest is JSON with sorted keys: code parameters, the generator
-construction id (decoders rebuild the matrix from it), original file
-size and digest, and a digest per shard file.
+The manifest is JSON with sorted keys: the shard format version, code
+parameters, the generator construction id (decoders rebuild the matrix
+from it), original file size and digest, and a digest per shard file.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ import os
 import re
 import struct
 import zlib
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain
 from operator import index
 from pathlib import Path
 
@@ -43,11 +44,13 @@ from .errors import IntegrityError, ParameterError, ShapeError
 from .mds import CONSTRUCTION_ID
 
 MAGIC = b"SRCSHRD1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2            # what encode writes
+FORMAT_VERSIONS = (1, 2)      # what can be read and repaired
 MANIFEST_NAME = "manifest.json"
 DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+_WRITE_THREADS = 2   # shard files encode writes at once
 
 
 def shard_filename(node: int) -> str:
@@ -55,10 +58,21 @@ def shard_filename(node: int) -> str:
 
 
 def _header(params: SrcParams, node: int, stripe_count: int,
-            file_size: int) -> bytes:
-    return _HEADER.pack(MAGIC, FORMAT_VERSION, node, params.n, params.k,
+            file_size: int, version: int) -> bytes:
+    return _HEADER.pack(MAGIC, version, node, params.n, params.k,
                         params.f, 0, params.chunk_size, stripe_count,
                         file_size)
+
+
+def _offsets(params: SrcParams, stripe_count: int,
+             version: int) -> tuple[int, int]:
+    """Where a shard file's payload and its CRC table start: v1 has the
+    table first, v2 the payload."""
+    table_b = 4 * stripe_count * (params.f + 1)
+    payload_b = stripe_count * (params.f + 1) * params.chunk_size
+    if version == 1:
+        return _HEADER.size + table_b, _HEADER.size
+    return _HEADER.size, _HEADER.size + payload_b
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,7 @@ class Manifest:
     stripe_count: int
     file_digest: str
     shard_digests: dict[int, str]   # node -> sha256 of the shard file
+    version: int = FORMAT_VERSION   # of the shard files
 
     def shard_path(self, directory: Path, node: int) -> Path:
         return Path(directory) / shard_filename(node)
@@ -76,7 +91,7 @@ class Manifest:
     def to_json(self) -> str:
         doc = {
             "format": "src-manifest",
-            "version": FORMAT_VERSION,
+            "version": self.version,
             "params": {"n": self.params.n, "k": self.params.k,
                        "f": self.params.f,
                        "chunk_size": self.params.chunk_size},
@@ -92,17 +107,19 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Manifest":
-        """Parse a manifest.  Malformed JSON, a missing key, a value of
-        the wrong type, shards not keyed exactly 1..n, a digest that is
-        not 64 lowercase hex characters, a negative file_size or a
-        stripe_count that does not fit file_size raises IntegrityError."""
+        """Parse a manifest.  Malformed JSON, a version other than 1 or
+        2, a missing key, a value of the wrong type, shards not keyed
+        exactly 1..n, a digest that is not 64 lowercase hex characters,
+        a negative file_size or a stripe_count that does not fit
+        file_size raises IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
                 raise IntegrityError("not a shard manifest")
-            if doc.get("version") != FORMAT_VERSION:
+            version = doc.get("version")
+            if type(version) is not int or version not in FORMAT_VERSIONS:
                 raise IntegrityError(
-                    f"unsupported manifest version {doc.get('version')}")
+                    f"unsupported manifest version {version}")
             if doc.get("generator") != CONSTRUCTION_ID:
                 raise IntegrityError(
                     f"unknown generator construction {doc.get('generator')!r}")
@@ -138,6 +155,7 @@ class Manifest:
                 stripe_count=stripe_count,
                 file_digest=doc["file_digest"],
                 shard_digests=digests,
+                version=version,
             )
         except ParameterError:   # a ValueError, but a usage error (exit 2)
             raise
@@ -165,53 +183,151 @@ def atomic_writer(path: Path) -> Iterator:
         raise
 
 
-def write_shard(directory: Path, params: SrcParams, node: int,
-                file_size: int, payload: np.ndarray,
-                digest: str | None = None) -> str:
-    """Write one node's shard file from its payload, (stripes, f+1,
-    chunk_size), which may be a strided view, and return the file's
-    sha256.  The parts are hashed as they are written, never assembled
-    in memory.  A rebuilt shard passes the manifest's digest; if the
-    file does not match it, IntegrityError is raised and no file is
-    left."""
-    stripes = -(-file_size // params.stripe_data_bytes)
-    if payload.shape != (stripes, params.f + 1, params.chunk_size):
-        raise ShapeError(f"shard shape {payload.shape} does not match params")
-    table = np.fromiter((zlib.crc32(chunk) for rows in payload
-                         for chunk in rows), dtype="<u4")
-    sha = hashlib.sha256()
-    with atomic_writer(Path(directory) / shard_filename(node)) as fh:
-        for part in chain([_header(params, node, stripes, file_size), table],
-                          map(np.ascontiguousarray, payload)):
-            sha.update(part)
-            fh.write(part)
-        if digest is not None and sha.hexdigest() != digest:
-            raise IntegrityError(f"rebuilt shard for node {node} does not "
-                                 "match the manifest digest")
-    return sha.hexdigest()
+class ShardWriter:
+    """Writes one node's shard file, a batch of stripes at a time.
+
+    write() appends the node's rows of the next stripes, (stripes, f+1,
+    chunk_size), which may be a strided view; seal() adds the parts only
+    the whole payload gives, checks the digest if one is given, and
+    returns the file's sha256.  The file takes its name when the
+    writer's with block ends; on an error, a wrong digest included, no
+    file is left.
+
+    A v2 file is written in file order (header, payload, CRC table) and
+    hashed as it is written.  A v1 file has its table before the
+    payload: the payload goes to its offset as it comes, the header and
+    table at seal(), and the digest is then taken by reading the
+    temporary file back.  Only repairs of v1 sets pay that read.
+    """
+
+    def __init__(self, directory: Path, params: SrcParams, node: int,
+                 file_size: int, version: int = FORMAT_VERSION):
+        self.params, self.node, self.version = params, node, version
+        self.stripes = -(-file_size // params.stripe_data_bytes)
+        self._head = _header(params, node, self.stripes, file_size, version)
+        self._crcs = np.empty(self.stripes * (params.f + 1), dtype="<u4")
+        self._chunks = 0   # written so far
+        self._sha = hashlib.sha256()
+        self._stack = ExitStack()
+        self._fh = self._stack.enter_context(
+            atomic_writer(Path(directory) / shard_filename(node)))
+        if version == 1:
+            self._fh.seek(_offsets(params, self.stripes, version)[0])
+        else:
+            self._put(self._head)
+
+    def __enter__(self) -> "ShardWriter":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return self._stack.__exit__(*exc)
+
+    def _put(self, part) -> None:
+        if self.version != 1:
+            self._sha.update(part)
+        self._fh.write(part)
+
+    def write(self, rows: np.ndarray) -> None:
+        p = self.params
+        if rows.shape[1:] != (p.f + 1, p.chunk_size) or \
+                self._chunks + rows.size // p.chunk_size > self._crcs.size:
+            raise ShapeError(f"shard rows {rows.shape} do not match params")
+        for stripe in map(np.ascontiguousarray, rows):
+            for chunk in stripe:
+                self._crcs[self._chunks] = zlib.crc32(chunk)
+                self._chunks += 1
+            self._put(stripe)
+
+    def seal(self, digest: str | None = None) -> str:
+        p = self.params
+        if self._chunks != self._crcs.size:
+            raise ShapeError(f"shard of node {self.node} has "
+                             f"{self._chunks // (p.f + 1)} stripes, "
+                             f"expected {self.stripes}")
+        if self.version == 1:
+            self._fh.seek(0)
+            self._fh.write(self._head)
+            self._fh.write(self._crcs)
+            self._fh.flush()
+            with open(self._fh.name, "rb") as back:
+                while block := back.read(1 << 20):
+                    self._sha.update(block)
+        else:
+            self._put(self._crcs)
+        if digest is not None and self._sha.hexdigest() != digest:
+            raise IntegrityError(f"rebuilt shard for node {self.node} does "
+                                 "not match the manifest digest")
+        return self._sha.hexdigest()
 
 
-def write_coded_array(array: CodedArray, directory: Path,
-                      file_digest: str) -> Path:
-    """Write one shard file per node plus the manifest; returns the
-    manifest path.  file_digest is the sha256 of the original file."""
+def write_shard_set(directory: Path, params: SrcParams, file_size: int,
+                    batches: Iterable[np.ndarray],
+                    file_digest: Callable[[], str]) -> Path:
+    """Write a coded file's n shard files and its manifest; returns the
+    manifest path.
+
+    batches yields the coded stripes in order, each batch (stripes,
+    n*(f+1), chunk_size) with node i's f+1 slots from (i-1)*(f+1); each
+    node's rows go to its file as they come, so no more than a batch is
+    held.  file_digest() is called once the last batch is written and
+    gives the original file's sha256.  The shard files take their names
+    in node order once every one is sealed, then the manifest is
+    written; an error before that leaves no new file, and removes the
+    directory if this call made it.
+    """
+    from concurrent.futures import ThreadPoolExecutor   # only encode needs it
+
     directory = Path(directory)
+    made = [d for d in (directory, *directory.parents) if not d.exists()]
     directory.mkdir(parents=True, exist_ok=True)
-    digests = {node: write_shard(directory, array.params, node,
-                                 array.file_size, shard)
-               for node, shard in sorted(array.shards.items())}
+    width = params.f + 1
+    try:
+        with ExitStack() as stack:
+            # entered last node first, so the files replace in node order
+            writers = [stack.enter_context(ShardWriter(
+                directory, params, node, file_size))
+                for node in range(params.n, 0, -1)][::-1]
+            # hashlib, zlib and file writes release the GIL, so nodes'
+            # files are written in parallel; no span-wrapped (public
+            # module-level) function runs off the main thread
+            with ThreadPoolExecutor(_WRITE_THREADS) as pool:
+                for batch in batches:
+                    for _ in pool.map(ShardWriter.write, writers, (
+                            batch[:, i * width:(i + 1) * width]
+                            for i in range(params.n))):
+                        pass
+            file_sha = file_digest()
+            digests = {w.node: w.seal() for w in writers}
+    except BaseException:
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
+        raise
     manifest = Manifest(
-        params=array.params,
+        params=params,
         generator=CONSTRUCTION_ID,
-        file_size=array.file_size,
-        stripe_count=array.stripe_count,
-        file_digest=file_digest,
+        file_size=file_size,
+        stripe_count=-(-file_size // params.stripe_data_bytes),
+        file_digest=file_sha,
         shard_digests=digests,
     )
     manifest_path = directory / MANIFEST_NAME
     with atomic_writer(manifest_path) as fh:
         fh.write(manifest.to_json().encode())
     return manifest_path
+
+
+def write_coded_array(array: CodedArray, directory: Path,
+                      file_digest: str) -> Path:
+    """Write one shard file per node plus the manifest (write_shard_set,
+    a stripe at a time); returns the manifest path.  file_digest is the
+    sha256 of the original file."""
+    nodes = range(1, array.params.n + 1)
+    stripes = (np.concatenate([array.shards[node][s:s + 1] for node in nodes],
+                              axis=1)
+               for s in range(array.stripe_count))
+    return write_shard_set(directory, array.params, array.file_size,
+                           stripes, lambda: file_digest)
 
 
 def load_manifest(path: Path) -> Manifest:
@@ -224,25 +340,26 @@ class ShardReader:
 
     A shard file is opened on the first read of one of its chunks, and
     checked then, once: its length and its 44-byte header must equal,
-    byte for byte, what the manifest implies, and its CRC table is read.
-    Each read_chunks call then reads only the wanted slots of the asked
-    stripes, with os.preadv straight into preallocated arrays,
-    neighbouring slots in one call (also across a stripe boundary), and
-    checks each chunk read against its CRC-32.  Nothing else of the file
-    is read, so the whole-shard digest is not checked here.  The files
-    close when the reader's with block ends.
+    byte for byte, what the manifest implies (the version included), and
+    its CRC table is read.  Each read_chunks call then reads only the
+    wanted slots of the asked stripes, with os.preadv straight into
+    preallocated arrays, neighbouring slots in one call (also across a
+    stripe boundary), and checks each chunk read against its CRC-32.
+    Nothing else of the file is read, so the whole-shard digest is not
+    checked here.  The files close when the reader's with block ends.
     """
 
     def __init__(self, manifest: Manifest, directory: Path):
         self.manifest = manifest
         self.directory = Path(directory)
-        self._open: dict[int, tuple[int, np.ndarray]] = {}  # node -> fd, CRCs
+        # node -> fd, CRC table, payload offset
+        self._open: dict[int, tuple[int, np.ndarray, int]] = {}
 
     def __enter__(self) -> "ShardReader":
         return self
 
     def __exit__(self, *exc) -> None:
-        for fd, _ in self._open.values():
+        for fd, _, _ in self._open.values():
             os.close(fd)
         self._open.clear()
 
@@ -283,35 +400,36 @@ class ShardReader:
             chunks.update((c, got[c]) for c in ids if c not in bad)
         return chunks, failed
 
-    def _shard(self, node: int) -> tuple[int, np.ndarray]:
-        """The open file of a shard and its CRC table, (stripe_count,
-        f+1); IntegrityError if its length or header is not the
-        manifest's."""
+    def _shard(self, node: int) -> tuple[int, np.ndarray, int]:
+        """The open file of a shard, its CRC table, (stripe_count, f+1),
+        and where its payload starts; IntegrityError if its length or
+        header is not the manifest's."""
         if node in self._open:
             return self._open[node]
-        p, stripes = self.manifest.params, self.manifest.stripe_count
+        m = self.manifest
+        p, stripes = m.params, m.stripe_count
         name = shard_filename(node)
-        crc_end = _HEADER.size + 4 * stripes * (p.f + 1)
-        expected = crc_end + stripes * (p.f + 1) * p.chunk_size
-        fd = os.open(self.manifest.shard_path(self.directory, node),
-                     os.O_RDONLY)
+        payload_at, table_at = _offsets(p, stripes, m.version)
+        table_b = 4 * stripes * (p.f + 1)
+        expected = _HEADER.size + table_b + stripes * (p.f + 1) * p.chunk_size
+        fd = os.open(m.shard_path(self.directory, node), os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
             if size != expected:
                 raise IntegrityError(
                     f"shard {name} is {size} bytes, expected {expected}")
-            head = os.pread(fd, crc_end, 0)
-            if len(head) != crc_end:
+            head = os.pread(fd, _HEADER.size, 0)
+            table = os.pread(fd, table_b, table_at)
+            if len(head) + len(table) != _HEADER.size + table_b:
                 raise IntegrityError(f"shard {name} shrank while read")
-            if head[:_HEADER.size] != _header(p, node, stripes,
-                                               self.manifest.file_size):
+            if head != _header(p, node, stripes, m.file_size, m.version):
                 raise IntegrityError(
                     f"shard {name} header disagrees with manifest")
         except BaseException:
             os.close(fd)
             raise
-        table = np.frombuffer(head, dtype="<u4", offset=_HEADER.size)
-        self._open[node] = fd, table.reshape(stripes, p.f + 1)
+        crcs = np.frombuffer(table, dtype="<u4").reshape(stripes, p.f + 1)
+        self._open[node] = fd, crcs, payload_at
         return self._open[node]
 
     def _read_slots(self, node: int, ids: list[ChunkId], start: int,
@@ -319,10 +437,9 @@ class ShardReader:
                     ) -> tuple[dict[ChunkId, np.ndarray], np.ndarray]:
         """One shard file's wanted chunks of stripes start to stop, and
         the CRC table rows of those stripes."""
-        fd, table = self._shard(node)
+        fd, table, payload_at = self._shard(node)
         p = self.manifest.params
         slots = layout(p).node_chunks(node)
-        crc_end = _HEADER.size + table.nbytes
         got = {c: np.empty((stop - start, p.chunk_size), dtype=np.uint8)
                for c in ids}
         # payload positions in file order; neighbours share one preadv
@@ -337,7 +454,7 @@ class ShardReader:
                 runs.append([pos])
         for run in runs:
             if os.preadv(fd, [got[c][i] for _, i, c in run],
-                         crc_end + run[0][0] * p.chunk_size) \
+                         payload_at + run[0][0] * p.chunk_size) \
                     != len(run) * p.chunk_size:
                 raise IntegrityError(
                     f"shard {shard_filename(node)} shrank while read")

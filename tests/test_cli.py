@@ -15,8 +15,8 @@ from srcodes.cli import main
 from srcodes.core import SrcParams, data_chunks, layout, plan_chunks
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
-HEADER_B = 44
-RESERVED_AT = 18   # the header's reserved u16 (docs/FORMATS.md)
+from shard_files import (HEADER_B, RESERVED_AT, counter_input, slot_at,
+                         table_at, table_bytes)
 
 
 @pytest.fixture
@@ -49,12 +49,6 @@ def _flip_byte(path, at):
     blob = bytearray(path.read_bytes())
     blob[at] ^= 0xFF
     path.write_bytes(bytes(blob))
-
-
-def _slot_at(p, stripes, stripe, slot):
-    """Offset of the first byte of one chunk slot in a shard file."""
-    crc_end = HEADER_B + 4 * stripes * (p.f + 1)
-    return crc_end + (stripe * (p.f + 1) + slot) * p.chunk_size
 
 
 def _stripes(p, size):
@@ -161,51 +155,44 @@ def test_encode_empty_file(runner, tmp_path):
     assert dest.read_bytes() == b""
 
 
-def _hashed_input(size):
-    """size bytes of SHA-256 output, counter mode: fixed however numpy's
-    random streams change."""
-    blocks = (hashlib.sha256(i.to_bytes(4, "little")).digest()
-              for i in range(-(-size // 32)))
-    return b"".join(blocks)[:size]
-
-
-# the SHA-256 of every file `srcodes encode` writes, manifest last
+# the SHA-256 of every file `srcodes encode` writes, manifest last: format
+# v2 (the v1 digests of the same inputs are pinned in test_v1_fixture)
 GOLDEN_ENCODE = {
     (4, 2, 2, 4096, 50_000): [
-        "4bb8a66085d0d558bbed36c8f376116a3c185bb5b981e8955454e1e133a82d40",
-        "3c4e4568455ed1ba0256efc0e5934f5ff8c850f65369eb0a318b08940ee73145",
-        "3086e93e090c909e5cd255fb9e3a5c394cb1d894877ad13bf08603200d9fdbbe",
-        "e9833bc7492a6e4f57cea0cdd2da17cbf6034a9a9c2e8847b1b6f0823f00bdb6",
-        "977bcd7596d3ce86195127144ae513f92f03b49793b86f85e1d187db3ff88c32",
+        "a0e04bc75d9b2b90eaa1f6db4941e3cac6aa37c8bd9618e337f227e2ef3de971",
+        "f3587d3a116d0f702d9c4b8e690c54dd9dbd3602287a11558c8e651d9a3c235d",
+        "9bc1441845df0744b97075a685a0f0c9baab33a3fb0325706135ac4a566e2f10",
+        "eed7b1caae90a8fbd4ca6ccef40c6c179f60564848058645da602cee5e74f7ef",
+        "e358a03e43c793d8c3164bf3d488e234236cb43426d4940d6cb1b72f917f9f39",
     ],
     # odd chunks (the 8-bit kernel path) and a partial last stripe
     (5, 3, 3, 1023, 30_000): [
-        "f8e8247cea064dd3b32f8a8ba9b8a49b9c5b94f36a5e69882f5d9b513bd53a4b",
-        "a56666df8647f88a4d5d48ba5c5179f6cac5217454d5bde399610168308598e6",
-        "cf285d644525ca048202f1b99e9798a8887fafc89ff61067519220d568f1764e",
-        "3c351afa6993bea563ae03ae0de18d601c6651e23967033b9c414dfd1cb03f23",
-        "f7231844594723db9c1bedbe20af1837e7b5514d0d04ed1de7fc09249a2bf0f8",
-        "34822c4e52dbf91fa56f74ff9c3c3d25fc0c8322521ad434258d673b7eb1f688",
+        "e8d8a016fe74edd2d6a97649eb120a915ad2b399ddf0831ed12e2b0a1c0ebeab",
+        "f45871309401656de148a34eff4a432c69168315f20f08b1266989b1d7d39feb",
+        "14b9be702a2ddfc13dbe481df076c87a83d577abd9df8150aae908d1d9e82d5b",
+        "a64d0eabc52007c109db3d3f7ca0f10ec24496f654f97cd0b8545e4c8193eef0",
+        "c012ec6dcebc7e70ee1fa3d0a2e22768b9aeb19c3719cfc16c1690c7d5830b10",
+        "7f651922cdc347a97a18ef0fbc6d4221da079efdbe540d560517bf4ac8730c4d",
     ],
     (10, 6, 2, 4096, 100_000): [
-        "e13100a8f4cb06962cf24453d944d95570e74de9ef7ff4375f7e2fb974214dbf",
-        "495c05f476d7cd4119e9ef8e02ee927b8284061926a32c875142557af98cb36b",
-        "d65dc82b136128b2d31a06843b386b920c589eef01c4da740fef31ed4ae0b26f",
-        "a4bbfc08e0e5eca1c700cd8bfb893b3e6a5ddd06af7d57d34187ba5618c6dd96",
-        "1b6da662ea1b9a73c6ee9754dd1c689e54937766c48a521987d1e41cbc7615df",
-        "85fd090b039eb39cc200a2167c5fa8a9a4c318f9afd2d63f5292eff834c2f9d7",
-        "e73f86875ec0a3850aa9e31f0b597e4abca9656e89d2208b2b2de789fe0b3c4c",
-        "80ef8c7b2284454b3c4b7cd5bfdf1f676b3d1474cda417c476b25ad27513c1e8",
-        "d21e29092c2772e7d2b1d907fb2c811cacff420f3a8b8cae2571b708aa6dece5",
-        "d8ac86aa40111f913f64670b5ee4718971e810f7dd8aeff6aedc649f2c6afc98",
-        "0b4917e54801fa55e04288c36d1eebb9bbdc905ab28d022e52fb37e36d227512",
+        "5944b225b1128bec8948f19d030f3b3f58fe2cab31618a326e80d4e94ab23110",
+        "d06df13fd88a30c6d28d30e7a34f77534d0246fac00c2993780147a372d15d42",
+        "9001a85a40523e077898b0742d325b2eac0b70b059dc5aa152cdfadc429aad60",
+        "912932a0be96595992e7b7bd4dc1ffb433b752c4fb724c812145ecfd5d2f6f44",
+        "03a2696860564cb2cf0feb35f7695661a7e6300815426dda67d9da71497cdf2b",
+        "f057e1d1de0cbb32fc76734885ba12b14d3a31dcdcbf179fa9d59da04f645d05",
+        "09715ac4750deb10f372775990bc927a3fa8a28dc954b8f583dfb13b98a2bd31",
+        "0c737ebf28d630b499cce0c96b58bc59e450136bfa829898022bc5f97ebf5193",
+        "36dc01e4bda5a6b9d9928f7975c47ececa336972a03bfb7c0c918b644d2884a5",
+        "fa8b03e6c3e8bb0caa89fbeac7ea9a55482ebcbd375ff5d54c970fd668041f06",
+        "6917ecea3f22f2f55c05b8bb3c30ff7186816c19921a4cf2945e7e4f4f91a982",
     ],
     (4, 2, 2, 4096, 0): [
-        "dc6595b6d9b32d911da19f798f628c1f674c9972eaf7c41369885ceb0289095e",
-        "aa11d1ff73ef4d6b8900c209d8da583f2757cebb9a14f0cfd3a8773fe4508e8c",
-        "1da26cfd3a1036689f0be4ca8176156c9c87a1fc985f6de6e703b8213e35da13",
-        "6ec29ef2a75d28f9cf890b4e62c08ea3ef97cd0f5233bf11efa0147d4d489b12",
-        "5ed4082a431ec07238195a93729c7a7e16ed89f6bd93f6f428503b82e75d0884",
+        "42f0ebbb793e1b7a30e94f47865c55ece4bf9f89b247265481fb85141477d6fd",
+        "074bc3cdc2266597214b0d6e49024e555ff425f803d96eb8003d365ec6d167d0",
+        "22425ef61d66d411d8ccb039c5d44d018120acdc50626a8698accfe2a03a9d55",
+        "693a0adda7a37eab636918aab345252be15eca89ffcad64df5ae3e2a516c236d",
+        "a620f0c550d69667b2614eebf500cdad7a8394d3ac9aef803a8303937771d6b9",
     ],
 }
 
@@ -213,7 +200,7 @@ GOLDEN_ENCODE = {
 @pytest.mark.parametrize("n,k,f,chunk,size", GOLDEN_ENCODE)
 def test_encode_golden_digests(runner, tmp_path, n, k, f, chunk, size):
     src = tmp_path / "input.bin"
-    src.write_bytes(_hashed_input(size))
+    src.write_bytes(counter_input(size))
     out = tmp_path / "shards"
     res = runner.invoke(main, ["encode", str(src), "--n", str(n), "--k", str(k),
                                "--f", str(f), "--chunk-size", str(chunk),
@@ -421,7 +408,7 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
     stripes = _stripes(p, 60_000)
     bad = min(_lookup(p, 3)[1])
     assert layout(p).node_chunks(bad)[2].label(2) == "parity[3]"
-    _flip_byte(out / shard_filename(bad), _slot_at(p, stripes, stripes - 1, 2))
+    _flip_byte(out / shard_filename(bad), slot_at(p, stripes, stripes - 1, 2))
     res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
                                "--shards", str(out), "--node", "3"])
     assert res.exit_code == 0, res.output
@@ -479,7 +466,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=30_000,
                         chunk=512)
     stripes = _stripes(p, 30_000)
-    head = HEADER_B + 4 * stripes * (f + 1)   # header and CRC table
+    head = HEADER_B + table_bytes(p, stripes)   # header and CRC table
     lay = layout(p)
     manifest = str(out / MANIFEST_NAME)
     if batch_bytes is not None:   # one stripe per batch
@@ -539,7 +526,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     at = lay.chunk_location(helper)
     (out / shard_filename(node)).unlink()
     _flip_byte(out / shard_filename(at),
-               _slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
+               slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
     calls.clear()
     nbytes.clear()
     res = runner.invoke(main, ["repair", "--manifest", manifest,
@@ -559,7 +546,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     # the plan that derives around it in one call (flipping the byte
     # back first restores the corrupt helper)
     _flip_byte(out / shard_filename(at),
-               _slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
+               slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
     (out / shard_filename(node)).unlink()
     gone = min(helper_nodes)
     (out / shard_filename(gone)).unlink()
@@ -576,12 +563,14 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
 
 
 def test_decode_reads_no_parity_slot(runner, tmp_path, monkeypatch):
-    # the last byte of every shard is the parity slot of its last stripe:
-    # a healthy decode never reads it, so no shard is skipped
+    # the last payload byte of every shard is in the parity slot of its
+    # last stripe: a healthy decode never reads it, so no shard is skipped
     _, data, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=60_000,
                            chunk=1024)
+    p = SrcParams(10, 6, 2, 1024)
     for node in range(1, 11):
-        _flip_byte(out / shard_filename(node), -1)
+        _flip_byte(out / shard_filename(node),
+                   table_at(p, _stripes(p, 60_000)) - 1)
     calls, _ = _count_reads(monkeypatch)
     dest = tmp_path / "y.bin"
     res = _decode(runner, out, dest)
@@ -753,6 +742,27 @@ def test_malformed_manifest_exit_4(runner, tmp_path, edit):
         assert "malformed manifest" in res.output
     assert not (tmp_path / "y.bin").exists()
     assert not (out / shard_filename(5)).exists()
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", 2.0, None])
+def test_manifest_version_other_than_1_or_2_exit_4(runner, tmp_path,
+                                                    version):
+    # encode writes version 2; test_v1_fixture reads a version 1 set
+    _, _, out = _encode(runner, tmp_path)
+    manifest = out / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    assert doc["version"] == 2
+    doc["version"] = version
+    manifest.write_text(json.dumps(doc))
+    (out / shard_filename(1)).unlink()
+    for args in (["decode", "--out", str(tmp_path / "y.bin")],
+                 ["repair", "--node", "1"]):
+        res = runner.invoke(main, args + ["--manifest", str(manifest),
+                                          "--shards", str(out)])
+        assert (res.exit_code, res.stderr) == (
+            4, f"error: unsupported manifest version {version}\n")
+    assert not (tmp_path / "y.bin").exists()
+    assert not (out / shard_filename(1)).exists()
 
 
 def test_decode_without_systematic_nodes(runner, tmp_path):

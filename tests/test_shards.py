@@ -6,8 +6,10 @@ import pytest
 
 from srcodes.core import SrcParams, encode, layout
 from srcodes.errors import IntegrityError, ShapeError
-from srcodes.shards import (Manifest, ShardReader, load_manifest,
-                            shard_filename, write_coded_array, write_shard)
+from srcodes.shards import (Manifest, ShardReader, ShardWriter,
+                            load_manifest, shard_filename, write_coded_array)
+
+from shard_files import HEADER_B, shard_bytes, slot_at, table_bytes
 
 
 def read_chunks(manifest, directory, wanted, start=0, stop=None):
@@ -40,10 +42,16 @@ def test_shard_round_trip(tmp_path):
     assert np.array_equal(shard, arr.shards[2])
 
 
+def _write_shard(directory, arr, node, payload, digest=None):
+    """One node's shard file from its whole payload; its sha256."""
+    with ShardWriter(directory, arr.params, node, arr.file_size) as writer:
+        writer.write(payload)
+        return writer.seal(digest)
+
+
 def _written_shard(directory, arr, node, payload, digest=None):
     directory.mkdir(exist_ok=True)
-    sha = write_shard(directory, arr.params, node, arr.file_size, payload,
-                      digest)
+    sha = _write_shard(directory, arr, node, payload, digest)
     return sha, (directory / shard_filename(node)).read_bytes()
 
 
@@ -72,15 +80,14 @@ def test_shard_rejects_wrong_shape(tmp_path):
     shard = arr.shards[1]
     for bad in (shard[:-1], shard[:, :-1], shard[..., :-1], shard[0]):
         with pytest.raises(ShapeError):
-            write_shard(tmp_path, arr.params, 1, arr.file_size, bad)
+            _write_shard(tmp_path, arr, 1, bad)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_write_shard_refuses_a_wrong_digest(tmp_path):
     _, arr = _array()
     with pytest.raises(IntegrityError, match="node 1 does not match"):
-        write_shard(tmp_path, arr.params, 1, arr.file_size, arr.shards[1],
-                    "00" * 32)
+        _write_shard(tmp_path, arr, 1, arr.shards[1], "00" * 32)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -139,7 +146,7 @@ def test_shard_file_size_matches_stripe_math(tmp_path):
     write_coded_array(arr, tmp_path, file_digest="cd" * 32)
     stripes = arr.stripe_count
     assert stripes == -(-(1 << 20) // params.stripe_data_bytes)
-    expect = 44 + 4 * stripes * 3 + stripes * 3 * 4096
+    expect = shard_bytes(params, stripes)
     for node in range(1, 5):
         assert (tmp_path / shard_filename(node)).stat().st_size == expect
     # stored bytes relate to the padded file by (f+1)n / (fk)
@@ -205,10 +212,9 @@ def test_read_chunks_skips_shard_with_flipped_reserved_byte(tmp_path):
 def test_read_chunks_drops_a_chunk_failing_its_crc(tmp_path):
     arr, manifest = _written(tmp_path)
     lay = layout(arr.params)
-    stripes, cs = arr.stripe_count, arr.params.chunk_size
-    crc_end = 44 + 4 * stripes * 3
     # the middle slot of node 2, last stripe
-    _flip(tmp_path / shard_filename(2), crc_end + ((stripes - 1) * 3 + 1) * cs)
+    _flip(tmp_path / shard_filename(2),
+          slot_at(arr.params, arr.stripe_count, arr.stripe_count - 1, 1))
     chunks, failed = read_chunks(manifest, tmp_path, lay.node_chunks(2))
     bad = lay.node_chunks(2)[1]
     assert list(failed) == [bad]
@@ -245,16 +251,16 @@ def test_read_chunks_reads_a_stripe_range_header_once(tmp_path, monkeypatch):
     arr, manifest = _written(tmp_path, size=4 * SrcParams(5, 2, 2, 32)
                              .stripe_data_bytes)
     lay = layout(arr.params)
-    stripes, cs = arr.stripe_count, arr.params.chunk_size
-    crc_end = 44 + 4 * stripes * 3
-    _flip(tmp_path / shard_filename(2), crc_end + 3 * 3 * cs)   # stripe 3
+    stripes = arr.stripe_count
+    _flip(tmp_path / shard_filename(2), slot_at(arr.params, stripes, 3, 0))
     opened = []
     monkeypatch.setattr(os, "pread", lambda fd, size, at, pread=os.pread:
                         opened.append(size) or pread(fd, size, at))
     with ShardReader(manifest, tmp_path) as reader:
         chunks, failed = reader.read_chunks(lay.node_chunks(2), 1, 3)
         again, _ = reader.read_chunks(lay.node_chunks(2)[:1], 0, 1)
-    assert failed == {} and opened == [crc_end]
+    assert failed == {} and opened == [HEADER_B,
+                                       table_bytes(arr.params, stripes)]
     for slot, c in enumerate(lay.node_chunks(2)):
         assert np.array_equal(chunks[c], arr.shards[2][1:3, slot])
     assert np.array_equal(again[lay.node_chunks(2)[0]], arr.shards[2][:1, 0])

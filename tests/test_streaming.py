@@ -1,11 +1,12 @@
-"""decode and repair stream: one plan, a batch of stripes at a time.
+"""encode, decode and repair stream: one plan, a batch of stripes at a
+time.
 
-Their memory must not grow with the file beyond what they write (repair
-holds the one shard it rebuilds; encode holds its shards and nothing
-more), and a chunk that fails its CRC-32 in a late batch must be handled
-as in an early one: dropped, named once on stderr, planned around, or
-exit 4 with no output left behind.  Most cases force one stripe per
-batch so that a small file spans many.
+Their memory must not grow with the file: encode and repair write each
+batch as they make it, and decode hashes and writes each as it goes.  A
+chunk that fails its CRC-32 in a late batch must be handled as in an
+early one: dropped, named once on stderr, planned around, or exit 4 with
+no output left behind.  Most cases force one stripe per batch so that a
+small file spans many.
 """
 
 import tracemalloc
@@ -19,7 +20,8 @@ from srcodes.cli import main
 from srcodes.core import SrcParams
 from srcodes.shards import MANIFEST_NAME, shard_filename
 
-HEADER_B = 44
+from shard_files import slot_at
+
 P = SrcParams(10, 6, 2, 4096)
 
 
@@ -51,8 +53,7 @@ def _stripes(size):
 
 def _flip(path, stripes, stripe, slot):
     blob = bytearray(path.read_bytes())
-    blob[HEADER_B + 4 * stripes * (P.f + 1)
-         + (stripe * (P.f + 1) + slot) * P.chunk_size] ^= 0xFF
+    blob[slot_at(P, stripes, stripe, slot)] ^= 0xFF
     path.write_bytes(bytes(blob))
 
 
@@ -81,38 +82,33 @@ def _peak(run):
 
 def test_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
     # a 256 KiB budget is two or three stripes of 4 KiB chunks: a 2 MiB
-    # and an 8 MiB file must peak alike, apart from the rebuilt shard
+    # and an 8 MiB file must peak alike
     monkeypatch.setattr(cli, "_BATCH_BYTES", 256 << 10)
-    decode_peak, repair_peak, shard = {}, {}, {}
+    decode_peak, repair_peak = {}, {}
     for size in (2 << 20, 8 << 20):
         _, out = _encode(tmp_path, size, f"f{size}")
         decode_peak[size] = _peak(lambda: _decode(out, tmp_path / "y.bin"))
         # node 4 with its helper node 5 missing: the reconstruction fallback
-        lost = out / shard_filename(4)
-        shard[size] = lost.stat().st_size
-        lost.unlink()
+        (out / shard_filename(4)).unlink()
         (out / shard_filename(5)).unlink()
         repair_peak[size] = _peak(lambda: _repair(out, 4))
     small, large = sorted(decode_peak)
     assert decode_peak[large] - decode_peak[small] < 256 << 10
-    assert repair_peak[large] - repair_peak[small] \
-        < shard[large] - shard[small] + (256 << 10)
+    assert repair_peak[large] - repair_peak[small] < 256 << 10
 
 
-def test_encode_memory_is_its_shards(tmp_path):
-    # encode holds every shard, which the v1 digest order needs (the CRC
-    # table comes before the payload), but neither the input nor a
-    # second copy of a shard: past the shards, 2 and 8 MiB peak alike.
-    # A first encode makes what a process makes once, such as the
-    # generator cache and the GF kernel's per-thread blocks.
+def test_encode_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # encode holds one batch of every node's stripes, neither the input
+    # nor a shard.  A first encode makes what a process makes once, such
+    # as the generator cache and the GF kernel's per-thread blocks.
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 256 << 10)
     _encode(tmp_path, 100_000, "warm")
-    excess = {}
+    peak = {}
     for size in (2 << 20, 8 << 20):
         _, src = _input(tmp_path, size, f"f{size}")
-        peak = _peak(lambda: _run_encode(src, tmp_path / f"f{size}"))
-        excess[size] = peak - _stripes(size) * P.n * (P.f + 1) * P.chunk_size
-    small, large = sorted(excess)
-    assert abs(excess[large] - excess[small]) < 256 << 10
+        peak[size] = _peak(lambda: _run_encode(src, tmp_path / f"f{size}"))
+    small, large = sorted(peak)
+    assert peak[large] - peak[small] < 256 << 10
 
 
 @pytest.fixture
@@ -169,3 +165,4 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
     assert res.stderr.splitlines()[-1].endswith("skipped node_005.shard")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shards",
                                                           "shards.bin"]
+
