@@ -6,15 +6,16 @@ from the intact chunks - the same workflow the `srcodes` CLI drives,
 shown through the library API."""
 
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from srcodes import SrcParams, data_chunks, encode, layout, plan_chunks, \
-    run_plan
+from srcodes import SrcParams, data_chunks, layout, plan_chunks, run_plan
+from srcodes.core import encode_from
 from srcodes.shards import (ShardReader, ShardWriter, load_manifest,
-                            shard_filename, write_coded_array)
+                            shard_filename, write_shard_set)
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
@@ -24,9 +25,11 @@ data = np.random.default_rng(7).integers(0, 256, 3_000_000,
 
 print(f"sharding {len(data):,} bytes into {params.n} shard files "
       f"under {workdir}")
-array = encode(data, params)
-manifest_path = write_coded_array(array, workdir,
-                                  hashlib.sha256(data).hexdigest())
+# encode two stripes at a time; each node's rows go to its shard file as
+# they come, and the manifest follows once every file is sealed
+batches = encode_from(io.BytesIO(data).readinto, len(data), params, 2)
+manifest_path = write_shard_set(workdir, params, len(data), batches,
+                                lambda: hashlib.sha256(data).hexdigest())
 manifest = load_manifest(manifest_path)
 stripes = manifest.stripe_count
 shard_path = workdir / shard_filename(3)

@@ -6,8 +6,8 @@ log/antilog tables built from the primitive polynomial x^8+x^4+x^3+x^2+1
 import time; the scalar functions and mat_inv are pure.
 
 addmul_buf, which every buffer multiply-add reaches through addmul_rows,
-scales by table look-up, 128 Ki entries at a time, in blocks each thread
-makes once and reuses:
+scales by table look-up on the caller's thread, 128 Ki entries at a
+time, in blocks each thread makes once and reuses:
 
 - a buffer whose last axis is contiguous and of even length is read as
   uint16 and looked up in a 65 536-entry pair table, two products per
@@ -16,17 +16,12 @@ makes once and reuses:
 - any other buffer is looked up byte by byte in MUL[coeff];
 - coefficient 0 is a no-op and coefficient 1 a plain XOR.
 
-A buffer of 1 MiB or more is split along its first (stripe) axis into
-disjoint parts, one per thread, at most min(usable CPUs, 4), and the
-caller works on the first part itself.  numpy's take and bitwise_xor
-release the GIL.  The worker pool is made on the first such call, so
-code that does no GF work starts no thread.  Each call returns only when
-every part is done, and the output does not depend on the split.
+The kernel starts no thread; callers on several threads each get their
+own blocks.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -76,13 +71,8 @@ def gf_inv(a: int) -> int:
 
 
 _BLOCK = 1 << 17   # entries looked up at a time; blocks are per thread
-_SPLIT_BYTES = 1 << 20     # buffers this large are split across threads
-_THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1, 4)
 
 _local = threading.local()
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _pair_table(coeff: int) -> np.ndarray:
@@ -115,25 +105,6 @@ def _lookup_xor(acc: np.ndarray, table: np.ndarray, buf: np.ndarray) -> None:
         _lookup_xor(acc[s:s + rows], table, buf[s:s + rows])
 
 
-def _workers():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="gf256")
-        return _pool
-
-
-def _drop_pool() -> None:
-    """A forked child has none of its parent's threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def addmul_buf(acc: np.ndarray, coeff: int, buf: np.ndarray) -> None:
     """acc ^= coeff * buf, elementwise, in place.
 
@@ -150,18 +121,7 @@ def addmul_buf(acc: np.ndarray, coeff: int, buf: np.ndarray) -> None:
         acc, buf = acc.view(np.uint16), buf.view(np.uint16)
     else:
         table = MUL[coeff]
-    parts = min(_THREADS, len(acc)) if acc.nbytes >= _SPLIT_BYTES else 1
-    if parts <= 1:
-        _lookup_xor(acc, table, buf)
-        return
-    cut = [len(acc) * p // parts for p in range(parts + 1)]
-    pending = [_workers().submit(_lookup_xor, acc[a:b], table, buf[a:b])
-               for a, b in zip(cut[1:-1], cut[2:])]
-    try:
-        _lookup_xor(acc[:cut[1]], table, buf[:cut[1]])
-    finally:
-        for done in pending:   # every part ends before the call returns
-            done.result()
+    _lookup_xor(acc, table, buf)
 
 
 def addmul_rows(out: np.ndarray, coeffs: np.ndarray, rows) -> None:

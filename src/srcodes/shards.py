@@ -34,12 +34,11 @@ import zlib
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from operator import index
 from pathlib import Path
 
 import numpy as np
 
-from .core import ChunkId, CodedArray, SrcParams, layout
+from .core import ChunkId, SrcParams, layout
 from .errors import IntegrityError, ParameterError, ShapeError
 from .mds import CONSTRUCTION_ID
 
@@ -127,11 +126,14 @@ class Manifest:
                 raise IntegrityError(
                     f"unknown digest algorithm {doc.get('digest_algorithm')!r}")
             p = doc["params"]
-            params = SrcParams(n=index(p["n"]), k=index(p["k"]),
-                               f=index(p["f"]),
-                               chunk_size=index(p["chunk_size"]))
-            file_size = index(doc["file_size"])
-            stripe_count = index(doc["stripe_count"])
+            ints = [p["n"], p["k"], p["f"], p["chunk_size"],
+                    doc["file_size"], doc["stripe_count"]]
+            if any(type(v) is not int for v in ints):   # a bool is not one
+                raise IntegrityError("malformed manifest: n, k, f, "
+                                     "chunk_size, file_size and stripe_count "
+                                     "must be integers")
+            n, k, f, chunk_size, file_size, stripe_count = ints
+            params = SrcParams(n=n, k=k, f=f, chunk_size=chunk_size)
             if set(doc["shards"]) != {str(i) for i in range(1, params.n + 1)}:
                 raise IntegrityError(
                     f"malformed manifest: shards must be keyed 1..{params.n}")
@@ -315,19 +317,6 @@ def write_shard_set(directory: Path, params: SrcParams, file_size: int,
     with atomic_writer(manifest_path) as fh:
         fh.write(manifest.to_json().encode())
     return manifest_path
-
-
-def write_coded_array(array: CodedArray, directory: Path,
-                      file_digest: str) -> Path:
-    """Write one shard file per node plus the manifest (write_shard_set,
-    a stripe at a time); returns the manifest path.  file_digest is the
-    sha256 of the original file."""
-    nodes = range(1, array.params.n + 1)
-    stripes = (np.concatenate([array.shards[node][s:s + 1] for node in nodes],
-                              axis=1)
-               for s in range(array.stripe_count))
-    return write_shard_set(directory, array.params, array.file_size,
-                           stripes, lambda: file_digest)
 
 
 def load_manifest(path: Path) -> Manifest:

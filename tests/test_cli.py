@@ -717,13 +717,28 @@ def _file_digest_not_text(doc):
     doc["file_digest"] = 5
 
 
+def _f_as_boolean(doc):
+    # true would read as f=1: with stripe_count fitted to f=1, only the
+    # type is wrong
+    doc["params"]["f"] = True
+    data_bytes = doc["params"]["k"] * doc["params"]["chunk_size"]
+    doc["stripe_count"] = -(-doc["file_size"] // data_bytes)
+
+
+def _sizes_as_boolean(doc):
+    # false would read as 0: an empty file of no stripes
+    doc["file_size"] = doc["stripe_count"] = False
+
+
 @pytest.mark.parametrize("edit", [
     None, _drop_params, _file_size_as_text, _drop_shard_entry,
     _extra_shard_entry, _negative_file_size, _wrong_stripe_count,
     _digest_not_text, _digest_not_hex, _file_digest_not_text,
+    _f_as_boolean, _sizes_as_boolean,
 ], ids=["not-json", "no-params", "wrong-type", "missing-shard-entry",
         "extra-shard-entry", "negative-file-size", "wrong-stripe-count",
-        "digest-not-text", "digest-not-hex", "file-digest-not-text"])
+        "digest-not-text", "digest-not-hex", "file-digest-not-text",
+        "f-as-boolean", "sizes-as-boolean"])
 def test_malformed_manifest_exit_4(runner, tmp_path, edit):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2)
     manifest = out / MANIFEST_NAME
@@ -797,16 +812,24 @@ def test_metrics_starts_no_thread(runner):
     assert threading.active_count() == before
 
 
-def test_reports_start_no_thread_and_import_no_pool():
-    # the GF kernel's worker pool, and its concurrent.futures import, come
-    # with the first split multiply-add; the report commands do none
+def test_reports_and_decode_start_no_thread_and_import_no_pool(runner,
+                                                               tmp_path):
+    # the report commands and a decode that derives chunks by GF work run
+    # on the main thread alone and import no thread pool; only encode
+    # writes its shard files on a pool
+    _, data, out = _encode(runner, tmp_path, n=4, k=2, f=1, size=4 << 20,
+                           chunk=64 << 10)
+    for node in (1, 4):   # part1[1] is derived from nodes 2 and 3
+        (out / shard_filename(node)).unlink()
     script = """
 import sys, threading
 from srcodes.cli import main
 for args in (["metrics", "--n", "10", "--k", "6", "--f", "2"],
              ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
               "--f", "2", "--machines", "40", "--seed", "1"],
-             ["reliability"]):
+             ["reliability"],
+             ["decode", "--manifest", sys.argv[1], "--shards", sys.argv[2],
+              "--out", sys.argv[3]]):
     try:
         main(args)
     except SystemExit as e:
@@ -814,11 +837,14 @@ for args in (["metrics", "--n", "10", "--k", "6", "--f", "2"],
 print(threading.active_count(), "concurrent.futures" in sys.modules)
 """
     src = Path(__file__).resolve().parent.parent / "src"
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
+    decoded = tmp_path / "decoded.bin"
+    res = subprocess.run(
+        [sys.executable, "-c", script, str(out / MANIFEST_NAME), str(out),
+         str(decoded)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "1 False"
+    assert decoded.read_bytes() == data
 
 
 def test_simulate_deterministic(runner, tmp_path):

@@ -1,8 +1,9 @@
 """Every public module-level function and class of srcodes is used by the
 program: its name is referred to in a srcodes module, a demo, or the
-benchmark harness.  Tests do not count, so code kept alive only by its
-own tests is reported here.  Names are matched as identifiers, not by
-what they resolve to, so a shared name hides a dead definition."""
+benchmark harness.  Tests do not count, nor does a re-export in the
+package's __init__.py, so code kept alive only by its own tests or its
+export is reported here.  Names are matched as identifiers, not by what
+they resolve to, so a shared name hides a dead definition."""
 
 import ast
 from pathlib import Path
@@ -35,7 +36,8 @@ def _is_command(node: ast.AST) -> bool:
 def test_public_code_has_a_use():
     trees = {path: ast.parse(path.read_text())
              for folder in PROGRAM for path in sorted(folder.glob("*.py"))}
-    used = set().union(*map(_used, trees.values()))
+    used = set().union(*(_used(tree) for path, tree in trees.items()
+                         if path != PROGRAM[0] / "__init__.py"))
     dead = [f"{path.stem}.{node.name}"
             for path, tree in trees.items() if path.parent == PROGRAM[0]
             for node in tree.body

@@ -1,7 +1,5 @@
-import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -114,45 +112,11 @@ def test_addmul_buf_strided_2d_out(chunk):
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 64), (0, 7), (5, 0)])
-def test_addmul_buf_empty(monkeypatch, shape):
-    # no stripes: nothing to split, whatever the threshold
-    monkeypatch.setattr(gf256, "_SPLIT_BYTES", 0)
+def test_addmul_buf_empty(shape):
     acc = np.zeros(shape, dtype=np.uint8)
     for coeff in COEFFS:
         gf256.addmul_buf(acc, coeff, np.zeros(shape, dtype=np.uint8))
     assert acc.shape == shape
-
-
-def _spy_parts(monkeypatch):
-    """Record (thread id, stripes) of every _lookup_xor call."""
-    calls = []
-    lookup = gf256._lookup_xor
-
-    def spy(acc, table, buf):
-        calls.append((threading.get_ident(), len(acc)))
-        lookup(acc, table, buf)
-
-    monkeypatch.setattr(gf256, "_lookup_xor", spy)
-    return calls
-
-
-@pytest.mark.parametrize("chunk", [64, 65])
-def test_addmul_buf_split_matches_reference(monkeypatch, chunk):
-    # a split forced on a small buffer of 11 stripes, an uneven count
-    monkeypatch.setattr(gf256, "_SPLIT_BYTES", 1)
-    calls = _spy_parts(monkeypatch)
-    rng = np.random.default_rng(chunk)
-    base = rng.integers(0, 256, (11, 2, chunk), dtype=np.uint8)
-    buf = rng.integers(0, 256, (11, chunk), dtype=np.uint8)
-    expect = _expect(base[:, 0].copy(), 0x53, buf)
-    gf256.addmul_buf(base[:, 0], 0x53, buf)
-    assert np.array_equal(base[:, 0], expect)
-    parts = min(gf256._THREADS, 11)
-    assert sorted(n for _, n in calls) == \
-        sorted(np.diff([11 * p // parts for p in range(parts + 1)]))
-    # the caller works the first part itself, the pool the rest
-    assert (threading.get_ident(), 11 // parts) in calls
-    assert (len({t for t, _ in calls}) > 1) == (parts > 1)
 
 
 def _check_sampled(after, before, coeff, buf, samples=2000):
@@ -162,23 +126,6 @@ def _check_sampled(after, before, coeff, buf, samples=2000):
     assert [int(v) for v in after[idx]] == \
         [int(a) ^ gf256.gf_mul(coeff, int(b))
          for a, b in zip(before[idx], buf[idx])]
-
-
-@pytest.mark.parametrize("chunk", [96 << 10, (96 << 10) + 1])
-def test_addmul_buf_split_and_unsplit_identical(monkeypatch, chunk):
-    # 11 stripes of 96 KiB (or one more byte) pass 1 MiB and are split
-    rng = np.random.default_rng(chunk)
-    buf = rng.integers(0, 256, (11, chunk), dtype=np.uint8)
-    start = rng.integers(0, 256, (11, 3, chunk), dtype=np.uint8)
-    assert buf.nbytes >= gf256._SPLIT_BYTES
-    split = start.copy()
-    gf256.addmul_buf(split[:, 2], 0xA7, buf)
-    monkeypatch.setattr(gf256, "_SPLIT_BYTES", buf.nbytes + 1)
-    whole = start.copy()
-    gf256.addmul_buf(whole[:, 2], 0xA7, buf)
-    assert np.array_equal(split, whole)
-    assert np.array_equal(split[:, :2], start[:, :2])
-    _check_sampled(split[:, 2], start[:, 2], 0xA7, buf)
 
 
 @pytest.mark.parametrize("shape", [(2, 300_000), (3, 300_001), (600_000,)])
@@ -195,8 +142,7 @@ def test_addmul_buf_rows_larger_than_block(shape):
 
 def test_addmul_rows_calls_kernel_on_callers_thread(monkeypatch):
     # Span tracers keep one stack per process: every addmul_buf call must
-    # enter and return on the caller's thread, once per (i, j), however
-    # the kernel splits its work inside.
+    # enter and return on the caller's thread, once per (i, j).
     calls = []
     addmul_buf = gf256.addmul_buf
 
@@ -218,11 +164,9 @@ def test_addmul_rows_calls_kernel_on_callers_thread(monkeypatch):
         assert np.array_equal(out[:, i], expect)
 
 
-def test_concurrent_callers_keep_their_results(monkeypatch):
-    # callers on more threads than cores share the pool; each thread's
-    # scratch block is its own, so no look-up lands in another caller's
-    # buffer
-    monkeypatch.setattr(gf256, "_SPLIT_BYTES", 1)
+def test_concurrent_callers_keep_their_results():
+    # callers on more threads than cores: each thread's scratch block is
+    # its own, so no look-up lands in another caller's buffer
     rng = np.random.default_rng(4)
     bufs = rng.integers(0, 256, (8, 11, 4000), dtype=np.uint8)
     expect = [gf256.MUL[0x53][b] ^ gf256.MUL[0x1D][b] for b in bufs]
@@ -250,28 +194,6 @@ def test_concurrent_callers_keep_their_results(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-
-
-def test_split_kernel_works_in_forked_child():
-    # the child of a fork has none of the pool's threads; a kernel that
-    # queued work for them would never return
-    acc = np.zeros((11, 96 << 10), dtype=np.uint8)
-    buf = np.full_like(acc, 3)
-    gf256.addmul_buf(acc, 2, buf)   # the pool exists from here on
-    pid = os.fork()
-    if pid == 0:
-        gf256.addmul_buf(acc, 2, buf)
-        os._exit(0 if not acc.any() else 1)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            assert os.waitstatus_to_exitcode(status) == 0
-            return
-        time.sleep(0.05)
-    os.kill(pid, 9)
-    os.waitpid(pid, 0)
-    pytest.fail("the kernel hung in a forked child")
 
 
 def test_mat_inv_round_trip():

@@ -1,13 +1,14 @@
 import hashlib
+import io
 import os
 
 import numpy as np
 import pytest
 
-from srcodes.core import SrcParams, encode, layout
+from srcodes.core import SrcParams, encode, encode_from, layout
 from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, ShardReader, ShardWriter,
-                            load_manifest, shard_filename, write_coded_array)
+                            load_manifest, shard_filename, write_shard_set)
 
 from shard_files import HEADER_B, shard_bytes, slot_at, table_bytes
 
@@ -24,6 +25,14 @@ def _array(seed=1, params=None):
     return data, encode(data, params)
 
 
+def _write_set(directory, data, params):
+    """data's shard files and manifest, written as encode writes them, a
+    stripe per batch; the manifest path."""
+    batches = encode_from(io.BytesIO(data).readinto, len(data), params, 1)
+    return write_shard_set(directory, params, len(data), batches,
+                           lambda: "ab" * 32)
+
+
 def _read_node(manifest, directory, node):
     """Every slot of a node's shard file, read and checked, as
     (stripes, f+1, chunk_size); and the chunks that failed."""
@@ -35,8 +44,8 @@ def _read_node(manifest, directory, node):
 
 
 def test_shard_round_trip(tmp_path):
-    _, arr = _array()
-    manifest = load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+    data, arr = _array()
+    manifest = load_manifest(_write_set(tmp_path, data, arr.params))
     shard, failed = _read_node(manifest, tmp_path, 2)
     assert failed == {}
     assert np.array_equal(shard, arr.shards[2])
@@ -92,8 +101,8 @@ def test_write_shard_refuses_a_wrong_digest(tmp_path):
 
 
 def test_shard_corruption_detected(tmp_path):
-    _, arr = _array()
-    manifest = load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+    data, arr = _array()
+    manifest = load_manifest(_write_set(tmp_path, data, arr.params))
     path = tmp_path / shard_filename(1)
     blob = path.read_bytes()
     for damaged, problem in [
@@ -111,7 +120,7 @@ def test_shard_corruption_detected(tmp_path):
 
 def test_write_and_load_manifest(tmp_path):
     data, arr = _array()
-    manifest_path = write_coded_array(arr, tmp_path, file_digest="ab" * 32)
+    manifest_path = _write_set(tmp_path, data, arr.params)
     manifest = load_manifest(manifest_path)
     assert manifest.params == arr.params
     assert manifest.stripe_count == arr.stripe_count
@@ -125,7 +134,7 @@ def test_write_and_load_manifest(tmp_path):
 
 def test_manifest_rejects_unknown_generator(tmp_path):
     data, arr = _array()
-    manifest_path = write_coded_array(arr, tmp_path, file_digest="ab" * 32)
+    manifest_path = _write_set(tmp_path, data, arr.params)
     text = manifest_path.read_text().replace(
         "gf256-cauchy-systematic-v1", "mystery-code-v9")
     with pytest.raises(IntegrityError, match="generator"):
@@ -143,7 +152,7 @@ def test_shard_file_size_matches_stripe_math(tmp_path):
     data = np.random.default_rng(9).integers(
         0, 256, 1 << 20, dtype=np.uint8).tobytes()
     arr = encode(data, params)
-    write_coded_array(arr, tmp_path, file_digest="cd" * 32)
+    _write_set(tmp_path, data, params)
     stripes = arr.stripe_count
     assert stripes == -(-(1 << 20) // params.stripe_data_bytes)
     expect = shard_bytes(params, stripes)
@@ -162,7 +171,7 @@ def _written(tmp_path, size=None, params=None):
     data = np.random.default_rng(4).integers(0, 256, size,
                                              dtype=np.uint8).tobytes()
     arr = encode(data, params)
-    return arr, load_manifest(write_coded_array(arr, tmp_path, "ab" * 32))
+    return arr, load_manifest(_write_set(tmp_path, data, params))
 
 
 def _flip(path, at):
