@@ -3,7 +3,8 @@
 repair it by reading only its look-up helpers' planned chunks a batch
 of stripes at a time, corrupt another shard, and decode the file back
 from the intact chunks - the same workflow the `srcodes` CLI drives,
-shown through the library API."""
+shown through the library API: shards.ShardReader plans, reads, checks
+and plans again, and the CLI is a thin shell over it."""
 
 import hashlib
 import io
@@ -12,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from srcodes import SrcParams, data_chunks, layout, plan_chunks, run_plan
-from srcodes.core import encode_from
+from srcodes import SrcParams, data_chunks, layout
 from srcodes.shards import (ShardReader, ShardWriter, load_manifest,
                             shard_filename, write_shard_set)
 
@@ -25,10 +25,10 @@ data = np.random.default_rng(7).integers(0, 256, 3_000_000,
 
 print(f"sharding {len(data):,} bytes into {params.n} shard files "
       f"under {workdir}")
-# encode two stripes at a time; each node's rows go to its shard file as
-# they come, and the manifest follows once every file is sealed
-batches = encode_from(io.BytesIO(data).readinto, len(data), params, 2)
-manifest_path = write_shard_set(workdir, params, len(data), batches,
+# encode a batch of stripes at a time; each node's rows go to its shard
+# file as they come, and the manifest follows once every file is sealed
+manifest_path = write_shard_set(workdir, params, len(data),
+                                io.BytesIO(data).readinto,
                                 lambda: hashlib.sha256(data).hexdigest())
 manifest = load_manifest(manifest_path)
 stripes = manifest.stripe_count
@@ -39,48 +39,33 @@ print(f"stripe_count={stripes}, shard file size "
 
 print("\ndeleting node 3's shard, then repairing it from its helpers")
 shard_path.unlink()
-everything = {c for node in range(1, params.n + 1) if node != 3
-              for c in lay.node_chunks(node)}
-targets = lay.node_chunks(3)
-plan = plan_chunks(params, everything, targets)   # one plan, every stripe
-batch = np.empty((2, params.f + 1, params.chunk_size), dtype=np.uint8)
-read = 0
+# one plan for every stripe, made on the shard files that exist
+reader = ShardReader(manifest, workdir, lay.node_chunks(3), lost=3)
 # ShardWriter adds the header and CRC table as the batches come, and
 # refuses a shard whose digest differs from the manifest's
-with ShardReader(manifest, workdir) as reader, \
-        ShardWriter(workdir, params, 3, manifest.file_size) as writer:
-    for start in range(0, stripes, 2):   # two stripes per batch
-        stop = min(start + 2, stripes)
-        chunks, failed = reader.read_chunks(plan.reads, start, stop)
-        read += sum(a.nbytes for a in chunks.values())
-        writer.write(run_plan(plan, chunks, batch[:stop - start]))
+with ShardWriter(workdir, params, 3, manifest.file_size) as writer:
+    for batch in reader.batches():
+        writer.write(batch)
     writer.seal(manifest.shard_digests[3])
-print(f"  read {len(plan.reads)} chunks per stripe from nodes "
-      f"{sorted({lay.chunk_location(c) for c in plan.reads})}, "
-      f"{read:,} bytes, in batches of 2 stripes")
+reads = reader.plan.reads
+print(f"  read {len(reads)} chunks per stripe from nodes "
+      f"{sorted({lay.chunk_location(c) for c in reads})}, "
+      f"{len(reads) * stripes * params.chunk_size:,} bytes")
 print("rebuilt shard digest matches manifest: True")
 
 print("\ncorrupting node 1's first data chunk, then decoding")
 blob = bytearray((workdir / shard_filename(1)).read_bytes())
 blob[44] ^= 0xFF   # the first payload byte follows the 44-byte header
 (workdir / shard_filename(1)).write_bytes(bytes(blob))
-available = {c for node in range(1, params.n + 1)
-             for c in lay.node_chunks(node)}
-targets = data_chunks(params)
-plan = plan_chunks(params, available, targets)
-with ShardReader(manifest, workdir) as reader:
-    chunks, failed = reader.read_chunks(plan.reads)   # every stripe at once
-    for exc in set(failed.values()):
-        print(f"  skipped: {exc}")
-    # plan again without the failed chunk; read only what is not yet held
-    plan = plan_chunks(params, available - set(failed), targets)
-    more, _ = reader.read_chunks([c for c in plan.reads if c not in chunks])
-chunks.update(more)
-print(f"  part1[1] is XORed from its helpers: {len(more)} more chunk read")
-out = run_plan(plan, chunks, np.empty((stripes, len(targets),
-                                       params.chunk_size), dtype=np.uint8))
-out = out.reshape(-1)[:len(data)]
-print(f"file digest matches: "
-      f"{hashlib.sha256(out).hexdigest() == manifest.file_digest}")
+# the reader names the shard it skips on stderr and plans again
+reader = ShardReader(manifest, workdir, data_chunks(params))
+digest, left = hashlib.sha256(), len(data)
+for batch in reader.batches():
+    out = batch.reshape(-1)[:left]
+    left -= len(out)
+    digest.update(out)
+print(f"  skipped {', '.join(reader.skipped)}; part1[1] is XORed from its "
+      f"helpers: {len(reader.plan.reads)} chunks read per stripe")
+print(f"file digest matches: {digest.hexdigest() == manifest.file_digest}")
 print(f"\n(the CLI equivalent: srcodes encode/repair/decode; shards left "
       f"in {workdir})")

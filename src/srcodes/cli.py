@@ -7,21 +7,20 @@ failure; each failure prints one "error:" line.  Every randomized path
 takes a seed (defaulted and echoed in the output), and commands are
 idempotent: rerunning with the same inputs rewrites the same bytes.
 
-Every file command streams a batch of stripes at a time, so its memory
-does not grow with the file.  decode and repair plan once
-(core.plan_chunks) and read only the chunk slots their plan needs
-(shards.ShardReader).  A healthy decode reads the f*k data chunks of
-each stripe, M bytes in all, and a look-up repair the f helpers of each
-lost chunk, the paper's (f+1)*M/k.  A chunk that fails its checks is
-dropped and the stripes left are planned again without it.  decode
-writes each batch to a temporary sibling of its output and hashes it
-as it goes; repair appends each batch to the rebuilt shard
-(shards.ShardWriter), in the format version of its set.  encode reads
-and hashes its input a batch at a time into one buffer
-(core.encode_from) and appends each node's rows to that node's shard
-file (shards.write_shard_set), in format v2.  repair --dry-run reads
-no shard file: it prints the plan for the node with every other node
-present.
+This module parses arguments and prints messages and exit codes; shards
+reads and writes the files, a batch of stripes at a time, so memory
+does not grow with the file.  decode and repair take their batches from
+shards.ShardReader, the one shard-set reader: it plans once, reads only
+the chunk slots its plan needs (a healthy decode M bytes, a look-up
+repair the paper's (f+1)*M/k), names each shard file it skips on
+stderr, and plans again without a chunk that fails its checks.  decode
+writes each batch to a temporary sibling of its output, hashing as it
+goes; repair appends each batch to the rebuilt shard
+(shards.ShardWriter), in the format version of its set.  encode hands
+its input, read and hashed a batch at a time, to
+shards.write_shard_set, which encodes it and writes format v2.  repair
+--dry-run reads no shard file: it prints the plan for the node with
+every other node present.
 """
 
 from __future__ import annotations
@@ -39,18 +38,16 @@ import typing
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import repair as repair_mod
 from . import sim as sim_mod
-from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_from,
-                   layout, plan_chunks, run_plan)
+from .core import SrcParams, data_chunks, layout
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
-from .shards import (Manifest, ShardReader, ShardWriter, atomic_writer,
-                     load_manifest, shard_filename, write_shard_set)
+from .shards import (ShardReader, ShardWriter, atomic_writer, load_manifest,
+                     write_shard_set)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -78,94 +75,6 @@ def _exit_codes(fn):
             sys.exit(EXIT_USAGE)
 
     return wrapper
-
-
-# Chunk bytes a batch of stripes allocates (see _Stream._step; encode's
-# batch is every node's chunks).  A batch holds at least one stripe, so
-# its memory is this or one stripe's, whatever the file size.  Chosen by
-# paired runs (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
-_BATCH_BYTES = 8 << 20
-
-
-class _Stream:
-    """Produce a list of targets from a manifest's shard files, a batch
-    of stripes at a time.
-
-    Plans on the chunks of the shard files that exist, the lost node's
-    excepted; raises InsufficientDataError (exit 3), before reading any
-    file, when they cannot cover the plan.  In batches(), a chunk that
-    fails its checks is dropped, each shard file with a failure is
-    named on stderr, and the stripes left, the current batch's
-    included, are planned again; IntegrityError (exit 4), naming the
-    skipped files, when the chunks left cannot cover that plan.  No
-    slot is read twice, and a batch once produced is never read again.
-    """
-
-    def __init__(self, manifest: Manifest, shard_dir: Path,
-                 targets: list[ChunkId], lost: int = 0):
-        self.manifest, self.shard_dir, self.targets = (manifest, shard_dir,
-                                                       targets)
-        self.lay = layout(manifest.params)
-        self.available = {c for node in manifest.shard_digests
-                          if node != lost
-                          and manifest.shard_path(shard_dir, node).exists()
-                          for c in self.lay.node_chunks(node)}
-        self.skipped: dict[str, None] = {}   # shard file names, in order
-        self.blocked: set[ChunkId] = set()   # targets some plan derives
-        self.plan = self._plan()
-
-    def _plan(self) -> ChunkPlan:
-        try:
-            plan = plan_chunks(self.manifest.params, self.available,
-                               self.targets)
-        except InsufficientDataError as exc:
-            if not self.skipped:
-                raise
-            raise IntegrityError(
-                f"{exc}; skipped {', '.join(self.skipped)}") from exc
-        self.blocked.update(plan.derived.values())
-        return plan
-
-    def _step(self) -> int:
-        """Stripes per batch under the current plan: the chunks a batch
-        allocates per stripe are its reads, the chunks derived on the
-        way, and the output."""
-        p = self.plan
-        per_stripe = len(p.reads) + len(set(p.derived) - set(self.targets)) \
-            + len(self.targets)
-        return max(1, _BATCH_BYTES // (per_stripe
-                                       * self.manifest.params.chunk_size))
-
-    def batches(self):
-        """Yield the targets of each batch of stripes in turn, as a
-        (stripes, len(targets), chunk_size) array in one buffer that the
-        next batch overwrites.  A plan made again mid-batch finishes
-        that batch; the batches after it are sized for the new plan.  An
-        empty file is one batch of no stripes, which still checks the
-        planned shard files' headers."""
-        stripes = self.manifest.stripe_count
-        out = np.empty((min(self._step(), stripes), len(self.targets),
-                        self.manifest.params.chunk_size), dtype=np.uint8)
-        start = 0
-        with ShardReader(self.manifest, self.shard_dir) as reader:
-            while True:
-                stop = min(start + min(self._step(), len(out)), stripes)
-                held: dict = {}
-                while todo := [c for c in self.plan.reads if c not in held]:
-                    got, failed = reader.read_chunks(todo, start, stop)
-                    held.update(got)
-                    for exc in dict.fromkeys(failed.values()):   # per file
-                        click.echo(f"skipped: {exc}", err=True)
-                    if failed:
-                        self.skipped.update(dict.fromkeys(
-                            shard_filename(self.lay.chunk_location(c))
-                            for c in failed))
-                        self.available.difference_update(failed)
-                        self.plan = self._plan()
-                yield run_plan(self.plan, held, out[:stop - start])
-                if stop == stripes:
-                    return
-                start = stop
 
 
 def _parse_pairs(option: str, text: str, example: str) -> list[tuple[int, int]]:
@@ -207,7 +116,7 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
             blob = fh.read()
             source, size = io.BytesIO(blob), len(blob)
 
-        def fill(view: np.ndarray) -> None:
+        def fill(view) -> None:
             if source.readinto(view) != len(view):
                 raise ParameterError(f"{input_file} changed size while read")
             digest.update(view)
@@ -217,10 +126,7 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                 raise ParameterError(f"{input_file} changed size while read")
             return digest.hexdigest()
 
-        step = max(1, _BATCH_BYTES // (n * (f + 1) * chunk_size))
-        manifest_path = write_shard_set(out, params, size,
-                                        encode_from(fill, size, params, step),
-                                        file_digest)
+        manifest_path = write_shard_set(out, params, size, fill, file_digest)
     click.echo(f"encoded {size} bytes into {n} shards "
                f"({-(-size // params.stripe_data_bytes)} stripes) under {out}")
     click.echo(f"manifest: {manifest_path}")
@@ -246,15 +152,15 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
         for line in repair_mod.describe(params, node, manifest.stripe_count):
             click.echo(line)
         return
-    stream = _Stream(manifest, shard_dir, layout(params).node_chunks(node),
-                     node)
+    reader = ShardReader(manifest, shard_dir,
+                         layout(params).node_chunks(node), node)
     with ShardWriter(shard_dir, params, node, manifest.file_size,
                      manifest.version) as writer:
-        for batch in stream.batches():
+        for batch in reader.batches():
             writer.write(batch)
         mode = "look-up repair"
-        if stream.blocked:
-            blocked = sorted(stream.blocked)
+        if reader.blocked:
+            blocked = sorted(reader.blocked)
             click.echo("look-up repair blocked for "
                        f"{', '.join(c.label(params.f) for c in blocked)}; "
                        "falling back to reconstruction", err=True)
@@ -277,11 +183,11 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
 def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
     """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
-    stream = _Stream(manifest, shard_dir, data_chunks(manifest.params))
+    reader = ShardReader(manifest, shard_dir, data_chunks(manifest.params))
     digest = hashlib.sha256()
     left = manifest.file_size
     with atomic_writer(out) as fh:
-        for chunks in stream.batches():
+        for chunks in reader.batches():
             data = chunks.reshape(-1)[:left]
             left -= len(data)
             digest.update(data)
@@ -451,8 +357,10 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
 @main.command("reliability")
 @click.option("--pairs", default="10,6 20,16 50,46", show_default=True,
               help="space-separated n,k pairs for the RS/SRC rows")
-@click.option("--system-bytes", type=float, default=1e15, show_default=True)
-@click.option("--node-bytes", type=float, default=4e9, show_default=True)
+@click.option("--system-bytes", type=float,
+              default=rel_mod.DEFAULT_SYSTEM_BYTES, show_default=True)
+@click.option("--node-bytes", type=float,
+              default=rel_mod.DEFAULT_NODE_BYTES, show_default=True)
 @click.option("--disk-mttf-hours", type=float,
               default=rel_mod.DISK_MTTF_HOURS, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True)

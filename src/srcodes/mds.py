@@ -4,7 +4,7 @@ The generator is ``[I | C]`` where C is the k x (n-k) Cauchy matrix
 ``C[i][j] = 1/(x_i + y_j)`` with ``x_i = i`` and ``y_j = k + j``.  Every
 square submatrix of a Cauchy matrix is nonsingular, so any k of the n
 coded chunks recover the data.  Construction is a pure function of
-(k, n); decoders rebuild it from the ``construction_id`` recorded in a
+(k, n); decoders rebuild it from the ``CONSTRUCTION_ID`` recorded in a
 manifest instead of shipping matrix entries.
 
 Everything here is stateless and thread-safe.
@@ -32,7 +32,6 @@ class GeneratorMatrix:
     k: int
     n: int
     entries: np.ndarray
-    construction_id: str = CONSTRUCTION_ID
 
 
 def make_generator(k: int, n: int) -> GeneratorMatrix:

@@ -92,14 +92,12 @@ class AsymptoticRow:
     bandwidth_ratio: float     # node-repair bandwidth vs MSR at d=n-1
 
 
-def asymptotic_report(ks: list[int], rate: float,
-                      log_base: float = 2.0) -> list[AsymptoticRow]:
-    """Trend table for f growing as log(k) at fixed target rate R = k/n.
+def asymptotic_report(ks: list[int], rate: float) -> list[AsymptoticRow]:
+    """Trend table for f growing as log2(k) at fixed target rate R = k/n.
 
-    Per k: f = log_base(k), SRC effective rate f/(f+1)*R, and the ratio
-    of SRC node-repair bandwidth (f+1 chunks) to the MSR minimum
-    ((n-1)/(n-k) with n = k/R).  Logarithm base defaults to 2 and is
-    echoed in the CLI output.
+    Per k: f = log2(k), SRC effective rate f/(f+1)*R, and the ratio of
+    SRC node-repair bandwidth (f+1 chunks) to the MSR minimum
+    ((n-1)/(n-k) with n = k/R).
     """
     if not 0 < rate < 1:
         raise ParameterError(f"rate must be in (0, 1), got {rate}")
@@ -107,7 +105,7 @@ def asymptotic_report(ks: list[int], rate: float,
     for k in ks:
         if k < 2:
             raise ParameterError("k values must be >= 2")
-        f = math.log(k, log_base)
+        f = math.log(k, 2)   # math.log2 differs in the last bit for some k
         msr_gamma = (k / rate - 1) / (k / rate - k)
         rows.append(AsymptoticRow(
             k=k, f=f,

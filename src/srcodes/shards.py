@@ -15,8 +15,8 @@ module is the only one that reads or writes shard files.  ShardWriter
 is the one shard writer: it takes a node's payload a batch of stripes
 at a time, so no writer holds a whole shard.  Every file goes through
 atomic_writer, so a crash never leaves a torn file under its real
-name.  ShardReader reads chunk slots out of shard files, only the ones
-asked for, a range of stripes at a time.
+name.  ShardReader is the one shard-set reader: it plans around missing
+and damaged files and reads only the chunk slots its plan needs.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -30,6 +30,7 @@ import json
 import os
 import re
 import struct
+import sys
 import zlib
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
@@ -38,8 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChunkId, SrcParams, layout
-from .errors import IntegrityError, ParameterError, ShapeError
+from .core import (ChunkId, ChunkPlan, SrcParams, encode_from, layout,
+                   plan_chunks, run_plan)
+from .errors import (InsufficientDataError, IntegrityError, ParameterError,
+                     ShapeError)
 from .mds import CONSTRUCTION_ID
 
 MAGIC = b"SRCSHRD1"
@@ -50,6 +53,11 @@ DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 _WRITE_THREADS = 2   # shard files encode writes at once
+# Chunk bytes a batch of stripes allocates (ShardReader._step; encode's
+# batch is every node's chunks).  A batch holds at least one stripe, so
+# its memory is this or one stripe's, whatever the file size.  Chosen by
+# paired runs (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
+_BATCH_BYTES = 8 << 20
 
 
 def shard_filename(node: int) -> str:
@@ -207,8 +215,8 @@ class ShardWriter:
         self.params, self.node, self.version = params, node, version
         self.stripes = -(-file_size // params.stripe_data_bytes)
         self._head = _header(params, node, self.stripes, file_size, version)
-        self._crcs = np.empty(self.stripes * (params.f + 1), dtype="<u4")
-        self._chunks = 0   # written so far
+        self._crcs = bytearray()   # CRC table of the stripes written
+        self._done = 0             # stripes written
         self._sha = hashlib.sha256()
         self._stack = ExitStack()
         self._fh = self._stack.enter_context(
@@ -232,20 +240,18 @@ class ShardWriter:
     def write(self, rows: np.ndarray) -> None:
         p = self.params
         if rows.shape[1:] != (p.f + 1, p.chunk_size) or \
-                self._chunks + rows.size // p.chunk_size > self._crcs.size:
+                self._done + len(rows) > self.stripes:
             raise ShapeError(f"shard rows {rows.shape} do not match params")
         for stripe in map(np.ascontiguousarray, rows):
             for chunk in stripe:
-                self._crcs[self._chunks] = zlib.crc32(chunk)
-                self._chunks += 1
+                self._crcs += zlib.crc32(chunk).to_bytes(4, "little")
+            self._done += 1
             self._put(stripe)
 
     def seal(self, digest: str | None = None) -> str:
-        p = self.params
-        if self._chunks != self._crcs.size:
-            raise ShapeError(f"shard of node {self.node} has "
-                             f"{self._chunks // (p.f + 1)} stripes, "
-                             f"expected {self.stripes}")
+        if self._done != self.stripes:
+            raise ShapeError(f"shard of node {self.node} has {self._done} "
+                             f"stripes, expected {self.stripes}")
         if self.version == 1:
             self._fh.seek(0)
             self._fh.write(self._head)
@@ -263,16 +269,17 @@ class ShardWriter:
 
 
 def write_shard_set(directory: Path, params: SrcParams, file_size: int,
-                    batches: Iterable[np.ndarray],
+                    fill: Callable[[np.ndarray], object],
                     file_digest: Callable[[], str]) -> Path:
-    """Write a coded file's n shard files and its manifest; returns the
-    manifest path.
+    """Encode file_size input bytes into n shard files and a manifest;
+    returns the manifest path.
 
-    batches yields the coded stripes in order, each batch (stripes,
-    n*(f+1), chunk_size) with node i's f+1 slots from (i-1)*(f+1); each
-    node's rows go to its file as they come, so no more than a batch is
-    held.  file_digest() is called once the last batch is written and
-    gives the original file's sha256.  The shard files take their names
+    fill(view) writes the next len(view) input bytes into view or
+    raises (core.encode_from).  The input is encoded a batch of stripes
+    at a time, _BATCH_BYTES of every node's chunks, and each node's rows
+    go to its file as they come, so no more than a batch is held.
+    file_digest() is called once the last batch is written and gives
+    the original file's sha256.  The shard files take their names
     in node order once every one is sealed, then the manifest is
     written; an error before that leaves no new file, and removes the
     directory if this call made it.
@@ -283,6 +290,7 @@ def write_shard_set(directory: Path, params: SrcParams, file_size: int,
     made = [d for d in (directory, *directory.parents) if not d.exists()]
     directory.mkdir(parents=True, exist_ok=True)
     width = params.f + 1
+    step = max(1, _BATCH_BYTES // (params.n * width * params.chunk_size))
     try:
         with ExitStack() as stack:
             # entered last node first, so the files replace in node order
@@ -293,7 +301,7 @@ def write_shard_set(directory: Path, params: SrcParams, file_size: int,
             # files are written in parallel; no span-wrapped (public
             # module-level) function runs off the main thread
             with ThreadPoolExecutor(_WRITE_THREADS) as pool:
-                for batch in batches:
+                for batch in encode_from(fill, file_size, params, step):
                     for _ in pool.map(ShardWriter.write, writers, (
                             batch[:, i * width:(i + 1) * width]
                             for i in range(params.n))):
@@ -324,25 +332,38 @@ def load_manifest(path: Path) -> Manifest:
 
 
 class ShardReader:
-    """Reads chunk slots out of the shard files of one manifest, a range
-    of stripes at a time.
+    """The one shard-set reader: produces a list of targets from the
+    shard files of one manifest, a batch of stripes at a time.
 
-    A shard file is opened on the first read of one of its chunks, and
-    checked then, once: its length and its 44-byte header must equal,
-    byte for byte, what the manifest implies (the version included), and
-    its CRC table is read.  Each read_chunks call then reads only the
-    wanted slots of the asked stripes, with os.preadv straight into
-    preallocated arrays, neighbouring slots in one call (also across a
-    stripe boundary), and checks each chunk read against its CRC-32.
-    Nothing else of the file is read, so the whole-shard digest is not
-    checked here.  The files close when the reader's with block ends.
+    Plans on the chunks of the shard files that exist, the lost node's
+    excepted; raises InsufficientDataError (exit 3), before reading any
+    file, when they cannot cover the plan.  A shard file is checked on
+    the first read of one of its chunks, once: its length and 44-byte
+    header must equal what the manifest implies, and its CRC table is
+    read.  read_chunks then reads only the wanted slots, neighbours in
+    one os.preadv, and checks each chunk against its CRC-32; the
+    whole-shard digest is not checked.  In batches(), a chunk that fails
+    its checks is dropped, each shard file with a failure is named on
+    stderr, and the stripes left, the current batch's included, are
+    planned again; IntegrityError (exit 4), naming the skipped files,
+    when the chunks left cannot cover that plan.  No slot is read twice.
+    The files close when batches() or the reader's with block ends.
     """
 
-    def __init__(self, manifest: Manifest, directory: Path):
-        self.manifest = manifest
+    def __init__(self, manifest: Manifest, directory: Path,
+                 targets: list[ChunkId], lost: int = 0):
+        self.manifest, self.targets = manifest, targets
         self.directory = Path(directory)
+        self._lay = layout(manifest.params)
+        self.available = {c for node in manifest.shard_digests
+                          if node != lost
+                          and manifest.shard_path(directory, node).exists()
+                          for c in self._lay.node_chunks(node)}
+        self.skipped: dict[str, None] = {}   # shard file names, in order
+        self.blocked: set[ChunkId] = set()   # targets some plan derives
         # node -> fd, CRC table, payload offset
         self._open: dict[int, tuple[int, np.ndarray, int]] = {}
+        self.plan = self._plan()
 
     def __enter__(self) -> "ShardReader":
         return self
@@ -352,6 +373,58 @@ class ShardReader:
             os.close(fd)
         self._open.clear()
 
+    def _plan(self) -> ChunkPlan:
+        try:
+            plan = plan_chunks(self.manifest.params, self.available,
+                               self.targets)
+        except InsufficientDataError as exc:
+            if not self.skipped:
+                raise
+            raise IntegrityError(
+                f"{exc}; skipped {', '.join(self.skipped)}") from exc
+        self.blocked.update(plan.derived.values())
+        return plan
+
+    def _step(self) -> int:
+        """Stripes per batch under the current plan: the chunks a batch
+        allocates per stripe are its reads, the chunks derived on the
+        way, and the output."""
+        p = self.plan
+        per_stripe = len(p.reads) + len(set(p.derived) - set(self.targets)) \
+            + len(self.targets)
+        return max(1, _BATCH_BYTES // (per_stripe
+                                       * self.manifest.params.chunk_size))
+
+    def batches(self) -> Iterator[np.ndarray]:
+        """Yield the targets of each batch of stripes in turn, as a
+        (stripes, len(targets), chunk_size) array in one buffer that the
+        next batch overwrites; the buffer is allocated once the first
+        batch's reads have checked the shard files' lengths.  A plan
+        made again mid-batch finishes that batch; the batches after it
+        are sized for the new plan.  An empty file is one batch of no
+        stripes, which still checks the planned shard files' headers."""
+        stripes, cap = self.manifest.stripe_count, self._step()
+        out, stop = None, 0
+        with self:
+            while out is None or stop < stripes:
+                start, stop = stop, min(stop + min(self._step(), cap), stripes)
+                held: dict = {}
+                while todo := [c for c in self.plan.reads if c not in held]:
+                    got, failed = self.read_chunks(todo, start, stop)
+                    held.update(got)
+                    for exc in dict.fromkeys(failed.values()):   # per file
+                        print(f"skipped: {exc}", file=sys.stderr, flush=True)
+                    if failed:
+                        self.skipped.update(dict.fromkeys(
+                            shard_filename(self._lay.chunk_location(c))
+                            for c in failed))
+                        self.available.difference_update(failed)
+                        self.plan = self._plan()
+                if out is None:
+                    out = np.empty((stop - start, len(self.targets),
+                                    self.manifest.params.chunk_size), np.uint8)
+                yield run_plan(self.plan, held, out[:stop - start])
+
     def read_chunks(self, wanted: Iterable[ChunkId], start: int = 0,
                     stop: int | None = None
                     ) -> tuple[dict[ChunkId, np.ndarray],
@@ -359,23 +432,27 @@ class ShardReader:
         """The wanted chunks of stripes start to stop (every stripe by
         default), each (stop - start, chunk_size), that pass their
         checks; and the chunks found unusable, each with the error
-        naming its shard file: every chunk of a shard whose length or
-        header is wrong, or a wanted chunk that fails its CRC in any of
-        these stripes.  A shard file must exist."""
+        naming its shard file: every chunk of a shard that cannot be
+        opened or read, or whose length or header is wrong, or a wanted
+        chunk that fails its CRC in any of these stripes."""
         m = self.manifest
         stop = m.stripe_count if stop is None else stop
-        lay = layout(m.params)
         by_node: dict[int, list[ChunkId]] = {}
         for c in sorted(set(wanted)):
-            by_node.setdefault(lay.chunk_location(c), []).append(c)
+            by_node.setdefault(self._lay.chunk_location(c), []).append(c)
         chunks: dict[ChunkId, np.ndarray] = {}
         failed: dict[ChunkId, IntegrityError] = {}
         for node, ids in sorted(by_node.items()):
-            slots = lay.node_chunks(node)
-            try:
+            slots = self._lay.node_chunks(node)
+            try:   # on an error, the whole shard is unusable
                 got, crcs = self._read_slots(node, ids, start, stop)
-            except IntegrityError as exc:   # the whole shard is unusable
-                failed.update((c, exc) for c in slots)
+            except IntegrityError as exc:
+                failed.update(dict.fromkeys(slots, exc))
+                continue
+            except OSError as exc:
+                failed.update(dict.fromkeys(slots, IntegrityError(
+                    f"shard {shard_filename(node)} cannot be read: "
+                    f"{exc.strerror or exc}")))
                 continue
             bad = [c for c in ids if any(
                 zlib.crc32(row) != crc
@@ -428,7 +505,7 @@ class ShardReader:
         the CRC table rows of those stripes."""
         fd, table, payload_at = self._shard(node)
         p = self.manifest.params
-        slots = layout(p).node_chunks(node)
+        slots = self._lay.node_chunks(node)
         got = {c: np.empty((stop - start, p.chunk_size), dtype=np.uint8)
                for c in ids}
         # payload positions in file order; neighbours share one preadv

@@ -131,7 +131,6 @@ class Cluster:
     config: ClusterConfig
     sets: tuple[tuple[int, ...], ...]
     memberships: dict[int, tuple[tuple[int, int], ...]]  # machine -> (set, pos)
-    slots_per_machine: tuple[int, ...]
 
 
 def build_cluster(config: ClusterConfig) -> Cluster:
@@ -164,7 +163,6 @@ def build_cluster(config: ClusterConfig) -> Cluster:
         config=config,
         sets=tuple(sets),
         memberships={m: tuple(v) for m, v in memberships.items()},
-        slots_per_machine=tuple(loads),
     )
 
 
@@ -172,10 +170,8 @@ def build_cluster(config: ClusterConfig) -> Cluster:
 class _Job:
     job_id: int
     set_id: int
-    chunk_label: str
     sources: tuple[int, ...]   # helper machines, one chunk read from each
     dest: int = -1
-    start: float = -1.0
     finish: float = -1.0
 
 
@@ -249,17 +245,16 @@ def _make_jobs(cluster: Cluster, failed: int,
             continue
         if scheme.kind == "replication":
             helper = rng.choice(sorted(survivors))
-            jobs.append(_Job(len(jobs), set_id, "copy", (helper,)))
+            jobs.append(_Job(len(jobs), set_id, (helper,)))
         elif scheme.kind == "rs":
             helpers = tuple(rng.sample(sorted(survivors), scheme.k))
-            jobs.append(_Job(len(jobs), set_id, "rs-chunk", helpers))
+            jobs.append(_Job(len(jobs), set_id, helpers))
         else:
             plan = plans[pos]
-            for t, chunks in plan.sums:
+            for _, chunks in plan.sums:
                 helpers = tuple(members[where(c) - 1] for c in chunks)
                 assert failed not in helpers
-                jobs.append(_Job(len(jobs), set_id,
-                                 plan.targets[t].label(scheme.f), helpers))
+                jobs.append(_Job(len(jobs), set_id, helpers))
     return jobs, data_loss
 
 
@@ -346,7 +341,6 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
                 return
             job = pending.popleft()
             job.dest = dest
-            job.start = t
             inbound[dest] += 1
             open_jobs[job.job_id] = len(job.sources)
             for src in job.sources:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srcodes import cli
+from srcodes import cli, shards
 from srcodes.cli import main
 from srcodes.core import SrcParams, data_chunks, layout, plan_chunks
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
@@ -345,7 +346,7 @@ def test_repair_fallback_when_helper_missing(runner, tmp_path, monkeypatch,
     def no_encode(*args):
         raise AssertionError("repair must not re-encode the file")
 
-    monkeypatch.setattr(cli, "encode_from", no_encode)
+    monkeypatch.setattr(shards, "encode_from", no_encode)
     res = runner.invoke(main, ["repair", "--manifest", str(manifest),
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
@@ -394,6 +395,98 @@ def test_corrupted_shard_exit_4(runner, tmp_path):
     assert not (tmp_path / "y.bin").exists()
     for node in (1, 2, 4):
         assert shard_filename(node) in res.stderr
+
+
+def _eio_on(monkeypatch, name):
+    """Make every os.preadv on the shard file called name fail with
+    EIO, as a failing disk would."""
+    opened, os_open, preadv = {}, os.open, os.preadv
+
+    def recording_open(path, *args, **kwargs):
+        fd = os_open(path, *args, **kwargs)
+        opened[fd] = Path(path).name
+        return fd
+
+    def failing_preadv(fd, buffers, offset):
+        if opened.get(fd) == name:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "preadv", failing_preadv)
+
+
+EIO_SKIP = "skipped: shard node_002.shard cannot be read: Input/output error"
+
+
+def test_decode_skips_an_unreadable_shard(runner, tmp_path, monkeypatch):
+    # node 2 holds part1[2], which a healthy decode reads
+    _, data, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)
+    _eio_on(monkeypatch, shard_filename(2))
+    dest = tmp_path / "y.bin"
+    res = _decode(runner, out, dest)
+    assert res.exit_code == 0, res.output
+    assert dest.read_bytes() == data
+    assert res.stderr.splitlines() == [EIO_SKIP]
+
+
+def test_repair_skips_an_unreadable_helper(runner, tmp_path, monkeypatch):
+    # node 2 holds part2[3], a look-up helper of node 3's part1[3]
+    _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)
+    lost = out / shard_filename(3)
+    expected = lost.read_bytes()
+    lost.unlink()
+    _eio_on(monkeypatch, shard_filename(2))
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", "3"])
+    assert res.exit_code == 0, res.output
+    assert "via reconstruction fallback" in res.stdout
+    assert lost.read_bytes() == expected
+    assert [line for line in res.stderr.splitlines()
+            if line.startswith("skipped:")] == [EIO_SKIP]
+
+
+def test_unreadable_shard_among_exactly_k_exit_4(runner, tmp_path,
+                                                 monkeypatch):
+    _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)
+    for node in range(7, 11):   # nodes 1..6 are exactly k
+        (out / shard_filename(node)).unlink()
+    _eio_on(monkeypatch, shard_filename(2))
+    dest = tmp_path / "y.bin"
+    res = _decode(runner, out, dest)
+    assert res.exit_code == 4
+    assert not dest.exists()
+    assert res.stderr.splitlines()[0] == EIO_SKIP
+    assert res.stderr.splitlines()[-1].startswith("error: ")
+    assert res.stderr.splitlines()[-1].endswith("skipped node_002.shard")
+
+
+@pytest.mark.parametrize("command", ["decode", "repair"])
+@pytest.mark.parametrize("key,value", [("chunk_size", 2 ** 40),
+                                       ("file_size", 2 ** 62)])
+def test_sizes_no_shard_confirms_exit_4(runner, tmp_path, command, key,
+                                        value):
+    # a manifest whose sizes the shard files do not have: nothing is
+    # allocated from them before a file's length is checked
+    _, _, out = _encode(runner, tmp_path)
+    manifest = out / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    p = doc["params"]
+    (p if key in p else doc)[key] = value
+    doc["stripe_count"] = -(-doc["file_size"]
+                            // (p["f"] * p["k"] * p["chunk_size"]))
+    manifest.write_text(json.dumps(doc))
+    (out / shard_filename(1)).unlink()
+    before = sorted(tmp_path.rglob("*"))
+    if command == "decode":
+        res = _decode(runner, out, tmp_path / "y.bin")
+    else:
+        res = runner.invoke(main, ["repair", "--manifest", str(manifest),
+                                   "--shards", str(out), "--node", "1"])
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines()[-1].startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
@@ -470,7 +563,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     lay = layout(p)
     manifest = str(out / MANIFEST_NAME)
     if batch_bytes is not None:   # one stripe per batch
-        monkeypatch.setattr(cli, "_BATCH_BYTES", batch_bytes)
+        monkeypatch.setattr(shards, "_BATCH_BYTES", batch_bytes)
     batches = stripes if batch_bytes else 1
     calls, nbytes = _count_reads(monkeypatch)
 

@@ -36,7 +36,7 @@ def test_generator_deterministic():
     a = make_generator(5, 9)
     b = make_generator(5, 9)
     assert np.array_equal(a.entries, b.entries)
-    assert a.construction_id == b.construction_id
+    assert (a.k, a.n) == (b.k, b.n) == (5, 9)
 
 
 def test_generator_parameter_errors():

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from srcodes.core import SrcParams, encode, encode_from, layout
+from srcodes import shards
+from srcodes.core import SrcParams, data_chunks, encode, layout
 from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, ShardReader, ShardWriter,
                             load_manifest, shard_filename, write_shard_set)
@@ -14,7 +15,7 @@ from shard_files import HEADER_B, shard_bytes, slot_at, table_bytes
 
 
 def read_chunks(manifest, directory, wanted, start=0, stop=None):
-    with ShardReader(manifest, directory) as reader:
+    with ShardReader(manifest, directory, wanted) as reader:
         return reader.read_chunks(wanted, start, stop)
 
 
@@ -28,9 +29,10 @@ def _array(seed=1, params=None):
 def _write_set(directory, data, params):
     """data's shard files and manifest, written as encode writes them, a
     stripe per batch; the manifest path."""
-    batches = encode_from(io.BytesIO(data).readinto, len(data), params, 1)
-    return write_shard_set(directory, params, len(data), batches,
-                           lambda: "ab" * 32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shards, "_BATCH_BYTES", 1)   # a stripe per batch
+        return write_shard_set(directory, params, len(data),
+                               io.BytesIO(data).readinto, lambda: "ab" * 32)
 
 
 def _read_node(manifest, directory, node):
@@ -265,7 +267,7 @@ def test_read_chunks_reads_a_stripe_range_header_once(tmp_path, monkeypatch):
     opened = []
     monkeypatch.setattr(os, "pread", lambda fd, size, at, pread=os.pread:
                         opened.append(size) or pread(fd, size, at))
-    with ShardReader(manifest, tmp_path) as reader:
+    with ShardReader(manifest, tmp_path, lay.node_chunks(2)) as reader:
         chunks, failed = reader.read_chunks(lay.node_chunks(2), 1, 3)
         again, _ = reader.read_chunks(lay.node_chunks(2)[:1], 0, 1)
     assert failed == {} and opened == [HEADER_B,
@@ -273,3 +275,20 @@ def test_read_chunks_reads_a_stripe_range_header_once(tmp_path, monkeypatch):
     for slot, c in enumerate(lay.node_chunks(2)):
         assert np.array_equal(chunks[c], arr.shards[2][1:3, slot])
     assert np.array_equal(again[lay.node_chunks(2)[0]], arr.shards[2][:1, 0])
+
+
+def test_reader_batches_plan_around_a_failed_chunk(tmp_path, capsys):
+    # the library reader without the CLI: part1[2] fails its CRC in the
+    # middle stripe, is XORed from its helpers instead, and its shard is
+    # named on stderr in the line the CLI prints
+    params = SrcParams(10, 6, 2, 256)
+    data = np.random.default_rng(5).integers(
+        0, 256, 3 * params.stripe_data_bytes - 9, dtype=np.uint8).tobytes()
+    manifest = load_manifest(_write_set(tmp_path, data, params))
+    _flip(tmp_path / shard_filename(2), slot_at(params, 3, 1, 0))
+    reader = ShardReader(manifest, tmp_path, data_chunks(params))
+    out = b"".join(batch.tobytes() for batch in reader.batches())
+    assert out[:len(data)] == data
+    assert capsys.readouterr().err == \
+        "skipped: shard node_002.shard: part1[2] fails the CRC-32 check\n"
+    assert list(reader.skipped) == [shard_filename(2)]

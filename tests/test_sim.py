@@ -39,7 +39,9 @@ def test_placement_matches_hadoop_scale_slot_count():
     cfg = ClusterConfig(scheme=Scheme.src(10, 6, 2), machines=100,
                         data_bytes_per_machine=410_000_000_000)
     cluster = build_cluster(cfg)
-    for slots in cluster.slots_per_machine:
+    # each member of a (10,6,2) set holds f+1 = 3 of its chunk slots
+    for m in range(cfg.machines):
+        slots = 3 * sum(members.count(m) for members in cluster.sets)
         assert abs(slots - 6400) / 6400 < 0.10
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srcodes import cli
+from srcodes import shards
 from srcodes.cli import main
 from srcodes.core import SrcParams
 from srcodes.shards import MANIFEST_NAME, shard_filename
@@ -83,7 +83,7 @@ def _peak(run):
 def test_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
     # a 256 KiB budget is two or three stripes of 4 KiB chunks: a 2 MiB
     # and an 8 MiB file must peak alike
-    monkeypatch.setattr(cli, "_BATCH_BYTES", 256 << 10)
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 256 << 10)
     decode_peak, repair_peak = {}, {}
     for size in (2 << 20, 8 << 20):
         _, out = _encode(tmp_path, size, f"f{size}")
@@ -101,7 +101,7 @@ def test_encode_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
     # encode holds one batch of every node's stripes, neither the input
     # nor a shard.  A first encode makes what a process makes once, such
     # as the generator cache and the GF kernel's per-thread blocks.
-    monkeypatch.setattr(cli, "_BATCH_BYTES", 256 << 10)
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 256 << 10)
     _encode(tmp_path, 100_000, "warm")
     peak = {}
     for size in (2 << 20, 8 << 20):
@@ -113,7 +113,7 @@ def test_encode_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
 
 @pytest.fixture
 def one_stripe_batches(monkeypatch):
-    monkeypatch.setattr(cli, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
 
 
 def test_decode_crc_failure_in_last_batch(tmp_path, one_stripe_batches):
