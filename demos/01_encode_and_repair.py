@@ -5,7 +5,7 @@ two survivors."""
 
 import numpy as np
 
-from srcodes import (ChunkId, SrcParams, chunks_from_shards, encode, layout,
+from srcodes import (ChunkId, SrcParams, chunks_from_shards, encode,
                      reconstruct)
 from srcodes.repair import describe
 
@@ -15,9 +15,8 @@ file_bytes = rng.integers(0, 256, params.stripe_data_bytes, dtype=np.uint8).toby
 
 print("== encoding one stripe over 4 nodes ==")
 array = encode(file_bytes, params)
-lay = layout(params)
 for node in range(1, 5):
-    ids = ", ".join(c.label(params.f) for c in lay.node_chunks(node))
+    ids = ", ".join(c.label(params.f) for c in params.node_chunks(node))
     print(f"  node {node}: {ids}")
 print("each node holds one chunk of each part plus one parity chunk,")
 print("and no two chunks on a node share a subscript.\n")
@@ -27,7 +26,7 @@ for line in describe(params, 1, array.stripe_count):
     print(" ", line)
 
 survivors = {node: array.shards[node] for node in (2, 3, 4)}
-restored = chunks_from_shards(params, survivors, lay.node_chunks(1))
+restored = chunks_from_shards(params, survivors, params.node_chunks(1))
 same = np.array_equal(restored, array.shards[1])
 print(f"\nrestored shard identical to the lost one: {same}")
 

@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from srcodes import SrcParams, data_chunks, layout
+from srcodes import SrcParams, data_chunks
 from srcodes.shards import (ShardReader, ShardWriter, load_manifest,
                             shard_filename, write_shard_set)
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
 params = SrcParams(n=10, k=6, f=2, chunk_size=64 * 1024)
-lay = layout(params)
 data = np.random.default_rng(7).integers(0, 256, 3_000_000,
                                          dtype=np.uint8).tobytes()
 
@@ -40,7 +39,7 @@ print(f"stripe_count={stripes}, shard file size "
 print("\ndeleting node 3's shard, then repairing it from its helpers")
 shard_path.unlink()
 # one plan for every stripe, made on the shard files that exist
-reader = ShardReader(manifest, workdir, lay.node_chunks(3), lost=3)
+reader = ShardReader(manifest, workdir, params.node_chunks(3), lost=3)
 # ShardWriter adds the header and CRC table as the batches come, and
 # refuses a shard whose digest differs from the manifest's
 with ShardWriter(workdir, params, 3, manifest.file_size) as writer:
@@ -49,7 +48,7 @@ with ShardWriter(workdir, params, 3, manifest.file_size) as writer:
     writer.seal(manifest.shard_digests[3])
 reads = reader.plan.reads
 print(f"  read {len(reads)} chunks per stripe from nodes "
-      f"{sorted({lay.chunk_location(c) for c in reads})}, "
+      f"{sorted({params.chunk_location(c) for c in reads})}, "
       f"{len(reads) * stripes * params.chunk_size:,} bytes")
 print("rebuilt shard digest matches manifest: True")
 

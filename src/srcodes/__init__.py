@@ -8,9 +8,9 @@ simulator and a Markov MTTF analyzer for comparing against 3-way
 replication and Reed-Solomon coding.
 """
 
-from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, StripeLayout, \
-    chunks_from_shards, data_chunks, encode, layout, plan_chunks, \
-    reconstruct, ring_add, ring_sub, run_plan
+from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, \
+    chunks_from_shards, data_chunks, encode, plan_chunks, reconstruct, \
+    ring_add, ring_sub, run_plan
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError, SrcError)
 from .mds import GeneratorMatrix, make_generator
@@ -24,8 +24,8 @@ from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChunkId", "ChunkPlan", "CodedArray", "SrcParams", "StripeLayout",
-    "chunks_from_shards", "data_chunks", "encode", "layout", "plan_chunks",
+    "ChunkId", "ChunkPlan", "CodedArray", "SrcParams",
+    "chunks_from_shards", "data_chunks", "encode", "plan_chunks",
     "reconstruct", "ring_add", "ring_sub", "run_plan",
     "GeneratorMatrix", "make_generator",
     "MetricRow", "asymptotic_report", "comparison_table",

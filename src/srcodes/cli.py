@@ -43,7 +43,7 @@ from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import repair as repair_mod
 from . import sim as sim_mod
-from .core import SrcParams, data_chunks, layout
+from .core import SrcParams, data_chunks
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
 from .shards import (ShardReader, ShardWriter, atomic_writer, load_manifest,
@@ -128,7 +128,7 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
 
         manifest_path = write_shard_set(out, params, size, fill, file_digest)
     click.echo(f"encoded {size} bytes into {n} shards "
-               f"({-(-size // params.stripe_data_bytes)} stripes) under {out}")
+               f"({params.stripes(size)} stripes) under {out}")
     click.echo(f"manifest: {manifest_path}")
 
 
@@ -152,8 +152,7 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
         for line in repair_mod.describe(params, node, manifest.stripe_count):
             click.echo(line)
         return
-    reader = ShardReader(manifest, shard_dir,
-                         layout(params).node_chunks(node), node)
+    reader = ShardReader(manifest, shard_dir, params.node_chunks(node), node)
     with ShardWriter(shard_dir, params, node, manifest.file_size,
                      manifest.version) as writer:
         for batch in reader.batches():

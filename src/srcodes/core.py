@@ -15,6 +15,9 @@ circularly so that node i stores
 where (+) is 1-based wrap-around addition on {1..n}.  No two chunks on a
 node share a subscript (this needs f+1 <= n), which is what makes every
 chunk repairable by XORing the f other chunks with its subscript.
+SrcParams holds that rule: node_chunks gives a node's chunks,
+chunk_location a chunk's node, helpers a chunk's f same-subscript
+chunks, and stripes(size) the stripes a file of size bytes fills.
 
 Every chunk is thus a data chunk, an MDS combination of k chunks of its
 part, or the XOR of the f others with its subscript: encode, decode and
@@ -108,8 +111,36 @@ class SrcParams:
         """Payload bytes carried by one stripe."""
         return self.f * self.k * self.chunk_size
 
+    def stripes(self, size: int) -> int:
+        """Stripes that hold size bytes: the last one zero-padded."""
+        return -(-size // self.stripe_data_bytes)
+
     def generator(self) -> GeneratorMatrix:
         return _generator(self.k, self.n)
+
+    def node_chunks(self, node: int) -> list[ChunkId]:
+        """Chunk ids stored on a node, in slot order (parts 1..f, parity)."""
+        if not 1 <= node <= self.n:
+            raise ParameterError(f"node {node} outside [1, {self.n}]")
+        # part l, the parity part f+1 included, sits at subscript node(+)(l-1)
+        return [ChunkId(l, ring_add(node, l - 1, self.n))
+                for l in range(1, self.parity_part + 1)]
+
+    def chunk_location(self, chunk: ChunkId) -> int:
+        """Node index storing a chunk (inverse of node_chunks)."""
+        if not 1 <= chunk.part <= self.parity_part:
+            raise ParameterError(f"part {chunk.part} outside [1, {self.parity_part}]")
+        if not 1 <= chunk.subscript <= self.n:
+            raise ParameterError(f"subscript {chunk.subscript} outside [1, {self.n}]")
+        return ring_sub(chunk.subscript, chunk.part - 1, self.n)
+
+    def helpers(self, chunk: ChunkId) -> list[ChunkId]:
+        """The f other chunks with this chunk's subscript, in part order;
+        the f+1 of them XOR to zero, so these restore the chunk."""
+        self.chunk_location(chunk)  # validates the id
+        return [ChunkId(part, chunk.subscript)
+                for part in range(1, self.parity_part + 1)
+                if part != chunk.part]
 
 
 @lru_cache(maxsize=64)
@@ -117,50 +148,12 @@ def _generator(k: int, n: int) -> GeneratorMatrix:
     return make_generator(k, n)
 
 
-class StripeLayout:
-    """Bijection between the (f+1)*n chunk ids of a stripe and the
-    (f+1)*n node slots."""
-
-    def __init__(self, params: SrcParams):
-        self.params = params
-
-    def node_chunks(self, node: int) -> list[ChunkId]:
-        """Chunk ids stored on a node, in slot order (parts 1..f, parity)."""
-        p = self.params
-        if not 1 <= node <= p.n:
-            raise ParameterError(f"node {node} outside [1, {p.n}]")
-        # part l, the parity part f+1 included, sits at subscript node(+)(l-1)
-        return [ChunkId(l, ring_add(node, l - 1, p.n))
-                for l in range(1, p.parity_part + 1)]
-
-    def chunk_location(self, chunk: ChunkId) -> int:
-        """Node index storing a chunk (inverse of node_chunks)."""
-        p = self.params
-        if not 1 <= chunk.part <= p.parity_part:
-            raise ParameterError(f"part {chunk.part} outside [1, {p.parity_part}]")
-        if not 1 <= chunk.subscript <= p.n:
-            raise ParameterError(f"subscript {chunk.subscript} outside [1, {p.n}]")
-        return ring_sub(chunk.subscript, chunk.part - 1, p.n)
-
-    def helpers(self, chunk: ChunkId) -> list[ChunkId]:
-        """The f other chunks with this chunk's subscript, in part order;
-        the f+1 of them XOR to zero, so these restore the chunk."""
-        self.chunk_location(chunk)  # validates the id
-        return [ChunkId(part, chunk.subscript)
-                for part in range(1, self.params.parity_part + 1)
-                if part != chunk.part]
-
-
-def layout(params: SrcParams) -> StripeLayout:
-    return StripeLayout(params)
-
-
 @dataclass(frozen=True)
 class CodedArray:
     """Encoded form of a file: one shard per node.
 
     ``shards[i]`` is a uint8 array of shape (stripe_count, f+1,
-    chunk_size) whose slot axis follows StripeLayout.node_chunks(i).
+    chunk_size) whose slot axis follows SrcParams.node_chunks(i).
     Immutable once built.
     """
 
@@ -189,13 +182,12 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
     slot, cut at the end of the input, and the rest of a slot is zeroed;
     run_plan, on the one plan, makes the other slots in place.
     """
-    lay = layout(params)
     targets = [c for node in range(1, params.n + 1)
-               for c in lay.node_chunks(node)]
+               for c in params.node_chunks(node)]
     data = {c: targets.index(c) for c in data_chunks(params)}
     plan = plan_chunks(params, data, targets)
     cs = params.chunk_size
-    stripes = -(-size // params.stripe_data_bytes)
+    stripes = params.stripes(size)
     buf = np.empty((min(step, stripes), len(targets), cs), dtype=np.uint8)
     at = 0
     for start in range(0, max(stripes, 1), step):
@@ -218,7 +210,7 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.
     """
-    stripes = -(-len(file_bytes) // params.stripe_data_bytes)
+    stripes = params.stripes(len(file_bytes))
     coded, = encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
                          params, max(stripes, 1))
     f = params.f
@@ -264,7 +256,6 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
     its absent helper nodes when that target needs deriving and fewer
     than k chunks of its part are available.
     """
-    lay = layout(params)
     f, k = params.f, params.k
     available = frozenset(available)
     first = {c: t for t, c in reversed(list(enumerate(targets)))}
@@ -273,11 +264,12 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
     for t, c in enumerate(targets):
         if c in available or first[c] != t:
             sums.append((t, (c,)))
-        elif c.part <= f and any(h not in available for h in lay.helpers(c)):
+        elif c.part <= f and any(h not in available
+                                 for h in params.helpers(c)):
             derived.setdefault(c, c)
         else:   # all helpers available, or a parity chunk
-            sums.append((t, tuple(lay.helpers(c))))
-            for h in lay.helpers(c):   # only a parity chunk has absent ones
+            sums.append((t, tuple(params.helpers(c))))
+            for h in params.helpers(c):   # only a parity chunk has absent ones
                 if h not in available:
                     derived.setdefault(h, c)
     sources = {l: tuple(sorted(c for c in available if c.part == l)[:k])
@@ -285,7 +277,7 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
     short = {t for c, t in derived.items() if len(sources[c.part]) < k}
     if short:
         target = next(t for t in targets if t in short)
-        absent = [lay.chunk_location(h) for h in lay.helpers(target)
+        absent = [params.chunk_location(h) for h in params.helpers(target)
                   if h not in available]
         raise InsufficientDataError(
             f"cannot produce {target.label(f)}: helper node(s) "
@@ -355,9 +347,8 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
     stripes = {arr.shape[0] for arr in shards.values()}
     if len(stripes) > 1:
         raise ShapeError("shards disagree on stripe count")
-    lay = layout(params)
     present = {c: shard[:, slot] for node, shard in shards.items()
-               for slot, c in enumerate(lay.node_chunks(node))}
+               for slot, c in enumerate(params.node_chunks(node))}
     out = np.empty((max(stripes, default=0), len(targets), params.chunk_size),
                    dtype=np.uint8)
     return run_plan(plan_chunks(params, present, targets), present, out)

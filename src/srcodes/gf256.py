@@ -3,7 +3,7 @@
 Elements are bytes; addition is XOR, multiplication works through
 log/antilog tables built from the primitive polynomial x^8+x^4+x^3+x^2+1
 (0x11d) with generator 2.  A full 256x256 product table MUL is built at
-import time; the scalar functions and mat_inv are pure.
+import time; gf_inv and mat_inv are pure.
 
 addmul_buf, which every buffer multiply-add reaches through addmul_rows,
 scales by table look-up on the caller's thread, 128 Ki entries at a
@@ -56,12 +56,6 @@ del _la, _lb
 
 INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[np.arange(1, 256)]]
-
-
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(EXP[LOG[a] + LOG[b]])
 
 
 def gf_inv(a: int) -> int:

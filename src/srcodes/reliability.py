@@ -23,6 +23,7 @@ Pure numeric functions; use from any number of threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ParameterError
@@ -59,9 +60,13 @@ class MarkovParams:
     def __post_init__(self) -> None:
         if not 1 <= self.k < self.n:
             raise ParameterError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
-        if min(self.repair_hours, self.disk_mttf_hours,
-               self.system_bytes, self.node_bytes) <= 0:
-            raise ParameterError("all rates and sizes must be positive")
+        # an infinite repair time is no repair at all
+        finite = (self.disk_mttf_hours, self.system_bytes, self.node_bytes)
+        if not (0 < self.repair_hours <= math.inf
+                and all(0 < x < math.inf for x in finite)):
+            raise ParameterError(
+                "repair_hours must be positive; disk_mttf_hours, "
+                "system_bytes and node_bytes positive and finite")
 
     @property
     def failure_rate(self) -> float:

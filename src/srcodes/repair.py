@@ -10,17 +10,16 @@ helpers.  `srcodes repair` itself plans on the shard files that exist.
 
 from __future__ import annotations
 
-from .core import ChunkPlan, SrcParams, layout, plan_chunks
+from .core import ChunkPlan, SrcParams, plan_chunks
 
 
 def node_plan(params: SrcParams, node: int) -> ChunkPlan:
     """The plan for a node's f+1 chunks, in slot order, from the chunks
     of every other node."""
-    lay = layout(params)
     return plan_chunks(params, (c for other in range(1, params.n + 1)
                                 if other != node
-                                for c in lay.node_chunks(other)),
-                       lay.node_chunks(node))
+                                for c in params.node_chunks(other)),
+                       params.node_chunks(node))
 
 
 def describe(params: SrcParams, node: int, stripe_count: int = 1) -> list[str]:
@@ -28,7 +27,7 @@ def describe(params: SrcParams, node: int, stripe_count: int = 1) -> list[str]:
     XORed into it and their nodes; then, for the whole node, the helper
     disks, the chunk reads per stripe and the bytes read."""
     f, cs = params.f, params.chunk_size
-    where = layout(params).chunk_location
+    where = params.chunk_location
     plan = node_plan(params, node)
     lines = [f"rebuild node {node}:"]
     for t, chunks in plan.sums:

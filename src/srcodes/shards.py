@@ -39,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ChunkId, ChunkPlan, SrcParams, encode_from, layout,
-                   plan_chunks, run_plan)
+from .core import (ChunkId, ChunkPlan, SrcParams, encode_from, plan_chunks,
+                   run_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      ShapeError)
 from .mds import CONSTRUCTION_ID
@@ -72,14 +72,15 @@ def _header(params: SrcParams, node: int, stripe_count: int,
 
 
 def _offsets(params: SrcParams, stripe_count: int,
-             version: int) -> tuple[int, int]:
-    """Where a shard file's payload and its CRC table start: v1 has the
-    table first, v2 the payload."""
+             version: int) -> tuple[int, int, int]:
+    """Where a shard file's payload and its CRC table start, and the
+    file's length: v1 has the table first, v2 the payload."""
     table_b = 4 * stripe_count * (params.f + 1)
     payload_b = stripe_count * (params.f + 1) * params.chunk_size
+    end = _HEADER.size + table_b + payload_b
     if version == 1:
-        return _HEADER.size + table_b, _HEADER.size
-    return _HEADER.size, _HEADER.size + payload_b
+        return _HEADER.size + table_b, _HEADER.size, end
+    return _HEADER.size, _HEADER.size + payload_b, end
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class Manifest:
             if file_size < 0:
                 raise IntegrityError(
                     f"malformed manifest: negative file_size {file_size}")
-            if stripe_count != -(-file_size // params.stripe_data_bytes):
+            if stripe_count != params.stripes(file_size):
                 raise IntegrityError(
                     f"malformed manifest: stripe_count {stripe_count} does "
                     f"not fit file_size {file_size}")
@@ -213,7 +214,7 @@ class ShardWriter:
     def __init__(self, directory: Path, params: SrcParams, node: int,
                  file_size: int, version: int = FORMAT_VERSION):
         self.params, self.node, self.version = params, node, version
-        self.stripes = -(-file_size // params.stripe_data_bytes)
+        self.stripes = params.stripes(file_size)
         self._head = _header(params, node, self.stripes, file_size, version)
         self._crcs = bytearray()   # CRC table of the stripes written
         self._done = 0             # stripes written
@@ -317,7 +318,7 @@ def write_shard_set(directory: Path, params: SrcParams, file_size: int,
         params=params,
         generator=CONSTRUCTION_ID,
         file_size=file_size,
-        stripe_count=-(-file_size // params.stripe_data_bytes),
+        stripe_count=params.stripes(file_size),
         file_digest=file_sha,
         shard_digests=digests,
     )
@@ -354,11 +355,10 @@ class ShardReader:
                  targets: list[ChunkId], lost: int = 0):
         self.manifest, self.targets = manifest, targets
         self.directory = Path(directory)
-        self._lay = layout(manifest.params)
         self.available = {c for node in manifest.shard_digests
                           if node != lost
                           and manifest.shard_path(directory, node).exists()
-                          for c in self._lay.node_chunks(node)}
+                          for c in manifest.params.node_chunks(node)}
         self.skipped: dict[str, None] = {}   # shard file names, in order
         self.blocked: set[ChunkId] = set()   # targets some plan derives
         # node -> fd, CRC table, payload offset
@@ -403,8 +403,8 @@ class ShardReader:
         made again mid-batch finishes that batch; the batches after it
         are sized for the new plan.  An empty file is one batch of no
         stripes, which still checks the planned shard files' headers."""
-        stripes, cap = self.manifest.stripe_count, self._step()
-        out, stop = None, 0
+        p, stripes = self.manifest.params, self.manifest.stripe_count
+        cap, out, stop = self._step(), None, 0
         with self:
             while out is None or stop < stripes:
                 start, stop = stop, min(stop + min(self._step(), cap), stripes)
@@ -416,13 +416,13 @@ class ShardReader:
                         print(f"skipped: {exc}", file=sys.stderr, flush=True)
                     if failed:
                         self.skipped.update(dict.fromkeys(
-                            shard_filename(self._lay.chunk_location(c))
+                            shard_filename(p.chunk_location(c))
                             for c in failed))
                         self.available.difference_update(failed)
                         self.plan = self._plan()
                 if out is None:
                     out = np.empty((stop - start, len(self.targets),
-                                    self.manifest.params.chunk_size), np.uint8)
+                                    p.chunk_size), np.uint8)
                 yield run_plan(self.plan, held, out[:stop - start])
 
     def read_chunks(self, wanted: Iterable[ChunkId], start: int = 0,
@@ -439,11 +439,11 @@ class ShardReader:
         stop = m.stripe_count if stop is None else stop
         by_node: dict[int, list[ChunkId]] = {}
         for c in sorted(set(wanted)):
-            by_node.setdefault(self._lay.chunk_location(c), []).append(c)
+            by_node.setdefault(m.params.chunk_location(c), []).append(c)
         chunks: dict[ChunkId, np.ndarray] = {}
         failed: dict[ChunkId, IntegrityError] = {}
         for node, ids in sorted(by_node.items()):
-            slots = self._lay.node_chunks(node)
+            slots = m.params.node_chunks(node)
             try:   # on an error, the whole shard is unusable
                 got, crcs = self._read_slots(node, ids, start, stop)
             except IntegrityError as exc:
@@ -475,9 +475,8 @@ class ShardReader:
         m = self.manifest
         p, stripes = m.params, m.stripe_count
         name = shard_filename(node)
-        payload_at, table_at = _offsets(p, stripes, m.version)
+        payload_at, table_at, expected = _offsets(p, stripes, m.version)
         table_b = 4 * stripes * (p.f + 1)
-        expected = _HEADER.size + table_b + stripes * (p.f + 1) * p.chunk_size
         fd = os.open(m.shard_path(self.directory, node), os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
@@ -505,7 +504,7 @@ class ShardReader:
         the CRC table rows of those stripes."""
         fd, table, payload_at = self._shard(node)
         p = self.manifest.params
-        slots = self._lay.node_chunks(node)
+        slots = p.node_chunks(node)
         got = {c: np.empty((stop - start, p.chunk_size), dtype=np.uint8)
                for c in ids}
         # payload positions in file order; neighbours share one preadv

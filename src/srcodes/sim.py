@@ -10,13 +10,16 @@ pipeline minus the write-back.  An SRC job's helper machines hold the
 chunks core.plan_chunks reads for that chunk when it plans the lost
 node from every other node (repair.node_plan).
 
-Transfers are fluid flows with max-min fair rates over four resources
-per machine (net up, net down, disk read, disk write), recomputed at
-event boundaries (progressive filling).  Reads, transfer, and write-back
-are pipelined inside a job, so with the default disk speeds the 1 Gb/s
-link is the only binding resource.  Concurrency is throttled by a
-master-level dispatch window plus a per-machine cap on concurrent
-inbound rebuilds, both config knobs.
+Transfers are fluid flows with max-min fair rates, recomputed at event
+boundaries (progressive filling).  Reads, transfer, and write-back are
+pipelined inside a job, so the flows leaving a machine share both its
+uplink and its disk read, and the flows entering it share its downlink
+and, unless the read is degraded, its disk write.  Each machine end is
+thus one resource: its source end has capacity min(net, disk read), its
+destination end min(net, disk write), or net alone for a degraded read.
+With the default disk speeds the 1 Gb/s link binds at both.
+Concurrency is throttled by a master-level dispatch window plus a
+per-machine cap on concurrent inbound rebuilds, both config knobs.
 
 The event loop is single-threaded and fully deterministic: identical
 config and seed give bit-identical reports.  Run different configs in
@@ -25,11 +28,12 @@ parallel processes if needed; a cluster is immutable once built.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import SrcParams, layout
+from .core import SrcParams
 from .errors import ParameterError, PlacementError
 from .repair import node_plan
 
@@ -106,11 +110,13 @@ class ClusterConfig:
             raise PlacementError(
                 f"{self.machines} machines cannot host width-{self.scheme.n} "
                 f"sets plus a rebuild target")
-        if min(self.net_bytes_per_s, self.disk_read_bytes_per_s,
-               self.disk_write_bytes_per_s) <= 0:
-            raise ParameterError("bandwidths must be positive")
-        if self.chunk_size < 1 or self.data_bytes_per_machine < 1:
-            raise ParameterError("sizes must be positive")
+        if not all(0 < x < math.inf for x in (
+                self.net_bytes_per_s, self.disk_read_bytes_per_s,
+                self.disk_write_bytes_per_s)):
+            raise ParameterError("bandwidths must be positive and finite")
+        if not all(1 <= x < math.inf for x in (
+                self.chunk_size, self.data_bytes_per_machine)):
+            raise ParameterError("sizes must be positive and finite")
         if self.max_inbound_repairs < 1 or self.dispatch_window < 1:
             raise ParameterError("concurrency knobs must be >= 1")
 
@@ -130,7 +136,6 @@ class Cluster:
 
     config: ClusterConfig
     sets: tuple[tuple[int, ...], ...]
-    memberships: dict[int, tuple[tuple[int, int], ...]]  # machine -> (set, pos)
 
 
 def build_cluster(config: ClusterConfig) -> Cluster:
@@ -149,21 +154,13 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     heap = [(0, rng.random(), m) for m in range(config.machines)]
     heapq.heapify(heap)
     sets = []
-    memberships: dict[int, list[tuple[int, int]]] = {m: [] for m in range(config.machines)}
-    loads = [0] * config.machines
-    for set_id in range(set_count):
+    for _ in range(set_count):
         picked = [heapq.heappop(heap) for _ in range(scheme.n)]
-        members = tuple(m for _, _, m in picked)
-        sets.append(members)
-        for pos, m in enumerate(members):
-            memberships[m].append((set_id, pos))
-            loads[m] += scheme.chunks_per_member
-            heapq.heappush(heap, (loads[m], rng.random(), m))
-    return Cluster(
-        config=config,
-        sets=tuple(sets),
-        memberships={m: tuple(v) for m, v in memberships.items()},
-    )
+        sets.append(tuple(m for _, _, m in picked))
+        for load, _, m in picked:
+            heapq.heappush(heap, (load + scheme.chunks_per_member,
+                                  rng.random(), m))
+    return Cluster(config=config, sets=tuple(sets))
 
 
 @dataclass
@@ -234,10 +231,11 @@ def _make_jobs(cluster: Cluster, failed: int,
         src_params = SrcParams(scheme.n, scheme.k, scheme.f, config.chunk_size)
         plans = [node_plan(src_params, node)
                  for node in range(1, scheme.n + 1)]
-        where = layout(src_params).chunk_location
+        where = src_params.chunk_location
 
-    for set_id, pos in cluster.memberships.get(failed, ()):
-        members = cluster.sets[set_id]
+    for set_id, members in enumerate(cluster.sets):
+        if failed not in members:
+            continue
         survivors = [m for m in members if m != failed]
         needed = 1 if scheme.kind == "replication" else scheme.k
         if len(survivors) < needed:
@@ -250,7 +248,7 @@ def _make_jobs(cluster: Cluster, failed: int,
             helpers = tuple(rng.sample(sorted(survivors), scheme.k))
             jobs.append(_Job(len(jobs), set_id, helpers))
         else:
-            plan = plans[pos]
+            plan = plans[members.index(failed)]
             for _, chunks in plan.sums:
                 helpers = tuple(members[where(c) - 1] for c in chunks)
                 assert failed not in helpers
@@ -259,46 +257,36 @@ def _make_jobs(cluster: Cluster, failed: int,
 
 
 def _allocate(flows: list[_Flow], config: ClusterConfig, degraded: bool) -> None:
-    """Max-min fair rates by progressive filling over machine resources."""
-    res_residual: dict[tuple[str, int], float] = {}
-    res_flows: dict[tuple[str, int], list[_Flow]] = {}
-
-    def touch(key: tuple[str, int], cap: float, flow: _Flow) -> None:
-        if key not in res_residual:
-            res_residual[key] = cap
-            res_flows[key] = []
-        res_flows[key].append(flow)
-
+    """Max-min fair rates by progressive filling over machine ends: a
+    flow uses its source's ("src", m) and its destination's ("dst", m)."""
+    net = config.net_bytes_per_s
+    cap = {"src": min(net, config.disk_read_bytes_per_s),
+           "dst": net if degraded else min(net, config.disk_write_bytes_per_s)}
+    users: dict[tuple[str, int], list[_Flow]] = {}
     for fl in flows:
-        touch(("up", fl.src), config.net_bytes_per_s, fl)
-        touch(("rd", fl.src), config.disk_read_bytes_per_s, fl)
-        touch(("dn", fl.dst), config.net_bytes_per_s, fl)
-        if not degraded:
-            touch(("wr", fl.dst), config.disk_write_bytes_per_s, fl)
-
+        users.setdefault(("src", fl.src), []).append(fl)
+        users.setdefault(("dst", fl.dst), []).append(fl)
+    residual = {key: cap[key[0]] for key in users}
+    live_count = {key: len(v) for key, v in users.items()}
     frozen: set[int] = set()
-    live_count = {key: len(v) for key, v in res_flows.items()}
     while len(frozen) < len(flows):
         best_key, best_share = None, None
         for key, count in live_count.items():
             if count <= 0:
                 continue
-            share = max(res_residual[key], 0.0) / count
+            share = max(residual[key], 0.0) / count
             if best_share is None or share < best_share:
                 best_key, best_share = key, share
         assert best_key is not None
         rate = max(best_share, 1e-9)  # float-dust floor; reallocated next event
-        for fl in res_flows[best_key]:
+        for fl in users[best_key]:
             if id(fl) in frozen:
                 continue
             fl.rate = rate
             frozen.add(id(fl))
-            for key in (("up", fl.src), ("rd", fl.src), ("dn", fl.dst),
-                        ("wr", fl.dst)):
-                if key in res_residual:
-                    res_residual[key] -= rate
-                    live_count[key] -= 1
-        live_count[best_key] = 0
+            for key in (("src", fl.src), ("dst", fl.dst)):
+                residual[key] -= rate
+                live_count[key] -= 1
 
 
 def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:

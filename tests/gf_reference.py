@@ -1,15 +1,37 @@
 """Scalar GF(256) reference for the tests.
 
-Built only on gf256.gf_mul, one call per byte product, so it shares no
-code with the buffer kernels (addmul_buf, addmul_rows) it is used to
-check.  The reference encoder builds its own generator and placement, so
-it shares no code with srcodes.core or srcodes.mds either.  Sized for
-small test inputs.
+Built only on its own shift-and-XOR multiply modulo x^8+x^4+x^3+x^2+1
+(0x11d), one table look-up per byte product, so it shares neither code
+nor tables with srcodes.gf256, whose log/antilog tables and kernels it
+is used to check.  The reference encoder builds its own generator and
+placement, so it shares no code with srcodes.core or srcodes.mds
+either.  Sized for small test inputs.
 """
 
 import numpy as np
 
-from srcodes.gf256 import gf_mul
+
+def _shift_xor_mul(a, b):
+    """a*b by schoolbook multiplication, reducing modulo 0x11d as the
+    product of a and x^i passes degree 8."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+        b >>= 1
+    return out
+
+
+# every product, made once so the property tests stay fast
+_MUL = [[_shift_xor_mul(a, b) for b in range(256)] for a in range(256)]
+
+
+def gf_mul(a, b):
+    """a*b in GF(256)."""
+    return _MUL[a][b]
 
 
 def gf_matmul(a, b):

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from srcodes.cli import main as cli_main
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
-    layout, plan_chunks, reconstruct, ring_add
+    plan_chunks, reconstruct, ring_add
 from srcodes.metrics import comparison_table, replication_normalized_cost, \
     src_metrics
 from srcodes.mds import make_generator
@@ -65,37 +65,35 @@ def test_criterion_2_repair_exactness_and_counts():
     for n, k, f in PARAMS_SET:
         p = SrcParams(n, k, f, 8192)
         arr = encode(_random_bytes(n * 7 + f), p)
-        lay = layout(p)
         for failed in range(1, n + 1):
             reads = node_plan(p, failed).reads
-            disks = {lay.chunk_location(c) for c in reads}
+            disks = {p.chunk_location(c) for c in reads}
             assert len(reads) == f * (f + 1)
             assert len(disks) == min(2 * f, n - 1)
             helpers = {i: arr.shards[i] for i in disks}
             restored = chunks_from_shards(p, helpers,
-                                          lay.node_chunks(failed))
+                                          p.node_chunks(failed))
             assert np.array_equal(restored, arr.shards[failed])
     p = SrcParams(4, 2, 2, 8192)
     demo = node_plan(p, 1).reads
     assert len(demo) == 6
-    assert {layout(p).chunk_location(c) for c in demo} == {2, 3, 4}
+    assert {p.chunk_location(c) for c in demo} == {2, 3, 4}
     _report(2, "every single-node repair byte-identical; f(f+1) reads and "
                "min(2f, n-1) disks everywhere; (4,2,2) shows 6 reads / 3 disks")
 
 
 def test_criterion_3_four_node_fixture():
     p = SrcParams(4, 2, 2, 64)
-    lay = layout(p)
     for node in range(1, 5):
-        assert lay.node_chunks(node) == [
+        assert p.node_chunks(node) == [
             ChunkId(1, node),
             ChunkId(2, ring_add(node, 1, 4)),
             ChunkId(3, ring_add(node, 2, 4)),
         ]
-    plan = plan_chunks(p, lay.node_chunks(2) + lay.node_chunks(3)
-                       + lay.node_chunks(4), [ChunkId(1, 1)])
+    plan = plan_chunks(p, p.node_chunks(2) + p.node_chunks(3)
+                       + p.node_chunks(4), [ChunkId(1, 1)])
     assert plan.sums == ((0, (ChunkId(2, 1), ChunkId(3, 1))),)
-    assert [lay.chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
+    assert [p.chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
 
     # byte-level check of the same layout on a one-stripe file
     file_bytes = _random_bytes(99, 4 * 64)

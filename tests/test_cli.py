@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 from srcodes import cli, shards
 from srcodes.cli import main
-from srcodes.core import SrcParams, data_chunks, layout, plan_chunks
+from srcodes.core import SrcParams, data_chunks, plan_chunks
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
 from shard_files import (HEADER_B, RESERVED_AT, counter_input, slot_at,
@@ -59,9 +60,8 @@ def _stripes(p, size):
 def _lookup(p, node):
     """The f helpers of each chunk of a node, and the nodes holding
     them, from the layout alone."""
-    lay = layout(p)
-    helpers = {h for c in lay.node_chunks(node) for h in lay.helpers(c)}
-    return helpers, {lay.chunk_location(h) for h in helpers}
+    helpers = {h for c in p.node_chunks(node) for h in p.helpers(c)}
+    return helpers, {p.chunk_location(h) for h in helpers}
 
 
 def _decode(runner, out, dest):
@@ -500,7 +500,7 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
     p = SrcParams(10, 6, 2, 1024)
     stripes = _stripes(p, 60_000)
     bad = min(_lookup(p, 3)[1])
-    assert layout(p).node_chunks(bad)[2].label(2) == "parity[3]"
+    assert p.node_chunks(bad)[2].label(2) == "parity[3]"
     _flip_byte(out / shard_filename(bad), slot_at(p, stripes, stripes - 1, 2))
     res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
                                "--shards", str(out), "--node", "3"])
@@ -560,7 +560,6 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
                         chunk=512)
     stripes = _stripes(p, 30_000)
     head = HEADER_B + table_bytes(p, stripes)   # header and CRC table
-    lay = layout(p)
     manifest = str(out / MANIFEST_NAME)
     if batch_bytes is not None:   # one stripe per batch
         monkeypatch.setattr(shards, "_BATCH_BYTES", batch_bytes)
@@ -568,7 +567,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     calls, nbytes = _count_reads(monkeypatch)
 
     def nodes(ids):
-        return {lay.chunk_location(c) for c in ids}
+        return {p.chunk_location(c) for c in ids}
 
     def read_once():
         """Every chunk is read at most once in each stripe, the calls
@@ -596,7 +595,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     # look-up repair: f helpers per lost chunk, f(f+1) chunks per stripe
     # from min(2f, n-1) nodes
     node = n
-    targets = lay.node_chunks(node)
+    targets = p.node_chunks(node)
     lookup, helper_nodes = _lookup(p, node)
     assert len(lookup) == f * (f + 1)
     assert len(helper_nodes) == min(2 * f, n - 1)
@@ -614,12 +613,12 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     # first, then only what deriving its target needs and is not yet
     # held; later batches read the new plan
     available = {c for i in range(1, n + 1) if i != node
-                 for c in lay.node_chunks(i)}
-    helper = lay.helpers(targets[0])[0]
-    at = lay.chunk_location(helper)
+                 for c in p.node_chunks(i)}
+    helper = p.helpers(targets[0])[0]
+    at = p.chunk_location(helper)
     (out / shard_filename(node)).unlink()
     _flip_byte(out / shard_filename(at),
-               slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
+               slot_at(p, stripes, 0, p.node_chunks(at).index(helper)))
     calls.clear()
     nbytes.clear()
     res = runner.invoke(main, ["repair", "--manifest", manifest,
@@ -639,7 +638,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     # the plan that derives around it in one call (flipping the byte
     # back first restores the corrupt helper)
     _flip_byte(out / shard_filename(at),
-               slot_at(p, stripes, 0, lay.node_chunks(at).index(helper)))
+               slot_at(p, stripes, 0, p.node_chunks(at).index(helper)))
     (out / shard_filename(node)).unlink()
     gone = min(helper_nodes)
     (out / shard_filename(gone)).unlink()
@@ -651,7 +650,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     assert "reconstruction fallback" in res.stdout
     assert len(calls) == batches
     assert read_once() == set(plan_chunks(
-        p, available - set(lay.node_chunks(gone)), targets).reads)
+        p, available - set(p.node_chunks(gone)), targets).reads)
     assert (out / shard_filename(node)).read_bytes() == rebuilt
 
 
@@ -1006,9 +1005,14 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
     ({"net_bytes_per_s": "fast"}, "net_bytes_per_s must be of type float"),
     ({"scheme": {"kind": "src", "n": "10"}}, "scheme.n must be of type int"),
     ({"scheme": {"kind": 3}}, "scheme.kind must be of type str"),
+    # json reads NaN and Infinity; the event loop never ended on them
+    ({"net_bytes_per_s": math.nan}, "bandwidths must be positive and finite"),
+    ({"net_bytes_per_s": math.inf, "disk_read_bytes_per_s": math.inf,
+      "disk_write_bytes_per_s": math.inf},
+     "bandwidths must be positive and finite"),
 ], ids=["list", "typo", "scheme-typo", "int-as-text", "int-as-float",
         "int-as-bool", "int-as-null", "rate-as-text", "scheme-int-as-text",
-        "scheme-kind-not-text"])
+        "scheme-kind-not-text", "rate-nan", "rates-inf"])
 def test_simulate_bad_config_usage_error(runner, tmp_path, doc, problem):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps(doc))
@@ -1055,6 +1059,18 @@ def test_reliability_command(runner):
     assert res.output.startswith("scheme,n,k")
     res = runner.invoke(main, ["reliability", "--pairs", "junk"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--disk-mttf-hours", "nan"), ("--system-bytes", "inf"),
+    ("--node-bytes", "inf")])
+def test_reliability_non_finite_usage_error(runner, option, value):
+    # these printed a table of nan, a system MTTF of 0, or a traceback
+    res = runner.invoke(main, ["reliability", option, value])
+    assert res.exit_code == 2
+    assert res.output == ("error: repair_hours must be positive; "
+                          "disk_mttf_hours, system_bytes and node_bytes "
+                          "positive and finite\n")
 
 
 RELIABILITY_TEXT = [

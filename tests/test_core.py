@@ -3,8 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from srcodes.core import (ChunkId, SrcParams, encode, layout, reconstruct,
-                          ring_add, ring_sub)
+from srcodes.core import (ChunkId, SrcParams, encode, reconstruct, ring_add,
+                          ring_sub)
 from srcodes.errors import InsufficientDataError, ParameterError, ShapeError
 from srcodes.mds import make_generator
 
@@ -19,9 +19,8 @@ def _random_file(seed, size):
 
 
 def _chunk(arr, stripe, cid):
-    lay = layout(arr.params)
-    node = lay.chunk_location(cid)
-    return arr.shards[node][stripe, lay.node_chunks(node).index(cid)]
+    node = arr.params.chunk_location(cid)
+    return arr.shards[node][stripe, arr.params.node_chunks(node).index(cid)]
 
 
 def test_ring_arithmetic():
@@ -47,28 +46,32 @@ def test_params_validation():
         SrcParams(4, 2, 2, 0)
 
 
+def test_stripes_counts_whole_stripes():
+    p = SrcParams(4, 2, 2, 16)
+    one = p.stripe_data_bytes
+    assert [p.stripes(size) for size in (0, 1, one, one + 1)] == [0, 1, 1, 2]
+
+
 def test_layout_four_node_fixture():
     p = SrcParams(4, 2, 2, 16)
-    lay = layout(p)
-    assert lay.node_chunks(1) == [ChunkId(1, 1), ChunkId(2, 2), ChunkId(3, 3)]
-    assert lay.node_chunks(4) == [ChunkId(1, 4), ChunkId(2, 1), ChunkId(3, 2)]
+    assert p.node_chunks(1) == [ChunkId(1, 1), ChunkId(2, 2), ChunkId(3, 3)]
+    assert p.node_chunks(4) == [ChunkId(1, 4), ChunkId(2, 1), ChunkId(3, 2)]
     # the second coded part at subscript 1 sits on node 4, its parity on node 3
-    assert lay.chunk_location(ChunkId(2, 1)) == 4
-    assert lay.chunk_location(ChunkId(3, 1)) == 3
+    assert p.chunk_location(ChunkId(2, 1)) == 4
+    assert p.chunk_location(ChunkId(3, 1)) == 3
 
 
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)
 def test_layout_bijection_and_distinct_subscripts(n, k, f):
     p = SrcParams(n, k, f, 16)
-    lay = layout(p)
     seen = set()
     for node in range(1, n + 1):
-        ids = lay.node_chunks(node)
+        ids = p.node_chunks(node)
         assert len(ids) == f + 1
         subs = [c.subscript for c in ids]
         assert len(set(subs)) == len(subs)   # no shared subscript in a node
         for cid in ids:
-            assert lay.chunk_location(cid) == node
+            assert p.chunk_location(cid) == node
             seen.add(cid)
     assert len(seen) == (f + 1) * n          # bijection onto all slots
 

@@ -11,8 +11,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = [ROOT / "src" / "srcodes", ROOT / "demos", ROOT / "perfbench"]
-# tests/gf_reference.py, the scalar oracle, is built on gf_mul
-EXEMPT = {"gf256.gf_mul"}
 
 
 def _used(tree: ast.AST) -> set[str]:
@@ -48,7 +46,6 @@ def test_public_code_has_a_use():
             for node in tree.body
             if isinstance(node, ast.FunctionDef | ast.ClassDef)
             and not node.name.startswith("_") and not _is_command(node)
-            and f"{path.stem}.{node.name}" not in EXEMPT
             and node.name not in used]
     assert dead == []
 

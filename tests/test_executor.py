@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from srcodes import gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, \
-    data_chunks, encode, layout, plan_chunks, reconstruct, run_plan
+    data_chunks, encode, plan_chunks, reconstruct, run_plan
 from srcodes.errors import InsufficientDataError
 
 from gf_reference import reference_encode
@@ -62,9 +62,8 @@ def test_fewer_than_k_nodes_name_an_underivable_target(case):
     p, data, present, targets = case
     chunks, ref = _reference(p, data)
     shards = {i: ref[i] for i in present}
-    lay = layout(p)
-    stuck = [t for t in targets if lay.chunk_location(t) not in present
-             and {lay.chunk_location(h) for h in lay.helpers(t)} - present]
+    stuck = [t for t in targets if p.chunk_location(t) not in present
+             and {p.chunk_location(h) for h in p.helpers(t)} - present]
     with pytest.raises(InsufficientDataError):
         reconstruct(shards, p, len(data))
     if not stuck:
@@ -94,7 +93,7 @@ def test_gf_bytes_per_path(monkeypatch):
     assert sum(scaled) == 9216
     scaled.clear()
     rest = {i: s for i, s in arr.shards.items() if i not in (3, 4)}
-    got = chunks_from_shards(p, rest, layout(p).node_chunks(4))
+    got = chunks_from_shards(p, rest, p.node_chunks(4))
     assert np.array_equal(got, arr.shards[4])
     assert sum(scaled) == 2304
     scaled.clear()
@@ -103,9 +102,8 @@ def test_gf_bytes_per_path(monkeypatch):
     assert sum(scaled) == 8064
     # a healthy decode through the planner copies the f*k data chunks
     scaled.clear()
-    lay = layout(p)
     every = {c: shard[:, slot] for node, shard in arr.shards.items()
-             for slot, c in enumerate(lay.node_chunks(node))}
+             for slot, c in enumerate(p.node_chunks(node))}
     plan = plan_chunks(p, every, data_chunks(p))
     assert set(plan.reads) == set(data_chunks(p)) and not plan.derived
     got = run_plan(plan, {c: every[c] for c in plan.reads},

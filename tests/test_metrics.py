@@ -1,6 +1,6 @@
 import pytest
 
-from srcodes.core import SrcParams, encode, layout
+from srcodes.core import SrcParams, encode
 from srcodes.errors import ParameterError
 from srcodes.metrics import (asymptotic_report, comparison_table, csv_table,
                              format_table, replication_normalized_cost,
@@ -99,10 +99,9 @@ def test_disk_accesses_match_measured_plans():
             k = max(1, n - 2)
             p = SrcParams(n, k, f, 16)
             expect = src_metrics(p).disk_accesses
-            lay = layout(p)
             for node in range(1, n + 1):
                 reads = node_plan(p, node).reads
-                assert len({lay.chunk_location(c) for c in reads}) == expect
+                assert len({p.chunk_location(c) for c in reads}) == expect
 
 
 def test_node_repair_bytes_match_bandwidth_formula():

@@ -101,6 +101,16 @@ def test_default_sweep_ordering():
     assert rs[2] < repl
 
 
+# an infinite repair time is allowed: it means no repair
+@pytest.mark.parametrize("field,value", [("repair_hours", math.nan)] + [
+    (field, value) for field in ("disk_mttf_hours", "system_bytes",
+                                 "node_bytes")
+    for value in (math.nan, math.inf)])
+def test_params_reject_non_finite_numbers(field, value):
+    with pytest.raises(ParameterError):
+        MarkovParams(n=3, k=1, **{"repair_hours": 0.5, field: value})
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         MarkovParams(n=3, k=3, repair_hours=0.5)

@@ -3,7 +3,7 @@ import pytest
 
 from srcodes import core, gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
-    layout, plan_chunks
+    plan_chunks
 from srcodes.errors import InsufficientDataError
 from srcodes.repair import describe, node_plan
 
@@ -24,27 +24,26 @@ def _without(arr, down):
 
 def _off_node(p, node):
     """Every chunk of a stripe but those on node."""
-    lay = layout(p)
     return {c for other in range(1, p.n + 1) if other != node
-            for c in lay.node_chunks(other)}
+            for c in p.node_chunks(other)}
 
 
 def _disks(p, chunks):
-    return {layout(p).chunk_location(c) for c in chunks}
+    return {p.chunk_location(c) for c in chunks}
 
 
 def test_chunk_plan_four_node_fixture():
     p = SrcParams(4, 2, 2, 16)
     plan = plan_chunks(p, _off_node(p, 1), [ChunkId(1, 1)])
     assert plan.sums == ((0, (ChunkId(2, 1), ChunkId(3, 1))),)
-    assert [layout(p).chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
+    assert [p.chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
     assert plan.derived == {}
 
 
 def test_parity_plan_reads_all_coded_parts():
     p = SrcParams(6, 3, 3, 16)
     target = ChunkId(4, 2)
-    plan = plan_chunks(p, _off_node(p, layout(p).chunk_location(target)),
+    plan = plan_chunks(p, _off_node(p, p.chunk_location(target)),
                        [target])
     (_, chunks), = plan.sums
     assert [c.part for c in chunks] == [1, 2, 3]
@@ -56,11 +55,10 @@ def test_chunk_plan_locality(n, k, f):
     # every chunk, its node lost, is the XOR of the f others with its
     # subscript, read off its node
     p = SrcParams(n, k, f, 16)
-    lay = layout(p)
     for part in range(1, f + 2):
         for sub in range(1, n + 1):
             target = ChunkId(part, sub)
-            node = lay.chunk_location(target)
+            node = p.chunk_location(target)
             plan = plan_chunks(p, _off_node(p, node), [target])
             expect = [ChunkId(l, sub) for l in range(1, f + 2) if l != part]
             assert plan.sums == ((0, tuple(expect)),)
@@ -71,11 +69,10 @@ def test_chunk_plan_locality(n, k, f):
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)
 def test_node_plan_counts(n, k, f):
     p = SrcParams(n, k, f, 16)
-    lay = layout(p)
     for node in range(1, n + 1):
         plan = node_plan(p, node)
-        assert plan.targets == tuple(lay.node_chunks(node))
-        assert plan.sums == tuple((t, tuple(lay.helpers(c)))
+        assert plan.targets == tuple(p.node_chunks(node))
+        assert plan.sums == tuple((t, tuple(p.helpers(c)))
                                   for t, c in enumerate(plan.targets))
         assert [len(chunks) for _, chunks in plan.sums] == [f] * (f + 1)
         assert len(plan.reads) == f * (f + 1)
@@ -108,7 +105,7 @@ def test_node_repair_restores_exact_bytes(n, k, f):
     arr = _coded(100 + n, p)
     for failed in range(1, n + 1):
         restored = chunks_from_shards(p, _without(arr, {failed}),
-                                      layout(p).node_chunks(failed))
+                                      p.node_chunks(failed))
         assert np.array_equal(restored, arr.shards[failed])
 
 
@@ -116,7 +113,7 @@ def test_every_single_chunk_repair_6_4_3():
     p = SrcParams(6, 4, 3, 32)
     arr = _coded(7, p)
     for node in range(1, 7):
-        for slot, cid in enumerate(layout(p).node_chunks(node)):
+        for slot, cid in enumerate(p.node_chunks(node)):
             got = chunks_from_shards(p, _without(arr, {node}), [cid])
             assert np.array_equal(got[:, 0], arr.shards[node][:, slot])
 
@@ -125,7 +122,7 @@ def test_zero_file_repairs_to_zero():
     p = SrcParams(4, 2, 2, 32)
     arr = encode(bytes(p.stripe_data_bytes), p)
     assert not chunks_from_shards(p, _without(arr, {2}),
-                                  layout(p).node_chunks(2)).any()
+                                  p.node_chunks(2)).any()
 
 
 def test_missing_helper_is_named():
@@ -141,12 +138,11 @@ def test_missing_helper_is_named():
 def _noise_but(arr, keep, seed):
     """arr's shards with every chunk except those in keep replaced by
     random bytes, so output equal to arr's chunks was made from keep."""
-    lay = layout(arr.params)
     rng = np.random.default_rng(seed)
     shards = {}
     for node, shard in arr.shards.items():
         shards[node] = rng.integers(0, 256, shard.shape, dtype=np.uint8)
-        for slot, cid in enumerate(lay.node_chunks(node)):
+        for slot, cid in enumerate(arr.params.node_chunks(node)):
             if cid in keep:
                 shards[node][:, slot] = shard[:, slot]
     return shards
@@ -164,7 +160,7 @@ def test_degraded_read_live_node_touches_no_helper():
 def test_degraded_read_uses_lookup_when_node_down():
     p = SrcParams(4, 2, 2, 16)
     arr = _coded(10, p)
-    helpers = layout(p).helpers(ChunkId(1, 1))
+    helpers = p.helpers(ChunkId(1, 1))
     assert len(helpers) == p.f
     shards = _noise_but(arr, set(helpers), 100)
     del shards[1]
@@ -178,7 +174,7 @@ def test_degraded_read_fallback_matches_reconstruction_oracle():
         0, 256, 2 * p.stripe_data_bytes, dtype=np.uint8).tobytes()
     arr = encode(file_bytes, p)
     # node 1 down and one of part1[1]'s helpers down too
-    helper_nodes = _disks(p, layout(p).helpers(ChunkId(1, 1)))
+    helper_nodes = _disks(p, p.helpers(ChunkId(1, 1)))
     down = {1, sorted(helper_nodes)[0]}
     got = chunks_from_shards(p, _without(arr, down), [ChunkId(1, 1)])[:, 0]
 
@@ -206,7 +202,7 @@ def test_lookup_repair_does_no_gf_work(monkeypatch):
     with pytest.raises(RuntimeError):   # and a derived chunk
         chunks_from_shards(p, _without(arr, {3, 4}), [ChunkId(1, 4)])
     restored = chunks_from_shards(p, _without(arr, {4}),
-                                  layout(p).node_chunks(4))
+                                  p.node_chunks(4))
     assert np.array_equal(restored, arr.shards[4])
 
 
@@ -216,7 +212,7 @@ def test_chunks_from_shards_rebuilds_every_node(n, k, f):
     arr = _coded(14, p)
     helpers = {i: arr.shards[i] for i in range(n - k + 1, n + 1)}
     for node in range(1, n + 1):
-        got = chunks_from_shards(p, helpers, layout(p).node_chunks(node))
+        got = chunks_from_shards(p, helpers, p.node_chunks(node))
         assert np.array_equal(got, arr.shards[node])
 
 

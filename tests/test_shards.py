@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srcodes import shards
-from srcodes.core import SrcParams, data_chunks, encode, layout
+from srcodes.core import SrcParams, data_chunks, encode
 from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, ShardReader, ShardWriter,
                             load_manifest, shard_filename, write_shard_set)
@@ -38,7 +38,7 @@ def _write_set(directory, data, params):
 def _read_node(manifest, directory, node):
     """Every slot of a node's shard file, read and checked, as
     (stripes, f+1, chunk_size); and the chunks that failed."""
-    slots = layout(manifest.params).node_chunks(node)
+    slots = manifest.params.node_chunks(node)
     chunks, failed = read_chunks(manifest, directory, slots)
     if failed:
         return None, failed
@@ -184,15 +184,14 @@ def _flip(path, at):
 
 def test_read_chunks_reads_the_wanted_slots(tmp_path):
     arr, manifest = _written(tmp_path)
-    lay = layout(arr.params)
     # node 2's first and last slots, and node 4's middle one
-    wanted = [lay.node_chunks(2)[0], lay.node_chunks(2)[2],
-              lay.node_chunks(4)[1]]
+    wanted = [arr.params.node_chunks(2)[0], arr.params.node_chunks(2)[2],
+              arr.params.node_chunks(4)[1]]
     chunks, failed = read_chunks(manifest, tmp_path, wanted)
     assert failed == {} and sorted(chunks) == sorted(wanted)
     for c, got in chunks.items():
-        node = lay.chunk_location(c)
-        slot = lay.node_chunks(node).index(c)
+        node = arr.params.chunk_location(c)
+        slot = arr.params.node_chunks(node).index(c)
         assert got.shape == (arr.stripe_count, arr.params.chunk_size)
         assert np.array_equal(got, arr.shards[node][:, slot])
 
@@ -200,7 +199,7 @@ def test_read_chunks_reads_the_wanted_slots(tmp_path):
 def test_read_chunks_empty_file(tmp_path):
     arr, manifest = _written(tmp_path, size=0)
     assert manifest.stripe_count == 0
-    wanted = layout(arr.params).node_chunks(1)
+    wanted = arr.params.node_chunks(1)
     chunks, failed = read_chunks(manifest, tmp_path, wanted)
     assert failed == {}
     assert {c: a.shape for c, a in chunks.items()} == \
@@ -209,29 +208,27 @@ def test_read_chunks_empty_file(tmp_path):
 
 def test_read_chunks_skips_shard_with_flipped_reserved_byte(tmp_path):
     arr, manifest = _written(tmp_path)
-    lay = layout(arr.params)
     _flip(tmp_path / shard_filename(3), 18)   # the reserved u16
-    wanted = lay.node_chunks(3)[:1] + lay.node_chunks(1)[:1]
+    wanted = arr.params.node_chunks(3)[:1] + arr.params.node_chunks(1)[:1]
     chunks, failed = read_chunks(manifest, tmp_path, wanted)
-    assert list(chunks) == lay.node_chunks(1)[:1]
+    assert list(chunks) == arr.params.node_chunks(1)[:1]
     # every chunk of the shard is unusable, not only the wanted one
-    assert sorted(failed) == lay.node_chunks(3)
+    assert sorted(failed) == arr.params.node_chunks(3)
     assert all(str(exc) == "shard node_003.shard header disagrees with "
                "manifest" for exc in failed.values())
 
 
 def test_read_chunks_drops_a_chunk_failing_its_crc(tmp_path):
     arr, manifest = _written(tmp_path)
-    lay = layout(arr.params)
     # the middle slot of node 2, last stripe
     _flip(tmp_path / shard_filename(2),
           slot_at(arr.params, arr.stripe_count, arr.stripe_count - 1, 1))
-    chunks, failed = read_chunks(manifest, tmp_path, lay.node_chunks(2))
-    bad = lay.node_chunks(2)[1]
+    chunks, failed = read_chunks(manifest, tmp_path, arr.params.node_chunks(2))
+    bad = arr.params.node_chunks(2)[1]
     assert list(failed) == [bad]
     assert str(failed[bad]) == \
         f"shard node_002.shard: {bad.label(2)} fails the CRC-32 check"
-    assert sorted(chunks) == [c for c in lay.node_chunks(2) if c != bad]
+    assert sorted(chunks) == [c for c in arr.params.node_chunks(2) if c != bad]
 
 
 def test_read_chunks_checks_the_length(tmp_path):
@@ -239,7 +236,7 @@ def test_read_chunks_checks_the_length(tmp_path):
     path = tmp_path / shard_filename(5)
     path.write_bytes(path.read_bytes() + b"x")
     chunks, failed = read_chunks(manifest, tmp_path,
-                                 layout(arr.params).node_chunks(5))
+                                 arr.params.node_chunks(5))
     assert chunks == {} and len(failed) == 3
     assert "bytes, expected" in str(next(iter(failed.values())))
 
@@ -249,7 +246,7 @@ def test_read_chunks_splits_long_runs(tmp_path):
     # one preadv may take
     arr, manifest = _written(tmp_path, size=3000,
                              params=SrcParams(3, 1, 1, 1))
-    wanted = layout(arr.params).node_chunks(2)
+    wanted = arr.params.node_chunks(2)
     chunks, failed = read_chunks(manifest, tmp_path, wanted)
     assert failed == {}
     for slot, c in enumerate(wanted):
@@ -261,20 +258,20 @@ def test_read_chunks_reads_a_stripe_range_header_once(tmp_path, monkeypatch):
     # second call on the same reader reads no header or CRC table again
     arr, manifest = _written(tmp_path, size=4 * SrcParams(5, 2, 2, 32)
                              .stripe_data_bytes)
-    lay = layout(arr.params)
     stripes = arr.stripe_count
     _flip(tmp_path / shard_filename(2), slot_at(arr.params, stripes, 3, 0))
     opened = []
     monkeypatch.setattr(os, "pread", lambda fd, size, at, pread=os.pread:
                         opened.append(size) or pread(fd, size, at))
-    with ShardReader(manifest, tmp_path, lay.node_chunks(2)) as reader:
-        chunks, failed = reader.read_chunks(lay.node_chunks(2), 1, 3)
-        again, _ = reader.read_chunks(lay.node_chunks(2)[:1], 0, 1)
+    with ShardReader(manifest, tmp_path, arr.params.node_chunks(2)) as reader:
+        chunks, failed = reader.read_chunks(arr.params.node_chunks(2), 1, 3)
+        again, _ = reader.read_chunks(arr.params.node_chunks(2)[:1], 0, 1)
     assert failed == {} and opened == [HEADER_B,
                                        table_bytes(arr.params, stripes)]
-    for slot, c in enumerate(lay.node_chunks(2)):
+    for slot, c in enumerate(arr.params.node_chunks(2)):
         assert np.array_equal(chunks[c], arr.shards[2][1:3, slot])
-    assert np.array_equal(again[lay.node_chunks(2)[0]], arr.shards[2][:1, 0])
+    assert np.array_equal(again[arr.params.node_chunks(2)[0]],
+                          arr.shards[2][:1, 0])
 
 
 def test_reader_batches_plan_around_a_failed_chunk(tmp_path, capsys):

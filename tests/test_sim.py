@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from srcodes.errors import ParameterError, PlacementError
@@ -11,7 +13,7 @@ CHUNK = 64 * 2**20
 def _failed_member(cluster):
     """A machine that actually stores something."""
     for m in range(cluster.config.machines):
-        if cluster.memberships.get(m):
+        if any(m in members for members in cluster.sets):
             return m
     raise AssertionError("empty cluster")
 
@@ -59,17 +61,47 @@ def test_cluster_too_small_rejected():
 
 def test_single_chunk_replication_repair_time():
     # one job on an idle network: 64 MiB over a 1 Gb/s link, with the
-    # read and write-back pipelined into the transfer
-    cfg = ClusterConfig(scheme=Scheme.replication(), machines=4,
-                        data_bytes_per_machine=CHUNK, chunk_size=CHUNK)
-    cluster = build_cluster(cfg)
-    failed = _failed_member(cluster)
-    report = run_node_failure(cluster, failed)
-    assert report.lost_chunks == 1
-    assert report.elapsed == pytest.approx(CHUNK / 1.25e8, rel=1e-6)
-    # a degraded read of that chunk costs exactly one remote read
-    deg = run_degraded_read(cluster, failed)
-    assert deg.elapsed == pytest.approx(CHUNK / 1.25e8, rel=1e-6)
+    # read and write-back pipelined into the transfer, so the slowest of
+    # link, disk read and disk write sets the pace; a degraded read of
+    # that chunk costs exactly one remote read and writes nothing
+    for read, write, repair_rate, degraded_rate in [
+            (200e6, 200e6, 1.25e8, 1.25e8),   # the link binds
+            (50e6, 200e6, 50e6, 50e6),        # a slow disk read binds both
+            (200e6, 50e6, 50e6, 1.25e8)]:     # a slow write, only repair
+        cfg = ClusterConfig(scheme=Scheme.replication(), machines=4,
+                            data_bytes_per_machine=CHUNK, chunk_size=CHUNK,
+                            disk_read_bytes_per_s=read,
+                            disk_write_bytes_per_s=write)
+        cluster = build_cluster(cfg)
+        failed = _failed_member(cluster)
+        report = run_node_failure(cluster, failed)
+        assert report.lost_chunks == 1
+        assert report.elapsed == pytest.approx(CHUNK / repair_rate, rel=1e-6)
+        deg = run_degraded_read(cluster, failed)
+        assert deg.elapsed == pytest.approx(CHUNK / degraded_rate, rel=1e-6)
+
+
+@pytest.mark.parametrize("scheme", [
+    Scheme.replication(), Scheme.rs(10, 6), Scheme.src(10, 6, 2)])
+def test_link_is_the_only_binding_resource_at_default_disk_speeds(scheme):
+    # disks 1000x faster change nothing: at the default disk speeds the
+    # 1 Gb/s link binds at both ends of every flow
+    base = ClusterConfig(scheme=scheme)
+    fast = ClusterConfig(
+        scheme=scheme, disk_read_bytes_per_s=1000 * base.disk_read_bytes_per_s,
+        disk_write_bytes_per_s=1000 * base.disk_write_bytes_per_s)
+    for run in (run_node_failure, run_degraded_read):
+        assert run(build_cluster(fast), 0).to_text() == \
+            run(build_cluster(base), 0).to_text()
+
+
+@pytest.mark.parametrize("field", ["net_bytes_per_s", "disk_read_bytes_per_s",
+                                   "disk_write_bytes_per_s",
+                                   "data_bytes_per_machine", "chunk_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ParameterError):
+        ClusterConfig(scheme=Scheme.replication(), **{field: value})
 
 
 @pytest.mark.parametrize("scheme", [
