@@ -4,16 +4,15 @@ bandwidth, disk accesses, and rate for MDS / MSR / MBR / SRC, plus the
 storage cost of SRC and RS relative to 3-way replication and the
 log-degree asymptotics."""
 
-from srcodes.metrics import (asymptotic_report, comparison_table,
-                             format_table, replication_normalized_cost)
+from srcodes.metrics import asymptotic_report, comparison_table, format_table
 
 for n, k in ((10, 6), (20, 16), (50, 46)):
     print(f"== comparison at (n={n}, k={k}), f=2 ==")
-    print(format_table(comparison_table(n, k, 2)))
-    src = replication_normalized_cost(n, k, 2)
-    rs = replication_normalized_cost(n, k)
+    rows = comparison_table(n, k, 2)   # MDS first, SRC last
+    print(format_table(rows))
     print(f"normalized storage cost vs 3-way replication: "
-          f"SRC {src:.2f}, RS {rs:.2f}\n")
+          f"SRC {rows[-1].normalized_cost:.2f}, "
+          f"RS {rows[0].normalized_cost:.2f}\n")
 
 print("at (50,46) the code needs roughly half the storage of 3-way")
 print("replication while every repair still touches only 4 disks.\n")

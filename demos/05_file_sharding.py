@@ -3,18 +3,18 @@
 repair it by reading only its look-up helpers' planned chunks a batch
 of stripes at a time, corrupt another shard, and decode the file back
 from the intact chunks - the same workflow the `srcodes` CLI drives,
-shown through the library API: shards.ShardReader plans, reads, checks
-and plans again, and the CLI is a thin shell over it."""
+through the same three calls: shards.write_shard_set, repair_shard and
+decode_file.  The last two return the shards.ShardReader they read
+through, which plans, reads, checks and plans again."""
 
-import hashlib
 import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from srcodes import SrcParams, data_chunks
-from srcodes.shards import (ShardReader, ShardWriter, load_manifest,
+from srcodes import SrcParams
+from srcodes.shards import (decode_file, load_manifest, repair_shard,
                             shard_filename, write_shard_set)
 
 workdir = Path(tempfile.mkdtemp(prefix="srcodes-demo-"))
@@ -26,9 +26,8 @@ print(f"sharding {len(data):,} bytes into {params.n} shard files "
       f"under {workdir}")
 # encode a batch of stripes at a time; each node's rows go to its shard
 # file as they come, and the manifest follows once every file is sealed
-manifest_path = write_shard_set(workdir, params, len(data),
-                                io.BytesIO(data).readinto,
-                                lambda: hashlib.sha256(data).hexdigest())
+manifest_path = write_shard_set(workdir, params, io.BytesIO(data),
+                                len(data))
 manifest = load_manifest(manifest_path)
 stripes = manifest.stripe_count
 shard_path = workdir / shard_filename(3)
@@ -38,15 +37,9 @@ print(f"stripe_count={stripes}, shard file size "
 
 print("\ndeleting node 3's shard, then repairing it from its helpers")
 shard_path.unlink()
-# one plan for every stripe, made on the shard files that exist
-reader = ShardReader(manifest, workdir, params.node_chunks(3), lost=3)
-# ShardWriter adds the header and CRC table as the batches come, and
-# refuses a shard whose digest differs from the manifest's
-with ShardWriter(workdir, params, 3, manifest.file_size) as writer:
-    for batch in reader.batches():
-        writer.write(batch)
-    writer.seal(manifest.shard_digests[3])
-reads = reader.plan.reads
+# one plan for every stripe, made on the shard files that exist; the
+# rebuilt shard is kept only if its digest is the manifest's
+reads = repair_shard(manifest, workdir, 3).plan.reads
 print(f"  read {len(reads)} chunks per stripe from nodes "
       f"{sorted({params.chunk_location(c) for c in reads})}, "
       f"{len(reads) * stripes * params.chunk_size:,} bytes")
@@ -56,15 +49,12 @@ print("\ncorrupting node 1's first data chunk, then decoding")
 blob = bytearray((workdir / shard_filename(1)).read_bytes())
 blob[44] ^= 0xFF   # the first payload byte follows the 44-byte header
 (workdir / shard_filename(1)).write_bytes(bytes(blob))
-# the reader names the shard it skips on stderr and plans again
-reader = ShardReader(manifest, workdir, data_chunks(params))
-digest, left = hashlib.sha256(), len(data)
-for batch in reader.batches():
-    out = batch.reshape(-1)[:left]
-    left -= len(out)
-    digest.update(out)
+# the reader names the shard it skips on stderr and plans again; the
+# decoded file takes its name only if its digest is the manifest's
+decoded = workdir / "decoded.bin"
+reader = decode_file(manifest, workdir, decoded)
 print(f"  skipped {', '.join(reader.skipped)}; part1[1] is XORed from its "
       f"helpers: {len(reader.plan.reads)} chunks read per stripe")
-print(f"file digest matches: {digest.hexdigest() == manifest.file_digest}")
+print(f"decoded file matches the input: {decoded.read_bytes() == data}")
 print(f"\n(the CLI equivalent: srcodes encode/repair/decode; shards left "
       f"in {workdir})")

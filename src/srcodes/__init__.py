@@ -15,7 +15,7 @@ from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError, SrcError)
 from .mds import GeneratorMatrix, make_generator
 from .metrics import (MetricRow, asymptotic_report, comparison_table,
-                      replication_normalized_cost, src_metrics)
+                      src_metrics)
 from .reliability import (MarkovParams, mttf_redundancy_set, mttf_system,
                           mttf_table, params_for_scheme)
 from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
@@ -28,8 +28,7 @@ __all__ = [
     "chunks_from_shards", "data_chunks", "encode", "plan_chunks",
     "reconstruct", "ring_add", "ring_sub", "run_plan",
     "GeneratorMatrix", "make_generator",
-    "MetricRow", "asymptotic_report", "comparison_table",
-    "replication_normalized_cost", "src_metrics",
+    "MetricRow", "asymptotic_report", "comparison_table", "src_metrics",
     "MarkovParams", "mttf_redundancy_set", "mttf_system", "mttf_table",
     "params_for_scheme",
     "Cluster", "ClusterConfig", "Scheme", "SimReport", "build_cluster",

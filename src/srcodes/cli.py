@@ -2,25 +2,17 @@
 plus the metrics, simulation, and reliability reports.
 
 Exit codes: 0 success, 2 usage error (an OSError included, such as an
-output path that cannot be written), 3 insufficient data, 4 integrity
-failure; each failure prints one "error:" line.  Every randomized path
+output path that cannot be written, and a MemoryError, such as a stripe
+too large to hold), 3 insufficient data, 4 integrity failure; each
+failure prints one "error:" line.  Every randomized path
 takes a seed (defaulted and echoed in the output), and commands are
 idempotent: rerunning with the same inputs rewrites the same bytes.
 
 This module parses arguments and prints messages and exit codes; shards
-reads and writes the files, a batch of stripes at a time, so memory
-does not grow with the file.  decode and repair take their batches from
-shards.ShardReader, the one shard-set reader: it plans once, reads only
-the chunk slots its plan needs (a healthy decode M bytes, a look-up
-repair the paper's (f+1)*M/k), names each shard file it skips on
-stderr, and plans again without a chunk that fails its checks.  decode
-writes each batch to a temporary sibling of its output, hashing as it
-goes; repair appends each batch to the rebuilt shard
-(shards.ShardWriter), in the format version of its set.  encode hands
-its input, read and hashed a batch at a time, to
-shards.write_shard_set, which encodes it and writes format v2.  repair
---dry-run reads no shard file: it prints the plan for the node with
-every other node present.
+reads and writes the files.  Each file command is one call to a shards
+workflow: encode to write_shard_set, decode to decode_file, repair to
+repair_shard.  repair --dry-run reads no shard file: it prints the plan
+for the node with every other node present.
 """
 
 from __future__ import annotations
@@ -28,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import io
 import json
 import os
@@ -43,10 +34,10 @@ from . import metrics as metrics_mod
 from . import reliability as rel_mod
 from . import repair as repair_mod
 from . import sim as sim_mod
-from .core import SrcParams, data_chunks
+from .core import SrcParams
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
-from .shards import (ShardReader, ShardWriter, atomic_writer, load_manifest,
+from .shards import (atomic_writer, decode_file, load_manifest, repair_shard,
                      write_shard_set)
 
 EXIT_USAGE = 2
@@ -72,6 +63,9 @@ def _exit_codes(fn):
             sys.exit(EXIT_INTEGRITY)
         except OSError as exc:   # e.g. an output path that cannot be written
             click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+        except MemoryError as exc:   # e.g. a stripe too large to hold
+            click.echo(f"error: out of memory: {exc}", err=True)
             sys.exit(EXIT_USAGE)
 
     return wrapper
@@ -108,25 +102,13 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                out: Path) -> None:
     """Encode INPUT_FILE into n shard files plus a manifest."""
     params = SrcParams(n=n, k=k, f=f, chunk_size=chunk_size)
-    digest = hashlib.sha256()
     with open(input_file, "rb") as fh:
         info = os.fstat(fh.fileno())
         source, size = fh, info.st_size
         if not stat.S_ISREG(info.st_mode):   # a pipe's size is known once read
             blob = fh.read()
             source, size = io.BytesIO(blob), len(blob)
-
-        def fill(view) -> None:
-            if source.readinto(view) != len(view):
-                raise ParameterError(f"{input_file} changed size while read")
-            digest.update(view)
-
-        def file_digest() -> str:
-            if fh.read(1):
-                raise ParameterError(f"{input_file} changed size while read")
-            return digest.hexdigest()
-
-        manifest_path = write_shard_set(out, params, size, fill, file_digest)
+        manifest_path = write_shard_set(out, params, source, size)
     click.echo(f"encoded {size} bytes into {n} shards "
                f"({params.stripes(size)} stripes) under {out}")
     click.echo(f"manifest: {manifest_path}")
@@ -147,24 +129,13 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
                dry_run: bool) -> None:
     """Rebuild one node's shard from its look-up helpers."""
     manifest = load_manifest(manifest_path)
-    params = manifest.params
     if dry_run:
-        for line in repair_mod.describe(params, node, manifest.stripe_count):
+        for line in repair_mod.describe(manifest.params, node,
+                                        manifest.stripe_count):
             click.echo(line)
         return
-    reader = ShardReader(manifest, shard_dir, params.node_chunks(node), node)
-    with ShardWriter(shard_dir, params, node, manifest.file_size,
-                     manifest.version) as writer:
-        for batch in reader.batches():
-            writer.write(batch)
-        mode = "look-up repair"
-        if reader.blocked:
-            blocked = sorted(reader.blocked)
-            click.echo("look-up repair blocked for "
-                       f"{', '.join(c.label(params.f) for c in blocked)}; "
-                       "falling back to reconstruction", err=True)
-            mode = "reconstruction fallback"
-        writer.seal(manifest.shard_digests[node])
+    reader = repair_shard(manifest, shard_dir, node)
+    mode = "reconstruction fallback" if reader.blocked else "look-up repair"
     click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
                f"via {mode}; digest verified")
 
@@ -182,18 +153,7 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
 def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
     """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
-    reader = ShardReader(manifest, shard_dir, data_chunks(manifest.params))
-    digest = hashlib.sha256()
-    left = manifest.file_size
-    with atomic_writer(out) as fh:
-        for chunks in reader.batches():
-            data = chunks.reshape(-1)[:left]
-            left -= len(data)
-            digest.update(data)
-            fh.write(data)
-        if digest.hexdigest() != manifest.file_digest:
-            raise IntegrityError(
-                "decoded file does not match the manifest digest")
+    decode_file(manifest, shard_dir, out)
     click.echo(f"decoded {manifest.file_size} bytes to {out} "
                "(digest verified)")
 
@@ -208,13 +168,12 @@ def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
 @_exit_codes
 def cmd_metrics(n: int, k: int, f: int, as_csv: bool, asymptotic: bool) -> None:
     """Print the five-scheme comparison table for (n, k, f)."""
-    rows = metrics_mod.comparison_table(n, k, f)
+    rows = metrics_mod.comparison_table(n, k, f)   # MDS first, SRC last
     click.echo(metrics_mod.csv_table(rows) if as_csv
                else metrics_mod.format_table(rows))
-    src_cost = metrics_mod.replication_normalized_cost(n, k, f)
-    rs_cost = metrics_mod.replication_normalized_cost(n, k)
     click.echo(f"normalized storage cost vs 3-way replication: "
-               f"SRC {src_cost:.4f}, RS {rs_cost:.4f}")
+               f"SRC {rows[-1].normalized_cost:.4f}, "
+               f"RS {rows[0].normalized_cost:.4f}")
     if asymptotic:
         ks = [2 ** e for e in range(3, 21, 2)]
         click.echo("asymptotics (f = log2 k, fixed rate k/n):")

@@ -77,13 +77,6 @@ def comparison_table(n: int, k: int, f: int) -> list[MetricRow]:
     return rows
 
 
-def replication_normalized_cost(n: int, k: int, f: int | None = None) -> float:
-    """Storage cost vs 3-way replication: SRC when f is given, plain
-    (n, k) MDS/RS otherwise."""
-    rate = f * k / ((f + 1) * n) if f is not None else k / n
-    return (1.0 / rate) / REPLICATION_FACTOR
-
-
 @dataclass(frozen=True)
 class AsymptoticRow:
     k: int

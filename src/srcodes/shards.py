@@ -10,8 +10,12 @@ Version 2, which encode writes:
 Version 1 has the CRC table before the chunks; a v1 set stays readable
 and is repaired as v1.  All integers little-endian.  Writing is
 deterministic: re-encoding the same file yields bit-identical shards,
-so a rebuilt shard can be checked against the manifest digest.  This
-module is the only one that reads or writes shard files.  ShardWriter
+so a rebuilt shard can be checked against the manifest digest.
+
+This module is the only one that reads or writes shard files, and it
+runs the three file workflows end to end: write_shard_set (encode),
+decode_file and repair_shard.  Each reads, hashes and writes a batch of
+stripes at a time, so memory does not grow with the file.  ShardWriter
 is the one shard writer: it takes a node's payload a batch of stripes
 at a time, so no writer holds a whole shard.  Every file goes through
 atomic_writer, so a crash never leaves a torn file under its real
@@ -32,15 +36,16 @@ import re
 import struct
 import sys
 import zlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .core import (ChunkId, ChunkPlan, SrcParams, encode_from, plan_chunks,
-                   run_plan)
+from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_from,
+                   plan_chunks, run_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      ShapeError)
 from .mds import CONSTRUCTION_ID
@@ -116,10 +121,10 @@ class Manifest:
     @classmethod
     def from_json(cls, text: str | bytes) -> "Manifest":
         """Parse a manifest.  Malformed JSON, a version other than 1 or
-        2, a missing key, a value of the wrong type, shards not keyed
-        exactly 1..n, a digest that is not 64 lowercase hex characters,
-        a negative file_size or a stripe_count that does not fit
-        file_size raises IntegrityError."""
+        2, a missing key, a value of the wrong type, code parameters
+        SrcParams rejects, shards not keyed exactly 1..n, a digest that
+        is not 64 lowercase hex characters, a negative file_size or a
+        stripe_count that does not fit file_size raises IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
@@ -168,8 +173,6 @@ class Manifest:
                 shard_digests=digests,
                 version=version,
             )
-        except ParameterError:   # a ValueError, but a usage error (exit 2)
-            raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IntegrityError(
                 f"malformed manifest: {type(exc).__name__}: {exc}") from exc
@@ -269,21 +272,18 @@ class ShardWriter:
         return self._sha.hexdigest()
 
 
-def write_shard_set(directory: Path, params: SrcParams, file_size: int,
-                    fill: Callable[[np.ndarray], object],
-                    file_digest: Callable[[], str]) -> Path:
-    """Encode file_size input bytes into n shard files and a manifest;
-    returns the manifest path.
+def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
+                    size: int) -> Path:
+    """Encode the size bytes of the binary stream source into n shard
+    files and a manifest; returns the manifest path.
 
-    fill(view) writes the next len(view) input bytes into view or
-    raises (core.encode_from).  The input is encoded a batch of stripes
-    at a time, _BATCH_BYTES of every node's chunks, and each node's rows
-    go to its file as they come, so no more than a batch is held.
-    file_digest() is called once the last batch is written and gives
-    the original file's sha256.  The shard files take their names
-    in node order once every one is sealed, then the manifest is
-    written; an error before that leaves no new file, and removes the
-    directory if this call made it.
+    The input is read, hashed and encoded a batch of stripes at a time,
+    _BATCH_BYTES of every node's chunks, and each node's rows go to its
+    file as they come, so no more than a batch is held.  A source that
+    does not end at exactly size bytes is a ParameterError.  The shard
+    files take their names in node order once every one is sealed, then
+    the manifest is written; an error before that leaves no new file,
+    and removes the directory if this call made it.
     """
     from concurrent.futures import ThreadPoolExecutor   # only encode needs it
 
@@ -292,22 +292,32 @@ def write_shard_set(directory: Path, params: SrcParams, file_size: int,
     directory.mkdir(parents=True, exist_ok=True)
     width = params.f + 1
     step = max(1, _BATCH_BYTES // (params.n * width * params.chunk_size))
+    sha = hashlib.sha256()
+    changed = ParameterError(
+        f"{getattr(source, 'name', 'input')} changed size while read")
+
+    def fill(view) -> None:
+        if source.readinto(view) != len(view):
+            raise changed
+        sha.update(view)
+
     try:
         with ExitStack() as stack:
             # entered last node first, so the files replace in node order
             writers = [stack.enter_context(ShardWriter(
-                directory, params, node, file_size))
+                directory, params, node, size))
                 for node in range(params.n, 0, -1)][::-1]
             # hashlib, zlib and file writes release the GIL, so nodes'
             # files are written in parallel; no span-wrapped (public
             # module-level) function runs off the main thread
             with ThreadPoolExecutor(_WRITE_THREADS) as pool:
-                for batch in encode_from(fill, file_size, params, step):
+                for batch in encode_from(fill, size, params, step):
                     for _ in pool.map(ShardWriter.write, writers, (
                             batch[:, i * width:(i + 1) * width]
                             for i in range(params.n))):
                         pass
-            file_sha = file_digest()
+            if source.read(1):
+                raise changed
             digests = {w.node: w.seal() for w in writers}
     except BaseException:
         for d in made:
@@ -317,9 +327,9 @@ def write_shard_set(directory: Path, params: SrcParams, file_size: int,
     manifest = Manifest(
         params=params,
         generator=CONSTRUCTION_ID,
-        file_size=file_size,
-        stripe_count=params.stripes(file_size),
-        file_digest=file_sha,
+        file_size=size,
+        stripe_count=params.stripes(size),
+        file_digest=sha.hexdigest(),
         shard_digests=digests,
     )
     manifest_path = directory / MANIFEST_NAME
@@ -524,3 +534,46 @@ class ShardReader:
                 raise IntegrityError(
                     f"shard {shard_filename(node)} shrank while read")
         return got, table[start:stop]
+
+
+def decode_file(manifest: Manifest, directory: Path,
+                out: Path) -> ShardReader:
+    """Decode manifest's file from the shard files in directory to out,
+    a batch of stripes at a time, the padding cut and the bytes hashed
+    as they are written; out takes its name only if the hash is the
+    manifest's file_digest, else IntegrityError.  Returns the reader."""
+    reader = ShardReader(manifest, directory, data_chunks(manifest.params))
+    sha = hashlib.sha256()
+    left = manifest.file_size
+    with atomic_writer(out) as fh:
+        for chunks in reader.batches():
+            data = chunks.reshape(-1)[:left]
+            left -= len(data)
+            sha.update(data)
+            fh.write(data)
+        if sha.hexdigest() != manifest.file_digest:
+            raise IntegrityError(
+                "decoded file does not match the manifest digest")
+    return reader
+
+
+def repair_shard(manifest: Manifest, directory: Path,
+                 node: int) -> ShardReader:
+    """Rebuild node's shard file in directory from the other nodes'
+    files, in the set's format version; it takes its name only if its
+    digest is the manifest's.  A look-up that a missing or damaged
+    helper blocks is named on stderr.  Returns the reader: its blocked
+    chunks were derived by reconstruction."""
+    p = manifest.params
+    reader = ShardReader(manifest, directory, p.node_chunks(node), node)
+    with ShardWriter(directory, p, node, manifest.file_size,
+                     manifest.version) as writer:
+        for batch in reader.batches():
+            writer.write(batch)
+        if reader.blocked:
+            print("look-up repair blocked for "
+                  f"{', '.join(c.label(p.f) for c in sorted(reader.blocked))}"
+                  "; falling back to reconstruction", file=sys.stderr,
+                  flush=True)
+        writer.seal(manifest.shard_digests[node])
+    return reader

@@ -59,8 +59,8 @@ class Scheme:
             raise ParameterError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
 
     @classmethod
-    def replication(cls, copies: int = 3) -> "Scheme":
-        return cls(kind="replication", n=copies, k=1)
+    def replication(cls) -> "Scheme":
+        return cls(kind="replication", n=3, k=1)
 
     @classmethod
     def rs(cls, n: int, k: int) -> "Scheme":

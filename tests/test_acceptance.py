@@ -19,8 +19,7 @@ from click.testing import CliRunner
 from srcodes.cli import main as cli_main
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
     plan_chunks, reconstruct, ring_add
-from srcodes.metrics import comparison_table, replication_normalized_cost, \
-    src_metrics
+from srcodes.metrics import comparison_table, src_metrics
 from srcodes.mds import make_generator
 from srcodes.reliability import MarkovParams, mttf_redundancy_set, mttf_table
 from srcodes.repair import node_plan
@@ -145,8 +144,10 @@ def test_criterion_4_formula_oracles():
             assert row.disk_accesses == d
             assert close(row.rate, rate)
     assert src_metrics(SrcParams(20, 16, 2, 1)).rate == 8 / 15
-    assert abs(replication_normalized_cost(50, 46, 2) - 0.5435) <= 0.005
-    assert abs(replication_normalized_cost(50, 46) - 0.3623) <= 0.005
+    assert abs(comparison_table(50, 46, 2)[-1].normalized_cost - 0.5435) \
+        <= 0.005
+    assert abs(comparison_table(50, 46, 2)[0].normalized_cost - 0.3623) \
+        <= 0.005
     _report(4, f"{len(grid)}-point grid matches the re-derived formulas to "
                "1e-12; (20,16,2) rate = 8/15; (50,46) costs 0.5435 / 0.3623")
 

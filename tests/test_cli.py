@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from srcodes import cli, shards
 from srcodes.cli import main
 from srcodes.core import SrcParams, data_chunks, plan_chunks
+from srcodes.metrics import comparison_table, format_table
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
 from shard_files import (HEADER_B, RESERVED_AT, counter_input, slot_at,
@@ -137,6 +138,22 @@ def test_encode_input_changing_size_is_a_usage_error(runner, tmp_path,
                                "--f", "2", "--out", str(out)])
     assert (res.exit_code, res.stderr) == (
         2, f"error: {src} changed size while read\n")
+    assert not out.exists()
+
+
+def test_encode_stripe_too_large_for_memory_usage_error(runner, tmp_path):
+    # a batch holds at least one stripe: a 12 PiB stripe cannot be
+    # allocated, even where memory is overcommitted
+    src = tmp_path / "one.bin"
+    src.write_bytes(b"x")
+    out = tmp_path / "shards"
+    res = runner.invoke(main, ["encode", str(src), "--n", "4", "--k", "2",
+                               "--f", "2", "--chunk-size", str(2 ** 50),
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: out of memory: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
     assert not out.exists()
 
 
@@ -872,6 +889,49 @@ def test_manifest_version_other_than_1_or_2_exit_4(runner, tmp_path,
     assert not (out / shard_filename(1)).exists()
 
 
+def _edited_manifest(runner, tmp_path, key, value):
+    """An encoded (4,2,2) set with node 1 deleted and one manifest value
+    replaced; the manifest path and shard directory."""
+    _, _, out = _encode(runner, tmp_path)
+    manifest = out / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    (doc["params"] if key in doc["params"] else doc)[key] = value
+    manifest.write_text(json.dumps(doc))
+    (out / shard_filename(1)).unlink()
+    return manifest, out
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("k", 4, "need 1 <= k < n <= 255, got n=4, k=4"),
+    ("f", 0, "need f >= 1, got f=0"),
+    ("chunk_size", 0, "chunk_size must be >= 1, got 0"),
+    ("digest_algorithm", "md5", None),
+], ids=["k-equals-n", "f-zero", "chunk-size-zero", "unknown-digest"])
+def test_manifest_values_out_of_range_exit_4(runner, tmp_path, key, value,
+                                             problem):
+    manifest, out = _edited_manifest(runner, tmp_path, key, value)
+    error = ("unknown digest algorithm 'md5'" if problem is None
+             else f"malformed manifest: ParameterError: {problem}")
+    for args in (["decode", "--out", str(tmp_path / "y.bin")],
+                 ["repair", "--node", "1"]):
+        res = runner.invoke(main, args + ["--manifest", str(manifest),
+                                          "--shards", str(out)])
+        assert (res.exit_code, res.stderr) == (4, f"error: {error}\n")
+    assert not (tmp_path / "y.bin").exists()
+    assert not (out / shard_filename(1)).exists()
+
+
+def test_decode_wrong_file_digest_exit_4(runner, tmp_path):
+    # a well-formed digest that the decoded bytes do not hash to
+    manifest, out = _edited_manifest(runner, tmp_path, "file_digest",
+                                     "0" * 64)
+    res = _decode(runner, out, tmp_path / "y.bin")
+    assert (res.exit_code, res.stderr) == (
+        4, "error: decoded file does not match the manifest digest\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin",
+                                                          "shards"]
+
+
 def test_decode_without_systematic_nodes(runner, tmp_path):
     # force the non-pass-through path by deleting the first k shards
     src, data, out = _encode(runner, tmp_path, n=5, k=2, f=2)
@@ -895,6 +955,30 @@ def test_metrics_command(runner):
     assert res.output.startswith("scheme,alpha")
     res = runner.invoke(main, ["metrics", "--n", "4", "--k", "4"])
     assert res.exit_code == 2
+
+
+METRICS_ASYMPTOTIC_TAIL = """\
+normalized storage cost vs 3-way replication: SRC 0.8333, RS 0.5556
+asymptotics (f = log2 k, fixed rate k/n):
+k,f,src_rate,bandwidth_ratio_vs_msr
+8,3.0,0.44999999999999996,1.7297297297297298
+32,5.0,0.5,2.445859872611465
+128,7.0,0.525,3.2150706436420724
+512,9.0,0.54,4.004692999608917
+2048,11.0,0.5499999999999999,4.80140666210804
+8192,13.0,0.5571428571428572,5.600410186292941
+32768,15.0,0.5625,6.4001171896458064
+131072,17.0,0.5666666666666667,7.20003295913525
+524288,19.0,0.57,8.000009155283914
+"""
+
+
+def test_metrics_asymptotic_stdout(runner):
+    res = runner.invoke(main, ["metrics", "--n", "10", "--k", "6", "--f", "2",
+                               "--asymptotic"])
+    assert res.exit_code == 0, res.output
+    table = format_table(comparison_table(10, 6, 2))
+    assert res.stdout == f"{table}\n{METRICS_ASYMPTOTIC_TAIL}"
 
 
 def test_metrics_starts_no_thread(runner):
@@ -977,6 +1061,34 @@ def test_simulate_src_report(runner):
     assert res.stdout == SIMULATE_SRC_30
 
 
+SIMULATE_RS_DEGRADED_30 = """\
+scheme=RS(10,6) mode=degraded-read seed=3
+machines=30 chunks_per_machine=30 failed_machine=4
+lost_chunks=30 helper_reads_per_chunk=6
+elapsed_s=13.498468644571428
+throughput_bytes_per_s=149147727.27272728
+bytes_read=12079595520 bytes_transferred=12079595520 bytes_written=0
+disk_accesses=180 data_loss=False
+chunk_durations_s=3.221225472,3.221225472,3.221225472,3.221225472,\
+3.221225472,3.221225472,3.221225472,3.221225472,6.442450944,6.442450944,\
+6.442450944,6.442450944,6.442450944,6.442450944,6.442450944,6.442450944,\
+10.277243172571428,10.277243172571428,9.663676416,10.277243172571428,\
+10.277243172571428,10.277243172571428,10.277243172571428,\
+10.277243172571428,12.91558022582857,13.498468644571428,\
+13.498468644571428,13.498468644571428,13.498468644571428,13.498468644571428
+"""
+
+
+def test_simulate_degraded_report(runner):
+    # a degraded read streams k chunks per lost chunk and writes nothing
+    res = runner.invoke(main, ["simulate", "--scheme", "rs", "--machines",
+                               "30", "--data-per-machine", "2000000000",
+                               "--seed", "3", "--failed-machine", "4",
+                               "--degraded"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == SIMULATE_RS_DEGRADED_30
+
+
 def test_simulate_config_file_and_outputs(runner, tmp_path):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps({
@@ -1022,6 +1134,16 @@ def test_simulate_bad_config_usage_error(runner, tmp_path, doc, problem):
     assert problem in res.output
 
 
+def test_simulate_config_not_json_usage_error(runner, tmp_path):
+    cfg = tmp_path / "cluster.json"
+    cfg.write_text("{not json")
+    res = runner.invoke(main, ["simulate", "--scheme", "rs",
+                               "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: cluster.json is not valid JSON: ")
+    assert res.stdout == ""
+
+
 def test_simulate_sweep_series(runner):
     res = runner.invoke(main, ["simulate", "--scheme", "src", "--f", "2",
                                "--sweep", "10,6 20,16 50,46"])
@@ -1059,6 +1181,12 @@ def test_reliability_command(runner):
     assert res.output.startswith("scheme,n,k")
     res = runner.invoke(main, ["reliability", "--pairs", "junk"])
     assert res.exit_code == 2
+
+
+def test_reliability_pairs_of_three_usage_error(runner):
+    res = runner.invoke(main, ["reliability", "--pairs", "10,6,2"])
+    assert (res.exit_code, res.stderr) == (
+        2, "error: cannot parse pairs '10,6,2'; expected e.g. '10,6 20,16'\n")
 
 
 @pytest.mark.parametrize("option,value", [

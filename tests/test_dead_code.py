@@ -1,9 +1,10 @@
 """Every public module-level function and class of srcodes is used by the
 program: its name is referred to in a srcodes module, a demo, or the
-benchmark harness; and every dataclass field in srcodes is read as an
-attribute there.  Tests do not count, nor does a re-export in the
-package's __init__.py, so code kept alive only by its own tests or its
-export is reported here.  Names are matched as identifiers, not by what
+benchmark harness; every dataclass field in srcodes is read as an
+attribute there; and every parameter default of a srcodes function is
+overridden by a call there.  Tests do not count, nor does a re-export
+in the package's __init__.py, so code kept alive only by its own tests
+or its export is reported here.  Names are matched as identifiers, not by what
 they resolve to, so a shared name hides a dead definition."""
 
 import ast
@@ -72,3 +73,58 @@ def test_dataclass_fields_are_read():
               and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in read]
     assert unread == []
+
+
+def _defaults(tree: ast.AST) -> list[tuple[str, str, int | None]]:
+    """(the name a call uses, parameter, its position in a call or None
+    if keyword-only) per parameter default of a function in tree; a
+    method's self or cls takes no position, and __init__ is called by
+    its class's name."""
+    out = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                name = cls if child.name == "__init__" else child.name
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(a.defaults):
+                        out.append((name, arg.arg, i - (cls is not None)))
+                out.extend((name, arg.arg, None) for arg, d in
+                           zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def _overrides(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_parameter_defaults_are_overridden():
+    # a default that no call in the program overrides, by keyword, by
+    # position or through ** or *, is a knob nothing turns: its value
+    # belongs in the body
+    trees = _program()
+    calls: dict[str, list[ast.Call]] = {}
+    for path, tree in trees.items():
+        if path != PROGRAM[0] / "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    unturned = [f"{path.stem}.{name}({param}=)"
+                for path, tree in trees.items() if path.parent == PROGRAM[0]
+                for name, param, position in _defaults(tree)
+                if not any(_overrides(call, param, position)
+                           for call in calls.get(name, []))]
+    assert unturned == []

@@ -3,8 +3,7 @@ import pytest
 from srcodes.core import SrcParams, encode
 from srcodes.errors import ParameterError
 from srcodes.metrics import (asymptotic_report, comparison_table, csv_table,
-                             format_table, replication_normalized_cost,
-                             src_metrics)
+                             format_table, src_metrics)
 from srcodes.repair import node_plan
 
 # Independent re-derivation of every comparison-table cell, kept separate
@@ -52,8 +51,10 @@ def test_src_rate_20_16_2():
 
 
 def test_normalized_costs_50_46():
-    assert replication_normalized_cost(50, 46, 2) == pytest.approx(0.5435, abs=0.005)
-    assert replication_normalized_cost(50, 46) == pytest.approx(0.3623, abs=0.005)
+    assert comparison_table(50, 46, 2)[-1].normalized_cost == \
+        pytest.approx(0.5435, abs=0.005)
+    assert comparison_table(50, 46, 2)[0].normalized_cost == \
+        pytest.approx(0.3623, abs=0.005)
 
 
 def test_comparison_table_against_oracle_grid():

@@ -31,8 +31,7 @@ def _write_set(directory, data, params):
     stripe per batch; the manifest path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shards, "_BATCH_BYTES", 1)   # a stripe per batch
-        return write_shard_set(directory, params, len(data),
-                               io.BytesIO(data).readinto, lambda: "ab" * 32)
+        return write_shard_set(directory, params, io.BytesIO(data), len(data))
 
 
 def _read_node(manifest, directory, node):
