@@ -20,11 +20,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import io
 import json
 import os
+import shutil
 import stat
 import sys
+import tempfile
 import typing
 from pathlib import Path
 
@@ -102,12 +103,15 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                out: Path) -> None:
     """Encode INPUT_FILE into n shard files plus a manifest."""
     params = SrcParams(n=n, k=k, f=f, chunk_size=chunk_size)
-    with open(input_file, "rb") as fh:
+    with open(input_file, "rb") as fh, contextlib.ExitStack() as stack:
         info = os.fstat(fh.fileno())
         source, size = fh, info.st_size
-        if not stat.S_ISREG(info.st_mode):   # a pipe's size is known once read
-            blob = fh.read()
-            source, size = io.BytesIO(blob), len(blob)
+        # a pipe's size is known once read: spool it, not into memory
+        if not stat.S_ISREG(info.st_mode):
+            source = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(fh, source)
+            size = source.tell()
+            source.seek(0)
         manifest_path = write_shard_set(out, params, source, size)
     click.echo(f"encoded {size} bytes into {n} shards "
                f"({params.stripes(size)} stripes) under {out}")

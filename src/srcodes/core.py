@@ -33,9 +33,10 @@ Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
 same in every stripe, so one plan serves a whole file, and callers run
 it on a batch of stripes at a time.  encode_from, the one encode path,
-runs the plan for every node's chunks in place on one batch buffer, so
-encode holds a batch of stripes, not the file's shards; encode, for
-the demos and tests, is the same path in one batch.
+runs the plan for every node's chunks in place on a batch buffer, two
+buffers taking turns, so encode holds two batches of stripes, not the
+file's shards; encode, for the demos and tests, is the same path in one
+batch.
 """
 
 from __future__ import annotations
@@ -175,12 +176,15 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
     """Encode size input bytes, step stripes at a time.
 
     Yields each batch of stripes in turn, (stripes, n*(f+1),
-    chunk_size) with node i's f+1 slots from (i-1)*(f+1), in one buffer
-    that the next batch overwrites; an empty input is one batch of no
-    stripes.  fill(view) must write the next len(view) input bytes into
-    view or raise.  It is called in file order with each data chunk's
-    slot, cut at the end of the input, and the rest of a slot is zeroed;
-    run_plan, on the one plan, makes the other slots in place.
+    chunk_size) with node i's f+1 slots from (i-1)*(f+1).  Batches
+    alternate between two buffers, so a batch stays intact while the
+    next one is coded and is overwritten by the one after; a file that
+    fits in one batch uses one buffer, and an empty input is one batch
+    of no stripes.  fill(view) must write the next len(view) input
+    bytes into view or raise.  It is called in file order with each
+    data chunk's slot, cut at the end of the input, and the rest of a
+    slot is zeroed; run_plan, on the one plan, makes the other slots in
+    place.
     """
     targets = [c for node in range(1, params.n + 1)
                for c in params.node_chunks(node)]
@@ -188,10 +192,13 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
     plan = plan_chunks(params, data, targets)
     cs = params.chunk_size
     stripes = params.stripes(size)
-    buf = np.empty((min(step, stripes), len(targets), cs), dtype=np.uint8)
+    bufs: list[np.ndarray] = []
     at = 0
-    for start in range(0, max(stripes, 1), step):
-        batch = buf[:min(step, stripes - start)]
+    for b, start in enumerate(range(0, max(stripes, 1), step)):
+        if b < 2:   # the second buffer only once a second batch comes
+            bufs.append(np.empty((min(step, stripes), len(targets), cs),
+                                 dtype=np.uint8))
+        batch = bufs[b % 2][:min(step, stripes - start)]
         for stripe in batch:
             for slot in data.values():
                 got = min(max(size - at, 0), cs)

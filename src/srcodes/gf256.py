@@ -1,28 +1,38 @@
-"""GF(2^8) arithmetic with log/antilog tables, and the buffer kernel.
+"""GF(2^8) arithmetic with log/antilog tables, and the buffer kernels.
 
 Elements are bytes; addition is XOR, multiplication works through
 log/antilog tables built from the primitive polynomial x^8+x^4+x^3+x^2+1
 (0x11d) with generator 2.  A full 256x256 product table MUL is built at
 import time; gf_inv and mat_inv are pure.
 
-addmul_buf, which every buffer multiply-add reaches through addmul_rows,
-scales by table look-up on the caller's thread, 128 Ki entries at a
-time, in blocks each thread makes once and reuses:
+Every buffer multiply-add goes through addmul_rows, out[i] ^= sum_j
+coeffs[i, j] * rows[j], which scales by table look-up on the caller's
+thread, in blocks each thread makes once and reuses.  The number r of
+output rows picks the kernel (the look-up tables of Plank, Greenan &
+Miller, FAST 2013):
 
-- a buffer whose last axis is contiguous and of even length is read as
-  uint16 and looked up in a 65 536-entry pair table, two products per
-  look-up (the split-table idea of Plank, Greenan & Miller, FAST 2013);
-  the table is built per call, in microseconds;
-- any other buffer is looked up byte by byte in MUL[coeff];
-- coefficient 0 is a no-op and coefficient 1 a plain XOR.
+- r >= 3: the outputs go in groups of up to 8, and each source row is
+  looked up once per group in a 256-entry table whose entry x packs
+  coeffs[i, j] * x for every output i of the group, one byte each
+  (uint32 for up to 4 outputs, uint64 for up to 8); the products are
+  XORed into one packed accumulator, 32 Ki entries at a time, whose
+  byte planes then go to their outputs;
+- r <= 2: addmul_buf per (i, j), 128 Ki entries at a time.  A buffer
+  whose last axis is contiguous and of even length is read as uint16
+  and looked up in a 65 536-entry pair table, two products per look-up,
+  the table built per call in microseconds; any other buffer is looked
+  up byte by byte in MUL[coeff]; coefficient 0 is a no-op and
+  coefficient 1 a plain XOR.
 
-The kernel starts no thread; callers on several threads each get their
+The kernels start no thread; callers on several threads each get their
 own blocks.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -75,6 +85,23 @@ def _pair_table(coeff: int) -> np.ndarray:
     return (lo[:, None] << 8 | lo[None, :]).ravel()
 
 
+def _blocks(shape: tuple[int, ...], size: int) -> Iterator[tuple]:
+    """Indices that cut an array of this shape into pieces of at most
+    size entries, whole rows where a row fits."""
+    if math.prod(shape) <= size:
+        yield (...,)
+        return
+    inner = math.prod(shape[1:])
+    if inner <= size:
+        step = size // inner
+        for s in range(0, shape[0], step):
+            yield (slice(s, s + step),)
+        return
+    for s in range(shape[0]):   # one row is larger than the block
+        for rest in _blocks(shape[1:], size):
+            yield (s, *rest)
+
+
 def _lookup_xor(acc: np.ndarray, table: np.ndarray, buf: np.ndarray) -> None:
     """acc ^= table[buf], one block at a time, in this thread's blocks
     for the values and for the indices as intp, which np.take needs."""
@@ -83,20 +110,12 @@ def _lookup_xor(acc: np.ndarray, table: np.ndarray, buf: np.ndarray) -> None:
         scratch = _local.scratch = (np.empty(_BLOCK, dtype=np.uint16),
                                     np.empty(_BLOCK, dtype=np.intp))
     values, index = scratch
-    if acc.size <= _BLOCK:
-        looked_up = values.view(table.dtype)[:acc.size].reshape(acc.shape)
-        at = index[:acc.size].reshape(acc.shape)
-        np.copyto(at, buf)
-        np.take(table, at, out=looked_up, mode="clip")
-        np.bitwise_xor(acc, looked_up, out=acc)
-        return
-    rows = _BLOCK * len(acc) // acc.size
-    if rows == 0:   # one row is larger than the block
-        for a, b in zip(acc, buf):
-            _lookup_xor(a, table, b)
-        return
-    for s in range(0, len(acc), rows):
-        _lookup_xor(acc[s:s + rows], table, buf[s:s + rows])
+    for at in _blocks(acc.shape, _BLOCK):
+        a = acc[at]
+        looked_up = values.view(table.dtype)[:a.size]
+        np.copyto(index[:a.size].reshape(a.shape), buf[at])
+        np.take(table, index[:a.size], out=looked_up, mode="clip")
+        np.bitwise_xor(a, looked_up.reshape(a.shape), out=a)
 
 
 def addmul_buf(acc: np.ndarray, coeff: int, buf: np.ndarray) -> None:
@@ -122,12 +141,54 @@ def addmul_rows(out: np.ndarray, coeffs: np.ndarray, rows) -> None:
     """out[i] ^= sum_j coeffs[i, j] * rows[j], in place.
 
     The matrix form of addmul_buf: coeffs is r x c, out holds r buffers
-    along its first axis and rows holds c, all of one shape.  out may be
-    a strided view, so callers write straight into their final arrays.
+    along its first axis and rows holds c, all of one shape.  out and
+    rows may be strided views, so callers read from and write straight
+    into their final arrays.
     """
-    for i in range(coeffs.shape[0]):
-        for j in range(coeffs.shape[1]):
-            addmul_buf(out[i], int(coeffs[i, j]), rows[j])
+    r = coeffs.shape[0]
+    if r <= 2:   # a group this small looks up no faster than pair tables
+        for i in range(r):
+            for j in range(coeffs.shape[1]):
+                addmul_buf(out[i], int(coeffs[i, j]), rows[j])
+        return
+    for group in np.array_split(np.arange(r), -(-r // 8)):
+        _addmul_group([out[i] for i in group], coeffs[group], rows)
+
+
+_GROUP_BLOCK = 1 << 15   # entries per grouped look-up; blocks are per thread
+
+
+def _addmul_group(out: list, coeffs: np.ndarray, rows) -> None:
+    """addmul_rows for up to 8 outputs: each source byte is looked up
+    once, in a table packing its products for every output, bits 8i to
+    8i+7 for out[i]."""
+    keep = coeffs.any(axis=0)   # a source no output scales is not read
+    rows = [b for b, k in zip(rows, keep) if k]
+    if not rows:
+        return
+    dtype = np.uint32 if len(out) <= 4 else np.uint64
+    shifts = 8 * np.arange(len(out), dtype=dtype)[:, None]
+    tables = np.bitwise_or.reduce(
+        MUL[coeffs[:, keep].T].astype(dtype) << shifts, axis=1)
+    scratch = getattr(_local, "grouped", None)
+    if scratch is None:
+        scratch = _local.grouped = (np.empty(_GROUP_BLOCK, np.intp),
+                                    np.empty((2, _GROUP_BLOCK), np.uint64))
+    index, packed = scratch
+    for at in _blocks(out[0].shape, _GROUP_BLOCK):
+        shape = rows[0][at].shape
+        m = math.prod(shape)
+        acc, looked = (p.view(dtype)[:m] for p in packed)
+        for j, (table, row) in enumerate(zip(tables, rows)):
+            np.copyto(index[:m].reshape(shape), row[at])
+            np.take(table, index[:m], out=looked if j else acc, mode="clip")
+            if j:
+                np.bitwise_xor(acc, looked, out=acc)
+        plane = looked.view(np.uint8)[:m].reshape(shape)
+        for i, o in enumerate(out):
+            np.right_shift(acc.reshape(shape), 8 * i, out=plane,
+                           casting="unsafe")   # bits 8i to 8i+7
+            np.bitwise_xor(o[at], plane, out=o[at])
 
 
 def mat_inv(m: np.ndarray) -> np.ndarray:

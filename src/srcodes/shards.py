@@ -15,12 +15,14 @@ so a rebuilt shard can be checked against the manifest digest.
 This module is the only one that reads or writes shard files, and it
 runs the three file workflows end to end: write_shard_set (encode),
 decode_file and repair_shard.  Each reads, hashes and writes a batch of
-stripes at a time, so memory does not grow with the file.  ShardWriter
-is the one shard writer: it takes a node's payload a batch of stripes
-at a time, so no writer holds a whole shard.  Every file goes through
-atomic_writer, so a crash never leaves a torn file under its real
-name.  ShardReader is the one shard-set reader: it plans around missing
-and damaged files and reads only the chunk slots its plan needs.
+stripes at a time, so memory does not grow with the file; encode
+writes each batch while it codes the next, in a second buffer.
+ShardWriter is the one shard writer: it takes a node's payload a batch
+of stripes at a time, so no writer holds a whole shard.  Every file
+goes through atomic_writer, so a crash never leaves a torn file under
+its real name.  ShardReader is the one shard-set reader: it plans
+around missing and damaged files and reads only the chunk slots its
+plan needs.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -279,11 +281,12 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
 
     The input is read, hashed and encoded a batch of stripes at a time,
     _BATCH_BYTES of every node's chunks, and each node's rows go to its
-    file as they come, so no more than a batch is held.  A source that
-    does not end at exactly size bytes is a ParameterError.  The shard
-    files take their names in node order once every one is sealed, then
-    the manifest is written; an error before that leaves no new file,
-    and removes the directory if this call made it.
+    file while the next batch is coded, so no more than two batches are
+    held.  A source that does not end at exactly size bytes is a
+    ParameterError.  The shard files take their names in node order
+    once every one is sealed, then the manifest is written; an error
+    before that leaves no new file, and removes the directory if this
+    call made it.
     """
     from concurrent.futures import ThreadPoolExecutor   # only encode needs it
 
@@ -308,14 +311,20 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                 directory, params, node, size))
                 for node in range(params.n, 0, -1)][::-1]
             # hashlib, zlib and file writes release the GIL, so nodes'
-            # files are written in parallel; no span-wrapped (public
-            # module-level) function runs off the main thread
+            # files are written in parallel, and while the next batch is
+            # coded; no span-wrapped (public module-level) function runs
+            # off the main thread.  The pool's block ends, its writes
+            # done, before an error removes the temporary files.
             with ThreadPoolExecutor(_WRITE_THREADS) as pool:
+                writing = []
                 for batch in encode_from(fill, size, params, step):
-                    for _ in pool.map(ShardWriter.write, writers, (
-                            batch[:, i * width:(i + 1) * width]
-                            for i in range(params.n))):
-                        pass
+                    for fut in writing:   # each file's batches in order
+                        fut.result()
+                    slots = range(0, params.n * width, width)
+                    writing = [pool.submit(w.write, batch[:, s:s + width])
+                               for w, s in zip(writers, slots)]
+                for fut in writing:
+                    fut.result()
             if source.read(1):
                 raise changed
             digests = {w.node: w.seal() for w in writers}

@@ -82,13 +82,13 @@ def test_gf_bytes_per_path(monkeypatch):
     data = np.random.default_rng(5).integers(
         0, 256, 3 * p.stripe_data_bytes, dtype=np.uint8).tobytes()
     scaled = []
-    addmul_buf = gf256.addmul_buf
+    addmul_rows = gf256.addmul_rows
 
-    def counting(acc, coeff, buf):
-        scaled.append(buf.nbytes if coeff >= 2 else 0)
-        addmul_buf(acc, coeff, buf)
+    def counting(out, coeffs, rows):
+        scaled.extend(rows[j].nbytes for i, j in np.argwhere(coeffs >= 2))
+        addmul_rows(out, coeffs, rows)
 
-    monkeypatch.setattr(gf256, "addmul_buf", counting)
+    monkeypatch.setattr(gf256, "addmul_rows", counting)
     arr = encode(data, p)
     assert sum(scaled) == 9216
     scaled.clear()

@@ -62,6 +62,74 @@ def test_addmul_rows_matches_reference(r, c):
     assert np.array_equal(np.moveaxis(base, 1, 0), expect)
 
 
+def _grouped_case(r, c, shape, seed):
+    """Coefficients holding 0s and 1s, c source rows that are slots of a
+    batch as in encode's batch[:, slot], and r out rows a stripe apart
+    as run_plan writes them, in the slots after the sources."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(2, 256, (r, c)).astype(np.uint8)
+    coeffs.flat[::5] = 0
+    coeffs.flat[1::5] = 1
+    batch = rng.integers(0, 256, (shape[0], c + r, *shape[1:]),
+                         dtype=np.uint8)
+    rows = [batch[:, j] for j in range(c)]
+    out = [batch[:, c + i] for i in range(r)]
+    return coeffs, batch, rows, out
+
+
+def _check_rows(coeffs, rows, out, samples=None):
+    """addmul_rows matches gf_matmul, at every position or at a sample
+    of them, and leaves the sources as they were."""
+    before = np.stack(out).reshape(len(out), -1)
+    sources = np.stack(rows).reshape(len(rows), -1)
+    gf256.addmul_rows(out, coeffs, rows)
+    at = slice(None) if samples is None else \
+        np.random.default_rng(samples).integers(0, before.shape[1], samples)
+    assert np.array_equal(np.stack(out).reshape(len(out), -1)[:, at],
+                          before[:, at] ^ gf_matmul(coeffs, sources[:, at]))
+    assert np.array_equal(np.stack(rows).reshape(len(rows), -1), sources)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 8, 9, 17])
+@pytest.mark.parametrize("chunk", [64, 65])
+def test_grouped_rows_match_reference(r, chunk):
+    # three or more outputs take the grouped tables, in groups of up to 8
+    coeffs, _, rows, out = _grouped_case(r, 4, (3, chunk), r * chunk)
+    _check_rows(coeffs, rows, out)
+
+
+def test_grouped_rows_skip_a_source_no_output_scales():
+    coeffs, batch, rows, out = _grouped_case(4, 3, (2, 33), 1)
+    coeffs[:, 1] = 0
+    _check_rows(coeffs, rows, out)
+    coeffs[:] = 0
+    before = batch.copy()
+    gf256.addmul_rows(out, coeffs, rows)
+    assert np.array_equal(batch, before)
+
+
+def test_grouped_rows_strided_last_axis():
+    # every other byte of the sources and of the outputs
+    coeffs, _, rows, out = _grouped_case(5, 3, (4, 64), 2)
+    _check_rows(coeffs, [b[:, ::2] for b in rows], [o[:, 1::2] for o in out])
+
+
+@pytest.mark.parametrize("shape", [(12, 7001), (2, 70_000), (3, 40_001),
+                                   (70_001,)])
+def test_grouped_rows_larger_than_block(shape):
+    # 32 Ki entries per look-up: whole rows per block where they fit,
+    # else a row in pieces
+    coeffs, _, rows, out = _grouped_case(4, 3, shape, shape[-1])
+    _check_rows(coeffs, rows, out, samples=4000)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 64), (0, 7), (5, 0)])
+def test_grouped_rows_empty(shape):
+    coeffs, _, rows, out = _grouped_case(4, 3, shape, 3)
+    gf256.addmul_rows(out, coeffs, rows)
+    assert all(o.shape == shape for o in out)
+
+
 COEFFS = (0, 1, 2, 0x53, 255)
 
 
@@ -186,6 +254,37 @@ def test_concurrent_callers_keep_their_results():
     try:
         threads = [threading.Thread(target=caller, args=(i,))
                    for i in range(len(bufs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_concurrent_grouped_callers_keep_their_results():
+    # the grouped kernel's scratch block is per thread as well
+    cases = [_grouped_case(4 + i % 5, 3, (6, 301), i) for i in range(8)]
+    expect = [gf_matmul(coeffs, np.stack(rows))
+              for coeffs, _, rows, _ in cases]
+    wrong = []
+
+    def caller(i):
+        coeffs, _, rows, out = cases[i]
+        for _ in range(100):
+            for o in out:
+                o[:] = 0
+            gf256.addmul_rows(out, coeffs, rows)
+            if not np.array_equal(np.stack(out), expect[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(len(cases))]
         for t in threads:
             t.start()
         for t in threads:

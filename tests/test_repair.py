@@ -195,7 +195,7 @@ def test_lookup_repair_does_no_gf_work(monkeypatch):
     def no_gf(*args):
         raise RuntimeError("GF(256) multiply in look-up repair")
 
-    monkeypatch.setattr(gf256, "addmul_buf", no_gf)
+    monkeypatch.setattr(gf256, "addmul_rows", no_gf)   # every kernel's way in
     monkeypatch.setattr(core, "decode_matrix", no_gf)
     with pytest.raises(RuntimeError):
         encode(b"x", p)   # the patch does catch GF work

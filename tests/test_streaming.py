@@ -9,6 +9,8 @@ no output left behind.  Most cases force one stripe per batch so that a
 small file spans many.
 """
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -98,7 +100,7 @@ def test_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
 
 
 def test_encode_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
-    # encode holds one batch of every node's stripes, neither the input
+    # encode holds two batches of every node's stripes, neither the input
     # nor a shard.  A first encode makes what a process makes once, such
     # as the generator cache and the GF kernel's per-thread blocks.
     monkeypatch.setattr(shards, "_BATCH_BYTES", 256 << 10)
@@ -109,6 +111,103 @@ def test_encode_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
         peak[size] = _peak(lambda: _run_encode(src, tmp_path / f"f{size}"))
     small, large = sorted(peak)
     assert peak[large] - peak[small] < 256 << 10
+
+
+def test_encode_of_a_pipe_peaks_like_a_regular_file(tmp_path, monkeypatch):
+    # a pipe is spooled to a temporary file, not read into memory
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 256 << 10)
+    _encode(tmp_path, 100_000, "warm")
+    data, src = _input(tmp_path, 8 << 20, "regular")
+    regular = _peak(lambda: _run_encode(src, tmp_path / "from-file"))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        piped = _peak(lambda: _run_encode(fifo, tmp_path / "from-pipe"))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped - regular < 256 << 10
+    for node in range(1, P.n + 1):
+        assert (tmp_path / "from-pipe" / shard_filename(node)).read_bytes() \
+            == (tmp_path / "from-file" / shard_filename(node)).read_bytes()
+
+
+FOUR_BATCHES = 15 * P.stripe_data_bytes // 2   # 8 stripes, the last half full
+
+
+@pytest.fixture
+def two_stripe_batches(monkeypatch):
+    monkeypatch.setattr(shards, "_BATCH_BYTES",
+                        2 * P.n * (P.f + 1) * P.chunk_size)
+
+
+def _on_write(monkeypatch, hook):
+    """Call hook(node, batch) in each ShardWriter.write, on the writer's
+    thread, before it writes; batch counts a node's writes from 1."""
+    write, written = shards.ShardWriter.write, {}
+
+    def hooked(self, rows):
+        written[self.node] = written.get(self.node, 0) + 1
+        hook(self.node, written[self.node])
+        write(self, rows)
+
+    monkeypatch.setattr(shards.ShardWriter, "write", hooked)
+
+
+def _encode_fails_cleanly(tmp_path, src, stderr):
+    """An encode into a new directory two levels deep exits 2 with one
+    error line, leaves no file or directory, and stops its threads."""
+    before = sorted(tmp_path.rglob("*"))
+    threads = threading.active_count()
+    res = _run_encode(src, tmp_path / "new" / "shards")
+    assert (res.exit_code, res.stderr) == (2, stderr)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert threading.active_count() == threads
+
+
+def test_encode_writer_error_in_second_batch(tmp_path, monkeypatch,
+                                             two_stripe_batches):
+    _, src = _input(tmp_path, FOUR_BATCHES, "input")
+
+    def full(node, batch):
+        if (node, batch) == (3, 2):
+            raise OSError("disk full")
+
+    _on_write(monkeypatch, full)
+    _encode_fails_cleanly(tmp_path, src, "error: disk full\n")
+
+
+def test_encode_input_shrinks_while_writes_run(tmp_path, monkeypatch,
+                                               two_stripe_batches):
+    # batch 2's writes start, then wait until batch 3 has failed to read
+    # its input
+    _, src = _input(tmp_path, FOUR_BATCHES, "input")
+    writing, failed, started = threading.Event(), threading.Event(), []
+    encode_from = shards.encode_from
+
+    def shrinking(fill, size, params, step):
+        coded = encode_from(fill, size, params, step)
+        yield next(coded)
+        yield next(coded)
+        started.append(writing.wait(timeout=30))
+        os.truncate(src, 5 * P.stripe_data_bytes)
+        try:
+            yield from coded
+        finally:
+            failed.set()
+
+    def second_waits(node, batch):
+        if batch == 2:
+            writing.set()
+            failed.wait(timeout=30)
+
+    monkeypatch.setattr(shards, "encode_from", shrinking)
+    _on_write(monkeypatch, second_waits)
+    _encode_fails_cleanly(tmp_path, src,
+                          f"error: {src} changed size while read\n")
+    assert started == [True]
 
 
 @pytest.fixture
