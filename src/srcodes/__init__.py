@@ -17,7 +17,7 @@ from .mds import GeneratorMatrix, make_generator
 from .metrics import (MetricRow, asymptotic_report, comparison_table,
                       src_metrics)
 from .reliability import (MarkovParams, mttf_redundancy_set, mttf_system,
-                          mttf_table, params_for_scheme)
+                          mttf_table)
 from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
                   repair_time_cdf, run_degraded_read, run_node_failure)
 
@@ -30,7 +30,6 @@ __all__ = [
     "GeneratorMatrix", "make_generator",
     "MetricRow", "asymptotic_report", "comparison_table", "src_metrics",
     "MarkovParams", "mttf_redundancy_set", "mttf_system", "mttf_table",
-    "params_for_scheme",
     "Cluster", "ClusterConfig", "Scheme", "SimReport", "build_cluster",
     "repair_time_cdf", "run_degraded_read", "run_node_failure",
     "SrcError", "ParameterError", "ShapeError", "InsufficientDataError",

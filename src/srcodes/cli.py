@@ -187,12 +187,11 @@ def cmd_metrics(n: int, k: int, f: int, as_csv: bool, asymptotic: bool) -> None:
                        f"{row.bandwidth_ratio!r}")
 
 
-def _scheme_from_options(scheme: str, n: int, k: int, f: int) -> sim_mod.Scheme:
-    if scheme == "replication":
+def _scheme_from_options(kind: str, n: int, k: int, f: int) -> sim_mod.Scheme:
+    """Scheme validates the kind: one a config file misspells is an error."""
+    if kind == "replication":
         return sim_mod.Scheme.replication()
-    if scheme == "rs":
-        return sim_mod.Scheme.rs(n, k)
-    return sim_mod.Scheme.src(n, k, f)
+    return sim_mod.Scheme(kind, n, k, f if kind == "src" else None)
 
 
 def _read_config(path: Path) -> dict:
@@ -329,7 +328,11 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
 @_exit_codes
 def cmd_reliability(pairs: str, system_bytes: float, node_bytes: float,
                     disk_mttf_hours: float, as_csv: bool) -> None:
-    """Markov MTTF table: scheme x (n, k)."""
+    """Markov MTTF table: scheme x (n, k).
+
+    Node repair times come from the simulator on the default cluster:
+    3-way replication takes 15 minutes, every other scheme 15 minutes
+    times its simulated rebuild time over replication's."""
     rows = rel_mod.mttf_table(_parse_pairs("pairs", pairs, "10,6 20,16"),
                               system_bytes=system_bytes,
                               node_bytes=node_bytes,

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .core import SrcParams
 from .errors import ParameterError
+from .sim import Scheme
 
-REPLICATION_FACTOR = 3
+REPLICATION_FACTOR = Scheme.replication().n
 
 
 @dataclass(frozen=True)

@@ -13,39 +13,30 @@ recurrence
 which uses only positive terms and is numerically stable where a naive
 linear solve loses digits to the huge lambda/mu ratio.
 
-The modeled member is a storage node: the stated repair times are
-whole-node rebuild times (matching the simulator's node-failure runs),
-and a set protects k * node_bytes of useful data.  System MTTF divides
-the set MTTF by the number of independent sets covering the stored data.
+The modeled member is a storage node, and a set protects k * node_bytes
+of useful data.  System MTTF divides the set MTTF by the number of
+independent sets covering the stored data.  Repair times are whole-node
+rebuild times from the simulator: 3-way replication is anchored at
+15 minutes, and every other scheme takes 15 minutes times its simulated
+rebuild time over replication's, on ClusterConfig's default cluster.
 
-Pure numeric functions; use from any number of threads.
+Pure functions; use from any number of threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .metrics import render_table
+from .sim import ClusterConfig, Scheme, build_cluster, run_node_failure
 
 HOURS_PER_YEAR = 365 * 24
 DISK_MTTF_HOURS = 5 * HOURS_PER_YEAR          # 5-year disk lifetime
 DEFAULT_SYSTEM_BYTES = 10**15                 # 1 PB of useful data
-DEFAULT_NODE_BYTES = 4_000_000_000            # simulator's scaled default
-
-REPAIR_HOURS = {"replication": 0.25, "src": 0.5}
-RS_REFERENCE_K = 6   # RS node repair scales with k, anchored to SRC at k=6
-
-
-def scheme_repair_hours(kind: str, k: int) -> float:
-    """Default node repair time: replication 15 min, SRC 30 min, RS
-    growing linearly in k (30 min at k=6)."""
-    if kind in REPAIR_HOURS:
-        return REPAIR_HOURS[kind]
-    if kind == "rs":
-        return REPAIR_HOURS["src"] * k / RS_REFERENCE_K
-    raise ParameterError(f"unknown scheme kind {kind!r}")
+DEFAULT_NODE_BYTES = ClusterConfig.data_bytes_per_machine
+REPLICATION_REPAIR_HOURS = 0.25               # the one stated repair time
 
 
 @dataclass(frozen=True)
@@ -81,19 +72,6 @@ class MarkovParams:
         """Independent sets covering the stored data; each set holds
         k * node_bytes of useful data."""
         return self.system_bytes / (self.k * self.node_bytes)
-
-
-def params_for_scheme(kind: str, n: int, k: int, **overrides) -> MarkovParams:
-    """MarkovParams with the per-scheme default repair time.
-
-    Replication uses n copies tolerating n-1 losses (k=1); RS/SRC
-    tolerate n-k losses.
-    """
-    if kind == "replication":
-        p = MarkovParams(n=n, k=1, repair_hours=REPAIR_HOURS["replication"])
-        return replace(p, **overrides) if overrides else p
-    p = MarkovParams(n=n, k=k, repair_hours=scheme_repair_hours(kind, k))
-    return replace(p, **overrides) if overrides else p
 
 
 def absorption_time(birth: list[float], death: list[float]) -> float:
@@ -132,35 +110,42 @@ def mttf_system(p: MarkovParams) -> float:
     return mttf_redundancy_set(p) / p.redundancy_set_count
 
 
+def _rebuild_seconds(scheme: Scheme) -> float:
+    """Simulated time to rebuild machine 0 on the default cluster."""
+    return run_node_failure(build_cluster(ClusterConfig(scheme=scheme)),
+                            0).elapsed
+
+
 @dataclass(frozen=True)
 class MttfRow:
-    scheme: str
-    n: int
-    k: int
+    redundancy: Scheme
     repair_hours: float
     set_mttf_hours: float
     system_mttf_hours: float
 
+    @property
+    def scheme(self) -> str:
+        return self.redundancy.label
+
 
 def mttf_table(pairs: list[tuple[int, int]] | None = None,
                **overrides) -> list[MttfRow]:
-    """Scheme x (n, k) sweep with the stated defaults.
+    """Scheme x (n, k) sweep with simulated repair times.
 
     Replication appears once (it does not depend on (n, k)); RS and SRC
     (f=2) get one row per pair.  Default pairs: (10,6), (20,16), (50,46).
+    A pair the default cluster cannot simulate is a usage error.
     """
     if pairs is None:
         pairs = [(10, 6), (20, 16), (50, 46)]
+    schemes = ([Scheme.replication()] + [Scheme.rs(n, k) for n, k in pairs]
+               + [Scheme.src(n, k, 2) for n, k in pairs])
+    anchor = _rebuild_seconds(schemes[0])
     rows = []
-    p = params_for_scheme("replication", 3, 1, **overrides)
-    rows.append(MttfRow("3-way-replication", 3, 1, p.repair_hours,
-                        mttf_redundancy_set(p), mttf_system(p)))
-    for kind, label in (("rs", "RS"), ("src", "SRC")):
-        for n, k in pairs:
-            p = params_for_scheme(kind, n, k, **overrides)
-            name = f"{label}({n},{k},2)" if kind == "src" else f"{label}({n},{k})"
-            rows.append(MttfRow(name, n, k, p.repair_hours,
-                                mttf_redundancy_set(p), mttf_system(p)))
+    for s in schemes:
+        hours = REPLICATION_REPAIR_HOURS * _rebuild_seconds(s) / anchor
+        p = MarkovParams(n=s.n, k=s.k, repair_hours=hours, **overrides)
+        rows.append(MttfRow(s, hours, mttf_redundancy_set(p), mttf_system(p)))
     return rows
 
 
@@ -174,6 +159,7 @@ def format_mttf_table(rows: list[MttfRow]) -> str:
 def csv_mttf_table(rows: list[MttfRow]) -> str:
     lines = ["scheme,n,k,repair_hours,set_mttf_hours,system_mttf_hours"]
     for r in rows:
-        lines.append(f'"{r.scheme}",{r.n},{r.k},{r.repair_hours!r},'
-                     f"{r.set_mttf_hours!r},{r.system_mttf_hours!r}")
+        lines.append(f'"{r.scheme}",{r.redundancy.n},{r.redundancy.k},'
+                     f"{r.repair_hours!r},{r.set_mttf_hours!r},"
+                     f"{r.system_mttf_hours!r}")
     return "\n".join(lines)

@@ -28,6 +28,7 @@ parallel processes if needed; a cluster is immutable once built.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -141,8 +142,6 @@ class Cluster:
 def build_cluster(config: ClusterConfig) -> Cluster:
     """Place redundancy sets on least-loaded machines with seeded
     tie-breaking; deterministic for a fixed seed."""
-    import heapq
-
     scheme = config.scheme
     rng = random.Random(f"{config.seed}:placement")
     slots_per_set = scheme.n * scheme.chunks_per_member

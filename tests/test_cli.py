@@ -992,7 +992,9 @@ def test_reports_and_decode_start_no_thread_and_import_no_pool(runner,
                                                                tmp_path):
     # the report commands and a decode that derives chunks by GF work run
     # on the main thread alone and import no thread pool; only encode
-    # writes its shard files on a pool
+    # writes its shard files on a pool.  The report commands also load no
+    # module that importing the CLI did not: a benchmark counts the reads
+    # of such an import against the command
     _, data, out = _encode(runner, tmp_path, n=4, k=2, f=1, size=4 << 20,
                            chunk=64 << 10)
     for node in (1, 4):   # part1[1] is derived from nodes 2 and 3
@@ -1000,12 +1002,15 @@ def test_reports_and_decode_start_no_thread_and_import_no_pool(runner,
     script = """
 import sys, threading
 from srcodes.cli import main
+loaded = set(sys.modules)
 for args in (["metrics", "--n", "10", "--k", "6", "--f", "2"],
              ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
               "--f", "2", "--machines", "40", "--seed", "1"],
              ["reliability"],
              ["decode", "--manifest", sys.argv[1], "--shards", sys.argv[2],
               "--out", sys.argv[3]]):
+    if args[0] == "decode":
+        assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)
     try:
         main(args)
     except SystemExit as e:
@@ -1117,6 +1122,8 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
     ({"net_bytes_per_s": "fast"}, "net_bytes_per_s must be of type float"),
     ({"scheme": {"kind": "src", "n": "10"}}, "scheme.n must be of type int"),
     ({"scheme": {"kind": 3}}, "scheme.kind must be of type str"),
+    # an unknown kind ran SRC
+    ({"scheme": {"kind": "bogus"}}, "error: unknown scheme kind 'bogus'"),
     # json reads NaN and Infinity; the event loop never ended on them
     ({"net_bytes_per_s": math.nan}, "bandwidths must be positive and finite"),
     ({"net_bytes_per_s": math.inf, "disk_read_bytes_per_s": math.inf,
@@ -1124,7 +1131,8 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
      "bandwidths must be positive and finite"),
 ], ids=["list", "typo", "scheme-typo", "int-as-text", "int-as-float",
         "int-as-bool", "int-as-null", "rate-as-text", "scheme-int-as-text",
-        "scheme-kind-not-text", "rate-nan", "rates-inf"])
+        "scheme-kind-not-text", "scheme-kind-unknown", "rate-nan",
+        "rates-inf"])
 def test_simulate_bad_config_usage_error(runner, tmp_path, doc, problem):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps(doc))
@@ -1204,12 +1212,29 @@ def test_reliability_non_finite_usage_error(runner, option, value):
 RELIABILITY_TEXT = [
     "scheme             repair_h  set MTTF (h)  system MTTF (h)",
     "3-way-replication  0.2500    2.2408e+14    8.9632e+08     ",
-    "RS(10,6)           0.5000    8.5308e+19    2.0474e+15     ",
-    "RS(20,16)          1.3333    2.7445e+16    1.7565e+12     ",
-    "RS(50,46)          3.8333    2.9611e+12    5.4485e+08     ",
-    "SRC(10,6,2)        0.5000    8.5308e+19    2.0474e+15     ",
-    "SRC(20,16,2)       0.5000    1.3869e+18    8.8761e+13     ",
-    "SRC(50,46,2)       0.5000    1.0156e+16    1.8686e+12     ",
+    "RS(10,6)           1.3333    1.6875e+18    4.0500e+13     ",
+    "RS(20,16)          3.5556    5.4373e+14    3.4799e+10     ",
+    "RS(50,46)          10.2222   5.9390e+10    1.0928e+07     ",
+    "SRC(10,6,2)        0.4722    1.0722e+20    2.5733e+15     ",
+    "SRC(20,16,2)       0.4722    1.7431e+18    1.1156e+14     ",
+    "SRC(50,46,2)       0.4861    1.1367e+16    2.0914e+12     ",
+]
+
+RELIABILITY_CSV = [
+    "scheme,n,k,repair_hours,set_mttf_hours,system_mttf_hours",
+    '"3-way-replication",3,1,0.25,224078907920300.03,896315631.6812001',
+    '"RS(10,6)",10,6,1.3333333333333333,1.6875061860248238e+18,'
+    "40500148464595.77",
+    '"RS(20,16)",20,16,3.5555555555555554,543733098481980.0,'
+    "34798918302.84672",
+    '"RS(50,46)",50,46,10.222222222222223,59389749266.199326,'
+    "10927713.864980677",
+    '"SRC(10,6,2)",10,6,0.47222222222222204,1.0722054312906041e+20,'
+    "2573293035097450.0",
+    '"SRC(20,16,2)",20,16,0.47222222222222204,1.7431246422004547e+18,'
+    "111559977100829.1",
+    '"SRC(50,46,2)",50,46,0.486111111111111,1.1366537560912614e+16,'
+    "2091442911207.9211",
 ]
 
 
@@ -1217,3 +1242,25 @@ def test_reliability_text_output_pinned(runner):
     res = runner.invoke(main, ["reliability"])
     assert res.exit_code == 0
     assert res.output == "\n".join(RELIABILITY_TEXT) + "\n"
+    res = runner.invoke(main, ["reliability", "--csv"])
+    assert res.exit_code == 0
+    assert res.output == "\n".join(RELIABILITY_CSV) + "\n"
+
+
+@pytest.mark.parametrize("pairs,problem", [
+    ("100,96", "100 machines cannot host width-100 sets"),
+    ("300,200", "100 machines cannot host width-300 sets"),
+    ("10,10", "need 1 <= k < n"),
+])
+def test_reliability_pair_the_simulator_cannot_run_usage_error(runner, pairs,
+                                                              problem):
+    # as simulate does for the same pair; 300,200 printed a row for an
+    # SRC code that SrcParams rejects
+    res = runner.invoke(main, ["reliability", "--pairs", pairs])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {problem}")
+    assert res.stderr.count("\n") == 1
+    sim = runner.invoke(main, ["simulate", "--scheme", "src", "--n",
+                               pairs.split(",")[0], "--k", pairs.split(",")[1]])
+    assert (sim.exit_code, sim.stderr) == (2, res.stderr)

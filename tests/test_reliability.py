@@ -5,8 +5,9 @@ import sympy as sp
 
 from srcodes.errors import ParameterError
 from srcodes.reliability import (MarkovParams, absorption_time,
-                                 mttf_redundancy_set, mttf_system, mttf_table,
-                                 params_for_scheme, scheme_repair_hours)
+                                 mttf_redundancy_set, mttf_system, mttf_table)
+from srcodes.sim import (ClusterConfig, Scheme, build_cluster,
+                         run_node_failure)
 
 
 def closed_form_mttf(n, k, lam_exact, mu_exact):
@@ -76,15 +77,32 @@ def test_system_aggregation():
     assert mttf_system(doubled) == pytest.approx(mttf_system(p) / 2, rel=1e-12)
 
 
-def test_scheme_defaults():
-    assert scheme_repair_hours("replication", 1) == 0.25
-    assert scheme_repair_hours("src", 6) == 0.5
-    assert scheme_repair_hours("rs", 6) == 0.5
-    assert scheme_repair_hours("rs", 12) == 1.0
-    p = params_for_scheme("replication", 3, 1)
-    assert (p.n, p.k, p.repair_hours) == (3, 1, 0.25)
-    with pytest.raises(ParameterError):
-        scheme_repair_hours("raid5", 4)
+def test_default_repair_hours_pinned():
+    # replication's 0.25 h is stated; the rest follow the simulator
+    hours = {r.scheme: round(r.repair_hours, 4) for r in mttf_table()}
+    assert hours == {
+        "3-way-replication": 0.25, "RS(10,6)": 1.3333, "RS(20,16)": 3.5556,
+        "RS(50,46)": 10.2222, "SRC(10,6,2)": 0.4722, "SRC(20,16,2)": 0.4722,
+        "SRC(50,46,2)": 0.4861}
+
+
+def test_repair_hours_scale_with_simulated_rebuild_time():
+    def rebuild_s(scheme):
+        cluster = build_cluster(ClusterConfig(scheme=scheme))
+        return run_node_failure(cluster, 0).elapsed
+
+    repl_s = rebuild_s(Scheme.replication())
+    for r in mttf_table([(12, 8)]):
+        assert (r.redundancy.n, r.redundancy.k) == (
+            (3, 1) if r.redundancy.kind == "replication" else (12, 8))
+        assert r.repair_hours == pytest.approx(
+            0.25 * rebuild_s(r.redundancy) / repl_s, rel=1e-12)
+
+
+def test_src_outlives_rs_for_each_default_pair():
+    rows = {r.scheme: r.system_mttf_hours for r in mttf_table()}
+    for n, k in ((10, 6), (20, 16), (50, 46)):
+        assert rows[f"RS({n},{k})"] < rows[f"SRC({n},{k},2)"]
 
 
 def test_default_sweep_ordering():
