@@ -1094,6 +1094,53 @@ def test_simulate_degraded_report(runner):
     assert res.stdout == SIMULATE_RS_DEGRADED_30
 
 
+SIMULATE_REPLICATION_30 = """\
+scheme=3-way-replication mode=repair seed=3
+machines=30 chunks_per_machine=30 failed_machine=4
+lost_chunks=30 helper_reads_per_chunk=1
+elapsed_s=2.684354560000001
+throughput_bytes_per_s=749999999.9999998
+bytes_read=2013265920 bytes_transferred=2013265920 bytes_written=2013265920
+disk_accesses=30 data_loss=False
+chunk_durations_s=0.536870912,0.536870912,0.536870912,0.536870912,\
+1.073741824,1.073741824,0.536870912,0.536870912,1.073741824,1.073741824,\
+1.8790481920000004,1.073741824,1.073741824,1.8790481920000004,\
+1.6106127360000002,1.6106127360000002,1.6106127360000002,\
+2.1474836480000006,1.6106127360000002,1.6106127360000002,\
+2.1474836480000006,2.1474836480000006,2.1474836480000006,\
+2.1474836480000006,2.1474836480000006,2.4159191040000008,\
+2.4159191040000008,2.684354560000001,2.684354560000001,2.684354560000001
+"""
+
+SIMULATE_RS_30 = """\
+scheme=RS(10,6) mode=repair seed=3
+machines=30 chunks_per_machine=30 failed_machine=4
+lost_chunks=30 helper_reads_per_chunk=6
+elapsed_s=13.498468644571428
+throughput_bytes_per_s=149147727.27272728
+bytes_read=12079595520 bytes_transferred=12079595520 bytes_written=2013265920
+disk_accesses=180 data_loss=False
+chunk_durations_s=3.221225472,3.221225472,3.221225472,3.221225472,\
+3.221225472,3.221225472,3.221225472,3.221225472,6.442450944,6.442450944,\
+6.442450944,6.442450944,6.442450944,6.442450944,6.442450944,6.442450944,\
+10.277243172571428,10.277243172571428,9.663676416,10.277243172571428,\
+10.277243172571428,10.277243172571428,10.277243172571428,\
+10.277243172571428,12.91558022582857,13.498468644571428,\
+13.498468644571428,13.498468644571428,13.498468644571428,13.498468644571428
+"""
+
+
+@pytest.mark.parametrize("scheme,report", [
+    ("replication", SIMULATE_REPLICATION_30), ("rs", SIMULATE_RS_30)])
+def test_simulate_mds_repair_report(runner, scheme, report):
+    # which survivors each job reads comes from the seeded job RNG
+    res = runner.invoke(main, ["simulate", "--scheme", scheme, "--machines",
+                               "30", "--data-per-machine", "2000000000",
+                               "--seed", "3", "--failed-machine", "4"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == report
+
+
 def test_simulate_config_file_and_outputs(runner, tmp_path):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps({
