@@ -13,7 +13,7 @@ from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, \
     ring_add, ring_sub, run_plan
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError, SrcError)
-from .mds import GeneratorMatrix, make_generator
+from .mds import make_generator
 from .metrics import (MetricRow, asymptotic_report, comparison_table,
                       src_metrics)
 from .reliability import (MarkovParams, mttf_redundancy_set, mttf_system,
@@ -27,7 +27,7 @@ __all__ = [
     "ChunkId", "ChunkPlan", "CodedArray", "SrcParams",
     "chunks_from_shards", "data_chunks", "encode", "plan_chunks",
     "reconstruct", "ring_add", "ring_sub", "run_plan",
-    "GeneratorMatrix", "make_generator",
+    "make_generator",
     "MetricRow", "asymptotic_report", "comparison_table", "src_metrics",
     "MarkovParams", "mttf_redundancy_set", "mttf_system", "mttf_table",
     "Cluster", "ClusterConfig", "Scheme", "SimReport", "build_cluster",

@@ -227,6 +227,10 @@ def _read_config(path: Path) -> dict:
     return doc
 
 
+# scheme keys a kind does not use, an error in a config file: replication
+# is always (3, 1), and only SRC has an f
+_UNUSED_SCHEME_KEYS = {"replication": {"n", "k", "f"}, "rs": {"f"}}
+
 # simulate's defaults are ClusterConfig's
 _CLUSTER = {fld.name: fld.default
             for fld in dataclasses.fields(sim_mod.ClusterConfig)}
@@ -276,6 +280,11 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
         sch = fields.pop("scheme", {})
         scheme, n = sch.get("kind", scheme), sch.get("n", n)
         k, f = sch.get("k", k), sch.get("f", f)
+        unused = sorted(set(sch) & _UNUSED_SCHEME_KEYS.get(scheme, set()))
+        if unused:
+            raise ParameterError(
+                f"{config_path.name}: {scheme} does not use key(s) "
+                + ", ".join(f"scheme.{key}" for key in unused))
 
     def make_config(nn: int, kk: int) -> sim_mod.ClusterConfig:
         return sim_mod.ClusterConfig(
@@ -321,7 +330,10 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
 @click.option("--system-bytes", type=float,
               default=rel_mod.DEFAULT_SYSTEM_BYTES, show_default=True)
 @click.option("--node-bytes", type=float,
-              default=rel_mod.DEFAULT_NODE_BYTES, show_default=True)
+              default=rel_mod.DEFAULT_NODE_BYTES, show_default=True,
+              help="useful bytes per node; sets the number of redundancy "
+                   "sets only, as repair times are simulated on the default "
+                   "4 GB-per-machine cluster whatever this is")
 @click.option("--disk-mttf-hours", type=float,
               default=rel_mod.DISK_MTTF_HOURS, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True)

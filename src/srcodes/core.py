@@ -25,9 +25,11 @@ repair all go through one chunk executor that applies these rules.
 Planning is split from execution: plan_chunks names the chunks a list
 of targets needs, so a reader can fetch only those, and works out the
 GF(256) coefficients once; run_plan then runs that plan on the chunks
-read, for any run of stripes.  plan_chunks is the only planner: what
-`repair --dry-run` prints and the simulator's repair jobs read are its
-plans too (repair.node_plan).
+read, for any run of stripes.  The coefficients come from the (n, k)
+MDS generator, a plain array that a plan builds only when it derives
+chunks: look-up repair plans and a healthy decode build none.
+plan_chunks is the only planner: what `repair --dry-run` prints and the
+simulator's repair jobs read are its plans too (repair.node_plan).
 
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
@@ -44,13 +46,12 @@ from __future__ import annotations
 import io
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import gf256
 from .errors import InsufficientDataError, ParameterError, ShapeError
-from .mds import GeneratorMatrix, decode_matrix, make_generator
+from .mds import decode_matrix, make_generator
 
 
 def ring_add(i: int, delta: int, n: int) -> int:
@@ -116,9 +117,6 @@ class SrcParams:
         """Stripes that hold size bytes: the last one zero-padded."""
         return -(-size // self.stripe_data_bytes)
 
-    def generator(self) -> GeneratorMatrix:
-        return _generator(self.k, self.n)
-
     def node_chunks(self, node: int) -> list[ChunkId]:
         """Chunk ids stored on a node, in slot order (parts 1..f, parity)."""
         if not 1 <= node <= self.n:
@@ -142,11 +140,6 @@ class SrcParams:
         return [ChunkId(part, chunk.subscript)
                 for part in range(1, self.parity_part + 1)
                 if part != chunk.part]
-
-
-@lru_cache(maxsize=64)
-def _generator(k: int, n: int) -> GeneratorMatrix:
-    return make_generator(k, n)
 
 
 @dataclass(frozen=True)
@@ -292,13 +285,13 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
             f"{k} chunks of a part present")
     reads = {c for _, chunks in sums for c in chunks if c in available}
     reads.update(c for srcs in sources.values() for c in srcs)
-    gen = params.generator()
+    gen = make_generator(k, params.n) if sources else None
     coeffs = {}
     for l, srcs in sources.items():
         inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
         cols = [c.subscript - 1 for c in derived if c.part == l]
         coeffs[l] = np.bitwise_xor.reduce(
-            gf256.MUL[inv, gen.entries[:, cols].T[:, None]], axis=2)
+            gf256.MUL[inv, gen[:, cols].T[:, None]], axis=2)
     return ChunkPlan(targets=tuple(targets), reads=tuple(sorted(reads)),
                      sums=tuple(sums), derived=derived, sources=sources,
                      coeffs=coeffs)

@@ -5,14 +5,14 @@ The generator is ``[I | C]`` where C is the k x (n-k) Cauchy matrix
 square submatrix of a Cauchy matrix is nonsingular, so any k of the n
 coded chunks recover the data.  Construction is a pure function of
 (k, n); decoders rebuild it from the ``CONSTRUCTION_ID`` recorded in a
-manifest instead of shipping matrix entries.
+manifest instead of shipping matrix entries.  The generator is a plain
+k x n uint8 array, built afresh by each plan that derives chunks
+(core.plan_chunks).
 
 Everything here is stateless and thread-safe.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +24,9 @@ CONSTRUCTION_ID = "gf256-cauchy-systematic-v1"
 MAX_N = 255
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """k x n systematic MDS generator; entries[i, j] scales data row i
-    into coded column j."""
-
-    k: int
-    n: int
-    entries: np.ndarray
-
-
-def make_generator(k: int, n: int) -> GeneratorMatrix:
-    """Build the systematic Cauchy generator for an (n, k) MDS code.
+def make_generator(k: int, n: int) -> np.ndarray:
+    """Build the k x n systematic Cauchy generator of an (n, k) MDS code;
+    entry [i, j] scales data row i into coded column j.
 
     Deterministic for fixed (k, n).  Requires 1 <= k <= n <= 255 so that
     the k + (n-k) Cauchy points fit in GF(256).
@@ -49,24 +40,25 @@ def make_generator(k: int, n: int) -> GeneratorMatrix:
     for i in range(k):
         for j in range(n - k):
             g[i, k + j] = gf256.gf_inv(i ^ (k + j))
-    return GeneratorMatrix(k=k, n=n, entries=g)
+    return g
 
 
-def decode_matrix(columns: list[int], g: GeneratorMatrix) -> np.ndarray:
-    """Inverse of the k x k submatrix formed by the given 0-based columns.
+def decode_matrix(columns: list[int], g: np.ndarray) -> np.ndarray:
+    """Inverse of the k x k submatrix of generator g formed by the given
+    0-based columns.
 
     Row c of the result holds the coefficients applied to share c; a
     singular submatrix violates the MDS invariant and trips an assertion.
     """
-    if len(columns) != g.k:
-        raise ParameterError(f"need exactly {g.k} columns, got {len(columns)}")
+    k, n = g.shape
+    if len(columns) != k:
+        raise ParameterError(f"need exactly {k} columns, got {len(columns)}")
     if len(set(columns)) != len(columns):
         raise ParameterError(f"duplicate column indices: {sorted(columns)}")
     for c in columns:
-        if not 0 <= c < g.n:
-            raise ParameterError(f"column {c} outside [0, {g.n})")
-    sub = g.entries[:, columns]
+        if not 0 <= c < n:
+            raise ParameterError(f"column {c} outside [0, {n})")
     try:
-        return gf256.mat_inv(sub)
+        return gf256.mat_inv(g[:, columns])
     except ZeroDivisionError as exc:  # impossible for a Cauchy-built G
         raise AssertionError(f"MDS submatrix {columns} singular") from exc

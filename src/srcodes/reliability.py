@@ -19,6 +19,11 @@ independent sets covering the stored data.  Repair times are whole-node
 rebuild times from the simulator: 3-way replication is anchored at
 15 minutes, and every other scheme takes 15 minutes times its simulated
 rebuild time over replication's, on ClusterConfig's default cluster.
+That cluster stores 4 GB per machine whatever node_bytes is: node_bytes
+sets only the number of sets, so a tenfold node_bytes divides that
+number, and multiplies system MTTF, by ten and leaves every repair time
+as it is.  Simulating the given node size instead would make a run's
+time grow without bound with node_bytes.
 
 Pure functions; use from any number of threads.
 """

@@ -3,11 +3,12 @@
 Models a master plus data servers in the Hadoop mold: fixed-size chunks
 are grouped into redundancy sets placed on distinct machines; when a
 machine fails the master schedules one repair job per lost chunk.  A job
-reads one chunk from each helper machine (1 for 3-way replication, k for
-RS, f for the look-up repair of SRC), streams them to a rebuild target,
-and writes the rebuilt chunk there; a degraded read is the same
-pipeline minus the write-back.  An SRC job's helper machines hold the
-chunks core.plan_chunks reads for that chunk when it plans the lost
+reads one chunk from each helper machine, streams them to a rebuild
+target, and writes the rebuilt chunk there; a degraded read is the same
+pipeline minus the write-back.  The helpers are k seeded survivors of an
+(n, k) MDS code, of which RS(n, k) is one and 3-way replication the
+(3, 1) one, or an SRC chunk's f look-up helpers: the machines that hold
+the chunks core.plan_chunks reads for that chunk when it plans the lost
 node from every other node (repair.node_plan).
 
 Transfers are fluid flows with max-min fair rates, recomputed at event
@@ -44,7 +45,8 @@ GBIT = 1e9 / 8  # bytes/s of a 1 Gb/s link
 @dataclass(frozen=True)
 class Scheme:
     """Redundancy scheme descriptor: 3-way replication, RS(n, k), or
-    SRC(n, k, f)."""
+    SRC(n, k, f).  Replication is the (3, 1) MDS code, so every kind
+    needs 1 <= k < n."""
 
     kind: str                 # "replication" | "rs" | "src"
     n: int                    # members per redundancy set
@@ -56,7 +58,7 @@ class Scheme:
             raise ParameterError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "src" and (self.f is None or self.f < 1):
             raise ParameterError("src scheme needs f >= 1")
-        if self.kind != "replication" and not 1 <= self.k < self.n:
+        if not 1 <= self.k < self.n:
             raise ParameterError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
 
     @classmethod
@@ -77,12 +79,8 @@ class Scheme:
 
     @property
     def helper_reads(self) -> int:
-        """Chunks read to repair one lost chunk: 1 / k / f."""
-        if self.kind == "replication":
-            return 1
-        if self.kind == "rs":
-            return self.k
-        return self.f
+        """Chunks read to repair one lost chunk: f for SRC, else k."""
+        return self.f if self.kind == "src" else self.k
 
     @property
     def label(self) -> str:
@@ -236,14 +234,10 @@ def _make_jobs(cluster: Cluster, failed: int,
         if failed not in members:
             continue
         survivors = [m for m in members if m != failed]
-        needed = 1 if scheme.kind == "replication" else scheme.k
-        if len(survivors) < needed:
+        if len(survivors) < scheme.k:
             data_loss = True
             continue
-        if scheme.kind == "replication":
-            helper = rng.choice(sorted(survivors))
-            jobs.append(_Job(len(jobs), set_id, (helper,)))
-        elif scheme.kind == "rs":
+        if scheme.kind != "src":   # any k survivors of an MDS code
             helpers = tuple(rng.sample(sorted(survivors), scheme.k))
             jobs.append(_Job(len(jobs), set_id, helpers))
         else:
@@ -300,7 +294,6 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
 
     priority = [rng.random() for _ in range(config.machines)]
     inbound = [0] * config.machines
-    live = [m != failed for m in range(config.machines)]
 
     pending = deque(jobs)
     active_flows: list[_Flow] = []
@@ -312,7 +305,7 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
         members = set(cluster.sets[job.set_id])
         best, best_key = None, None
         for m in range(config.machines):
-            if not live[m] or m in members:
+            if m in members:   # the failed machine is one of them
                 continue
             if inbound[m] >= config.max_inbound_repairs:
                 continue

@@ -98,8 +98,8 @@ def test_criterion_3_four_node_fixture():
     file_bytes = _random_bytes(99, 4 * 64)
     quarters = np.frombuffer(file_bytes, np.uint8).reshape(4, 64)
     g = make_generator(2, 4)
-    first = gf_matmul(g.entries.T, quarters[0:2])
-    second = gf_matmul(g.entries.T, quarters[2:4])
+    first = gf_matmul(g.T, quarters[0:2])
+    second = gf_matmul(g.T, quarters[2:4])
     arr = encode(file_bytes, p)
     for node in range(1, 5):
         shard = arr.shards[node][0]

@@ -1171,6 +1171,13 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
     ({"scheme": {"kind": 3}}, "scheme.kind must be of type str"),
     # an unknown kind ran SRC
     ({"scheme": {"kind": "bogus"}}, "error: unknown scheme kind 'bogus'"),
+    # a key the kind does not use was dropped, and the run went ahead
+    ({"scheme": {"kind": "replication", "n": 5}},
+     "error: cluster.json: replication does not use key(s) scheme.n\n"),
+    ({"scheme": {"kind": "rs", "f": 4}},
+     "error: cluster.json: rs does not use key(s) scheme.f\n"),
+    ({"scheme": {"f": 4, "n": 12}},   # the kind from --scheme
+     "error: cluster.json: rs does not use key(s) scheme.f\n"),
     # json reads NaN and Infinity; the event loop never ended on them
     ({"net_bytes_per_s": math.nan}, "bandwidths must be positive and finite"),
     ({"net_bytes_per_s": math.inf, "disk_read_bytes_per_s": math.inf,
@@ -1178,8 +1185,9 @@ def test_simulate_config_file_and_outputs(runner, tmp_path):
      "bandwidths must be positive and finite"),
 ], ids=["list", "typo", "scheme-typo", "int-as-text", "int-as-float",
         "int-as-bool", "int-as-null", "rate-as-text", "scheme-int-as-text",
-        "scheme-kind-not-text", "scheme-kind-unknown", "rate-nan",
-        "rates-inf"])
+        "scheme-kind-not-text", "scheme-kind-unknown",
+        "replication-scheme-n", "rs-scheme-f", "option-rs-scheme-f",
+        "rate-nan", "rates-inf"])
 def test_simulate_bad_config_usage_error(runner, tmp_path, doc, problem):
     cfg = tmp_path / "cluster.json"
     cfg.write_text(json.dumps(doc))

@@ -83,8 +83,8 @@ def test_encode_single_stripe_matches_manual_construction():
     file_bytes = _random_file(11, 2 * 2 * cs)
     chunks = np.frombuffer(file_bytes, np.uint8).reshape(4, cs)
     g = make_generator(2, 4)
-    first = gf_matmul(g.entries.T, chunks[0:2])
-    second = gf_matmul(g.entries.T, chunks[2:4])
+    first = gf_matmul(g.T, chunks[0:2])
+    second = gf_matmul(g.T, chunks[2:4])
     parity = [a ^ b for a, b in zip(first, second)]
 
     arr = encode(file_bytes, p)

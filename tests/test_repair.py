@@ -5,6 +5,7 @@ from srcodes import core, gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
     plan_chunks
 from srcodes.errors import InsufficientDataError
+from srcodes.mds import make_generator
 from srcodes.repair import describe, node_plan
 
 from gf_reference import gf_matmul
@@ -181,7 +182,7 @@ def test_degraded_read_fallback_matches_reconstruction_oracle():
     # oracle: the generator column applied to the input's part 1
     grid = np.frombuffer(file_bytes, np.uint8).reshape(
         arr.stripe_count, p.f, p.k, p.chunk_size)
-    column = p.generator().entries[:, :1].T  # subscript 1
+    column = make_generator(p.k, p.n)[:, :1].T  # subscript 1
     expect = np.stack([gf_matmul(column, grid[s, 0])[0]  # part 1
                        for s in range(arr.stripe_count)])
     assert np.array_equal(got, expect)
@@ -204,6 +205,22 @@ def test_lookup_repair_does_no_gf_work(monkeypatch):
     restored = chunks_from_shards(p, _without(arr, {4}),
                                   p.node_chunks(4))
     assert np.array_equal(restored, arr.shards[4])
+
+
+def test_plans_that_derive_nothing_build_no_generator(monkeypatch):
+    p = SrcParams(10, 6, 2, 64)
+
+    def no_generator(*args):
+        raise RuntimeError("generator built for a look-up plan")
+
+    monkeypatch.setattr(core, "make_generator", no_generator)
+    with pytest.raises(RuntimeError):   # the patch does catch a derive
+        plan_chunks(p, core.data_chunks(p), [ChunkId(1, 7)])
+    for node in range(1, p.n + 1):
+        assert not node_plan(p, node).derived
+    every = [c for node in range(1, p.n + 1) for c in p.node_chunks(node)]
+    healthy = plan_chunks(p, every, core.data_chunks(p))
+    assert not healthy.derived and len(healthy.reads) == p.f * p.k
 
 
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)

@@ -27,6 +27,8 @@ def test_scheme_descriptors():
         Scheme.rs(6, 6)
     with pytest.raises(ParameterError):
         Scheme(kind="raid", n=5, k=3)
+    with pytest.raises(ParameterError):   # replication is (3, 1) MDS
+        Scheme("replication", 3, 3)
 
 
 def test_replication_one_chunk_three_distinct_machines():
