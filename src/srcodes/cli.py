@@ -39,7 +39,7 @@ from .core import SrcParams
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
 from .shards import (atomic_writer, decode_file, load_manifest, repair_shard,
-                     write_shard_set)
+                     shard_filename, write_shard_set)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -140,8 +140,7 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
         return
     reader = repair_shard(manifest, shard_dir, node)
     mode = "reconstruction fallback" if reader.blocked else "look-up repair"
-    click.echo(f"rebuilt {manifest.shard_path(shard_dir, node).name} "
-               f"via {mode}; digest verified")
+    click.echo(f"rebuilt {shard_filename(node)} via {mode}; digest verified")
 
 
 @main.command("decode")
@@ -271,7 +270,8 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
     if sweep is not None and cdf_out is not None:
         raise ParameterError("--cdf-out needs a single run; it cannot be "
                              "used with --sweep")
-    if out is not None and out == cdf_out:
+    if out is not None and cdf_out is not None \
+            and out.resolve() == cdf_out.resolve():
         raise ParameterError("--out and --cdf-out name the same file")
     fields = {"machines": machines, "data_bytes_per_machine": data_per_machine,
               "chunk_size": chunk_size, "seed": seed}

@@ -60,10 +60,10 @@ DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 _WRITE_THREADS = 2   # shard files encode writes at once
-# Chunk bytes a batch of stripes allocates (ShardReader._step; encode's
-# batch is every node's chunks).  A batch holds at least one stripe, so
-# its memory is this or one stripe's, whatever the file size.  Chosen by
-# paired runs (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
+# Chunk bytes a batch may hold: its reads, derived chunks and output,
+# whatever the plan (_batch_stripes); a batch is at least one stripe,
+# whatever the file size.  Chosen by paired runs (BENCH_8.json): decode
+# peaks near 50 MB at 64 KiB chunks.
 _BATCH_BYTES = 8 << 20
 
 
@@ -76,6 +76,14 @@ def _header(params: SrcParams, node: int, stripe_count: int,
     return _HEADER.pack(MAGIC, version, node, params.n, params.k,
                         params.f, 0, params.chunk_size, stripe_count,
                         file_size)
+
+
+def _batch_stripes(params: SrcParams, outputs: int) -> int:
+    """Stripes per batch, fixed before the first read: any plan, one
+    made again mid-batch too, reads or derives only a stripe's n*(f+1)
+    slots, so those and outputs chunks per stripe fit _BATCH_BYTES."""
+    per_stripe = (params.n * (params.f + 1) + outputs) * params.chunk_size
+    return max(1, _BATCH_BYTES // per_stripe)
 
 
 def _offsets(params: SrcParams, stripe_count: int,
@@ -93,15 +101,14 @@ def _offsets(params: SrcParams, stripe_count: int,
 @dataclass(frozen=True)
 class Manifest:
     params: SrcParams
-    generator: str
     file_size: int
-    stripe_count: int
     file_digest: str
     shard_digests: dict[int, str]   # node -> sha256 of the shard file
     version: int = FORMAT_VERSION   # of the shard files
 
-    def shard_path(self, directory: Path, node: int) -> Path:
-        return Path(directory) / shard_filename(node)
+    @property
+    def stripe_count(self) -> int:
+        return self.params.stripes(self.file_size)
 
     def to_json(self) -> str:
         doc = {
@@ -110,7 +117,7 @@ class Manifest:
             "params": {"n": self.params.n, "k": self.params.k,
                        "f": self.params.f,
                        "chunk_size": self.params.chunk_size},
-            "generator": self.generator,
+            "generator": CONSTRUCTION_ID,
             "file_size": self.file_size,
             "stripe_count": self.stripe_count,
             "digest_algorithm": DIGEST_ALGORITHM,
@@ -125,8 +132,10 @@ class Manifest:
         """Parse a manifest.  Malformed JSON, a version other than 1 or
         2, a missing key, a value of the wrong type, code parameters
         SrcParams rejects, shards not keyed exactly 1..n, a digest that
-        is not 64 lowercase hex characters, a negative file_size or a
-        stripe_count that does not fit file_size raises IntegrityError."""
+        is not 64 lowercase hex characters, a negative file_size, a
+        chunk_size or file_size the shard header's u64 fields cannot
+        hold, or a stripe_count that does not fit file_size raises
+        IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
@@ -162,15 +171,16 @@ class Manifest:
             if file_size < 0:
                 raise IntegrityError(
                     f"malformed manifest: negative file_size {file_size}")
+            if max(chunk_size, file_size) >> 64:
+                raise IntegrityError("malformed manifest: chunk_size and "
+                                     "file_size must be below 2**64")
             if stripe_count != params.stripes(file_size):
                 raise IntegrityError(
                     f"malformed manifest: stripe_count {stripe_count} does "
                     f"not fit file_size {file_size}")
             return cls(
                 params=params,
-                generator=doc["generator"],
                 file_size=file_size,
-                stripe_count=stripe_count,
                 file_digest=doc["file_digest"],
                 shard_digests=digests,
                 version=version,
@@ -280,9 +290,10 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     files and a manifest; returns the manifest path.
 
     The input is read, hashed and encoded a batch of stripes at a time,
-    _BATCH_BYTES of every node's chunks, and each node's rows go to its
-    file while the next batch is coded, so no more than two batches are
-    held.  A source that does not end at exactly size bytes is a
+    every node's chunks in place (_batch_stripes with no outputs), and
+    each node's rows go to its file while the next batch is coded, so
+    no more than two batches are held.  A source that does not end at
+    exactly size bytes, or a stripe larger than any buffer can be, is a
     ParameterError.  The shard files take their names in node order
     once every one is sealed, then the manifest is written; an error
     before that leaves no new file, and removes the directory if this
@@ -290,11 +301,13 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     """
     from concurrent.futures import ThreadPoolExecutor   # only encode needs it
 
+    width = params.f + 1
+    if params.n * width * params.chunk_size > sys.maxsize:
+        raise ParameterError(f"a stripe of {params.n * width} chunks of "
+                             f"{params.chunk_size} bytes is too large to hold")
     directory = Path(directory)
     made = [d for d in (directory, *directory.parents) if not d.exists()]
     directory.mkdir(parents=True, exist_ok=True)
-    width = params.f + 1
-    step = max(1, _BATCH_BYTES // (params.n * width * params.chunk_size))
     sha = hashlib.sha256()
     changed = ParameterError(
         f"{getattr(source, 'name', 'input')} changed size while read")
@@ -317,7 +330,8 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
             # done, before an error removes the temporary files.
             with ThreadPoolExecutor(_WRITE_THREADS) as pool:
                 writing = []
-                for batch in encode_from(fill, size, params, step):
+                for batch in encode_from(fill, size, params,
+                                         _batch_stripes(params, 0)):
                     for fut in writing:   # each file's batches in order
                         fut.result()
                     slots = range(0, params.n * width, width)
@@ -335,9 +349,7 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
         raise
     manifest = Manifest(
         params=params,
-        generator=CONSTRUCTION_ID,
         file_size=size,
-        stripe_count=params.stripes(size),
         file_digest=sha.hexdigest(),
         shard_digests=digests,
     )
@@ -353,7 +365,8 @@ def load_manifest(path: Path) -> Manifest:
 
 class ShardReader:
     """The one shard-set reader: produces a list of targets from the
-    shard files of one manifest, a batch of stripes at a time.
+    shard files of one manifest, a batch of stripes at a time, each
+    sized by the code's shape, not the plan, before the first read.
 
     Plans on the chunks of the shard files that exist, the lost node's
     excepted; raises InsufficientDataError (exit 3), before reading any
@@ -376,19 +389,21 @@ class ShardReader:
         self.directory = Path(directory)
         self.available = {c for node in manifest.shard_digests
                           if node != lost
-                          and manifest.shard_path(directory, node).exists()
+                          and (self.directory / shard_filename(node)).exists()
                           for c in manifest.params.node_chunks(node)}
         self.skipped: dict[str, None] = {}   # shard file names, in order
         self.blocked: set[ChunkId] = set()   # targets some plan derives
-        # node -> fd, CRC table, payload offset
-        self._open: dict[int, tuple[int, np.ndarray, int]] = {}
+        # every shard file's payload and CRC table offsets, and length
+        self._payload_at, self._table_at, self._length = _offsets(
+            manifest.params, manifest.stripe_count, manifest.version)
+        self._open: dict[int, tuple[int, np.ndarray]] = {}   # fd, CRCs
         self.plan = self._plan()
 
     def __enter__(self) -> "ShardReader":
         return self
 
     def __exit__(self, *exc) -> None:
-        for fd, _, _ in self._open.values():
+        for fd, _ in self._open.values():
             os.close(fd)
         self._open.clear()
 
@@ -404,29 +419,19 @@ class ShardReader:
         self.blocked.update(plan.derived.values())
         return plan
 
-    def _step(self) -> int:
-        """Stripes per batch under the current plan: the chunks a batch
-        allocates per stripe are its reads, the chunks derived on the
-        way, and the output."""
-        p = self.plan
-        per_stripe = len(p.reads) + len(set(p.derived) - set(self.targets)) \
-            + len(self.targets)
-        return max(1, _BATCH_BYTES // (per_stripe
-                                       * self.manifest.params.chunk_size))
-
     def batches(self) -> Iterator[np.ndarray]:
         """Yield the targets of each batch of stripes in turn, as a
         (stripes, len(targets), chunk_size) array in one buffer that the
         next batch overwrites; the buffer is allocated once the first
         batch's reads have checked the shard files' lengths.  A plan
-        made again mid-batch finishes that batch; the batches after it
-        are sized for the new plan.  An empty file is one batch of no
-        stripes, which still checks the planned shard files' headers."""
+        made again mid-batch finishes that batch, in the same budget.  An
+        empty file is one batch of no stripes, which still checks the
+        planned shard files' headers."""
         p, stripes = self.manifest.params, self.manifest.stripe_count
-        cap, out, stop = self._step(), None, 0
+        step, out = _batch_stripes(p, len(self.targets)), None
         with self:
-            while out is None or stop < stripes:
-                start, stop = stop, min(stop + min(self._step(), cap), stripes)
+            for start in range(0, max(stripes, 1), step):
+                stop = min(start + step, stripes)
                 held: dict = {}
                 while todo := [c for c in self.plan.reads if c not in held]:
                     got, failed = self.read_chunks(todo, start, stop)
@@ -485,25 +490,24 @@ class ShardReader:
             chunks.update((c, got[c]) for c in ids if c not in bad)
         return chunks, failed
 
-    def _shard(self, node: int) -> tuple[int, np.ndarray, int]:
-        """The open file of a shard, its CRC table, (stripe_count, f+1),
-        and where its payload starts; IntegrityError if its length or
-        header is not the manifest's."""
+    def _shard(self, node: int) -> tuple[int, np.ndarray]:
+        """The open file of a shard and its CRC table, (stripe_count,
+        f+1); IntegrityError if its length or header is not the
+        manifest's."""
         if node in self._open:
             return self._open[node]
         m = self.manifest
         p, stripes = m.params, m.stripe_count
         name = shard_filename(node)
-        payload_at, table_at, expected = _offsets(p, stripes, m.version)
         table_b = 4 * stripes * (p.f + 1)
-        fd = os.open(m.shard_path(self.directory, node), os.O_RDONLY)
+        fd = os.open(self.directory / name, os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
-            if size != expected:
+            if size != self._length:
                 raise IntegrityError(
-                    f"shard {name} is {size} bytes, expected {expected}")
+                    f"shard {name} is {size} bytes, expected {self._length}")
             head = os.pread(fd, _HEADER.size, 0)
-            table = os.pread(fd, table_b, table_at)
+            table = os.pread(fd, table_b, self._table_at)
             if len(head) + len(table) != _HEADER.size + table_b:
                 raise IntegrityError(f"shard {name} shrank while read")
             if head != _header(p, node, stripes, m.file_size, m.version):
@@ -513,7 +517,7 @@ class ShardReader:
             os.close(fd)
             raise
         crcs = np.frombuffer(table, dtype="<u4").reshape(stripes, p.f + 1)
-        self._open[node] = fd, crcs, payload_at
+        self._open[node] = fd, crcs
         return self._open[node]
 
     def _read_slots(self, node: int, ids: list[ChunkId], start: int,
@@ -521,7 +525,7 @@ class ShardReader:
                     ) -> tuple[dict[ChunkId, np.ndarray], np.ndarray]:
         """One shard file's wanted chunks of stripes start to stop, and
         the CRC table rows of those stripes."""
-        fd, table, payload_at = self._shard(node)
+        fd, table = self._shard(node)
         p = self.manifest.params
         slots = p.node_chunks(node)
         got = {c: np.empty((stop - start, p.chunk_size), dtype=np.uint8)
@@ -538,7 +542,7 @@ class ShardReader:
                 runs.append([pos])
         for run in runs:
             if os.preadv(fd, [got[c][i] for _, i, c in run],
-                         payload_at + run[0][0] * p.chunk_size) \
+                         self._payload_at + run[0][0] * p.chunk_size) \
                     != len(run) * p.chunk_size:
                 raise IntegrityError(
                     f"shard {shard_filename(node)} shrank while read")

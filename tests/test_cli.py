@@ -157,6 +157,22 @@ def test_encode_stripe_too_large_for_memory_usage_error(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chunk", [2 ** 62, 2 ** 63, 2 ** 64])
+def test_encode_stripe_beyond_any_buffer_usage_error(runner, tmp_path, chunk):
+    # too large for a numpy array, or for the header's u64 field: a
+    # usage error, not a traceback
+    src = tmp_path / "one.bin"
+    src.write_bytes(b"x")
+    out = tmp_path / "new" / "shards"
+    res = runner.invoke(main, ["encode", str(src), "--n", "4", "--k", "2",
+                               "--f", "2", "--chunk-size", str(chunk),
+                               "--out", str(out)])
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: a stripe of 12 chunks of {chunk} bytes is too large "
+        "to hold\n")
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 def test_encode_empty_file(runner, tmp_path):
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
@@ -783,11 +799,14 @@ def test_simulate_unwritable_out_writes_nothing(runner, tmp_path,
 
 def test_simulate_out_and_cdf_out_must_differ(runner, tmp_path):
     same = tmp_path / "r.txt"
-    res = runner.invoke(main, ["simulate", "--scheme", "src", "--out",
-                               str(same), "--cdf-out", str(same)])
-    assert (res.exit_code, res.stderr) == (
-        2, "error: --out and --cdf-out name the same file\n")
-    assert not same.exists()
+    (tmp_path / "d").mkdir()
+    for spelling in ("r.txt", "d/../r.txt"):   # the same file either way
+        res = runner.invoke(main, ["simulate", "--scheme", "src", "--out",
+                                   str(same), "--cdf-out",
+                                   str(tmp_path / spelling)])
+        assert (res.exit_code, res.stderr) == (
+            2, "error: --out and --cdf-out name the same file\n")
+        assert not same.exists()
 
 
 def _drop_params(doc):
@@ -812,6 +831,18 @@ def _negative_file_size(doc):
 
 def _wrong_stripe_count(doc):
     doc["stripe_count"] += 1
+
+
+def _chunk_size_beyond_u64(doc):
+    # the header's u64 field cannot hold it; stripe_count fitted
+    doc["params"]["chunk_size"] = 2 ** 64
+    doc["stripe_count"] = 1
+
+
+def _file_size_beyond_u64(doc):
+    doc["file_size"] = 2 ** 64
+    p = doc["params"]
+    doc["stripe_count"] = -(-2 ** 64 // (p["f"] * p["k"] * p["chunk_size"]))
 
 
 def _digest_not_text(doc):
@@ -842,10 +873,12 @@ def _sizes_as_boolean(doc):
 @pytest.mark.parametrize("edit", [
     None, _drop_params, _file_size_as_text, _drop_shard_entry,
     _extra_shard_entry, _negative_file_size, _wrong_stripe_count,
+    _chunk_size_beyond_u64, _file_size_beyond_u64,
     _digest_not_text, _digest_not_hex, _file_digest_not_text,
     _f_as_boolean, _sizes_as_boolean,
 ], ids=["not-json", "no-params", "wrong-type", "missing-shard-entry",
         "extra-shard-entry", "negative-file-size", "wrong-stripe-count",
+        "chunk-size-beyond-u64", "file-size-beyond-u64",
         "digest-not-text", "digest-not-hex", "file-digest-not-text",
         "f-as-boolean", "sizes-as-boolean"])
 def test_malformed_manifest_exit_4(runner, tmp_path, edit):

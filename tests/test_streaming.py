@@ -9,17 +9,23 @@ no output left behind.  Most cases force one stripe per batch so that a
 small file spans many.
 """
 
+import contextlib
+import io
 import os
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from srcodes import shards
 from srcodes.cli import main
 from srcodes.core import SrcParams
+from srcodes.errors import InsufficientDataError, IntegrityError
 from srcodes.shards import MANIFEST_NAME, shard_filename
 
 from shard_files import slot_at
@@ -265,3 +271,132 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shards",
                                                           "shards.bin"]
 
+
+
+def _check_budget(mp):
+    """Check every run_plan call of ShardReader.batches: the chunks its
+    batch read, the chunks it derives that are not targets, and its
+    output fit _BATCH_BYTES, or the batch is one stripe.  Returns the
+    stripes of each batch."""
+    run_plan, seen = shards.run_plan, []
+
+    def checked(plan, present, out):
+        stripes, outputs, chunk = out.shape
+        held = len(present) + len(set(plan.derived) - set(plan.targets))
+        assert stripes == 1 or \
+            (held + outputs) * stripes * chunk <= shards._BATCH_BYTES, \
+            (stripes, held, outputs)
+        seen.append(stripes)
+        return run_plan(plan, present, out)
+
+    mp.setattr(shards, "run_plan", checked)
+    return seen
+
+
+@pytest.mark.parametrize("command,node,missing,flip", [
+    ("decode", None, (), None),
+    ("decode", None, (1, 2, 3, 4), None),   # parity-heavy
+    ("repair", 3, (), None),                # look-up
+    ("repair", 4, (5,), None),              # fallback: a helper missing
+    # node 2 holds part2[3], a look-up helper of node 3's part1[3]: it
+    # fails in the last stripe, in a batch planned for the look-up
+    ("repair", 3, (), (2, 1)),
+], ids=["healthy-decode", "parity-heavy-decode", "look-up-repair",
+        "fallback-repair", "crc-failure-in-last-stripe"])
+def test_every_batch_fits_the_budget(tmp_path, monkeypatch, command, node,
+                                     missing, flip):
+    size = FOUR_BATCHES
+    stripes = _stripes(size)
+    data, out = _encode(tmp_path, size)
+    for gone in missing:
+        (out / shard_filename(gone)).unlink()
+    if flip is not None:
+        _flip(out / shard_filename(flip[0]), stripes, stripes - 1, flip[1])
+    # a budget that holds a look-up repair's reads and output for the
+    # whole file in one batch
+    monkeypatch.setattr(shards, "_BATCH_BYTES",
+                        stripes * (P.f + 1) ** 2 * P.chunk_size)
+    seen = _check_budget(monkeypatch)
+    if command == "decode":
+        res = _decode(out, tmp_path / "y.bin")
+        assert (tmp_path / "y.bin").read_bytes() == data
+    else:
+        res = _repair(out, node)
+    assert res.exit_code == 0, res.output
+    assert sum(seen) == stripes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_batch_fits_the_budget_on_random_codes(data):
+    # random codes, erasures, one chunk failing its CRC in the last
+    # stripe, and budgets from under a stripe to many stripes
+    n = data.draw(st.integers(2, 10))
+    k = data.draw(st.integers(1, n - 1))
+    f = data.draw(st.integers(1, n - 1))
+    p = SrcParams(n, k, f, data.draw(st.integers(1, 64)))
+    size = data.draw(st.integers(1, 12 * p.stripe_data_bytes))
+    erased = data.draw(st.sets(st.integers(1, n), max_size=n - k))
+    node = data.draw(st.none() | st.integers(1, n))   # None: decode
+    flip = data.draw(st.none() | st.tuples(st.integers(1, n),
+                                           st.integers(0, f)))
+    budget = data.draw(st.integers(1, 300)) * p.chunk_size
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
+            as mp:
+        out = Path(tmp)
+        payload = np.random.default_rng(size).integers(
+            0, 256, size, dtype=np.uint8).tobytes()
+        shards.write_shard_set(out, p, io.BytesIO(payload), size)
+        manifest = shards.load_manifest(out / MANIFEST_NAME)
+        for gone in erased:
+            (out / shard_filename(gone)).unlink()
+        if flip is not None and (out / shard_filename(flip[0])).exists():
+            stripes = p.stripes(size)
+            blob = bytearray((out / shard_filename(flip[0])).read_bytes())
+            blob[slot_at(p, stripes, stripes - 1, flip[1])] ^= 0xFF
+            (out / shard_filename(flip[0])).write_bytes(bytes(blob))
+        mp.setattr(shards, "_BATCH_BYTES", budget)
+        _check_budget(mp)
+        with contextlib.suppress(InsufficientDataError, IntegrityError):
+            if node is None:
+                shards.decode_file(manifest, out, out / "y.bin")
+            else:
+                shards.repair_shard(manifest, out, node)
+
+
+def test_crc_failure_mid_batch_peaks_like_a_fallback_from_the_start(
+        tmp_path, monkeypatch):
+    # a (50,46,2) repair of node 3, scaled down 16 times from 64 MiB at
+    # 64 KiB chunks: 12 stripes, which a budget sized for the look-up
+    # plan would read in one batch.  Node 2's part2[3], a look-up
+    # helper, fails its CRC in the last stripe: the fallback then runs
+    # in the budget, like one planned from the start with node 2 missing.
+    p = SrcParams(50, 46, 2, 4096)
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 512 << 10)
+    size = 4 << 20
+    stripes = p.stripes(size)
+    payload = np.random.default_rng(7).integers(0, 256, size,
+                                                dtype=np.uint8).tobytes()
+    peaks = {}
+    for case in ("crc", "missing"):
+        out = tmp_path / case
+        shards.write_shard_set(out, p, io.BytesIO(payload), size)
+        lost = out / shard_filename(3)
+        expected = lost.read_bytes()
+        lost.unlink()
+        helper = out / shard_filename(2)
+        if case == "crc":
+            blob = bytearray(helper.read_bytes())
+            blob[slot_at(p, stripes, stripes - 1, 1)] ^= 0xFF
+            helper.write_bytes(bytes(blob))
+        else:
+            helper.unlink()
+        args = ["repair", "--manifest", str(out / MANIFEST_NAME),
+                "--shards", str(out), "--node", "3"]
+        # a first run checks the path taken and warms what a process
+        # makes once; the second is measured
+        assert "via reconstruction fallback" in \
+            CliRunner().invoke(main, args).stdout
+        peaks[case] = _peak(lambda: CliRunner().invoke(main, args))
+        assert lost.read_bytes() == expected
+    assert peaks["crc"] < peaks["missing"] + (128 << 10), peaks
