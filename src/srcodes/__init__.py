@@ -8,7 +8,7 @@ simulator and a Markov MTTF analyzer for comparing against 3-way
 replication and Reed-Solomon coding.
 """
 
-from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, \
+from .core import ChunkId, ChunkPlan, CodedArray, SrcParams, Step, \
     chunks_from_shards, data_chunks, encode, plan_chunks, reconstruct, \
     ring_add, ring_sub, run_plan
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
@@ -24,7 +24,7 @@ from .sim import (Cluster, ClusterConfig, Scheme, SimReport, build_cluster,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChunkId", "ChunkPlan", "CodedArray", "SrcParams",
+    "ChunkId", "ChunkPlan", "CodedArray", "SrcParams", "Step",
     "chunks_from_shards", "data_chunks", "encode", "plan_chunks",
     "reconstruct", "ring_add", "ring_sub", "run_plan",
     "make_generator",

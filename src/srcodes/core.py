@@ -22,12 +22,13 @@ chunks, and stripes(size) the stripes a file of size bytes fills.
 Every chunk is thus a data chunk, an MDS combination of k chunks of its
 part, or the XOR of the f others with its subscript: encode, decode and
 repair all go through one chunk executor that applies these rules.
-Planning is split from execution: plan_chunks names the chunks a list
-of targets needs, so a reader can fetch only those, and works out the
-GF(256) coefficients once; run_plan then runs that plan on the chunks
-read, for any run of stripes.  The coefficients come from the (n, k)
-MDS generator, a plain array that a plan builds only when it derives
-chunks: look-up repair plans and a healthy decode build none.
+Planning is split from execution: plan_chunks turns a list of targets
+into the chunks to read and an ordered list of steps, each a copy, an
+XOR, or a GF(256) combination whose coefficients it works out once;
+run_plan then runs those steps on the chunks read, for any run of
+stripes.  The coefficients come from the (n, k) MDS generator, a plain
+array that a plan builds only when it derives chunks: look-up repair
+plans and a healthy decode build none.
 plan_chunks is the only planner: what `repair --dry-run` prints and the
 simulator's repair jobs read are its plans too (repair.node_plan).
 
@@ -221,25 +222,27 @@ def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
 
 
 @dataclass(frozen=True)
+class Step:
+    """One step of a plan.  With coeffs, ``outs[d]`` is the sum over j
+    of ``coeffs[d, j]`` times ``sources[j]`` in GF(256); without,
+    ``outs[0]`` is the XOR of the sources, a copy when there is one."""
+
+    outs: tuple[ChunkId, ...]
+    sources: tuple[ChunkId, ...]
+    coeffs: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class ChunkPlan:
     """What the chunk executor does to produce a list of targets, in
-    every stripe alike.
-
-    ``reads`` are the available chunks it reads, sorted.  ``sums`` gives
-    per target index the chunks XORed into that output slot: the target
-    itself for a copy or a repeated target, else its f helpers.
-    ``derived`` maps each coded chunk made from k chunks of its part to
-    the target it is made for, and ``sources`` gives per part those k
-    chunks, the lowest k available.  ``coeffs[part][d, j]`` scales
-    ``sources[part][j]`` into the part's d-th chunk of ``derived``.
-    """
+    every stripe alike: ``steps``, run in order, read ``reads``, the
+    available chunks, sorted, and the outputs of earlier steps.  A
+    derive step per part comes first, then an XOR step per distinct
+    target not derived."""
 
     targets: tuple[ChunkId, ...]
     reads: tuple[ChunkId, ...]
-    sums: tuple[tuple[int, tuple[ChunkId, ...]], ...]
-    derived: dict[ChunkId, ChunkId]
-    sources: dict[int, tuple[ChunkId, ...]]
-    coeffs: dict[int, np.ndarray]
+    steps: tuple[Step, ...]
 
 
 def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
@@ -258,22 +261,20 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
     """
     f, k = params.f, params.k
     available = frozenset(available)
-    first = {c: t for t, c in reversed(list(enumerate(targets)))}
-    sums = []      # (target index, the chunks XORed into it)
+    xors = []      # one step per distinct target not derived
     derived = {}   # coded chunk -> the target it is derived for
-    for t, c in enumerate(targets):
-        if c in available or first[c] != t:
-            sums.append((t, (c,)))
-        elif c.part <= f and any(h not in available
-                                 for h in params.helpers(c)):
+    for c in dict.fromkeys(targets):
+        if c in available:
+            xors.append(Step((c,), (c,)))
+        elif c.part <= f and not available.issuperset(params.helpers(c)):
             derived.setdefault(c, c)
         else:   # all helpers available, or a parity chunk
-            sums.append((t, tuple(params.helpers(c))))
+            xors.append(Step((c,), tuple(params.helpers(c))))
             for h in params.helpers(c):   # only a parity chunk has absent ones
                 if h not in available:
                     derived.setdefault(h, c)
     sources = {l: tuple(sorted(c for c in available if c.part == l)[:k])
-               for l in {c.part for c in derived}}
+               for l in sorted({c.part for c in derived})}
     short = {t for c, t in derived.items() if len(sources[c.part]) < k}
     if short:
         target = next(t for t in targets if t in short)
@@ -283,18 +284,18 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
             f"cannot produce {target.label(f)}: helper node(s) "
             f"{', '.join(map(str, sorted(absent)))} absent and fewer than "
             f"{k} chunks of a part present")
-    reads = {c for _, chunks in sums for c in chunks if c in available}
-    reads.update(c for srcs in sources.values() for c in srcs)
     gen = make_generator(k, params.n) if sources else None
-    coeffs = {}
+    steps = []
     for l, srcs in sources.items():
         inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
-        cols = [c.subscript - 1 for c in derived if c.part == l]
-        coeffs[l] = np.bitwise_xor.reduce(
-            gf256.MUL[inv, gen[:, cols].T[:, None]], axis=2)
+        outs = tuple(c for c in derived if c.part == l)
+        cols = [c.subscript - 1 for c in outs]
+        steps.append(Step(outs, srcs, np.bitwise_xor.reduce(
+            gf256.MUL[inv, gen[:, cols].T[:, None]], axis=2)))
+    steps += xors
+    reads = {c for step in steps for c in step.sources if c in available}
     return ChunkPlan(targets=tuple(targets), reads=tuple(sorted(reads)),
-                     sums=tuple(sums), derived=derived, sources=sources,
-                     coeffs=coeffs)
+                     steps=tuple(steps))
 
 
 def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
@@ -305,21 +306,23 @@ def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
     only the plan's reads.  Every slot of out is overwritten, so out may
     be a reused buffer or a view of a larger one.  Returns out.
     """
-    made = {c: out[:, t] for t, c in reversed(list(enumerate(plan.targets)))}
-    for c in plan.derived:
-        if c in made:
-            made[c][...] = 0
-        else:
-            made[c] = np.zeros_like(out[:, 0])
-    for l, srcs in plan.sources.items():
-        gf256.addmul_rows([made[c] for c in plan.derived if c.part == l],
-                          plan.coeffs[l], [present[c] for c in srcs])
-    for t, chunks in plan.sums:   # a repeated target follows its first slot
-        first, *rest = (present[c] if c in present else made[c]
-                        for c in chunks)
-        np.positive(first, out=out[:, t])   # np.copyto may copy via a temp
-        for chunk in rest:
-            np.bitwise_xor(out[:, t], chunk, out=out[:, t])
+    first = {c: t for t, c in reversed(list(enumerate(plan.targets)))}
+    made = {c: out[:, first[c]] if c in first else np.empty_like(out[:, 0])
+            for step in plan.steps for c in step.outs}
+    for step in plan.steps:
+        rows = [present[c] if c in present else made[c] for c in step.sources]
+        dst = [made[c] for c in step.outs]
+        if step.coeffs is None:
+            np.positive(rows[0], out=dst[0])   # np.copyto may copy via a temp
+            for row in rows[1:]:
+                np.bitwise_xor(dst[0], row, out=dst[0])
+        else:   # addmul_rows adds into its outputs
+            for row in dst:
+                row[...] = 0
+            gf256.addmul_rows(dst, step.coeffs, rows)
+    for t, c in enumerate(plan.targets):   # a repeated target: its first slot
+        if first[c] != t:
+            np.positive(made[c], out=out[:, t])
     return out
 
 
@@ -331,11 +334,9 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
     Every slot of every shard goes to the chunk executor as a view, and
     the file is never materialised.  Returns (stripe_count,
     len(targets), chunk_size) in target order, so a node's node_chunks
-    give that node's shard.  Raises InsufficientDataError naming a
-    target and its absent helper nodes when that target needs deriving
-    and fewer than k nodes are present.  Callers that read shard files
-    use plan_chunks and shards.ShardReader instead, which read only the
-    planned slots.
+    give that node's shard.  Raises InsufficientDataError as
+    plan_chunks does.  Callers that read shard files use plan_chunks and
+    shards.ShardReader instead, which read only the planned slots.
     """
     for node, arr in shards.items():
         if not 1 <= node <= params.n:
@@ -356,15 +357,11 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
 
 def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
                 file_size: int) -> bytes:
-    """Rebuild the original file from the shards of any k distinct nodes.
-
-    The f*k data chunks of each stripe come from chunks_from_shards, so
-    a data chunk whose node is missing may be XORed from its helpers,
-    parity included, or derived from k chunks of its part.
-    """
-    if len(shards) < params.k:
-        raise InsufficientDataError(
-            f"need shards from {params.k} nodes, got {len(shards)}")
+    """Rebuild the original file from shards that cover its data
+    chunks, as any k distinct nodes do: the f*k data chunks of each
+    stripe come from chunks_from_shards, so a data chunk whose node is
+    missing may be XORed from its helpers, parity included, or derived
+    from k chunks of its part."""
     data = chunks_from_shards(params, shards, data_chunks(params))
     if data.size < file_size:
         raise ShapeError(

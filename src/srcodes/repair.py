@@ -1,11 +1,11 @@
 """Look-up repair of one whole node, as core.plan_chunks plans it.
 
 plan_chunks is the one repair planner.  node_plan asks it for a node's
-f+1 chunks with every other node's chunks available, so each chunk is
-the XOR of the f others with its subscript, and the node reads f(f+1)
+f+1 chunks with every other node's chunks available: one XOR step per
+chunk, of the f others with its subscript, so the node reads f(f+1)
 chunks per stripe from min(2f, n-1) disks.  `repair --dry-run` prints
-that plan (describe), and the simulator's SRC repair jobs read from its
-helpers.  `srcodes repair` itself plans on the shard files that exist.
+those steps (describe), and the simulator's SRC repair jobs read their
+sources.  `srcodes repair` itself plans on the shard files that exist.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ def describe(params: SrcParams, node: int, stripe_count: int = 1) -> list[str]:
     where = params.chunk_location
     plan = node_plan(params, node)
     lines = [f"rebuild node {node}:"]
-    for t, chunks in plan.sums:
-        lines.append(f"  repair {plan.targets[t].label(f)}:")
+    for step in plan.steps:
+        chunks = step.sources
+        lines.append(f"  repair {step.outs[0].label(f)}:")
         lines += [f"    read {c.label(f)} from node {where(c)}" for c in chunks]
         lines.append(f"    combine: XOR of {len(chunks)} chunks")
         lines.append(f"    bytes moved: {len(chunks) * cs * stripe_count}")

@@ -131,8 +131,9 @@ class Manifest:
     def from_json(cls, text: str | bytes) -> "Manifest":
         """Parse a manifest.  Malformed JSON, a version other than 1 or
         2, a missing key, a value of the wrong type, code parameters
-        SrcParams rejects, shards not keyed exactly 1..n, a digest that
-        is not 64 lowercase hex characters, a negative file_size, a
+        SrcParams rejects, shards not keyed exactly 1..n, a shard file
+        other than node_NNN.shard, a digest that is not 64 lowercase hex
+        characters, a negative file_size, a
         chunk_size or file_size the shard header's u64 fields cannot
         hold, or a stripe_count that does not fit file_size raises
         IntegrityError."""
@@ -164,6 +165,12 @@ class Manifest:
                     f"malformed manifest: shards must be keyed 1..{params.n}")
             digests = {int(node): entry["digest"]
                        for node, entry in doc["shards"].items()}
+            for node in sorted(digests):
+                name = doc["shards"][str(node)]["file"]
+                if name != shard_filename(node):
+                    raise IntegrityError(f"malformed manifest: shard {node} "
+                                         f"file {name!r} is not "
+                                         f"{shard_filename(node)}")
             if not all(re.fullmatch("[0-9a-f]{64}", d)   # TypeError if not text
                        for d in [doc["file_digest"], *digests.values()]):
                 raise IntegrityError("malformed manifest: a digest is not "
@@ -392,7 +399,8 @@ class ShardReader:
                           and (self.directory / shard_filename(node)).exists()
                           for c in manifest.params.node_chunks(node)}
         self.skipped: dict[str, None] = {}   # shard file names, in order
-        self.blocked: set[ChunkId] = set()   # targets some plan derives
+        # targets a plan neither copies nor XORs straight from reads
+        self.blocked: set[ChunkId] = set()
         # every shard file's payload and CRC table offsets, and length
         self._payload_at, self._table_at, self._length = _offsets(
             manifest.params, manifest.stripe_count, manifest.version)
@@ -416,7 +424,9 @@ class ShardReader:
                 raise
             raise IntegrityError(
                 f"{exc}; skipped {', '.join(self.skipped)}") from exc
-        self.blocked.update(plan.derived.values())
+        straight = {s.outs[0] for s in plan.steps if s.coeffs is None
+                    and self.available.issuperset(s.sources)}
+        self.blocked.update(set(self.targets) - straight)
         return plan
 
     def batches(self) -> Iterator[np.ndarray]:

@@ -241,9 +241,8 @@ def _make_jobs(cluster: Cluster, failed: int,
             helpers = tuple(rng.sample(sorted(survivors), scheme.k))
             jobs.append(_Job(len(jobs), set_id, helpers))
         else:
-            plan = plans[members.index(failed)]
-            for _, chunks in plan.sums:
-                helpers = tuple(members[where(c) - 1] for c in chunks)
+            for step in plans[members.index(failed)].steps:
+                helpers = tuple(members[where(c) - 1] for c in step.sources)
                 assert failed not in helpers
                 jobs.append(_Job(len(jobs), set_id, helpers))
     return jobs, data_loss

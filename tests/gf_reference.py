@@ -55,6 +55,27 @@ def gf_inverse(a):
     return next(x for x in range(1, 256) if gf_mul(a, x) == 1)
 
 
+def gf_rank(rows):
+    """Rank over GF(256) of equal-length rows of ints, by Gaussian
+    elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = gf_inverse(rows[rank][col])
+        rows[rank] = [gf_mul(inv, x) for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            scale = rows[i][col]
+            rows[i] = [x ^ gf_mul(scale, y)
+                       for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def cauchy_generator(k, n):
     """The systematic generator [I | C], C[i, j] = 1 / (i + (k + j)),
     built from its definition."""
@@ -64,6 +85,15 @@ def cauchy_generator(k, n):
         for j in range(n - k):
             g[i, k + j] = gf_inverse(i ^ (k + j))
     return g
+
+
+def chunk_row(n, k, f, part, subscript):
+    """The coefficients of chunk part[subscript] over the f*k data
+    symbols of a stripe, part by part: part l <= f holds generator column
+    subscript in its own k places, the parity part f+1 in every part's."""
+    column = [int(x) for x in cauchy_generator(k, n)[:, subscript - 1]]
+    return [x if part in (l, f + 1) else 0
+            for l in range(1, f + 1) for x in column]
 
 
 def reference_encode(file_bytes, n, k, f, chunk_size):

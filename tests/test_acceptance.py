@@ -91,8 +91,9 @@ def test_criterion_3_four_node_fixture():
         ]
     plan = plan_chunks(p, p.node_chunks(2) + p.node_chunks(3)
                        + p.node_chunks(4), [ChunkId(1, 1)])
-    assert plan.sums == ((0, (ChunkId(2, 1), ChunkId(3, 1))),)
-    assert [p.chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
+    assert [(s.outs, s.sources) for s in plan.steps] == \
+        [((ChunkId(1, 1),), (ChunkId(2, 1), ChunkId(3, 1)))]
+    assert [p.chunk_location(c) for c in plan.steps[0].sources] == [4, 3]
 
     # byte-level check of the same layout on a one-stripe file
     file_bytes = _random_bytes(99, 4 * 64)

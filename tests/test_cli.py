@@ -857,6 +857,11 @@ def _file_digest_not_text(doc):
     doc["file_digest"] = 5
 
 
+def _shard_files_renamed(doc):
+    doc["shards"]["1"]["file"] = "../../etc/passwd"
+    doc["shards"]["2"]["file"] = 7
+
+
 def _f_as_boolean(doc):
     # true would read as f=1: with stripe_count fitted to f=1, only the
     # type is wrong
@@ -875,12 +880,12 @@ def _sizes_as_boolean(doc):
     _extra_shard_entry, _negative_file_size, _wrong_stripe_count,
     _chunk_size_beyond_u64, _file_size_beyond_u64,
     _digest_not_text, _digest_not_hex, _file_digest_not_text,
-    _f_as_boolean, _sizes_as_boolean,
+    _f_as_boolean, _sizes_as_boolean, _shard_files_renamed,
 ], ids=["not-json", "no-params", "wrong-type", "missing-shard-entry",
         "extra-shard-entry", "negative-file-size", "wrong-stripe-count",
         "chunk-size-beyond-u64", "file-size-beyond-u64",
         "digest-not-text", "digest-not-hex", "file-digest-not-text",
-        "f-as-boolean", "sizes-as-boolean"])
+        "f-as-boolean", "sizes-as-boolean", "shard-files-renamed"])
 def test_malformed_manifest_exit_4(runner, tmp_path, edit):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2)
     manifest = out / MANIFEST_NAME

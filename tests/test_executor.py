@@ -16,7 +16,7 @@ from srcodes.core import ChunkId, SrcParams, chunks_from_shards, \
     data_chunks, encode, plan_chunks, reconstruct, run_plan
 from srcodes.errors import InsufficientDataError
 
-from gf_reference import reference_encode
+from gf_reference import chunk_row, gf_rank, reference_encode
 
 
 @st.composite
@@ -62,18 +62,75 @@ def test_fewer_than_k_nodes_name_an_underivable_target(case):
     p, data, present, targets = case
     chunks, ref = _reference(p, data)
     shards = {i: ref[i] for i in present}
-    stuck = [t for t in targets if p.chunk_location(t) not in present
-             and {p.chunk_location(h) for h in p.helpers(t)} - present]
-    with pytest.raises(InsufficientDataError):
-        reconstruct(shards, p, len(data))
-    if not stuck:
+
+    def stuck(wanted):
+        return [t for t in wanted if p.chunk_location(t) not in present
+                and {p.chunk_location(h) for h in p.helpers(t)} - present]
+
+    # fewer than k nodes leave every part fewer than k chunks, so the
+    # planner loses a data chunk exactly when it is stuck
+    if stuck(data_chunks(p)):
+        with pytest.raises(InsufficientDataError):
+            reconstruct(shards, p, len(data))
+    else:
+        assert reconstruct(shards, p, len(data)) == data
+    if not stuck(targets):
         assume(present)   # with no shard the stripe count is unknown
         got = chunks_from_shards(p, shards, targets)
         assert np.array_equal(got, _expected(chunks, targets))
         return
     with pytest.raises(InsufficientDataError,
-                       match=re.escape(stuck[0].label(p.f)) + ": "):
+                       match=re.escape(stuck(targets)[0].label(p.f)) + ": "):
         chunks_from_shards(p, shards, targets)
+
+
+@st.composite
+def chunk_cases(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    f = draw(st.integers(1, n - 1))
+    p = SrcParams(n, k, f, draw(st.integers(1, 4)))
+    every = [ChunkId(l, s) for l in range(1, f + 2) for s in range(1, n + 1)]
+    lost = draw(st.sets(st.sampled_from(every), max_size=len(every) - 1))
+    # mostly lost chunks, so that plans XOR and derive, not only copy
+    targets = draw(st.lists(st.sampled_from(every), max_size=2)) + draw(
+        st.lists(st.sampled_from(sorted(lost) or every), min_size=1,
+                 max_size=2 * (f + 1)))
+    available = set(every) - lost
+    size = draw(st.integers(0, 2 * p.stripe_data_bytes))
+    return p, draw(st.binary(min_size=size, max_size=size)), available, \
+        targets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(chunk_cases())
+def test_every_plan_is_ordered_and_in_the_span_of_its_reads(case):
+    # what a plan must be whenever plan_chunks makes one; which chunk
+    # sets it refuses is left open
+    p, data, available, targets = case
+    try:
+        plan = plan_chunks(p, available, targets)
+    except InsufficientDataError:
+        return
+    assert set(plan.reads) <= available
+    made = set()
+    for step in plan.steps:
+        assert set(step.sources) <= set(plan.reads) | made
+        if step.coeffs is not None:
+            assert step.coeffs.shape == (len(step.outs), len(step.sources))
+        made.update(step.outs)
+    assert set(targets) <= made
+    chunks, _ = _reference(p, data)
+    got = run_plan(plan, {c: chunks[:, c.part - 1, c.subscript - 1]
+                          for c in plan.reads},
+                   np.empty((len(chunks), len(targets), p.chunk_size),
+                            dtype=np.uint8))
+    assert np.array_equal(got, _expected(chunks, targets))
+    rows = [chunk_row(p.n, p.k, p.f, c.part, c.subscript)
+            for c in sorted(available)]
+    wanted = [chunk_row(p.n, p.k, p.f, t.part, t.subscript)
+              for t in targets]
+    assert gf_rank(rows + wanted) == gf_rank(rows)
 
 
 def test_gf_bytes_per_path(monkeypatch):
@@ -105,7 +162,8 @@ def test_gf_bytes_per_path(monkeypatch):
     every = {c: shard[:, slot] for node, shard in arr.shards.items()
              for slot, c in enumerate(p.node_chunks(node))}
     plan = plan_chunks(p, every, data_chunks(p))
-    assert set(plan.reads) == set(data_chunks(p)) and not plan.derived
+    assert set(plan.reads) == set(data_chunks(p))
+    assert all(step.coeffs is None for step in plan.steps)
     got = run_plan(plan, {c: every[c] for c in plan.reads},
                    np.empty((arr.stripe_count, p.f * p.k, p.chunk_size),
                             dtype=np.uint8))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from srcodes import core, gf256
-from srcodes.core import ChunkId, SrcParams, chunks_from_shards, encode, \
-    plan_chunks
+from srcodes.core import ChunkId, SrcParams, Step, chunks_from_shards, \
+    encode, plan_chunks
 from srcodes.errors import InsufficientDataError
 from srcodes.mds import make_generator
 from srcodes.repair import describe, node_plan
@@ -36,9 +36,10 @@ def _disks(p, chunks):
 def test_chunk_plan_four_node_fixture():
     p = SrcParams(4, 2, 2, 16)
     plan = plan_chunks(p, _off_node(p, 1), [ChunkId(1, 1)])
-    assert plan.sums == ((0, (ChunkId(2, 1), ChunkId(3, 1))),)
-    assert [p.chunk_location(c) for c in plan.sums[0][1]] == [4, 3]
-    assert plan.derived == {}
+    assert plan.steps == (Step((ChunkId(1, 1),),
+                               (ChunkId(2, 1), ChunkId(3, 1))),)
+    assert [p.chunk_location(c) for c in plan.steps[0].sources] == [4, 3]
+    assert all(step.coeffs is None for step in plan.steps)
 
 
 def test_parity_plan_reads_all_coded_parts():
@@ -46,7 +47,8 @@ def test_parity_plan_reads_all_coded_parts():
     target = ChunkId(4, 2)
     plan = plan_chunks(p, _off_node(p, p.chunk_location(target)),
                        [target])
-    (_, chunks), = plan.sums
+    step, = plan.steps
+    chunks = step.sources
     assert [c.part for c in chunks] == [1, 2, 3]
     assert all(c.subscript == 2 for c in chunks)
 
@@ -62,8 +64,9 @@ def test_chunk_plan_locality(n, k, f):
             node = p.chunk_location(target)
             plan = plan_chunks(p, _off_node(p, node), [target])
             expect = [ChunkId(l, sub) for l in range(1, f + 2) if l != part]
-            assert plan.sums == ((0, tuple(expect)),)
-            assert plan.reads == tuple(expect) and plan.derived == {}
+            assert plan.steps == (Step((target,), tuple(expect)),)
+            assert plan.reads == tuple(expect)
+            assert all(step.coeffs is None for step in plan.steps)
             assert node not in _disks(p, plan.reads)
 
 
@@ -73,9 +76,9 @@ def test_node_plan_counts(n, k, f):
     for node in range(1, n + 1):
         plan = node_plan(p, node)
         assert plan.targets == tuple(p.node_chunks(node))
-        assert plan.sums == tuple((t, tuple(p.helpers(c)))
-                                  for t, c in enumerate(plan.targets))
-        assert [len(chunks) for _, chunks in plan.sums] == [f] * (f + 1)
+        assert plan.steps == tuple(Step((c,), tuple(p.helpers(c)))
+                                   for c in plan.targets)
+        assert [len(s.sources) for s in plan.steps] == [f] * (f + 1)
         assert len(plan.reads) == f * (f + 1)
         assert len(_disks(p, plan.reads)) == min(2 * f, n - 1)
         assert node not in _disks(p, plan.reads)
@@ -217,10 +220,12 @@ def test_plans_that_derive_nothing_build_no_generator(monkeypatch):
     with pytest.raises(RuntimeError):   # the patch does catch a derive
         plan_chunks(p, core.data_chunks(p), [ChunkId(1, 7)])
     for node in range(1, p.n + 1):
-        assert not node_plan(p, node).derived
+        assert all(step.coeffs is None
+                   for step in node_plan(p, node).steps)
     every = [c for node in range(1, p.n + 1) for c in p.node_chunks(node)]
     healthy = plan_chunks(p, every, core.data_chunks(p))
-    assert not healthy.derived and len(healthy.reads) == p.f * p.k
+    assert all(step.coeffs is None for step in healthy.steps)
+    assert len(healthy.reads) == p.f * p.k
 
 
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)

@@ -282,7 +282,9 @@ def _check_budget(mp):
 
     def checked(plan, present, out):
         stripes, outputs, chunk = out.shape
-        held = len(present) + len(set(plan.derived) - set(plan.targets))
+        derived = {c for s in plan.steps if s.coeffs is not None
+                   for c in s.outs}
+        held = len(present) + len(derived - set(plan.targets))
         assert stripes == 1 or \
             (held + outputs) * stripes * chunk <= shards._BATCH_BYTES, \
             (stripes, held, outputs)
