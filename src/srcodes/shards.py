@@ -133,10 +133,9 @@ class Manifest:
         2, a missing key, a value of the wrong type, code parameters
         SrcParams rejects, shards not keyed exactly 1..n, a shard file
         other than node_NNN.shard, a digest that is not 64 lowercase hex
-        characters, a negative file_size, a
-        chunk_size or file_size the shard header's u64 fields cannot
-        hold, or a stripe_count that does not fit file_size raises
-        IntegrityError."""
+        characters, a negative file_size, a chunk_size or file_size the
+        shard header's u64 fields cannot hold, or a stripe_count that
+        does not fit file_size raises IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
