@@ -20,15 +20,17 @@ chunk_location a chunk's node, helpers a chunk's f same-subscript
 chunks, and stripes(size) the stripes a file of size bytes fills.
 
 Every chunk is thus a data chunk, an MDS combination of k chunks of its
-part, or the XOR of the f others with its subscript: encode, decode and
-repair all go through one chunk executor that applies these rules.
-Planning is split from execution: plan_chunks turns a list of targets
-into the chunks to read and an ordered list of steps, each a copy, an
-XOR, or a GF(256) combination whose coefficients it works out once;
-run_plan then runs those steps on the chunks read, for any run of
-stripes.  The coefficients come from the (n, k) MDS generator, a plain
-array that a plan builds only when it derives chunks: look-up repair
-plans and a healthy decode build none.
+part, or the XOR of the f others with its subscript; in all, a GF(256)
+combination of the stripe's f*k data symbols, which any chunks whose
+combinations span it determine.  Encode, decode and repair all go
+through one chunk executor.  Planning is split from execution:
+plan_chunks turns a list of targets into the chunks to read and an
+ordered list of steps, each a copy, an XOR, or a GF(256) combination
+whose coefficients gf256.solve works out once; run_plan then runs those
+steps on the chunks read, for any run of stripes.  The coefficients
+come from the (n, k) MDS generator, a plain array that a plan builds
+only when it derives chunks: look-up repair plans and a healthy decode
+build none.
 plan_chunks is the only planner: what `repair --dry-run` prints and the
 simulator's repair jobs read are its plans too (repair.node_plan).
 
@@ -47,12 +49,13 @@ from __future__ import annotations
 import io
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from . import gf256
 from .errors import InsufficientDataError, ParameterError, ShapeError
-from .mds import decode_matrix, make_generator
+from .mds import make_generator
 
 
 def ring_add(i: int, delta: int, n: int) -> int:
@@ -249,53 +252,70 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
                 targets: list[ChunkId]) -> ChunkPlan:
     """Plan the target chunks from the available ones, reading nothing.
 
-    An available target is copied.  An absent coded target is the XOR of
-    its f helpers when all are available, else derived from the lowest k
-    available chunks of its part.  An absent parity target is the XOR of
-    the f coded chunks of its subscript, each made once by the rules
-    above, also when it is a target itself.  The lowest-k rule prefers
-    the systematic chunks, so a healthy decode copies f*k data chunks
-    and derives none.  Raises InsufficientDataError naming a target and
-    its absent helper nodes when that target needs deriving and fewer
-    than k chunks of its part are available.
+    An available target is copied.  An absent target is the XOR of its f
+    helpers when all are available, or when it is a parity chunk and
+    each absent helper is a coded chunk of a part with k chunks
+    available, derived and made once.  Any other absent target is
+    derived.  Each part with chunks to derive is solved once, by
+    gf256.solve: a coded part with k chunks available over its lowest
+    k, any other part over every available chunk.  So a healthy decode
+    copies the f*k data chunks and derives none, and a plan exists
+    whenever the available chunks determine the targets.  Raises
+    InsufficientDataError naming the first target they do not
+    determine and its absent helper nodes.
     """
     f, k = params.f, params.k
     available = frozenset(available)
+    every = sorted(available)   # parts 1..f, then parity
+    own = {l: [c for c in every if c.part == l][:k] for l in range(1, f + 1)}
+    full = {l for l, chunks in own.items() if len(chunks) == k}
     xors = []      # one step per distinct target not derived
-    derived = {}   # coded chunk -> the target it is derived for
+    derived = {}   # chunk -> the target it is derived for
+    absent = {}    # target -> its absent helpers
     for c in dict.fromkeys(targets):
+        absent[c] = [h for h in params.helpers(c) if h not in available]
         if c in available:
             xors.append(Step((c,), (c,)))
-        elif c.part <= f and not available.issuperset(params.helpers(c)):
-            derived.setdefault(c, c)
-        else:   # all helpers available, or a parity chunk
+        elif all(c.part > f and h.part in full for h in absent[c]):
+            # every helper available, or a parity target's absent ones
+            # each in a part with k chunks available
             xors.append(Step((c,), tuple(params.helpers(c))))
-            for h in params.helpers(c):   # only a parity chunk has absent ones
-                if h not in available:
-                    derived.setdefault(h, c)
-    sources = {l: tuple(sorted(c for c in available if c.part == l)[:k])
-               for l in sorted({c.part for c in derived})}
-    short = {t for c, t in derived.items() if len(sources[c.part]) < k}
+            for h in absent[c]:
+                derived.setdefault(h, c)
+        else:
+            derived.setdefault(c, c)
+    gen = make_generator(k, params.n) if derived else None
+    steps, short = [], set()
+    for l in sorted({c.part for c in derived}):
+        outs = tuple(c for c in derived if c.part == l)
+        srcs = own[l] if l in full else every
+        cols = slice((l - 1) * k, l * k) if l in full else slice(None)
+        x, spanned = gf256.solve(_rows(gen, f, srcs)[:, cols],
+                                 _rows(gen, f, outs)[:, cols])
+        short.update(derived[c] for c, ok in zip(outs, spanned) if not ok)
+        used = x.any(axis=0)
+        steps.append(Step(outs, tuple(compress(srcs, used)), x[:, used]))
     if short:
         target = next(t for t in targets if t in short)
-        absent = [params.chunk_location(h) for h in params.helpers(target)
-                  if h not in available]
+        nodes = sorted(params.chunk_location(h) for h in absent[target])
         raise InsufficientDataError(
             f"cannot produce {target.label(f)}: helper node(s) "
-            f"{', '.join(map(str, sorted(absent)))} absent and fewer than "
-            f"{k} chunks of a part present")
-    gen = make_generator(k, params.n) if sources else None
-    steps = []
-    for l, srcs in sources.items():
-        inv = decode_matrix([c.subscript - 1 for c in srcs], gen)
-        outs = tuple(c for c in derived if c.part == l)
-        cols = [c.subscript - 1 for c in outs]
-        steps.append(Step(outs, srcs, np.bitwise_xor.reduce(
-            gf256.MUL[inv, gen[:, cols].T[:, None]], axis=2)))
+            f"{', '.join(map(str, nodes))} absent and the chunks present "
+            f"do not determine it")
     steps += xors
     reads = {c for step in steps for c in step.sources if c in available}
     return ChunkPlan(targets=tuple(targets), reads=tuple(sorted(reads)),
                      steps=tuple(steps))
+
+
+def _rows(gen: np.ndarray, f: int, chunks) -> np.ndarray:
+    """Each chunk's coefficients over the f*k data symbols of a stripe,
+    part by part: generator column subscript in its own part's k places,
+    in every part's for a parity chunk."""
+    parts = np.array([c.part for c in chunks], dtype=int)[:, None]
+    in_part = (parts == np.arange(1, f + 1)) | (parts == f + 1)
+    cols = gen[:, [c.subscript - 1 for c in chunks]].T[:, None]
+    return (in_part[:, :, None] * cols).reshape(len(chunks), f * len(gen))
 
 
 def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
@@ -357,11 +377,9 @@ def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],
 
 def reconstruct(shards: dict[int, np.ndarray], params: SrcParams,
                 file_size: int) -> bytes:
-    """Rebuild the original file from shards that cover its data
-    chunks, as any k distinct nodes do: the f*k data chunks of each
-    stripe come from chunks_from_shards, so a data chunk whose node is
-    missing may be XORed from its helpers, parity included, or derived
-    from k chunks of its part."""
+    """Rebuild the original file from shards whose chunks determine its
+    data chunks, as any k distinct nodes' do: the f*k data chunks of
+    each stripe come from chunks_from_shards."""
     data = chunks_from_shards(params, shards, data_chunks(params))
     if data.size < file_size:
         raise ShapeError(

@@ -3,7 +3,7 @@
 Elements are bytes; addition is XOR, multiplication works through
 log/antilog tables built from the primitive polynomial x^8+x^4+x^3+x^2+1
 (0x11d) with generator 2.  A full 256x256 product table MUL is built at
-import time; gf_inv and mat_inv are pure.
+import time; gf_inv and solve are pure.
 
 Every buffer multiply-add goes through addmul_rows, out[i] ^= sum_j
 coeffs[i, j] * rows[j], which scales by table look-up on the caller's
@@ -191,33 +191,35 @@ def _addmul_group(out: list, coeffs: np.ndarray, rows) -> None:
             np.bitwise_xor(o[at], plane, out=o[at])
 
 
-def mat_inv(m: np.ndarray) -> np.ndarray:
-    """Invert a square matrix over GF(256) by Gauss-Jordan elimination.
+def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with x @ a == b over GF(256), for each row of b that the rows of
+    a span: a is m x c, b is t x c, x is t x m, and spanned holds t
+    booleans; a row of b outside the span gets False and a zero row.
 
-    Raises ZeroDivisionError if the matrix is singular.
+    Only the earliest independent rows of a are used: row i gets a
+    nonzero coefficient only if rows 0..i-1 do not span it, so x is
+    unique.  One Gauss-Jordan elimination on [a.T | b.T], whose pivot
+    columns are the rows of a taken; each row reduction is one MUL
+    look-up over the rows it changes.
     """
-    k = m.shape[0]
-    if m.shape != (k, k):
-        raise ValueError(f"matrix must be square, got {m.shape}")
-    a = m.astype(np.uint8).copy()
-    inv = np.eye(k, dtype=np.uint8)
-    for col in range(k):
-        pivot = -1
-        for row in range(col, k):
-            if a[row, col] != 0:
-                pivot = row
-                break
-        if pivot < 0:
-            raise ZeroDivisionError("singular matrix over GF(256)")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        p = gf_inv(int(a[col, col]))
-        a[col] = MUL[p][a[col]]
-        inv[col] = MUL[p][inv[col]]
-        for row in range(k):
-            if row != col and a[row, col] != 0:
-                c = int(a[row, col])
-                a[row] ^= MUL[c][a[col]]
-                inv[row] ^= MUL[c][inv[col]]
-    return inv
+    m = a.shape[0]
+    aug = np.concatenate([a.T, b.T], axis=1).astype(np.uint8)
+    taken = []
+    for j in range(m):
+        r = len(taken)
+        below = np.flatnonzero(aug[r:, j])
+        if not below.size:   # rows 0..j-1 span row j
+            continue
+        p = r + below[0]
+        aug[[r, p]] = aug[[p, r]]
+        aug[r] = MUL[gf_inv(int(aug[r, j])), aug[r]]
+        rows = np.flatnonzero(aug[:, j])
+        rows = rows[rows != r]
+        # row r is zero left of column j, so those columns stay as they are
+        aug[rows, j:] ^= MUL[aug[rows, j, None], aug[r, j:]]
+        taken.append(j)
+    spanned = ~aug[len(taken):, m:].any(axis=0)
+    x = np.zeros((b.shape[0], m), dtype=np.uint8)
+    x[:, taken] = aug[:len(taken), m:].T
+    x[~spanned] = 0
+    return x, spanned

@@ -7,7 +7,7 @@ coded chunks recover the data.  Construction is a pure function of
 (k, n); decoders rebuild it from the ``CONSTRUCTION_ID`` recorded in a
 manifest instead of shipping matrix entries.  The generator is a plain
 k x n uint8 array, built afresh by each plan that derives chunks
-(core.plan_chunks).
+(core.plan_chunks), which finds its coefficients with gf256.solve.
 
 Everything here is stateless and thread-safe.
 """
@@ -37,28 +37,7 @@ def make_generator(k: int, n: int) -> np.ndarray:
         raise ParameterError(f"n={n} exceeds GF(256) construction limit {MAX_N}")
     g = np.zeros((k, n), dtype=np.uint8)
     g[:, :k] = np.eye(k, dtype=np.uint8)
-    for i in range(k):
-        for j in range(n - k):
-            g[i, k + j] = gf256.gf_inv(i ^ (k + j))
+    # x_i + y_j = i ^ (k + j) is never 0, as i < k
+    g[:, k:] = gf256.INV[np.arange(k)[:, None] ^ np.arange(k, n)]
     return g
 
-
-def decode_matrix(columns: list[int], g: np.ndarray) -> np.ndarray:
-    """Inverse of the k x k submatrix of generator g formed by the given
-    0-based columns.
-
-    Row c of the result holds the coefficients applied to share c; a
-    singular submatrix violates the MDS invariant and trips an assertion.
-    """
-    k, n = g.shape
-    if len(columns) != k:
-        raise ParameterError(f"need exactly {k} columns, got {len(columns)}")
-    if len(set(columns)) != len(columns):
-        raise ParameterError(f"duplicate column indices: {sorted(columns)}")
-    for c in columns:
-        if not 0 <= c < n:
-            raise ParameterError(f"column {c} outside [0, {n})")
-    try:
-        return gf256.mat_inv(g[:, columns])
-    except ZeroDivisionError as exc:  # impossible for a Cauchy-built G
-        raise AssertionError(f"MDS submatrix {columns} singular") from exc

@@ -406,6 +406,25 @@ def test_decode_insufficient_shards_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("triple,left,code", [
+    ((10, 6, 2), (1, 3, 5, 7, 9), 3),   # k - 1 nodes that do not span the data
+    ((5, 3, 2), (3, 4), 0)])            # k - 1 nodes that do
+def test_decode_exactly_where_the_shards_span_the_data(runner, tmp_path,
+                                                       triple, left, code):
+    n, k, f = triple
+    _, data, out = _encode(runner, tmp_path, n=n, k=k, f=f)
+    for node in set(range(1, n + 1)) - set(left):
+        (out / shard_filename(node)).unlink()
+    dest = tmp_path / "y.bin"
+    res = _decode(runner, out, dest)
+    assert res.exit_code == code, res.output
+    if code:
+        assert res.stderr.endswith("do not determine it\n")
+        assert not dest.exists()
+    else:
+        assert dest.read_bytes() == data
+
+
 def test_decode_skips_corrupt_shard(runner, tmp_path):
     # node 1's header is corrupt, nodes 2-4 are intact and k = 2
     _, data, out = _encode(runner, tmp_path)
@@ -482,8 +501,10 @@ def test_repair_skips_an_unreadable_helper(runner, tmp_path, monkeypatch):
 def test_unreadable_shard_among_exactly_k_exit_4(runner, tmp_path,
                                                  monkeypatch):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)
-    for node in range(7, 11):   # nodes 1..6 are exactly k
+    for node in (4, 6, 8, 10):   # six nodes, exactly k
         (out / shard_filename(node)).unlink()
+    # without node 2, nodes 1, 3, 5, 7 and 9 do not span the data: one of
+    # the two five-node sets of (10,6,2) that do not
     _eio_on(monkeypatch, shard_filename(2))
     dest = tmp_path / "y.bin"
     res = _decode(runner, out, dest)

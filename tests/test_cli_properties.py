@@ -1,9 +1,11 @@
 """Property test of the CLI contract on random codes, erasures and
 flipped bytes: decode writes exactly the input or exits 3 or 4 with no
-output file and no traceback, and always the input while k intact
-shards remain; with fewer, it may still succeed when no flipped byte
-lies in a chunk it reads.  Repair gives a node's original bytes or such
-an exit code, and always the bytes while k intact shards remain."""
+output file and no traceback, and always the input while the chunks of
+the intact shards span the data, by the rank oracle, as any k shards'
+do; otherwise it may still succeed from the chunks of damaged shards
+that it reads intact.  Repair gives a node's original bytes or such an
+exit code, and always the bytes while the intact shards span the
+data."""
 
 import tempfile
 from pathlib import Path
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from srcodes.cli import main
 from srcodes.shards import MANIFEST_NAME, shard_filename
+
+from gf_reference import chunk_row, gf_rank
 
 
 @st.composite
@@ -54,12 +58,15 @@ def test_decode_and_repair_keep_the_exit_code_contract(case):
                 blob = bytearray(paths[i].read_bytes())
                 blob[at % len(blob)] ^= mask
                 paths[i].write_bytes(bytes(blob))
-        intact = sum(paths[i].exists() and paths[i].read_bytes() == original[i]
-                     for i in paths)   # a byte flipped twice is intact
+        intact = [i for i in paths if paths[i].exists()   # a byte flipped
+                  and paths[i].read_bytes() == original[i]]   # twice is intact
+        # node i holds part l at subscript i + l - 1, wrapping on 1..n
+        spans = gf_rank([chunk_row(n, k, f, l, (i + l - 2) % n + 1)
+                         for i in intact for l in range(1, f + 2)]) == f * k
         where = ["--manifest", str(out / MANIFEST_NAME), "--shards", str(out)]
 
         code = _run(["decode", *where, "--out", str(tmp / "out.bin")])
-        if intact >= k:
+        if spans:
             assert code == 0 and (tmp / "out.bin").read_bytes() == data
         elif code == 0:   # the flipped bytes lie outside the planned reads
             assert (tmp / "out.bin").read_bytes() == data
@@ -67,7 +74,7 @@ def test_decode_and_repair_keep_the_exit_code_contract(case):
             assert code in (3, 4) and not (tmp / "out.bin").exists()
         for i in sorted(erased)[:1]:   # look-up repair may need fewer than k
             code = _run(["repair", *where, "--node", str(i)])
-            assert code in ((0,) if intact >= k else (0, 3, 4))
+            assert code in ((0,) if spans else (0, 3, 4))
             assert paths[i].read_bytes() == original[i] if code == 0 \
                 else not paths[i].exists()
 

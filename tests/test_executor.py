@@ -6,6 +6,7 @@ InsufficientDataError when a target can be neither copied, XORed nor
 derived."""
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -63,12 +64,17 @@ def test_fewer_than_k_nodes_name_an_underivable_target(case):
     chunks, ref = _reference(p, data)
     shards = {i: ref[i] for i in present}
 
-    def stuck(wanted):
-        return [t for t in wanted if p.chunk_location(t) not in present
-                and {p.chunk_location(h) for h in p.helpers(t)} - present]
+    rows = [chunk_row(p.n, p.k, p.f, c.part, c.subscript)
+            for i in present for c in p.node_chunks(i)]
 
-    # fewer than k nodes leave every part fewer than k chunks, so the
-    # planner loses a data chunk exactly when it is stuck
+    def stuck(wanted):
+        # the targets the present chunks do not span, by the rank oracle
+        return [t for t in wanted if gf_rank(
+            rows + [chunk_row(p.n, p.k, p.f, t.part, t.subscript)])
+            > gf_rank(rows)]
+
+    # the planner loses a data chunk exactly when the present chunks do
+    # not determine it
     if stuck(data_chunks(p)):
         with pytest.raises(InsufficientDataError):
             reconstruct(shards, p, len(data))
@@ -82,6 +88,54 @@ def test_fewer_than_k_nodes_name_an_underivable_target(case):
     with pytest.raises(InsufficientDataError,
                        match=re.escape(stuck(targets)[0].label(p.f)) + ": "):
         chunks_from_shards(p, shards, targets)
+
+
+@pytest.mark.parametrize("triple,left,decodable", [
+    ((10, 6, 2), 5, 250), ((10, 6, 2), 4, 140), ((7, 4, 3), 3, 34),
+    ((6, 4, 2), 3, 18), ((5, 3, 2), 2, 10)])
+def test_reconstruct_exactly_where_the_nodes_span_the_data(triple, left,
+                                                           decodable):
+    # every set of `left` nodes: the file back where their chunks have
+    # rank f*k by the oracle, InsufficientDataError elsewhere
+    n, k, f = triple
+    p = SrcParams(n, k, f, 3)
+    data = np.random.default_rng(n * k).integers(
+        0, 256, 2 * p.stripe_data_bytes - 5, dtype=np.uint8).tobytes()
+    _, ref = _reference(p, data)
+    spanning = 0
+    for nodes in combinations(range(1, n + 1), left):
+        shards = {i: ref[i] for i in nodes}
+        if gf_rank([chunk_row(n, k, f, c.part, c.subscript)
+                    for i in nodes for c in p.node_chunks(i)]) == f * k:
+            assert reconstruct(shards, p, len(data)) == data
+            spanning += 1
+        else:
+            with pytest.raises(InsufficientDataError):
+                reconstruct(shards, p, len(data))
+    assert spanning == decodable
+
+
+def test_parity_target_determined_though_its_helpers_are_not():
+    # parity[1], parity[2] and part1[3] span parity[4], the XOR of
+    # part1[4] and part2[4], but neither of those: the plan derives
+    # parity[4] itself
+    p = SrcParams(4, 2, 2, 5)
+    available = [ChunkId(3, 1), ChunkId(3, 2), ChunkId(1, 3)]
+    rows = [chunk_row(4, 2, 2, c.part, c.subscript) for c in available]
+    for t, spanned in ((ChunkId(3, 4), True), (ChunkId(1, 4), False),
+                       (ChunkId(2, 4), False)):
+        assert (gf_rank(rows + [chunk_row(4, 2, 2, t.part, t.subscript)])
+                == gf_rank(rows)) == spanned
+    plan = plan_chunks(p, available, [ChunkId(3, 4)])
+    assert set(plan.reads) <= set(available)
+    data = bytes(range(3 * p.stripe_data_bytes))
+    chunks, _ = _reference(p, data)
+    got = run_plan(plan, {c: chunks[:, c.part - 1, c.subscript - 1]
+                          for c in plan.reads},
+                   np.empty((len(chunks), 1, p.chunk_size), dtype=np.uint8))
+    assert np.array_equal(got, _expected(chunks, [ChunkId(3, 4)]))
+    with pytest.raises(InsufficientDataError, match=re.escape("part1[4]: ")):
+        plan_chunks(p, available, [ChunkId(3, 4), ChunkId(1, 4)])
 
 
 @st.composite
@@ -105,12 +159,17 @@ def chunk_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(chunk_cases())
 def test_every_plan_is_ordered_and_in_the_span_of_its_reads(case):
-    # what a plan must be whenever plan_chunks makes one; which chunk
-    # sets it refuses is left open
+    # what a plan must be whenever plan_chunks makes one, and that it
+    # makes one whenever the available chunks span the targets
     p, data, available, targets = case
+    rows = [chunk_row(p.n, p.k, p.f, c.part, c.subscript)
+            for c in sorted(available)]
+    wanted = [chunk_row(p.n, p.k, p.f, t.part, t.subscript)
+              for t in targets]
     try:
         plan = plan_chunks(p, available, targets)
     except InsufficientDataError:
+        assert gf_rank(rows + wanted) > gf_rank(rows)
         return
     assert set(plan.reads) <= available
     made = set()
@@ -126,10 +185,6 @@ def test_every_plan_is_ordered_and_in_the_span_of_its_reads(case):
                    np.empty((len(chunks), len(targets), p.chunk_size),
                             dtype=np.uint8))
     assert np.array_equal(got, _expected(chunks, targets))
-    rows = [chunk_row(p.n, p.k, p.f, c.part, c.subscript)
-            for c in sorted(available)]
-    wanted = [chunk_row(p.n, p.k, p.f, t.part, t.subscript)
-              for t in targets]
     assert gf_rank(rows + wanted) == gf_rank(rows)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from srcodes import gf256
 
-from gf_reference import gf_matmul, gf_mul
+from gf_reference import gf_matmul, gf_mul, gf_rank
 
 
 def test_every_nonzero_element_has_inverse():
@@ -295,19 +295,47 @@ def test_concurrent_grouped_callers_keep_their_results():
     assert wrong == []
 
 
-def test_mat_inv_round_trip():
+def test_solve_square_invertible_gives_the_inverse():
     rng = np.random.default_rng(10)
     for k in (1, 2, 3, 5):
         for _ in range(20):
             m = rng.integers(0, 256, (k, k)).astype(np.uint8)
-            try:
-                inv = gf256.mat_inv(m)
-            except ZeroDivisionError:
+            if gf_rank(m.tolist()) < k:
                 continue
-            assert np.array_equal(gf_matmul(m, inv), np.eye(k, dtype=np.uint8))
+            x, spanned = gf256.solve(m, np.eye(k, dtype=np.uint8))
+            assert spanned.all()
+            assert np.array_equal(gf_matmul(x, m), np.eye(k, dtype=np.uint8))
+            assert np.array_equal(gf_matmul(m, x), np.eye(k, dtype=np.uint8))
 
 
-def test_mat_inv_singular_raises():
-    m = np.array([[1, 2], [1, 2]], dtype=np.uint8)
-    with pytest.raises(ZeroDivisionError):
-        gf256.mat_inv(m)
+def test_solve_singular_leaves_a_row_outside_its_span():
+    a = np.array([[1, 2], [3, 6]], dtype=np.uint8)   # row 1 is 3 * row 0
+    assert gf_rank(a.tolist()) == 1
+    b = np.array([[2, 4], [0, 1], [0, 0]], dtype=np.uint8)
+    x, spanned = gf256.solve(a, b)
+    assert spanned.tolist() == [True, False, True]
+    assert np.array_equal(gf_matmul(x[[0, 2]], a), b[[0, 2]])
+    assert not x[1].any()
+
+
+def test_solve_uses_only_the_earliest_independent_rows():
+    # row 2 is row 0 + row 1 and row 3 is row 0 again: earlier rows span
+    # both, so they get coefficient 0 whatever b is
+    rng = np.random.default_rng(11)
+    r0, r1, r4 = rng.integers(1, 256, (3, 4)).astype(np.uint8)
+    a = np.stack([r0, r1, r0 ^ r1, r0, r4])
+    b = rng.integers(0, 256, (6, 4)).astype(np.uint8)
+    assert gf_rank(a.tolist()) == 3
+    x, spanned = gf256.solve(a, b)
+    assert not x[:, [2, 3]].any()
+    for row, ok in zip(b, spanned):
+        assert ok == (gf_rank(a.tolist() + [row.tolist()]) == 3)
+    assert np.array_equal(gf_matmul(x[spanned], a), b[spanned])
+
+
+def test_solve_with_no_rows():
+    a = np.zeros((0, 3), dtype=np.uint8)
+    b = np.array([[0, 0, 0], [0, 5, 0]], dtype=np.uint8)
+    x, spanned = gf256.solve(a, b)
+    assert x.shape == (2, 0)
+    assert spanned.tolist() == [True, False]

@@ -3,17 +3,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gf_reference import gf_matmul
+from gf_reference import cauchy_generator, gf_matmul, gf_rank
 from srcodes import gf256
 from srcodes.errors import ParameterError
-from srcodes.mds import decode_matrix, make_generator
+from srcodes.mds import make_generator
+
+
+def _independent(g, cols):
+    """The columns cols of g have full rank, by the reference's
+    elimination."""
+    return gf_rank(g[:, list(cols)].T.tolist()) == len(cols)
 
 
 def test_generator_2_4_all_submatrices_invertible():
-    # exhaustive oracle: invert every C(4,2) column pair
+    # exhaustive oracle: every C(4,2) column pair is independent
     g = make_generator(2, 4)
     for cols in combinations(range(4), 2):
-        gf256.mat_inv(g[:, cols])  # raises if singular
+        assert _independent(g, cols)
 
 
 def test_generator_identity_cases():
@@ -29,7 +35,14 @@ def test_generator_mds_property_small_n():
             g = make_generator(k, n)
             assert np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8))
             for cols in combinations(range(n), k):
-                gf256.mat_inv(g[:, cols])
+                assert _independent(g, cols)
+
+
+def test_generator_matches_the_reference_construction():
+    for n in (1, 2, 7, 16, 50, 255):
+        for k in {1, n // 2 or 1, n}:
+            assert np.array_equal(make_generator(k, n),
+                                  cauchy_generator(k, n))
 
 
 def test_generator_deterministic():
@@ -48,20 +61,28 @@ def test_generator_parameter_errors():
         make_generator(2, 256)
 
 
+def _decode(g, cols):
+    """gf256.solve's coefficients of each data row over the coded
+    columns cols of g."""
+    k = g.shape[0]
+    x, spanned = gf256.solve(g[:, list(cols)].T, np.eye(k, dtype=np.uint8))
+    assert spanned.all()
+    return x
+
+
 def _check_decode(g, cols, data):
-    """decode_matrix(cols) inverts G[:, cols] and recovers data from the
-    chosen coded columns; products come from the scalar reference."""
-    inv = decode_matrix(list(cols), g)
-    assert np.array_equal(gf_matmul(inv, g[:, cols]),
+    """gf256.solve recovers data from the chosen coded columns: products
+    come from the scalar reference."""
+    x = _decode(g, cols)
+    assert np.array_equal(gf_matmul(x, g[:, list(cols)].T),
                           np.eye(g.shape[0], dtype=np.uint8))
     coded = gf_matmul(g.T, data)
-    assert np.array_equal(gf_matmul(inv.T, coded[list(cols)]), data)
+    assert np.array_equal(gf_matmul(x, coded[list(cols)]), data)
 
 
 def test_decode_systematic_passthrough():
     g = make_generator(3, 6)
-    assert np.array_equal(decode_matrix([0, 1, 2], g),
-                          np.eye(3, dtype=np.uint8))
+    assert np.array_equal(_decode(g, [0, 1, 2]), np.eye(3, dtype=np.uint8))
 
 
 def test_decode_every_subset_4_2():
@@ -87,13 +108,3 @@ def test_round_trip_exhaustive_small_sampled_large():
                 subsets = [subsets[i] for i in idx]
             for cols in subsets:
                 _check_decode(g, cols, data)
-
-
-def test_decode_parameter_errors():
-    g = make_generator(2, 4)
-    with pytest.raises(ParameterError):
-        decode_matrix([0, 0], g)
-    with pytest.raises(ParameterError):
-        decode_matrix([0], g)
-    with pytest.raises(ParameterError):
-        decode_matrix([0, 9], g)

@@ -8,7 +8,7 @@ from srcodes.errors import InsufficientDataError
 from srcodes.mds import make_generator
 from srcodes.repair import describe, node_plan
 
-from gf_reference import gf_matmul
+from gf_reference import chunk_row, gf_matmul, gf_rank
 
 PARAM_GRID = [(4, 2, 2), (5, 3, 2), (6, 4, 2), (6, 3, 3), (8, 4, 3), (5, 3, 1)]
 
@@ -130,13 +130,16 @@ def test_zero_file_repairs_to_zero():
 
 
 def test_missing_helper_is_named():
-    # nodes 3 and 4 are left: part1[1] can be neither copied, XORed from
-    # its helpers on nodes 5 and 4, nor derived from k = 3 nodes
+    # node 4 alone is left: part1[1] can be neither copied, XORed from
+    # its helpers on nodes 5 and 4, nor derived, as node 4's chunks do
+    # not span it
     p = SrcParams(5, 3, 2, 16)
+    rows = [chunk_row(5, 3, 2, c.part, c.subscript) for c in p.node_chunks(4)]
+    assert gf_rank(rows + [chunk_row(5, 3, 2, 1, 1)]) > gf_rank(rows)
     arr = _coded(8, p)
     with pytest.raises(InsufficientDataError,
                        match=r"part1\[1\]: helper node\(s\) 5 absent"):
-        chunks_from_shards(p, _without(arr, {1, 2, 5}), [ChunkId(1, 1)])
+        chunks_from_shards(p, _without(arr, {1, 2, 3, 5}), [ChunkId(1, 1)])
 
 
 def _noise_but(arr, keep, seed):
@@ -200,7 +203,7 @@ def test_lookup_repair_does_no_gf_work(monkeypatch):
         raise RuntimeError("GF(256) multiply in look-up repair")
 
     monkeypatch.setattr(gf256, "addmul_rows", no_gf)   # every kernel's way in
-    monkeypatch.setattr(core, "decode_matrix", no_gf)
+    monkeypatch.setattr(gf256, "solve", no_gf)
     with pytest.raises(RuntimeError):
         encode(b"x", p)   # the patch does catch GF work
     with pytest.raises(RuntimeError):   # and a derived chunk
