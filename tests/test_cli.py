@@ -1279,6 +1279,72 @@ def test_simulate_sweep_series(runner):
     assert res.exit_code == 2
 
 
+# sha256 of stdout at the benchmark's scale, 1000 machines x 40 GB in
+# 64 MiB chunks, at seeds 1 and 4 with the machines the benchmark fails
+# for them: the digests fix the placement, each job's helpers and rebuild
+# target, and every float of the event loop
+FULL_SIZE = ["--machines", "1000", "--data-per-machine", "40000000000",
+             "--chunk-size", str(64 << 20)]
+FULL_SIZE_SCHEMES = {
+    "src": ["--scheme", "src", "--n", "10", "--k", "6", "--f", "2"],
+    "rs": ["--scheme", "rs", "--n", "10", "--k", "6"],
+    "replication": ["--scheme", "replication"],
+    "rs50-degraded": ["--scheme", "rs", "--n", "50", "--k", "46", "--degraded"],
+}
+# (scheme, seed, failed machine) -> sha256 of stdout
+SIMULATE_FULL_SIZE = {
+    ("src", 1, 137): "947349b2d32e9dc665cb64a9c0ee294acbba17c7bd9c860ecafefb2269ed2925",
+    ("rs", 1, 137): "2084132c267967beaab46e8468ebdfb35cc737d3be7a9d00cb1e541bde248da2",
+    ("replication", 1, 137): "89104b05b43ffbf48b5d2b46efe462683b4fcae09f0b6b4af1803ba4cabc8963",
+    ("rs50-degraded", 1, 137): "6eb865ec61588d6fff361f00da4fa1be581ca7bc4a369aca37987d0d8d279d37",
+    ("src", 4, 999): "42745b0846aa7f9534cdf8c1ededa3d727b371660dea5b2c2a9b50f8ae2002e4",
+    ("rs", 4, 999): "d436e8ef73b756161f631a85b9fccb82e6f55d63b1a3bef08de19ab49b2eb00b",
+    ("replication", 4, 999): "4c6842eec98af3ed2ef48e2172b5a6a4f2b44572e8d41bfdbeccd721a811b0db",
+    ("rs50-degraded", 4, 999): "2004a1df1f314395765fbe2362455879e7507eda0259bad374f5c1f705834de3",
+}
+SIMULATE_SWEEP_SHA = "e7000d34b78fbffbcb12d129ad3fbb4d6066ca9b663664118a6f2ee9bc79e80e"
+SIMULATE_UNBOUNDED_SHA = {
+    "report.txt": "f3201e522ba00e21309309fe65cbed055e10625535195196856d0f0f8b165780",
+    "cdf.csv": "8a4335a2234eab4e07988e784e4c526d0cd4d1d15291ad8a3e8135244ceaa06a",
+}
+
+
+@pytest.mark.parametrize("scheme,seed,failed", SIMULATE_FULL_SIZE,
+                         ids=[f"{scheme}-seed{seed}"
+                              for scheme, seed, _ in SIMULATE_FULL_SIZE])
+def test_simulate_full_size_reports_pinned(runner, scheme, seed, failed):
+    res = runner.invoke(main, ["simulate", *FULL_SIZE_SCHEMES[scheme],
+                               *FULL_SIZE, "--seed", str(seed),
+                               "--failed-machine", str(failed)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == \
+        SIMULATE_FULL_SIZE[scheme, seed, failed]
+
+
+def test_simulate_sweep_and_unbounded_config_pinned(runner, tmp_path,
+                                                    monkeypatch):
+    # a sweep's series, and a run whose concurrency knobs never bind:
+    # every job is dispatched at once and no target reaches its cap
+    res = runner.invoke(main, ["simulate", "--scheme", "rs", "--seed", "4",
+                               "--failed-machine", "99",
+                               "--sweep", "10,6 20,16 50,46"])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == SIMULATE_SWEEP_SHA
+    monkeypatch.chdir(tmp_path)
+    Path("cluster.json").write_text(json.dumps({
+        "machines": 30, "data_bytes_per_machine": 2_000_000_000, "seed": 3,
+        "max_inbound_repairs": 10**9, "dispatch_window": 10**9,
+        "scheme": {"kind": "rs", "n": 10, "k": 6}}))
+    res = runner.invoke(main, ["simulate", "--scheme", "rs", "--config",
+                               "cluster.json", "--failed-machine", "4",
+                               "--out", "report.txt", "--cdf-out", "cdf.csv"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == ("report written to report.txt\n"
+                          "CDF written to cdf.csv\n")
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+            for name in SIMULATE_UNBOUNDED_SHA} == SIMULATE_UNBOUNDED_SHA
+
+
 def test_simulate_sweep_rejects_cdf_out(runner, tmp_path, monkeypatch):
     # a sweep has no single repair-time CDF: a usage error before any run
     def no_run(*args):

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srcodes.errors import ParameterError, PlacementError
 from srcodes.sim import (ClusterConfig, Scheme, SimReport, build_cluster,
                          cdf_csv, repair_time_cdf, run_degraded_read,
                          run_node_failure)
+
+from sim_reference import heap_placement
 
 CHUNK = 64 * 2**20
 
@@ -54,6 +57,50 @@ def test_placement_deterministic_per_seed():
     assert build_cluster(cfg).sets == build_cluster(cfg).sets
     other = ClusterConfig(scheme=Scheme.src(10, 6, 2), seed=6)
     assert build_cluster(cfg).sets != build_cluster(other).sets
+
+
+@st.composite
+def placement_configs(draw):
+    kind = draw(st.sampled_from(["replication", "rs", "src"]))
+    if kind == "replication":
+        scheme = Scheme.replication()
+    else:
+        n = draw(st.integers(2, 24))
+        k = draw(st.integers(1, n - 1))
+        scheme = (Scheme.rs(n, k) if kind == "rs"
+                  else Scheme.src(n, k, draw(st.integers(1, 3))))
+    chunk_size = draw(st.integers(1, 4096))
+    return ClusterConfig(
+        scheme=scheme, machines=draw(st.integers(scheme.n + 1, 4 * scheme.n + 9)),
+        chunk_size=chunk_size,
+        data_bytes_per_machine=draw(st.integers(1, 40 * chunk_size)),
+        seed=draw(st.integers(0, 2**32)))
+
+
+# a set straddles two load levels where a level's machines are not a
+# whole number of sets: 10 machines for 3-wide sets, 13 for 6-wide ones
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(ClusterConfig(scheme=Scheme.replication(), machines=10,
+                       chunk_size=1, data_bytes_per_machine=30, seed=3))
+@example(ClusterConfig(scheme=Scheme.src(6, 4, 2), machines=13,
+                       chunk_size=1, data_bytes_per_machine=60, seed=8))
+@given(placement_configs())
+def test_placement_matches_the_heap_reference(cfg):
+    try:
+        want = heap_placement(cfg)
+    except PlacementError:
+        with pytest.raises(PlacementError):
+            build_cluster(cfg)
+        return
+    assert build_cluster(cfg).sets == want
+
+
+def test_placement_matches_the_heap_reference_at_full_size():
+    cfg = ClusterConfig(scheme=Scheme.replication(), machines=1000,
+                        data_bytes_per_machine=40_000_000_000)
+    sets = build_cluster(cfg).sets
+    assert len(sets) == 198_666
+    assert sets == heap_placement(cfg)
 
 
 def test_cluster_too_small_rejected():
