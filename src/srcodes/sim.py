@@ -29,7 +29,6 @@ parallel processes if needed; a cluster is immutable once built.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import deque
@@ -139,25 +138,46 @@ class Cluster:
 
 def build_cluster(config: ClusterConfig) -> Cluster:
     """Place redundancy sets on least-loaded machines with seeded
-    tie-breaking; deterministic for a fixed seed."""
+    tie-breaking; deterministic for a fixed seed.
+
+    Each set takes the n machines with the fewest chunks, ties going to
+    the lower seeded key and then the lower machine id, and gives each
+    member a fresh key in pick order.  Every set adds the same load to
+    each member, so loads differ by at most one level, and a level's
+    machines are picked in order of their keys before any machine of the
+    next level.  That order is sorted once per level.  The one set that
+    straddles two levels takes the rest of the old level and then the
+    lowest keys of the new one among the machines already in it: its own
+    old-level members join the new level only once the set is complete.
+    """
     scheme = config.scheme
+    n = scheme.n
     rng = random.Random(f"{config.seed}:placement")
-    slots_per_set = scheme.n * scheme.chunks_per_member
+    slots_per_set = n * scheme.chunks_per_member
     total_slots = config.machines * config.chunks_per_machine
     set_count = total_slots // slots_per_set
     if set_count < 1:
         raise PlacementError("not enough chunk slots for a single redundancy set")
 
-    heap = [(0, rng.random(), m) for m in range(config.machines)]
-    heapq.heapify(heap)
-    sets = []
-    for _ in range(set_count):
-        picked = [heapq.heappop(heap) for _ in range(scheme.n)]
-        sets.append(tuple(m for _, _, m in picked))
-        for load, _, m in picked:
-            heapq.heappush(heap, (load + scheme.chunks_per_member,
-                                  rng.random(), m))
-    return Cluster(config=config, sets=tuple(sets))
+    machines = list(range(config.machines))
+    key = [rng.random() for _ in machines]
+    order = sorted(machines, key=key.__getitem__)   # ties to the lower id
+    sets: list[tuple[int, ...]] = []
+    carry: list[int] = []   # the straddling set's members from the old level
+    while True:
+        picks = carry + order
+        count = min(len(picks) // n, set_count - len(sets))
+        sets.extend(zip(*[iter(picks[:count * n])] * n))
+        if len(sets) == set_count:
+            return Cluster(config=config, sets=tuple(sets))
+        carry = picks[count * n:]
+        for m in order:   # keys are drawn in pick order
+            key[m] = rng.random()
+        order = sorted(machines, key=key.__getitem__)
+        if carry:
+            front = order[:n]
+            head = [m for m in front if m not in carry][:n - len(carry)]
+            order = head + [m for m in front if m not in head] + order[n:]
 
 
 @dataclass
@@ -300,17 +320,20 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
     t = 0.0
     eps = 1e-3
 
+    by_priority = sorted(range(config.machines), key=priority.__getitem__)
+
     def pick_dest(job: _Job) -> int | None:
-        members = set(cluster.sets[job.set_id])
-        best, best_key = None, None
-        for m in range(config.machines):
-            if m in members:   # the failed machine is one of them
-                continue
-            if inbound[m] >= config.max_inbound_repairs:
-                continue
-            key = (inbound[m], priority[m], m)
-            if best_key is None or key < best_key:
-                best, best_key = m, key
+        """The machine outside the set with the fewest inbound rebuilds
+        below the cap, ties to the earliest in (priority, id) order.  An
+        idle one ends the scan, which so passes at most the set's members
+        and the targets of open jobs."""
+        members = cluster.sets[job.set_id]   # the failed machine included
+        best, fewest = None, config.max_inbound_repairs
+        for m in by_priority:
+            if inbound[m] < fewest and m not in members:
+                best, fewest = m, inbound[m]
+                if fewest == 0:
+                    break
         return best
 
     def dispatch() -> None:
