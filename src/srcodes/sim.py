@@ -20,7 +20,17 @@ thus one resource: its source end has capacity min(net, disk read), its
 destination end min(net, disk write), or net alone for a degraded read.
 With the default disk speeds the 1 Gb/s link binds at both.
 Concurrency is throttled by a master-level dispatch window plus a
-per-machine cap on concurrent inbound rebuilds, both config knobs.
+per-machine cap on concurrent inbound rebuilds, both config knobs.  A
+job's rebuild target is the non-member with the fewest inbound rebuilds
+below the cap, ties going to a seeded per-run priority, then the id.
+
+Placement puts each set on the least-loaded machines, ties going to a
+seeded key that each pick redraws, then the id.  Every set adds the same
+load to each member, so loads never differ by more than one level, and
+with keys drawn in pick order each level's machines are taken in key
+order before any of the next level's.  So placement sorts each level
+once by key; only the set that straddles two levels needs care, as its
+own members are not yet in the new level.
 
 The event loop is single-threaded and fully deterministic: identical
 config and seed give bit-identical reports.  Run different configs in
@@ -159,7 +169,7 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     if set_count < 1:
         raise PlacementError("not enough chunk slots for a single redundancy set")
 
-    machines = list(range(config.machines))
+    machines = list(range(config.machines))   # one int per id for all sets
     key = [rng.random() for _ in machines]
     order = sorted(machines, key=key.__getitem__)   # ties to the lower id
     sets: list[tuple[int, ...]] = []
@@ -174,7 +184,7 @@ def build_cluster(config: ClusterConfig) -> Cluster:
         for m in order:   # keys are drawn in pick order
             key[m] = rng.random()
         order = sorted(machines, key=key.__getitem__)
-        if carry:
+        if carry:   # the straddling set picked from the new level without them
             front = order[:n]
             head = [m for m in front if m not in carry][:n - len(carry)]
             order = head + [m for m in front if m not in head] + order[n:]
@@ -324,9 +334,9 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
 
     def pick_dest(job: _Job) -> int | None:
         """The machine outside the set with the fewest inbound rebuilds
-        below the cap, ties to the earliest in (priority, id) order.  An
-        idle one ends the scan, which so passes at most the set's members
-        and the targets of open jobs."""
+        below the cap, ties to the earliest in (priority, id) order.  The
+        first idle one ends the scan, so it passes over at most the set's
+        members and the targets of open jobs."""
         members = cluster.sets[job.set_id]   # the failed machine included
         best, fewest = None, config.max_inbound_repairs
         for m in by_priority:

@@ -1302,7 +1302,7 @@ SIMULATE_FULL_SIZE = {
     ("replication", 4, 999): "4c6842eec98af3ed2ef48e2172b5a6a4f2b44572e8d41bfdbeccd721a811b0db",
     ("rs50-degraded", 4, 999): "2004a1df1f314395765fbe2362455879e7507eda0259bad374f5c1f705834de3",
 }
-SIMULATE_SWEEP_SHA = "e7000d34b78fbffbcb12d129ad3fbb4d6066ca9b663664118a6f2ee9bc79e80e"
+SIMULATE_SWEEP_SHA = "ad3996ecb10fe74aeb6a6018da20f94f7adc657d6b2250f4405689de91c9b440"
 SIMULATE_UNBOUNDED_SHA = {
     "report.txt": "f3201e522ba00e21309309fe65cbed055e10625535195196856d0f0f8b165780",
     "cdf.csv": "8a4335a2234eab4e07988e784e4c526d0cd4d1d15291ad8a3e8135244ceaa06a",
@@ -1324,9 +1324,10 @@ def test_simulate_full_size_reports_pinned(runner, scheme, seed, failed):
 def test_simulate_sweep_and_unbounded_config_pinned(runner, tmp_path,
                                                     monkeypatch):
     # a sweep's series, and a run whose concurrency knobs never bind:
-    # every job is dispatched at once and no target reaches its cap
-    res = runner.invoke(main, ["simulate", "--scheme", "rs", "--seed", "4",
-                               "--failed-machine", "99",
+    # every job is dispatched at once and no target reaches its cap.  An
+    # RS sweep reads the same at every seed here; an SRC one does not
+    res = runner.invoke(main, ["simulate", "--scheme", "src", "--f", "2",
+                               "--seed", "4", "--failed-machine", "99",
                                "--sweep", "10,6 20,16 50,46"])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == SIMULATE_SWEEP_SHA
