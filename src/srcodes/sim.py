@@ -184,7 +184,7 @@ def build_cluster(config: ClusterConfig) -> Cluster:
         for m in order:   # keys are drawn in pick order
             key[m] = rng.random()
         order = sorted(machines, key=key.__getitem__)
-        if carry:   # the straddling set picked from the new level without them
+        if carry:   # the straddling set's new-level picks skip its own members
             front = order[:n]
             head = [m for m in front if m not in carry][:n - len(carry)]
             order = head + [m for m in front if m not in head] + order[n:]
