@@ -1,6 +1,6 @@
-"""Every public module-level function and class of srcodes is used by the
-program: its name is referred to in a srcodes module, a demo, or the
-benchmark harness; every dataclass field in srcodes is read as an
+"""Every module-level function and class of srcodes, and every private
+module-level constant, is used by the program: its name is referred to
+in a srcodes module, a demo, or the benchmark harness; every dataclass field in srcodes is read as an
 attribute there; and every parameter default of a srcodes function is
 overridden by a call there.  Tests do not count, nor does a re-export
 in the package's __init__.py, so code kept alive only by its own tests
@@ -15,10 +15,10 @@ PROGRAM = [ROOT / "src" / "srcodes", ROOT / "demos", ROOT / "perfbench"]
 
 
 def _used(tree: ast.AST) -> set[str]:
-    """Names a module refers to: plain names, attributes and imports."""
+    """Names a module refers to: plain names read, attributes and imports."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -48,6 +48,32 @@ def test_public_code_has_a_use():
             if isinstance(node, ast.FunctionDef | ast.ClassDef)
             and not node.name.startswith("_") and not _is_command(node)
             and node.name not in used]
+    assert dead == []
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """The names with one leading underscore that a module-level statement
+    defines: a function, a class or an assigned constant."""
+    if isinstance(node, ast.FunctionDef | ast.ClassDef):
+        names = [node.name]
+    elif isinstance(node, ast.Assign | ast.AnnAssign):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_private_code_has_a_use():
+    # a helper left behind when its last caller goes
+    trees = _program()
+    used = set().union(*(_used(tree) for path, tree in trees.items()
+                         if path != PROGRAM[0] / "__init__.py"))
+    dead = [f"{path.stem}.{name}"
+            for path, tree in trees.items() if path.parent == PROGRAM[0]
+            for node in tree.body for name in _private_names(node)
+            if name not in used]
     assert dead == []
 
 
