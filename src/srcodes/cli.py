@@ -285,6 +285,9 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
             raise ParameterError(
                 f"{config_path.name}: {scheme} does not use key(s) "
                 + ", ".join(f"scheme.{key}" for key in unused))
+    if sweep is not None and scheme == "replication":
+        raise ParameterError("--sweep varies n and k, which replication "
+                             "does not use")
 
     def make_config(nn: int, kk: int) -> sim_mod.ClusterConfig:
         return sim_mod.ClusterConfig(

@@ -12,7 +12,9 @@ the chunks core.plan_chunks reads for that chunk when it plans the lost
 node from every other node (repair.node_plan).
 
 Transfers are fluid flows with max-min fair rates, recomputed at event
-boundaries (progressive filling).  Reads, transfer, and write-back are
+boundaries by progressive filling: each round freezes the flows of the
+end with the smallest fair share, the first such end in order of first
+use.  Reads, transfer, and write-back are
 pipelined inside a job, so the flows leaving a machine share both its
 uplink and its disk read, and the flows entering it share its downlink
 and, unless the read is degraded, its disk write.  Each machine end is
@@ -32,9 +34,10 @@ order before any of the next level's.  So placement sorts each level
 once by key; only the set that straddles two levels needs care, as its
 own members are not yet in the new level.
 
-The event loop is single-threaded and fully deterministic: identical
-config and seed give bit-identical reports.  Run different configs in
-parallel processes if needed; a cluster is immutable once built.
+A job counts its own unfinished flows and finishes with its last.  The
+event loop is single-threaded and fully deterministic: identical config
+and seed give bit-identical reports.  Run different configs in parallel
+processes if needed; a cluster is immutable once built.
 """
 
 from __future__ import annotations
@@ -192,10 +195,10 @@ def build_cluster(config: ClusterConfig) -> Cluster:
 
 @dataclass
 class _Job:
-    job_id: int
     set_id: int
     sources: tuple[int, ...]   # helper machines, one chunk read from each
     dest: int = -1
+    left: int = 0              # its flows not yet finished, once dispatched
     finish: float = -1.0
 
 
@@ -249,66 +252,63 @@ class SimReport:
 
 
 def _make_jobs(cluster: Cluster, failed: int,
-               rng: random.Random) -> tuple[list[_Job], bool]:
+               rng: random.Random) -> list[_Job]:
+    """One job per chunk the failed machine held, in layout order.  One
+    failure never loses data: every set has n distinct members and k < n,
+    so at least k of them survive."""
     config = cluster.config
     scheme = config.scheme
     jobs: list[_Job] = []
-    data_loss = False
     if scheme.kind == "src":   # one look-up plan per node position
         src_params = SrcParams(scheme.n, scheme.k, scheme.f, config.chunk_size)
         plans = [node_plan(src_params, node)
                  for node in range(1, scheme.n + 1)]
         where = src_params.chunk_location
-
     for set_id, members in enumerate(cluster.sets):
         if failed not in members:
             continue
-        survivors = [m for m in members if m != failed]
-        if len(survivors) < scheme.k:
-            data_loss = True
-            continue
         if scheme.kind != "src":   # any k survivors of an MDS code
-            helpers = tuple(rng.sample(sorted(survivors), scheme.k))
-            jobs.append(_Job(len(jobs), set_id, helpers))
+            survivors = sorted(m for m in members if m != failed)
+            jobs.append(_Job(set_id, tuple(rng.sample(survivors, scheme.k))))
         else:
             for step in plans[members.index(failed)].steps:
                 helpers = tuple(members[where(c) - 1] for c in step.sources)
                 assert failed not in helpers
-                jobs.append(_Job(len(jobs), set_id, helpers))
-    return jobs, data_loss
+                jobs.append(_Job(set_id, helpers))
+    return jobs
 
 
 def _allocate(flows: list[_Flow], config: ClusterConfig, degraded: bool) -> None:
     """Max-min fair rates by progressive filling over machine ends: a
-    flow uses its source's ("src", m) and its destination's ("dst", m)."""
+    flow uses its source's ("src", m) and its destination's ("dst", m).
+    Each round freezes the open flows of the end with the smallest share
+    of its residual capacity, the first such end in order of first use."""
     net = config.net_bytes_per_s
     cap = {"src": min(net, config.disk_read_bytes_per_s),
            "dst": net if degraded else min(net, config.disk_write_bytes_per_s)}
     users: dict[tuple[str, int], list[_Flow]] = {}
     for fl in flows:
+        fl.rate = 0.0   # open; a frozen flow's rate is at least 1e-9
         users.setdefault(("src", fl.src), []).append(fl)
         users.setdefault(("dst", fl.dst), []).append(fl)
     residual = {key: cap[key[0]] for key in users}
-    live_count = {key: len(v) for key, v in users.items()}
-    frozen: set[int] = set()
-    while len(frozen) < len(flows):
-        best_key, best_share = None, None
-        for key, count in live_count.items():
-            if count <= 0:
-                continue
-            share = max(residual[key], 0.0) / count
-            if best_share is None or share < best_share:
-                best_key, best_share = key, share
-        assert best_key is not None
-        rate = max(best_share, 1e-9)  # float-dust floor; reallocated next event
-        for fl in users[best_key]:
-            if id(fl) in frozen:
+    live = {key: len(v) for key, v in users.items()}   # open flows
+
+    def share(key: tuple[str, int]) -> float:
+        return max(residual[key], 0.0) / live[key]
+
+    while live:
+        best = min(live, key=share)   # the first of equal shares
+        rate = max(share(best), 1e-9)  # float-dust floor; reallocated next event
+        for fl in users[best]:
+            if fl.rate:
                 continue
             fl.rate = rate
-            frozen.add(id(fl))
             for key in (("src", fl.src), ("dst", fl.dst)):
                 residual[key] -= rate
-                live_count[key] -= 1
+                live[key] -= 1
+                if not live[key]:
+                    del live[key]
 
 
 def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
@@ -317,68 +317,55 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
     if not 0 <= failed < config.machines:
         raise ParameterError(f"failed machine {failed} outside cluster")
     rng = random.Random(f"{config.seed}:jobs")
-    jobs, data_loss = _make_jobs(cluster, failed, rng)
-    for job in jobs:
-        assert len(job.sources) == scheme.helper_reads
+    jobs = _make_jobs(cluster, failed, rng)
+    assert all(len(job.sources) == scheme.helper_reads for job in jobs)
 
     priority = [rng.random() for _ in range(config.machines)]
-    inbound = [0] * config.machines
-
-    pending = deque(jobs)
-    active_flows: list[_Flow] = []
-    open_jobs: dict[int, int] = {}   # job_id -> flows outstanding
-    t = 0.0
-    eps = 1e-3
-
     by_priority = sorted(range(config.machines), key=priority.__getitem__)
-
-    def pick_dest(job: _Job) -> int | None:
-        """The machine outside the set with the fewest inbound rebuilds
-        below the cap, ties to the earliest in (priority, id) order.  The
-        first idle one ends the scan, so it passes over at most the set's
-        members and the targets of open jobs."""
-        members = cluster.sets[job.set_id]   # the failed machine included
-        best, fewest = None, config.max_inbound_repairs
-        for m in by_priority:
-            if inbound[m] < fewest and m not in members:
-                best, fewest = m, inbound[m]
-                if fewest == 0:
-                    break
-        return best
-
-    def dispatch() -> None:
-        while pending and len(open_jobs) < config.dispatch_window:
-            dest = pick_dest(pending[0])
+    inbound = [0] * config.machines
+    pending = deque(jobs)
+    flows: list[_Flow] = []
+    running = 0   # dispatched jobs not yet finished
+    t = 0.0
+    while True:
+        while pending and running < config.dispatch_window:
+            # the target: the first idle machine outside the set in
+            # (priority, id) order passes over at most the set's members
+            # and the targets of running jobs
+            job = pending[0]
+            members = cluster.sets[job.set_id]   # the failed machine included
+            dest, fewest = None, config.max_inbound_repairs
+            for m in by_priority:
+                if inbound[m] < fewest and m not in members:
+                    dest, fewest = m, inbound[m]
+                    if fewest == 0:
+                        break
             if dest is None:
-                return
-            job = pending.popleft()
-            job.dest = dest
+                break
+            pending.popleft()
+            job.dest, job.left = dest, len(job.sources)
             inbound[dest] += 1
-            open_jobs[job.job_id] = len(job.sources)
-            for src in job.sources:
-                active_flows.append(
-                    _Flow(src=src, dst=dest, remaining=float(config.chunk_size),
-                          job=job))
-
-    dispatch()
-    while active_flows:
-        _allocate(active_flows, config, degraded)
-        dt = min(fl.remaining / fl.rate for fl in active_flows)
+            running += 1
+            flows.extend(_Flow(src, dest, float(config.chunk_size), job)
+                         for src in job.sources)
+        if not flows:
+            break
+        _allocate(flows, config, degraded)
+        dt = min(fl.remaining / fl.rate for fl in flows)
         t += dt
         still = []
-        for fl in active_flows:
+        for fl in flows:
             fl.remaining -= fl.rate * dt
-            if fl.remaining <= eps:
-                job = fl.job
-                open_jobs[job.job_id] -= 1
-                if open_jobs[job.job_id] == 0:
-                    del open_jobs[job.job_id]
-                    job.finish = t
-                    inbound[job.dest] -= 1
-            else:
+            if fl.remaining > 1e-3:
                 still.append(fl)
-        active_flows = still
-        dispatch()
+                continue
+            job = fl.job
+            job.left -= 1
+            if not job.left:
+                job.finish = t
+                inbound[job.dest] -= 1
+                running -= 1
+        flows = still
     if pending:
         raise RuntimeError("scheduler stalled with pending jobs")
 
@@ -403,7 +390,7 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
         bytes_transferred=reads * cs,
         bytes_written=0 if degraded else lost_bytes,
         disk_accesses=sum(len(set(j.sources)) for j in jobs),
-        data_loss=data_loss,
+        data_loss=False,
     )
 
 
@@ -421,11 +408,8 @@ def run_degraded_read(cluster: Cluster, failed: int) -> SimReport:
 def repair_time_cdf(report: SimReport) -> list[tuple[float, float]]:
     """Sorted (duration, percentile) points; percentile of the i-th of N
     sorted durations is (i+1)/N, so the last point is (max, 1.0)."""
-    if not report.durations:
-        return []
     times = sorted(report.durations)
-    n = len(times)
-    return [(d, (i + 1) / n) for i, d in enumerate(times)]
+    return [(d, (i + 1) / len(times)) for i, d in enumerate(times)]
 
 
 def cdf_csv(report: SimReport) -> str:

@@ -1361,6 +1361,27 @@ def test_simulate_sweep_rejects_cdf_out(runner, tmp_path, monkeypatch):
     assert not cdf.exists()
 
 
+@pytest.mark.parametrize("how", [
+    ["--scheme", "replication"],
+    ["--scheme", "rs", "--config", "cluster.json"],
+], ids=["option", "config"])
+def test_simulate_sweep_rejects_replication(runner, tmp_path, monkeypatch,
+                                            how):
+    # replication is always (3, 1): a sweep printed the same row under
+    # every n and k it was given
+    def no_run(*args):
+        raise AssertionError("simulated before rejecting the options")
+
+    monkeypatch.setattr(cli.sim_mod, "build_cluster", no_run)
+    monkeypatch.chdir(tmp_path)
+    Path("cluster.json").write_text('{"scheme": {"kind": "replication"}}')
+    res = runner.invoke(main, ["simulate", *how, "--sweep", "10,6 20,16"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ("error: --sweep varies n and k, which replication "
+                          "does not use\n")
+    assert res.stdout == ""
+
+
 def test_reliability_command(runner):
     res = runner.invoke(main, ["reliability"])
     assert res.exit_code == 0
