@@ -329,11 +329,9 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
     t = 0.0
     while True:
         while pending and running < config.dispatch_window:
-            # the target: the first idle machine outside the set in
-            # (priority, id) order passes over at most the set's members
-            # and the targets of running jobs
-            job = pending[0]
-            members = cluster.sets[job.set_id]   # the failed machine included
+            members = cluster.sets[pending[0].set_id]   # the failed machine too
+            # an idle target ends the scan, so it passes over at most the
+            # set's members and the targets of running jobs
             dest, fewest = None, config.max_inbound_repairs
             for m in by_priority:
                 if inbound[m] < fewest and m not in members:
@@ -342,7 +340,7 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
                         break
             if dest is None:
                 break
-            pending.popleft()
+            job = pending.popleft()
             job.dest, job.left = dest, len(job.sources)
             inbound[dest] += 1
             running += 1
@@ -408,8 +406,11 @@ def run_degraded_read(cluster: Cluster, failed: int) -> SimReport:
 def repair_time_cdf(report: SimReport) -> list[tuple[float, float]]:
     """Sorted (duration, percentile) points; percentile of the i-th of N
     sorted durations is (i+1)/N, so the last point is (max, 1.0)."""
+    if not report.durations:
+        return []
     times = sorted(report.durations)
-    return [(d, (i + 1) / len(times)) for i, d in enumerate(times)]
+    n = len(times)
+    return [(d, (i + 1) / n) for i, d in enumerate(times)]
 
 
 def cdf_csv(report: SimReport) -> str:
