@@ -14,17 +14,17 @@ node from every other node (repair.node_plan).
 Transfers are fluid flows with max-min fair rates, recomputed at event
 boundaries by progressive filling: each round freezes the flows of the
 end with the smallest fair share, the first such end in order of first
-use.  Reads, transfer, and write-back are
-pipelined inside a job, so the flows leaving a machine share both its
-uplink and its disk read, and the flows entering it share its downlink
-and, unless the read is degraded, its disk write.  Each machine end is
-thus one resource: its source end has capacity min(net, disk read), its
-destination end min(net, disk write), or net alone for a degraded read.
-With the default disk speeds the 1 Gb/s link binds at both.
-Concurrency is throttled by a master-level dispatch window plus a
-per-machine cap on concurrent inbound rebuilds, both config knobs.  A
-job's rebuild target is the non-member with the fewest inbound rebuilds
-below the cap, ties going to a seeded per-run priority, then the id.
+use.  Reads, transfer, and write-back are pipelined inside a job, so the
+flows leaving a machine share both its uplink and its disk read, and the
+flows entering it share its downlink and, unless the read is degraded,
+its disk write.  Each machine end is thus one resource: its source end
+has capacity min(net, disk read), its destination end min(net, disk
+write), or net alone for a degraded read.  With the default disk speeds
+the 1 Gb/s link binds at both.  Concurrency is throttled by a
+master-level dispatch window plus a per-machine cap on concurrent
+inbound rebuilds, both config knobs.  A job's rebuild target is the
+non-member with the fewest inbound rebuilds below the cap, ties going to
+a seeded per-run priority, then the id.
 
 Placement puts each set on the least-loaded machines, ties going to a
 seeded key that each pick redraws, then the id.  Every set adds the same
