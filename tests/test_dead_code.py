@@ -1,11 +1,12 @@
 """Every module-level function and class of srcodes, and every private
 module-level constant, is used by the program: its name is referred to
-in a srcodes module, a demo, or the benchmark harness; every dataclass field in srcodes is read as an
-attribute there; and every parameter default of a srcodes function is
-overridden by a call there.  Tests do not count, nor does a re-export
-in the package's __init__.py, so code kept alive only by its own tests
-or its export is reported here.  Names are matched as identifiers, not by what
-they resolve to, so a shared name hides a dead definition."""
+in a srcodes module, a demo, or the benchmark harness; every dataclass
+field in srcodes is read as an attribute there; and every parameter
+default of a srcodes function is overridden by a call there.  Tests do
+not count, nor does a re-export in the package's __init__.py, so code
+kept alive only by its own tests or its export is reported here.  Names
+are matched as identifiers, not by what they resolve to, so a shared
+name hides a dead definition."""
 
 import ast
 from pathlib import Path
