@@ -145,10 +145,10 @@ def mttf_table(pairs: list[tuple[int, int]] | None = None,
         pairs = [(10, 6), (20, 16), (50, 46)]
     schemes = ([Scheme.replication()] + [Scheme.rs(n, k) for n, k in pairs]
                + [Scheme.src(n, k, 2) for n, k in pairs])
-    anchor = _rebuild_seconds(schemes[0])
+    seconds = [_rebuild_seconds(s) for s in schemes]
     rows = []
-    for s in schemes:
-        hours = REPLICATION_REPAIR_HOURS * _rebuild_seconds(s) / anchor
+    for s, secs in zip(schemes, seconds):
+        hours = REPLICATION_REPAIR_HOURS * secs / seconds[0]
         p = MarkovParams(n=s.n, k=s.k, repair_hours=hours, **overrides)
         rows.append(MttfRow(s, hours, mttf_redundancy_set(p), mttf_system(p)))
     return rows

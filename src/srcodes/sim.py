@@ -30,9 +30,11 @@ Placement puts each set on the least-loaded machines, ties going to a
 seeded key that each pick redraws, then the id.  Every set adds the same
 load to each member, so loads never differ by more than one level, and
 with keys drawn in pick order each level's machines are taken in key
-order before any of the next level's.  So placement sorts each level
-once by key; only the set that straddles two levels needs care, as its
-own members are not yet in the new level.
+order before any of the next level's.  So placement draws each level's
+keys in one call and sorts the level once, stably so that ties go to the
+lower id; only the set that straddles two levels needs care, as its own
+members are not yet in the new level.  The sets live in one read-only
+(set_count, n) int32 array, a row per set.
 
 A job counts its own unfinished flows and finishes with its last.  The
 event loop is single-threaded and fully deterministic: identical config
@@ -46,6 +48,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import SrcParams
 from .errors import ParameterError, PlacementError
@@ -136,17 +140,29 @@ class ClusterConfig:
         return max(1, round(self.data_bytes_per_machine / self.chunk_size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cluster:
     """Placement result: redundancy sets over machines (0-based ids).
 
-    sets[j] is the tuple of member machines of set j; for SRC the tuple
-    position is the storage-node index (position p = node p+1) and each
-    member holds f+1 chunks of the set.
+    Row j of the read-only (set_count, n) int32 array sets holds the
+    member machines of set j; for SRC the column is the storage-node
+    index (column p = node p+1) and each member holds f+1 chunks of the
+    set.
     """
 
     config: ClusterConfig
-    sets: tuple[tuple[int, ...], ...]
+    sets: np.ndarray
+
+
+def _draws(rng: random.Random, count: int) -> np.ndarray:
+    """count successive rng.random() values, as one float64 array, leaving
+    rng where those calls would: CPython's random() is two 32-bit words,
+    a = w0 >> 5 and b = w1 >> 6, as (a * 2**26 + b) / 2**53, and
+    getrandbits hands out its words least significant first."""
+    w = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+                      "<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) \
+        * (1.0 / 9007199254740992.0)
 
 
 def build_cluster(config: ClusterConfig) -> Cluster:
@@ -158,10 +174,11 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     member a fresh key in pick order.  Every set adds the same load to
     each member, so loads differ by at most one level, and a level's
     machines are picked in order of their keys before any machine of the
-    next level.  That order is sorted once per level.  The one set that
-    straddles two levels takes the rest of the old level and then the
-    lowest keys of the new one among the machines already in it: its own
-    old-level members join the new level only once the set is complete.
+    next level.  So each level's keys are drawn in one call and sorted
+    once.  The one set that straddles two levels takes the rest of the
+    old level and then the lowest keys of the new one among the machines
+    already in it: its own old-level members join the new level only once
+    the set is complete.
     """
     scheme = config.scheme
     n = scheme.n
@@ -172,30 +189,31 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     if set_count < 1:
         raise PlacementError("not enough chunk slots for a single redundancy set")
 
-    machines = list(range(config.machines))   # one int per id for all sets
-    key = [rng.random() for _ in machines]
-    order = sorted(machines, key=key.__getitem__)   # ties to the lower id
-    sets: list[tuple[int, ...]] = []
+    key = _draws(rng, config.machines)   # indexed by machine id
+    order = np.argsort(key, kind="stable")   # ties to the lower id
+    sets = np.empty((set_count, n), np.int32)
+    done = 0
     carry: list[int] = []   # the straddling set's members from the old level
     while True:
-        picks = carry + order
-        count = min(len(picks) // n, set_count - len(sets))
-        sets.extend(zip(*[iter(picks[:count * n])] * n))
-        if len(sets) == set_count:
-            return Cluster(config=config, sets=tuple(sets))
-        carry = picks[count * n:]
-        for m in order:   # keys are drawn in pick order
-            key[m] = rng.random()
-        order = sorted(machines, key=key.__getitem__)
+        picks = np.concatenate((carry, order)) if carry else order
+        count = min(len(picks) // n, set_count - done)
+        sets[done:done + count] = picks[:count * n].reshape(count, n)
+        done += count
+        if done == set_count:
+            sets.flags.writeable = False
+            return Cluster(config=config, sets=sets)
+        carry = picks[count * n:].tolist()
+        key[order] = _draws(rng, config.machines)   # drawn in pick order
+        order = np.argsort(key, kind="stable")
         if carry:   # the straddling set's new-level picks skip its own members
-            front = order[:n]
+            front = order[:n].tolist()
             head = [m for m in front if m not in carry][:n - len(carry)]
-            order = head + [m for m in front if m not in head] + order[n:]
+            order[:n] = head + [m for m in front if m not in head]
 
 
 @dataclass
 class _Job:
-    set_id: int
+    members: tuple[int, ...]   # its set's machines, the failed one too
     sources: tuple[int, ...]   # helper machines, one chunk read from each
     dest: int = -1
     left: int = 0              # its flows not yet finished, once dispatched
@@ -264,17 +282,16 @@ def _make_jobs(cluster: Cluster, failed: int,
         plans = [node_plan(src_params, node)
                  for node in range(1, scheme.n + 1)]
         where = src_params.chunk_location
-    for set_id, members in enumerate(cluster.sets):
-        if failed not in members:
-            continue
+    hit = (cluster.sets == failed).any(axis=1)
+    for members in map(tuple, cluster.sets[hit].tolist()):
         if scheme.kind != "src":   # any k survivors of an MDS code
             survivors = sorted(m for m in members if m != failed)
-            jobs.append(_Job(set_id, tuple(rng.sample(survivors, scheme.k))))
+            jobs.append(_Job(members, tuple(rng.sample(survivors, scheme.k))))
         else:
             for step in plans[members.index(failed)].steps:
                 helpers = tuple(members[where(c) - 1] for c in step.sources)
                 assert failed not in helpers
-                jobs.append(_Job(set_id, helpers))
+                jobs.append(_Job(members, helpers))
     return jobs
 
 
@@ -329,7 +346,7 @@ def _run(cluster: Cluster, failed: int, degraded: bool) -> SimReport:
     t = 0.0
     while True:
         while pending and running < config.dispatch_window:
-            members = cluster.sets[pending[0].set_id]   # the failed machine too
+            members = pending[0].members
             # an idle target ends the scan, so it passes over at most the
             # set's members and the targets of running jobs
             dest, fewest = None, config.max_inbound_repairs

@@ -1,14 +1,16 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srcodes.errors import ParameterError, PlacementError
-from srcodes.sim import (ClusterConfig, Scheme, SimReport, build_cluster,
-                         cdf_csv, repair_time_cdf, run_degraded_read,
-                         run_node_failure)
+from srcodes.sim import (ClusterConfig, Scheme, SimReport, _draws,
+                         build_cluster, cdf_csv, repair_time_cdf,
+                         run_degraded_read, run_node_failure)
 
 from sim_reference import heap_placement
 
@@ -50,15 +52,16 @@ def test_placement_matches_hadoop_scale_slot_count():
     cluster = build_cluster(cfg)
     # each member of a (10,6,2) set holds f+1 = 3 of its chunk slots
     for m in range(cfg.machines):
-        slots = 3 * sum(members.count(m) for members in cluster.sets)
+        slots = 3 * sum(members.count(m) for members in cluster.sets.tolist())
         assert abs(slots - 6400) / 6400 < 0.10
 
 
 def test_placement_deterministic_per_seed():
     cfg = ClusterConfig(scheme=Scheme.src(10, 6, 2), seed=5)
-    assert build_cluster(cfg).sets == build_cluster(cfg).sets
+    assert np.array_equal(build_cluster(cfg).sets, build_cluster(cfg).sets)
     other = ClusterConfig(scheme=Scheme.src(10, 6, 2), seed=6)
-    assert build_cluster(cfg).sets != build_cluster(other).sets
+    assert not np.array_equal(build_cluster(cfg).sets,
+                              build_cluster(other).sets)
 
 
 @st.composite
@@ -94,7 +97,7 @@ def test_placement_matches_the_heap_reference(cfg):
         with pytest.raises(PlacementError):
             build_cluster(cfg)
         return
-    assert build_cluster(cfg).sets == want
+    assert build_cluster(cfg).sets.tolist() == [list(s) for s in want]
 
 
 def test_placement_matches_the_heap_reference_at_full_size():
@@ -102,7 +105,47 @@ def test_placement_matches_the_heap_reference_at_full_size():
                         data_bytes_per_machine=40_000_000_000)
     sets = build_cluster(cfg).sets
     assert len(sets) == 198_666
-    assert sets == heap_placement(cfg)
+    assert np.array_equal(sets, heap_placement(cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, "7:placement", 2**64 + 3])
+@pytest.mark.parametrize("count", [1, 7, 1000])
+def test_draws_equal_successive_random_calls(seed, count):
+    # the vectorised draw relies on CPython's random() formula and on
+    # getrandbits handing out its 32-bit words least significant first
+    rng, want_rng = random.Random(seed), random.Random(seed)
+    got = _draws(rng, count)
+    want = [want_rng.random() for _ in range(count)]
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+    assert rng.getstate() == want_rng.getstate()
+
+
+def test_cluster_sets_are_one_read_only_int32_array():
+    cfg = ClusterConfig(scheme=Scheme.src(10, 6, 2))
+    sets = build_cluster(cfg).sets
+    slots = cfg.machines * cfg.chunks_per_machine
+    assert sets.dtype == np.int32
+    assert sets.shape == (slots // (10 * 3), 10)
+    with pytest.raises(ValueError):
+        sets[0, 0] = 1
+
+
+@pytest.mark.parametrize("scheme, run", [
+    (Scheme.replication(), run_node_failure),
+    (Scheme.rs(50, 46), run_degraded_read)])
+def test_full_size_build_and_run_peak_memory(scheme, run):
+    # numpy reports its buffers to tracemalloc, so the placement array
+    # and every level's keys and sort are counted
+    cfg = ClusterConfig(scheme=scheme, machines=1000,
+                        data_bytes_per_machine=40_000_000_000)
+    tracemalloc.start()
+    try:
+        run(build_cluster(cfg), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_cluster_too_small_rejected():
