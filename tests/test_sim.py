@@ -49,10 +49,10 @@ def test_replication_one_chunk_three_distinct_machines():
 def test_placement_matches_hadoop_scale_slot_count():
     cfg = ClusterConfig(scheme=Scheme.src(10, 6, 2), machines=100,
                         data_bytes_per_machine=410_000_000_000)
-    cluster = build_cluster(cfg)
+    sets = build_cluster(cfg).sets.tolist()
     # each member of a (10,6,2) set holds f+1 = 3 of its chunk slots
     for m in range(cfg.machines):
-        slots = 3 * sum(members.count(m) for members in cluster.sets.tolist())
+        slots = 3 * sum(members.count(m) for members in sets)
         assert abs(slots - 6400) / 6400 < 0.10
 
 
@@ -145,7 +145,7 @@ def test_full_size_build_and_run_peak_memory(scheme, run):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2**20
+    assert peak <= 5_000_000
 
 
 def test_cluster_too_small_rejected():
