@@ -5,6 +5,7 @@ present nodes and any targets give the reference chunks, or
 InsufficientDataError when a target can be neither copied, XORed nor
 derived."""
 
+import hashlib
 import re
 from itertools import combinations
 
@@ -224,3 +225,73 @@ def test_gf_bytes_per_path(monkeypatch):
                             dtype=np.uint8))
     assert got.tobytes() == data
     assert sum(scaled) == 0
+
+
+def _plan_text(p, available, targets):
+    """A plan as text: its targets, reads and steps, each step's outs,
+    sources and coefficient bytes; or the error it raises."""
+    def ids(chunks):
+        return " ".join(f"{c.part}.{c.subscript}" for c in chunks)
+
+    try:
+        plan = plan_chunks(p, available, targets)
+    except InsufficientDataError as e:
+        return f"error {e}\n"
+    lines = [f"targets {ids(plan.targets)}", f"reads {ids(plan.reads)}"]
+    lines += [f"step {ids(s.outs)} <- {ids(s.sources)} : "
+              + ("xor" if s.coeffs is None else s.coeffs.tobytes().hex())
+              for s in plan.steps]
+    return "\n".join(lines) + "\n"
+
+
+def _pinned_cases():
+    """(params, available, targets) per pinned plan: every set of
+    surviving nodes of five small triples and every set of chunks at
+    (3,2,1), for the data chunks and for each node's chunks; then seeded
+    chunk-level losses at three production triples."""
+    def target_lists(p):
+        return [data_chunks(p)] + [p.node_chunks(i)
+                                   for i in range(1, p.n + 1)]
+
+    for n, k, f in ((4, 2, 2), (5, 3, 2), (6, 4, 2), (6, 3, 3), (7, 4, 3)):
+        p = SrcParams(n, k, f, 1)
+        for r in range(n + 1):
+            for nodes in combinations(range(1, n + 1), r):
+                available = [c for i in nodes for c in p.node_chunks(i)]
+                for targets in target_lists(p):
+                    yield p, available, targets
+    p = SrcParams(3, 2, 1, 1)
+    every = [ChunkId(l, s) for l in (1, 2) for s in (1, 2, 3)]
+    for r in range(len(every) + 1):
+        for available in combinations(every, r):
+            for targets in target_lists(p):
+                yield p, available, targets
+    for n, k, f in ((10, 6, 2), (20, 16, 3), (50, 46, 2)):
+        p = SrcParams(n, k, f, 1)
+        rng = np.random.default_rng(n * 1000 + k * 10 + f)
+        every = [ChunkId(l, s) for l in range(1, f + 2)
+                 for s in range(1, n + 1)]
+        for _ in range(60):
+            lost = rng.choice(len(every), rng.integers(
+                1, (n - k + 2) * (f + 1)), replace=False)
+            available = [c for i, c in enumerate(every) if i not in lost]
+            if rng.integers(2):
+                targets = data_chunks(p)
+            else:
+                targets = [every[i] for i in rng.choice(
+                    lost, rng.integers(1, 2 * (f + 1)))]
+            yield p, available, targets
+
+
+def test_plans_pinned():
+    # the exact plans, read for read and coefficient for coefficient,
+    # and the exact errors: a change of planner that keeps these keeps
+    # every byte a command reads and every byte it computes
+    digest = hashlib.sha256()
+    count = 0
+    for p, available, targets in _pinned_cases():
+        digest.update(_plan_text(p, available, targets).encode())
+        count += 1
+    assert count == 2628
+    assert digest.hexdigest() == (
+        "64882ad957721fbefec1ac7349e19c770b2a2c1cf56ab235ec954eabd269f045")
