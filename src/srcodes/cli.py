@@ -127,7 +127,8 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
               required=True)
 @click.option("--node", type=int, required=True, help="failed node index (1-based)")
 @click.option("--dry-run", is_flag=True,
-              help="print the repair plan, write nothing")
+              help="print the look-up plan with every other node present; "
+                   "reads and writes no shard file")
 @_exit_codes
 def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
                dry_run: bool) -> None:

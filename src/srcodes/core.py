@@ -26,8 +26,8 @@ combinations span it determine.  Encode, decode and repair all go
 through one chunk executor.  Planning is split from execution:
 plan_chunks turns a list of targets into the chunks to read and an
 ordered list of steps, each a copy, an XOR, or a GF(256) combination
-whose coefficients gf256.solve works out once; run_plan then runs those
-steps on the chunks read, for any run of stripes.  The coefficients
+whose coefficients one gf256.solve per plan works out; run_plan runs
+those steps on the chunks read, for any run of stripes.  The coefficients
 come from the (n, k) MDS generator, a plain array that a plan builds
 only when it derives chunks: look-up repair plans and a healthy decode
 build none.
@@ -256,19 +256,18 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
     helpers when all are available, or when it is a parity chunk and
     each absent helper is a coded chunk of a part with k chunks
     available, derived and made once.  Any other absent target is
-    derived.  Each part with chunks to derive is solved once, by
-    gf256.solve: a coded part with k chunks available over its lowest
-    k, any other part over every available chunk.  So a healthy decode
-    copies the f*k data chunks and derives none, and a plan exists
-    whenever the available chunks determine the targets.  Raises
-    InsufficientDataError naming the first target they do not
-    determine and its absent helper nodes.
+    derived, all by one gf256.solve over the available chunks, which
+    takes their earliest independent ones: a part with k available
+    reads its lowest k.  So a healthy decode copies the f*k data chunks
+    and derives none, and a plan exists whenever the available chunks
+    determine the targets.  Raises InsufficientDataError naming the
+    first target they do not determine and its absent helper nodes.
     """
     f, k = params.f, params.k
     available = frozenset(available)
     every = sorted(available)   # parts 1..f, then parity
-    own = {l: [c for c in every if c.part == l][:k] for l in range(1, f + 1)}
-    full = {l for l, chunks in own.items() if len(chunks) == k}
+    full = {l for l in range(1, f + 1)
+            if sum(c.part == l for c in every) >= k}
     xors = []      # one step per distinct target not derived
     derived = {}   # chunk -> the target it is derived for
     absent = {}    # target -> its absent helpers
@@ -284,17 +283,17 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
                 derived.setdefault(h, c)
         else:
             derived.setdefault(c, c)
-    gen = make_generator(k, params.n) if derived else None
     steps, short = [], set()
-    for l in sorted({c.part for c in derived}):
-        outs = tuple(c for c in derived if c.part == l)
-        srcs = own[l] if l in full else every
-        cols = slice((l - 1) * k, l * k) if l in full else slice(None)
-        x, spanned = gf256.solve(_rows(gen, f, srcs)[:, cols],
-                                 _rows(gen, f, outs)[:, cols])
-        short.update(derived[c] for c, ok in zip(outs, spanned) if not ok)
-        used = x.any(axis=0)
-        steps.append(Step(outs, tuple(compress(srcs, used)), x[:, used]))
+    outs = list(derived)
+    if outs:
+        gen = make_generator(k, params.n)
+        x, spanned = gf256.solve(_rows(gen, f, every), _rows(gen, f, outs))
+        short = {derived[c] for c, ok in zip(outs, spanned) if not ok}
+        for l in sorted({c.part for c in outs}):   # one step per part
+            pick = [i for i, c in enumerate(outs) if c.part == l]
+            used = x[pick].any(axis=0)
+            steps.append(Step(tuple(outs[i] for i in pick),
+                              tuple(compress(every, used)), x[pick][:, used]))
     if short:
         target = next(t for t in targets if t in short)
         nodes = sorted(params.chunk_location(h) for h in absent[target])

@@ -37,7 +37,6 @@ from collections.abc import Iterator
 import numpy as np
 
 PRIMITIVE_POLY = 0x11D
-FIELD_SIZE = 256
 
 EXP = np.zeros(512, dtype=np.uint8)   # EXP[i] = 2**i, doubled to skip mod 255
 LOG = np.zeros(256, dtype=np.int32)   # LOG[0] unused

@@ -358,6 +358,23 @@ def test_repair_dry_run_stdout(runner, tmp_path, n, k, f, node, size, chunk,
     assert res.stdout == expected
 
 
+def test_repair_dry_run_prints_the_plan_with_every_other_node(runner,
+                                                             tmp_path):
+    # the dry run reads no shard file: deleting the node's shard and a
+    # helper's changes no byte it prints, though it still reads from the
+    # helper that the real repair has to plan around
+    _, _, out = _encode(runner, tmp_path, n=6, k=4, f=2)
+    args = ["repair", "--manifest", str(out / MANIFEST_NAME),
+            "--shards", str(out), "--node", "1", "--dry-run"]
+    whole = runner.invoke(main, args)
+    for node in (1, 2):
+        (out / shard_filename(node)).unlink()
+    lost = runner.invoke(main, args)
+    assert whole.exit_code == lost.exit_code == 0, lost.output
+    assert lost.stdout_bytes == whole.stdout_bytes
+    assert "from node 2" in whole.stdout
+
+
 @pytest.mark.parametrize("n,k,f,node", [
     (5, 2, 2, 1),
     (10, 6, 2, 7),   # every slot of node 7 sits on a subscript > k

@@ -1,12 +1,12 @@
-"""Every module-level function and class of srcodes, and every private
-module-level constant, is used by the program: its name is referred to
-in a srcodes module, a demo, or the benchmark harness; every dataclass
-field in srcodes is read as an attribute there; and every parameter
-default of a srcodes function is overridden by a call there.  Tests do
-not count, nor does a re-export in the package's __init__.py, so code
-kept alive only by its own tests or its export is reported here.  Names
-are matched as identifiers, not by what they resolve to, so a shared
-name hides a dead definition."""
+"""Every module-level function, class and constant of srcodes is used
+by the program: its name is referred to in a srcodes module, a demo,
+or the benchmark harness; every dataclass field in srcodes is read as
+an attribute there; and every parameter default of a srcodes function
+is overridden by a call there.  Tests do not count, nor does a
+re-export in the package's __init__.py, so code kept alive only by its
+own tests or its export is reported here.  Names are matched as
+identifiers, not by what they resolve to, so a shared name hides a
+dead definition."""
 
 import ast
 from pathlib import Path
@@ -30,8 +30,9 @@ def _used(tree: ast.AST) -> set[str]:
 
 def _is_command(node: ast.AST) -> bool:
     """A click command callback, @main.command(...): click calls it."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr == "command" for d in node.decorator_list)
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr == "command" for d in node.decorator_list)
 
 
 def _program() -> dict[Path, ast.AST]:
@@ -39,22 +40,9 @@ def _program() -> dict[Path, ast.AST]:
             for folder in PROGRAM for path in sorted(folder.glob("*.py"))}
 
 
-def test_public_code_has_a_use():
-    trees = _program()
-    used = set().union(*(_used(tree) for path, tree in trees.items()
-                         if path != PROGRAM[0] / "__init__.py"))
-    dead = [f"{path.stem}.{node.name}"
-            for path, tree in trees.items() if path.parent == PROGRAM[0]
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef | ast.ClassDef)
-            and not node.name.startswith("_") and not _is_command(node)
-            and node.name not in used]
-    assert dead == []
-
-
-def _private_names(node: ast.stmt) -> list[str]:
-    """The names with one leading underscore that a module-level statement
-    defines: a function, a class or an assigned constant."""
+def _names(node: ast.stmt) -> list[str]:
+    """The names, dunders such as __all__ aside, that a module-level
+    statement defines: a function, a class or an assigned constant."""
     if isinstance(node, ast.FunctionDef | ast.ClassDef):
         names = [node.name]
     elif isinstance(node, ast.Assign | ast.AnnAssign):
@@ -62,8 +50,19 @@ def _private_names(node: ast.stmt) -> list[str]:
         names = [t.id for t in targets if isinstance(t, ast.Name)]
     else:
         names = []
-    return [name for name in names
-            if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if not name.startswith("__")]
+
+
+def test_public_code_has_a_use():
+    trees = _program()
+    used = set().union(*(_used(tree) for path, tree in trees.items()
+                         if path != PROGRAM[0] / "__init__.py"))
+    dead = [f"{path.stem}.{name}"
+            for path, tree in trees.items() if path.parent == PROGRAM[0]
+            for node in tree.body if not _is_command(node)
+            for name in _names(node)
+            if not name.startswith("_") and name not in used]
+    assert dead == []
 
 
 def test_private_code_has_a_use():
@@ -73,8 +72,8 @@ def test_private_code_has_a_use():
                          if path != PROGRAM[0] / "__init__.py"))
     dead = [f"{path.stem}.{name}"
             for path, tree in trees.items() if path.parent == PROGRAM[0]
-            for node in tree.body for name in _private_names(node)
-            if name not in used]
+            for node in tree.body for name in _names(node)
+            if name.startswith("_") and name not in used]
     assert dead == []
 
 

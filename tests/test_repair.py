@@ -231,6 +231,30 @@ def test_plans_that_derive_nothing_build_no_generator(monkeypatch):
     assert len(healthy.reads) == p.f * p.k
 
 
+def test_one_solve_per_deriving_plan(monkeypatch):
+    # every derived chunk of a plan, whatever its part, comes from one
+    # gf256.solve over the stripe's available chunks
+    p = SrcParams(10, 6, 2, 64)
+    calls = []
+    solve = gf256.solve
+
+    def counting(a, b):
+        calls.append(b.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(gf256, "solve", counting)
+    left = [c for node in range(5, p.n + 1) for c in p.node_chunks(node)]
+    plan = plan_chunks(p, left, core.data_chunks(p))
+    assert len(calls) == 1
+    assert {c.part for step in plan.steps if step.coeffs is not None
+            for c in step.outs} == {1, 2}   # both parts derive
+    calls.clear()
+    node_plan(p, 3)
+    every = [c for node in range(1, p.n + 1) for c in p.node_chunks(node)]
+    plan_chunks(p, every, core.data_chunks(p))
+    assert calls == []
+
+
 @pytest.mark.parametrize("n,k,f", PARAM_GRID)
 def test_chunks_from_shards_rebuilds_every_node(n, k, f):
     p = SrcParams(n, k, f, 32)
