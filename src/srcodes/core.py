@@ -240,8 +240,8 @@ class ChunkPlan:
     """What the chunk executor does to produce a list of targets, in
     every stripe alike: ``steps``, run in order, read ``reads``, the
     available chunks, sorted, and the outputs of earlier steps.  A
-    derive step per part comes first, then an XOR step per distinct
-    target not derived."""
+    derive step per part comes first (a step reads every source any of
+    its outs uses), then an XOR step per distinct target not derived."""
 
     targets: tuple[ChunkId, ...]
     reads: tuple[ChunkId, ...]
@@ -289,7 +289,7 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
         gen = make_generator(k, params.n)
         x, spanned = gf256.solve(_rows(gen, f, every), _rows(gen, f, outs))
         short = {derived[c] for c, ok in zip(outs, spanned) if not ok}
-        for l in sorted({c.part for c in outs}):   # one step per part
+        for l in sorted({c.part for c in outs}):
             pick = [i for i, c in enumerate(outs) if c.part == l]
             used = x[pick].any(axis=0)
             steps.append(Step(tuple(outs[i] for i in pick),
