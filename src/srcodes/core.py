@@ -181,7 +181,9 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
     bytes into view or raise.  It is called in file order with each
     data chunk's slot, cut at the end of the input, and the rest of a
     slot is zeroed; run_plan, on the one plan, makes the other slots in
-    place.
+    place and copies no data slot, each already its own source.  The
+    caller must be done with a batch, for example by joining the thread
+    that writes it, before it asks for the batch after next.
     """
     targets = [c for node in range(1, params.n + 1)
                for c in params.node_chunks(node)]
@@ -323,7 +325,10 @@ def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
     chunk_size), with the plan's targets from the present chunks, each
     (stripes, chunk_size) of the same stripes; present needs to hold
     only the plan's reads.  Every slot of out is overwritten, so out may
-    be a reused buffer or a view of a larger one.  Returns out.
+    be a reused buffer or a view of a larger one, except that a copy
+    step whose source already is its destination (the same buffer,
+    offset and strides: a chunk read or filled straight into its slot
+    of out) is skipped.  Returns out.
     """
     first = {c: t for t, c in reversed(list(enumerate(plan.targets)))}
     made = {c: out[:, first[c]] if c in first else np.empty_like(out[:, 0])
@@ -332,7 +337,8 @@ def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
         rows = [present[c] if c in present else made[c] for c in step.sources]
         dst = [made[c] for c in step.outs]
         if step.coeffs is None:
-            np.positive(rows[0], out=dst[0])   # np.copyto may copy via a temp
+            if not _same(rows[0], dst[0]):   # a chunk read or filled in place
+                np.positive(rows[0], out=dst[0])   # np.copyto may use a temp
             for row in rows[1:]:
                 np.bitwise_xor(dst[0], row, out=dst[0])
         else:   # addmul_rows adds into its outputs
@@ -343,6 +349,13 @@ def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
         if first[c] != t:
             np.positive(made[c], out=out[:, t])
     return out
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b are one view: the same buffer, offset, shape and
+    strides."""
+    return (a.ctypes.data == b.ctypes.data and a.shape == b.shape
+            and a.strides == b.strides)
 
 
 def chunks_from_shards(params: SrcParams, shards: dict[int, np.ndarray],

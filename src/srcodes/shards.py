@@ -14,15 +14,17 @@ so a rebuilt shard can be checked against the manifest digest.
 
 This module is the only one that reads or writes shard files, and it
 runs the three file workflows end to end: write_shard_set (encode),
-decode_file and repair_shard.  Each reads, hashes and writes a batch of
-stripes at a time, so memory does not grow with the file; encode
-writes each batch while it codes the next, in a second buffer.
-ShardWriter is the one shard writer: it takes a node's payload a batch
-of stripes at a time, so no writer holds a whole shard.  Every file
-goes through atomic_writer, so a crash never leaves a torn file under
-its real name.  ShardReader is the one shard-set reader: it plans
+decode_file and repair_shard.  Each makes a batch of stripes at a time
+in one of two buffers that take turns, so memory does not grow with the
+file, and hands each finished batch to one writer thread, which hashes
+and writes it while the next batch is made on the caller's thread (all
+GF work stays there); the thread is joined before its buffer is made
+again.  ShardWriter is the one shard writer: it takes a node's payload
+a batch of stripes at a time, so no writer holds a whole shard.  Every
+file goes through atomic_writer, so a crash never leaves a torn file
+under its real name.  ShardReader is the one shard-set reader: it plans
 around missing and damaged files and reads only the chunk slots its
-plan needs.
+plan needs, a target chunk straight into its slot of the batch.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -37,8 +39,9 @@ import os
 import re
 import struct
 import sys
+import threading
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,10 +62,9 @@ MANIFEST_NAME = "manifest.json"
 DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
-_WRITE_THREADS = 2   # shard files encode writes at once
-# Chunk bytes a batch may hold: its reads, derived chunks and output,
-# whatever the plan (_batch_stripes); a batch is at least one stripe,
-# whatever the file size.  Chosen by paired runs (BENCH_8.json): decode
+# Chunk bytes a batch may hold: its reads, derived chunks and both
+# output buffers, whatever the plan (_batch_stripes); a batch is at least
+# one stripe, whatever the file size.  Chosen by paired runs (BENCH_8.json): decode
 # peaks near 50 MB at 64 KiB chunks.
 _BATCH_BYTES = 8 << 20
 
@@ -81,7 +83,11 @@ def _header(params: SrcParams, node: int, stripe_count: int,
 def _batch_stripes(params: SrcParams, outputs: int) -> int:
     """Stripes per batch, fixed before the first read: any plan, one
     made again mid-batch too, reads or derives only a stripe's n*(f+1)
-    slots, so those and outputs chunks per stripe fit _BATCH_BYTES."""
+    slots, so those and outputs chunks per stripe fit _BATCH_BYTES.
+    That reserve also covers the second output buffer: the chunks read
+    outside the outputs, the derived chunks that are not targets and
+    the distinct targets are different chunks of a stripe, n*(f+1) at
+    most, so with two buffers of outputs chunks they stay within it."""
     per_stripe = (params.n * (params.f + 1) + outputs) * params.chunk_size
     return max(1, _BATCH_BYTES // per_stripe)
 
@@ -290,6 +296,39 @@ class ShardWriter:
         return self._sha.hexdigest()
 
 
+def _write_behind(batches: Iterable[np.ndarray],
+                  write: Callable[[np.ndarray], object]) -> None:
+    """Call write on each batch in turn on one writer thread, while the
+    next batch is made on this one.  A batch's write is joined once the
+    next batch is made, before the batch after that is asked for, so a
+    batch's buffer is not made again while it is written.  An error of
+    write is raised here; on any error the thread is joined first.
+    hashlib, zlib and file writes release the GIL; write must call no
+    span-wrapped (public module-level) function."""
+    failed: list[BaseException] = []
+
+    def run(batch: np.ndarray) -> None:
+        try:
+            write(batch)
+        except BaseException as exc:   # raised again on this thread
+            failed.append(exc)
+
+    thread = None
+    try:
+        for batch in batches:
+            if thread is not None:
+                thread.join()
+            if failed:
+                raise failed[0]
+            thread = threading.Thread(target=run, args=(batch,))
+            thread.start()
+    finally:
+        if thread is not None:
+            thread.join()
+    if failed:
+        raise failed[0]
+
+
 def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                     size: int) -> Path:
     """Encode the size bytes of the binary stream source into n shard
@@ -297,16 +336,14 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
 
     The input is read, hashed and encoded a batch of stripes at a time,
     every node's chunks in place (_batch_stripes with no outputs), and
-    each node's rows go to its file while the next batch is coded, so
-    no more than two batches are held.  A source that does not end at
-    exactly size bytes, or a stripe larger than any buffer can be, is a
-    ParameterError.  The shard files take their names in node order
+    one writer thread writes each node's rows to its file while the next
+    batch is coded, so no more than two batches are held.  A source
+    that does not end at exactly size bytes, or a stripe larger than
+    any buffer can be, is a ParameterError.  The shard files take their names in node order
     once every one is sealed, then the manifest is written; an error
     before that leaves no new file, and removes the directory if this
     call made it.
     """
-    from concurrent.futures import ThreadPoolExecutor   # only encode needs it
-
     width = params.f + 1
     if params.n * width * params.chunk_size > sys.maxsize:
         raise ParameterError(f"a stripe of {params.n * width} chunks of "
@@ -329,22 +366,13 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
             writers = [stack.enter_context(ShardWriter(
                 directory, params, node, size))
                 for node in range(params.n, 0, -1)][::-1]
-            # hashlib, zlib and file writes release the GIL, so nodes'
-            # files are written in parallel, and while the next batch is
-            # coded; no span-wrapped (public module-level) function runs
-            # off the main thread.  The pool's block ends, its writes
-            # done, before an error removes the temporary files.
-            with ThreadPoolExecutor(_WRITE_THREADS) as pool:
-                writing = []
-                for batch in encode_from(fill, size, params,
-                                         _batch_stripes(params, 0)):
-                    for fut in writing:   # each file's batches in order
-                        fut.result()
-                    slots = range(0, params.n * width, width)
-                    writing = [pool.submit(w.write, batch[:, s:s + width])
-                               for w, s in zip(writers, slots)]
-                for fut in writing:
-                    fut.result()
+
+            def write(batch: np.ndarray) -> None:
+                for w, s in zip(writers, range(0, params.n * width, width)):
+                    w.write(batch[:, s:s + width])
+
+            _write_behind(encode_from(fill, size, params,
+                                      _batch_stripes(params, 0)), write)
             if source.read(1):
                 raise changed
             digests = {w.node: w.seal() for w in writers}
@@ -376,17 +404,20 @@ class ShardReader:
 
     Plans on the chunks of the shard files that exist, the lost node's
     excepted; raises InsufficientDataError (exit 3), before reading any
-    file, when they cannot cover the plan.  A shard file is checked on
-    the first read of one of its chunks, once: its length and 44-byte
-    header must equal what the manifest implies, and its CRC table is
-    read.  read_chunks then reads only the wanted slots, neighbours in
-    one os.preadv, and checks each chunk against its CRC-32; the
-    whole-shard digest is not checked.  In batches(), a chunk that fails
-    its checks is dropped, each shard file with a failure is named on
-    stderr, and the stripes left, the current batch's included, are
-    planned again; IntegrityError (exit 4), naming the skipped files,
-    when the chunks left cannot cover that plan.  No slot is read twice.
-    The files close when batches() or the reader's with block ends.
+    file, when they cannot cover the plan.  A shard file is checked when
+    it is first opened, once: its length and 44-byte header must equal
+    what the manifest implies, and its CRC table is read.  batches()
+    opens every file its plan reads before the first batch; read_chunks
+    opens a file on the first read of one of its chunks.  read_chunks
+    then reads only the wanted slots, neighbours in one os.preadv, and
+    checks each chunk against its CRC-32; the whole-shard digest is not
+    checked.  In batches(), a shard file that fails its checks or a
+    chunk that fails its CRC is dropped, each shard file with a failure
+    is named on stderr, and the stripes left, the current batch's
+    included, are planned again; IntegrityError (exit 4), naming the
+    skipped files, when the chunks left cannot cover that plan.  No slot
+    is read twice.  The files close when batches() or the reader's with
+    block ends.
     """
 
     def __init__(self, manifest: Manifest, directory: Path,
@@ -404,6 +435,9 @@ class ShardReader:
         self._payload_at, self._table_at, self._length = _offsets(
             manifest.params, manifest.stripe_count, manifest.version)
         self._open: dict[int, tuple[int, np.ndarray]] = {}   # fd, CRCs
+        # where read_chunks puts a wanted chunk instead of a new array:
+        # while batches() reads a batch, each target's slot of it
+        self._into: dict[ChunkId, np.ndarray] = {}
         self.plan = self._plan()
 
     def __enter__(self) -> "ShardReader":
@@ -413,6 +447,7 @@ class ShardReader:
         for fd, _ in self._open.values():
             os.close(fd)
         self._open.clear()
+        self._into = {}
 
     def _plan(self) -> ChunkPlan:
         try:
@@ -428,35 +463,75 @@ class ShardReader:
         self.blocked.update(set(self.targets) - straight)
         return plan
 
+    def _drop(self, failed: dict[ChunkId, IntegrityError]) -> None:
+        """Name each shard file of the failed chunks on stderr, once per
+        error, and plan again without those chunks."""
+        for exc in dict.fromkeys(failed.values()):
+            print(f"skipped: {exc}", file=sys.stderr, flush=True)
+        self.skipped.update(dict.fromkeys(
+            shard_filename(self.manifest.params.chunk_location(c))
+            for c in failed))
+        self.available.difference_update(failed)
+        self.plan = self._plan()
+
+    def _open_planned(self) -> None:
+        """Open the shard files the plan reads, each checked as on its
+        first read, and plan around those that fail, until every file
+        planned is open."""
+        p = self.manifest.params
+        while True:
+            failed: dict[ChunkId, IntegrityError] = {}
+            for node in sorted({p.chunk_location(c) for c in self.plan.reads}):
+                try:
+                    self._shard(node)
+                except (IntegrityError, OSError) as exc:
+                    failed.update(dict.fromkeys(p.node_chunks(node),
+                                                _unusable(node, exc)))
+            if not failed:
+                return
+            self._drop(failed)
+
+    def _read_planned(self, start: int, stop: int
+                      ) -> dict[ChunkId, np.ndarray]:
+        """The plan's reads of stripes start to stop that pass their
+        checks, planning again around those that fail."""
+        held: dict[ChunkId, np.ndarray] = {}
+        while todo := [c for c in self.plan.reads if c not in held]:
+            got, failed = self.read_chunks(todo, start, stop)
+            held.update(got)
+            if failed:
+                self._drop(failed)
+        return held
+
     def batches(self) -> Iterator[np.ndarray]:
         """Yield the targets of each batch of stripes in turn, as a
-        (stripes, len(targets), chunk_size) array in one buffer that the
-        next batch overwrites; the buffer is allocated once the first
-        batch's reads have checked the shard files' lengths.  A plan
-        made again mid-batch finishes that batch, in the same budget.  An
-        empty file is one batch of no stripes, which still checks the
-        planned shard files' headers."""
+        (stripes, len(targets), chunk_size) array.  Batches alternate
+        between two buffers, as encode_from's do, so a batch stays
+        intact while the next one is made and is overwritten by the one
+        after; the caller must be done with it by then.  A target that
+        is read is read straight into its slot, which run_plan then
+        leaves as it is, and no other read of a batch is kept once the
+        batch is made.  The buffers are allocated only after the planned
+        shard files' lengths and headers are checked.  A plan made again
+        mid-batch finishes that batch, in the same budget.  An empty
+        file is one batch of no stripes."""
         p, stripes = self.manifest.params, self.manifest.stripe_count
-        step, out = _batch_stripes(p, len(self.targets)), None
+        step = _batch_stripes(p, len(self.targets))
+        bufs: list[np.ndarray] = []
         with self:
-            for start in range(0, max(stripes, 1), step):
+            self._open_planned()
+            for b, start in enumerate(range(0, max(stripes, 1), step)):
                 stop = min(start + step, stripes)
-                held: dict = {}
-                while todo := [c for c in self.plan.reads if c not in held]:
-                    got, failed = self.read_chunks(todo, start, stop)
-                    held.update(got)
-                    for exc in dict.fromkeys(failed.values()):   # per file
-                        print(f"skipped: {exc}", file=sys.stderr, flush=True)
-                    if failed:
-                        self.skipped.update(dict.fromkeys(
-                            shard_filename(p.chunk_location(c))
-                            for c in failed))
-                        self.available.difference_update(failed)
-                        self.plan = self._plan()
-                if out is None:
-                    out = np.empty((stop - start, len(self.targets),
-                                    p.chunk_size), np.uint8)
-                yield run_plan(self.plan, held, out[:stop - start])
+                if b < 2:   # the second buffer only once a second batch comes
+                    bufs.append(np.empty((min(step, stripes),
+                                          len(self.targets), p.chunk_size),
+                                         np.uint8))
+                out = bufs[b % 2][:stop - start]
+                self._into = {c: out[:, t] for t, c in enumerate(self.targets)}
+                held = self._read_planned(start, stop)
+                run_plan(self.plan, held, out)
+                del held   # no read of this batch is held past it
+                yield out
 
     def read_chunks(self, wanted: Iterable[ChunkId], start: int = 0,
                     stop: int | None = None
@@ -479,13 +554,8 @@ class ShardReader:
             slots = m.params.node_chunks(node)
             try:   # on an error, the whole shard is unusable
                 got, crcs = self._read_slots(node, ids, start, stop)
-            except IntegrityError as exc:
-                failed.update(dict.fromkeys(slots, exc))
-                continue
-            except OSError as exc:
-                failed.update(dict.fromkeys(slots, IntegrityError(
-                    f"shard {shard_filename(node)} cannot be read: "
-                    f"{exc.strerror or exc}")))
+            except (IntegrityError, OSError) as exc:
+                failed.update(dict.fromkeys(slots, _unusable(node, exc)))
                 continue
             bad = [c for c in ids if any(
                 zlib.crc32(row) != crc
@@ -537,7 +607,8 @@ class ShardReader:
         fd, table = self._shard(node)
         p = self.manifest.params
         slots = p.node_chunks(node)
-        got = {c: np.empty((stop - start, p.chunk_size), dtype=np.uint8)
+        got = {c: self._into[c] if c in self._into else
+               np.empty((stop - start, p.chunk_size), dtype=np.uint8)
                for c in ids}
         # payload positions in file order; neighbours share one preadv
         wanted = sorted((s * len(slots) + slots.index(c), s - start, c)
@@ -558,21 +629,34 @@ class ShardReader:
         return got, table[start:stop]
 
 
+def _unusable(node: int, exc: IntegrityError | OSError) -> IntegrityError:
+    """The error that makes a shard file unusable, naming the file."""
+    if isinstance(exc, IntegrityError):
+        return exc
+    return IntegrityError(f"shard {shard_filename(node)} cannot be read: "
+                          f"{exc.strerror or exc}")
+
+
 def decode_file(manifest: Manifest, directory: Path,
                 out: Path) -> ShardReader:
     """Decode manifest's file from the shard files in directory to out,
-    a batch of stripes at a time, the padding cut and the bytes hashed
-    as they are written; out takes its name only if the hash is the
-    manifest's file_digest, else IntegrityError.  Returns the reader."""
+    a batch of stripes at a time; the writer thread cuts the padding and
+    hashes and writes each batch while the next is made.  out takes its
+    name only if the hash is the manifest's file_digest, else
+    IntegrityError.  Returns the reader."""
     reader = ShardReader(manifest, directory, data_chunks(manifest.params))
     sha = hashlib.sha256()
     left = manifest.file_size
     with atomic_writer(out) as fh:
-        for chunks in reader.batches():
+
+        def write(chunks: np.ndarray) -> None:
+            nonlocal left
             data = chunks.reshape(-1)[:left]
             left -= len(data)
             sha.update(data)
             fh.write(data)
+
+        _write_behind(reader.batches(), write)
         if sha.hexdigest() != manifest.file_digest:
             raise IntegrityError(
                 "decoded file does not match the manifest digest")
@@ -590,8 +674,7 @@ def repair_shard(manifest: Manifest, directory: Path,
     reader = ShardReader(manifest, directory, p.node_chunks(node), node)
     with ShardWriter(directory, p, node, manifest.file_size,
                      manifest.version) as writer:
-        for batch in reader.batches():
-            writer.write(batch)
+        _write_behind(reader.batches(), writer.write)
         if reader.blocked:
             print("look-up repair blocked for "
                   f"{', '.join(c.label(p.f) for c in sorted(reader.blocked))}"

@@ -1066,11 +1066,13 @@ def test_metrics_starts_no_thread(runner):
 
 def test_reports_and_decode_start_no_thread_and_import_no_pool(runner,
                                                                tmp_path):
-    # the report commands and a decode that derives chunks by GF work run
-    # on the main thread alone and import no thread pool; only encode
-    # writes its shard files on a pool.  The report commands also load no
-    # module that importing the CLI did not: a benchmark counts the reads
-    # of such an import against the command
+    # the report commands run on the main thread alone.  A decode that
+    # derives chunks by GF work does that work on the main thread and
+    # writes each batch on one writer thread, joined before the command
+    # returns, so no thread is left; no command imports a thread pool.
+    # The report commands also load no module that importing the CLI
+    # did not: a benchmark counts the reads of such an import against
+    # the command
     _, data, out = _encode(runner, tmp_path, n=4, k=2, f=1, size=4 << 20,
                            chunk=64 << 10)
     for node in (1, 4):   # part1[1] is derived from nodes 2 and 3

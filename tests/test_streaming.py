@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from srcodes import shards
 from srcodes.cli import main
-from srcodes.core import SrcParams
+from srcodes.core import SrcParams, data_chunks
 from srcodes.errors import InsufficientDataError, IntegrityError
 from srcodes.shards import MANIFEST_NAME, shard_filename
 
@@ -162,15 +162,22 @@ def _on_write(monkeypatch, hook):
     monkeypatch.setattr(shards.ShardWriter, "write", hooked)
 
 
-def _encode_fails_cleanly(tmp_path, src, stderr):
-    """An encode into a new directory two levels deep exits 2 with one
-    error line, leaves no file or directory, and stops its threads."""
+def _fails_cleanly(tmp_path, run, stderr):
+    """run() exits 2 with one error line, leaves no new file or
+    directory under tmp_path, a temporary one included, and stops its
+    threads."""
     before = sorted(tmp_path.rglob("*"))
     threads = threading.active_count()
-    res = _run_encode(src, tmp_path / "new" / "shards")
+    res = run()
     assert (res.exit_code, res.stderr) == (2, stderr)
     assert sorted(tmp_path.rglob("*")) == before
     assert threading.active_count() == threads
+
+
+def _encode_fails_cleanly(tmp_path, src, stderr):
+    """An encode into a new directory two levels deep fails cleanly."""
+    _fails_cleanly(tmp_path, lambda: _run_encode(src, tmp_path / "new" /
+                                                 "shards"), stderr)
 
 
 def test_encode_writer_error_in_second_batch(tmp_path, monkeypatch,
@@ -219,6 +226,45 @@ def test_encode_input_shrinks_while_writes_run(tmp_path, monkeypatch,
 @pytest.fixture
 def one_stripe_batches(monkeypatch):
     monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
+
+
+def test_decode_write_error_in_second_batch(tmp_path, monkeypatch,
+                                            one_stripe_batches):
+    # the decoded file's second write, on the writer thread, fails
+    _, out = _encode(tmp_path, FOUR_BATCHES)
+    atomic_writer = shards.atomic_writer
+
+    class SecondWriteFails:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    @contextlib.contextmanager
+    def failing(path):
+        with atomic_writer(path) as fh:
+            yield SecondWriteFails(fh)
+
+    monkeypatch.setattr(shards, "atomic_writer", failing)
+    _fails_cleanly(tmp_path, lambda: _decode(out, tmp_path / "y.bin"),
+                   "error: disk full\n")
+
+
+def test_repair_writer_error_in_second_batch(tmp_path, monkeypatch,
+                                            one_stripe_batches):
+    _, out = _encode(tmp_path, FOUR_BATCHES)
+    (out / shard_filename(3)).unlink()
+
+    def full(node, batch):
+        if batch == 2:
+            raise OSError("disk full")
+
+    _on_write(monkeypatch, full)
+    _fails_cleanly(tmp_path, lambda: _repair(out, 3), "error: disk full\n")
 
 
 def test_decode_crc_failure_in_last_batch(tmp_path, one_stripe_batches):
@@ -276,18 +322,21 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 
 def _check_budget(mp):
     """Check every run_plan call of ShardReader.batches: the chunks its
-    batch read, the chunks it derives that are not targets, and its
-    output fit _BATCH_BYTES, or the batch is one stripe.  Returns the
-    stripes of each batch."""
+    batch read that are held outside its output, the chunks it derives
+    that are not targets, and both output buffers, the one written
+    behind included, fit _BATCH_BYTES, or the batch is one stripe.
+    Returns the stripes of each batch."""
     run_plan, seen = shards.run_plan, []
 
     def checked(plan, present, out):
         stripes, outputs, chunk = out.shape
         derived = {c for s in plan.steps if s.coeffs is not None
                    for c in s.outs}
-        held = len(present) + len(derived - set(plan.targets))
+        outside = [c for c, row in present.items()
+                   if not np.may_share_memory(row, out)]
+        held = len(outside) + len(derived - set(plan.targets))
         assert stripes == 1 or \
-            (held + outputs) * stripes * chunk <= shards._BATCH_BYTES, \
+            (held + 2 * outputs) * stripes * chunk <= shards._BATCH_BYTES, \
             (stripes, held, outputs)
         seen.append(stripes)
         return run_plan(plan, present, out)
@@ -403,3 +452,30 @@ def test_crc_failure_mid_batch_peaks_like_a_fallback_from_the_start(
         peaks[case] = _peak(lambda: CliRunner().invoke(main, args))
         assert lost.read_bytes() == expected
     assert peaks["crc"] < peaks["missing"] + (128 << 10), peaks
+
+
+@pytest.mark.parametrize("missing", [(), (1, 2, 3, 4)],
+                         ids=["healthy", "parity-heavy"])
+def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
+        tmp_path, monkeypatch, missing):
+    # a (50,46,2) decode at half the benchmark's chunk size, a stripe per
+    # batch: a target is read into its slot of the batch, the batch
+    # written behind is the only other one held, and no read outlives
+    # its batch.  The slack holds what does not grow with the chunks,
+    # such as a derive's GF(256) look-up tables.
+    p = SrcParams(50, 46, 2, 32 << 10)
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
+    size = 3 * p.stripe_data_bytes - 1000
+    payload = np.random.default_rng(3).integers(0, 256, size, dtype=np.uint8)
+    out = tmp_path / "shards"
+    shards.write_shard_set(out, p, io.BytesIO(payload.tobytes()), size)
+    for gone in missing:
+        (out / shard_filename(gone)).unlink()
+    manifest = shards.load_manifest(out / MANIFEST_NAME)
+    plan = shards.ShardReader(manifest, out, data_chunks(p)).plan
+    batch = len(plan.targets) * p.chunk_size
+    outside = len(set(plan.reads) - set(plan.targets)) * p.chunk_size
+    # a first run warms what a process makes once; the second is measured
+    assert _decode(out, tmp_path / "y.bin").exit_code == 0
+    peak = _peak(lambda: _decode(out, tmp_path / "y.bin"))
+    assert peak < 2 * batch + outside + (1 << 20), (peak, batch, outside)
