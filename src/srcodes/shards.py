@@ -63,9 +63,9 @@ DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # Chunk bytes a batch may hold: its reads, derived chunks and both
-# output buffers, whatever the plan (_batch_stripes); a batch is at least
-# one stripe, whatever the file size.  Chosen by paired runs (BENCH_8.json): decode
-# peaks near 50 MB at 64 KiB chunks.
+# output buffers, whatever the plan (_batch_stripes); a batch is at
+# least one stripe, whatever the file size.  Chosen by paired runs
+# (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
 _BATCH_BYTES = 8 << 20
 
 
@@ -310,7 +310,7 @@ def _write_behind(batches: Iterable[np.ndarray],
     def run(batch: np.ndarray) -> None:
         try:
             write(batch)
-        except BaseException as exc:   # raised again on this thread
+        except BaseException as exc:   # raised again on the caller's thread
             failed.append(exc)
 
     thread = None
@@ -339,10 +339,10 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     one writer thread writes each node's rows to its file while the next
     batch is coded, so no more than two batches are held.  A source
     that does not end at exactly size bytes, or a stripe larger than
-    any buffer can be, is a ParameterError.  The shard files take their names in node order
-    once every one is sealed, then the manifest is written; an error
-    before that leaves no new file, and removes the directory if this
-    call made it.
+    any buffer can be, is a ParameterError.  The shard files take their
+    names in node order once every one is sealed, then the manifest is
+    written; an error before that leaves no new file, and removes the
+    directory if this call made it.
     """
     width = params.f + 1
     if params.n * width * params.chunk_size > sys.maxsize:
@@ -542,7 +542,8 @@ class ShardReader:
         checks; and the chunks found unusable, each with the error
         naming its shard file: every chunk of a shard that cannot be
         opened or read, or whose length or header is wrong, or a wanted
-        chunk that fails its CRC in any of these stripes."""
+        chunk that fails its CRC in any of these stripes.  While
+        batches() reads a batch, a target is read into its slot of it."""
         m = self.manifest
         stop = m.stripe_count if stop is None else stop
         by_node: dict[int, list[ChunkId]] = {}

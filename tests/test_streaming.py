@@ -1,20 +1,23 @@
 """encode, decode and repair stream: one plan, a batch of stripes at a
 time.
 
-Their memory must not grow with the file: encode and repair write each
-batch as they make it, and decode hashes and writes each as it goes.  A
-chunk that fails its CRC-32 in a late batch must be handled as in an
-early one: dropped, named once on stderr, planned around, or exit 4 with
-no output left behind.  Most cases force one stripe per batch so that a
-small file spans many.
+Their memory must not grow with the file: each hands every batch it
+makes to one writer thread, which writes it, and for decode hashes it,
+while the next batch is made in a second buffer.  A chunk that fails
+its CRC-32 in a late batch must be handled as in an early one: dropped,
+named once on stderr, planned around, or exit 4 with no output left
+behind.  Most cases force one stripe per batch so that a small file
+spans many.
 """
 
 import contextlib
+import importlib
 import io
 import os
 import tempfile
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,43 @@ def test_encode_input_shrinks_while_writes_run(tmp_path, monkeypatch,
 @pytest.fixture
 def one_stripe_batches(monkeypatch):
     monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
+
+
+def test_writer_thread_calls_no_public_function(tmp_path, monkeypatch,
+                                                one_stripe_batches):
+    # a span tracer wraps every public module-level function, under
+    # every name a module binds it to, and keeps one stack per process:
+    # encode, a parity-heavy decode and a fallback repair, many batches
+    # each, call every such function on the caller's thread
+    threads = []
+
+    def on_thread(fn):
+        def recorded(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    modules = [importlib.import_module(f"srcodes.{name}") for name in (
+        "gf256", "mds", "core", "repair", "shards", "sim", "reliability",
+        "metrics", "cli")]
+    public = {fn for mod in modules for name, fn in vars(mod).items()
+              if isinstance(fn, types.FunctionType)
+              and not name.startswith("_") and fn.__module__ == mod.__name__}
+    for mod in modules:
+        for name, fn in list(vars(mod).items()):
+            if isinstance(fn, types.FunctionType) and fn in public:
+                monkeypatch.setattr(mod, name, on_thread(fn))
+    data, out = _encode(tmp_path, FOUR_BATCHES)
+    lost = out / shard_filename(4)
+    expected = lost.read_bytes()
+    for node in (1, 2, 3, 4):
+        (out / shard_filename(node)).unlink()
+    assert _decode(out, tmp_path / "y.bin").exit_code == 0
+    assert (tmp_path / "y.bin").read_bytes() == data
+    res = _repair(out, 4)
+    assert "via reconstruction fallback" in res.stdout
+    assert lost.read_bytes() == expected
+    assert threads and set(threads) == {threading.get_ident()}
 
 
 def test_decode_write_error_in_second_batch(tmp_path, monkeypatch,
