@@ -157,6 +157,11 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
 def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
     """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
+    own = {path.resolve(): path.name for path in [manifest_path, *(
+        shard_dir / shard_filename(node) for node in manifest.shard_digests)]}
+    if out.resolve() in own:
+        raise ParameterError(f"--out would replace {own[out.resolve()]}, "
+                             "a file of the shard set")
     decode_file(manifest, shard_dir, out)
     click.echo(f"decoded {manifest.file_size} bytes to {out} "
                "(digest verified)")

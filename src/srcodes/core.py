@@ -38,10 +38,13 @@ Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
 same in every stripe, so one plan serves a whole file, and callers run
 it on a batch of stripes at a time.  encode_from, the one encode path,
-runs the plan for every node's chunks in place on a batch buffer, two
-buffers taking turns, so encode holds two batches of stripes, not the
-file's shards; encode, for the demos and tests, is the same path in one
-batch.
+runs the plan for every node's f part chunks in place on a batch
+buffer, two buffers taking turns, so encode holds two batches of
+stripes, not the file's shards.  A batch holds no parity chunk:
+parity_slots gives the f chunks of a batch whose XOR is a node's
+parity, and the shard writer XORs it as it writes the node.  encode,
+for the demos and tests, is the same path in one batch, with its
+parity chunks filled by the same rule.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import io
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,10 +72,11 @@ def ring_sub(i: int, delta: int, n: int) -> int:
     return (i - 1 - delta) % n + 1
 
 
-@dataclass(frozen=True, order=True)
-class ChunkId:
-    """Coordinate of one chunk in a stripe: part in on 1..f+1 (f+1 is the
-    parity part) and subscript in 1..n."""
+class ChunkId(NamedTuple):
+    """Coordinate of one chunk in a stripe: part in 1..f+1 (f+1 is the
+    parity part) and subscript in 1..n.  A named tuple, so it hashes,
+    compares and sorts as the plain tuple (part, subscript) does, and
+    equals that tuple."""
 
     part: int
     subscript: int
@@ -172,21 +177,23 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
                 params: SrcParams, step: int) -> Iterator[np.ndarray]:
     """Encode size input bytes, step stripes at a time.
 
-    Yields each batch of stripes in turn, (stripes, n*(f+1),
-    chunk_size) with node i's f+1 slots from (i-1)*(f+1).  Batches
+    Yields each batch of stripes in turn, (stripes, n*f, chunk_size)
+    with node i's f part chunks from (i-1)*f; a node's parity chunk is
+    not held, as the XOR of the batch slots parity_slots gives.  Batches
     alternate between two buffers, so a batch stays intact while the
     next one is coded and is overwritten by the one after; a file that
     fits in one batch uses one buffer, and an empty input is one batch
     of no stripes.  fill(view) must write the next len(view) input
     bytes into view or raise.  It is called in file order with each
     data chunk's slot, cut at the end of the input, and the rest of a
-    slot is zeroed; run_plan, on the one plan, makes the other slots in
-    place and copies no data slot, each already its own source.  The
+    slot is zeroed; run_plan, on the one plan, derives the coded chunks
+    in place and copies no data slot, each already its own source.  The
     caller must be done with a batch, for example by joining the thread
     that writes it, before it asks for the batch after next.
     """
+    f = params.f
     targets = [c for node in range(1, params.n + 1)
-               for c in params.node_chunks(node)]
+               for c in params.node_chunks(node)[:f]]
     data = {c: targets.index(c) for c in data_chunks(params)}
     plan = plan_chunks(params, data, targets)
     cs = params.chunk_size
@@ -209,19 +216,32 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
                        batch)
 
 
+def parity_slots(params: SrcParams) -> list[list[int]]:
+    """The parity rule on an encode_from batch: for node i, list i-1
+    holds the slots of the f part chunks whose XOR is the node's parity
+    chunk, those sharing its subscript, in part order."""
+    f = params.f
+    return [[(params.chunk_location(h) - 1) * f + h.part - 1
+             for h in params.helpers(params.node_chunks(node)[f])]
+            for node in range(1, params.n + 1)]
+
+
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     """Encode a byte string into the n-node coded array (encode_from,
-    in one batch).
+    in one batch, and each node's parity chunk from parity_slots).
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.
     """
     stripes = params.stripes(len(file_bytes))
-    coded, = encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
+    parts, = encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
                          params, max(stripes, 1))
-    f = params.f
-    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
-              for node in range(1, params.n + 1)}
+    n, f = params.n, params.f
+    coded = np.empty((stripes, n, f + 1, params.chunk_size), dtype=np.uint8)
+    coded[:, :, :f] = parts.reshape(stripes, n, f, params.chunk_size)
+    for node, sources in enumerate(parity_slots(params)):
+        np.bitwise_xor.reduce(parts[:, sources], axis=1, out=coded[:, node, f])
+    shards = {node: coded[:, node - 1] for node in range(1, n + 1)}
     return CodedArray(params=params, stripe_count=stripes,
                       file_size=len(file_bytes), shards=shards)
 

@@ -19,8 +19,12 @@ in one of two buffers that take turns, so memory does not grow with the
 file, and hands each finished batch to one writer thread, which hashes
 and writes it while the next batch is made on the caller's thread (all
 GF work stays there); the thread is joined before its buffer is made
-again.  ShardWriter is the one shard writer: it takes a node's payload
-a batch of stripes at a time, so no writer holds a whole shard.  Every
+again.  An encode batch holds each node's f part chunks only: the
+writer thread XORs each node's parity chunk into one reused row as it
+writes the node.  ShardWriter is the one shard writer: it takes a
+node's payload a batch of stripes at a time, as one array or as its
+f+1 slots from different buffers, so no writer holds a whole shard or
+copies a batch.  Every
 file goes through atomic_writer, so a crash never leaves a torn file
 under its real name.  ShardReader is the one shard-set reader: it plans
 around missing and damaged files and reads only the chunk slots its
@@ -50,7 +54,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_from,
-                   plan_chunks, run_plan)
+                   parity_slots, plan_chunks, run_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      ShapeError)
 from .mds import CONSTRUCTION_ID
@@ -64,8 +68,12 @@ _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # Chunk bytes a batch may hold: its reads, derived chunks and both
 # output buffers, whatever the plan (_batch_stripes); a batch is at
-# least one stripe, whatever the file size.  Chosen by paired runs
-# (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
+# least one stripe, whatever the file size.  Encode is the exception:
+# its stripes per batch are sized the same way, but its two buffers
+# hold each node's f part chunks, 2*n*f chunks per stripe, up to
+# 2f/(f+1) of the budget (10.5 MB at (10,6,2) with 64 KiB chunks), plus
+# one chunk per stripe for the parity the writer XORs.  Chosen by paired
+# runs (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
 _BATCH_BYTES = 8 << 20
 
 
@@ -87,7 +95,10 @@ def _batch_stripes(params: SrcParams, outputs: int) -> int:
     That reserve also covers the second output buffer: the chunks read
     outside the outputs, the derived chunks that are not targets and
     the distinct targets are different chunks of a stripe, n*(f+1) at
-    most, so with two buffers of outputs chunks they stay within it."""
+    most, so with two buffers of outputs chunks they stay within it.
+    Encode asks with no outputs, and its two buffers hold n*f chunks
+    per stripe each: 2f/(f+1) of the reserve, or more when one stripe
+    is over the budget."""
     per_stripe = (params.n * (params.f + 1) + outputs) * params.chunk_size
     return max(1, _BATCH_BYTES // per_stripe)
 
@@ -225,7 +236,10 @@ class ShardWriter:
     """Writes one node's shard file, a batch of stripes at a time.
 
     write() appends the node's rows of the next stripes, (stripes, f+1,
-    chunk_size), which may be a strided view; seal() adds the parts only
+    chunk_size), which may be a strided view, or the same rows as a list
+    of its f+1 slots, each (stripes, chunk_size), which may lie in
+    different buffers, as encode's parts and parity do; it copies a
+    chunk only if the chunk is not contiguous.  seal() adds the parts only
     the whole payload gives, checks the digest if one is given, and
     returns the file's sha256.  The file takes its name when the
     writer's with block ends; on an error, a wrong digest included, no
@@ -265,16 +279,20 @@ class ShardWriter:
             self._sha.update(part)
         self._fh.write(part)
 
-    def write(self, rows: np.ndarray) -> None:
+    def write(self, rows: np.ndarray | list[np.ndarray]) -> None:
         p = self.params
-        if rows.shape[1:] != (p.f + 1, p.chunk_size) or \
-                self._done + len(rows) > self.stripes:
-            raise ShapeError(f"shard rows {rows.shape} do not match params")
-        for stripe in map(np.ascontiguousarray, rows):
-            for chunk in stripe:
+        slots = list(rows.swapaxes(0, 1)) if isinstance(rows, np.ndarray) \
+            else rows
+        stripes = len(slots[0]) if slots else 0
+        if len(slots) != p.f + 1 or self._done + stripes > self.stripes or \
+                any(s.shape != (stripes, p.chunk_size) for s in slots):
+            raise ShapeError(f"shard rows {[s.shape for s in slots]} do not "
+                             "match params")
+        for stripe in zip(*slots):
+            for chunk in map(np.ascontiguousarray, stripe):
                 self._crcs += zlib.crc32(chunk).to_bytes(4, "little")
+                self._put(chunk)
             self._done += 1
-            self._put(stripe)
 
     def seal(self, digest: str | None = None) -> str:
         if self._done != self.stripes:
@@ -335,9 +353,14 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     files and a manifest; returns the manifest path.
 
     The input is read, hashed and encoded a batch of stripes at a time,
-    every node's chunks in place (_batch_stripes with no outputs), and
-    one writer thread writes each node's rows to its file while the next
-    batch is coded, so no more than two batches are held.  A source
+    every node's f part chunks in place (_batch_stripes with no
+    outputs), and one writer thread writes each node's rows to its file
+    while the next batch is coded, so no more than two batches are held.
+    A batch holds no parity chunk: for each node in turn, the writer
+    XORs the f part chunks parity_slots names into one reused (stripes,
+    chunk_size) row, or takes the one chunk when f = 1, and passes
+    ShardWriter the node's part slots of the batch and that row,
+    copying nothing.  A source
     that does not end at exactly size bytes, or a stripe larger than
     any buffer can be, is a ParameterError.  The shard files take their
     names in node order once every one is sealed, then the manifest is
@@ -367,12 +390,21 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                 directory, params, node, size))
                 for node in range(params.n, 0, -1)][::-1]
 
-            def write(batch: np.ndarray) -> None:
-                for w, s in zip(writers, range(0, params.n * width, width)):
-                    w.write(batch[:, s:s + width])
+            f, step = params.f, _batch_stripes(params, 0)
+            sources = parity_slots(params)
+            scratch = np.empty((min(step, params.stripes(size)),
+                                params.chunk_size), np.uint8)
 
-            _write_behind(encode_from(fill, size, params,
-                                      _batch_stripes(params, 0)), write)
+            def write(batch: np.ndarray) -> None:
+                for w, s, (first, *rest) in zip(
+                        writers, range(0, params.n * f, f), sources):
+                    parity = batch[:, first]   # f = 1: a copy of one chunk
+                    for slot in rest:
+                        parity = np.bitwise_xor(parity, batch[:, slot],
+                                                out=scratch[:len(batch)])
+                    w.write([*batch[:, s:s + f].swapaxes(0, 1), parity])
+
+            _write_behind(encode_from(fill, size, params, step), write)
             if source.read(1):
                 raise changed
             digests = {w.node: w.seal() for w in writers}

@@ -1008,6 +1008,25 @@ def test_decode_wrong_file_digest_exit_4(runner, tmp_path):
                                                           "shards"]
 
 
+@pytest.mark.parametrize("name", [MANIFEST_NAME, shard_filename(3)])
+def test_decode_refuses_an_out_in_its_own_set(runner, tmp_path, monkeypatch,
+                                              name):
+    # the decoded bytes would replace the manifest or a shard, and the
+    # set could no longer be decoded or repaired; the path is refused
+    # however it is spelled, before any shard is read
+    _, _, out = _encode(runner, tmp_path)
+    before = {p: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("a shard was read")
+
+    monkeypatch.setattr(shards, "ShardReader", no_reader)
+    res = _decode(runner, out, out / ".." / out.name / name)
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: --out would replace {name}, a file of the shard set\n")
+    assert {p: p.read_bytes() for p in sorted(out.iterdir())} == before
+
+
 def test_decode_without_systematic_nodes(runner, tmp_path):
     # force the non-pass-through path by deleting the first k shards
     src, data, out = _encode(runner, tmp_path, n=5, k=2, f=2)

@@ -1,9 +1,12 @@
 import hashlib
 import io
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srcodes import shards
 from srcodes.core import SrcParams, data_chunks, encode
@@ -44,12 +47,42 @@ def _read_node(manifest, directory, node):
     return np.stack([chunks[c] for c in slots], axis=1), failed
 
 
-def test_shard_round_trip(tmp_path):
-    data, arr = _array()
-    manifest = load_manifest(_write_set(tmp_path, data, arr.params))
-    shard, failed = _read_node(manifest, tmp_path, 2)
-    assert failed == {}
-    assert np.array_equal(shard, arr.shards[2])
+@st.composite
+def _sets(draw):
+    """A code with n <= 10, any k < n and any f < n; a size from 0 to
+    several stripes, the last stripe often partial; and the stripes a
+    batch of encode holds, from one to many."""
+    n = draw(st.integers(2, 10))
+    p = SrcParams(n, draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1)),
+                  draw(st.integers(1, 64)))
+    return (p, draw(st.integers(0, 5 * p.stripe_data_bytes)),
+            draw(st.integers(1, 6)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example((SrcParams(4, 2, 1, 8), 3 * 16 + 5, 2))   # a parity is one chunk
+@given(_sets())
+def test_shard_round_trip(case):
+    # write_shard_set, a batch at a time, against core.encode in one
+    p, size, step = case
+    data = np.random.default_rng(size).integers(0, 256, size,
+                                                dtype=np.uint8).tobytes()
+    arr = encode(data, p)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
+            as mp:
+        mp.setattr(shards, "_BATCH_BYTES",
+                   step * p.n * (p.f + 1) * p.chunk_size)
+        manifest = load_manifest(write_shard_set(tmp, p, io.BytesIO(data),
+                                                 size))
+        assert manifest.file_digest == hashlib.sha256(data).hexdigest()
+        for node in range(1, p.n + 1):
+            blob = (Path(tmp) / shard_filename(node)).read_bytes()
+            assert len(blob) == shard_bytes(p, arr.stripe_count)
+            assert manifest.shard_digests[node] == \
+                hashlib.sha256(blob).hexdigest()
+            shard, failed = _read_node(manifest, tmp, node)
+            assert failed == {}
+            assert np.array_equal(shard, arr.shards[node])
 
 
 def _write_shard(directory, arr, node, payload, digest=None):

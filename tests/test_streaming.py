@@ -519,3 +519,34 @@ def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
     assert _decode(out, tmp_path / "y.bin").exit_code == 0
     peak = _peak(lambda: _decode(out, tmp_path / "y.bin"))
     assert peak < 2 * batch + outside + (1 << 20), (peak, batch, outside)
+
+
+def test_encode_peaks_below_two_batches_of_part_chunks(tmp_path,
+                                                       monkeypatch):
+    # a (50,46,2) encode at half the benchmark's chunk size, a stripe per
+    # batch: a batch holds each node's f part chunks, n*f of them, and
+    # the writer XORs each node's parity chunk into one reused row as it
+    # writes it, so two batches of part chunks are all that grows with
+    # the chunks.  The slack holds what does not, such as the GF(256)
+    # look-up tables.
+    p = SrcParams(50, 46, 2, 32 << 10)
+    monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
+    size = 3 * p.stripe_data_bytes - 1000
+    payload = np.random.default_rng(5).integers(0, 256, size, dtype=np.uint8)
+    src = tmp_path / "input.bin"
+    src.write_bytes(payload.tobytes())
+
+    def encode(out):
+        return CliRunner().invoke(main, [
+            "encode", str(src), "--n", str(p.n), "--k", str(p.k),
+            "--f", str(p.f), "--chunk-size", str(p.chunk_size),
+            "--out", str(tmp_path / out)])
+
+    # a first run warms what a process makes once; the second is measured
+    assert encode("warm").exit_code == 0
+    peak = _peak(lambda: encode("shards"))
+    batch = p.n * p.f * p.chunk_size
+    assert peak < 2 * batch + (1 << 20), (peak, batch)
+    for node in range(1, p.n + 1):
+        assert (tmp_path / "shards" / shard_filename(node)).read_bytes() \
+            == (tmp_path / "warm" / shard_filename(node)).read_bytes()
