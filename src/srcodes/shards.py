@@ -24,11 +24,11 @@ writer thread XORs each node's parity chunk into one reused row as it
 writes the node.  ShardWriter is the one shard writer: it takes a
 node's payload a batch of stripes at a time, as one array or as its
 f+1 slots from different buffers, so no writer holds a whole shard or
-copies a batch.  Every
-file goes through atomic_writer, so a crash never leaves a torn file
-under its real name.  ShardReader is the one shard-set reader: it plans
-around missing and damaged files and reads only the chunk slots its
-plan needs, a target chunk straight into its slot of the batch.
+copies a batch.  Every file goes through atomic_writer, so a crash
+never leaves a torn file under its real name.  ShardReader is the one
+shard-set reader: it plans around missing and damaged files and reads
+only the chunk slots its plan needs, a target chunk straight into its
+slot of the batch.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -360,12 +360,11 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     XORs the f part chunks parity_slots names into one reused (stripes,
     chunk_size) row, or takes the one chunk when f = 1, and passes
     ShardWriter the node's part slots of the batch and that row,
-    copying nothing.  A source
-    that does not end at exactly size bytes, or a stripe larger than
-    any buffer can be, is a ParameterError.  The shard files take their
-    names in node order once every one is sealed, then the manifest is
-    written; an error before that leaves no new file, and removes the
-    directory if this call made it.
+    copying nothing.  A source that does not end at exactly size bytes,
+    or a stripe larger than any buffer can be, is a ParameterError.  The
+    shard files take their names in node order once every one is
+    sealed, then the manifest is written; an error before that leaves
+    no new file, and removes the directory if this call made it.
     """
     width = params.f + 1
     if params.n * width * params.chunk_size > sys.maxsize:
@@ -398,7 +397,7 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
             def write(batch: np.ndarray) -> None:
                 for w, s, (first, *rest) in zip(
                         writers, range(0, params.n * f, f), sources):
-                    parity = batch[:, first]   # f = 1: a copy of one chunk
+                    parity = batch[:, first]   # f = 1: that chunk itself
                     for slot in rest:
                         parity = np.bitwise_xor(parity, batch[:, slot],
                                                 out=scratch[:len(batch)])
