@@ -37,20 +37,20 @@ simulator's repair jobs read are its plans too (repair.node_plan).
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
 same in every stripe, so one plan serves a whole file, and callers run
-it on a batch of stripes at a time.  encode_from, the one encode path,
-runs the plan for every node's f part chunks in place on a batch
-buffer, two buffers taking turns, so encode holds two batches of
-stripes, not the file's shards.  A batch holds no parity chunk:
-parity_slots gives the f chunks of a batch whose XOR is a node's
-parity, and the shard writer XORs it as it writes the node.  encode,
-for the demos and tests, is the same path in one batch, with its
-parity chunks filled by the same rule.
+it on a batch of stripes at a time.  encoder, the one encode path,
+plans once and runs the plan for every node's f part chunks in place
+on a batch buffer the caller gives (shards._pipeline's), so encode
+holds batches of stripes, not the file's shards.  A batch holds no
+parity chunk: parity_slots gives the f chunks of a batch whose XOR is
+a node's parity, and the shard writer XORs it as it writes the node.
+encode, for the demos and tests, is the same path in one batch, with
+its parity chunks filled by the same rule.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
@@ -173,23 +173,18 @@ def data_chunks(params: SrcParams) -> list[ChunkId]:
             for sub in range(1, params.k + 1)]
 
 
-def encode_from(fill: Callable[[np.ndarray], object], size: int,
-                params: SrcParams, step: int) -> Iterator[np.ndarray]:
-    """Encode size input bytes, step stripes at a time.
-
-    Yields each batch of stripes in turn, (stripes, n*f, chunk_size)
-    with node i's f part chunks from (i-1)*f; a node's parity chunk is
-    not held, as the XOR of the batch slots parity_slots gives.  Batches
-    alternate between two buffers, so a batch stays intact while the
-    next one is coded and is overwritten by the one after; a file that
-    fits in one batch uses one buffer, and an empty input is one batch
-    of no stripes.  fill(view) must write the next len(view) input
-    bytes into view or raise.  It is called in file order with each
-    data chunk's slot, cut at the end of the input, and the rest of a
-    slot is zeroed; run_plan, on the one plan, derives the coded chunks
-    in place and copies no data slot, each already its own source.  The
-    caller must be done with a batch, for example by joining the thread
-    that writes it, before it asks for the batch after next.
+def encoder(fill: Callable[[np.ndarray], object], size: int,
+            params: SrcParams) -> Callable[[np.ndarray, int], None]:
+    """Plan the encode of size input bytes once; return make(out, start),
+    which codes the batch of stripes from start on into out, (stripes,
+    n*f, chunk_size) with node i's f part chunks from (i-1)*f.  A node's
+    parity chunk is not held, as the XOR of the batch slots parity_slots
+    gives.  make calls fill(view), which must write the next len(view)
+    input bytes into view or raise, in file order with each data chunk's
+    slot, cut at the end of the input, and zeroes the rest of a slot;
+    run_plan, on the one plan, derives the coded chunks in place and
+    copies no data slot, each already its own source.  Batches are made
+    in file order, as fill reads on.
     """
     f = params.f
     targets = [c for node in range(1, params.n + 1)
@@ -197,27 +192,23 @@ def encode_from(fill: Callable[[np.ndarray], object], size: int,
     data = {c: targets.index(c) for c in data_chunks(params)}
     plan = plan_chunks(params, data, targets)
     cs = params.chunk_size
-    stripes = params.stripes(size)
-    bufs: list[np.ndarray] = []
-    at = 0
-    for b, start in enumerate(range(0, max(stripes, 1), step)):
-        if b < 2:   # the second buffer only once a second batch comes
-            bufs.append(np.empty((min(step, stripes), len(targets), cs),
-                                 dtype=np.uint8))
-        batch = bufs[b % 2][:min(step, stripes - start)]
-        for stripe in batch:
+
+    def make(out: np.ndarray, start: int) -> None:
+        at = start * params.stripe_data_bytes
+        for stripe in out:
             for slot in data.values():
                 got = min(max(size - at, 0), cs)
                 if got:
                     fill(stripe[slot, :got])
                 stripe[slot, got:] = 0
                 at += cs
-        yield run_plan(plan, {c: batch[:, slot] for c, slot in data.items()},
-                       batch)
+        run_plan(plan, {c: out[:, slot] for c, slot in data.items()}, out)
+
+    return make
 
 
 def parity_slots(params: SrcParams) -> list[list[int]]:
-    """The parity rule on an encode_from batch: for node i, list i-1
+    """The parity rule on an encoder batch: for node i, list i-1
     holds the slots of the f part chunks whose XOR is the node's parity
     chunk, those sharing its subscript, in part order."""
     f = params.f
@@ -227,16 +218,16 @@ def parity_slots(params: SrcParams) -> list[list[int]]:
 
 
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
-    """Encode a byte string into the n-node coded array (encode_from,
-    in one batch, and each node's parity chunk from parity_slots).
+    """Encode a byte string into the n-node coded array (encoder, in
+    one batch, and each node's parity chunk from parity_slots).
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.
     """
     stripes = params.stripes(len(file_bytes))
-    parts, = encode_from(io.BytesIO(file_bytes).readinto, len(file_bytes),
-                         params, max(stripes, 1))
     n, f = params.n, params.f
+    parts = np.empty((stripes, n * f, params.chunk_size), dtype=np.uint8)
+    encoder(io.BytesIO(file_bytes).readinto, len(file_bytes), params)(parts, 0)
     coded = np.empty((stripes, n, f + 1, params.chunk_size), dtype=np.uint8)
     coded[:, :, :f] = parts.reshape(stripes, n, f, params.chunk_size)
     for node, sources in enumerate(parity_slots(params)):

@@ -14,12 +14,11 @@ so a rebuilt shard can be checked against the manifest digest.
 
 This module is the only one that reads or writes shard files, and it
 runs the three file workflows end to end: write_shard_set (encode),
-decode_file and repair_shard.  Each makes a batch of stripes at a time
-in one of two buffers that take turns, so memory does not grow with the
-file, and hands each finished batch to one writer thread, which hashes
-and writes it while the next batch is made on the caller's thread (all
-GF work stays there); the thread is joined before its buffer is made
-again.  An encode batch holds each node's f part chunks only: the
+decode_file and repair_shard.  Each is one run of _pipeline, the batch
+loop: a batch of stripes at a time is made on the caller's thread (all
+GF work stays there) and written by one writer thread while the next
+is made, in two buffers that take turns, so memory does not grow with
+the file.  An encode batch holds each node's f part chunks only: the
 writer thread XORs each node's parity chunk into one reused row as it
 writes the node.  ShardWriter is the one shard writer: it takes a
 node's payload a batch of stripes at a time, as one array or as its
@@ -53,7 +52,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encode_from,
+from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encoder,
                    parity_slots, plan_chunks, run_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      ShapeError)
@@ -314,31 +313,42 @@ class ShardWriter:
         return self._sha.hexdigest()
 
 
-def _write_behind(batches: Iterable[np.ndarray],
-                  write: Callable[[np.ndarray], object]) -> None:
-    """Call write on each batch in turn on one writer thread, while the
-    next batch is made on this one.  A batch's write is joined once the
-    next batch is made, before the batch after that is asked for, so a
-    batch's buffer is not made again while it is written.  An error of
-    write is raised here; on any error the thread is joined first.
-    hashlib, zlib and file writes release the GIL; write must call no
-    span-wrapped (public module-level) function."""
+def _pipeline(stripes: int, step: int, width: int, chunk_size: int,
+              make: Callable[[np.ndarray, int], object],
+              write: Callable[[np.ndarray], object]) -> None:
+    """The batch loop of encode, decode and repair: make and write
+    stripes stripes, step at a time, each batch (stripes, width,
+    chunk_size).  make(out, start) fills out with the batch of stripes
+    from start on, on this thread; write(out) then runs on one writer
+    thread while the next batch is made.  Batches take turns in two
+    buffers, the second allocated only once a second batch comes, and a
+    batch's write is joined before its buffer is made again, so neither
+    callable needs to copy a batch.  An empty file is one batch of no
+    stripes.  An error of write is raised here; on any error the thread
+    is joined first.  hashlib, zlib and file writes release the GIL;
+    write must call no span-wrapped (public module-level) function."""
     failed: list[BaseException] = []
 
-    def run(batch: np.ndarray) -> None:
+    def run(out: np.ndarray) -> None:
         try:
-            write(batch)
+            write(out)
         except BaseException as exc:   # raised again on the caller's thread
             failed.append(exc)
 
+    bufs: list[np.ndarray] = []
     thread = None
     try:
-        for batch in batches:
+        for b, start in enumerate(range(0, max(stripes, 1), step)):
+            if b < 2:
+                bufs.append(np.empty((min(step, stripes), width, chunk_size),
+                                     np.uint8))
+            out = bufs[b % 2][:min(step, stripes - start)]
+            make(out, start)
             if thread is not None:
                 thread.join()
             if failed:
                 raise failed[0]
-            thread = threading.Thread(target=run, args=(batch,))
+            thread = threading.Thread(target=run, args=(out,))
             thread.start()
     finally:
         if thread is not None:
@@ -352,10 +362,10 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     """Encode the size bytes of the binary stream source into n shard
     files and a manifest; returns the manifest path.
 
-    The input is read, hashed and encoded a batch of stripes at a time,
-    every node's f part chunks in place (_batch_stripes with no
-    outputs), and one writer thread writes each node's rows to its file
-    while the next batch is coded, so no more than two batches are held.
+    The input is read, hashed and encoded a batch of stripes at a time
+    by _pipeline, every node's f part chunks in place (encoder, and
+    _batch_stripes with no outputs), and the writer thread writes each
+    node's rows to its file while the next batch is coded.
     A batch holds no parity chunk: for each node in turn, the writer
     XORs the f part chunks parity_slots names into one reused (stripes,
     chunk_size) row, or takes the one chunk when f = 1, and passes
@@ -403,7 +413,8 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                                                 out=scratch[:len(batch)])
                     w.write([*batch[:, s:s + f].swapaxes(0, 1), parity])
 
-            _write_behind(encode_from(fill, size, params, step), write)
+            _pipeline(params.stripes(size), step, params.n * f,
+                      params.chunk_size, encoder(fill, size, params), write)
             if source.read(1):
                 raise changed
             digests = {w.node: w.seal() for w in writers}
@@ -437,18 +448,17 @@ class ShardReader:
     excepted; raises InsufficientDataError (exit 3), before reading any
     file, when they cannot cover the plan.  A shard file is checked when
     it is first opened, once: its length and 44-byte header must equal
-    what the manifest implies, and its CRC table is read.  batches()
+    what the manifest implies, and its CRC table is read.  _stream
     opens every file its plan reads before the first batch; read_chunks
     opens a file on the first read of one of its chunks.  read_chunks
     then reads only the wanted slots, neighbours in one os.preadv, and
     checks each chunk against its CRC-32; the whole-shard digest is not
-    checked.  In batches(), a shard file that fails its checks or a
+    checked.  In read_batch, a shard file that fails its checks or a
     chunk that fails its CRC is dropped, each shard file with a failure
     is named on stderr, and the stripes left, the current batch's
     included, are planned again; IntegrityError (exit 4), naming the
     skipped files, when the chunks left cannot cover that plan.  No slot
-    is read twice.  The files close when batches() or the reader's with
-    block ends.
+    is read twice.  The files close when the reader's with block ends.
     """
 
     def __init__(self, manifest: Manifest, directory: Path,
@@ -467,7 +477,7 @@ class ShardReader:
             manifest.params, manifest.stripe_count, manifest.version)
         self._open: dict[int, tuple[int, np.ndarray]] = {}   # fd, CRCs
         # where read_chunks puts a wanted chunk instead of a new array:
-        # while batches() reads a batch, each target's slot of it
+        # while read_batch reads a batch, each target's slot of it
         self._into: dict[ChunkId, np.ndarray] = {}
         self.plan = self._plan()
 
@@ -534,49 +544,38 @@ class ShardReader:
                 self._drop(failed)
         return held
 
-    def batches(self) -> Iterator[np.ndarray]:
-        """Yield the targets of each batch of stripes in turn, as a
-        (stripes, len(targets), chunk_size) array.  Batches alternate
-        between two buffers, as encode_from's do, so a batch stays
-        intact while the next one is made and is overwritten by the one
-        after; the caller must be done with it by then.  A target that
-        is read is read straight into its slot, which run_plan then
-        leaves as it is, and no other read of a batch is kept once the
-        batch is made.  The buffers are allocated only after the planned
-        shard files' lengths and headers are checked.  A plan made again
-        mid-batch finishes that batch, in the same budget.  An empty
-        file is one batch of no stripes."""
-        p, stripes = self.manifest.params, self.manifest.stripe_count
-        step = _batch_stripes(p, len(self.targets))
-        bufs: list[np.ndarray] = []
-        with self:
-            self._open_planned()
-            for b, start in enumerate(range(0, max(stripes, 1), step)):
-                stop = min(start + step, stripes)
-                if b < 2:   # the second buffer only once a second batch comes
-                    bufs.append(np.empty((min(step, stripes),
-                                          len(self.targets), p.chunk_size),
-                                         np.uint8))
-                out = bufs[b % 2][:stop - start]
-                self._into = {c: out[:, t] for t, c in enumerate(self.targets)}
-                held = self._read_planned(start, stop)
-                run_plan(self.plan, held, out)
-                del held   # no read of this batch is held past it
-                yield out
+    def read_batch(self, out: np.ndarray, start: int) -> None:
+        """Fill out, (stripes, len(targets), chunk_size), with the
+        targets of the stripes from start on.  A target that is read is
+        read straight into its slot, which run_plan then leaves as it
+        is, and no other read of the batch is kept once it is made.  A
+        plan made again mid-batch finishes that batch, in the same
+        budget."""
+        self._into = {c: out[:, t] for t, c in enumerate(self.targets)}
+        held = self._read_planned(start, start + len(out))
+        run_plan(self.plan, held, out)   # read after it may plan again
 
-    def read_chunks(self, wanted: Iterable[ChunkId], start: int = 0,
-                    stop: int | None = None
+    def _stream(self, write: Callable[[np.ndarray], object]) -> None:
+        """Open the planned shard files, so a batch buffer is allocated
+        only once their lengths and headers are checked, then read the
+        file a batch at a time through _pipeline, write taking each."""
+        p = self.manifest.params
+        self._open_planned()
+        _pipeline(self.manifest.stripe_count,
+                  _batch_stripes(p, len(self.targets)), len(self.targets),
+                  p.chunk_size, self.read_batch, write)
+
+    def read_chunks(self, wanted: Iterable[ChunkId], start: int, stop: int
                     ) -> tuple[dict[ChunkId, np.ndarray],
                                dict[ChunkId, IntegrityError]]:
-        """The wanted chunks of stripes start to stop (every stripe by
-        default), each (stop - start, chunk_size), that pass their
-        checks; and the chunks found unusable, each with the error
-        naming its shard file: every chunk of a shard that cannot be
-        opened or read, or whose length or header is wrong, or a wanted
-        chunk that fails its CRC in any of these stripes.  While
-        batches() reads a batch, a target is read into its slot of it."""
+        """The wanted chunks of stripes start to stop, each (stop -
+        start, chunk_size), that pass their checks; and the chunks found
+        unusable, each with the error naming its shard file: every chunk
+        of a shard that cannot be opened or read, or whose length or
+        header is wrong, or a wanted chunk that fails its CRC in any of
+        these stripes.  While read_batch reads a batch, a target is read
+        into its slot of it."""
         m = self.manifest
-        stop = m.stripe_count if stop is None else stop
         by_node: dict[int, list[ChunkId]] = {}
         for c in sorted(set(wanted)):
             by_node.setdefault(m.params.chunk_location(c), []).append(c)
@@ -672,14 +671,14 @@ def _unusable(node: int, exc: IntegrityError | OSError) -> IntegrityError:
 def decode_file(manifest: Manifest, directory: Path,
                 out: Path) -> ShardReader:
     """Decode manifest's file from the shard files in directory to out,
-    a batch of stripes at a time; the writer thread cuts the padding and
-    hashes and writes each batch while the next is made.  out takes its
-    name only if the hash is the manifest's file_digest, else
-    IntegrityError.  Returns the reader."""
+    a batch of stripes at a time by _pipeline; the writer thread cuts
+    the padding and hashes and writes each batch while the next is made.
+    out takes its name only if the hash is the manifest's file_digest,
+    else IntegrityError.  Returns the reader."""
     reader = ShardReader(manifest, directory, data_chunks(manifest.params))
     sha = hashlib.sha256()
     left = manifest.file_size
-    with atomic_writer(out) as fh:
+    with reader, atomic_writer(out) as fh:
 
         def write(chunks: np.ndarray) -> None:
             nonlocal left
@@ -688,7 +687,7 @@ def decode_file(manifest: Manifest, directory: Path,
             sha.update(data)
             fh.write(data)
 
-        _write_behind(reader.batches(), write)
+        reader._stream(write)
         if sha.hexdigest() != manifest.file_digest:
             raise IntegrityError(
                 "decoded file does not match the manifest digest")
@@ -704,9 +703,9 @@ def repair_shard(manifest: Manifest, directory: Path,
     chunks were derived by reconstruction."""
     p = manifest.params
     reader = ShardReader(manifest, directory, p.node_chunks(node), node)
-    with ShardWriter(directory, p, node, manifest.file_size,
-                     manifest.version) as writer:
-        _write_behind(reader.batches(), writer.write)
+    with reader, ShardWriter(directory, p, node, manifest.file_size,
+                             manifest.version) as writer:
+        reader._stream(writer.write)
         if reader.blocked:
             print("look-up repair blocked for "
                   f"{', '.join(c.label(p.f) for c in sorted(reader.blocked))}"

@@ -396,7 +396,7 @@ def test_repair_fallback_when_helper_missing(runner, tmp_path, monkeypatch,
     def no_encode(*args):
         raise AssertionError("repair must not re-encode the file")
 
-    monkeypatch.setattr(shards, "encode_from", no_encode)
+    monkeypatch.setattr(shards, "encoder", no_encode)
     res = runner.invoke(main, ["repair", "--manifest", str(manifest),
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
@@ -592,8 +592,7 @@ def _count_reads(monkeypatch):
     calls, nbytes = [], []
     read_chunks, pread, preadv = ShardReader.read_chunks, os.pread, os.preadv
 
-    def counting(reader, wanted, start=0, stop=None):
-        stop = reader.manifest.stripe_count if stop is None else stop
+    def counting(reader, wanted, start, stop):
         calls.append((list(wanted), start, stop))
         return read_chunks(reader, calls[-1][0], start, stop)
 

@@ -154,3 +154,28 @@ def test_parameter_defaults_are_overridden():
                 if not any(_overrides(call, param, position)
                            for call in calls.get(name, []))]
     assert unturned == []
+
+
+def _thread_makers(node: ast.AST, where: str):
+    """Where node's subtree constructs a thread: the dotted name of the
+    innermost function or class around each threading.Thread or
+    ThreadPoolExecutor call."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef
+                      | ast.ClassDef):
+            inner = f"{where}.{child.name}"
+        elif isinstance(child, ast.Call) and getattr(
+                child.func, "attr", getattr(child.func, "id", None)) \
+                in ("Thread", "ThreadPoolExecutor"):
+            yield where
+        yield from _thread_makers(child, inner)
+
+
+def test_one_function_starts_threads():
+    # the writer thread of encode, decode and repair is _pipeline's: a
+    # second write-behind path would start its own
+    makers = [m for path, tree in _program().items()
+              if path.parent == PROGRAM[0]
+              for m in _thread_makers(tree, path.stem)]
+    assert makers == ["shards._pipeline"]

@@ -14,12 +14,13 @@ from srcodes.errors import IntegrityError, ShapeError
 from srcodes.shards import (Manifest, ShardReader, ShardWriter,
                             load_manifest, shard_filename, write_shard_set)
 
+from gf_reference import reference_encode
 from shard_files import HEADER_B, shard_bytes, slot_at, table_bytes
 
 
-def read_chunks(manifest, directory, wanted, start=0, stop=None):
+def read_chunks(manifest, directory, wanted):
     with ShardReader(manifest, directory, wanted) as reader:
-        return reader.read_chunks(wanted, start, stop)
+        return reader.read_chunks(wanted, 0, manifest.stripe_count)
 
 
 def _array(seed=1, params=None):
@@ -63,11 +64,12 @@ def _sets(draw):
 @example((SrcParams(4, 2, 1, 8), 3 * 16 + 5, 2))   # a parity is one chunk
 @given(_sets())
 def test_shard_round_trip(case):
-    # write_shard_set, a batch at a time, against core.encode in one
+    # write_shard_set, a batch at a time, against the reference encoder,
+    # which shares no code with core's
     p, size, step = case
     data = np.random.default_rng(size).integers(0, 256, size,
                                                 dtype=np.uint8).tobytes()
-    arr = encode(data, p)
+    _, expected = reference_encode(data, p.n, p.k, p.f, p.chunk_size)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
             as mp:
         mp.setattr(shards, "_BATCH_BYTES",
@@ -77,12 +79,12 @@ def test_shard_round_trip(case):
         assert manifest.file_digest == hashlib.sha256(data).hexdigest()
         for node in range(1, p.n + 1):
             blob = (Path(tmp) / shard_filename(node)).read_bytes()
-            assert len(blob) == shard_bytes(p, arr.stripe_count)
+            assert len(blob) == shard_bytes(p, p.stripes(size))
             assert manifest.shard_digests[node] == \
                 hashlib.sha256(blob).hexdigest()
             shard, failed = _read_node(manifest, tmp, node)
             assert failed == {}
-            assert np.array_equal(shard, arr.shards[node])
+            assert np.array_equal(shard, expected[node])
 
 
 def _write_shard(directory, arr, node, payload, digest=None):
@@ -315,9 +317,11 @@ def test_reader_batches_plan_around_a_failed_chunk(tmp_path, capsys):
         0, 256, 3 * params.stripe_data_bytes - 9, dtype=np.uint8).tobytes()
     manifest = load_manifest(_write_set(tmp_path, data, params))
     _flip(tmp_path / shard_filename(2), slot_at(params, 3, 1, 0))
-    reader = ShardReader(manifest, tmp_path, data_chunks(params))
-    out = b"".join(batch.tobytes() for batch in reader.batches())
-    assert out[:len(data)] == data
+    with ShardReader(manifest, tmp_path, data_chunks(params)) as reader:
+        out = np.empty((manifest.stripe_count, len(reader.targets),
+                        params.chunk_size), np.uint8)
+        reader.read_batch(out, 0)
+    assert out.tobytes()[:len(data)] == data
     assert capsys.readouterr().err == \
         "skipped: shard node_002.shard: part1[2] fails the CRC-32 check\n"
     assert list(reader.skipped) == [shard_filename(2)]

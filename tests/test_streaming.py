@@ -201,25 +201,30 @@ def test_encode_input_shrinks_while_writes_run(tmp_path, monkeypatch,
     # its input
     _, src = _input(tmp_path, FOUR_BATCHES, "input")
     writing, failed, started = threading.Event(), threading.Event(), []
-    encode_from = shards.encode_from
+    encoder = shards.encoder
 
-    def shrinking(fill, size, params, step):
-        coded = encode_from(fill, size, params, step)
-        yield next(coded)
-        yield next(coded)
-        started.append(writing.wait(timeout=30))
-        os.truncate(src, 5 * P.stripe_data_bytes)
-        try:
-            yield from coded
-        finally:
-            failed.set()
+    def shrinking(fill, size, params):
+        make, made = encoder(fill, size, params), []
+
+        def batch(out, start):
+            made.append(start)
+            if len(made) < 3:
+                return make(out, start)
+            started.append(writing.wait(timeout=30))
+            os.truncate(src, 5 * P.stripe_data_bytes)
+            try:
+                return make(out, start)
+            finally:
+                failed.set()
+
+        return batch
 
     def second_waits(node, batch):
         if batch == 2:
             writing.set()
             failed.wait(timeout=30)
 
-    monkeypatch.setattr(shards, "encode_from", shrinking)
+    monkeypatch.setattr(shards, "encoder", shrinking)
     _on_write(monkeypatch, second_waits)
     _encode_fails_cleanly(tmp_path, src,
                           f"error: {src} changed size while read\n")
@@ -268,10 +273,9 @@ def test_writer_thread_calls_no_public_function(tmp_path, monkeypatch,
     assert threads and set(threads) == {threading.get_ident()}
 
 
-def test_decode_write_error_in_second_batch(tmp_path, monkeypatch,
-                                            one_stripe_batches):
-    # the decoded file's second write, on the writer thread, fails
-    _, out = _encode(tmp_path, FOUR_BATCHES)
+def _second_decode_write_fails(monkeypatch):
+    """The decoded file's second write, on the writer thread, raises
+    OSError("disk full")."""
     atomic_writer = shards.atomic_writer
 
     class SecondWriteFails:
@@ -290,21 +294,76 @@ def test_decode_write_error_in_second_batch(tmp_path, monkeypatch,
             yield SecondWriteFails(fh)
 
     monkeypatch.setattr(shards, "atomic_writer", failing)
+
+
+def test_decode_write_error_in_second_batch(tmp_path, monkeypatch,
+                                            one_stripe_batches):
+    _, out = _encode(tmp_path, FOUR_BATCHES)
+    _second_decode_write_fails(monkeypatch)
     _fails_cleanly(tmp_path, lambda: _decode(out, tmp_path / "y.bin"),
                    "error: disk full\n")
+
+
+def _second_repair_write_fails(node, batch):
+    if batch == 2:
+        raise OSError("disk full")
 
 
 def test_repair_writer_error_in_second_batch(tmp_path, monkeypatch,
                                             one_stripe_batches):
     _, out = _encode(tmp_path, FOUR_BATCHES)
     (out / shard_filename(3)).unlink()
-
-    def full(node, batch):
-        if batch == 2:
-            raise OSError("disk full")
-
-    _on_write(monkeypatch, full)
+    _on_write(monkeypatch, _second_repair_write_fails)
     _fails_cleanly(tmp_path, lambda: _repair(out, 3), "error: disk full\n")
+
+
+@pytest.fixture
+def open_shards(monkeypatch):
+    """The shard files opened through os.open, in order, and the
+    descriptors of those not closed through os.close yet."""
+    opened, fds, os_open, os_close = [], set(), os.open, os.close
+
+    def opening(path, *args, **kwargs):
+        fd = os_open(path, *args, **kwargs)
+        if str(path).endswith(".shard"):
+            opened.append(Path(path).name)
+            fds.add(fd)
+        return fd
+
+    def closing(fd):
+        fds.discard(fd)
+        os_close(fd)
+
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "close", closing)
+    return opened, fds
+
+
+def test_a_failed_decode_closes_its_shard_files(tmp_path, monkeypatch,
+                                                one_stripe_batches,
+                                                open_shards):
+    # the caller holds the error, and so its traceback, with no shard
+    # file left open
+    _, out = _encode(tmp_path, FOUR_BATCHES)
+    manifest = shards.load_manifest(out / MANIFEST_NAME)
+    _second_decode_write_fails(monkeypatch)
+    with pytest.raises(OSError, match="disk full") as failure:
+        shards.decode_file(manifest, out, tmp_path / "y.bin")
+    opened, fds = open_shards
+    assert failure.tb is not None and opened and fds == set()
+
+
+def test_a_failed_repair_closes_its_shard_files(tmp_path, monkeypatch,
+                                                one_stripe_batches,
+                                                open_shards):
+    _, out = _encode(tmp_path, FOUR_BATCHES)
+    manifest = shards.load_manifest(out / MANIFEST_NAME)
+    (out / shard_filename(3)).unlink()
+    _on_write(monkeypatch, _second_repair_write_fails)
+    with pytest.raises(OSError, match="disk full") as failure:
+        shards.repair_shard(manifest, out, 3)
+    opened, fds = open_shards
+    assert failure.tb is not None and opened and fds == set()
 
 
 def test_decode_crc_failure_in_last_batch(tmp_path, one_stripe_batches):
@@ -361,11 +420,11 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 
 
 def _check_budget(mp):
-    """Check every run_plan call of ShardReader.batches: the chunks its
-    batch read that are held outside its output, the chunks it derives
-    that are not targets, and both output buffers, the one written
-    behind included, fit _BATCH_BYTES, or the batch is one stripe.
-    Returns the stripes of each batch."""
+    """Check every run_plan call of ShardReader.read_batch: the chunks
+    its batch read that are held outside its output, the chunks it
+    derives that are not targets, and both output buffers, the one
+    written behind included, fit _BATCH_BYTES, or the batch is one
+    stripe.  Returns the stripes of each batch."""
     run_plan, seen = shards.run_plan, []
 
     def checked(plan, present, out):
