@@ -27,7 +27,10 @@ through one chunk executor.  Planning is split from execution:
 plan_chunks turns a list of targets into the chunks to read and an
 ordered list of steps, each a copy, an XOR, or a GF(256) combination
 whose coefficients one gf256.solve per plan works out; run_plan runs
-those steps on the chunks read, for any run of stripes.  The coefficients
+those steps on the chunks read, for any run of stripes.  A plan reads
+the fewest chunks the code's rules allow: look-ups where every helper
+is present, else the set of whole parts, each derived from k of its
+chunks, that covers the targets with the fewest reads.  The coefficients
 come from the (n, k) MDS generator, a plain array that a plan builds
 only when it derives chunks: look-up repair plans and a healthy decode
 build none.
@@ -50,9 +53,10 @@ its parity chunks filled by the same rule.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, combinations, compress, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -263,21 +267,150 @@ class ChunkPlan:
 
 def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
                 targets: list[ChunkId]) -> ChunkPlan:
-    """Plan the target chunks from the available ones, reading nothing.
+    """Plan the target chunks from the available ones, reading nothing:
+    the plan reads the fewest chunks the rule below allows.
 
-    An available target is copied.  An absent target is the XOR of its f
-    helpers when all are available, or when it is a parity chunk and
-    each absent helper is a coded chunk of a part with k chunks
-    available, derived and made once.  Any other absent target is
-    derived, all by one gf256.solve over the available chunks, which
-    takes their earliest independent ones: a part with k available
-    reads its lowest k.  So a healthy decode copies the f*k data chunks
-    and derives none, and a plan exists whenever the available chunks
+    An available target is copied, and an absent one whose f helpers
+    are all available is their XOR.  When that covers every target, as
+    in a look-up repair or a healthy decode, the plan derives nothing.
+    Otherwise it derives a set of parts (_derived_parts picks it), each
+    from k of its available chunks, those the plan copies or XORs
+    first.  A target of a derived part that is not read is derived,
+    unless it is the XOR of chunks the plan reads anyway.  Any other
+    absent target is the XOR of its helpers, each absent one lying in a
+    derived part, and a helper of a derived part that is not read is
+    derived too: with part 2 derived, part1[2] = part2[2] ^ parity[2].
+    The derived chunks come from one gf256.solve over the part chunks
+    read.  When no set of parts covers the targets, the plan is
+    _joint_plan's.  So a plan exists whenever the available chunks
     determine the targets.  Raises InsufficientDataError naming the
     first target they do not determine and its absent helper nodes.
     """
     f, k = params.f, params.k
     available = frozenset(available)
+    order = list(dict.fromkeys(targets))
+    helpers = {c: params.helpers(c) for c in order}
+    parts = _derived_parts(params, available, order, helpers)
+    if parts is None:
+        return _joint_plan(params, available, targets)
+    # the sources of the XOR steps of targets outside the derived parts
+    used = {h for c in order if c not in available and c.part not in parts
+            for h in helpers[c]}
+    reads = {c for c in order if c in available and c.part not in parts} \
+        | {h for h in used if h in available and h.part not in parts}
+    used.update(order)
+    for l in parts:   # k chunks, the target copies and XOR sources first
+        pool = sorted(c for c in available if c.part == l)
+        pool.sort(key=lambda c: c not in used)
+        reads.update(pool[:k])
+    steps, derived = [], {}
+    for c in order:
+        if c in reads:
+            steps.append(Step((c,), (c,)))
+        elif c.part in parts and (c in available
+                                  or not reads.issuperset(helpers[c])):
+            derived[c] = None
+        else:
+            steps.append(Step((c,), tuple(helpers[c])))
+            derived.update(dict.fromkeys(h for h in helpers[c]
+                                         if h not in reads))
+    if derived:
+        gen = make_generator(k, params.n)
+        outs, every = list(derived), sorted(c for c in reads
+                                            if c.part in parts)
+        x, _ = gf256.solve(_rows(gen, f, every), _rows(gen, f, outs))
+        steps[:0] = _derive_steps(outs, every, x)
+    return ChunkPlan(targets=tuple(targets),
+                     reads=tuple(sorted({c for step in steps
+                                         for c in step.sources
+                                         if c in available})),
+                     steps=tuple(steps))
+
+
+def _derived_parts(params: SrcParams, available: frozenset,
+                   order: list[ChunkId],
+                   helpers: dict[ChunkId, list[ChunkId]]
+                   ) -> tuple[int, ...] | None:
+    """The parts plan_chunks derives: () when every target is available
+    or the XOR of available helpers; else, of the sets of parts that
+    have k chunks available and that some absent target is of or has an
+    absent helper in, the one that covers every target and costs fewest
+    reads, then fewest parts, first in order; None when no set covers.
+    After the set of all such parts, sets are tried smallest first, only
+    while their k reads a part could still beat the best found, and at
+    most _PART_SETS of them."""
+    f, k = params.f, params.k
+    gone = [c for c in order if c not in available]
+    # per absent target: its own part and the parts of its absent
+    # helpers, or None for those when it cannot be their XOR
+    options = []
+    for c in gone:
+        absent = {h.part for h in helpers[c] if h not in available}
+        if absent:
+            options.append(({c.part} - {f + 1},
+                            None if f + 1 in absent else absent))
+    if not options:
+        return ()
+    counts = Counter(c.part for c in available)
+    every = sorted({l for own, xor in options for l in own | (xor or set())
+                    if counts[l] >= k})
+
+    def covers(parts: tuple[int, ...]) -> bool:
+        return all(own.intersection(parts)
+                   or xor is not None and xor.issubset(parts)
+                   for own, xor in options)
+
+    present = {c for c in order if c in available}
+
+    def cost(parts: tuple[int, ...]) -> int:
+        """k per part, the copies outside them, and the available
+        helpers outside them of the absent targets outside them."""
+        xors = {h for c in gone if c.part not in parts for h in helpers[c]
+                if h in available and h.part not in parts}
+        return k * len(parts) + len({c for c in present | xors
+                                     if c.part not in parts})
+
+    if not covers(tuple(every)):
+        return None
+    best = (cost(tuple(every)), len(every), tuple(every))
+    sets = chain.from_iterable(combinations(every, r)
+                               for r in range(len(every)))
+    for parts in islice(sets, _PART_SETS):
+        if k * len(parts) > best[0]:
+            break
+        if covers(parts) and (cost(parts), len(parts)) < best[:2]:
+            best = (cost(parts), len(parts), parts)
+    return best[2]
+
+
+# Part sets _derived_parts tries at most: every set of up to 12 parts
+_PART_SETS = 1 << 12
+
+
+def _derive_steps(outs: list[ChunkId], every: list[ChunkId],
+                  x: np.ndarray) -> list[Step]:
+    """A derive step per part of outs, in part order: x[d] holds outs[d]'s
+    coefficients over every, and a step reads the sources any of its
+    outs uses."""
+    steps = []
+    for l in sorted({c.part for c in outs}):
+        pick = [i for i, c in enumerate(outs) if c.part == l]
+        used = x[pick].any(axis=0)
+        steps.append(Step(tuple(outs[i] for i in pick),
+                          tuple(compress(every, used)), x[pick][:, used]))
+    return steps
+
+
+def _joint_plan(params: SrcParams, available: frozenset,
+                targets: list[ChunkId]) -> ChunkPlan:
+    """plan_chunks' plan when no set of parts covers the targets.  An
+    available target is copied.  An absent target is the XOR of its f
+    helpers when all are available, or when it is a parity chunk and
+    each absent helper is a coded chunk of a part with k chunks
+    available, derived and made once.  Any other absent target is
+    derived, all by one gf256.solve over the available chunks, which
+    takes their earliest independent ones."""
+    f, k = params.f, params.k
     every = sorted(available)   # parts 1..f, then parity
     full = {l for l in range(1, f + 1)
             if sum(c.part == l for c in every) >= k}
@@ -302,11 +435,7 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
         gen = make_generator(k, params.n)
         x, spanned = gf256.solve(_rows(gen, f, every), _rows(gen, f, outs))
         short = {derived[c] for c, ok in zip(outs, spanned) if not ok}
-        for l in sorted({c.part for c in outs}):
-            pick = [i for i, c in enumerate(outs) if c.part == l]
-            used = x[pick].any(axis=0)
-            steps.append(Step(tuple(outs[i] for i in pick),
-                              tuple(compress(every, used)), x[pick][:, used]))
+        steps = _derive_steps(outs, every, x)
     if short:
         target = next(t for t in targets if t in short)
         nodes = sorted(params.chunk_location(h) for h in absent[target])

@@ -166,9 +166,12 @@ def _addmul_group(out: list, coeffs: np.ndarray, rows) -> None:
     if not rows:
         return
     dtype = np.uint32 if len(out) <= 4 else np.uint64
-    shifts = 8 * np.arange(len(out), dtype=dtype)[:, None]
-    tables = np.bitwise_or.reduce(
-        MUL[coeffs[:, keep].T].astype(dtype) << shifts, axis=1)
+    tables = np.zeros((len(rows), 256), dtype)
+    one = np.empty_like(tables)   # one output's products, then shifted
+    for i, row in enumerate(coeffs[:, keep]):
+        np.copyto(one, MUL[row])
+        np.left_shift(one, 8 * i, out=one)
+        np.bitwise_or(tables, one, out=tables)
     scratch = getattr(_local, "grouped", None)
     if scratch is None:
         scratch = _local.grouped = (np.empty(_GROUP_BLOCK, np.intp),

@@ -27,7 +27,7 @@ copies a batch.  Every file goes through atomic_writer, so a crash
 never leaves a torn file under its real name.  ShardReader is the one
 shard-set reader: it plans around missing and damaged files and reads
 only the chunk slots its plan needs, a target chunk straight into its
-slot of the batch.
+slot of the batch; a decode reads no padding chunk of the last stripe.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -446,10 +446,13 @@ class ShardReader:
 
     Plans on the chunks of the shard files that exist, the lost node's
     excepted; raises InsufficientDataError (exit 3), before reading any
-    file, when they cannot cover the plan.  A shard file is checked when
-    it is first opened, once: its length and 44-byte header must equal
-    what the manifest implies, and its CRC table is read.  _stream
-    opens every file its plan reads before the first batch; read_chunks
+    file, when they cannot cover the plan.  With last, the last stripe
+    needs only the first last targets, the rest being zero there (a
+    decode's padding), and has a plan of its own, tail, that reads only
+    what those need.  A shard file is checked when it is first opened,
+    once: its length and 44-byte header must equal what the manifest
+    implies, and its CRC table is read.  _stream
+    opens every file its plans read before the first batch; read_chunks
     opens a file on the first read of one of its chunks.  read_chunks
     then reads only the wanted slots, neighbours in one os.preadv, and
     checks each chunk against its CRC-32; the whole-shard digest is not
@@ -462,8 +465,11 @@ class ShardReader:
     """
 
     def __init__(self, manifest: Manifest, directory: Path,
-                 targets: list[ChunkId], lost: int = 0):
+                 targets: list[ChunkId], lost: int = 0,
+                 last: int | None = None):
         self.manifest, self.targets = manifest, targets
+        # the targets the last stripe needs: the first last of them
+        self._last = len(targets) if last is None else last
         self.directory = Path(directory)
         self.available = {c for node in manifest.shard_digests
                           if node != lost
@@ -479,7 +485,7 @@ class ShardReader:
         # where read_chunks puts a wanted chunk instead of a new array:
         # while read_batch reads a batch, each target's slot of it
         self._into: dict[ChunkId, np.ndarray] = {}
-        self.plan = self._plan()
+        self._plan()
 
     def __enter__(self) -> "ShardReader":
         return self
@@ -490,19 +496,22 @@ class ShardReader:
         self._open.clear()
         self._into = {}
 
-    def _plan(self) -> ChunkPlan:
+    def _plan(self) -> None:
+        """Plan the targets, and the last stripe's on its own when it
+        needs fewer, around the chunks available."""
+        p = self.manifest.params
         try:
-            plan = plan_chunks(self.manifest.params, self.available,
-                               self.targets)
+            self.plan = plan_chunks(p, self.available, self.targets)
+            self.tail = None if self._last == len(self.targets) else \
+                plan_chunks(p, self.available, self.targets[:self._last])
         except InsufficientDataError as exc:
             if not self.skipped:
                 raise
             raise IntegrityError(
                 f"{exc}; skipped {', '.join(self.skipped)}") from exc
-        straight = {s.outs[0] for s in plan.steps if s.coeffs is None
+        straight = {s.outs[0] for s in self.plan.steps if s.coeffs is None
                     and self.available.issuperset(s.sources)}
         self.blocked.update(set(self.targets) - straight)
-        return plan
 
     def _drop(self, failed: dict[ChunkId, IntegrityError]) -> None:
         """Name each shard file of the failed chunks on stderr, once per
@@ -513,16 +522,20 @@ class ShardReader:
             shard_filename(self.manifest.params.chunk_location(c))
             for c in failed))
         self.available.difference_update(failed)
-        self.plan = self._plan()
+        self._plan()
 
     def _open_planned(self) -> None:
-        """Open the shard files the plan reads, each checked as on its
-        first read, and plan around those that fail, until every file
-        planned is open."""
+        """Open the shard files the plans that run read, each checked as
+        on its first read, and plan around those that fail, until every
+        file planned is open: the last stripe's plan, if apart, and the
+        plan of the other stripes, unless the last is the only one."""
         p = self.manifest.params
         while True:
+            plans = [self.plan] if self.tail is None else \
+                [self.tail] + [self.plan] * (self.manifest.stripe_count > 1)
             failed: dict[ChunkId, IntegrityError] = {}
-            for node in sorted({p.chunk_location(c) for c in self.plan.reads}):
+            for node in sorted({p.chunk_location(c) for plan in plans
+                                for c in plan.reads}):
                 try:
                     self._shard(node)
                 except (IntegrityError, OSError) as exc:
@@ -532,28 +545,39 @@ class ShardReader:
                 return
             self._drop(failed)
 
-    def _read_planned(self, start: int, stop: int
-                      ) -> dict[ChunkId, np.ndarray]:
-        """The plan's reads of stripes start to stop that pass their
-        checks, planning again around those that fail."""
+    def read_batch(self, out: np.ndarray, start: int) -> None:
+        """Fill out, (stripes, len(targets), chunk_size), with the
+        targets of the stripes from start on, the last stripe by its
+        own plan, its targets past the first last zeroed.  A target
+        that is read is read straight into its slot, which run_plan then
+        leaves as it is, and no other read of the batch is kept once it
+        is made.  A plan made again mid-batch finishes that batch, in
+        the same budget."""
+        cut = len(out) if self.tail is None else \
+            min(len(out), self.manifest.stripe_count - 1 - start)
+        if cut:
+            self._run(out[:cut], start, tail=False)
+        if cut < len(out):
+            self._run(out[cut:], start + cut, tail=True)
+            out[cut:, self._last:] = 0
+
+    def _run(self, out: np.ndarray, start: int, tail: bool) -> None:
+        """Read and run the plan, or the last stripe's, on the stripes
+        of out from start on: its reads that pass their checks, planning
+        again around those that fail, which replaces the plan.  A read
+        that is one of the targets goes to its slot of out, even when
+        the last stripe's plan does not produce it there."""
+        def plan() -> ChunkPlan:
+            return self.tail if tail else self.plan
+
+        self._into = {c: out[:, t] for t, c in enumerate(self.targets)}
         held: dict[ChunkId, np.ndarray] = {}
-        while todo := [c for c in self.plan.reads if c not in held]:
-            got, failed = self.read_chunks(todo, start, stop)
+        while todo := [c for c in plan().reads if c not in held]:
+            got, failed = self.read_chunks(todo, start, start + len(out))
             held.update(got)
             if failed:
                 self._drop(failed)
-        return held
-
-    def read_batch(self, out: np.ndarray, start: int) -> None:
-        """Fill out, (stripes, len(targets), chunk_size), with the
-        targets of the stripes from start on.  A target that is read is
-        read straight into its slot, which run_plan then leaves as it
-        is, and no other read of the batch is kept once it is made.  A
-        plan made again mid-batch finishes that batch, in the same
-        budget."""
-        self._into = {c: out[:, t] for t, c in enumerate(self.targets)}
-        held = self._read_planned(start, start + len(out))
-        run_plan(self.plan, held, out)   # read after it may plan again
+        run_plan(plan(), held, out[:, :len(plan().targets)])
 
     def _stream(self, write: Callable[[np.ndarray], object]) -> None:
         """Open the planned shard files, so a batch buffer is allocated
@@ -673,9 +697,16 @@ def decode_file(manifest: Manifest, directory: Path,
     """Decode manifest's file from the shard files in directory to out,
     a batch of stripes at a time by _pipeline; the writer thread cuts
     the padding and hashes and writes each batch while the next is made.
+    The last stripe's data chunks wholly past the end of the file are
+    zero, and neither read nor CRC-checked.
     out takes its name only if the hash is the manifest's file_digest,
     else IntegrityError.  Returns the reader."""
-    reader = ShardReader(manifest, directory, data_chunks(manifest.params))
+    p = manifest.params
+    # the data chunks of the last stripe that hold file bytes
+    tail = manifest.file_size - (manifest.stripe_count - 1) \
+        * p.stripe_data_bytes
+    reader = ShardReader(manifest, directory, data_chunks(p),
+                         last=-(-tail // p.chunk_size))
     sha = hashlib.sha256()
     left = manifest.file_size
     with reader, atomic_writer(out) as fh:

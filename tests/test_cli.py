@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -639,28 +640,36 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     def nodes(ids):
         return {p.chunk_location(c) for c in ids}
 
-    def read_once():
+    ranges = [(s, min(s + stripes // batches, stripes))
+              for s in range(0, stripes, stripes // batches)]
+
+    def read_once(ranges=ranges):
         """Every chunk is read at most once in each stripe, the calls
-        cover every stripe in order, and each shard file read adds one
-        header and CRC table to the chunks, nothing more."""
+        cover the stripe ranges in order, and each shard file read adds
+        one header and CRC table to the chunks, nothing more."""
         reads = [(c, s) for ids, a, b in calls for c in ids
                  for s in range(a, b)]
         assert len(reads) == len(set(reads))
-        assert sorted({(a, b) for _, a, b in calls}) == [
-            (s, min(s + stripes // batches, stripes))
-            for s in range(0, stripes, stripes // batches)]
+        assert sorted({(a, b) for _, a, b in calls}) == ranges
         ids = {c for call, _, _ in calls for c in call}
         assert sum(nbytes) == len(nodes(ids)) * head \
             + len(reads) * p.chunk_size
         return ids
 
     # healthy decode: the f*k data chunks, M bytes, from nodes
-    # 1..k and n-f+2..n, with no GF work left to do
+    # 1..k and n-f+2..n, with no GF work left to do; the last stripe,
+    # read on its own, reads only the data chunks that hold file bytes
     assert _decode(runner, out, tmp_path / "y.bin").exit_code == 0
-    assert read_once() == set(data_chunks(p))
+    last = stripes - 1
+    cut = sorted({(a, min(b, last)) for a, b in ranges if a < last}
+                 | {(last, stripes)})
+    assert read_once(cut) == set(data_chunks(p))
     assert nodes(calls[0][0]) == set(range(1, k + 1)) | set(
         range(n - f + 2, n + 1))
-    assert len(calls) == batches
+    assert len(calls) == len(cut)
+    tail = 30_000 - last * p.stripe_data_bytes
+    assert [ids for ids, a, _ in calls if a == last] == [
+        data_chunks(p)[:-(-tail // p.chunk_size)]]
 
     # look-up repair: f helpers per lost chunk, f(f+1) chunks per stripe
     # from min(2f, n-1) nodes
@@ -740,6 +749,80 @@ def test_decode_reads_no_parity_slot(runner, tmp_path, monkeypatch):
     assert dest.read_bytes() == data
     assert res.stderr == ""
     assert calls and all(c.part <= 2 for ids, _, _ in calls for c in ids)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_decode_reads_no_padding(runner, tmp_path, version):
+    # a data chunk of the last stripe wholly past the end of the file is
+    # zero: a decode neither reads it nor checks its CRC, so a flipped
+    # byte there is not seen
+    if version == 1:   # (5,3,2), 1 KiB chunks, 20 000 bytes
+        out = tmp_path / "v1"
+        shutil.copytree(Path(__file__).resolve().parent / "fixtures" / "v1",
+                        out)
+        p, size, data = SrcParams(5, 3, 2, 1024), 20_000, counter_input(20_000)
+    else:
+        p, size = SrcParams(10, 6, 2, 1024), 52_000
+        _, data, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=size,
+                               chunk=1024)
+    stripes = _stripes(p, size)
+    tail = size - (stripes - 1) * p.stripe_data_bytes
+    padding = data_chunks(p)[-(-tail // p.chunk_size)]   # the first past it
+    node = p.chunk_location(padding)
+    assert json.loads((out / MANIFEST_NAME).read_text())["version"] == version
+    _flip_byte(out / shard_filename(node),
+               slot_at(p, stripes, stripes - 1,
+                       p.node_chunks(node).index(padding), version) + 7)
+    dest = tmp_path / "y.bin"
+    res = _decode(runner, out, dest)
+    assert res.exit_code == 0, res.output
+    assert dest.read_bytes() == data
+    assert not [line for line in res.stderr.splitlines()
+                if line.startswith("skipped:")]
+
+
+@pytest.mark.parametrize("n,k,f,reads", [
+    (10, 6, 2, 8), (20, 16, 3, 34), (50, 46, 2, 48)])
+def test_fallback_repair_reads_per_stripe(runner, tmp_path, monkeypatch, n, k,
+                                          f, reads):
+    # node 2 with node 1, which holds part2[2], missing: part 2 is
+    # derived from k of its chunks, part1[2] is part2[2] XOR parity[2],
+    # and parity[4] stays a look-up
+    p = SrcParams(n, k, f, 256)
+    size = 2 * p.stripe_data_bytes
+    _, _, out = _encode(runner, tmp_path, n=n, k=k, f=f, size=size,
+                        chunk=256)
+    rebuilt = (out / shard_filename(2)).read_bytes()
+    for node in (1, 2):
+        (out / shard_filename(node)).unlink()
+    calls, nbytes = _count_reads(monkeypatch)
+    res = runner.invoke(main, ["repair", "--manifest",
+                               str(out / MANIFEST_NAME), "--shards", str(out),
+                               "--node", "2"])
+    assert res.exit_code == 0, res.output
+    assert "via reconstruction fallback" in res.stdout
+    assert [(len(ids), a, b) for ids, a, b in calls] == [(reads, 0, 2)]
+    ids = calls[0][0]
+    assert sum(nbytes) == len({p.chunk_location(c) for c in ids}) * (
+        HEADER_B + table_bytes(p, 2)) + 2 * reads * p.chunk_size
+    assert (out / shard_filename(2)).read_bytes() == rebuilt
+
+
+def test_parity_heavy_decode_reads_f_times_k_per_stripe(runner, tmp_path,
+                                                        monkeypatch):
+    # (10,6,2) with nodes 1, 3, 5 and 6 missing: both parts derived from
+    # 6 chunks each, and no helper read for an XOR beside them
+    p = SrcParams(10, 6, 2, 256)
+    size = 2 * p.stripe_data_bytes
+    _, data, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=size,
+                           chunk=256)
+    for node in (1, 3, 5, 6):
+        (out / shard_filename(node)).unlink()
+    calls, _ = _count_reads(monkeypatch)
+    dest = tmp_path / "y.bin"
+    assert _decode(runner, out, dest).exit_code == 0
+    assert dest.read_bytes() == data
+    assert [(len(ids), a, b) for ids, a, b in calls] == [(12, 0, 2)]
 
 
 def _files(root):

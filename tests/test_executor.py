@@ -8,6 +8,7 @@ derived."""
 import hashlib
 import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from srcodes.core import ChunkId, SrcParams, chunks_from_shards, \
     data_chunks, encode, plan_chunks, reconstruct, run_plan
 from srcodes.errors import InsufficientDataError
 
-from gf_reference import chunk_row, gf_rank, reference_encode
+from gf_reference import chunk_row, gf_inverse, gf_mul, gf_rank, \
+    reference_encode
 
 
 @st.composite
@@ -212,7 +214,7 @@ def test_gf_bytes_per_path(monkeypatch):
     scaled.clear()
     assert reconstruct({i: s for i, s in arr.shards.items() if i > 4}, p,
                        len(data)) == data
-    assert sum(scaled) == 8064
+    assert sum(scaled) == 9216   # both parts derived: 12 reads, not 13
     # a healthy decode through the planner copies the f*k data chunks
     scaled.clear()
     every = {c: shard[:, slot] for node, shard in arr.shards.items()
@@ -294,4 +296,116 @@ def test_plans_pinned():
         count += 1
     assert count == 2628
     assert digest.hexdigest() == (
-        "64882ad957721fbefec1ac7349e19c770b2a2c1cf56ab235ec954eabd269f045")
+        "dcd9268c18bc409308bafd9c3224a0395090c800c8fa12adf0ea86e219a42660")
+
+
+def test_no_pinned_plan_reads_more_than_before():
+    # tests/plan_reads.txt holds each pinned plan's read count before
+    # plans read the fewest chunks the code allows (tests/plan_reads.py
+    # prints it): none reads more now, and the same cases raise
+    from plan_reads import read_counts
+
+    table = (Path(__file__).parent / "plan_reads.txt").read_text()
+    before = [(code, count) for line in table.splitlines()
+              for code, *counts in [line.split()] for count in counts]
+    now = list(read_counts())
+    assert len(before) == len(now) == 2628
+    for (code, old), (p, new) in zip(before, now):
+        assert code == f"{p.n},{p.k},{p.f}"
+        assert (old == "-") == (new is None)
+        assert new is None or new <= int(old)
+
+
+def _fewest_reads(p, available, targets):
+    """The fewest available chunks whose span holds every target, by an
+    exhaustive search over sets of growing size ranked with gf_reference
+    alone; None when all of them do not.  A set only grows by a chunk
+    outside its span, and is dropped once its span with the targets
+    needs more chunks than the size sought."""
+    def reduce(basis, row):
+        # row less its part in the span of basis, rows each 1 at a pivot
+        # column where the rows before it are 0
+        row = list(row)
+        for pivot, b in basis:
+            if row[pivot]:
+                scale = row[pivot]
+                row = [x ^ gf_mul(scale, y) for x, y in zip(row, b)]
+        return row
+
+    def grown(basis, row):
+        row = reduce(basis, row)
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            return basis
+        inv = gf_inverse(row[pivot])
+        return basis + [(pivot, [gf_mul(inv, x) for x in row])]
+
+    rows = [chunk_row(p.n, p.k, p.f, c.part, c.subscript)
+            for c in sorted(available)]
+    wanted = [chunk_row(p.n, p.k, p.f, t.part, t.subscript) for t in targets]
+    if gf_rank(rows + wanted) > gf_rank(rows):
+        return None
+    goal = []
+    for row in wanted:
+        goal = grown(goal, row)
+
+    def found(start, chosen, joint, size):
+        # chosen spans the chunks taken, joint those and the targets
+        if len(joint) == len(chosen):
+            return True
+        if len(joint) > size:   # each chunk closes at most one dimension
+            return False
+        for i in range(start, len(rows)):
+            more = grown(chosen, rows[i])
+            if more is not chosen and found(i + 1, more,
+                                            grown(joint, rows[i]), size):
+                return True
+        return False
+
+    return next(size for size in range(len(goal), len(rows) + 1)
+                if found(0, [], goal, size))
+
+
+@pytest.mark.parametrize("triple", [
+    (4, 2, 1), (5, 3, 1), (6, 4, 1), (5, 3, 2), (6, 4, 2), (6, 3, 2),
+    (7, 4, 2), (5, 2, 2)])
+def test_plans_read_the_fewest_chunks_on_the_degraded_patterns(triple):
+    # the degraded benchmark's two patterns: a repair with the node's
+    # lowest-numbered look-up helper missing, and a decode with n-k of
+    # nodes 1..k missing; each plan reads as few chunks as any set of
+    # available chunks that determines its targets
+    p = SrcParams(*triple, 1)
+    cases = []
+    for node in range(1, p.n + 1):
+        helper = min(p.chunk_location(h) for c in p.node_chunks(node)
+                     for h in p.helpers(c))
+        cases.append(({node, helper}, p.node_chunks(node)))
+    for gone in combinations(range(1, p.k + 1), p.n - p.k):
+        cases.append((set(gone), data_chunks(p)))
+    for gone, targets in cases:
+        available = [c for i in range(1, p.n + 1) if i not in gone
+                     for c in p.node_chunks(i)]
+        fewest = _fewest_reads(p, available, targets)
+        try:
+            reads = len(plan_chunks(p, available, targets).reads)
+        except InsufficientDataError:
+            reads = None
+        assert reads == fewest, (gone, targets)
+
+
+def test_a_target_in_a_derived_part_is_the_xor_of_helpers_read_anyway():
+    # (10,6,2) with nodes 1 and 2 gone: part1[2] needs part 1 derived,
+    # but part1[1] stays the XOR of part2[1] and parity[1], which the plan
+    # copies as targets anyway
+    p = SrcParams(10, 6, 2, 1)
+    part1_1, part1_2, part2_1, parity_1 = (ChunkId(1, 1), ChunkId(1, 2),
+                                           ChunkId(2, 1), ChunkId(3, 1))
+    assert {p.chunk_location(c) for c in (part1_1, part1_2, ChunkId(2, 2))} \
+        == {1, 2}
+    available = [c for i in range(3, p.n + 1) for c in p.node_chunks(i)]
+    plan = plan_chunks(p, available, [part1_1, part1_2, part2_1, parity_1])
+    assert [(s.outs, s.coeffs is None) for s in plan.steps] == [
+        ((part1_2,), False), ((part1_1,), True), ((part2_1,), True),
+        ((parity_1,), True)]
+    assert plan.steps[1].sources == (part2_1, parity_1)
+    assert len(plan.reads) == p.k + 2

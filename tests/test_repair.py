@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from srcodes import core, gf256
+from srcodes.cli import main
 from srcodes.core import ChunkId, SrcParams, Step, chunks_from_shards, \
     encode, plan_chunks
 from srcodes.errors import InsufficientDataError
 from srcodes.mds import make_generator
 from srcodes.repair import describe, node_plan
+from srcodes.shards import MANIFEST_NAME, shard_filename
 
 from gf_reference import chunk_row, gf_matmul, gf_rank
 
@@ -229,6 +232,39 @@ def test_plans_that_derive_nothing_build_no_generator(monkeypatch):
     healthy = plan_chunks(p, every, core.data_chunks(p))
     assert all(step.coeffs is None for step in healthy.steps)
     assert len(healthy.reads) == p.f * p.k
+
+
+@pytest.mark.parametrize("n,k,f", [(4, 2, 2), (5, 2, 2), (7, 2, 3)])
+def test_lookup_repair_stays_lookup_where_deriving_reads_less(
+        tmp_path, monkeypatch, n, k, f):
+    # deriving every part would read k*f chunks per stripe, fewer than a
+    # look-up's f*(f+1), but with every other node present a repair is
+    # the paper's look-up: XORs only, and no generator built
+    assert k * f < f * (f + 1)
+    runner, out, src = CliRunner(), tmp_path / "shards", tmp_path / "input.bin"
+    src.write_bytes(bytes(range(256)) * 40)
+    assert runner.invoke(main, [
+        "encode", str(src), "--n", str(n), "--k", str(k), "--f", str(f),
+        "--chunk-size", "128", "--out", str(out)]).exit_code == 0
+
+    def no_generator(*args):
+        raise RuntimeError("generator built for a look-up repair")
+
+    monkeypatch.setattr(core, "make_generator", no_generator)
+    p = SrcParams(n, k, f, 128)
+    for node in range(1, n + 1):
+        plan = node_plan(p, node)
+        assert all(step.coeffs is None for step in plan.steps)
+        assert len(plan.reads) == f * (f + 1)
+        lost = out / shard_filename(node)
+        expected = lost.read_bytes()
+        lost.unlink()
+        res = runner.invoke(main, ["repair", "--manifest",
+                                   str(out / MANIFEST_NAME), "--shards",
+                                   str(out), "--node", str(node)])
+        assert res.exit_code == 0, res.output
+        assert "via look-up repair" in res.stdout
+        assert lost.read_bytes() == expected
 
 
 def test_one_solve_per_deriving_plan(monkeypatch):

@@ -325,3 +325,20 @@ def test_reader_batches_plan_around_a_failed_chunk(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "skipped: shard node_002.shard: part1[2] fails the CRC-32 check\n"
     assert list(reader.skipped) == [shard_filename(2)]
+
+
+def test_reader_zeroes_the_last_stripes_chunks_past_last(tmp_path):
+    # with last, the last stripe's targets past the first last are zeroed
+    # in a dirty buffer, not read, and the stripes before it are whole
+    params = SrcParams(10, 6, 2, 256)
+    data = np.random.default_rng(6).integers(
+        0, 256, 2 * params.stripe_data_bytes + 3 * 256 - 9,
+        dtype=np.uint8).tobytes()
+    manifest = load_manifest(_write_set(tmp_path, data, params))
+    with ShardReader(manifest, tmp_path, data_chunks(params),
+                     last=3) as reader:
+        out = np.full((manifest.stripe_count, len(reader.targets),
+                       params.chunk_size), 0xFF, np.uint8)
+        reader.read_batch(out, 0)
+    assert len(reader.tail.reads) == 3
+    assert out.tobytes() == data + bytes(out.nbytes - len(data))
