@@ -40,7 +40,10 @@ simulator's repair jobs read are its plans too (repair.node_plan).
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
 same in every stripe, so one plan serves a whole file, and callers run
-it on a batch of stripes at a time.  encoder, the one encode path,
+it on a batch of stripes at a time.  split_plan cuts a plan into groups
+of its targets that run one after another on the same stripes, each
+handed what the earlier ones read or made, so that a stripe can be made
+a part at a time with the plan's reads.  encoder, the one encode path,
 plans once and runs the plan for every node's f part chunks in place
 on a batch buffer the caller gives (shards._pipeline's), so encode
 holds batches of stripes, not the file's shards.  A batch holds no
@@ -459,20 +462,79 @@ def _rows(gen: np.ndarray, f: int, chunks) -> np.ndarray:
     return (in_part[:, :, None] * cols).reshape(len(chunks), f * len(gen))
 
 
+def split_plan(plan: ChunkPlan, groups: list[list[ChunkId]],
+               have: Iterable[ChunkId] = ()
+               ) -> list[tuple[ChunkPlan, frozenset[ChunkId]]]:
+    """Cut plan into one plan per group of its targets, to be run in
+    order on the same stripes, and the chunks each hands to the later
+    ones.  A group's plan runs each of plan's steps that its targets
+    need and no earlier group ran, in plan's order, and reads what those
+    steps read that no earlier group read or made; a target an earlier
+    group read or made is copied from what was handed over.  So the
+    groups read plan's reads, each once, and run each step once.  have
+    names chunks already held before the first group, read or made:
+    none is read or made again.  A group hands over every chunk held,
+    read or made by then that a later group's steps read."""
+    first: dict[ChunkId, int] = {}
+    for i, step in enumerate(plan.steps):
+        for c in step.outs:
+            first.setdefault(c, i)
+    reads, have = set(plan.reads), set(have)
+    units = []
+    for group in groups:
+        run: set[int] = set()
+        got: set[ChunkId] = set()
+
+        def add(i: int) -> None:
+            """Run step i in this group, and what its sources need."""
+            if i in run:
+                return
+            run.add(i)
+            for s in plan.steps[i].sources:
+                if s in reads and s not in have:
+                    got.add(s)
+                elif s not in have:
+                    add(first[s])
+
+        copies = []
+        for c in dict.fromkeys(group):
+            if c in have:
+                copies.append(Step((c,), (c,)))
+            else:
+                add(first[c])
+        steps = [plan.steps[i] for i in sorted(run)] + copies
+        have |= got | {c for step in steps for c in step.outs}
+        units.append((ChunkPlan(targets=tuple(group),
+                                reads=tuple(sorted(got)),
+                                steps=tuple(steps)), frozenset(have)))
+    later: set[ChunkId] = set()
+    for u in reversed(range(len(units))):
+        unit, held = units[u]
+        units[u] = unit, frozenset(held & later)
+        later |= {c for step in unit.steps for c in step.sources}
+    return units
+
+
 def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
-             out: np.ndarray) -> np.ndarray:
+             out: np.ndarray,
+             made: dict[ChunkId, np.ndarray] | None = None) -> np.ndarray:
     """The chunk executor: fill out, (stripes, len(plan.targets),
     chunk_size), with the plan's targets from the present chunks, each
     (stripes, chunk_size) of the same stripes; present needs to hold
-    only the plan's reads.  Every slot of out is overwritten, so out may
-    be a reused buffer or a view of a larger one, except that a copy
-    step whose source already is its destination (the same buffer,
-    offset and strides: a chunk read or filled straight into its slot
-    of out) is skipped.  Returns out.
+    only what the steps read and no step makes: the plan's reads, and a
+    split_plan group's chunks handed over.  Every slot of out is
+    overwritten, so out may be a reused buffer or a view of a larger
+    one, except that a copy step whose source already is its destination
+    (the same buffer, offset and strides: a chunk read or filled
+    straight into its slot of out) is skipped.  If made is given, every
+    chunk a step makes is put in it, a target as its slot of out.
+    Returns out.
     """
     first = {c: t for t, c in reversed(list(enumerate(plan.targets)))}
-    made = {c: out[:, first[c]] if c in first else np.empty_like(out[:, 0])
-            for step in plan.steps for c in step.outs}
+    made = {} if made is None else made
+    made.update({c: out[:, first[c]] if c in first
+                 else np.empty_like(out[:, 0])
+                 for step in plan.steps for c in step.outs})
     for step in plan.steps:
         rows = [present[c] if c in present else made[c] for c in step.sources]
         dst = [made[c] for c in step.outs]

@@ -18,7 +18,9 @@ decode_file and repair_shard.  Each is one run of _pipeline, the batch
 loop: a batch of stripes at a time is made on the caller's thread (all
 GF work stays there) and written by one writer thread while the next
 is made, in two buffers that take turns, so memory does not grow with
-the file.  An encode batch holds each node's f part chunks only: the
+the file.  Where one stripe's decode batch is over the budget, a batch
+is one part of a stripe, its k data chunks, so neither does it grow
+with f.  An encode batch holds each node's f part chunks only: the
 writer thread XORs each node's parity chunk into one reused row as it
 writes the node.  ShardWriter is the one shard writer: it takes a
 node's payload a batch of stripes at a time, as one array or as its
@@ -40,6 +42,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import struct
 import sys
 import threading
@@ -47,13 +50,14 @@ import zlib
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encoder,
-                   parity_slots, plan_chunks, run_plan)
+                   parity_slots, plan_chunks, run_plan, split_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      ShapeError)
 from .mds import CONSTRUCTION_ID
@@ -66,13 +70,14 @@ DIGEST_ALGORITHM = "sha256"
 _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # Chunk bytes a batch may hold: its reads, derived chunks and both
-# output buffers, whatever the plan (_batch_stripes); a batch is at
-# least one stripe, whatever the file size.  Encode is the exception:
-# its stripes per batch are sized the same way, but its two buffers
-# hold each node's f part chunks, 2*n*f chunks per stripe, up to
-# 2f/(f+1) of the budget (10.5 MB at (10,6,2) with 64 KiB chunks), plus
-# one chunk per stripe for the parity the writer XORs.  Chosen by paired
-# runs (BENCH_8.json): decode peaks near 50 MB at 64 KiB chunks.
+# output buffers, whatever the plan (_batch_stripes), whatever the file
+# size.  When one stripe is over it, a decode batch is one part of a
+# stripe, k chunks in each buffer, and an encode or repair batch one
+# stripe.  Encode's stripes per batch are sized the same way, but its
+# two buffers hold each node's f part chunks, 2*n*f chunks per stripe,
+# up to 2f/(f+1) of the budget (10.5 MB at (10,6,2) with 64 KiB chunks),
+# plus one chunk per stripe for the parity the writer XORs.  Chosen by
+# paired runs (BENCH_8.json).
 _BATCH_BYTES = 8 << 20
 
 
@@ -88,18 +93,19 @@ def _header(params: SrcParams, node: int, stripe_count: int,
 
 
 def _batch_stripes(params: SrcParams, outputs: int) -> int:
-    """Stripes per batch, fixed before the first read: any plan, one
-    made again mid-batch too, reads or derives only a stripe's n*(f+1)
-    slots, so those and outputs chunks per stripe fit _BATCH_BYTES.
-    That reserve also covers the second output buffer: the chunks read
-    outside the outputs, the derived chunks that are not targets and
-    the distinct targets are different chunks of a stripe, n*(f+1) at
-    most, so with two buffers of outputs chunks they stay within it.
-    Encode asks with no outputs, and its two buffers hold n*f chunks
-    per stripe each: 2f/(f+1) of the reserve, or more when one stripe
-    is over the budget."""
+    """Stripes per batch, fixed before the first read, or 0 when one
+    stripe is over the budget: any plan, one made again mid-batch too,
+    reads or derives only a stripe's n*(f+1) slots, so those and outputs
+    chunks per stripe fit _BATCH_BYTES.  That reserve also covers the
+    second output buffer: the chunks read outside the outputs, the
+    derived chunks that are not targets and the distinct targets are
+    different chunks of a stripe, n*(f+1) at most, so with two buffers
+    of outputs chunks they stay within it.  Encode asks with no outputs,
+    and its two buffers hold n*f chunks per stripe each: 2f/(f+1) of the
+    reserve.  At 0, encode and repair make one stripe per batch, and a
+    decode one part of a stripe (ShardReader)."""
     per_stripe = (params.n * (params.f + 1) + outputs) * params.chunk_size
-    return max(1, _BATCH_BYTES // per_stripe)
+    return _BATCH_BYTES // per_stripe
 
 
 def _offsets(params: SrcParams, stripe_count: int,
@@ -314,20 +320,27 @@ class ShardWriter:
 
 
 def _pipeline(stripes: int, step: int, width: int, chunk_size: int,
-              make: Callable[[np.ndarray, int], object],
+              make: Callable[[np.ndarray, int, Callable[[], np.ndarray]],
+                             object],
               write: Callable[[np.ndarray], object]) -> None:
     """The batch loop of encode, decode and repair: make and write
     stripes stripes, step at a time, each batch (stripes, width,
-    chunk_size).  make(out, start) fills out with the batch of stripes
-    from start on, on this thread; write(out) then runs on one writer
-    thread while the next batch is made.  Batches take turns in two
-    buffers, the second allocated only once a second batch comes, and a
-    batch's write is joined before its buffer is made again, so neither
-    callable needs to copy a batch.  An empty file is one batch of no
-    stripes.  An error of write is raised here; on any error the thread
-    is joined first.  hashlib, zlib and file writes release the GIL;
-    write must call no span-wrapped (public module-level) function."""
+    chunk_size).  make(out, start, ahead) fills out with the batch of
+    stripes from start on, on this thread; write(out) then runs on one
+    writer thread while the next batch is made.  Batches take turns in
+    two buffers, the second allocated only once a second batch comes,
+    and a batch's write is joined before its buffer is made again, so
+    neither callable needs to copy a batch.  ahead(), which make may
+    call, joins the write in flight at once and returns the next batch's
+    buffer, whole, so that make can fill slots of it: the next batch
+    finds them as make left them.  An empty file is one batch of no
+    stripes.  An
+    error of write is raised here; on any error the thread is joined
+    first.  hashlib, zlib and file writes release the GIL; write must
+    call no span-wrapped (public module-level) function."""
     failed: list[BaseException] = []
+    bufs: list[np.ndarray] = []
+    thread = None
 
     def run(out: np.ndarray) -> None:
         try:
@@ -335,26 +348,35 @@ def _pipeline(stripes: int, step: int, width: int, chunk_size: int,
         except BaseException as exc:   # raised again on the caller's thread
             failed.append(exc)
 
-    bufs: list[np.ndarray] = []
-    thread = None
+    def join() -> None:
+        nonlocal thread
+        if thread is not None:
+            thread.join()
+            thread = None
+        if failed:
+            raise failed[0]
+
+    def buffer(b: int) -> np.ndarray:
+        if len(bufs) <= b % 2:
+            bufs.append(np.empty((min(step, stripes), width, chunk_size),
+                                 np.uint8))
+        return bufs[b % 2]
+
+    def ahead() -> np.ndarray:   # while batch b is made
+        join()
+        return buffer(b + 1)
+
     try:
         for b, start in enumerate(range(0, max(stripes, 1), step)):
-            if b < 2:
-                bufs.append(np.empty((min(step, stripes), width, chunk_size),
-                                     np.uint8))
-            out = bufs[b % 2][:min(step, stripes - start)]
-            make(out, start)
-            if thread is not None:
-                thread.join()
-            if failed:
-                raise failed[0]
+            out = buffer(b)[:min(step, stripes - start)]
+            make(out, start, ahead)
+            join()
             thread = threading.Thread(target=run, args=(out,))
             thread.start()
+        join()
     finally:
         if thread is not None:
             thread.join()
-    if failed:
-        raise failed[0]
 
 
 def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
@@ -399,7 +421,7 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                 directory, params, node, size))
                 for node in range(params.n, 0, -1)][::-1]
 
-            f, step = params.f, _batch_stripes(params, 0)
+            f, step = params.f, max(1, _batch_stripes(params, 0))
             sources = parity_slots(params)
             scratch = np.empty((min(step, params.stripes(size)),
                                 params.chunk_size), np.uint8)
@@ -413,8 +435,10 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                                                 out=scratch[:len(batch)])
                     w.write([*batch[:, s:s + f].swapaxes(0, 1), parity])
 
+            make = encoder(fill, size, params)
             _pipeline(params.stripes(size), step, params.n * f,
-                      params.chunk_size, encoder(fill, size, params), write)
+                      params.chunk_size,
+                      lambda out, start, _: make(out, start), write)
             if source.read(1):
                 raise changed
             digests = {w.node: w.seal() for w in writers}
@@ -449,24 +473,36 @@ class ShardReader:
     file, when they cannot cover the plan.  With last, the last stripe
     needs only the first last targets, the rest being zero there (a
     decode's padding), and has a plan of its own, tail, that reads only
-    what those need.  A shard file is checked when it is first opened,
-    once: its length and 44-byte header must equal what the manifest
-    implies, and its CRC table is read.  _stream
-    opens every file its plans read before the first batch; read_chunks
-    opens a file on the first read of one of its chunks.  read_chunks
-    then reads only the wanted slots, neighbours in one os.preadv, and
-    checks each chunk against its CRC-32; the whole-shard digest is not
-    checked.  In read_batch, a shard file that fails its checks or a
-    chunk that fails its CRC is dropped, each shard file with a failure
-    is named on stderr, and the stripes left, the current batch's
-    included, are planned again; IntegrityError (exit 4), naming the
-    skipped files, when the chunks left cannot cover that plan.  No slot
-    is read twice.  The files close when the reader's with block ends.
+    what those need.  Each plan is split (split_plan) into the groups of
+    targets a stripe is made in, units and tail_units: the whole stripe,
+    or with parts, when one stripe's batch is over _BATCH_BYTES, each
+    part of its targets in turn, read_part then making one group of one
+    stripe a batch, so that a buffer holds one part.  A group reads and
+    makes only what no earlier group of its stripe did, and is handed
+    the rest, so a stripe's groups read what its plan reads, each chunk
+    once; a target of the next group read early goes straight to its
+    slot of the next batch's buffer.  A shard file is checked when it is
+    first opened, once: it must be a regular file, its length and
+    44-byte header must equal what the manifest implies, and its CRC
+    table is read.  _stream opens every file its plans read before the
+    first batch; read_chunks opens a file on the first read of one of
+    its chunks.  read_chunks then reads only the wanted slots,
+    neighbours in one os.preadv, and checks each chunk against its
+    CRC-32; the whole-shard digest is not checked.  In read_batch and
+    read_part, a shard file that fails its checks or a chunk that fails
+    its CRC is dropped, each shard file with a failure is named on
+    stderr, and the stripes left, the current batch's included, are
+    planned again; IntegrityError (exit 4), naming the skipped files,
+    when the chunks left cannot cover that plan.  No slot is read twice
+    in a batch, nor in a stripe made a part at a time, unless a plan
+    made again mid-stripe cannot do without a chunk an earlier part read
+    and did not hand over.  The files close when the reader's with block
+    ends.
     """
 
     def __init__(self, manifest: Manifest, directory: Path,
                  targets: list[ChunkId], lost: int = 0,
-                 last: int | None = None):
+                 last: int | None = None, parts: bool = False):
         self.manifest, self.targets = manifest, targets
         # the targets the last stripe needs: the first last of them
         self._last = len(targets) if last is None else last
@@ -483,8 +519,15 @@ class ShardReader:
             manifest.params, manifest.stripe_count, manifest.version)
         self._open: dict[int, tuple[int, np.ndarray]] = {}   # fd, CRCs
         # where read_chunks puts a wanted chunk instead of a new array:
-        # while read_batch reads a batch, each target's slot of it
+        # while read_batch or read_part reads, each target's slot of out
         self._into: dict[ChunkId, np.ndarray] = {}
+        self._parts = parts and not _batch_stripes(manifest.params,
+                                                   len(targets))
+        # _run's state within a stripe: the split its groups run, the
+        # chunks they hand over and those they read
+        self._split: list[tuple[ChunkPlan, frozenset[ChunkId]]] = []
+        self._held: dict[ChunkId, np.ndarray] = {}
+        self._read: set[ChunkId] = set()
         self._plan()
 
     def __enter__(self) -> "ShardReader":
@@ -494,11 +537,12 @@ class ShardReader:
         for fd, _ in self._open.values():
             os.close(fd)
         self._open.clear()
-        self._into = {}
+        self._into, self._held = {}, {}
 
     def _plan(self) -> None:
         """Plan the targets, and the last stripe's on its own when it
-        needs fewer, around the chunks available."""
+        needs fewer, around the chunks available, and split each plan
+        into its groups: one a stripe, or with parts one a part."""
         p = self.manifest.params
         try:
             self.plan = plan_chunks(p, self.available, self.targets)
@@ -512,6 +556,16 @@ class ShardReader:
         straight = {s.outs[0] for s in self.plan.steps if s.coeffs is None
                     and self.available.issuperset(s.sources)}
         self.blocked.update(set(self.targets) - straight)
+
+        def groups(targets: list[ChunkId]) -> list[list[ChunkId]]:
+            if not self._parts:
+                return [targets]
+            return [list(run) for _, run in groupby(targets,
+                                                    lambda c: c.part)]
+
+        self.units = split_plan(self.plan, groups(self.targets))
+        self.tail_units = self.units if self.tail is None else \
+            split_plan(self.tail, groups(self.targets[:self._last]))
 
     def _drop(self, failed: dict[ChunkId, IntegrityError]) -> None:
         """Name each shard file of the failed chunks on stderr, once per
@@ -548,46 +602,103 @@ class ShardReader:
     def read_batch(self, out: np.ndarray, start: int) -> None:
         """Fill out, (stripes, len(targets), chunk_size), with the
         targets of the stripes from start on, the last stripe by its
-        own plan, its targets past the first last zeroed.  A target
-        that is read is read straight into its slot, which run_plan then
-        leaves as it is, and no other read of the batch is kept once it
-        is made.  A plan made again mid-batch finishes that batch, in
-        the same budget."""
+        own plan, its targets past the first last zeroed.  A plan made
+        again mid-batch finishes that batch, in the same budget."""
         cut = len(out) if self.tail is None else \
             min(len(out), self.manifest.stripe_count - 1 - start)
         if cut:
-            self._run(out[:cut], start, tail=False)
+            self._run(out[:cut], start, 0, tail=False)
         if cut < len(out):
-            self._run(out[cut:], start + cut, tail=True)
+            self._run(out[cut:], start + cut, 0, tail=True)
             out[cut:, self._last:] = 0
 
-    def _run(self, out: np.ndarray, start: int, tail: bool) -> None:
-        """Read and run the plan, or the last stripe's, on the stripes
-        of out from start on: its reads that pass their checks, planning
-        again around those that fail, which replaces the plan.  A read
-        that is one of the targets goes to its slot of out, even when
-        the last stripe's plan does not produce it there."""
-        def plan() -> ChunkPlan:
-            return self.tail if tail else self.plan
+    def read_part(self, out: np.ndarray, unit: int,
+                  ahead: Callable[[], np.ndarray]) -> None:
+        """Fill out, (1, width, chunk_size), with one group's targets.
+        Its slots past them, which only the last stripe's cut group has,
+        are not zeroed: they lie past the targets the last stripe needs,
+        a decode's end of file.  unit counts the groups of units in each
+        stripe in turn, and of tail_units in the last stripe, so no unit
+        lies wholly past those targets.  ahead gives the next unit's
+        buffer (_pipeline)."""
+        if len(out):   # not the one batch of an empty file
+            stripe, at = divmod(unit, len(self.units))
+            self._run(out, stripe, at,
+                      stripe == self.manifest.stripe_count - 1, ahead)
 
-        self._into = {c: out[:, t] for t, c in enumerate(self.targets)}
-        held: dict[ChunkId, np.ndarray] = {}
-        while todo := [c for c in plan().reads if c not in held]:
-            got, failed = self.read_chunks(todo, start, start + len(out))
-            held.update(got)
+    def _run(self, out: np.ndarray, start: int, at: int, tail: bool,
+             ahead: Callable[[], np.ndarray] | None = None) -> None:
+        """Read and run group at of the plan's split, or the last stripe's,
+        on the stripes of out from start on: on its reads that pass
+        their checks, and on the chunks the groups before it hand over,
+        of which the first group has none.  A read that is a chunk of a
+        slot of out goes to that slot, which run_plan then leaves as it
+        is, even when the group does not produce it there.  When the
+        group reads targets of the next group, which the next unit makes
+        in the buffer ahead gives, they go to their slots there.  A
+        failed check plans again, which replaces this group and those
+        after it (_rest).  The chunks the group hands over are kept,
+        copied if they lie in out; no other read outlives the group."""
+        if at == 0:
+            self._split = list(self.tail_units if tail else self.units)
+            self._held, self._read = {}, set()
+        plan, keep = self._split[at]
+        self._into = {c: out[:, t]
+                      for t, c in enumerate(self.units[at][0].targets)}
+        later = self._split[at + 1][0].targets \
+            if at + 1 < len(self._split) else ()
+        if ahead is not None and not set(later).isdisjoint(plan.reads):
+            after = ahead()[:len(out)]
+            self._into.update((c, after[:, t]) for t, c in enumerate(later))
+        got: dict[ChunkId, np.ndarray] = {}
+        while todo := [c for c in plan.reads if c not in got]:
+            new, failed = self.read_chunks(todo, start, start + len(out))
+            got.update(new)
+            self._read.update(todo)
             if failed:
                 self._drop(failed)
-        run_plan(plan(), held, out[:, :len(plan().targets)])
+                self._rest(at, tail, self._held.keys() | got.keys())
+                plan, keep = self._split[at]
+        present, made = {**self._held, **got}, {}
+        run_plan(plan, present, out[:, :len(plan.targets)], made)
+        held = {c: present[c] if c in present else made[c] for c in keep}
+        self._held = {c: row.copy() if np.may_share_memory(row, out)
+                      else row for c, row in held.items()}
+
+    def _rest(self, at: int, tail: bool, have: set[ChunkId]) -> None:
+        """Replace the stripe's groups from at on, after a plan was made
+        again, by a split around the chunks held, have: of a plan of
+        their targets from those and the chunks the stripe has not read
+        yet, or, if these cannot cover it, of the new plan, which may
+        read again a chunk an earlier group read and did not hand over.
+        With one group a stripe, a batch's reads are all held, and the
+        first plan is the new one."""
+        groups = [plan.targets for plan, _ in self._split[at:]]
+        try:
+            plan = plan_chunks(self.manifest.params,
+                               self.available - self._read | have,
+                               [c for group in groups for c in group])
+        except InsufficientDataError:
+            plan = self.plan if self.tail is None or not tail else self.tail
+        self._split[at:] = split_plan(plan, groups, have)
 
     def _stream(self, write: Callable[[np.ndarray], object]) -> None:
         """Open the planned shard files, so a batch buffer is allocated
         only once their lengths and headers are checked, then read the
-        file a batch at a time through _pipeline, write taking each."""
-        p = self.manifest.params
+        file a batch, or with parts a unit, at a time through
+        _pipeline, write taking each."""
+        p, stripes = self.manifest.params, self.manifest.stripe_count
         self._open_planned()
-        _pipeline(self.manifest.stripe_count,
-                  _batch_stripes(p, len(self.targets)), len(self.targets),
-                  p.chunk_size, self.read_batch, write)
+        if self._parts:
+            units = stripes and (stripes - 1) * len(self.units) \
+                + len(self.tail_units)
+            _pipeline(units, 1, max(len(u.targets) for u, _ in self.units),
+                      p.chunk_size, self.read_part, write)
+        else:
+            _pipeline(stripes, max(1, _batch_stripes(p, len(self.targets))),
+                      len(self.targets), p.chunk_size,
+                      lambda out, start, _: self.read_batch(out, start),
+                      write)
 
     def read_chunks(self, wanted: Iterable[ChunkId], start: int, stop: int
                     ) -> tuple[dict[ChunkId, np.ndarray],
@@ -597,8 +708,8 @@ class ShardReader:
         unusable, each with the error naming its shard file: every chunk
         of a shard that cannot be opened or read, or whose length or
         header is wrong, or a wanted chunk that fails its CRC in any of
-        these stripes.  While read_batch reads a batch, a target is read
-        into its slot of it."""
+        these stripes.  While _run reads, a chunk of a slot of the batch,
+        or of the next one ahead, is read into that slot."""
         m = self.manifest
         by_node: dict[int, list[ChunkId]] = {}
         for c in sorted(set(wanted)):
@@ -634,9 +745,13 @@ class ShardReader:
         p, stripes = m.params, m.stripe_count
         name = shard_filename(node)
         table_b = 4 * stripes * (p.f + 1)
-        fd = os.open(self.directory / name, os.O_RDONLY)
+        # not blocking on a FIFO, which is then refused
+        fd = os.open(self.directory / name, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            size = os.fstat(fd).st_size
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise IntegrityError(f"shard {name} is not a regular file")
+            size = info.st_size
             if size != self._length:
                 raise IntegrityError(
                     f"shard {name} is {size} bytes, expected {self._length}")
@@ -695,10 +810,11 @@ def _unusable(node: int, exc: IntegrityError | OSError) -> IntegrityError:
 def decode_file(manifest: Manifest, directory: Path,
                 out: Path) -> ShardReader:
     """Decode manifest's file from the shard files in directory to out,
-    a batch of stripes at a time by _pipeline; the writer thread cuts
-    the padding and hashes and writes each batch while the next is made.
-    The last stripe's data chunks wholly past the end of the file are
-    zero, and neither read nor CRC-checked.
+    a batch of stripes at a time by _pipeline, or one part of a stripe,
+    k data chunks, when a stripe's batch is over _BATCH_BYTES; the
+    writer thread cuts the padding and hashes and writes each batch
+    while the next is made.  The last stripe's data chunks wholly past
+    the end of the file are zero, and neither read nor CRC-checked.
     out takes its name only if the hash is the manifest's file_digest,
     else IntegrityError.  Returns the reader."""
     p = manifest.params
@@ -706,7 +822,7 @@ def decode_file(manifest: Manifest, directory: Path,
     tail = manifest.file_size - (manifest.stripe_count - 1) \
         * p.stripe_data_bytes
     reader = ShardReader(manifest, directory, data_chunks(p),
-                         last=-(-tail // p.chunk_size))
+                         last=-(-tail // p.chunk_size), parts=True)
     sha = hashlib.sha256()
     left = manifest.file_size
     with reader, atomic_writer(out) as fh:

@@ -516,6 +516,42 @@ def test_repair_skips_an_unreadable_helper(runner, tmp_path, monkeypatch):
             if line.startswith("skipped:")] == [EIO_SKIP]
 
 
+def test_a_fifo_in_place_of_a_shard_is_skipped(runner, tmp_path):
+    # a FIFO named as a shard file must not block the command that opens
+    # it: it is skipped as not a regular file.  Each command runs in its
+    # own process, with a timeout, so that a hang fails the test.  Node 2
+    # holds part1[2], which decode reads, and part1[2], a look-up helper
+    # of node 1's part2[2].
+    _, data, out = _encode(runner, tmp_path, n=5, k=3, f=2, size=30_000)
+    lost = out / shard_filename(1)
+    expected = lost.read_bytes()
+    fifo = out / shard_filename(2)
+    fifo.unlink()
+    os.mkfifo(fifo)
+    manifest = str(out / MANIFEST_NAME)
+    skip = "skipped: shard node_002.shard is not a regular file"
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "srcodes.cli", *args, "--manifest",
+             manifest, "--shards", str(out)], capture_output=True, text=True,
+            timeout=60, env=env)
+
+    dest = tmp_path / "y.bin"
+    res = run("decode", "--out", str(dest))
+    assert res.returncode == 0, res.stderr
+    assert dest.read_bytes() == data
+    assert res.stderr.splitlines() == [skip]
+    lost.unlink()
+    res = run("repair", "--node", "1")
+    assert res.returncode == 0, res.stderr
+    assert "via reconstruction fallback" in res.stdout
+    assert lost.read_bytes() == expected
+    assert res.stderr.splitlines()[0] == skip
+
+
 def test_unreadable_shard_among_exactly_k_exit_4(runner, tmp_path,
                                                  monkeypatch):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)
@@ -620,8 +656,9 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
 
 @pytest.mark.parametrize("n,k,f", [(4, 2, 2), (10, 6, 2), (7, 3, 3)])
 def test_shard_reads_per_stripe_batch(runner, tmp_path, monkeypatch, n, k, f):
-    # the same reads, one stripe per batch: no slot read twice, one
-    # header and CRC table per shard file for the whole command
+    # the same reads, one stripe per batch, or one part of a stripe for
+    # a decode: no slot read twice, one header and CRC table per shard
+    # file for the whole command
     _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, 1)
 
 
@@ -658,18 +695,25 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
 
     # healthy decode: the f*k data chunks, M bytes, from nodes
     # 1..k and n-f+2..n, with no GF work left to do; the last stripe,
-    # read on its own, reads only the data chunks that hold file bytes
+    # read on its own, reads only the data chunks that hold file bytes.
+    # With a stripe over the budget, a stripe is read a part at a time,
+    # a call per part, and the last stripe's parts end at the file's end.
     assert _decode(runner, out, tmp_path / "y.bin").exit_code == 0
     last = stripes - 1
     cut = sorted({(a, min(b, last)) for a, b in ranges if a < last}
                  | {(last, stripes)})
     assert read_once(cut) == set(data_chunks(p))
-    assert nodes(calls[0][0]) == set(range(1, k + 1)) | set(
-        range(n - f + 2, n + 1))
-    assert len(calls) == len(cut)
+    assert nodes(c for ids, a, _ in calls if a == 0 for c in ids) == \
+        set(range(1, k + 1)) | set(range(n - f + 2, n + 1))
     tail = 30_000 - last * p.stripe_data_bytes
-    assert [ids for ids, a, _ in calls if a == last] == [
-        data_chunks(p)[:-(-tail // p.chunk_size)]]
+    reads = data_chunks(p)[:-(-tail // p.chunk_size)]
+    if batch_bytes is None:
+        assert len(calls) == len(cut)
+        assert [ids for ids, a, _ in calls if a == last] == [reads]
+    else:
+        assert [ids for ids, _, _ in calls] == \
+            [data_chunks(p)[i:i + k] for i in range(0, f * k, k)] * last \
+            + [reads[i:i + k] for i in range(0, len(reads), k)]
 
     # look-up repair: f helpers per lost chunk, f(f+1) chunks per stripe
     # from min(2f, n-1) nodes

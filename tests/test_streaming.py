@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srcodes import shards
 from srcodes.cli import main
-from srcodes.core import SrcParams, data_chunks
+from srcodes.core import SrcParams, data_chunks, plan_chunks
 from srcodes.errors import InsufficientDataError, IntegrityError
 from srcodes.shards import MANIFEST_NAME, shard_filename
 
@@ -419,26 +419,28 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 
 
 
-def _check_budget(mp):
-    """Check every run_plan call of ShardReader.read_batch: the chunks
-    its batch read that are held outside its output, the chunks it
+def _check_budget(mp, whole_stripes=False):
+    """Check every run_plan call of a ShardReader: the chunks its batch
+    read or was handed that are held outside its output, the chunks it
     derives that are not targets, and both output buffers, the one
-    written behind included, fit _BATCH_BYTES, or the batch is one
-    stripe.  Returns the stripes of each batch."""
+    written behind included, fit _BATCH_BYTES, or the batch is one part
+    of one stripe; with whole_stripes, for a repair, whose batches are
+    whole stripes, one stripe.  Returns the stripes of each batch."""
     run_plan, seen = shards.run_plan, []
 
-    def checked(plan, present, out):
+    def checked(plan, present, out, *made):
         stripes, outputs, chunk = out.shape
         derived = {c for s in plan.steps if s.coeffs is not None
                    for c in s.outs}
         outside = [c for c, row in present.items()
                    if not np.may_share_memory(row, out)]
         held = len(outside) + len(derived - set(plan.targets))
-        assert stripes == 1 or \
+        one = whole_stripes or len({c.part for c in plan.targets}) == 1
+        assert stripes == 1 and one or \
             (held + 2 * outputs) * stripes * chunk <= shards._BATCH_BYTES, \
             (stripes, held, outputs)
         seen.append(stripes)
-        return run_plan(plan, present, out)
+        return run_plan(plan, present, out, *made)
 
     mp.setattr(shards, "run_plan", checked)
     return seen
@@ -467,7 +469,7 @@ def test_every_batch_fits_the_budget(tmp_path, monkeypatch, command, node,
     # whole file in one batch
     monkeypatch.setattr(shards, "_BATCH_BYTES",
                         stripes * (P.f + 1) ** 2 * P.chunk_size)
-    seen = _check_budget(monkeypatch)
+    seen = _check_budget(monkeypatch, whole_stripes=command == "repair")
     if command == "decode":
         res = _decode(out, tmp_path / "y.bin")
         assert (tmp_path / "y.bin").read_bytes() == data
@@ -507,7 +509,7 @@ def test_every_batch_fits_the_budget_on_random_codes(data):
             blob[slot_at(p, stripes, stripes - 1, flip[1])] ^= 0xFF
             (out / shard_filename(flip[0])).write_bytes(bytes(blob))
         mp.setattr(shards, "_BATCH_BYTES", budget)
-        _check_budget(mp)
+        _check_budget(mp, whole_stripes=node is not None)
         with contextlib.suppress(InsufficientDataError, IntegrityError):
             if node is None:
                 shards.decode_file(manifest, out, out / "y.bin")
@@ -553,18 +555,156 @@ def test_crc_failure_mid_batch_peaks_like_a_fallback_from_the_start(
     assert peaks["crc"] < peaks["missing"] + (128 << 10), peaks
 
 
+@st.composite
+def _part_decodes(draw):
+    """A code with n <= 10, a file of up to four stripes, erased nodes,
+    a budget below one stripe of a decode, and maybe a slot to flip in
+    the last stripe: (node, slot)."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n - 1))
+    p = SrcParams(n, k, draw(st.integers(1, n - 1)), draw(st.integers(1, 16)))
+    stripe = (p.n * (p.f + 1) + p.f * p.k) * p.chunk_size
+    return (p, draw(st.integers(1, 4 * p.stripe_data_bytes)),
+            draw(st.sets(st.integers(1, n), max_size=n - k)),
+            draw(st.none() | st.tuples(st.integers(1, n),
+                                       st.integers(0, p.f))),
+            draw(st.integers(1, stripe - 1)))
+
+
+def _decode_file(manifest, out, dest):
+    """decode_file's output, or its error, and what it printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            shards.decode_file(manifest, out, dest)
+            got = dest.read_bytes()
+        except (InsufficientDataError, IntegrityError) as exc:
+            got = (type(exc), str(exc))
+    return got, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+# every lost data chunk of (50,46,2) is the XOR of a chunk of the other
+# part and a parity chunk; in the last stripe, node 5's part1[5] fails
+# its CRC as part 1 is read, and node 30's part2[31], which only part 2
+# reads, after part 1 is made
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, None, 1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, (5, 0),
+          1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, (30, 1),
+          1))
+@given(_part_decodes())
+def test_a_decode_made_a_part_at_a_time_reads_what_its_plans_read(case):
+    # each stripe reads exactly the chunks its whole-stripe plan reads,
+    # each once, though its parts are made one at a time; the decoded
+    # bytes, or the error, and stderr are a whole-stripe decode's.  In
+    # the last stripe, where a chunk may fail its CRC, a plan made again
+    # reads a chunk an earlier part read only when the chunks held and
+    # those the stripe has not read cannot cover the parts left.
+    p, size, erased, flip, budget = case
+    stripes = p.stripes(size)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
+            as mp:
+        out = Path(tmp)
+        payload = np.random.default_rng(size).integers(
+            0, 256, size, dtype=np.uint8).tobytes()
+        shards.write_shard_set(out, p, io.BytesIO(payload), size)
+        manifest = shards.load_manifest(out / MANIFEST_NAME)
+        for gone in erased:
+            (out / shard_filename(gone)).unlink()
+        if flip is not None and (out / shard_filename(flip[0])).exists():
+            blob = bytearray((out / shard_filename(flip[0])).read_bytes())
+            blob[slot_at(p, stripes, stripes - 1, flip[1])] ^= 0xFF
+            (out / shard_filename(flip[0])).write_bytes(bytes(blob))
+        whole = _decode_file(manifest, out, out / "whole.bin")
+        last = -(-(size - (stripes - 1) * p.stripe_data_bytes)
+                 // p.chunk_size)
+        try:
+            first = shards.ShardReader(manifest, out, data_chunks(p),
+                                       last=last)
+        except InsufficientDataError:
+            first = None
+
+        reads, again, read_chunks = [], [], shards.ShardReader.read_chunks
+        rest = shards.ShardReader._rest
+
+        def counting(reader, wanted, start, stop):
+            reads.extend((start, c) for c in wanted)
+            return read_chunks(reader, wanted, start, stop)
+
+        def checked(reader, at, tail, have):
+            before = set(reader._read)
+            rest(reader, at, tail, have)
+            now = {c for plan, _ in reader._split[at:]
+                   for c in plan.reads} & before - have
+            again.extend(now)
+            if now:
+                with pytest.raises(InsufficientDataError):
+                    plan_chunks(p, reader.available - before | have,
+                                [c for plan, _ in reader._split[at:]
+                                 for c in plan.targets])
+
+        mp.setattr(shards.ShardReader, "read_chunks", counting)
+        mp.setattr(shards.ShardReader, "_rest", checked)
+        mp.setattr(shards, "_BATCH_BYTES", budget)
+        assert _decode_file(manifest, out, out / "parts.bin") == whole
+    if first is None:
+        return
+    for stripe in range(stripes):
+        got = sorted(c for s, c in reads if s == stripe)
+        plan = first.plan if stripe < stripes - 1 or first.tail is None \
+            else first.tail
+        if stripe < stripes - 1 or not whole[1]:   # nothing failed
+            assert got == sorted(plan.reads), stripe
+        else:
+            assert again or len(got) == len(set(got))
+
+
+def _held_outside(reader, units):
+    """The most chunks a stripe's units hold outside the two unit
+    buffers at once: those handed to a unit that an earlier unit did
+    not read into its slots, the chunks it reads that are not chunks of
+    its slots or targets of the next unit, which it reads into that
+    unit's buffer, those it makes that are not its targets, and the
+    copies of its targets it hands on."""
+    most, handed, ahead = 0, frozenset(), set()
+    for u, (plan, keep) in enumerate(units):
+        slots = set(reader.units[u][0].targets)
+        later = set(units[u + 1][0].targets) if u + 1 < len(units) else set()
+        made = {c for step in plan.steps for c in step.outs}
+        own = set(plan.reads) - slots - later | made - set(plan.targets)
+        most = max(most, len(handed - ahead) + len(own)
+                   + len(keep & set(plan.targets)))
+        handed, ahead = keep, set(plan.reads) & later
+    return most
+
+
 @pytest.mark.parametrize("missing,tail", [
     ((), 92), ((1, 2, 3, 4), 92),
     # the last stripe's own plan derives part 1 for part1[7], and so
     # reads data chunks that are no target of it
-    ((5, 7), 12)], ids=["healthy", "parity-heavy", "derived-last-stripe"])
+    ((5, 7), 12),
+    # every lost data chunk is the XOR of a chunk of the other part and
+    # a parity chunk: part 1 reads part2[3] into part 2's buffer, and
+    # hands over part1[4], which part 2 XORs
+    ((3, 10, 20, 40), 92),
+    # the same, in a last stripe whose part 2 is cut at the end of the file
+    ((3, 10, 20, 40), 50),
+    # parity[12] is lost with part2[12], so the plan derives part 2, and
+    # part1[11] is the XOR of the derived part2[11] and parity[11]: part 1
+    # reads part 2's chunks, its data chunks into part 2's buffer
+    ((10, 11, 20, 40), 92)],
+    ids=["healthy", "parity-heavy", "derived-last-stripe", "xor-heavy",
+         "cut-last-part", "derive-ahead"])
 def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
         tmp_path, monkeypatch, missing, tail):
-    # a (50,46,2) decode at half the benchmark's chunk size, a stripe per
-    # batch: a data chunk is read into its slot of the batch, the batch
-    # written behind is the only other one held, and no read outlives
-    # its batch.  The slack holds what does not grow with the chunks,
-    # such as a derive's GF(256) look-up tables.
+    # a (50,46,2) decode at half the benchmark's chunk size, its stripes
+    # over the budget, so made one part of k data chunks at a time: a
+    # data chunk is read into its slot of its part, even when the part
+    # before reads it, the part written behind is the only other one
+    # held, and no read outlives its part unless a later part of the
+    # stripe needs it.  The slack holds what does not grow with the
+    # chunks, such as a derive's GF(256) look-up tables.
     p = SrcParams(50, 46, 2, 32 << 10)
     monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
     size = 2 * p.stripe_data_bytes + tail * p.chunk_size - 1000
@@ -574,13 +714,16 @@ def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
     for gone in missing:
         (out / shard_filename(gone)).unlink()
     manifest = shards.load_manifest(out / MANIFEST_NAME)
-    plan = shards.ShardReader(manifest, out, data_chunks(p)).plan
-    batch = len(plan.targets) * p.chunk_size
-    outside = len(set(plan.reads) - set(plan.targets)) * p.chunk_size
+    reader = shards.ShardReader(manifest, out, data_chunks(p), last=tail,
+                                parts=True)
+    unit = p.k * p.chunk_size
+    outside = max(_held_outside(reader, units) for units in (
+        reader.units, reader.tail_units)) * p.chunk_size
     # a first run warms what a process makes once; the second is measured
     assert _decode(out, tmp_path / "y.bin").exit_code == 0
     peak = _peak(lambda: _decode(out, tmp_path / "y.bin"))
-    assert peak < 2 * batch + outside + (768 << 10), (peak, batch, outside)
+    assert (tmp_path / "y.bin").read_bytes() == payload.tobytes()
+    assert peak < 2 * unit + outside + (768 << 10), (peak, unit, outside)
 
 
 def test_encode_peaks_below_two_batches_of_part_chunks(tmp_path,
