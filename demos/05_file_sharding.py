@@ -24,8 +24,9 @@ data = np.random.default_rng(7).integers(0, 256, 3_000_000,
 
 print(f"sharding {len(data):,} bytes into {params.n} shard files "
       f"under {workdir}")
-# encode a batch of stripes at a time; each node's rows go to its shard
-# file as they come, and the manifest follows once every file is sealed
+# encode a batch of stripe parts at a time; each node's chunks go to its
+# shard file as they come, and the manifest follows once every file is
+# sealed
 manifest_path = write_shard_set(workdir, params, io.BytesIO(data),
                                 len(data))
 manifest = load_manifest(manifest_path)

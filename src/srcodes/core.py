@@ -44,13 +44,14 @@ it on a batch of stripes at a time.  split_plan cuts a plan into groups
 of its targets that run one after another on the same stripes, each
 handed what the earlier ones read or made, so that a stripe can be made
 a part at a time with the plan's reads.  encoder, the one encode path,
-plans once and runs the plan for every node's f part chunks in place
-on a batch buffer the caller gives (shards._pipeline's), so encode
-holds batches of stripes, not the file's shards.  A batch holds no
-parity chunk: parity_slots gives the f chunks of a batch whose XOR is
-a node's parity, and the shard writer XORs it as it writes the node.
-encode, for the demos and tests, is the same path in one batch, with
-its parity chunks filled by the same rule.
+codes a file as a run of part units, a stripe's f parts in turn, each
+the n chunks its k data chunks give, by subscript: every part is coded
+alike, so one plan serves every unit.  It runs in place on a buffer of
+units the caller gives (shards._pipeline's), so encode holds batches of
+units, not the file's shards, and no parity chunk: a stripe's parity
+chunks are the XOR of its units, which the shard writer keeps in one
+row as it writes them.  encode, for the demos and tests, is the same
+path in one batch, with its parity chunks filled by the same rule.
 """
 
 from __future__ import annotations
@@ -183,62 +184,54 @@ def data_chunks(params: SrcParams) -> list[ChunkId]:
 def encoder(fill: Callable[[np.ndarray], object], size: int,
             params: SrcParams) -> Callable[[np.ndarray, int], None]:
     """Plan the encode of size input bytes once; return make(out, start),
-    which codes the batch of stripes from start on into out, (stripes,
-    n*f, chunk_size) with node i's f part chunks from (i-1)*f.  A node's
-    parity chunk is not held, as the XOR of the batch slots parity_slots
-    gives.  make calls fill(view), which must write the next len(view)
-    input bytes into view or raise, in file order with each data chunk's
-    slot, cut at the end of the input, and zeroes the rest of a slot;
-    run_plan, on the one plan, derives the coded chunks in place and
-    copies no data slot, each already its own source.  Batches are made
-    in file order, as fill reads on.
+    which codes the part units from start on into out, (units, n,
+    chunk_size).  Unit u is part (u mod f) + 1 of stripe u // f, so
+    units run in file order, and holds that part's n chunks by
+    subscript.  Every part is coded by the same (n, k) generator, so one
+    plan, part 1's, codes every unit.  make calls fill(view), which must
+    write the next len(view) input bytes into view or raise: unit u's k
+    data chunks hold input bytes from u*k*chunk_size on, cut at the end
+    of the input, the rest of a chunk zeroed.  run_plan then derives the
+    n-k coded chunks in place and copies no data chunk, each already its
+    own source.  Units are made in file order, as fill reads on.  A
+    stripe's parity chunks are the XOR of its f units, by subscript.
     """
-    f = params.f
-    targets = [c for node in range(1, params.n + 1)
-               for c in params.node_chunks(node)[:f]]
-    data = {c: targets.index(c) for c in data_chunks(params)}
-    plan = plan_chunks(params, data, targets)
-    cs = params.chunk_size
+    k, cs = params.k, params.chunk_size
+    part = [ChunkId(1, sub) for sub in range(1, params.n + 1)]
+    plan = plan_chunks(params, part[:k], part)
 
     def make(out: np.ndarray, start: int) -> None:
-        at = start * params.stripe_data_bytes
-        for stripe in out:
-            for slot in data.values():
+        at = start * k * cs
+        for unit in out:
+            for chunk in unit[:k]:
                 got = min(max(size - at, 0), cs)
                 if got:
-                    fill(stripe[slot, :got])
-                stripe[slot, got:] = 0
+                    fill(chunk[:got])
+                chunk[got:] = 0
                 at += cs
-        run_plan(plan, {c: out[:, slot] for c, slot in data.items()}, out)
+        run_plan(plan, {c: out[:, c.subscript - 1] for c in part[:k]}, out)
 
     return make
 
 
-def parity_slots(params: SrcParams) -> list[list[int]]:
-    """The parity rule on an encoder batch: for node i, list i-1
-    holds the slots of the f part chunks whose XOR is the node's parity
-    chunk, those sharing its subscript, in part order."""
-    f = params.f
-    return [[(params.chunk_location(h) - 1) * f + h.part - 1
-             for h in params.helpers(params.node_chunks(node)[f])]
-            for node in range(1, params.n + 1)]
-
-
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
     """Encode a byte string into the n-node coded array (encoder, in
-    one batch, and each node's parity chunk from parity_slots).
+    one batch, and each stripe's parity chunks as the XOR of its units).
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.
     """
     stripes = params.stripes(len(file_bytes))
-    n, f = params.n, params.f
-    parts = np.empty((stripes, n * f, params.chunk_size), dtype=np.uint8)
-    encoder(io.BytesIO(file_bytes).readinto, len(file_bytes), params)(parts, 0)
-    coded = np.empty((stripes, n, f + 1, params.chunk_size), dtype=np.uint8)
-    coded[:, :, :f] = parts.reshape(stripes, n, f, params.chunk_size)
-    for node, sources in enumerate(parity_slots(params)):
-        np.bitwise_xor.reduce(parts[:, sources], axis=1, out=coded[:, node, f])
+    n, f, cs = params.n, params.f, params.chunk_size
+    units = np.empty((stripes * f, n, cs), dtype=np.uint8)
+    encoder(io.BytesIO(file_bytes).readinto, len(file_bytes), params)(units, 0)
+    parts = units.reshape(stripes, f, n, cs)
+    parity = np.bitwise_xor.reduce(parts, axis=1)
+    coded = np.empty((stripes, n, f + 1, cs), dtype=np.uint8)
+    for node in range(1, n + 1):
+        for slot, c in enumerate(params.node_chunks(node)):
+            chunks = parity if c.part > f else parts[:, slot]
+            coded[:, node - 1, slot] = chunks[:, c.subscript - 1]
     shards = {node: coded[:, node - 1] for node in range(1, n + 1)}
     return CodedArray(params=params, stripe_count=stripes,
                       file_size=len(file_bytes), shards=shards)

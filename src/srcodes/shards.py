@@ -15,21 +15,24 @@ so a rebuilt shard can be checked against the manifest digest.
 This module is the only one that reads or writes shard files, and it
 runs the three file workflows end to end: write_shard_set (encode),
 decode_file and repair_shard.  Each is one run of _pipeline, the batch
-loop: a batch of stripes at a time is made on the caller's thread (all
-GF work stays there) and written by one writer thread while the next
-is made, in two buffers that take turns, so memory does not grow with
-the file.  Where one stripe's decode batch is over the budget, a batch
-is one part of a stripe, its k data chunks, so neither does it grow
-with f.  An encode batch holds each node's f part chunks only: the
-writer thread XORs each node's parity chunk into one reused row as it
-writes the node.  ShardWriter is the one shard writer: it takes a
-node's payload a batch of stripes at a time, as one array or as its
-f+1 slots from different buffers, so no writer holds a whole shard or
-copies a batch.  Every file goes through atomic_writer, so a crash
-never leaves a torn file under its real name.  ShardReader is the one
-shard-set reader: it plans around missing and damaged files and reads
-only the chunk slots its plan needs, a target chunk straight into its
-slot of the batch; a decode reads no padding chunk of the last stripe.
+loop: a batch at a time is made on the caller's thread (all GF work
+stays there) and written by one writer thread while the next is made,
+in two buffers that take turns, so memory does not grow with the file.
+An encode batch is a run of part units, each one part of a stripe, its
+n chunks: as many as fit _BATCH_BYTES, or one, so neither does it grow
+with f.  The writer thread appends each unit's chunks to the nodes'
+files and XORs the unit into one reused row, from which it appends a
+stripe's parity chunks after its last part.  A decode batch is a run
+of stripes, or one part of a stripe, its k data chunks, when a stripe
+is over the budget; a repair batch is a run of stripes, or one.
+ShardWriter is the one shard writer: it appends a node's payload a
+chunk at a time, in file order, from whatever buffer holds the chunk,
+so no writer holds a whole shard or copies a batch.  Every file goes
+through atomic_writer, so a crash never leaves a torn file under its
+real name.  ShardReader is the one shard-set reader: it plans around
+missing and damaged files and reads only the chunk slots its plan
+needs, a target chunk straight into its slot of the batch; a decode
+reads no padding chunk of the last stripe.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -57,7 +60,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .core import (ChunkId, ChunkPlan, SrcParams, data_chunks, encoder,
-                   parity_slots, plan_chunks, run_plan, split_plan)
+                   plan_chunks, run_plan, split_plan)
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      ShapeError)
 from .mds import CONSTRUCTION_ID
@@ -71,13 +74,11 @@ _HEADER = struct.Struct("<8s6H3Q")
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # Chunk bytes a batch may hold: its reads, derived chunks and both
 # output buffers, whatever the plan (_batch_stripes), whatever the file
-# size.  When one stripe is over it, a decode batch is one part of a
-# stripe, k chunks in each buffer, and an encode or repair batch one
-# stripe.  Encode's stripes per batch are sized the same way, but its
-# two buffers hold each node's f part chunks, 2*n*f chunks per stripe,
-# up to 2f/(f+1) of the budget (10.5 MB at (10,6,2) with 64 KiB chunks),
-# plus one chunk per stripe for the parity the writer XORs.  Chosen by
-# paired runs (BENCH_8.json).
+# size; for encode, both buffers of part units, n chunks each, and the
+# row of parity chunks the writer XORs, n chunks.  When one stripe is
+# over it, a decode batch is one part of a stripe, k chunks in each
+# buffer, and a repair batch one stripe; an encode batch over it is one
+# part unit.  Chosen by paired runs (BENCH_8.json).
 _BATCH_BYTES = 8 << 20
 
 
@@ -100,10 +101,8 @@ def _batch_stripes(params: SrcParams, outputs: int) -> int:
     second output buffer: the chunks read outside the outputs, the
     derived chunks that are not targets and the distinct targets are
     different chunks of a stripe, n*(f+1) at most, so with two buffers
-    of outputs chunks they stay within it.  Encode asks with no outputs,
-    and its two buffers hold n*f chunks per stripe each: 2f/(f+1) of the
-    reserve.  At 0, encode and repair make one stripe per batch, and a
-    decode one part of a stripe (ShardReader)."""
+    of outputs chunks they stay within it.  At 0, a repair makes one
+    stripe per batch, and a decode one part of a stripe (ShardReader)."""
     per_stripe = (params.n * (params.f + 1) + outputs) * params.chunk_size
     return _BATCH_BYTES // per_stripe
 
@@ -238,17 +237,16 @@ def atomic_writer(path: Path) -> Iterator:
 
 
 class ShardWriter:
-    """Writes one node's shard file, a batch of stripes at a time.
+    """Writes one node's shard file, a chunk at a time.
 
-    write() appends the node's rows of the next stripes, (stripes, f+1,
-    chunk_size), which may be a strided view, or the same rows as a list
-    of its f+1 slots, each (stripes, chunk_size), which may lie in
-    different buffers, as encode's parts and parity do; it copies a
-    chunk only if the chunk is not contiguous.  seal() adds the parts only
-    the whole payload gives, checks the digest if one is given, and
-    returns the file's sha256.  The file takes its name when the
-    writer's with block ends; on an error, a wrong digest included, no
-    file is left.
+    write(chunk) appends the next chunk of the node's payload in file
+    order, stripe by stripe and slot by slot: a (chunk_size,) array,
+    which may be a view of any buffer, as encode's units and parity row
+    and a repair's batch are; it copies the chunk only if it is not
+    contiguous.  seal() adds the parts only the whole payload gives,
+    checks the digest if one is given, and returns the file's sha256.
+    The file takes its name when the writer's with block ends; on an
+    error, a wrong digest included, no file is left.
 
     A v2 file is written in file order (header, payload, CRC table) and
     hashed as it is written.  A v1 file has its table before the
@@ -262,8 +260,9 @@ class ShardWriter:
         self.params, self.node, self.version = params, node, version
         self.stripes = params.stripes(file_size)
         self._head = _header(params, node, self.stripes, file_size, version)
-        self._crcs = bytearray()   # CRC table of the stripes written
-        self._done = 0             # stripes written
+        self._crcs = bytearray()   # CRC table of the chunks written
+        self._done = 0             # chunks written
+        self._chunks = self.stripes * (params.f + 1)
         self._sha = hashlib.sha256()
         self._stack = ExitStack()
         self._fh = self._stack.enter_context(
@@ -284,25 +283,20 @@ class ShardWriter:
             self._sha.update(part)
         self._fh.write(part)
 
-    def write(self, rows: np.ndarray | list[np.ndarray]) -> None:
-        p = self.params
-        slots = list(rows.swapaxes(0, 1)) if isinstance(rows, np.ndarray) \
-            else rows
-        stripes = len(slots[0]) if slots else 0
-        if len(slots) != p.f + 1 or self._done + stripes > self.stripes or \
-                any(s.shape != (stripes, p.chunk_size) for s in slots):
-            raise ShapeError(f"shard rows {[s.shape for s in slots]} do not "
-                             "match params")
-        for stripe in zip(*slots):
-            for chunk in map(np.ascontiguousarray, stripe):
-                self._crcs += zlib.crc32(chunk).to_bytes(4, "little")
-                self._put(chunk)
-            self._done += 1
+    def write(self, chunk: np.ndarray) -> None:
+        if chunk.shape != (self.params.chunk_size,) or \
+                self._done == self._chunks:
+            raise ShapeError(f"a chunk of shape {chunk.shape} does not "
+                             f"fit the shard of node {self.node}")
+        chunk = np.ascontiguousarray(chunk)
+        self._crcs += zlib.crc32(chunk).to_bytes(4, "little")
+        self._put(chunk)
+        self._done += 1
 
     def seal(self, digest: str | None = None) -> str:
-        if self._done != self.stripes:
+        if self._done != self._chunks:
             raise ShapeError(f"shard of node {self.node} has {self._done} "
-                             f"stripes, expected {self.stripes}")
+                             f"chunks, expected {self._chunks}")
         if self.version == 1:
             self._fh.seek(0)
             self._fh.write(self._head)
@@ -319,25 +313,25 @@ class ShardWriter:
         return self._sha.hexdigest()
 
 
-def _pipeline(stripes: int, step: int, width: int, chunk_size: int,
+def _pipeline(count: int, step: int, width: int, chunk_size: int,
               make: Callable[[np.ndarray, int, Callable[[], np.ndarray]],
                              object],
               write: Callable[[np.ndarray], object]) -> None:
     """The batch loop of encode, decode and repair: make and write
-    stripes stripes, step at a time, each batch (stripes, width,
-    chunk_size).  make(out, start, ahead) fills out with the batch of
-    stripes from start on, on this thread; write(out) then runs on one
-    writer thread while the next batch is made.  Batches take turns in
-    two buffers, the second allocated only once a second batch comes,
-    and a batch's write is joined before its buffer is made again, so
-    neither callable needs to copy a batch.  ahead(), which make may
-    call, joins the write in flight at once and returns the next batch's
-    buffer, whole, so that make can fill slots of it: the next batch
-    finds them as make left them.  An empty file is one batch of no
-    stripes.  An
-    error of write is raised here; on any error the thread is joined
-    first.  hashlib, zlib and file writes release the GIL; write must
-    call no span-wrapped (public module-level) function."""
+    count rows, stripes or part units, step at a time, each batch (rows,
+    width, chunk_size).  make(out, start, ahead) fills out with the
+    batch of rows from start on, on this thread; write(out) then runs on
+    one writer thread while the next batch is made.  Batches take turns
+    in two buffers, the second allocated only once a second batch
+    comes, and a batch's write is joined before its buffer is made
+    again, so neither callable needs to copy a batch.  ahead(), which
+    make may call, joins the write in flight at once and returns the
+    next batch's buffer, whole, so that make can fill slots of it: the
+    next batch finds them as make left them.  An empty file is one
+    batch of no rows.  An error of write is raised here; on any error
+    the thread is joined first.  hashlib, zlib and file writes release
+    the GIL; write must call no span-wrapped (public module-level)
+    function."""
     failed: list[BaseException] = []
     bufs: list[np.ndarray] = []
     thread = None
@@ -358,7 +352,7 @@ def _pipeline(stripes: int, step: int, width: int, chunk_size: int,
 
     def buffer(b: int) -> np.ndarray:
         if len(bufs) <= b % 2:
-            bufs.append(np.empty((min(step, stripes), width, chunk_size),
+            bufs.append(np.empty((min(step, count), width, chunk_size),
                                  np.uint8))
         return bufs[b % 2]
 
@@ -367,8 +361,8 @@ def _pipeline(stripes: int, step: int, width: int, chunk_size: int,
         return buffer(b + 1)
 
     try:
-        for b, start in enumerate(range(0, max(stripes, 1), step)):
-            out = buffer(b)[:min(step, stripes - start)]
+        for b, start in enumerate(range(0, max(count, 1), step)):
+            out = buffer(b)[:min(step, count - start)]
             make(out, start, ahead)
             join()
             thread = threading.Thread(target=run, args=(out,))
@@ -384,19 +378,19 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     """Encode the size bytes of the binary stream source into n shard
     files and a manifest; returns the manifest path.
 
-    The input is read, hashed and encoded a batch of stripes at a time
-    by _pipeline, every node's f part chunks in place (encoder, and
-    _batch_stripes with no outputs), and the writer thread writes each
-    node's rows to its file while the next batch is coded.
-    A batch holds no parity chunk: for each node in turn, the writer
-    XORs the f part chunks parity_slots names into one reused (stripes,
-    chunk_size) row, or takes the one chunk when f = 1, and passes
-    ShardWriter the node's part slots of the batch and that row,
-    copying nothing.  A source that does not end at exactly size bytes,
-    or a stripe larger than any buffer can be, is a ParameterError.  The
-    shard files take their names in node order once every one is
-    sealed, then the manifest is written; an error before that leaves
-    no new file, and removes the directory if this call made it.
+    The input is read, hashed and encoded a batch of part units at a
+    time by _pipeline (encoder), as many as fit _BATCH_BYTES with the
+    other buffer and the parity row, or one, and the writer thread
+    writes each unit while the next batch is coded: part l's chunk to
+    each node's file, that node's slot l-1, copying nothing.  A batch
+    holds no parity chunk: the writer XORs each unit into one reused
+    row of n chunks, by subscript, and after a stripe's part f appends
+    each node's parity chunk from it.  A source that does not end at
+    exactly size bytes, or a stripe larger than any buffer can be, is a
+    ParameterError.  The shard files take their names in node order once
+    every one is sealed, then the manifest is written; an error before
+    that leaves no new file, and removes the directory if this call made
+    it.
     """
     width = params.f + 1
     if params.n * width * params.chunk_size > sys.maxsize:
@@ -421,23 +415,32 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
                 directory, params, node, size))
                 for node in range(params.n, 0, -1)][::-1]
 
-            f, step = params.f, max(1, _batch_stripes(params, 0))
-            sources = parity_slots(params)
-            scratch = np.empty((min(step, params.stripes(size)),
-                                params.chunk_size), np.uint8)
+            n, f, cs = params.n, params.f, params.chunk_size
+            # units a batch holds: two buffers of n chunks each, and the row
+            step = max(1, (_BATCH_BYTES - n * cs) // (2 * n * cs))
+            parity = np.empty((n, cs), np.uint8)
+            # each node's chunk of each part, and its parity, by subscript
+            subs = [[c.subscript - 1 for c in params.node_chunks(node)]
+                    for node in range(1, n + 1)]
+            done = 0   # units written
 
             def write(batch: np.ndarray) -> None:
-                for w, s, (first, *rest) in zip(
-                        writers, range(0, params.n * f, f), sources):
-                    parity = batch[:, first]   # f = 1: that chunk itself
-                    for slot in rest:
-                        parity = np.bitwise_xor(parity, batch[:, slot],
-                                                out=scratch[:len(batch)])
-                    w.write([*batch[:, s:s + f].swapaxes(0, 1), parity])
+                nonlocal done
+                for unit in batch:
+                    l = done % f
+                    done += 1
+                    for w, s in zip(writers, subs):
+                        w.write(unit[s[l]])
+                    if l:
+                        np.bitwise_xor(parity, unit, out=parity)
+                    else:
+                        np.copyto(parity, unit)
+                    if l == f - 1:
+                        for w, s in zip(writers, subs):
+                            w.write(parity[s[f]])
 
             make = encoder(fill, size, params)
-            _pipeline(params.stripes(size), step, params.n * f,
-                      params.chunk_size,
+            _pipeline(params.stripes(size) * f, step, n, cs,
                       lambda out, start, _: make(out, start), write)
             if source.read(1):
                 raise changed
@@ -460,7 +463,13 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
 
 
 def load_manifest(path: Path) -> Manifest:
-    return Manifest.from_json(Path(path).read_bytes())
+    """Read and parse the manifest at path.  It is opened without
+    blocking, so a FIFO is refused, as any file that is not a regular
+    one is, by a ParameterError, not waited on."""
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise ParameterError(f"manifest {path} is not a regular file")
+        return Manifest.from_json(fh.read())
 
 
 class ShardReader:
@@ -852,7 +861,12 @@ def repair_shard(manifest: Manifest, directory: Path,
     reader = ShardReader(manifest, directory, p.node_chunks(node), node)
     with reader, ShardWriter(directory, p, node, manifest.file_size,
                              manifest.version) as writer:
-        reader._stream(writer.write)
+
+        def write(batch: np.ndarray) -> None:
+            for chunk in batch.reshape(-1, p.chunk_size):
+                writer.write(chunk)
+
+        reader._stream(write)
         if reader.blocked:
             print("look-up repair blocked for "
                   f"{', '.join(c.label(p.f) for c in sorted(reader.blocked))}"

@@ -552,6 +552,26 @@ def test_a_fifo_in_place_of_a_shard_is_skipped(runner, tmp_path):
     assert res.stderr.splitlines()[0] == skip
 
 
+def test_a_fifo_as_the_manifest_is_refused(runner, tmp_path):
+    # a FIFO given as --manifest must not block decode or repair: it is
+    # refused as not a regular file, a usage error.  Each command runs
+    # in its own process, with a timeout, so that a hang fails the test.
+    _, _, out = _encode(runner, tmp_path, n=5, k=3, f=2, size=30_000)
+    fifo = tmp_path / "manifest.fifo"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    for args in (["decode", "--out", str(tmp_path / "y.bin")],
+                 ["repair", "--node", "1"]):
+        res = subprocess.run(
+            [sys.executable, "-m", "srcodes.cli", *args, "--manifest",
+             str(fifo), "--shards", str(out)], capture_output=True,
+            text=True, timeout=60, env=env)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", f"error: manifest {fifo} is not a regular file\n")
+    assert not (tmp_path / "y.bin").exists()
+
+
 def test_unreadable_shard_among_exactly_k_exit_4(runner, tmp_path,
                                                  monkeypatch):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from srcodes import shards
 from srcodes.core import SrcParams, data_chunks, encode
 from srcodes.errors import IntegrityError, ShapeError
-from srcodes.shards import (Manifest, ShardReader, ShardWriter,
+from srcodes.shards import (MANIFEST_NAME, Manifest, ShardReader, ShardWriter,
                             load_manifest, shard_filename, write_shard_set)
 
 from gf_reference import reference_encode
@@ -32,9 +32,9 @@ def _array(seed=1, params=None):
 
 def _write_set(directory, data, params):
     """data's shard files and manifest, written as encode writes them, a
-    stripe per batch; the manifest path."""
+    part of a stripe per batch; the manifest path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shards, "_BATCH_BYTES", 1)   # a stripe per batch
+        mp.setattr(shards, "_BATCH_BYTES", 1)   # a part unit per batch
         return write_shard_set(directory, params, io.BytesIO(data), len(data))
 
 
@@ -51,34 +51,42 @@ def _read_node(manifest, directory, node):
 @st.composite
 def _sets(draw):
     """A code with n <= 10, any k < n and any f < n; a size from 0 to
-    several stripes, the last stripe often partial; and the stripes a
-    batch of encode holds, from one to many."""
+    several stripes, the last stripe often partial; and the budget of a
+    batch of encode, from below one part unit, which it then holds
+    alone, to many stripes."""
     n = draw(st.integers(2, 10))
     p = SrcParams(n, draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1)),
                   draw(st.integers(1, 64)))
     return (p, draw(st.integers(0, 5 * p.stripe_data_bytes)),
-            draw(st.integers(1, 6)))
+            draw(st.integers(1, (12 * p.f + 1) * n * p.chunk_size)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@example((SrcParams(4, 2, 1, 8), 3 * 16 + 5, 2))   # a parity is one chunk
+# f = 1, so a parity is one chunk; two part units a batch
+@example((SrcParams(4, 2, 1, 8), 3 * 16 + 5, 5 * 4 * 8))
+@example((SrcParams(4, 2, 2, 8), 0, 1))   # an empty input
 @given(_sets())
 def test_shard_round_trip(case):
     # write_shard_set, a batch at a time, against the reference encoder,
-    # which shares no code with core's
-    p, size, step = case
+    # which shares no code with core's, and against the whole file
+    # encoded in one batch
+    p, size, budget = case
     data = np.random.default_rng(size).integers(0, 256, size,
                                                 dtype=np.uint8).tobytes()
     _, expected = reference_encode(data, p.n, p.k, p.f, p.chunk_size)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
             as mp:
-        mp.setattr(shards, "_BATCH_BYTES",
-                   step * p.n * (p.f + 1) * p.chunk_size)
+        whole = Path(tmp) / "whole"
+        write_shard_set(whole, p, io.BytesIO(data), size)
+        mp.setattr(shards, "_BATCH_BYTES", budget)
         manifest = load_manifest(write_shard_set(tmp, p, io.BytesIO(data),
                                                  size))
+        assert (whole / MANIFEST_NAME).read_bytes() == \
+            (Path(tmp) / MANIFEST_NAME).read_bytes()
         assert manifest.file_digest == hashlib.sha256(data).hexdigest()
         for node in range(1, p.n + 1):
             blob = (Path(tmp) / shard_filename(node)).read_bytes()
+            assert blob == (whole / shard_filename(node)).read_bytes()
             assert len(blob) == shard_bytes(p, p.stripes(size))
             assert manifest.shard_digests[node] == \
                 hashlib.sha256(blob).hexdigest()
@@ -88,9 +96,12 @@ def test_shard_round_trip(case):
 
 
 def _write_shard(directory, arr, node, payload, digest=None):
-    """One node's shard file from its whole payload; its sha256."""
+    """One node's shard file from its whole payload, appended a chunk at
+    a time; its sha256."""
     with ShardWriter(directory, arr.params, node, arr.file_size) as writer:
-        writer.write(payload)
+        for stripe in payload:
+            for chunk in stripe:
+                writer.write(chunk)
         return writer.seal(digest)
 
 

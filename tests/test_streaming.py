@@ -148,20 +148,29 @@ FOUR_BATCHES = 15 * P.stripe_data_bytes // 2   # 8 stripes, the last half full
 
 @pytest.fixture
 def two_stripe_batches(monkeypatch):
+    # an encode batch of 2f part units, n chunks each, in each of two
+    # buffers, and the writer's row of n parity chunks
     monkeypatch.setattr(shards, "_BATCH_BYTES",
-                        2 * P.n * (P.f + 1) * P.chunk_size)
+                        (2 * 2 * P.f + 1) * P.n * P.chunk_size)
 
 
 def _on_write(monkeypatch, hook):
     """Call hook(node, batch) in each ShardWriter.write, on the writer's
-    thread, before it writes; batch counts a node's writes from 1."""
-    write, written = shards.ShardWriter.write, {}
+    thread, before it writes; batch counts the batches written from 1."""
+    pipeline, write, batches = shards._pipeline, shards.ShardWriter.write, [0]
 
-    def hooked(self, rows):
-        written[self.node] = written.get(self.node, 0) + 1
-        hook(self.node, written[self.node])
-        write(self, rows)
+    def counted(rows, step, width, chunk_size, make, write_batch):
+        def counting(out):
+            batches[0] += 1
+            write_batch(out)
 
+        pipeline(rows, step, width, chunk_size, make, counting)
+
+    def hooked(self, chunk):
+        hook(self.node, batches[0])
+        write(self, chunk)
+
+    monkeypatch.setattr(shards, "_pipeline", counted)
     monkeypatch.setattr(shards.ShardWriter, "write", hooked)
 
 
@@ -420,13 +429,30 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 
 
 def _check_budget(mp, whole_stripes=False):
-    """Check every run_plan call of a ShardReader: the chunks its batch
-    read or was handed that are held outside its output, the chunks it
-    derives that are not targets, and both output buffers, the one
-    written behind included, fit _BATCH_BYTES, or the batch is one part
-    of one stripe; with whole_stripes, for a repair, whose batches are
-    whole stripes, one stripe.  Returns the stripes of each batch."""
-    run_plan, seen = shards.run_plan, []
+    """Check every batch: an encode's two buffers of part units and the
+    writer's row of parity chunks, n chunks each, fit _BATCH_BYTES, or
+    the batch is one part unit, one part of one stripe.  In every
+    run_plan call of a ShardReader, the chunks its batch read or was
+    handed that are held outside its output, the chunks it derives that
+    are not targets, and both output buffers, the one written behind
+    included, fit _BATCH_BYTES, or the batch is one part of one stripe;
+    with whole_stripes, for a repair, whose batches are whole stripes,
+    one stripe.  Returns the rows of each batch: part units for an
+    encode, stripes for a reader."""
+    run_plan, encoder, seen = shards.run_plan, shards.encoder, []
+
+    def encoding(fill, size, params):
+        make = encoder(fill, size, params)
+
+        def checked(out, start):
+            units, width, chunk = out.shape
+            assert (width, chunk) == (params.n, params.chunk_size)
+            assert units == 1 or \
+                (2 * units + 1) * width * chunk <= shards._BATCH_BYTES, units
+            seen.append(units)
+            make(out, start)
+
+        return checked
 
     def checked(plan, present, out, *made):
         stripes, outputs, chunk = out.shape
@@ -442,11 +468,13 @@ def _check_budget(mp, whole_stripes=False):
         seen.append(stripes)
         return run_plan(plan, present, out, *made)
 
+    mp.setattr(shards, "encoder", encoding)
     mp.setattr(shards, "run_plan", checked)
     return seen
 
 
 @pytest.mark.parametrize("command,node,missing,flip", [
+    ("encode", None, (), None),
     ("decode", None, (), None),
     ("decode", None, (1, 2, 3, 4), None),   # parity-heavy
     ("repair", 3, (), None),                # look-up
@@ -454,7 +482,7 @@ def _check_budget(mp, whole_stripes=False):
     # node 2 holds part2[3], a look-up helper of node 3's part1[3]: it
     # fails in the last stripe, in a batch planned for the look-up
     ("repair", 3, (), (2, 1)),
-], ids=["healthy-decode", "parity-heavy-decode", "look-up-repair",
+], ids=["encode", "healthy-decode", "parity-heavy-decode", "look-up-repair",
         "fallback-repair", "crc-failure-in-last-stripe"])
 def test_every_batch_fits_the_budget(tmp_path, monkeypatch, command, node,
                                      missing, flip):
@@ -470,6 +498,13 @@ def test_every_batch_fits_the_budget(tmp_path, monkeypatch, command, node,
     monkeypatch.setattr(shards, "_BATCH_BYTES",
                         stripes * (P.f + 1) ** 2 * P.chunk_size)
     seen = _check_budget(monkeypatch, whole_stripes=command == "repair")
+    if command == "encode":
+        # part units that cross stripes, each batch, and the same files
+        _, again = _encode(tmp_path, size, "again")
+        assert sum(seen) == stripes * P.f and max(seen) > 1
+        for name in [MANIFEST_NAME, *map(shard_filename, range(1, P.n + 1))]:
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+        return
     if command == "decode":
         res = _decode(out, tmp_path / "y.bin")
         assert (tmp_path / "y.bin").read_bytes() == data
@@ -482,8 +517,8 @@ def test_every_batch_fits_the_budget(tmp_path, monkeypatch, command, node,
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_every_batch_fits_the_budget_on_random_codes(data):
-    # random codes, erasures, one chunk failing its CRC in the last
-    # stripe, and budgets from under a stripe to many stripes
+    # random codes, an encode, erasures, one chunk failing its CRC in the
+    # last stripe, and budgets from under a part to many stripes
     n = data.draw(st.integers(2, 10))
     k = data.draw(st.integers(1, n - 1))
     f = data.draw(st.integers(1, n - 1))
@@ -499,6 +534,8 @@ def test_every_batch_fits_the_budget_on_random_codes(data):
         out = Path(tmp)
         payload = np.random.default_rng(size).integers(
             0, 256, size, dtype=np.uint8).tobytes()
+        mp.setattr(shards, "_BATCH_BYTES", budget)
+        _check_budget(mp, whole_stripes=node is not None)
         shards.write_shard_set(out, p, io.BytesIO(payload), size)
         manifest = shards.load_manifest(out / MANIFEST_NAME)
         for gone in erased:
@@ -508,8 +545,6 @@ def test_every_batch_fits_the_budget_on_random_codes(data):
             blob = bytearray((out / shard_filename(flip[0])).read_bytes())
             blob[slot_at(p, stripes, stripes - 1, flip[1])] ^= 0xFF
             (out / shard_filename(flip[0])).write_bytes(bytes(blob))
-        mp.setattr(shards, "_BATCH_BYTES", budget)
-        _check_budget(mp, whole_stripes=node is not None)
         with contextlib.suppress(InsufficientDataError, IntegrityError):
             if node is None:
                 shards.decode_file(manifest, out, out / "y.bin")
@@ -728,30 +763,36 @@ def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
 
 def test_encode_peaks_below_two_batches_of_part_chunks(tmp_path,
                                                        monkeypatch):
-    # a (50,46,2) encode at half the benchmark's chunk size, a stripe per
-    # batch: a batch holds each node's f part chunks, n*f of them, and
-    # the writer XORs each node's parity chunk into one reused row as it
-    # writes it, so two batches of part chunks are all that grows with
-    # the chunks.  The slack holds what does not, such as the GF(256)
-    # look-up tables.
-    p = SrcParams(50, 46, 2, 32 << 10)
-    monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
-    size = 3 * p.stripe_data_bytes - 1000
-    payload = np.random.default_rng(5).integers(0, 256, size, dtype=np.uint8)
-    src = tmp_path / "input.bin"
-    src.write_bytes(payload.tobytes())
+    # encodes at half the benchmark's chunk size.  At (50,46,2) a stripe
+    # is over any budget, so a batch is one part unit, one part's n
+    # chunks: the two unit buffers and the writer's row of n parity
+    # chunks, 3n chunks, are all that grows with the chunks.  A
+    # (10,6,2) file of many stripes, at the default budget, holds batches
+    # of many units, and stays within the budget.  The slack holds what
+    # does not grow with the chunks, such as the GF(256) look-up tables.
+    cases = [(SrcParams(50, 46, 2, 32 << 10), 3, 1),
+             (SrcParams(10, 6, 2, 32 << 10), 40, shards._BATCH_BYTES)]
+    for p, stripes, budget in cases:
+        monkeypatch.setattr(shards, "_BATCH_BYTES", budget)
+        size = stripes * p.stripe_data_bytes - 1000
+        payload = np.random.default_rng(5).integers(0, 256, size,
+                                                    dtype=np.uint8)
+        src = tmp_path / f"{p.n}.bin"
+        src.write_bytes(payload.tobytes())
 
-    def encode(out):
-        return CliRunner().invoke(main, [
-            "encode", str(src), "--n", str(p.n), "--k", str(p.k),
-            "--f", str(p.f), "--chunk-size", str(p.chunk_size),
-            "--out", str(tmp_path / out)])
+        def encode(out):
+            return CliRunner().invoke(main, [
+                "encode", str(src), "--n", str(p.n), "--k", str(p.k),
+                "--f", str(p.f), "--chunk-size", str(p.chunk_size),
+                "--out", str(tmp_path / out)])
 
-    # a first run warms what a process makes once; the second is measured
-    assert encode("warm").exit_code == 0
-    peak = _peak(lambda: encode("shards"))
-    batch = p.n * p.f * p.chunk_size
-    assert peak < 2 * batch + (768 << 10), (peak, batch)
-    for node in range(1, p.n + 1):
-        assert (tmp_path / "shards" / shard_filename(node)).read_bytes() \
-            == (tmp_path / "warm" / shard_filename(node)).read_bytes()
+        # a first run warms what a process makes once; the second is
+        # measured
+        assert encode(f"warm{p.n}").exit_code == 0
+        peak = _peak(lambda: encode(f"shards{p.n}"))
+        bound = max(3 * p.n * p.chunk_size, budget) + (768 << 10)
+        assert peak < bound, (p, peak, bound)
+        for node in range(1, p.n + 1):
+            name = shard_filename(node)
+            assert (tmp_path / f"shards{p.n}" / name).read_bytes() \
+                == (tmp_path / f"warm{p.n}" / name).read_bytes()
