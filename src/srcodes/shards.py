@@ -21,8 +21,8 @@ in two buffers that take turns, so memory does not grow with the file.
 An encode batch is a run of part units, each one part of a stripe, its
 n chunks: as many as fit _BATCH_BYTES, or one, so neither does it grow
 with f.  The writer thread appends each unit's chunks to the nodes'
-files and XORs the unit into one reused row, from which it appends a
-stripe's parity chunks after its last part.  A decode batch is a run
+files and XORs a stripe's units into one reused row, from which it
+appends the stripe's parity chunks after its last part.  A decode batch is a run
 of stripes, or one part of a stripe, its k data chunks, when a stripe
 is over the budget; a repair batch is a run of stripes, or one.
 ShardWriter is the one shard writer: it appends a node's payload a
@@ -75,10 +75,10 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # Chunk bytes a batch may hold: its reads, derived chunks and both
 # output buffers, whatever the plan (_batch_stripes), whatever the file
 # size; for encode, both buffers of part units, n chunks each, and the
-# row of parity chunks the writer XORs, n chunks.  When one stripe is
-# over it, a decode batch is one part of a stripe, k chunks in each
-# buffer, and a repair batch one stripe; an encode batch over it is one
-# part unit.  Chosen by paired runs (BENCH_8.json).
+# row of parity chunks the writer XORs, n chunks if f > 1.  When one
+# stripe is over it, a decode batch is one part of a stripe, k chunks
+# in each buffer, and a repair batch one stripe; an encode batch over it
+# is one part unit.  Chosen by paired runs (BENCH_8.json).
 _BATCH_BYTES = 8 << 20
 
 
@@ -383,19 +383,19 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     other buffer and the parity row, or one, and the writer thread
     writes each unit while the next batch is coded: part l's chunk to
     each node's file, that node's slot l-1, copying nothing.  A batch
-    holds no parity chunk: the writer XORs each unit into one reused
-    row of n chunks, by subscript, and after a stripe's part f appends
-    each node's parity chunk from it.  A source that does not end at
+    holds no parity chunk: the writer XORs a stripe's units, by
+    subscript, into one reused row of n chunks, and after its part f
+    appends each node's parity chunk from it (f = 1: from the unit).  A source that does not end at
     exactly size bytes, or a stripe larger than any buffer can be, is a
     ParameterError.  The shard files take their names in node order once
     every one is sealed, then the manifest is written; an error before
     that leaves no new file, and removes the directory if this call made
     it.
     """
-    width = params.f + 1
-    if params.n * width * params.chunk_size > sys.maxsize:
-        raise ParameterError(f"a stripe of {params.n * width} chunks of "
-                             f"{params.chunk_size} bytes is too large to hold")
+    n, f, cs = params.n, params.f, params.chunk_size
+    if n * (f + 1) * cs > sys.maxsize:
+        raise ParameterError(f"a stripe of {n * (f + 1)} chunks of {cs} "
+                             "bytes is too large to hold")
     directory = Path(directory)
     made = [d for d in (directory, *directory.parents) if not d.exists()]
     directory.mkdir(parents=True, exist_ok=True)
@@ -413,31 +413,33 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
             # entered last node first, so the files replace in node order
             writers = [stack.enter_context(ShardWriter(
                 directory, params, node, size))
-                for node in range(params.n, 0, -1)][::-1]
+                for node in range(n, 0, -1)][::-1]
 
-            n, f, cs = params.n, params.f, params.chunk_size
+            # the XOR of a stripe's units so far, once it outlives the
+            # batch of the first; a stripe of one unit is its own parity
+            row = np.empty((n if f > 1 else 0, cs), np.uint8)
             # units a batch holds: two buffers of n chunks each, and the row
-            step = max(1, (_BATCH_BYTES - n * cs) // (2 * n * cs))
-            parity = np.empty((n, cs), np.uint8)
-            # each node's chunk of each part, and its parity, by subscript
+            step = max(1, (_BATCH_BYTES - row.nbytes) // (2 * n * cs))
+            # where each node's chunk of each part, and its parity, lies
+            # in a unit and in the XOR: at its subscript
             subs = [[c.subscript - 1 for c in params.node_chunks(node)]
                     for node in range(1, n + 1)]
-            done = 0   # units written
+            done, acc = 0, row   # units written; the open stripe's XOR
 
             def write(batch: np.ndarray) -> None:
-                nonlocal done
+                nonlocal done, acc
                 for unit in batch:
                     l = done % f
                     done += 1
                     for w, s in zip(writers, subs):
                         w.write(unit[s[l]])
-                    if l:
-                        np.bitwise_xor(parity, unit, out=parity)
-                    else:
-                        np.copyto(parity, unit)
+                    acc = np.bitwise_xor(acc, unit, out=row) if l else unit
                     if l == f - 1:
                         for w, s in zip(writers, subs):
-                            w.write(parity[s[f]])
+                            w.write(acc[s[f]])
+                if done % f and acc is not row:   # its buffer is made again
+                    row[...] = acc
+                    acc = row
 
             make = encoder(fill, size, params)
             _pipeline(params.stripes(size) * f, step, n, cs,

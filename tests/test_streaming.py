@@ -429,9 +429,9 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 
 
 def _check_budget(mp, whole_stripes=False):
-    """Check every batch: an encode's two buffers of part units and the
-    writer's row of parity chunks, n chunks each, fit _BATCH_BYTES, or
-    the batch is one part unit, one part of one stripe.  In every
+    """Check every batch: an encode's two buffers of part units and,
+    with f > 1, the writer's row of parity chunks, n chunks each, fit
+    _BATCH_BYTES, or the batch is one part unit, one part of one stripe.  In every
     run_plan call of a ShardReader, the chunks its batch read or was
     handed that are held outside its output, the chunks it derives that
     are not targets, and both output buffers, the one written behind
@@ -447,8 +447,9 @@ def _check_budget(mp, whole_stripes=False):
         def checked(out, start):
             units, width, chunk = out.shape
             assert (width, chunk) == (params.n, params.chunk_size)
+            row = width * chunk if params.f > 1 else 0
             assert units == 1 or \
-                (2 * units + 1) * width * chunk <= shards._BATCH_BYTES, units
+                2 * units * width * chunk + row <= shards._BATCH_BYTES, units
             seen.append(units)
             make(out, start)
 
