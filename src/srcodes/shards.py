@@ -22,9 +22,9 @@ An encode batch is a run of part units, each one part of a stripe, its
 n chunks: as many as fit _BATCH_BYTES, or one, so neither does it grow
 with f.  The writer thread appends each unit's chunks to the nodes'
 files and XORs a stripe's units into one reused row, from which it
-appends the stripe's parity chunks after its last part.  A decode batch is a run
-of stripes, or one part of a stripe, its k data chunks, when a stripe
-is over the budget; a repair batch is a run of stripes, or one.
+appends the stripe's parity chunks after its last part.  A decode batch
+is a run of stripes, or one part of a stripe, its k data chunks, when a
+stripe is over the budget; a repair batch is a run of stripes, or one.
 ShardWriter is the one shard writer: it appends a node's payload a
 chunk at a time, in file order, from whatever buffer holds the chunk,
 so no writer holds a whole shard or copies a batch.  Every file goes
@@ -385,12 +385,12 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     each node's file, that node's slot l-1, copying nothing.  A batch
     holds no parity chunk: the writer XORs a stripe's units, by
     subscript, into one reused row of n chunks, and after its part f
-    appends each node's parity chunk from it (f = 1: from the unit).  A source that does not end at
-    exactly size bytes, or a stripe larger than any buffer can be, is a
-    ParameterError.  The shard files take their names in node order once
-    every one is sealed, then the manifest is written; an error before
-    that leaves no new file, and removes the directory if this call made
-    it.
+    appends each node's parity chunk from it (f = 1: from the unit).  A
+    source that does not end at exactly size bytes, or a stripe larger
+    than any buffer can be, is a ParameterError.  The shard files take
+    their names in node order once every one is sealed, then the
+    manifest is written; an error before that leaves no new file, and
+    removes the directory if this call made it.
     """
     n, f, cs = params.n, params.f, params.chunk_size
     if n * (f + 1) * cs > sys.maxsize:

@@ -431,14 +431,14 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 def _check_budget(mp, whole_stripes=False):
     """Check every batch: an encode's two buffers of part units and,
     with f > 1, the writer's row of parity chunks, n chunks each, fit
-    _BATCH_BYTES, or the batch is one part unit, one part of one stripe.  In every
-    run_plan call of a ShardReader, the chunks its batch read or was
-    handed that are held outside its output, the chunks it derives that
-    are not targets, and both output buffers, the one written behind
-    included, fit _BATCH_BYTES, or the batch is one part of one stripe;
-    with whole_stripes, for a repair, whose batches are whole stripes,
-    one stripe.  Returns the rows of each batch: part units for an
-    encode, stripes for a reader."""
+    _BATCH_BYTES, or the batch is one part unit, one part of one stripe.
+    In every run_plan call of a ShardReader, the chunks its batch read
+    or was handed that are held outside its output, the chunks it
+    derives that are not targets, and both output buffers, the one
+    written behind included, fit _BATCH_BYTES, or the batch is one part
+    of one stripe; with whole_stripes, for a repair, whose batches are
+    whole stripes, one stripe.  Returns the rows of each batch: part
+    units for an encode, stripes for a reader."""
     run_plan, encoder, seen = shards.run_plan, shards.encoder, []
 
     def encoding(fill, size, params):
