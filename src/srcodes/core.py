@@ -42,16 +42,17 @@ its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
 same in every stripe, so one plan serves a whole file, and callers run
 it on a batch of stripes at a time.  split_plan cuts a plan into groups
 of its targets that run one after another on the same stripes, each
-handed what the earlier ones read or made, so that a stripe can be made
-a part at a time with the plan's reads.  encoder, the one encode path,
-codes a file as a run of part units, a stripe's f parts in turn, each
-the n chunks its k data chunks give, by subscript: every part is coded
-alike, so one plan serves every unit.  It runs in place on a buffer of
-units the caller gives (shards._pipeline's), so encode holds batches of
-units, not the file's shards, and no parity chunk: a stripe's parity
-chunks are the XOR of its units, which the shard writer keeps in one
-row as it writes them.  encode, for the demos and tests, is the same
-path in one batch, with its parity chunks filled by the same rule.
+handed what the earlier ones read or made, so that a decode or a repair
+makes a stripe over its batch budget a part at a time with the plan's
+reads.  encoder, the one encode path, codes a file as a run of part
+units, a stripe's f parts in turn, each the n chunks its k data chunks
+give, by subscript: every part is coded alike, so one plan serves every
+unit.  It runs in place on a buffer of units the caller gives
+(shards._pipeline's), so encode holds batches of units, not the file's
+shards, and no parity chunk: a stripe's parity chunks are the XOR of its
+units, which the shard writer keeps in one row as it writes them.
+encode, for the demos and tests, is the same path in one batch, with its
+parity chunks filled by the same rule.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ An encode batch is a run of part units, each one part of a stripe, its
 n chunks: as many as fit _BATCH_BYTES, or one, so neither does it grow
 with f.  The writer thread appends each unit's chunks to the nodes'
 files and XORs a stripe's units into one reused row, from which it
-appends the stripe's parity chunks after its last part.  A decode batch
-is a run of stripes, or one part of a stripe, its k data chunks, when a
-stripe is over the budget; a repair batch is a run of stripes, or one.
+appends the stripe's parity chunks after its last part.  A decode or
+repair batch is a run of stripes, or, when one stripe is over the
+budget, one part of a stripe: the targets that lie in that part.
 ShardWriter is the one shard writer: it appends a node's payload a
 chunk at a time, in file order, from whatever buffer holds the chunk,
 so no writer holds a whole shard or copies a batch.  Every file goes
@@ -76,9 +76,9 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # output buffers, whatever the plan (_batch_stripes), whatever the file
 # size; for encode, both buffers of part units, n chunks each, and the
 # row of parity chunks the writer XORs, n chunks if f > 1.  When one
-# stripe is over it, a decode batch is one part of a stripe, k chunks
-# in each buffer, and a repair batch one stripe; an encode batch over it
-# is one part unit.  Chosen by paired runs (BENCH_8.json).
+# stripe is over it, a decode or repair batch is one part of a stripe,
+# its targets in that part, and an encode batch one part unit.  Chosen
+# by paired runs (BENCH_8.json).
 _BATCH_BYTES = 8 << 20
 
 
@@ -101,8 +101,8 @@ def _batch_stripes(params: SrcParams, outputs: int) -> int:
     second output buffer: the chunks read outside the outputs, the
     derived chunks that are not targets and the distinct targets are
     different chunks of a stripe, n*(f+1) at most, so with two buffers
-    of outputs chunks they stay within it.  At 0, a repair makes one
-    stripe per batch, and a decode one part of a stripe (ShardReader)."""
+    of outputs chunks they stay within it.  At 0, a decode or repair
+    makes one part of a stripe a batch (ShardReader)."""
     per_stripe = (params.n * (params.f + 1) + outputs) * params.chunk_size
     return _BATCH_BYTES // per_stripe
 
@@ -476,8 +476,8 @@ def load_manifest(path: Path) -> Manifest:
 
 class ShardReader:
     """The one shard-set reader: produces a list of targets from the
-    shard files of one manifest, a batch of stripes at a time, each
-    sized by the code's shape, not the plan, before the first read.
+    shard files of one manifest, a batch at a time, each sized by the
+    code's shape, not the plan, before the first read.
 
     Plans on the chunks of the shard files that exist, the lost node's
     excepted; raises InsufficientDataError (exit 3), before reading any
@@ -486,34 +486,33 @@ class ShardReader:
     decode's padding), and has a plan of its own, tail, that reads only
     what those need.  Each plan is split (split_plan) into the groups of
     targets a stripe is made in, units and tail_units: the whole stripe,
-    or with parts, when one stripe's batch is over _BATCH_BYTES, each
-    part of its targets in turn, read_part then making one group of one
-    stripe a batch, so that a buffer holds one part.  A group reads and
-    makes only what no earlier group of its stripe did, and is handed
-    the rest, so a stripe's groups read what its plan reads, each chunk
-    once; a target of the next group read early goes straight to its
-    slot of the next batch's buffer.  A shard file is checked when it is
-    first opened, once: it must be a regular file, its length and
-    44-byte header must equal what the manifest implies, and its CRC
-    table is read.  _stream opens every file its plans read before the
-    first batch; read_chunks opens a file on the first read of one of
-    its chunks.  read_chunks then reads only the wanted slots,
-    neighbours in one os.preadv, and checks each chunk against its
-    CRC-32; the whole-shard digest is not checked.  In read_batch and
-    read_part, a shard file that fails its checks or a chunk that fails
-    its CRC is dropped, each shard file with a failure is named on
-    stderr, and the stripes left, the current batch's included, are
-    planned again; IntegrityError (exit 4), naming the skipped files,
-    when the chunks left cannot cover that plan.  No slot is read twice
-    in a batch, nor in a stripe made a part at a time, unless a plan
-    made again mid-stripe cannot do without a chunk an earlier part read
-    and did not hand over.  The files close when the reader's with block
-    ends.
+    or, when one stripe's batch is over _BATCH_BYTES, each part of its
+    targets in turn, a batch then being one group of one stripe, so that
+    a buffer holds one part.  A group reads and makes only what no
+    earlier group of its stripe did, and is handed the rest, so a
+    stripe's groups read what its plan reads, each chunk once; a target
+    of the next group read early goes straight to its slot of the next
+    batch's buffer.  A shard file is checked when it is first opened,
+    once: it must be a regular file, its length and 44-byte header must
+    equal what the manifest implies, and its CRC table is read.  _stream
+    opens every file its plans read before the first batch; read_chunks
+    opens a file on the first read of one of its chunks.  read_chunks
+    then reads only the wanted slots, neighbours in one os.preadv, and
+    checks each chunk against its CRC-32; the whole-shard digest is not
+    checked.  In read, a shard file that fails its checks or a chunk
+    that fails its CRC is dropped, each shard file with a failure is
+    named on stderr, and the stripes left, the current batch's included,
+    are planned again; IntegrityError (exit 4), naming the skipped
+    files, when the chunks left cannot cover that plan.  No slot is read
+    twice in a batch, nor in a stripe made a part at a time, unless a
+    plan made again mid-stripe cannot do without a chunk an earlier part
+    read and did not hand over.  The files close when the reader's with
+    block ends.
     """
 
     def __init__(self, manifest: Manifest, directory: Path,
                  targets: list[ChunkId], lost: int = 0,
-                 last: int | None = None, parts: bool = False):
+                 last: int | None = None):
         self.manifest, self.targets = manifest, targets
         # the targets the last stripe needs: the first last of them
         self._last = len(targets) if last is None else last
@@ -530,10 +529,10 @@ class ShardReader:
             manifest.params, manifest.stripe_count, manifest.version)
         self._open: dict[int, tuple[int, np.ndarray]] = {}   # fd, CRCs
         # where read_chunks puts a wanted chunk instead of a new array:
-        # while read_batch or read_part reads, each target's slot of out
+        # while read reads, each target's slot of out
         self._into: dict[ChunkId, np.ndarray] = {}
-        self._parts = parts and not _batch_stripes(manifest.params,
-                                                   len(targets))
+        # stripes a batch, or 0: a batch is then one part of a stripe
+        self._step = _batch_stripes(manifest.params, len(targets))
         # _run's state within a stripe: the split its groups run, the
         # chunks they hand over and those they read
         self._split: list[tuple[ChunkPlan, frozenset[ChunkId]]] = []
@@ -553,7 +552,8 @@ class ShardReader:
     def _plan(self) -> None:
         """Plan the targets, and the last stripe's on its own when it
         needs fewer, around the chunks available, and split each plan
-        into its groups: one a stripe, or with parts one a part."""
+        into its groups: one a stripe, or one a part when a stripe is
+        over the budget."""
         p = self.manifest.params
         try:
             self.plan = plan_chunks(p, self.available, self.targets)
@@ -569,7 +569,7 @@ class ShardReader:
         self.blocked.update(set(self.targets) - straight)
 
         def groups(targets: list[ChunkId]) -> list[list[ChunkId]]:
-            if not self._parts:
+            if self._step:
                 return [targets]
             return [list(run) for _, run in groupby(targets,
                                                     lambda c: c.part)]
@@ -610,35 +610,26 @@ class ShardReader:
                 return
             self._drop(failed)
 
-    def read_batch(self, out: np.ndarray, start: int) -> None:
-        """Fill out, (stripes, len(targets), chunk_size), with the
-        targets of the stripes from start on, the last stripe by its
-        own plan, its targets past the first last zeroed.  A plan made
-        again mid-batch finishes that batch, in the same budget."""
+    def read(self, out: np.ndarray, unit: int,
+             ahead: Callable[[], np.ndarray]) -> None:
+        """Fill out, (rows, width, chunk_size), with the batch from unit
+        on.  A unit is one group of one stripe: unit counts the groups
+        of units in each stripe in turn, and of tail_units in the last
+        stripe, so no unit lies wholly past the targets it needs.  With
+        one group a stripe, a batch is a run of stripes, the last by its
+        own plan; else it is one unit.  ahead gives the next batch's
+        buffer (_pipeline).  A plan made again mid-batch finishes that
+        batch, in the same budget."""
+        stripe, at = divmod(unit, len(self.units))
         cut = len(out) if self.tail is None else \
-            min(len(out), self.manifest.stripe_count - 1 - start)
+            min(len(out), self.manifest.stripe_count - 1 - stripe)
         if cut:
-            self._run(out[:cut], start, 0, tail=False)
+            self._run(out[:cut], stripe, at, False, ahead)
         if cut < len(out):
-            self._run(out[cut:], start + cut, 0, tail=True)
-            out[cut:, self._last:] = 0
-
-    def read_part(self, out: np.ndarray, unit: int,
-                  ahead: Callable[[], np.ndarray]) -> None:
-        """Fill out, (1, width, chunk_size), with one group's targets.
-        Its slots past them, which only the last stripe's cut group has,
-        are not zeroed: they lie past the targets the last stripe needs,
-        a decode's end of file.  unit counts the groups of units in each
-        stripe in turn, and of tail_units in the last stripe, so no unit
-        lies wholly past those targets.  ahead gives the next unit's
-        buffer (_pipeline)."""
-        if len(out):   # not the one batch of an empty file
-            stripe, at = divmod(unit, len(self.units))
-            self._run(out, stripe, at,
-                      stripe == self.manifest.stripe_count - 1, ahead)
+            self._run(out[cut:], stripe + cut, at, True, ahead)
 
     def _run(self, out: np.ndarray, start: int, at: int, tail: bool,
-             ahead: Callable[[], np.ndarray] | None = None) -> None:
+             ahead: Callable[[], np.ndarray]) -> None:
         """Read and run group at of the plan's split, or the last stripe's,
         on the stripes of out from start on: on its reads that pass
         their checks, and on the chunks the groups before it hand over,
@@ -649,7 +640,8 @@ class ShardReader:
         in the buffer ahead gives, they go to their slots there.  A
         failed check plans again, which replaces this group and those
         after it (_rest).  The chunks the group hands over are kept,
-        copied if they lie in out; no other read outlives the group."""
+        copied if they lie in out; no other read outlives the group.
+        The slots of out past the group's targets are zeroed."""
         if at == 0:
             self._split = list(self.tail_units if tail else self.units)
             self._held, self._read = {}, set()
@@ -658,7 +650,7 @@ class ShardReader:
                       for t, c in enumerate(self.units[at][0].targets)}
         later = self._split[at + 1][0].targets \
             if at + 1 < len(self._split) else ()
-        if ahead is not None and not set(later).isdisjoint(plan.reads):
+        if not set(later).isdisjoint(plan.reads):
             after = ahead()[:len(out)]
             self._into.update((c, after[:, t]) for t, c in enumerate(later))
         got: dict[ChunkId, np.ndarray] = {}
@@ -675,6 +667,7 @@ class ShardReader:
         held = {c: present[c] if c in present else made[c] for c in keep}
         self._held = {c: row.copy() if np.may_share_memory(row, out)
                       else row for c, row in held.items()}
+        out[:, len(plan.targets):] = 0
 
     def _rest(self, at: int, tail: bool, have: set[ChunkId]) -> None:
         """Replace the stripe's groups from at on, after a plan was made
@@ -696,20 +689,13 @@ class ShardReader:
     def _stream(self, write: Callable[[np.ndarray], object]) -> None:
         """Open the planned shard files, so a batch buffer is allocated
         only once their lengths and headers are checked, then read the
-        file a batch, or with parts a unit, at a time through
-        _pipeline, write taking each."""
-        p, stripes = self.manifest.params, self.manifest.stripe_count
+        file a batch at a time through _pipeline, write taking each."""
+        stripes = self.manifest.stripe_count
         self._open_planned()
-        if self._parts:
-            units = stripes and (stripes - 1) * len(self.units) \
-                + len(self.tail_units)
-            _pipeline(units, 1, max(len(u.targets) for u, _ in self.units),
-                      p.chunk_size, self.read_part, write)
-        else:
-            _pipeline(stripes, max(1, _batch_stripes(p, len(self.targets))),
-                      len(self.targets), p.chunk_size,
-                      lambda out, start, _: self.read_batch(out, start),
-                      write)
+        _pipeline(stripes and (stripes - 1) * len(self.units)
+                  + len(self.tail_units), self._step or 1,
+                  max(len(u.targets) for u, _ in self.units),
+                  self.manifest.params.chunk_size, self.read, write)
 
     def read_chunks(self, wanted: Iterable[ChunkId], start: int, stop: int
                     ) -> tuple[dict[ChunkId, np.ndarray],
@@ -821,7 +807,7 @@ def _unusable(node: int, exc: IntegrityError | OSError) -> IntegrityError:
 def decode_file(manifest: Manifest, directory: Path,
                 out: Path) -> ShardReader:
     """Decode manifest's file from the shard files in directory to out,
-    a batch of stripes at a time by _pipeline, or one part of a stripe,
+    a batch of stripes at a time (ShardReader), or one part of a stripe,
     k data chunks, when a stripe's batch is over _BATCH_BYTES; the
     writer thread cuts the padding and hashes and writes each batch
     while the next is made.  The last stripe's data chunks wholly past
@@ -833,7 +819,7 @@ def decode_file(manifest: Manifest, directory: Path,
     tail = manifest.file_size - (manifest.stripe_count - 1) \
         * p.stripe_data_bytes
     reader = ShardReader(manifest, directory, data_chunks(p),
-                         last=-(-tail // p.chunk_size), parts=True)
+                         last=-(-tail // p.chunk_size))
     sha = hashlib.sha256()
     left = manifest.file_size
     with reader, atomic_writer(out) as fh:
@@ -855,10 +841,13 @@ def decode_file(manifest: Manifest, directory: Path,
 def repair_shard(manifest: Manifest, directory: Path,
                  node: int) -> ShardReader:
     """Rebuild node's shard file in directory from the other nodes'
-    files, in the set's format version; it takes its name only if its
-    digest is the manifest's.  A look-up that a missing or damaged
-    helper blocks is named on stderr.  Returns the reader: its blocked
-    chunks were derived by reconstruction."""
+    files, a batch of stripes at a time (ShardReader), or one of its
+    chunks, that of one part, when a stripe's batch is over
+    _BATCH_BYTES; the writer thread appends each batch while the next is
+    made.  The file is in the set's format version, and takes its name
+    only if its digest is the manifest's.  A look-up that a missing or
+    damaged helper blocks is named on stderr.  Returns the reader: its
+    blocked chunks were derived by reconstruction."""
     p = manifest.params
     reader = ShardReader(manifest, directory, p.node_chunks(node), node)
     with reader, ShardWriter(directory, p, node, manifest.file_size,

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from srcodes import cli, shards
 from srcodes.cli import main
-from srcodes.core import SrcParams, data_chunks, plan_chunks
+from srcodes.core import SrcParams, data_chunks, plan_chunks, split_plan
 from srcodes.metrics import comparison_table, format_table
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
@@ -143,7 +143,7 @@ def test_encode_input_changing_size_is_a_usage_error(runner, tmp_path,
 
 
 def test_encode_stripe_too_large_for_memory_usage_error(runner, tmp_path):
-    # a batch holds at least one stripe: a 12 PiB stripe cannot be
+    # a batch holds at least one part unit, n chunks: 4 PiB cannot be
     # allocated, even where memory is overcommitted
     src = tmp_path / "one.bin"
     src.write_bytes(b"x")
@@ -676,9 +676,8 @@ def test_shard_reads_per_command(runner, tmp_path, monkeypatch, n, k, f):
 
 @pytest.mark.parametrize("n,k,f", [(4, 2, 2), (10, 6, 2), (7, 3, 3)])
 def test_shard_reads_per_stripe_batch(runner, tmp_path, monkeypatch, n, k, f):
-    # the same reads, one stripe per batch, or one part of a stripe for
-    # a decode: no slot read twice, one header and CRC table per shard
-    # file for the whole command
+    # the same reads, one part of a stripe per batch: no slot read twice,
+    # one header and CRC table per shard file for the whole command
     _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, 1)
 
 
@@ -689,7 +688,7 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     stripes = _stripes(p, 30_000)
     head = HEADER_B + table_bytes(p, stripes)   # header and CRC table
     manifest = str(out / MANIFEST_NAME)
-    if batch_bytes is not None:   # one stripe per batch
+    if batch_bytes is not None:   # one part of a stripe per batch
         monkeypatch.setattr(shards, "_BATCH_BYTES", batch_bytes)
     batches = stripes if batch_bytes else 1
     calls, nbytes = _count_reads(monkeypatch)
@@ -749,12 +748,23 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     res = runner.invoke(main, ["repair", "--manifest", manifest,
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
-    assert read_once() == lookup and len(calls) == batches
-    assert nodes(lookup) == helper_nodes
+    assert read_once() == lookup and nodes(lookup) == helper_nodes
+    if batch_bytes is None:
+        assert len(calls) == 1
+    else:   # a call per part: the f helpers of that part's target
+        assert [ids for ids, _, _ in calls] == \
+            [sorted(p.helpers(c)) for c in targets] * stripes
+
+    def part_reads(plan):
+        """What each part's call reads when a stripe is made a part at
+        a time by plan: one call per part that reads anything."""
+        return [list(unit.reads) for unit, _ in
+                split_plan(plan, [[c] for c in targets]) if unit.reads]
 
     # a corrupt helper chunk in the first stripe: the look-up reads come
-    # first, then only what deriving its target needs and is not yet
-    # held; later batches read the new plan
+    # first, of the whole stripe or of the first part, then only what
+    # deriving the targets needs and is not yet held; later batches read
+    # the new plan
     available = {c for i in range(1, n + 1) if i != node
                  for c in p.node_chunks(i)}
     helper = p.helpers(targets[0])[0]
@@ -770,16 +780,24 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
     assert "reconstruction fallback" in res.stdout
     assert f"skipped: shard {shard_filename(at)}: {helper.label(f)} fails " \
         "the CRC-32 check" in res.stderr
-    replanned = set(plan_chunks(p, available - {helper}, targets).reads)
-    extra = replanned - lookup
-    assert set(calls[0][0]) == lookup and len(calls) == batches + bool(extra)
-    assert all(set(ids) == replanned for ids, _, _ in calls[1 + bool(extra):])
-    assert read_once() == lookup | extra
+    plan = plan_chunks(p, available - {helper}, targets)
+    replanned = set(plan.reads)
+    if batch_bytes is None:
+        extra = replanned - lookup
+        assert set(calls[0][0]) == lookup and len(calls) == 1 + bool(extra)
+        assert all(set(ids) == replanned
+                   for ids, _, _ in calls[1 + bool(extra):])
+        assert read_once() == lookup | extra
+    else:
+        first = sorted(p.helpers(targets[0]))
+        assert [ids for ids, _, _ in calls] == \
+            [first] + part_reads(plan) * stripes
+        assert read_once() == set(first) | replanned
     assert (out / shard_filename(node)).read_bytes() == rebuilt
 
     # a missing helper is seen before any file is read: each batch reads
-    # the plan that derives around it in one call (flipping the byte
-    # back first restores the corrupt helper)
+    # the plan that derives around it in one call, or a call per part
+    # (flipping the byte back first restores the corrupt helper)
     _flip_byte(out / shard_filename(at),
                slot_at(p, stripes, 0, p.node_chunks(at).index(helper)))
     (out / shard_filename(node)).unlink()
@@ -791,9 +809,11 @@ def _check_shard_reads(runner, tmp_path, monkeypatch, n, k, f, batch_bytes):
                                "--shards", str(out), "--node", str(node)])
     assert res.exit_code == 0, res.output
     assert "reconstruction fallback" in res.stdout
-    assert len(calls) == batches
-    assert read_once() == set(plan_chunks(
-        p, available - set(p.node_chunks(gone)), targets).reads)
+    plan = plan_chunks(p, available - set(p.node_chunks(gone)), targets)
+    assert read_once() == set(plan.reads)
+    assert [ids for ids, _, _ in calls] == ([list(plan.reads)]
+                                           if batch_bytes is None
+                                           else part_reads(plan) * stripes)
     assert (out / shard_filename(node)).read_bytes() == rebuilt
 
 

@@ -331,7 +331,7 @@ def test_reader_batches_plan_around_a_failed_chunk(tmp_path, capsys):
     with ShardReader(manifest, tmp_path, data_chunks(params)) as reader:
         out = np.empty((manifest.stripe_count, len(reader.targets),
                         params.chunk_size), np.uint8)
-        reader.read_batch(out, 0)
+        reader.read(out, 0, None)   # one batch: nothing ahead
     assert out.tobytes()[:len(data)] == data
     assert capsys.readouterr().err == \
         "skipped: shard node_002.shard: part1[2] fails the CRC-32 check\n"
@@ -350,6 +350,6 @@ def test_reader_zeroes_the_last_stripes_chunks_past_last(tmp_path):
                      last=3) as reader:
         out = np.full((manifest.stripe_count, len(reader.targets),
                        params.chunk_size), 0xFF, np.uint8)
-        reader.read_batch(out, 0)
+        reader.read(out, 0, None)   # one batch: nothing ahead
     assert len(reader.tail.reads) == 3
     assert out.tobytes() == data + bytes(out.nbytes - len(data))

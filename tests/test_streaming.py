@@ -6,8 +6,8 @@ makes to one writer thread, which writes it, and for decode hashes it,
 while the next batch is made in a second buffer.  A chunk that fails
 its CRC-32 in a late batch must be handled as in an early one: dropped,
 named once on stderr, planned around, or exit 4 with no output left
-behind.  Most cases force one stripe per batch so that a small file
-spans many.
+behind.  Most cases force one part of a stripe per batch so that a
+small file spans many.
 """
 
 import contextlib
@@ -241,12 +241,12 @@ def test_encode_input_shrinks_while_writes_run(tmp_path, monkeypatch,
 
 
 @pytest.fixture
-def one_stripe_batches(monkeypatch):
+def one_part_batches(monkeypatch):
     monkeypatch.setattr(shards, "_BATCH_BYTES", 1)
 
 
 def test_writer_thread_calls_no_public_function(tmp_path, monkeypatch,
-                                                one_stripe_batches):
+                                                one_part_batches):
     # a span tracer wraps every public module-level function, under
     # every name a module binds it to, and keeps one stack per process:
     # encode, a parity-heavy decode and a fallback repair, many batches
@@ -306,7 +306,7 @@ def _second_decode_write_fails(monkeypatch):
 
 
 def test_decode_write_error_in_second_batch(tmp_path, monkeypatch,
-                                            one_stripe_batches):
+                                            one_part_batches):
     _, out = _encode(tmp_path, FOUR_BATCHES)
     _second_decode_write_fails(monkeypatch)
     _fails_cleanly(tmp_path, lambda: _decode(out, tmp_path / "y.bin"),
@@ -319,7 +319,7 @@ def _second_repair_write_fails(node, batch):
 
 
 def test_repair_writer_error_in_second_batch(tmp_path, monkeypatch,
-                                            one_stripe_batches):
+                                            one_part_batches):
     _, out = _encode(tmp_path, FOUR_BATCHES)
     (out / shard_filename(3)).unlink()
     _on_write(monkeypatch, _second_repair_write_fails)
@@ -349,7 +349,7 @@ def open_shards(monkeypatch):
 
 
 def test_a_failed_decode_closes_its_shard_files(tmp_path, monkeypatch,
-                                                one_stripe_batches,
+                                                one_part_batches,
                                                 open_shards):
     # the caller holds the error, and so its traceback, with no shard
     # file left open
@@ -363,7 +363,7 @@ def test_a_failed_decode_closes_its_shard_files(tmp_path, monkeypatch,
 
 
 def test_a_failed_repair_closes_its_shard_files(tmp_path, monkeypatch,
-                                                one_stripe_batches,
+                                                one_part_batches,
                                                 open_shards):
     _, out = _encode(tmp_path, FOUR_BATCHES)
     manifest = shards.load_manifest(out / MANIFEST_NAME)
@@ -375,7 +375,7 @@ def test_a_failed_repair_closes_its_shard_files(tmp_path, monkeypatch,
     assert failure.tb is not None and opened and fds == set()
 
 
-def test_decode_crc_failure_in_last_batch(tmp_path, one_stripe_batches):
+def test_decode_crc_failure_in_last_batch(tmp_path, one_part_batches):
     size = 300_000
     data, out = _encode(tmp_path, size)
     stripes = _stripes(size)
@@ -389,7 +389,7 @@ def test_decode_crc_failure_in_last_batch(tmp_path, one_stripe_batches):
 
 
 def test_repair_crc_failure_in_last_batch_falls_back(tmp_path,
-                                                     one_stripe_batches):
+                                                     one_part_batches):
     size = 300_000
     _, out = _encode(tmp_path, size)
     stripes = _stripes(size)
@@ -407,7 +407,7 @@ def test_repair_crc_failure_in_last_batch_falls_back(tmp_path,
         "look-up repair blocked for part1[3]; falling back to reconstruction"]
 
 
-def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
+def test_mid_stream_failure_leaves_no_output(tmp_path, one_part_batches):
     # nodes 5..9 span the data, but not without part1[5]: its failing
     # in the last stripe leaves the data undetermined once stripes are
     # already written
@@ -428,7 +428,7 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_stripe_batches):
 
 
 
-def _check_budget(mp, whole_stripes=False):
+def _check_budget(mp):
     """Check every batch: an encode's two buffers of part units and,
     with f > 1, the writer's row of parity chunks, n chunks each, fit
     _BATCH_BYTES, or the batch is one part unit, one part of one stripe.
@@ -436,9 +436,8 @@ def _check_budget(mp, whole_stripes=False):
     or was handed that are held outside its output, the chunks it
     derives that are not targets, and both output buffers, the one
     written behind included, fit _BATCH_BYTES, or the batch is one part
-    of one stripe; with whole_stripes, for a repair, whose batches are
-    whole stripes, one stripe.  Returns the rows of each batch: part
-    units for an encode, stripes for a reader."""
+    of one stripe, a decode's or a repair's alike.  Returns the rows of
+    each batch: part units for an encode, stripes for a reader."""
     run_plan, encoder, seen = shards.run_plan, shards.encoder, []
 
     def encoding(fill, size, params):
@@ -462,7 +461,7 @@ def _check_budget(mp, whole_stripes=False):
         outside = [c for c, row in present.items()
                    if not np.may_share_memory(row, out)]
         held = len(outside) + len(derived - set(plan.targets))
-        one = whole_stripes or len({c.part for c in plan.targets}) == 1
+        one = len({c.part for c in plan.targets}) == 1
         assert stripes == 1 and one or \
             (held + 2 * outputs) * stripes * chunk <= shards._BATCH_BYTES, \
             (stripes, held, outputs)
@@ -498,7 +497,7 @@ def test_every_batch_fits_the_budget(tmp_path, monkeypatch, command, node,
     # whole file in one batch
     monkeypatch.setattr(shards, "_BATCH_BYTES",
                         stripes * (P.f + 1) ** 2 * P.chunk_size)
-    seen = _check_budget(monkeypatch, whole_stripes=command == "repair")
+    seen = _check_budget(monkeypatch)
     if command == "encode":
         # part units that cross stripes, each batch, and the same files
         _, again = _encode(tmp_path, size, "again")
@@ -536,7 +535,7 @@ def test_every_batch_fits_the_budget_on_random_codes(data):
         payload = np.random.default_rng(size).integers(
             0, 256, size, dtype=np.uint8).tobytes()
         mp.setattr(shards, "_BATCH_BYTES", budget)
-        _check_budget(mp, whole_stripes=node is not None)
+        _check_budget(mp)
         shards.write_shard_set(out, p, io.BytesIO(payload), size)
         manifest = shards.load_manifest(out / MANIFEST_NAME)
         for gone in erased:
@@ -591,53 +590,96 @@ def test_crc_failure_mid_batch_peaks_like_a_fallback_from_the_start(
     assert peaks["crc"] < peaks["missing"] + (128 << 10), peaks
 
 
+def test_a_fallback_repair_of_a_wide_stripe_peaks_within_the_budget(
+        tmp_path):
+    # a (255,250,8) stripe at 16 KiB chunks is over the default budget.
+    # With node 2 missing, node 1's repair falls back to reconstruction,
+    # which derives whole parts of k chunks: made one part at a time,
+    # one chunk of node 1 a batch, it holds one part's reads, not every
+    # part's.  The slack holds what does not grow with the chunks, such
+    # as the GF(256) look-up tables.
+    p = SrcParams(255, 250, 8, 16 << 10)
+    size = 1 << 20   # one stripe
+    payload = np.random.default_rng(9).integers(0, 256, size,
+                                                dtype=np.uint8).tobytes()
+    out = tmp_path / "shards"
+    shards.write_shard_set(out, p, io.BytesIO(payload), size)
+    lost = out / shard_filename(1)
+    expected = lost.read_bytes()
+    (out / shard_filename(2)).unlink()
+    # a first run checks the path taken and warms what a process makes
+    # once; the second is measured
+    lost.unlink()
+    assert "via reconstruction fallback" in _repair(out, 1).stdout
+    lost.unlink()
+    peak = _peak(lambda: _repair(out, 1))
+    assert lost.read_bytes() == expected
+    assert peak < shards._BATCH_BYTES + (768 << 10), peak
+
+
 @st.composite
-def _part_decodes(draw):
-    """A code with n <= 10, a file of up to four stripes, erased nodes,
-    a budget below one stripe of a decode, and maybe a slot to flip in
-    the last stripe: (node, slot)."""
+def _part_runs(draw):
+    """A code with n <= 10, a file of up to four stripes, erased nodes, a
+    node to repair (None: a decode), maybe a slot to flip in the last
+    stripe, (node, slot), and a budget below one stripe of the run."""
     n = draw(st.integers(2, 10))
     k = draw(st.integers(1, n - 1))
     p = SrcParams(n, k, draw(st.integers(1, n - 1)), draw(st.integers(1, 16)))
-    stripe = (p.n * (p.f + 1) + p.f * p.k) * p.chunk_size
+    node = draw(st.none() | st.integers(1, n))
+    outputs = p.f * p.k if node is None else p.f + 1
+    stripe = (p.n * (p.f + 1) + outputs) * p.chunk_size
     return (p, draw(st.integers(1, 4 * p.stripe_data_bytes)),
-            draw(st.sets(st.integers(1, n), max_size=n - k)),
+            draw(st.sets(st.integers(1, n), max_size=n - k)), node,
             draw(st.none() | st.tuples(st.integers(1, n),
                                        st.integers(0, p.f))),
             draw(st.integers(1, stripe - 1)))
 
 
-def _decode_file(manifest, out, dest):
-    """decode_file's output, or its error, and what it printed."""
+def _run_file(manifest, out, node):
+    """What decode_file writes, or with a node what repair_shard
+    rebuilds, or the error either raises, and what it printed."""
     err = io.StringIO()
+    dest = out / "y.bin" if node is None else out / shard_filename(node)
     with contextlib.redirect_stderr(err):
         try:
-            shards.decode_file(manifest, out, dest)
+            if node is None:
+                shards.decode_file(manifest, out, dest)
+            else:
+                shards.repair_shard(manifest, out, node)
             got = dest.read_bytes()
         except (InsufficientDataError, IntegrityError) as exc:
             got = (type(exc), str(exc))
     return got, err.getvalue()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 # every lost data chunk of (50,46,2) is the XOR of a chunk of the other
 # part and a parity chunk; in the last stripe, node 5's part1[5] fails
 # its CRC as part 1 is read, and node 30's part2[31], which only part 2
-# reads, after part 1 is made
-@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, None, 1))
-@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, (5, 0),
-          1))
-@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, (30, 1),
-          1))
-@given(_part_decodes())
+# reads, after part 1 is made.  Node 1's repair with node 2 gone XORs
+# part1[1] from node 50's part2[1], which it hands to part 2, derived for
+# part2[2], and parity[3] from node 3's part1[3] and part2[3]: in the
+# last stripe, part2[1] fails its CRC as part 1 reads it, and part1[3]
+# as the parity chunk's part does.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, None,
+          None, 1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, None,
+          (5, 0), 1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {3, 10, 20, 40}, None,
+          (30, 1), 1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {2}, 1, None, 1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {2}, 1, (50, 1), 1))
+@example((SrcParams(50, 46, 2, 8), 3 * 92 * 8 - 5, {2}, 1, (3, 0), 1))
+@given(_part_runs())
 def test_a_decode_made_a_part_at_a_time_reads_what_its_plans_read(case):
-    # each stripe reads exactly the chunks its whole-stripe plan reads,
-    # each once, though its parts are made one at a time; the decoded
-    # bytes, or the error, and stderr are a whole-stripe decode's.  In
-    # the last stripe, where a chunk may fail its CRC, a plan made again
-    # reads a chunk an earlier part read only when the chunks held and
-    # those the stripe has not read cannot cover the parts left.
-    p, size, erased, flip, budget = case
+    # each stripe of a decode, or of a repair, reads exactly the chunks
+    # its whole-stripe plan reads, each once, though its parts are made
+    # one at a time; the decoded or rebuilt bytes, or the error, and
+    # stderr are those at the default budget.  In the last stripe, where
+    # a chunk may fail its CRC, a plan made again reads a chunk an
+    # earlier part read only when the chunks held and those the stripe
+    # has not read cannot cover the parts left.
+    p, size, erased, node, flip, budget = case
     stripes = p.stripes(size)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
             as mp:
@@ -652,12 +694,16 @@ def test_a_decode_made_a_part_at_a_time_reads_what_its_plans_read(case):
             blob = bytearray((out / shard_filename(flip[0])).read_bytes())
             blob[slot_at(p, stripes, stripes - 1, flip[1])] ^= 0xFF
             (out / shard_filename(flip[0])).write_bytes(bytes(blob))
-        whole = _decode_file(manifest, out, out / "whole.bin")
-        last = -(-(size - (stripes - 1) * p.stripe_data_bytes)
-                 // p.chunk_size)
+        whole = _run_file(manifest, out, node)
+        if node is None:
+            last = -(-(size - (stripes - 1) * p.stripe_data_bytes)
+                     // p.chunk_size)
+            args = data_chunks(p), 0, last
+        else:
+            args = p.node_chunks(node), node
+            (out / shard_filename(node)).unlink(missing_ok=True)
         try:
-            first = shards.ShardReader(manifest, out, data_chunks(p),
-                                       last=last)
+            first = shards.ShardReader(manifest, out, *args)
         except InsufficientDataError:
             first = None
 
@@ -683,15 +729,15 @@ def test_a_decode_made_a_part_at_a_time_reads_what_its_plans_read(case):
         mp.setattr(shards.ShardReader, "read_chunks", counting)
         mp.setattr(shards.ShardReader, "_rest", checked)
         mp.setattr(shards, "_BATCH_BYTES", budget)
-        assert _decode_file(manifest, out, out / "parts.bin") == whole
+        assert _run_file(manifest, out, node) == whole
     if first is None:
         return
     for stripe in range(stripes):
         got = sorted(c for s, c in reads if s == stripe)
         plan = first.plan if stripe < stripes - 1 or first.tail is None \
             else first.tail
-        if stripe < stripes - 1 or not whole[1]:   # nothing failed
-            assert got == sorted(plan.reads), stripe
+        if stripe < stripes - 1 or "skipped:" not in whole[1]:
+            assert got == sorted(plan.reads), stripe   # nothing failed
         else:
             assert again or len(got) == len(set(got))
 
@@ -750,8 +796,7 @@ def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
     for gone in missing:
         (out / shard_filename(gone)).unlink()
     manifest = shards.load_manifest(out / MANIFEST_NAME)
-    reader = shards.ShardReader(manifest, out, data_chunks(p), last=tail,
-                                parts=True)
+    reader = shards.ShardReader(manifest, out, data_chunks(p), last=tail)
     unit = p.k * p.chunk_size
     outside = max(_held_outside(reader, units) for units in (
         reader.units, reader.tail_units)) * p.chunk_size
