@@ -701,7 +701,6 @@ def test_a_decode_made_a_part_at_a_time_reads_what_its_plans_read(case):
             args = data_chunks(p), 0, last
         else:
             args = p.node_chunks(node), node
-            (out / shard_filename(node)).unlink(missing_ok=True)
         try:
             first = shards.ShardReader(manifest, out, *args)
         except InsufficientDataError:
