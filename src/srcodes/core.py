@@ -27,15 +27,18 @@ through one chunk executor.  Planning is split from execution:
 plan_chunks turns a list of targets into the chunks to read and an
 ordered list of steps, each a copy, an XOR, or a GF(256) combination
 whose coefficients one gf256.solve per plan works out; run_plan runs
-those steps on the chunks read, for any run of stripes.  A plan reads
-the fewest chunks the code's rules allow: look-ups where every helper
-is present, else the set of whole parts, each derived from k of its
-chunks, that covers the targets with the fewest reads.  The coefficients
-come from the (n, k) MDS generator, a plain array that a plan builds
-only when it derives chunks: look-up repair plans and a healthy decode
-build none.
-plan_chunks is the only planner: what `repair --dry-run` prints and the
-simulator's repair jobs read are its plans too (repair.node_plan).
+those steps on the chunks read, for any run of stripes.  plan_chunks
+is the paper's repair rule, one loop over the targets: copy a target
+that is read, XOR one from its f helpers where the rule allows, and
+derive the rest.  What it may read is one of two pools: the set of
+whole parts, each derived from k of its chunks, that covers the
+targets with the fewest reads, with the copies and XOR sources outside
+it; or, when no set of parts covers them, every available chunk.  The
+coefficients come from the (n, k) MDS generator, a plain array that a
+plan builds only when it derives chunks: look-up repair plans and a
+healthy decode build none.  plan_chunks is the only planner: what
+`repair --dry-run` prints and the simulator's repair jobs read are its
+plans too (repair.node_plan).
 
 Multi-stripe files lay every stripe out identically; a node's shard is
 its f+1 chunk slots concatenated stripe by stripe.  Every rule is the
@@ -51,8 +54,9 @@ unit.  It runs in place on a buffer of units the caller gives
 (shards._pipeline's), so encode holds batches of units, not the file's
 shards, and no parity chunk: a stripe's parity chunks are the XOR of its
 units, which the shard writer keeps in one row as it writes them.
-encode, for the demos and tests, is the same path in one batch, with its
-parity chunks filled by the same rule.
+encode, for the demos and tests, is the same path in one batch, its
+shards one plan from the units: a parity chunk is the XOR of its f
+helpers.
 """
 
 from __future__ import annotations
@@ -216,24 +220,25 @@ def encoder(fill: Callable[[np.ndarray], object], size: int,
 
 
 def encode(file_bytes: bytes, params: SrcParams) -> CodedArray:
-    """Encode a byte string into the n-node coded array (encoder, in
-    one batch, and each stripe's parity chunks as the XOR of its units).
+    """Encode a byte string into the n-node coded array: encoder's part
+    units in one batch, then every node's chunks by one plan from the
+    units' chunks, a parity chunk the XOR of its f helpers.
 
     The file is zero-padded to whole stripes; the true length is kept so
     reconstruct() can strip the padding.
     """
     stripes = params.stripes(len(file_bytes))
     n, f, cs = params.n, params.f, params.chunk_size
-    units = np.empty((stripes * f, n, cs), dtype=np.uint8)
-    encoder(io.BytesIO(file_bytes).readinto, len(file_bytes), params)(units, 0)
-    parts = units.reshape(stripes, f, n, cs)
-    parity = np.bitwise_xor.reduce(parts, axis=1)
-    coded = np.empty((stripes, n, f + 1, cs), dtype=np.uint8)
-    for node in range(1, n + 1):
-        for slot, c in enumerate(params.node_chunks(node)):
-            chunks = parity if c.part > f else parts[:, slot]
-            coded[:, node - 1, slot] = chunks[:, c.subscript - 1]
-    shards = {node: coded[:, node - 1] for node in range(1, n + 1)}
+    units = np.empty((stripes, f, n, cs), dtype=np.uint8)
+    encoder(io.BytesIO(file_bytes).readinto, len(file_bytes),
+            params)(units.reshape(-1, n, cs), 0)
+    present = {ChunkId(l, s): units[:, l - 1, s - 1]
+               for l in range(1, f + 1) for s in range(1, n + 1)}
+    targets = [c for node in range(1, n + 1) for c in params.node_chunks(node)]
+    coded = run_plan(plan_chunks(params, present, targets), present,
+                     np.empty((stripes, len(targets), cs), dtype=np.uint8))
+    shards = {node: coded[:, (node - 1) * (f + 1):node * (f + 1)]
+              for node in range(1, n + 1)}
     return CodedArray(params=params, stripe_count=stripes,
                       file_size=len(file_bytes), shards=shards)
 
@@ -267,56 +272,79 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
     """Plan the target chunks from the available ones, reading nothing:
     the plan reads the fewest chunks the rule below allows.
 
-    An available target is copied, and an absent one whose f helpers
-    are all available is their XOR.  When that covers every target, as
-    in a look-up repair or a healthy decode, the plan derives nothing.
-    Otherwise it derives a set of parts (_derived_parts picks it), each
-    from k of its available chunks, those the plan copies or XORs
-    first.  A target of a derived part that is not read is derived,
-    unless it is the XOR of chunks the plan reads anyway.  Any other
-    absent target is the XOR of its helpers, each absent one lying in a
-    derived part, and a helper of a derived part that is not read is
-    derived too: with part 2 derived, part1[2] = part2[2] ^ parity[2].
-    The derived chunks come from one gf256.solve over the part chunks
-    read.  When no set of parts covers the targets, the plan is
-    _joint_plan's.  So a plan exists whenever the available chunks
-    determine the targets.  Raises InsufficientDataError naming the
-    first target they do not determine and its absent helper nodes.
+    The rule is one loop over the distinct targets with one of two read
+    pools.  A target in the pool is copied; an absent one is the XOR of
+    its f helpers where the pool's XOR test allows, each helper outside
+    the pool derived; any other target is derived.  The derived chunks
+    come from one gf256.solve over the pool's chunks a derive may use, a
+    derive step per part.  When some set of parts covers the targets,
+    the pool is the chunks _derived_parts picks: the targets and XOR
+    sources outside the set, and k chunks of each part in it, those the
+    plan copies or XORs first, which are what a derive uses.  A target
+    outside the set is an XOR, each absent helper lying in the set, and
+    so is an absent one in it whose f helpers are all read: with part 2
+    derived, part1[2] = part2[2] ^ parity[2].  When no set of parts
+    covers, the pool is every available chunk, all of which a derive
+    may use, and only a parity target whose absent helpers each lie in
+    a part with k chunks available is an XOR.  So a plan exists
+    whenever the available chunks determine the targets; a look-up
+    repair or a healthy decode derives nothing.  Raises
+    InsufficientDataError naming the first target they do not determine
+    and its absent helper nodes.
     """
     f, k = params.f, params.k
     available = frozenset(available)
     order = list(dict.fromkeys(targets))
     helpers = {c: params.helpers(c) for c in order}
-    parts = _derived_parts(params, available, order, helpers)
-    if parts is None:
-        return _joint_plan(params, available, targets)
-    # the sources of the XOR steps of targets outside the derived parts
-    used = {h for c in order if c not in available and c.part not in parts
-            for h in helpers[c]}
-    reads = {c for c in order if c in available and c.part not in parts} \
-        | {h for h in used if h in available and h.part not in parts}
-    used.update(order)
-    for l in parts:   # k chunks, the target copies and XOR sources first
-        pool = sorted(c for c in available if c.part == l)
-        pool.sort(key=lambda c: c not in used)
-        reads.update(pool[:k])
-    steps, derived = [], {}
+    chosen = _derived_parts(params, available, order, helpers)
+    if chosen is None:   # no set of parts covers: read from them all
+        reads, sources = available, sorted(available)
+        full = {l for l, m in Counter(c.part for c in reads).items()
+                if m >= k}
+
+        def xor(c: ChunkId) -> bool:
+            return all(c.part > f and h.part in full
+                       for h in helpers[c] if h not in reads)
+    else:
+        parts, reads = chosen
+        sources = sorted(c for c in reads if c.part in parts)
+
+        def xor(c: ChunkId) -> bool:
+            return c.part not in parts or (c not in available
+                                           and reads.issuperset(helpers[c]))
+    steps, derived = [], {}   # derived chunk -> the target it is made for
     for c in order:
         if c in reads:
             steps.append(Step((c,), (c,)))
-        elif c.part in parts and (c in available
-                                  or not reads.issuperset(helpers[c])):
-            derived[c] = None
-        else:
+        elif xor(c):
             steps.append(Step((c,), tuple(helpers[c])))
-            derived.update(dict.fromkeys(h for h in helpers[c]
-                                         if h not in reads))
-    if derived:
+            for h in helpers[c]:
+                if h not in reads:
+                    derived.setdefault(h, c)
+        else:
+            derived.setdefault(c, c)
+    outs = list(derived)
+    if outs:
         gen = make_generator(k, params.n)
-        outs, every = list(derived), sorted(c for c in reads
-                                            if c.part in parts)
-        x, _ = gf256.solve(_rows(gen, f, every), _rows(gen, f, outs))
-        steps[:0] = _derive_steps(outs, every, x)
+        x, spanned = gf256.solve(_rows(gen, f, sources),
+                                 _rows(gen, f, outs))
+        short = {derived[c] for c, ok in zip(outs, spanned) if not ok}
+        if short:
+            target = next(c for c in order if c in short)
+            nodes = sorted(params.chunk_location(h) for h in helpers[target]
+                           if h not in available)
+            raise InsufficientDataError(
+                f"cannot produce {target.label(f)}: helper node(s) "
+                f"{', '.join(map(str, nodes))} absent and the chunks "
+                f"present do not determine it")
+        derive = []   # a step per part, reading what any of its outs uses
+        for l in sorted({c.part for c in outs}):
+            pick = [i for i, c in enumerate(outs) if c.part == l]
+            used = x[pick].any(axis=0)
+            derive.append(Step(tuple(outs[i] for i in pick),
+                               tuple(compress(sources, used)),
+                               x[pick][:, used]))
+        steps = derive + steps
     return ChunkPlan(targets=tuple(targets),
                      reads=tuple(sorted({c for step in steps
                                          for c in step.sources
@@ -327,123 +355,62 @@ def plan_chunks(params: SrcParams, available: Iterable[ChunkId],
 def _derived_parts(params: SrcParams, available: frozenset,
                    order: list[ChunkId],
                    helpers: dict[ChunkId, list[ChunkId]]
-                   ) -> tuple[int, ...] | None:
-    """The parts plan_chunks derives: () when every target is available
-    or the XOR of available helpers; else, of the sets of parts that
-    have k chunks available and that some absent target is of or has an
-    absent helper in, the one that covers every target and costs fewest
-    reads, then fewest parts, first in order; None when no set covers.
-    After the set of all such parts, sets are tried smallest first, only
-    while their k reads a part could still beat the best found, and at
-    most _PART_SETS of them."""
+                   ) -> tuple[tuple[int, ...], set[ChunkId]] | None:
+    """The parts plan_chunks derives and the chunks it reads: of the
+    sets of parts that have k chunks available and that some absent
+    target is of or has an absent helper in, the one that covers every
+    target and reads fewest chunks, then has fewest parts, first in
+    order; None when no set covers.  () when every target is available
+    or the XOR of available helpers.  After the set of all such parts,
+    sets are tried smallest first, only while their k reads a part could
+    still beat the best found, and at most _PART_SETS of them."""
     f, k = params.f, params.k
-    gone = [c for c in order if c not in available]
     # per absent target: its own part and the parts of its absent
     # helpers, or None for those when it cannot be their XOR
+    gone = [c for c in order if c not in available]
     options = []
     for c in gone:
         absent = {h.part for h in helpers[c] if h not in available}
         if absent:
             options.append(({c.part} - {f + 1},
                             None if f + 1 in absent else absent))
-    if not options:
-        return ()
-    counts = Counter(c.part for c in available)
-    every = sorted({l for own, xor in options for l in own | (xor or set())
-                    if counts[l] >= k})
+    pools = {l: sorted(c for c in available if c.part == l)
+             for l in sorted({l for own, xor in options
+                              for l in own | (xor or set())})}
+    every = tuple(l for l, pool in pools.items() if len(pool) >= k)
 
     def covers(parts: tuple[int, ...]) -> bool:
         return all(own.intersection(parts)
                    or xor is not None and xor.issubset(parts)
                    for own, xor in options)
 
-    present = {c for c in order if c in available}
+    def reads(parts: tuple[int, ...]) -> set[ChunkId]:
+        """The targets and the XOR sources outside parts, and k chunks
+        of each part, those used first."""
+        used = set(order).union(*(helpers[c] for c in gone
+                                  if c.part not in parts))
+        got = {c for c in used if c in available and c.part not in parts}
+        for l in parts:
+            got.update(sorted(pools[l], key=lambda c: c not in used)[:k])
+        return got
 
-    def cost(parts: tuple[int, ...]) -> int:
-        """k per part, the copies outside them, and the available
-        helpers outside them of the absent targets outside them."""
-        xors = {h for c in gone if c.part not in parts for h in helpers[c]
-                if h in available and h.part not in parts}
-        return k * len(parts) + len({c for c in present | xors
-                                     if c.part not in parts})
-
-    if not covers(tuple(every)):
+    if not covers(every):
         return None
-    best = (cost(tuple(every)), len(every), tuple(every))
+    best = every, reads(every)
     sets = chain.from_iterable(combinations(every, r)
                                for r in range(len(every)))
     for parts in islice(sets, _PART_SETS):
-        if k * len(parts) > best[0]:
+        if k * len(parts) > len(best[1]):
             break
-        if covers(parts) and (cost(parts), len(parts)) < best[:2]:
-            best = (cost(parts), len(parts), parts)
-    return best[2]
+        if covers(parts):
+            got = reads(parts)
+            if (len(got), len(parts)) < (len(best[1]), len(best[0])):
+                best = parts, got
+    return best
 
 
 # Part sets _derived_parts tries at most: every set of up to 12 parts
 _PART_SETS = 1 << 12
-
-
-def _derive_steps(outs: list[ChunkId], every: list[ChunkId],
-                  x: np.ndarray) -> list[Step]:
-    """A derive step per part of outs, in part order: x[d] holds outs[d]'s
-    coefficients over every, and a step reads the sources any of its
-    outs uses."""
-    steps = []
-    for l in sorted({c.part for c in outs}):
-        pick = [i for i, c in enumerate(outs) if c.part == l]
-        used = x[pick].any(axis=0)
-        steps.append(Step(tuple(outs[i] for i in pick),
-                          tuple(compress(every, used)), x[pick][:, used]))
-    return steps
-
-
-def _joint_plan(params: SrcParams, available: frozenset,
-                targets: list[ChunkId]) -> ChunkPlan:
-    """plan_chunks' plan when no set of parts covers the targets.  An
-    available target is copied.  An absent target is the XOR of its f
-    helpers when all are available, or when it is a parity chunk and
-    each absent helper is a coded chunk of a part with k chunks
-    available, derived and made once.  Any other absent target is
-    derived, all by one gf256.solve over the available chunks, which
-    takes their earliest independent ones."""
-    f, k = params.f, params.k
-    every = sorted(available)   # parts 1..f, then parity
-    full = {l for l in range(1, f + 1)
-            if sum(c.part == l for c in every) >= k}
-    xors = []      # one step per distinct target not derived
-    derived = {}   # chunk -> the target it is derived for
-    absent = {}    # target -> its absent helpers
-    for c in dict.fromkeys(targets):
-        absent[c] = [h for h in params.helpers(c) if h not in available]
-        if c in available:
-            xors.append(Step((c,), (c,)))
-        elif all(c.part > f and h.part in full for h in absent[c]):
-            # every helper available, or a parity target's absent ones
-            # each in a part with k chunks available
-            xors.append(Step((c,), tuple(params.helpers(c))))
-            for h in absent[c]:
-                derived.setdefault(h, c)
-        else:
-            derived.setdefault(c, c)
-    steps, short = [], set()
-    outs = list(derived)
-    if outs:
-        gen = make_generator(k, params.n)
-        x, spanned = gf256.solve(_rows(gen, f, every), _rows(gen, f, outs))
-        short = {derived[c] for c, ok in zip(outs, spanned) if not ok}
-        steps = _derive_steps(outs, every, x)
-    if short:
-        target = next(t for t in targets if t in short)
-        nodes = sorted(params.chunk_location(h) for h in absent[target])
-        raise InsufficientDataError(
-            f"cannot produce {target.label(f)}: helper node(s) "
-            f"{', '.join(map(str, nodes))} absent and the chunks present "
-            f"do not determine it")
-    steps += xors
-    reads = {c for step in steps for c in step.sources if c in available}
-    return ChunkPlan(targets=tuple(targets), reads=tuple(sorted(reads)),
-                     steps=tuple(steps))
 
 
 def _rows(gen: np.ndarray, f: int, chunks) -> np.ndarray:

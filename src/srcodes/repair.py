@@ -22,7 +22,7 @@ def node_plan(params: SrcParams, node: int) -> ChunkPlan:
                        params.node_chunks(node))
 
 
-def describe(params: SrcParams, node: int, stripe_count: int = 1) -> list[str]:
+def describe(params: SrcParams, node: int, stripe_count: int) -> list[str]:
     """The lines of `repair --dry-run`: per chunk of the node, the chunks
     XORed into it and their nodes; then, for the whole node, the helper
     disks, the chunk reads per stripe and the bytes read."""

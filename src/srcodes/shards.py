@@ -327,11 +327,10 @@ def _pipeline(count: int, step: int, width: int, chunk_size: int,
     again, so neither callable needs to copy a batch.  ahead(), which
     make may call, joins the write in flight at once and returns the
     next batch's buffer, whole, so that make can fill slots of it: the
-    next batch finds them as make left them.  An empty file is one
-    batch of no rows.  An error of write is raised here; on any error
-    the thread is joined first.  hashlib, zlib and file writes release
-    the GIL; write must call no span-wrapped (public module-level)
-    function."""
+    next batch finds them as make left them.  An error of write is
+    raised here; on any error the thread is joined first.  hashlib, zlib
+    and file writes release the GIL; write must call no span-wrapped
+    (public module-level) function."""
     failed: list[BaseException] = []
     bufs: list[np.ndarray] = []
     thread = None
@@ -361,7 +360,7 @@ def _pipeline(count: int, step: int, width: int, chunk_size: int,
         return buffer(b + 1)
 
     try:
-        for b, start in enumerate(range(0, max(count, 1), step)):
+        for b, start in enumerate(range(0, count, step)):
             out = buffer(b)[:min(step, count - start)]
             make(out, start, ahead)
             join()

@@ -2,11 +2,11 @@
 by the program: its name is referred to in a srcodes module, a demo,
 or the benchmark harness; every dataclass field in srcodes is read as
 an attribute there; and every parameter default of a srcodes function
-is overridden by a call there.  Tests do not count, nor does a
-re-export in the package's __init__.py, so code kept alive only by its
-own tests or its export is reported here.  Names are matched as
-identifiers, not by what they resolve to, so a shared name hides a
-dead definition."""
+is overridden by some call there and relied on by another.  Tests do
+not count, nor does a re-export in the package's __init__.py, so code
+kept alive only by its own tests or its export is reported here.  Names
+are matched as identifiers, not by what they resolve to, so a shared
+name hides a dead definition."""
 
 import ast
 from pathlib import Path
@@ -135,10 +135,9 @@ def _overrides(call: ast.Call, param: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
-def test_parameter_defaults_are_overridden():
-    # a default that no call in the program overrides, by keyword, by
-    # position or through ** or *, is a knob nothing turns: its value
-    # belongs in the body
+def _default_uses() -> list[tuple[str, list[bool]]]:
+    """Per parameter default of a srcodes function, its name and, per
+    call of that name in the program, whether the call overrides it."""
     trees = _program()
     calls: dict[str, list[ast.Call]] = {}
     for path, tree in trees.items():
@@ -148,12 +147,26 @@ def test_parameter_defaults_are_overridden():
                     func = node.func
                     name = getattr(func, "id", getattr(func, "attr", None))
                     calls.setdefault(name, []).append(node)
-    unturned = [f"{path.stem}.{name}({param}=)"
-                for path, tree in trees.items() if path.parent == PROGRAM[0]
-                for name, param, position in _defaults(tree)
-                if not any(_overrides(call, param, position)
-                           for call in calls.get(name, []))]
-    assert unturned == []
+    return [(f"{path.stem}.{name}({param}=)",
+             [_overrides(call, param, position)
+              for call in calls.get(name, [])])
+            for path, tree in trees.items() if path.parent == PROGRAM[0]
+            for name, param, position in _defaults(tree)]
+
+
+def test_parameter_defaults_are_overridden():
+    # a default that no call in the program overrides, by keyword, by
+    # position or through ** or *, is a knob nothing turns: its value
+    # belongs in the body
+    assert [name for name, overrides in _default_uses()
+            if not any(overrides)] == []
+
+
+def test_parameter_defaults_are_relied_on():
+    # a default that every call in the program overrides is never used:
+    # the parameter is required
+    assert [name for name, overrides in _default_uses()
+            if overrides and all(overrides)] == []
 
 
 def _thread_makers(node: ast.AST, where: str):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, \
+    strategies as st
 
 from srcodes import gf256
 from srcodes.core import ChunkId, SrcParams, chunks_from_shards, \
@@ -409,3 +410,43 @@ def test_a_target_in_a_derived_part_is_the_xor_of_helpers_read_anyway():
         ((parity_1,), True)]
     assert plan.steps[1].sources == (part2_1, parity_1)
     assert len(plan.reads) == p.k + 2
+
+
+@st.composite
+def plan_inputs(draw):
+    # the chunks of some nodes, less a few more: sets that some set of
+    # parts covers, sets that none covers and sets that cannot serve
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    f = draw(st.integers(1, n - 1))
+    p = SrcParams(n, k, f, 1)
+    every = [ChunkId(l, s) for l in range(1, f + 2) for s in range(1, n + 1)]
+    nodes = draw(st.sets(st.integers(1, n)))
+    lost = draw(st.sets(st.sampled_from(every), max_size=f + 1))
+    available = sorted({c for i in nodes for c in p.node_chunks(i)} - lost)
+    targets = draw(st.one_of(st.just(data_chunks(p)), st.lists(
+        st.sampled_from(every), min_size=1, max_size=2 * (f + 1))))
+    return p, available, targets, draw(st.permutations(available))
+
+
+def _decode_without(triple, gone, shuffle):
+    """An order-test case: a decode with the nodes gone lost."""
+    p = SrcParams(*triple, 1)
+    available = [c for i in range(1, p.n + 1) if i not in gone
+                 for c in p.node_chunks(i)]
+    return p, sorted(available), data_chunks(p), shuffle(available)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plan_inputs())
+# a decode that no set of parts covers, and one that raises
+@example(_decode_without((6, 4, 2), {1, 2, 3}, lambda a: a[::-1]))
+@example(_decode_without((5, 3, 2), {1, 2, 3, 4}, lambda a: a[1:] + a[:1]))
+def test_a_plan_does_not_depend_on_the_order_of_available(case):
+    # the simulator passes a generator and ShardReader a set: the same
+    # chunks in any order or form give the same plan or the same error
+    p, available, targets, shuffled = case
+    text = _plan_text(p, available, targets)
+    for same in (available[::-1], shuffled, set(available),
+                 (c for c in available)):
+        assert _plan_text(p, same, targets) == text
