@@ -360,14 +360,15 @@ def _derived_parts(params: SrcParams, available: frozenset,
     sets of parts that have k chunks available and that some absent
     target is of or has an absent helper in, the one that covers every
     target and reads fewest chunks, then has fewest parts, first in
-    order; None when no set covers.  () when every target is available
-    or the XOR of available helpers.  After the set of all such parts,
-    sets are tried smallest first, only while their k reads a part could
-    still beat the best found, and at most _PART_SETS of them."""
+    order; None when no set covers.  No parts when every target is
+    available or the XOR of available helpers.  After the set of all
+    such parts, sets are tried smallest first, only while their k reads
+    a part could still beat the best found, and at most _PART_SETS of
+    them."""
     f, k = params.f, params.k
+    gone = [c for c in order if c not in available]
     # per absent target: its own part and the parts of its absent
     # helpers, or None for those when it cannot be their XOR
-    gone = [c for c in order if c not in available]
     options = []
     for c in gone:
         absent = {h.part for h in helpers[c] if h not in available}

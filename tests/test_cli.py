@@ -174,7 +174,10 @@ def test_encode_stripe_beyond_any_buffer_usage_error(runner, tmp_path, chunk):
     assert sorted(tmp_path.iterdir()) == [src]
 
 
-def test_encode_empty_file(runner, tmp_path):
+def test_encode_empty_file(runner, tmp_path, monkeypatch):
+    # an empty file is no batch, so no command starts a writer thread
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
     out = tmp_path / "shards"
@@ -188,6 +191,14 @@ def test_encode_empty_file(runner, tmp_path):
                                "--shards", str(out), "--out", str(dest)])
     assert res.exit_code == 0
     assert dest.read_bytes() == b""
+    shard = out / shard_filename(1)
+    before = shard.read_bytes()
+    shard.unlink()
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", "1"])
+    assert res.exit_code == 0
+    assert shard.read_bytes() == before
+    assert started == []
 
 
 # the SHA-256 of every file `srcodes encode` writes, manifest last: format
