@@ -486,11 +486,11 @@ def run_plan(plan: ChunkPlan, present: dict[ChunkId, np.ndarray],
     only what the steps read and no step makes: the plan's reads, and a
     split_plan group's chunks handed over.  Every slot of out is
     overwritten, so out may be a reused buffer or a view of a larger
-    one, except that a copy step whose source already is its destination
-    (the same buffer, offset and strides: a chunk read or filled
-    straight into its slot of out) is skipped.  If made is given, every
-    chunk a step makes is put in it, a target as its slot of out.
-    Returns out.
+    one, except that a copy or XOR step whose first source already is
+    its destination (the same buffer, offset and strides: a chunk read
+    or filled straight into its slot of out) does not copy it, and only
+    XORs the other sources in.  If made is given, every chunk a step
+    makes is put in it, a target as its slot of out.  Returns out.
     """
     first = {c: t for t, c in reversed(list(enumerate(plan.targets)))}
     made = {} if made is None else made

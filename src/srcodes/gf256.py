@@ -103,7 +103,10 @@ def _blocks(shape: tuple[int, ...], size: int) -> Iterator[tuple]:
 
 def _lookup_xor(acc: np.ndarray, table: np.ndarray, buf: np.ndarray) -> None:
     """acc ^= table[buf], one block at a time, in this thread's blocks
-    for the values and for the indices as intp, which np.take needs."""
+    for the values and for the indices as intp, which np.take needs.
+    buf is uint8 into a 256-entry table or uint16 into a 65 536-entry
+    one, so no index leaves the table: np.take's mode="wrap" then looks
+    up the same bytes as "clip", and faster."""
     scratch = getattr(_local, "scratch", None)
     if scratch is None:
         scratch = _local.scratch = (np.empty(_BLOCK, dtype=np.uint16),
@@ -113,7 +116,7 @@ def _lookup_xor(acc: np.ndarray, table: np.ndarray, buf: np.ndarray) -> None:
         a = acc[at]
         looked_up = values.view(table.dtype)[:a.size]
         np.copyto(index[:a.size].reshape(a.shape), buf[at])
-        np.take(table, index[:a.size], out=looked_up, mode="clip")
+        np.take(table, index[:a.size], out=looked_up, mode="wrap")
         np.bitwise_xor(a, looked_up.reshape(a.shape), out=a)
 
 
@@ -160,7 +163,8 @@ _GROUP_BLOCK = 1 << 15   # entries per grouped look-up; blocks are per thread
 def _addmul_group(out: list, coeffs: np.ndarray, rows) -> None:
     """addmul_rows for up to 8 outputs: each source byte is looked up
     once, in a table packing its products for every output, bits 8i to
-    8i+7 for out[i]."""
+    8i+7 for out[i].  A source byte indexes a 256-entry table, so, as in
+    _lookup_xor, np.take's mode="wrap" never wraps."""
     keep = coeffs.any(axis=0)   # a source no output scales is not read
     rows = [b for b, k in zip(rows, keep) if k]
     if not rows:
@@ -183,7 +187,7 @@ def _addmul_group(out: list, coeffs: np.ndarray, rows) -> None:
         acc, looked = (p.view(dtype)[:m] for p in packed)
         for j, (table, row) in enumerate(zip(tables, rows)):
             np.copyto(index[:m].reshape(shape), row[at])
-            np.take(table, index[:m], out=looked if j else acc, mode="clip")
+            np.take(table, index[:m], out=looked if j else acc, mode="wrap")
             if j:
                 np.bitwise_xor(acc, looked, out=acc)
         plane = looked.view(np.uint8)[:m].reshape(shape)

@@ -31,8 +31,9 @@ so no writer holds a whole shard or copies a batch.  Every file goes
 through atomic_writer, so a crash never leaves a torn file under its
 real name.  ShardReader is the one shard-set reader: it plans around
 missing and damaged files and reads only the chunk slots its plan
-needs, a target chunk straight into its slot of the batch; a decode
-reads no padding chunk of the last stripe.
+needs, a target chunk straight into its slot of the batch, and so the
+first source of an XOR that makes a target, which the XOR then adds the
+other sources to; a decode reads no padding chunk of the last stripe.
 
 The manifest is JSON with sorted keys: the shard format version, code
 parameters, the generator construction id (decoders rebuild the matrix
@@ -50,6 +51,7 @@ import struct
 import sys
 import threading
 import zlib
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
@@ -521,7 +523,7 @@ class ShardReader:
                           and (self.directory / shard_filename(node)).exists()
                           for c in manifest.params.node_chunks(node)}
         self.skipped: dict[str, None] = {}   # shard file names, in order
-        # targets a plan neither copies nor XORs straight from reads
+        # targets with a helper missing or damaged: no look-up makes them
         self.blocked: set[ChunkId] = set()
         # every shard file's payload and CRC table offsets, and length
         self._payload_at, self._table_at, self._length = _offsets(
@@ -563,9 +565,8 @@ class ShardReader:
                 raise
             raise IntegrityError(
                 f"{exc}; skipped {', '.join(self.skipped)}") from exc
-        straight = {s.outs[0] for s in self.plan.steps if s.coeffs is None
-                    and self.available.issuperset(s.sources)}
-        self.blocked.update(set(self.targets) - straight)
+        self.blocked.update(c for c in self.targets
+                            if not self.available.issuperset(p.helpers(c)))
 
         def groups(targets: list[ChunkId]) -> list[list[ChunkId]]:
             if self._step:
@@ -634,24 +635,30 @@ class ShardReader:
         their checks, and on the chunks the groups before it hand over,
         of which the first group has none.  A read that is a chunk of a
         slot of out goes to that slot, which run_plan then leaves as it
-        is, even when the group does not produce it there.  When the
-        group reads targets of the next group, which the next unit makes
-        in the buffer ahead gives, they go to their slots there.  A
-        failed check plans again, which replaces this group and those
-        after it (_rest).  The chunks the group hands over are kept,
-        copied if they lie in out; no other read outlives the group.
-        The slots of out past the group's targets are zeroed."""
+        is, even when the group does not produce it there; so does the
+        first source of an XOR step that makes a target, where
+        _xor_in_place allows, and run_plan XORs the other sources into
+        it.  When the group reads targets of the next group, which the
+        next unit makes in the buffer ahead gives, they go to their
+        slots there.  A failed check plans again, which replaces this
+        group and those after it (_rest); a read already in a target's
+        slot that the new plan does not XOR there is first copied out.
+        The chunks the group hands over are kept, copied if they lie in
+        out; no other read outlives the group.  The slots of out past
+        the group's targets are zeroed."""
         if at == 0:
             self._split = list(self.tail_units if tail else self.units)
             self._held, self._read = {}, set()
         plan, keep = self._split[at]
-        self._into = {c: out[:, t]
-                      for t, c in enumerate(self.units[at][0].targets)}
+        slots = {c: out[:, t]
+                 for t, c in enumerate(self.units[at][0].targets)}
         later = self._split[at + 1][0].targets \
             if at + 1 < len(self._split) else ()
         if not set(later).isdisjoint(plan.reads):
             after = ahead()[:len(out)]
-            self._into.update((c, after[:, t]) for t, c in enumerate(later))
+            slots.update((c, after[:, t]) for t, c in enumerate(later))
+        xor = _xor_in_place(plan, keep)
+        self._into = slots | {c: slots[t] for c, t in xor.items()}
         got: dict[ChunkId, np.ndarray] = {}
         while todo := [c for c in plan.reads if c not in got]:
             new, failed = self.read_chunks(todo, start, start + len(out))
@@ -661,6 +668,11 @@ class ShardReader:
                 self._drop(failed)
                 self._rest(at, tail, self._held.keys() | got.keys())
                 plan, keep = self._split[at]
+                was, xor = xor, _xor_in_place(plan, keep)
+                for c, t in was.items():   # out of a slot now overwritten
+                    if c in got and xor.get(c) != t:
+                        got[c] = got[c].copy()
+                self._into = slots | {c: slots[t] for c, t in xor.items()}
         present, made = {**self._held, **got}, {}
         run_plan(plan, present, out[:, :len(plan.targets)], made)
         held = {c: present[c] if c in present else made[c] for c in keep}
@@ -795,6 +807,22 @@ class ShardReader:
         return got, table[start:stop]
 
 
+def _xor_in_place(plan: ChunkPlan, keep: frozenset[ChunkId]
+                  ) -> dict[ChunkId, ChunkId]:
+    """The first source of each XOR step of plan that makes one of its
+    targets, mapped to that target, where the source can be read
+    straight into the target's slot: run_plan then copies nothing and
+    XORs the other sources in.  Only a source plan reads, that is no
+    target, feeds no other step and is not handed to a later group
+    (keep), since the step overwrites it."""
+    uses = Counter(c for step in plan.steps for c in step.sources)
+    targets = set(plan.targets)
+    reads = set(plan.reads) - keep - targets
+    return {s.sources[0]: s.outs[0] for s in plan.steps
+            if s.coeffs is None and s.outs[0] in targets
+            and s.sources[0] in reads and uses[s.sources[0]] == 1}
+
+
 def _unusable(node: int, exc: IntegrityError | OSError) -> IntegrityError:
     """The error that makes a shard file unusable, naming the file."""
     if isinstance(exc, IntegrityError):
@@ -844,9 +872,11 @@ def repair_shard(manifest: Manifest, directory: Path,
     chunks, that of one part, when a stripe's batch is over
     _BATCH_BYTES; the writer thread appends each batch while the next is
     made.  The file is in the set's format version, and takes its name
-    only if its digest is the manifest's.  A look-up that a missing or
-    damaged helper blocks is named on stderr.  Returns the reader: its
-    blocked chunks were derived by reconstruction."""
+    only if its digest is the manifest's.  A chunk whose look-up a
+    missing or damaged helper blocks is named on stderr, and no other:
+    the read-minimal plan may derive a chunk whose helpers are intact
+    too.  Returns the reader: its blocked chunks were made with
+    reconstruction."""
     p = manifest.params
     reader = ShardReader(manifest, directory, p.node_chunks(node), node)
     with reader, ShardWriter(directory, p, node, manifest.file_size,

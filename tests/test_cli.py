@@ -15,7 +15,8 @@ from click.testing import CliRunner
 
 from srcodes import cli, shards
 from srcodes.cli import main
-from srcodes.core import SrcParams, data_chunks, plan_chunks, split_plan
+from srcodes.core import (ChunkId, SrcParams, data_chunks, plan_chunks,
+                          split_plan)
 from srcodes.metrics import comparison_table, format_table
 from srcodes.shards import MANIFEST_NAME, ShardReader, shard_filename
 
@@ -651,6 +652,34 @@ def test_repair_fallback_when_helper_corrupt(runner, tmp_path):
              if line.startswith("skipped:")]
     assert skips == [f"skipped: shard {shard_filename(bad)}: parity[3] "
                      "fails the CRC-32 check"]
+
+
+def test_repair_names_only_the_look_ups_a_helper_blocks(runner, tmp_path):
+    # node 10 holds part1[10], part2[1] and parity[2].  Node 1's part1[1],
+    # a helper of part2[1], fails its CRC in the last stripe.  The
+    # fallback plan then derives part 1, part1[10] with it, as that reads
+    # fewer chunks; but part1[10]'s helpers, on nodes 8 and 9, are
+    # intact, so only part2[1] is named.
+    size = 3_300_000
+    _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=size,
+                        chunk=64 << 10)
+    p = SrcParams(10, 6, 2, 64 << 10)
+    assert p.node_chunks(10) == [(1, 10), (2, 1), (3, 2)]
+    assert {p.chunk_location(h) for h in p.helpers(ChunkId(1, 10))} == {8, 9}
+    lost = out / shard_filename(10)
+    expected = lost.read_bytes()
+    lost.unlink()
+    stripes = _stripes(p, size)
+    _flip_byte(out / shard_filename(1), slot_at(p, stripes, stripes - 1, 0))
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", "10"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == ("rebuilt node_010.shard via reconstruction "
+                          "fallback; digest verified\n")
+    assert res.stderr.splitlines() == [
+        "skipped: shard node_001.shard: part1[1] fails the CRC-32 check",
+        "look-up repair blocked for part2[1]; falling back to reconstruction"]
+    assert lost.read_bytes() == expected
 
 
 def _count_reads(monkeypatch):

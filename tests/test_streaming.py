@@ -13,7 +13,9 @@ small file spans many.
 import contextlib
 import importlib
 import io
+import itertools
 import os
+import shutil
 import tempfile
 import threading
 import tracemalloc
@@ -428,16 +430,55 @@ def test_mid_stream_failure_leaves_no_output(tmp_path, one_part_batches):
 
 
 
+def test_a_plan_made_again_mid_batch_keeps_the_reads_it_xors_in_place(
+        tmp_path):
+    # a (6,4,2) set of three stripes, repaired in one batch.  A look-up
+    # repair reads the first helper of each lost chunk into the chunk's
+    # slot of the batch.  A chunk that fails its CRC in stripe 0 plans
+    # the batch again once every read is in: a read the new plan does
+    # not XOR in that slot, as a derive's source, must be copied out
+    # before it is overwritten.  Every lost node, every other node
+    # removed, and every slot of every third node flipped: 360 repairs.
+    p = SrcParams(6, 4, 2, 4096)
+    size = 2 * p.stripe_data_bytes + 999
+    stripes = p.stripes(size)
+    payload = np.random.default_rng(11).integers(0, 256, size,
+                                                 dtype=np.uint8).tobytes()
+    pristine = tmp_path / "pristine"
+    shards.write_shard_set(pristine, p, io.BytesIO(payload), size)
+    manifest = shards.load_manifest(pristine / MANIFEST_NAME)
+    out = tmp_path / "set"
+    wrong = []
+    for lost, gone in itertools.permutations(range(1, p.n + 1), 2):
+        for bad in sorted(set(range(1, p.n + 1)) - {lost, gone}):
+            for slot in range(p.f + 1):
+                shutil.rmtree(out, ignore_errors=True)
+                shutil.copytree(pristine, out)
+                (out / shard_filename(lost)).unlink()
+                (out / shard_filename(gone)).unlink()
+                path = out / shard_filename(bad)
+                blob = bytearray(path.read_bytes())
+                blob[slot_at(p, stripes, 0, slot)] ^= 0xFF
+                path.write_bytes(bytes(blob))
+                try:
+                    shards.repair_shard(manifest, out, lost)
+                except IntegrityError:
+                    wrong.append((lost, gone, bad, slot))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
 def _check_budget(mp):
     """Check every batch: an encode's two buffers of part units and,
     with f > 1, the writer's row of parity chunks, n chunks each, fit
     _BATCH_BYTES, or the batch is one part unit, one part of one stripe.
     In every run_plan call of a ShardReader, the chunks its batch read
-    or was handed that are held outside its output, the chunks it
-    derives that are not targets, and both output buffers, the one
-    written behind included, fit _BATCH_BYTES, or the batch is one part
-    of one stripe, a decode's or a repair's alike.  Returns the rows of
-    each batch: part units for an encode, stripes for a reader."""
+    or was handed that are held outside its output (a chunk read into
+    its own slot, or into that of the target it is XORed into, is not),
+    the chunks it derives that are not targets, and both output
+    buffers, the one written behind included, fit _BATCH_BYTES, or the
+    batch is one part of one stripe, a decode's or a repair's alike.
+    Returns the rows of each batch: part units for an encode, stripes
+    for a reader."""
     run_plan, encoder, seen = shards.run_plan, shards.encoder, []
 
     def encoding(fill, size, params):
@@ -804,6 +845,34 @@ def test_decode_peaks_below_two_batches_and_the_reads_outside_them(
     peak = _peak(lambda: _decode(out, tmp_path / "y.bin"))
     assert (tmp_path / "y.bin").read_bytes() == payload.tobytes()
     assert peak < 2 * unit + outside + (768 << 10), (peak, unit, outside)
+
+
+def test_look_up_repair_peaks_below_two_batches_and_a_helper_a_chunk(
+        tmp_path):
+    # a (10,6,2) look-up repair at the benchmark's chunk size, in batches
+    # of three stripes of the lost node's three chunks.  Each lost chunk
+    # is the XOR of its f helpers, the first read straight into the
+    # chunk's slot, so the f-1 others are all a batch holds outside its
+    # two output buffers.  The slack holds what does not grow with the
+    # chunks.
+    p = SrcParams(10, 6, 2, 64 << 10)
+    stripes = shards._batch_stripes(p, p.f + 1)
+    size = 4 * stripes * p.stripe_data_bytes - 1000
+    payload = np.random.default_rng(13).integers(0, 256, size,
+                                                 dtype=np.uint8)
+    out = tmp_path / "shards"
+    shards.write_shard_set(out, p, io.BytesIO(payload.tobytes()), size)
+    lost = out / shard_filename(1)
+    expected = lost.read_bytes()
+    # a first run checks the path taken and warms what a process makes
+    # once; the second is measured
+    lost.unlink()
+    assert "via look-up repair" in _repair(out, 1).stdout
+    lost.unlink()
+    peak = _peak(lambda: _repair(out, 1))
+    assert lost.read_bytes() == expected
+    rows = stripes * (p.f + 1) * (2 + p.f - 1)
+    assert peak < rows * p.chunk_size + (64 << 10), (peak, stripes)
 
 
 def test_encode_peaks_below_two_batches_of_part_chunks(tmp_path,
