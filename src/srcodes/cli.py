@@ -38,8 +38,9 @@ from . import sim as sim_mod
 from .core import SrcParams
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
                      PlacementError, ShapeError)
-from .shards import (atomic_writer, decode_file, load_manifest, repair_shard,
-                     shard_filename, write_shard_set)
+from .shards import (atomic_writer, decode_file, load_manifest,
+                     read_regular_file, repair_shard, shard_filename,
+                     write_shard_set)
 
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
@@ -201,9 +202,11 @@ def _scheme_from_options(kind: str, n: int, k: int, f: int) -> sim_mod.Scheme:
 
 def _read_config(path: Path) -> dict:
     """ClusterConfig fields from a JSON file; anything else, a value of
-    the wrong type included, is a usage error."""
+    the wrong type or a file that is not a regular one included, is a
+    usage error."""
+    text = read_regular_file(path, "config")
     try:
-        doc = json.loads(path.read_bytes())
+        doc = json.loads(text)
     except ValueError as exc:
         raise ParameterError(f"{path.name} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("scheme", {}), dict):

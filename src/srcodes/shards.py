@@ -224,8 +224,16 @@ def atomic_writer(path: Path) -> Iterator:
     """Open a temporary sibling of path for writing and, when the block
     ends normally, os.replace it into place, so the path holds either its
     old bytes or all of the new ones; on error the temporary file is
-    removed.  An OSError about the temporary file names path instead."""
+    removed.  An OSError about the temporary file names path instead.
+    A device, FIFO or socket at path, or a link to one, is refused by a
+    ParameterError before the temporary file is made: os.replace would
+    swap it for a regular file.  A directory fails at os.replace."""
     path = Path(path)
+    with suppress(FileNotFoundError):   # os.stat follows a link
+        mode = os.stat(path).st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise ParameterError(f"{path} is not a regular file; it is "
+                                 "not replaced")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -465,14 +473,19 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
     return manifest_path
 
 
-def load_manifest(path: Path) -> Manifest:
-    """Read and parse the manifest at path.  It is opened without
-    blocking, so a FIFO is refused, as any file that is not a regular
-    one is, by a ParameterError, not waited on."""
+def read_regular_file(path: Path, what: str) -> bytes:
+    """The bytes of the file at path, the what of a command.  It is
+    opened without blocking, so a FIFO is refused, as any file that is
+    not a regular one is, by a ParameterError, not waited on."""
     with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise ParameterError(f"manifest {path} is not a regular file")
-        return Manifest.from_json(fh.read())
+            raise ParameterError(f"{what} {path} is not a regular file")
+        return fh.read()
+
+
+def load_manifest(path: Path) -> Manifest:
+    """Read (read_regular_file) and parse the manifest at path."""
+    return Manifest.from_json(read_regular_file(path, "manifest"))
 
 
 class ShardReader:

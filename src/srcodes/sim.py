@@ -34,7 +34,10 @@ order before any of the next level's.  So placement draws each level's
 keys in one call and sorts the level once, stably so that ties go to the
 lower id; only the set that straddles two levels needs care, as its own
 members are not yet in the new level.  The sets live in one read-only
-(set_count, n) int32 array, a row per set.
+(set_count, n) array, a row per set, of the narrowest unsigned dtype
+that holds the largest machine id: uint8 up to 256 machines, uint16 up
+to 65 536.  Jobs are found a block of rows at a time and name each
+machine by one shared int, so a run holds little beyond that array.
 
 A job counts its own unfinished flows and finishes with its last.  The
 event loop is single-threaded and fully deterministic: identical config
@@ -144,10 +147,10 @@ class ClusterConfig:
 class Cluster:
     """Placement result: redundancy sets over machines (0-based ids).
 
-    Row j of the read-only (set_count, n) int32 array sets holds the
-    member machines of set j; for SRC the column is the storage-node
-    index (column p = node p+1) and each member holds f+1 chunks of the
-    set.
+    Row j of the read-only (set_count, n) array sets, of dtype
+    np.min_scalar_type(machines - 1), holds the member machines of set
+    j; for SRC the column is the storage-node index (column p = node
+    p+1) and each member holds f+1 chunks of the set.
     """
 
     config: ClusterConfig
@@ -191,7 +194,7 @@ def build_cluster(config: ClusterConfig) -> Cluster:
 
     key = _draws(rng, config.machines)   # indexed by machine id
     order = np.argsort(key, kind="stable")   # ties to the lower id
-    sets = np.empty((set_count, n), np.int32)
+    sets = np.empty((set_count, n), np.min_scalar_type(config.machines - 1))
     done = 0
     carry: list[int] = []   # the straddling set's members from the old level
     while True:
@@ -282,8 +285,11 @@ def _make_jobs(cluster: Cluster, failed: int,
         plans = [node_plan(src_params, node)
                  for node in range(1, scheme.n + 1)]
         where = src_params.chunk_location
-    hit = (cluster.sets == failed).any(axis=1)
-    for members in map(tuple, cluster.sets[hit].tolist()):
+    ids = np.arange(config.machines).astype(object)   # one int per machine
+    # its sets' rows, 4096 at a time: no mask of the whole array
+    blocks = np.split(cluster.sets, range(4096, len(cluster.sets), 4096))
+    hit = np.concatenate([b[(b == failed).any(axis=1)] for b in blocks])
+    for members in (tuple(ids[row]) for row in hit):
         if scheme.kind != "src":   # any k survivors of an MDS code
             survivors = sorted(m for m in members if m != failed)
             jobs.append(_Job(members, tuple(rng.sample(survivors, scheme.k))))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -565,23 +566,50 @@ def test_a_fifo_in_place_of_a_shard_is_skipped(runner, tmp_path):
 
 
 def test_a_fifo_as_the_manifest_is_refused(runner, tmp_path):
-    # a FIFO given as --manifest must not block decode or repair: it is
-    # refused as not a regular file, a usage error.  Each command runs
-    # in its own process, with a timeout, so that a hang fails the test.
+    # a FIFO given as --manifest must not block decode or repair, nor one
+    # given as simulate's --config: it is refused as not a regular file,
+    # a usage error.  Each command runs in its own process, with a
+    # timeout, so that a hang fails the test.
     _, _, out = _encode(runner, tmp_path, n=5, k=3, f=2, size=30_000)
     fifo = tmp_path / "manifest.fifo"
     os.mkfifo(fifo)
     env = dict(os.environ, PYTHONPATH=str(
         Path(__file__).resolve().parent.parent / "src"))
-    for args in (["decode", "--out", str(tmp_path / "y.bin")],
-                 ["repair", "--node", "1"]):
+    shards = ["--manifest", str(fifo), "--shards", str(out)]
+    for args, what in (
+            (["decode", *shards, "--out", str(tmp_path / "y.bin")],
+             "manifest"),
+            (["repair", *shards, "--node", "1"], "manifest"),
+            (["simulate", "--scheme", "rs", "--config", str(fifo)], "config")):
         res = subprocess.run(
-            [sys.executable, "-m", "srcodes.cli", *args, "--manifest",
-             str(fifo), "--shards", str(out)], capture_output=True,
+            [sys.executable, "-m", "srcodes.cli", *args], capture_output=True,
             text=True, timeout=60, env=env)
         assert (res.returncode, res.stdout, res.stderr) == (
-            2, "", f"error: manifest {fifo} is not a regular file\n")
+            2, "", f"error: {what} {fifo} is not a regular file\n")
     assert not (tmp_path / "y.bin").exists()
+
+
+def test_an_output_that_is_not_a_regular_file_is_kept(runner, tmp_path):
+    # os.replace would swap a FIFO, device or socket given as an output
+    # for a regular file: each is refused, a link to one too, before
+    # any temporary file is made, and is left as it was
+    _, _, out = _encode(runner, tmp_path, n=5, k=3, f=2, size=30_000)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    (tmp_path / "link").symlink_to(fifo.name)
+    before = sorted(tmp_path.iterdir())
+    for path in (fifo, tmp_path / "link"):
+        for args in (["decode", "--manifest", str(out / MANIFEST_NAME),
+                      "--shards", str(out), "--out", str(path)],
+                     ["simulate", "--scheme", "src", "--out", str(path)],
+                     ["simulate", "--scheme", "src", "--cdf-out", str(path),
+                      "--out", str(tmp_path / "r.txt")]):
+            res = runner.invoke(main, args)
+            assert (res.exit_code, res.stdout, res.stderr) == (
+                2, "", f"error: {path} is not a regular file; it is not "
+                "replaced\n")
+            assert sorted(tmp_path.iterdir()) == before
+            assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 def test_unreadable_shard_among_exactly_k_exit_4(runner, tmp_path,
@@ -1295,39 +1323,57 @@ def test_reports_and_decode_start_no_thread_and_import_no_pool(runner,
     # derives chunks by GF work does that work on the main thread and
     # writes each batch on one writer thread, joined before the command
     # returns, so no thread is left; no command imports a thread pool.
-    # The report commands also load no module that importing the CLI
-    # did not: a benchmark counts the reads of such an import against
-    # the command
-    _, data, out = _encode(runner, tmp_path, n=4, k=2, f=1, size=4 << 20,
-                           chunk=64 << 10)
-    for node in (1, 4):   # part1[1] is derived from nodes 2 and 3
-        (out / shard_filename(node)).unlink()
+    # No command loads a module that importing the CLI did not: a
+    # benchmark subtracts the reads of a launch that only imports the
+    # CLI, so a module imported later counts against the command, and
+    # a look-up repair has no slack for it, as its reads are checked
+    # against the manifest, the repair bandwidth and the helpers'
+    # headers and CRC tables alone
+    src_file, data = _write_input(tmp_path, 4 << 20)
+    out, decoded = tmp_path / "shards", tmp_path / "decoded.bin"
     script = """
-import sys, threading
+import os, sys, threading
 from srcodes.cli import main
+from srcodes.shards import MANIFEST_NAME, shard_filename
 loaded = set(sys.modules)
-for args in (["metrics", "--n", "10", "--k", "6", "--f", "2"],
-             ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
-              "--f", "2", "--machines", "40", "--seed", "1"],
-             ["reliability"],
-             ["decode", "--manifest", sys.argv[1], "--shards", sys.argv[2],
-              "--out", sys.argv[3]]):
-    if args[0] == "decode":
-        assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)
+data, out, decoded = sys.argv[1:]
+shards = ["--manifest", os.path.join(out, MANIFEST_NAME), "--shards", out]
+def lose(*nodes):
+    for node in nodes:
+        os.unlink(os.path.join(out, shard_filename(node)))
+for before, args in (
+        (None, ["metrics", "--n", "10", "--k", "6", "--f", "2"]),
+        (None, ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
+                "--f", "2", "--machines", "40", "--seed", "1"]),
+        (None, ["reliability"]),
+        (None, ["encode", data, "--n", "4", "--k", "2", "--f", "1",
+                "--chunk-size", "65536", "--out", out]),
+        (None, ["decode", *shards, "--out", decoded]),   # healthy
+        (None, ["repair", *shards, "--node", "1", "--dry-run"]),
+        ((4,), ["repair", *shards, "--node", "4"]),      # look-up
+        ((4,), ["repair", *shards, "--node", "1"]),      # fallback
+        # parity-heavy: part1[1] is derived from nodes 2 and 3
+        ((1,), ["decode", *shards, "--out", decoded])):
+    lose(*before or ())
     try:
         main(args)
     except SystemExit as e:
         assert not e.code, e.code
+    assert set(sys.modules) == loaded, (args[0], sorted(
+        set(sys.modules) ^ loaded))
 print(threading.active_count(), "concurrent.futures" in sys.modules)
 """
-    src = Path(__file__).resolve().parent.parent / "src"
-    decoded = tmp_path / "decoded.bin"
     res = subprocess.run(
-        [sys.executable, "-c", script, str(out / MANIFEST_NAME), str(out),
-         str(decoded)], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+        [sys.executable, "-c", script, str(src_file), str(out), str(decoded)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parent.parent / "src")))
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "1 False"
+    lines = res.stdout.splitlines()
+    assert [line.split(" via ")[1] for line in lines if " via " in line] == [
+        "look-up repair; digest verified",
+        "reconstruction fallback; digest verified"]
+    assert lines[-1] == "1 False"
     assert decoded.read_bytes() == data
 
 
