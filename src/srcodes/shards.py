@@ -474,9 +474,10 @@ def write_shard_set(directory: Path, params: SrcParams, source: BinaryIO,
 
 
 def read_regular_file(path: Path, what: str) -> bytes:
-    """The bytes of the file at path, the what of a command.  It is
-    opened without blocking, so a FIFO is refused, as any file that is
-    not a regular one is, by a ParameterError, not waited on."""
+    """The bytes of the file at path, which an error calls what (say,
+    "manifest").  It is opened without blocking, so a FIFO is refused,
+    as any file that is not a regular one is, by a ParameterError, not
+    waited on."""
     with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise ParameterError(f"{what} {path} is not a regular file")

@@ -36,8 +36,9 @@ lower id; only the set that straddles two levels needs care, as its own
 members are not yet in the new level.  The sets live in one read-only
 (set_count, n) array, a row per set, of the narrowest unsigned dtype
 that holds the largest machine id: uint8 up to 256 machines, uint16 up
-to 65 536.  Jobs are found a block of rows at a time and name each
-machine by one shared int, so a run holds little beyond that array.
+to 65 536, uint32 past that.  Jobs are found a block of rows at a time
+and name each machine by one shared int, so a run holds little beyond
+that array.
 
 A job counts its own unfinished flows and finishes with its last.  The
 event loop is single-threaded and fully deterministic: identical config

@@ -1338,23 +1338,21 @@ from srcodes.shards import MANIFEST_NAME, shard_filename
 loaded = set(sys.modules)
 data, out, decoded = sys.argv[1:]
 shards = ["--manifest", os.path.join(out, MANIFEST_NAME), "--shards", out]
-def lose(*nodes):
-    for node in nodes:
-        os.unlink(os.path.join(out, shard_filename(node)))
-for before, args in (
-        (None, ["metrics", "--n", "10", "--k", "6", "--f", "2"]),
-        (None, ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
-                "--f", "2", "--machines", "40", "--seed", "1"]),
-        (None, ["reliability"]),
-        (None, ["encode", data, "--n", "4", "--k", "2", "--f", "1",
-                "--chunk-size", "65536", "--out", out]),
-        (None, ["decode", *shards, "--out", decoded]),   # healthy
-        (None, ["repair", *shards, "--node", "1", "--dry-run"]),
-        ((4,), ["repair", *shards, "--node", "4"]),      # look-up
-        ((4,), ["repair", *shards, "--node", "1"]),      # fallback
+for lost, args in (
+        ((), ["metrics", "--n", "10", "--k", "6", "--f", "2"]),
+        ((), ["simulate", "--scheme", "src", "--n", "10", "--k", "6",
+              "--f", "2", "--machines", "40", "--seed", "1"]),
+        ((), ["reliability"]),
+        ((), ["encode", data, "--n", "4", "--k", "2", "--f", "1",
+              "--chunk-size", "65536", "--out", out]),
+        ((), ["decode", *shards, "--out", decoded]),   # healthy
+        ((), ["repair", *shards, "--node", "1", "--dry-run"]),
+        ((4,), ["repair", *shards, "--node", "4"]),    # look-up
+        ((4,), ["repair", *shards, "--node", "1"]),    # fallback
         # parity-heavy: part1[1] is derived from nodes 2 and 3
         ((1,), ["decode", *shards, "--out", decoded])):
-    lose(*before or ())
+    for node in lost:
+        os.unlink(os.path.join(out, shard_filename(node)))
     try:
         main(args)
     except SystemExit as e:
