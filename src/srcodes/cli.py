@@ -4,9 +4,11 @@ plus the metrics, simulation, and reliability reports.
 Exit codes: 0 success, 2 usage error (an OSError included, such as an
 output path that cannot be written, and a MemoryError, such as a stripe
 too large to hold), 3 insufficient data, 4 integrity failure; each
-failure prints one "error:" line.  Every randomized path
-takes a seed (defaulted and echoed in the output), and commands are
-idempotent: rerunning with the same inputs rewrites the same bytes.
+failure prints one "error:" line.  One handler on the command group
+applies them to every command; any other exception propagates, since it
+is a bug.  Every randomized path takes a seed (defaulted and echoed in
+the output), and commands are idempotent: rerunning with the same
+inputs rewrites the same bytes.
 
 This module parses arguments and prints messages and exit codes; shards
 reads and writes the files.  Each file command is one call to a shards
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import shutil
@@ -37,7 +38,7 @@ from . import repair as repair_mod
 from . import sim as sim_mod
 from .core import SrcParams
 from .errors import (InsufficientDataError, IntegrityError, ParameterError,
-                     PlacementError, ShapeError)
+                     SrcError)
 from .shards import (atomic_writer, decode_file, load_manifest,
                      read_regular_file, repair_shard, shard_filename,
                      write_shard_set)
@@ -45,32 +46,6 @@ from .shards import (atomic_writer, decode_file, load_manifest,
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
 EXIT_INTEGRITY = 4
-
-
-def _exit_codes(fn):
-    """Map library errors onto the documented exit-code contract."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ParameterError, PlacementError, ShapeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        except InsufficientDataError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INSUFFICIENT)
-        except IntegrityError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INTEGRITY)
-        except OSError as exc:   # e.g. an output path that cannot be written
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-        except MemoryError as exc:   # e.g. a stripe too large to hold
-            click.echo(f"error: out of memory: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-
-    return wrapper
 
 
 def _parse_pairs(option: str, text: str, example: str) -> list[tuple[int, int]]:
@@ -85,7 +60,21 @@ def _parse_pairs(option: str, text: str, example: str) -> list[tuple[int, int]]:
     return pairs
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps library errors onto exit codes, once for every command."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (SrcError, OSError, MemoryError) as exc:
+            oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+            click.echo(f"error: {oom}{exc}", err=True)
+            sys.exit(EXIT_INSUFFICIENT if isinstance(exc, InsufficientDataError)
+                     else EXIT_INTEGRITY if isinstance(exc, IntegrityError)
+                     else EXIT_USAGE)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Simple regenerating code toolkit."""
 
@@ -99,7 +88,6 @@ def main() -> None:
 @click.option("--chunk-size", type=int, default=64 * 1024, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path),
               required=True, help="output directory for shards + manifest")
-@_exit_codes
 def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
                out: Path) -> None:
     """Encode INPUT_FILE into n shard files plus a manifest."""
@@ -130,7 +118,6 @@ def cmd_encode(input_file: Path, n: int, k: int, f: int, chunk_size: int,
 @click.option("--dry-run", is_flag=True,
               help="print the look-up plan with every other node present; "
                    "reads and writes no shard file")
-@_exit_codes
 def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
                dry_run: bool) -> None:
     """Rebuild one node's shard from its look-up helpers."""
@@ -154,7 +141,6 @@ def cmd_repair(manifest_path: Path, shard_dir: Path, node: int,
               required=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
               required=True)
-@_exit_codes
 def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
     """Rebuild the original file from any k intact shards."""
     manifest = load_manifest(manifest_path)
@@ -175,7 +161,6 @@ def cmd_decode(manifest_path: Path, shard_dir: Path, out: Path) -> None:
 @click.option("--csv", "as_csv", is_flag=True, help="emit comma-separated rows")
 @click.option("--asymptotic", is_flag=True,
               help="also emit the f=log2(k) trend table for this rate")
-@_exit_codes
 def cmd_metrics(n: int, k: int, f: int, as_csv: bool, asymptotic: bool) -> None:
     """Print the five-scheme comparison table for (n, k, f)."""
     rows = metrics_mod.comparison_table(n, k, f)   # MDS first, SRC last
@@ -207,7 +192,7 @@ def _read_config(path: Path) -> dict:
     text = read_regular_file(path, "config")
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:   # nested too deep, or not JSON
         raise ParameterError(f"{path.name} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("scheme", {}), dict):
         raise ParameterError(f"{path.name}: the file and its scheme must be "
@@ -269,7 +254,6 @@ _CLUSTER = {fld.name: fld.default
               help="write the report here instead of stdout")
 @click.option("--cdf-out", type=click.Path(dir_okay=False, path_type=Path),
               help="write the repair-time CDF as CSV")
-@_exit_codes
 def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
                  data_per_machine: int, chunk_size: int, seed: int,
                  failed_machine: int, degraded: bool, sweep: str | None,
@@ -349,7 +333,6 @@ def cmd_simulate(scheme: str, n: int, k: int, f: int, machines: int,
 @click.option("--disk-mttf-hours", type=float,
               default=rel_mod.DISK_MTTF_HOURS, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True)
-@_exit_codes
 def cmd_reliability(pairs: str, system_bytes: float, node_bytes: float,
                     disk_mttf_hours: float, as_csv: bool) -> None:
     """Markov MTTF table: scheme x (n, k).

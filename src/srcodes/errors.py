@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract (2 usage, 3 insufficient
-data, 4 integrity), so library code should raise the most specific type.
+data, 4 integrity) in one handler on its command group, which lets any
+other exception but an OSError or MemoryError propagate; so library code
+should raise the most specific type.
 """
 
 

@@ -59,23 +59,19 @@ def src_metrics(params: SrcParams) -> MetricRow:
 
 def comparison_table(n: int, k: int, f: int) -> list[MetricRow]:
     """The five-scheme comparison: MDS, MSR(d=n-1), MBR(d=k), MBR(d=n-1),
-    SRC, all four metrics per row."""
-    if not 1 <= k < n:
-        raise ParameterError(f"need k < n, got n={n}, k={k}")
-    if f + 1 > n:
-        raise ParameterError(f"need f+1 <= n, got f={f}, n={n}")
+    SRC, all four metrics per row, once SrcParams accepts (n, k, f)."""
+    src = src_metrics(SrcParams(n=n, k=k, f=f, chunk_size=1))
     mbr_k_alpha = 2 * k / (k + 1)
     mbr_n_alpha = 2 * (n - 1) / (2 * (n - 1) - k + 1)
-    rows = [
+    return [
         MetricRow(f"({n},{k})-MDS", 1.0, float(k), k, k / n),
         MetricRow(f"({n},{k},d={n - 1})-MSR", 1.0, (n - 1) / (n - k), n - 1, k / n),
         MetricRow(f"({n},{k},d={k})-MBR", mbr_k_alpha, mbr_k_alpha, k,
                   k / (n * mbr_k_alpha)),
         MetricRow(f"({n},{k},d={n - 1})-MBR", mbr_n_alpha, mbr_n_alpha, n - 1,
                   k / (n * mbr_n_alpha)),
-        src_metrics(SrcParams(n=n, k=k, f=f, chunk_size=1)),
+        src,
     ]
-    return rows
 
 
 @dataclass(frozen=True)

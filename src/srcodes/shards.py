@@ -55,6 +55,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
+from errno import EISDIR
 from itertools import groupby
 from pathlib import Path
 from typing import BinaryIO
@@ -152,13 +153,13 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Manifest":
-        """Parse a manifest.  Malformed JSON, a version other than 1 or
-        2, a missing key, a value of the wrong type, code parameters
-        SrcParams rejects, shards not keyed exactly 1..n, a shard file
-        other than node_NNN.shard, a digest that is not 64 lowercase hex
-        characters, a negative file_size, a chunk_size or file_size the
-        shard header's u64 fields cannot hold, or a stripe_count that
-        does not fit file_size raises IntegrityError."""
+        """Parse a manifest.  Malformed JSON (nested too deep included), a
+        version other than 1 or 2, a missing key, a value of the wrong
+        type, code parameters SrcParams rejects, shards not keyed exactly
+        1..n, a shard file other than node_NNN.shard, a digest that is not
+        64 lowercase hex characters, a negative file_size, a chunk_size or
+        file_size the shard header's u64 fields cannot hold, or a
+        stripe_count that does not fit file_size raises IntegrityError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "src-manifest":
@@ -214,7 +215,8 @@ class Manifest:
                 shard_digests=digests,
                 version=version,
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError,
+                ValueError) as exc:
             raise IntegrityError(
                 f"malformed manifest: {type(exc).__name__}: {exc}") from exc
 
@@ -225,13 +227,16 @@ def atomic_writer(path: Path) -> Iterator:
     ends normally, os.replace it into place, so the path holds either its
     old bytes or all of the new ones; on error the temporary file is
     removed.  An OSError about the temporary file names path instead.
-    A device, FIFO or socket at path, or a link to one, is refused by a
-    ParameterError before the temporary file is made: os.replace would
-    swap it for a regular file.  A directory fails at os.replace."""
+    A directory at path is refused before the temporary file is made, by
+    the IsADirectoryError os.replace would raise, and a device, FIFO or
+    socket, or a link to one, by a ParameterError: os.replace would swap
+    it for a regular file."""
     path = Path(path)
     with suppress(FileNotFoundError):   # os.stat follows a link
         mode = os.stat(path).st_mode
-        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(EISDIR, os.strerror(EISDIR), str(path))
+        if not stat.S_ISREG(mode):
             raise ParameterError(f"{path} is not a regular file; it is "
                                  "not replaced")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -607,7 +612,9 @@ class ShardReader:
         """Open the shard files the plans that run read, each checked as
         on its first read, and plan around those that fail, until every
         file planned is open: the last stripe's plan, if apart, and the
-        plan of the other stripes, unless the last is the only one."""
+        plan of the other stripes, unless the last is the only one.  Run
+        before any buffer is made, it makes a manifest claiming 1 TiB
+        chunks exit 4 on the files' lengths, not 2 at np.empty."""
         p = self.manifest.params
         while True:
             plans = [self.plan] if self.tail is None else \

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -158,15 +159,21 @@ class Cluster:
     sets: np.ndarray
 
 
+_DRAW_BLOCK = 2**24
+
+
 def _draws(rng: random.Random, count: int) -> np.ndarray:
     """count successive rng.random() values, as one float64 array, leaving
     rng where those calls would: CPython's random() is two 32-bit words,
     a = w0 >> 5 and b = w1 >> 6, as (a * 2**26 + b) / 2**53, and
-    getrandbits hands out its words least significant first."""
-    w = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
-                      "<u4")
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) \
-        * (1.0 / 9007199254740992.0)
+    randbytes hands out getrandbits' words least significant first.  A
+    call per _DRAW_BLOCK values gives the same words as one call for all,
+    and keeps each under the 2**31 bits that overflow getrandbits."""
+    out = np.empty(count)
+    for i in range(0, count, _DRAW_BLOCK):
+        w = np.frombuffer(rng.randbytes(8 * min(_DRAW_BLOCK, count - i)), "<u4")
+        out[i:i + _DRAW_BLOCK] = (w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)
+    return out * (1.0 / 9007199254740992.0)
 
 
 def build_cluster(config: ClusterConfig) -> Cluster:
@@ -182,7 +189,7 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     once.  The one set that straddles two levels takes the rest of the
     old level and then the lowest keys of the new one among the machines
     already in it: its own old-level members join the new level only once
-    the set is complete.
+    the set is complete.  A cluster no array can hold is a ParameterError.
     """
     scheme = config.scheme
     n = scheme.n
@@ -192,10 +199,14 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     set_count = total_slots // slots_per_set
     if set_count < 1:
         raise PlacementError("not enough chunk slots for a single redundancy set")
+    dtype = np.min_scalar_type(config.machines - 1)
+    if max(8 * config.machines, set_count * n * dtype.itemsize) > sys.maxsize:
+        raise ParameterError(f"{set_count} sets of {n} on {config.machines} "
+                             "machines are too large to hold")
 
     key = _draws(rng, config.machines)   # indexed by machine id
     order = np.argsort(key, kind="stable")   # ties to the lower id
-    sets = np.empty((set_count, n), np.min_scalar_type(config.machines - 1))
+    sets = np.empty((set_count, n), dtype)
     done = 0
     carry: list[int] = []   # the straddling set's members from the old level
     while True:

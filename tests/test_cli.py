@@ -268,6 +268,22 @@ def test_encode_invalid_params_usage_error(runner, tmp_path):
     assert "k < n" in res.output or "k < n" in (res.stderr or "")
 
 
+@pytest.mark.parametrize("n,k,f,line", [
+    ("6", "6", "2", "need 1 <= k < n <= 255, got n=6, k=6"),
+    ("4", "2", "4", "need f+1 <= n for repairable placement, got f=4, n=4"),
+], ids=["k-equals-n", "f-too-large"])
+def test_metrics_and_encode_refuse_a_triple_alike(runner, tmp_path, n, k, f,
+                                                  line):
+    # both commands take their checks from SrcParams
+    src, _ = _write_input(tmp_path, 100)
+    code = ["--n", n, "--k", k, "--f", f]
+    for args in (["encode", str(src), *code, "--out", str(tmp_path / "x")],
+                 ["metrics", *code]):
+        res = runner.invoke(main, args)
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", f"error: {line}\n")
+
+
 def test_repair_dry_run_writes_nothing(runner, tmp_path):
     _, _, out = _encode(runner, tmp_path, n=10, k=6, f=2, size=300_000)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -1053,6 +1069,37 @@ def test_unwritable_output_error_names_the_path(runner, tmp_path):
     assert sorted(p.name for p in again.iterdir()) == [shard_filename(1)]
 
 
+def test_a_directory_as_a_shard_path_is_refused_before_any_work(
+        runner, tmp_path, monkeypatch):
+    # os.replace would refuse it only after every batch was read and
+    # coded: the directory is refused before the batch loop, and no
+    # temporary file is left
+    _, _, out = _encode(runner, tmp_path, size=30_000)
+
+    def no_work(*args):
+        raise AssertionError("coded before refusing the directory")
+
+    monkeypatch.setattr(shards, "_pipeline", no_work)
+    again = tmp_path / "again"
+    (again / shard_filename(1)).mkdir(parents=True)
+    res = runner.invoke(main, ["encode", str(tmp_path / "input.bin"), "--n",
+                               "4", "--k", "2", "--f", "2", "--out",
+                               str(again)])
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: [Errno 21] Is a directory: "
+           f"'{again / shard_filename(1)}'\n")
+    assert sorted(p.name for p in again.iterdir()) == [shard_filename(1)]
+    lost = out / shard_filename(2)
+    lost.unlink()
+    lost.mkdir()
+    before = sorted(out.iterdir())
+    res = runner.invoke(main, ["repair", "--manifest", str(out / MANIFEST_NAME),
+                               "--shards", str(out), "--node", "2"])
+    assert (res.exit_code, res.stderr) == (
+        2, f"error: [Errno 21] Is a directory: '{lost}'\n")
+    assert sorted(out.iterdir()) == before
+
+
 def test_simulate_unwritable_out_writes_nothing(runner, tmp_path,
                                                 monkeypatch):
     # both outputs are opened before the run: an unwritable one fails
@@ -1552,6 +1599,44 @@ def test_simulate_config_not_json_usage_error(runner, tmp_path):
     assert res.exit_code == 2
     assert res.stderr.startswith("error: cluster.json is not valid JSON: ")
     assert res.stdout == ""
+
+
+def test_json_nested_too_deep_is_malformed_input(runner, tmp_path):
+    # past the recursion limit json.loads raises RecursionError, not
+    # ValueError: a manifest is malformed (exit 4), a config not valid
+    # JSON (exit 2), each one error line, not a traceback
+    _, _, out = _encode(runner, tmp_path, size=30_000)
+    manifest = out / MANIFEST_NAME
+    manifest.write_text("[" * 100_000)
+    for args in (["decode", "--out", str(tmp_path / "y.bin")],
+                 ["repair", "--node", "1"]):
+        res = runner.invoke(main, args + ["--manifest", str(manifest),
+                                          "--shards", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr.startswith(
+            "error: malformed manifest: RecursionError: ")
+        assert res.stderr.count("\n") == 1 and res.stdout == ""
+    cfg = tmp_path / "cluster.json"
+    cfg.write_text('{"seed": ' + "[" * 100_000)
+    res = runner.invoke(main, ["simulate", "--scheme", "rs",
+                               "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: cluster.json is not valid JSON: ")
+    assert res.stderr.count("\n") == 1 and res.stdout == ""
+
+
+@pytest.mark.parametrize("args,line", [
+    (["--data-per-machine", str(10 ** 26)],
+     "14901161193847656960 sets of 10 on 100 machines"),
+    (["--machines", str(2 ** 60)],
+     f"6917529027641081856 sets of 10 on {2 ** 60} machines"),
+], ids=["data-per-machine", "machines"])
+def test_simulate_cluster_too_large_to_hold_usage_error(runner, args, line):
+    # refused before any draw: a draw of 2**31 bits or more overflows
+    # getrandbits, and np.empty refuses arrays this large
+    res = runner.invoke(main, ["simulate", "--scheme", "rs", *args])
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"error: {line} are too large to hold\n")
 
 
 def test_simulate_sweep_series(runner):

@@ -3,8 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from srcodes.core import (ChunkId, SrcParams, encode, reconstruct, ring_add,
-                          ring_sub)
+from srcodes.core import (ChunkId, SrcParams, chunks_from_shards, encode,
+                          reconstruct, ring_add, ring_sub)
 from srcodes.errors import InsufficientDataError, ParameterError, ShapeError
 from srcodes.mds import make_generator
 
@@ -44,6 +44,17 @@ def test_params_validation():
         SrcParams(4, 2, 0, 16)
     with pytest.raises(ParameterError):
         SrcParams(4, 2, 2, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p: p.node_chunks(5), "node 5 outside [1, 4]"),
+    (lambda p: p.chunk_location(ChunkId(4, 1)), "part 4 outside [1, 3]"),
+    (lambda p: p.chunk_location(ChunkId(1, 0)), "subscript 0 outside [1, 4]"),
+], ids=["node", "part", "subscript"])
+def test_ids_out_of_range(call, message):
+    with pytest.raises(ParameterError) as err:
+        call(SrcParams(4, 2, 2, 16))
+    assert str(err.value) == message
 
 
 def test_stripes_counts_whole_stripes():
@@ -157,6 +168,19 @@ def test_reconstruct_errors():
     bad = {1: arr.shards[1], 2: arr.shards[2][:, :, :8]}
     with pytest.raises(ShapeError):
         reconstruct(bad, p, arr.file_size)
+    # 500 bytes take 8 stripes of 64
+    with pytest.raises(ShapeError) as err:
+        reconstruct(arr.shards, p, 513)
+    assert str(err.value) == "8 stripes cannot hold file_size=513"
+    for shards, error, message in [
+            # the node is checked before its shard's shape
+            ({1: arr.shards[1], 5: arr.shards[1][:, :, :8]}, ParameterError,
+             "node 5 outside [1, 4]"),
+            ({1: arr.shards[1], 2: arr.shards[2][:7]}, ShapeError,
+             "shards disagree on stripe count")]:
+        with pytest.raises(error) as err:
+            chunks_from_shards(p, shards, p.node_chunks(3))
+        assert str(err.value) == message
 
 
 def test_f_equal_one_mirrored_degenerate():

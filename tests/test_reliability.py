@@ -138,3 +138,6 @@ def test_params_validation():
         absorption_time([], [])
     with pytest.raises(ParameterError):
         absorption_time([0.0], [0.0])
+    with pytest.raises(ParameterError) as err:
+        absorption_time([1.0, 0.0], [0.0, 1.0])
+    assert str(err.value) == "birth rate from state 1 must be positive"

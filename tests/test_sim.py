@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from srcodes import sim
 from srcodes.errors import ParameterError, PlacementError
 from srcodes.sim import (ClusterConfig, Scheme, SimReport, _draws,
                          build_cluster, cdf_csv, repair_time_cdf,
@@ -36,6 +37,9 @@ def test_scheme_descriptors():
         Scheme(kind="raid", n=5, k=3)
     with pytest.raises(ParameterError):   # replication is (3, 1) MDS
         Scheme("replication", 3, 3)
+    with pytest.raises(ParameterError) as err:
+        Scheme("src", 10, 6, 0)
+    assert str(err.value) == "src scheme needs f >= 1"
 
 
 def test_replication_one_chunk_three_distinct_machines():
@@ -110,15 +114,18 @@ def test_placement_matches_the_heap_reference_at_full_size():
 
 @pytest.mark.parametrize("seed", [0, 1, "7:placement", 2**64 + 3])
 @pytest.mark.parametrize("count", [1, 7, 1000])
-def test_draws_equal_successive_random_calls(seed, count):
+def test_draws_equal_successive_random_calls(seed, count, monkeypatch):
     # the vectorised draw relies on CPython's random() formula and on
-    # getrandbits handing out its 32-bit words least significant first
-    rng, want_rng = random.Random(seed), random.Random(seed)
-    got = _draws(rng, count)
-    want = [want_rng.random() for _ in range(count)]
-    assert got.dtype == np.float64
-    assert got.tolist() == want
-    assert rng.getstate() == want_rng.getstate()
+    # getrandbits handing out its 32-bit words least significant first,
+    # so a draw made a block at a time is the same as one made at once
+    for block in (sim._DRAW_BLOCK, 3):
+        monkeypatch.setattr(sim, "_DRAW_BLOCK", block)
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        got = _draws(rng, count)
+        want = [want_rng.random() for _ in range(count)]
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+        assert rng.getstate() == want_rng.getstate()
 
 
 def test_cluster_sets_are_one_read_only_array_of_the_narrowest_dtype():
@@ -309,6 +316,13 @@ def test_cdf_monotone_on_real_run():
     assert pcts == sorted(pcts) and pcts[-1] == 1.0
     assert cdf_csv(run_node_failure(cluster, 0)).startswith(
         "repair_time_s,percentile")
+
+
+@pytest.mark.parametrize("field", ["max_inbound_repairs", "dispatch_window"])
+def test_config_rejects_a_concurrency_knob_below_one(field):
+    with pytest.raises(ParameterError) as err:
+        ClusterConfig(scheme=Scheme.replication(), **{field: 0})
+    assert str(err.value) == "concurrency knobs must be >= 1"
 
 
 def test_failed_machine_bounds():
